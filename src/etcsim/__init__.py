@@ -1,7 +1,7 @@
 """Event-triggered stabilization over finite-rate channels with bounded delay.
 
-Library layout: `model` holds the plant/trigger types and exact propagation,
-`bounds` the closed-form rate and bit bounds, `codec` the sign +
+Library layout: `model` holds the plant/trigger types and the Jordan block
+exponential, `bounds` the closed-form rate and bit bounds, `codec` the sign +
 quantized-trigger-time packet format, `channel` the bounded-delay models,
 `sim` the event-driven closed-loop engine, and `cli` the command-line front
 end with bundled figure recipes.
@@ -37,21 +37,12 @@ from .channel import (
     ConstantDelay,
     ReplayDelay,
     UniformDelay,
-    admit,
     build_delay,
     sample_delay,
 )
 from .codec import Packet, decode, encode, reconstruct_error
 from .errors import ConfigurationError, DecodeError, DivergenceError, PreconditionError
-from .model import (
-    JordanPlant,
-    ScalarPlant,
-    SimState,
-    TriggerConfig,
-    apply_jump,
-    propagate,
-    trigger_value,
-)
+from .model import JordanPlant, ScalarPlant, TriggerConfig
 from .sim import (
     PhaseCurve,
     RateReport,

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import PreconditionError
-from .model import default_rho_ladder
+from .model import contraction_ladders
 
 LN2 = math.log(2.0)
 
@@ -50,6 +50,8 @@ class BoundInputs:
             raise PreconditionError(f"b must exceed 1, got {self.b}")
         if not self.nu >= 1:
             raise PreconditionError(f"nu must be >= 1, got {self.nu}")
+        if self.rho_ladders is not None:
+            contraction_ladders(self.rho0, [p for _, p in blocks], self.rho_ladders)
 
     @classmethod
     def scalar(cls, A, sigma, rho0, gamma=0.0, b=1.0001, nu=1.0) -> "BoundInputs":
@@ -73,9 +75,8 @@ class BoundInputs:
 
     def rho_flat(self) -> tuple[tuple[float, tuple[float, ...]], ...]:
         """Per block: (eigenvalue, per-coordinate contraction ladder)."""
-        if self.rho_ladders is not None:
-            return tuple((lam, lad) for (lam, _), lad in zip(self.blocks, self.rho_ladders))
-        return tuple((lam, default_rho_ladder(self.rho0, p)) for lam, p in self.blocks)
+        ladders = contraction_ladders(self.rho0, [p for _, p in self.blocks], self.rho_ladders)
+        return tuple((lam, lad) for (lam, _), lad in zip(self.blocks, ladders))
 
 
 def _ln_em1(u: float) -> float:
@@ -254,6 +255,55 @@ def time_quantization_tolerance(inp: BoundInputs) -> float:
     """Largest trigger-time quantization error that preserves the jump contract."""
     u = (inp.A + inp.sigma) * inp.gamma
     return math.log1p(inp.rho0 * math.exp(-u)) / (inp.A + inp.sigma)
+
+
+@dataclass
+class AnalyticBounds:
+    """Every closed-form quantity at one parameter set.
+
+    The fields from packet_bits_necessary on are defined for single-eigenvalue
+    systems only and stay None otherwise.
+    """
+
+    access_rate: float
+    rate_necessary: float
+    rate_necessary_approx: float
+    rate_sufficient: float
+    asymptote: float
+    packet_bits_necessary: float | None = None
+    triggering_rate_upper: float | None = None
+    triggering_rate_lower: float | None = None
+    min_inter_event_time: float | None = None
+    gamma_c: float | None = None
+    gamma_eq: float | None = None
+    beta: float | None = None
+    packet_size_sufficient: int | None = None
+    time_quantization_tolerance: float | None = None
+
+
+def analytic_bounds(inp: BoundInputs) -> AnalyticBounds:
+    """Evaluate every bound; single-eigenvalue quantities where defined."""
+    out = AnalyticBounds(
+        access_rate=access_rate_necessary(inp),
+        rate_necessary=transmission_rate_necessary(inp),
+        rate_necessary_approx=transmission_rate_necessary_approx(inp),
+        rate_sufficient=transmission_rate_sufficient(inp),
+        asymptote=rate_asymptote(inp),
+    )
+    try:
+        A = inp.A
+    except PreconditionError:
+        return out
+    out.packet_bits_necessary = packet_bits_necessary(inp)
+    out.triggering_rate_upper = triggering_rate_upper(inp)
+    out.triggering_rate_lower = triggering_rate_lower(inp)
+    out.min_inter_event_time = min_inter_event_time(inp)
+    out.gamma_c = critical_delay(inp)
+    out.gamma_eq = equilibrium_delay(A)
+    out.beta = beta(inp)
+    out.packet_size_sufficient = packet_size_sufficient(inp)
+    out.time_quantization_tolerance = time_quantization_tolerance(inp)
+    return out
 
 
 @dataclass(frozen=True)

@@ -123,6 +123,7 @@ class ChannelState:
     in_flight: dict[int, tuple[Packet, float]] = field(default_factory=dict)
 
     def admit(self, coord: int) -> bool:
+        """True iff the coordinate's channel is idle."""
         return coord not in self.in_flight
 
     def send(self, coord: int, packet: Packet, t_c: float) -> None:
@@ -141,14 +142,6 @@ class ChannelState:
     def deliver(self, coord: int) -> Packet:
         packet, _ = self.in_flight.pop(coord)
         return packet
-
-    def copy(self) -> "ChannelState":
-        return ChannelState(dict(self.in_flight))
-
-
-def admit(state: ChannelState, coord: int) -> bool:
-    """True iff the coordinate's channel is idle."""
-    return state.admit(coord)
 
 
 def build_delay(

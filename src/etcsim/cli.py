@@ -31,7 +31,6 @@ EXIT_USAGE = 1
 EXIT_INVARIANT = 2
 EXIT_DIVERGED = 3
 
-TRACE_SCHEMA = "t,x*,xhat*,z*,v*  (one column group per coordinate, 1-based)"
 SWEEP_COLUMNS = [
     "gamma", "rho0", "sigma", "g", "R_s_empirical", "R_tr_empirical",
     "R_necessary", "R_necessary_approx", "R_sufficient", "R_necessary_sup",
@@ -135,7 +134,7 @@ def _nested(s: str) -> tuple[tuple[float, ...], ...]:
     return tuple(tuple(float(v) for v in grp.replace(",", " ").split()) for grp in s.split(";"))
 
 
-def build_plant(cfg: RunConfig) -> ScalarPlant | JordanPlant:
+def build_plant(cfg: RunConfig) -> JordanPlant:
     if cfg.has("blocks"):
         blocks = cfg.get("blocks", _blocks)
         n = sum(p for _, p in blocks)
@@ -147,7 +146,7 @@ def build_plant(cfg: RunConfig) -> ScalarPlant | JordanPlant:
         B=cfg.get("B", float, 0.0),
         K=cfg.get("K", float, 0.0),
         L=cfg.get("L", float, 1.0),
-    )
+    ).as_jordan()
 
 
 def build_trigger(cfg: RunConfig) -> TriggerConfig:
@@ -166,10 +165,8 @@ def build_trigger(cfg: RunConfig) -> TriggerConfig:
 
 
 def build_inputs(cfg: RunConfig, gamma: float | None = None) -> bnd.BoundInputs:
-    plant = build_plant(cfg)
-    blocks = plant.blocks if isinstance(plant, JordanPlant) else ((plant.A, 1),)
     return bnd.BoundInputs(
-        blocks=blocks,
+        blocks=build_plant(cfg).blocks,
         sigma=cfg.get("sigma", float),
         rho0=cfg.get("rho0", float),
         gamma=cfg.get("gamma", float) if gamma is None else gamma,
@@ -206,36 +203,16 @@ def _write_json(path: Path, payload) -> None:
 
 def cmd_bounds(cfg: RunConfig, out_dir: Path | None, want_json: bool) -> int:
     inp = build_inputs(cfg)
-    quantities: dict[str, object] = {
-        "access_rate": bnd.access_rate_necessary(inp),
-        "rate_necessary": bnd.transmission_rate_necessary(inp),
-        "rate_necessary_approx": bnd.transmission_rate_necessary_approx(inp),
-        "rate_sufficient": bnd.transmission_rate_sufficient(inp),
-        "asymptote": bnd.rate_asymptote(inp),
-    }
-    try:
-        # single-eigenvalue quantities; skipped for mixed-eigenvalue plants
-        quantities.update(
-            packet_bits_necessary=bnd.packet_bits_necessary(inp),
-            triggering_rate_upper=bnd.triggering_rate_upper(inp),
-            triggering_rate_lower=bnd.triggering_rate_lower(inp),
-            min_inter_event_time=bnd.min_inter_event_time(inp),
-            gamma_c=bnd.critical_delay(inp),
-            gamma_eq=bnd.equilibrium_delay(inp.A),
-            beta=bnd.beta(inp),
-            packet_size_sufficient=bnd.packet_size_sufficient(inp),
-            time_quantization_tolerance=bnd.time_quantization_tolerance(inp),
-        )
-        scalar_like = True
-    except PreconditionError:
-        scalar_like = False
+    table = bnd.analytic_bounds(inp)
+    quantities = {k: v for k, v in dataclasses.asdict(table).items() if v is not None}
+    scalar_like = table.packet_size_sufficient is not None
     want_window = cfg.get("assumption1", _bool, False)
     if want_window and inp.nu < 2:
         raise ConfigurationError(
             f"the quantization-precision design window needs nu >= 2, got nu={inp.nu}"
         )
     if scalar_like and inp.nu >= 2 and inp.gamma > 0:
-        g = cfg.get("g", int, 0) or bnd.packet_size_sufficient(inp)
+        g = cfg.get("g", int, 0) or table.packet_size_sufficient
         if g >= 2:
             win = bnd.assumption1_window(inp, g)
             quantities["assumption1_g"] = g
@@ -256,10 +233,9 @@ def cmd_bounds(cfg: RunConfig, out_dir: Path | None, want_json: bool) -> int:
 # -- simulate -----------------------------------------------------------------
 
 
-def _delay_factory(cfg: RunConfig, plant, seed: int):
+def _delay_factory(cfg: RunConfig, plant: JordanPlant, seed: int):
     spec = cfg.get("delay", str, "uniform")
-    blocks = plant.blocks if isinstance(plant, JordanPlant) else ((plant.A, 1),)
-    growth = max(lam for lam, _ in blocks)
+    growth = max(lam for lam, _ in plant.blocks)
     sigma = cfg.get("sigma", float)
     rho0 = cfg.get("rho0", float)
 
@@ -315,14 +291,13 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     x0 = np.asarray(cfg.get("x0", _floats), dtype=float)
     xhat0 = np.asarray(cfg.get("xhat0", _floats), dtype=float)
     factory = _delay_factory(cfg, plant, seed)
-    jp = plant.as_jordan() if isinstance(plant, ScalarPlant) else plant
-    models = [factory(trigger.gamma, 0, c) for c in range(jp.n)]
+    models = [factory(trigger.gamma, 0, c) for c in range(plant.n)]
 
     out_dir.mkdir(parents=True, exist_ok=True)
     code = EXIT_OK
     try:
         trace = sim.run_vector(
-            jp, trigger, models, horizon, step,
+            plant, trigger, models, horizon, step,
             x0=x0, xhat0=xhat0, refine=refine, g=g, nu=nu, integrator=integrator,
         )
     except DivergenceError as err:

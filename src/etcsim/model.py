@@ -1,21 +1,21 @@
-"""Plant and trigger domain types, plus exact inter-event propagation.
+"""Plant and trigger domain types, and the Jordan block exponential.
 
 Between communication events the closed loop is linear in (xhat, z):
 the estimate follows the nominal feedback dynamics while the estimation
-error z = x - xhat obeys zdot = A z independently of the input.  Both
-factors admit exact transition matrices, so propagation is free of
-integrator error.
+error z = x - xhat obeys zdot = A z independently of the input.  The error
+factor has the closed-form transition block_matexp, so the engine
+propagates it free of integrator error.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
-from .errors import ConfigurationError, DivergenceError, PreconditionError
+from .errors import ConfigurationError
 
 # States beyond this magnitude abort a run as diverged.
 OVERFLOW_LIMIT = 1e12
@@ -161,60 +161,55 @@ class TriggerConfig:
             if not v > 0:
                 raise ConfigurationError(f"trigger levels v0 must be positive, got {v}")
         if self.rho_ladders is not None:
-            for ladder in self.rho_ladders:
-                if not ladder or any(not 0 < r <= self.rho0 for r in ladder):
-                    raise ConfigurationError(f"ladder values must lie in (0, rho0], got {ladder}")
-                if any(a >= b_ for a, b_ in zip(ladder, ladder[1:])):
-                    raise ConfigurationError(f"ladder must be strictly increasing, got {ladder}")
-                if ladder[-1] != self.rho0:
-                    raise ConfigurationError(f"ladder must end at rho0={self.rho0}, got {ladder}")
+            # values only: the shape is checked against the plant in rho_flat
+            contraction_ladders(self.rho0, [len(lad) for lad in self.rho_ladders], self.rho_ladders)
 
     def v0_flat(self) -> tuple[float, ...]:
         if isinstance(self.v0, (int, float)):
             return (float(self.v0),)
         return tuple(float(v) for block in self.v0 for v in block)
 
+    def v0_levels(self, blocks: tuple[tuple[float, int], ...]) -> tuple[float, ...]:
+        """Per-coordinate trigger levels; a single level applies to every coordinate."""
+        n = sum(p for _, p in blocks)
+        levels = self.v0_flat()
+        if len(levels) == 1:
+            levels = levels * n
+        if len(levels) != n:
+            raise ConfigurationError(
+                f"need one trigger level per coordinate ({n}), got {len(levels)}"
+            )
+        return levels
+
     def rho_flat(self, blocks: tuple[tuple[float, int], ...]) -> tuple[float, ...]:
         """Per-coordinate contraction values; defaults to rho0*i/p within a block."""
-        if self.rho_ladders is not None:
-            if len(self.rho_ladders) != len(blocks) or any(
-                len(lad) != p for lad, (_, p) in zip(self.rho_ladders, blocks)
-            ):
-                raise ConfigurationError("rho_ladders shape must match the plant blocks")
-            return tuple(r for lad in self.rho_ladders for r in lad)
-        return tuple(self.rho0 * i / p for _, p in blocks for i in range(1, p + 1))
+        ladders = contraction_ladders(self.rho0, [p for _, p in blocks], self.rho_ladders)
+        return tuple(r for lad in ladders for r in lad)
 
 
-def default_rho_ladder(rho0: float, p: int) -> tuple[float, ...]:
-    """Strictly increasing per-coordinate contractions ending at rho0."""
-    return tuple(rho0 * i / p for i in range(1, p + 1))
+def contraction_ladders(
+    rho0: float,
+    orders: Sequence[int],
+    ladders: tuple[tuple[float, ...], ...] | None,
+) -> tuple[tuple[float, ...], ...]:
+    """Per block of the given orders, its per-coordinate contraction ladder.
 
-
-@dataclass(frozen=True)
-class SimState:
-    """Closed-loop snapshot: time, true state, and controller estimate."""
-
-    t: float
-    x: np.ndarray
-    xhat: np.ndarray
-
-    def __post_init__(self):
-        x = np.atleast_1d(np.asarray(self.x, dtype=float))
-        xhat = np.atleast_1d(np.asarray(self.xhat, dtype=float))
-        if x.shape != xhat.shape:
-            raise ConfigurationError(f"x and xhat must agree in shape: {x.shape} vs {xhat.shape}")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "xhat", xhat)
-
-    @property
-    def z(self) -> np.ndarray:
-        return self.x - self.xhat
-
-
-def control_input(state: SimState, plant: ScalarPlant | JordanPlant) -> np.ndarray:
-    """Feedback law u = -K xhat."""
-    jp = plant.as_jordan() if isinstance(plant, ScalarPlant) else plant
-    return -jp.K @ state.xhat
+    A ladder lies in (0, rho0], increases strictly and ends at rho0; without
+    ladders a block of order p gets the default rho0*i/p, i = 1..p.  Given
+    ladders are checked against the orders and these rules.
+    """
+    if ladders is None:
+        return tuple(tuple(rho0 * i / p for i in range(1, p + 1)) for p in orders)
+    if len(ladders) != len(orders) or any(len(lad) != p for lad, p in zip(ladders, orders)):
+        raise ConfigurationError("rho_ladders shape must match the plant blocks")
+    for ladder in ladders:
+        if not ladder or any(not 0 < r <= rho0 for r in ladder):
+            raise ConfigurationError(f"ladder values must lie in (0, rho0], got {ladder}")
+        if any(a >= b for a, b in zip(ladder, ladder[1:])):
+            raise ConfigurationError(f"ladder must be strictly increasing, got {ladder}")
+        if ladder[-1] != rho0:
+            raise ConfigurationError(f"ladder must end at rho0={rho0}, got {ladder}")
+    return tuple(tuple(lad) for lad in ladders)
 
 
 def block_matexp(lam: float, p: int, h: float) -> np.ndarray:
@@ -226,74 +221,3 @@ def block_matexp(lam: float, p: int, h: float) -> np.ndarray:
         for i in range(p - k):
             M[i, i + k] = val
     return math.exp(lam * h) * M
-
-
-def error_transition(blocks: tuple[tuple[float, int], ...], h: float) -> np.ndarray:
-    """Block-diagonal exp(A*h) for the error dynamics zdot = A z."""
-    return scipy.linalg.block_diag(*(block_matexp(lam, p, h) for lam, p in blocks))
-
-
-def apply_error_transition(
-    blocks: tuple[tuple[float, int], ...], h: float, z: np.ndarray
-) -> np.ndarray:
-    out = np.empty_like(z)
-    at = 0
-    for lam, p in blocks:
-        out[at : at + p] = block_matexp(lam, p, h) @ z[at : at + p]
-        at += p
-    return out
-
-
-def closed_loop_transition(plant: JordanPlant, h: float) -> np.ndarray:
-    """exp((A - B K) h) via scaling-and-squaring Pade evaluation."""
-    return scipy.linalg.expm(plant.closed_loop_matrix() * h)
-
-
-def propagate(
-    state: SimState,
-    plant: ScalarPlant | JordanPlant,
-    h: float,
-    method: str = "exact",
-) -> SimState:
-    """Advance the closed loop by h under u = -K xhat held as a linear law.
-
-    "exact" evaluates the flow of the augmented linear system: z moves by the
-    closed-form Jordan exponential and xhat by expm((A - B K) h), which is the
-    augmented-matrix solution expressed in the (xhat, z) basis.  "euler" is a
-    fixed-step forward difference kept for replicating discretized runs.
-    """
-    if not h > 0:
-        raise PreconditionError(f"step h must be positive, got {h}")
-    jp = plant.as_jordan() if isinstance(plant, ScalarPlant) else plant
-    if method == "exact":
-        z = apply_error_transition(jp.blocks, h, state.z)
-        xhat = closed_loop_transition(jp, h) @ state.xhat
-        x = xhat + z
-    elif method == "euler":
-        A = jp.a_matrix()
-        u = -jp.K @ state.xhat
-        x = state.x + h * (A @ state.x + jp.B @ u)
-        xhat = state.xhat + h * (A @ state.xhat + jp.B @ u)
-    else:
-        raise PreconditionError(f"unknown propagation method {method!r}")
-    if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > OVERFLOW_LIMIT:
-        raise DivergenceError(f"state overflow at t={state.t + h}")
-    return SimState(state.t + h, x, xhat)
-
-
-def trigger_value(cfg: TriggerConfig, coord: int, t: float) -> float:
-    """Trigger threshold v0_coord * exp(-sigma t)."""
-    if t < 0:
-        raise PreconditionError(f"time must be >= 0, got {t}")
-    return cfg.v0_flat()[coord] * math.exp(-cfg.sigma * t)
-
-
-def apply_jump(state: SimState, coord: int, zbar: float) -> SimState:
-    """Shift the estimate of one coordinate by the decoded error estimate.
-
-    The true state is untouched; the new estimation error on the coordinate
-    is z - zbar.
-    """
-    xhat = state.xhat.copy()
-    xhat[coord] += zbar
-    return SimState(state.t, state.x.copy(), xhat)

@@ -88,47 +88,6 @@ class SimTrace:
 
 
 @dataclass
-class AnalyticBounds:
-    """All closed-form quantities evaluated at one parameter set."""
-
-    access_rate: float
-    rate_necessary: float
-    rate_necessary_approx: float
-    rate_sufficient: float
-    asymptote: float
-    triggering_upper: float | None = None
-    triggering_lower: float | None = None
-    packet_bits_necessary: float | None = None
-    min_inter_event: float | None = None
-    gamma_c: float | None = None
-    gamma_eq: float | None = None
-    beta: float | None = None
-
-
-def analytic_bounds(inp: bnd.BoundInputs) -> AnalyticBounds:
-    """Evaluate every bound; single-eigenvalue extras where defined."""
-    out = AnalyticBounds(
-        access_rate=bnd.access_rate_necessary(inp),
-        rate_necessary=bnd.transmission_rate_necessary(inp),
-        rate_necessary_approx=bnd.transmission_rate_necessary_approx(inp),
-        rate_sufficient=bnd.transmission_rate_sufficient(inp),
-        asymptote=bnd.rate_asymptote(inp),
-    )
-    try:
-        A = inp.A
-    except PreconditionError:
-        return out
-    out.triggering_upper = bnd.triggering_rate_upper(inp)
-    out.triggering_lower = bnd.triggering_rate_lower(inp)
-    out.packet_bits_necessary = bnd.packet_bits_necessary(inp)
-    out.min_inter_event = bnd.min_inter_event_time(inp)
-    out.gamma_c = bnd.critical_delay(inp)
-    out.gamma_eq = bnd.equilibrium_delay(A)
-    out.beta = bnd.beta(inp)
-    return out
-
-
-@dataclass
 class RateReport:
     """Empirical rates of one run next to the analytic bounds."""
 
@@ -140,7 +99,7 @@ class RateReport:
     per_coord_bits: tuple[int, ...]
     per_coord_rate: tuple[float, ...]
     per_coord_triggers: tuple[int, ...]
-    bounds: AnalyticBounds
+    bounds: bnd.AnalyticBounds
 
 
 class _Engine:
@@ -179,13 +138,7 @@ class _Engine:
         self.nu = nu
         self.sigma = cfg.sigma
 
-        self.v0s = np.asarray(cfg.v0_flat(), dtype=float)
-        if self.v0s.size == 1 and self.n > 1:
-            self.v0s = np.full(self.n, self.v0s[0])
-        if self.v0s.size != self.n:
-            raise ConfigurationError(
-                f"need one trigger level per coordinate ({self.n}), got {self.v0s.size}"
-            )
+        self.v0s = np.asarray(cfg.v0_levels(plant.blocks), dtype=float)
         self.rhos = np.asarray(cfg.rho_flat(plant.blocks), dtype=float)
         self.block_slices = plant.block_slices()
         self.coord_map = plant.coord_map()
@@ -195,13 +148,24 @@ class _Engine:
             self._coord_slice.extend([sl] * (sl.stop - sl.start))
         self.enabled = np.array([m is not None for m in self.delay_models])
 
-        if g is None:
-            base = bnd.BoundInputs(
-                blocks=plant.blocks, sigma=cfg.sigma, rho0=cfg.rho0,
-                gamma=cfg.gamma, b=cfg.b, nu=max(1.0, nu),
+        self.x0 = np.asarray(x0, dtype=float)
+        self.xhat0 = np.asarray(xhat0, dtype=float)
+        if self.x0.shape != (self.n,) or self.xhat0.shape != (self.n,):
+            raise ConfigurationError(f"initial conditions must have shape ({self.n},)")
+        validate_cascade(plant, cfg)
+        z0 = np.abs(self.x0 - self.xhat0)
+        if np.any(z0 > self.v0s):
+            raise PreconditionError(
+                f"initial errors {z0} must not exceed trigger levels {self.v0s}"
             )
+
+        self.inputs = bnd.BoundInputs(
+            blocks=plant.blocks, sigma=cfg.sigma, rho0=cfg.rho0, gamma=cfg.gamma,
+            b=cfg.b, nu=nu, rho_ladders=cfg.rho_ladders,
+        )
+        if g is None:
             self.gs = [
-                bnd.packet_size_sufficient(bnd.per_coordinate_inputs(base, lam, rho))
+                bnd.packet_size_sufficient(bnd.per_coordinate_inputs(self.inputs, lam, rho))
                 for lam, rho in zip(self.lams, self.rhos)
             ]
         elif isinstance(g, (int, np.integer)):
@@ -210,11 +174,6 @@ class _Engine:
             self.gs = [int(v) for v in g]
             if len(self.gs) != self.n:
                 raise ConfigurationError(f"need {self.n} packet sizes, got {len(self.gs)}")
-
-        self.x0 = np.asarray(x0, dtype=float)
-        self.xhat0 = np.asarray(xhat0, dtype=float)
-        if self.x0.shape != (self.n,) or self.xhat0.shape != (self.n,):
-            raise ConfigurationError(f"initial conditions must have shape ({self.n},)")
 
         self.acl = plant.closed_loop_matrix()
         self._phi_cache: dict[float, np.ndarray] = {}
@@ -353,6 +312,7 @@ class _Engine:
             gamma=self.cfg.gamma,
             b=self.cfg.b,
             nu=self.nu,
+            inputs=self.inputs,
             g=tuple(self.gs),
             refine=self.refine,
             integrator=integrator,
@@ -586,21 +546,11 @@ def run_scalar(
     nu: float = 2.0,
     integrator: str = "exact",
 ) -> SimTrace:
-    """Closed-loop run of a scalar plant; requires |z(0)| < v0."""
-    v0 = cfg.v0_flat()[0]
-    if not abs(x0 - xhat0) < v0:
-        raise PreconditionError(
-            f"initial error |z(0)|={abs(x0 - xhat0)} must be below v0={v0}"
-        )
-    eng = _Engine(
+    """Closed-loop run of a scalar plant; requires |z(0)| <= v0 (see run_vector)."""
+    return run_vector(
         plant.as_jordan(), cfg, [delay_model], horizon, step,
-        np.array([float(x0)]), np.array([float(xhat0)]), refine, g, nu,
+        x0=[float(x0)], xhat0=[float(xhat0)], refine=refine, g=g, nu=nu, integrator=integrator,
     )
-    if integrator == "euler":
-        return eng.run_euler()
-    if integrator != "exact":
-        raise PreconditionError(f"unknown integrator {integrator!r}")
-    return eng.run()
 
 
 def run_vector(
@@ -619,21 +569,15 @@ def run_vector(
 ) -> SimTrace:
     """Closed-loop run of a Jordan-form plant over per-coordinate channels.
 
-    Trigger levels must satisfy the coupling cascade bound within each block
-    (checked up front; violations refuse to run).  A None delay model
-    disables that coordinate's channel entirely.
+    Requires |z_i(0)| <= v0_i on every coordinate.  Trigger levels must
+    satisfy the coupling cascade bound within each block (checked up front;
+    violations refuse to run).  A None delay model disables that
+    coordinate's channel entirely.
     """
-    models = _delay_list(delay_models, plant.n)
-    x0 = np.asarray(x0, dtype=float)
-    xhat0 = np.asarray(xhat0, dtype=float)
-    validate_cascade(plant, cfg)
-    v0s = np.asarray(cfg.v0_flat(), dtype=float)
-    if v0s.size == 1:
-        v0s = np.full(plant.n, v0s[0])
-    z0 = np.abs(x0 - xhat0)
-    if np.any(z0 > v0s):
-        raise PreconditionError(f"initial errors {z0} must not exceed trigger levels {v0s}")
-    eng = _Engine(plant, cfg, models, horizon, step, x0, xhat0, refine, g, nu)
+    eng = _Engine(
+        plant, cfg, _delay_list(delay_models, plant.n), horizon, step,
+        x0, xhat0, refine, g, nu,
+    )
     if integrator == "euler":
         return eng.run_euler()
     if integrator != "exact":
@@ -643,14 +587,12 @@ def run_vector(
 
 def validate_cascade(plant: JordanPlant, cfg: TriggerConfig) -> None:
     """Refuse trigger levels whose chained coordinates exceed the coupling caps."""
-    v0s = list(cfg.v0_flat())
-    if len(v0s) == 1:
-        v0s = v0s * plant.n
-    rhos = list(cfg.rho_flat(plant.blocks))
+    v0s = cfg.v0_levels(plant.blocks)
+    rhos = cfg.rho_flat(plant.blocks)
     at = 0
     for lam, p in plant.blocks:
-        v_blk = tuple(v0s[at : at + p])
-        r_blk = tuple(rhos[at : at + p])
+        v_blk = v0s[at : at + p]
+        r_blk = rhos[at : at + p]
         caps = bnd.v0_cascade_bound(
             (lam, p), v0=v_blk, rho=r_blk, sigma=cfg.sigma, rho0=cfg.rho0, gamma=cfg.gamma
         )
@@ -665,13 +607,7 @@ def validate_cascade(plant: JordanPlant, cfg: TriggerConfig) -> None:
 
 def trace_inputs(trace: SimTrace) -> bnd.BoundInputs:
     """Bound inputs matching a recorded run."""
-    plant: JordanPlant = trace.params["plant"]
-    cfg: TriggerConfig = trace.params["trigger"]
-    return bnd.BoundInputs(
-        blocks=plant.blocks, sigma=cfg.sigma, rho0=cfg.rho0, gamma=cfg.gamma,
-        b=cfg.b, nu=max(1.0, trace.params.get("nu", 1.0)),
-        rho_ladders=cfg.rho_ladders,
-    )
+    return trace.params["inputs"]
 
 
 def measure_rates(trace: SimTrace) -> RateReport:
@@ -690,7 +626,7 @@ def measure_rates(trace: SimTrace) -> RateReport:
         per_coord_bits=tuple(int(b) for b in bits),
         per_coord_rate=tuple(float(b) / T for b in bits),
         per_coord_triggers=tuple(int(c) for c in trig),
-        bounds=analytic_bounds(trace_inputs(trace)),
+        bounds=bnd.analytic_bounds(trace_inputs(trace)),
     )
 
 
@@ -715,9 +651,7 @@ def validate_trace(trace: SimTrace) -> Validation:
     refine = trace.params.get("refine", False)
     gamma, sigma, h = cfg.gamma, cfg.sigma, trace.step
     rhos = cfg.rho_flat(plant.blocks)
-    v0s = list(cfg.v0_flat())
-    if len(v0s) == 1:
-        v0s = v0s * plant.n
+    v0s = cfg.v0_levels(plant.blocks)
     coord_map = plant.coord_map()
     violations: list[str] = []
     checks: dict[str, bool] = {}
@@ -821,7 +755,7 @@ class SweepRow:
     g: int | None = None
     rate_empirical: float | None = None
     trigger_rate_empirical: float | None = None
-    bounds: AnalyticBounds | None = None
+    bounds: bnd.AnalyticBounds | None = None
     x0_norm: float | None = None
     xT_norm: float | None = None
     invariants_ok: bool | None = None

@@ -8,7 +8,6 @@ from etcsim.channel import (
     ConstantDelay,
     ReplayDelay,
     UniformDelay,
-    admit,
     build_delay,
     sample_delay,
 )
@@ -87,16 +86,16 @@ class TestBuildDelay:
 class TestChannelState:
     def test_single_in_flight_discipline(self):
         ch = ChannelState()
-        assert admit(ch, 0) and admit(ch, 1)
+        assert ch.admit(0) and ch.admit(1)
         pkt = encode(0.5, +1, 3, 1.1, 1.0, coord=0)
         ch.send(0, pkt, 1.0)
-        assert not admit(ch, 0)
-        assert admit(ch, 1)
+        assert not ch.admit(0)
+        assert ch.admit(1)
         with pytest.raises(ConfigurationError):
             ch.send(0, pkt, 2.0)
         got = ch.deliver(0)
         assert got is pkt
-        assert admit(ch, 0)
+        assert ch.admit(0)
 
     def test_next_delivery_ordering(self):
         ch = ChannelState()
@@ -112,11 +111,3 @@ class TestChannelState:
         ch.send(2, encode(0.0, +1, 1, 1.1, 0.0, coord=2), 1.0)
         ch.send(1, encode(0.0, +1, 1, 1.1, 0.0, coord=1), 1.0)
         assert ch.next_delivery()[1] == 1
-
-    def test_copy_is_independent(self):
-        ch = ChannelState()
-        ch.send(0, encode(0.0, +1, 1, 1.1, 0.0), 1.0)
-        snap = ch.copy()
-        ch.deliver(0)
-        assert not admit(snap, 0)
-        assert admit(ch, 0)

@@ -3,16 +3,26 @@ from pathlib import Path
 
 import pytest
 
-from etcsim import cli
+from etcsim import cli, sim
 
 DATA = Path(__file__).parent / "data"
 RECIPES = Path(cli.__file__).parent / "recipes"
+THREE_BLOCKS = "blocks = 1:1, 2:1, 3:1\nsigma = 1\nrho0 = 0.5\ngamma = 0.1\nhorizon = 1\n"
 
 
 def write_cfg(tmp_path, text):
     path = tmp_path / "run.cfg"
     path.write_text(text)
     return path
+
+
+def assert_one_line_usage_error(capsys, argv):
+    """Exit 1 with a single 'error:' line; an uncaught exception fails the test."""
+    rc = cli.main(argv)
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_USAGE
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 class TestConfigParsing:
@@ -69,6 +79,13 @@ class TestBoundsCommand:
         err = capsys.readouterr().err
         assert rc == cli.EXIT_USAGE
         assert "nu >= 2" in err
+
+    @pytest.mark.parametrize("text", [
+        "blocks = 1:2\nsigma = 1\nrho0 = 0.5\ngamma = 0.5\nrho_ladder = 0.5\n",
+        "blocks = 1:1\nsigma = 1\nrho0 = 0.5\ngamma = 0.5\nrho_ladder = -0.3\n",
+    ], ids=["short_ladder", "negative_ladder"])
+    def test_bad_ladder_is_clean_error(self, tmp_path, capsys, text):
+        assert_one_line_usage_error(capsys, ["bounds", "--config", str(write_cfg(tmp_path, text))])
 
     def test_json_output(self, tmp_path, capsys):
         rc = cli.main([
@@ -140,6 +157,27 @@ class TestSimulateCommand:
         rc = cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
         assert rc == cli.EXIT_DIVERGED
         assert (tmp_path / "o" / "trace.csv").exists()
+
+    @pytest.mark.parametrize("text", [
+        THREE_BLOCKS + "v0 = 0.5 0.5 0.5 0.5\nx0 = 0 0 0\nxhat0 = 0 0 0\n",
+        THREE_BLOCKS + "v0 = 0.5 0.5 0.5\nx0 = 0 0\nxhat0 = 0 0\n",
+    ], ids=["v0_count", "x0_count"])
+    def test_count_mismatch_is_clean_error(self, tmp_path, capsys, text):
+        path = write_cfg(tmp_path, text)
+        assert_one_line_usage_error(capsys, ["simulate", "--config", str(path),
+                                             "--out", str(tmp_path / "o")])
+
+    def test_nu_below_one_refused_before_running(self, tmp_path, capsys, monkeypatch):
+        def never(self):
+            raise AssertionError("the run started")
+
+        argv = ["simulate", "--config", str(RECIPES / "fig7.cfg"), "--horizon", "0.5",
+                "--out", str(tmp_path)]
+        with monkeypatch.context() as m:
+            m.setattr(sim._Engine, "run", never)
+            for nu in ("0.5", "nan"):
+                assert_one_line_usage_error(capsys, argv + ["--nu", nu])
+        assert cli.main(argv + ["--nu", "1"]) == cli.EXIT_OK
 
     def test_missing_config_is_usage_error(self, capsys):
         rc = cli.main(["simulate", "--config", "/nonexistent.cfg"])

@@ -1,22 +1,23 @@
+"""Plant and trigger types, plus the propagation laws the engine implements.
+
+TestPropagate validates the exact reference stepper of
+test_reference_engine.py against numerical integration; the threshold,
+jump and feedback laws are checked on the engine's traces.
+"""
+
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from test_reference_engine import SimState, propagate
 
+from etcsim.channel import ConstantDelay
 from etcsim.errors import ConfigurationError, DivergenceError, PreconditionError
-from etcsim.model import (
-    JordanPlant,
-    ScalarPlant,
-    SimState,
-    TriggerConfig,
-    apply_jump,
-    block_matexp,
-    control_input,
-    error_transition,
-    propagate,
-    trigger_value,
-)
+from etcsim.model import JordanPlant, ScalarPlant, TriggerConfig, block_matexp
+from etcsim.sim import run_scalar, run_vector
+
+FIG7_PLANT = ScalarPlant(A=1.0, B=0.2, K=8.0)
 
 
 def integrate_error(blocks, z0, h):
@@ -79,25 +80,47 @@ class TestTriggerConfig:
         assert cfg.rho_flat(((1.0, 3),)) == (pytest.approx(0.2), pytest.approx(0.4), 0.6)
 
 
+def quiet_run(cfg, horizon, step, x0=0.2, **kw):
+    """fig7 plant with zero initial error: no trigger ever fires."""
+    return run_scalar(FIG7_PLANT, cfg, ConstantDelay(0.0, gamma=cfg.gamma),
+                      horizon, step, x0=x0, xhat0=x0, **kw)
+
+
+def grid_reception_run():
+    """Power-of-two step and delay: every reception lands on a sample instant,
+    whose recorded sample is the pre-jump left limit."""
+    plant = ScalarPlant(A=2.0, B=1.0, K=5.0)
+    cfg = TriggerConfig(v0=0.5, sigma=1.5, rho0=0.3, gamma=0.25)
+    trace = run_scalar(plant, cfg, ConstantDelay(0.125, gamma=0.25),
+                       6.0, 2.0**-7, x0=0.3, xhat0=0.0)
+    rows = [int(np.flatnonzero(trace.times == e.t_c)[0]) for e in trace.receptions()]
+    assert rows
+    return plant, trace, rows
+
+
 class TestTriggerValue:
     def test_reported_initial_value(self):
         cfg = TriggerConfig(v0=0.2671, sigma=0.1, rho0=0.1, gamma=1.2)
-        assert trigger_value(cfg, 0, 0.0) == pytest.approx(0.2671, abs=1e-12)
+        trace = run_scalar(FIG7_PLANT, cfg, ConstantDelay(0.5, gamma=1.2),
+                           3.0, 0.001, x0=0.2, xhat0=0.1)
+        assert trace.v[0, 0] == pytest.approx(0.2671, abs=1e-12)
+        np.testing.assert_allclose(trace.v[:, 0], 0.2671 * np.exp(-0.1 * trace.times),
+                                   rtol=1e-12)
+        assert trace.triggers()
+        for e in trace.events:
+            assert e.v_ts == pytest.approx(0.2671 * math.exp(-0.1 * e.t_s), rel=1e-12)
 
     def test_halving_time(self):
         cfg = TriggerConfig(v0=1.0, sigma=1.0, rho0=0.1, gamma=0.0)
-        assert trigger_value(cfg, 0, math.log(2.0)) == pytest.approx(0.5, rel=1e-12)
+        trace = quiet_run(cfg, math.log(2.0), math.log(2.0) / 1000)
+        assert trace.times[-1] == pytest.approx(math.log(2.0), rel=1e-12)
+        assert trace.v[-1, 0] == pytest.approx(0.5, rel=1e-12)
 
     def test_monotone_decay(self):
         cfg = TriggerConfig(v0=0.7, sigma=0.3, rho0=0.1, gamma=0.0)
-        vals = [trigger_value(cfg, 0, t) for t in np.linspace(0, 50, 200)]
-        assert all(a > b for a, b in zip(vals, vals[1:]))
+        vals = quiet_run(cfg, 50.0, 0.25).v[:, 0]
+        assert np.all(vals[1:] < vals[:-1])
         assert vals[-1] < 1e-6
-
-    def test_negative_time_rejected(self):
-        cfg = TriggerConfig(v0=1.0, sigma=1.0, rho0=0.1, gamma=0.0)
-        with pytest.raises(PreconditionError):
-            trigger_value(cfg, 0, -0.1)
 
 
 class TestPropagate:
@@ -151,20 +174,18 @@ class TestPropagate:
             np.testing.assert_allclose(once.xhat, twice.xhat, rtol=1e-12, atol=1e-15)
 
     def test_euler_step_first_order(self):
-        plant = ScalarPlant(A=1.0, B=0.2, K=8.0)
-        s = SimState(0.0, np.array([0.2]), np.array([0.1]))
-        h = 1e-4
-        exact = propagate(s, plant, h)
-        euler = propagate(s, plant, h, method="euler")
+        # the engine's fixed-step replica stays within O(h) of the exact run
+        cfg = TriggerConfig(v0=0.2671, sigma=0.1, rho0=0.1, gamma=1.2)
+        exact = quiet_run(cfg, 1e-3, 1e-4)
+        euler = quiet_run(cfg, 1e-3, 1e-4, integrator="euler")
         np.testing.assert_allclose(euler.x, exact.x, atol=1e-7)
 
     def test_rejects_bad_step(self):
-        plant = ScalarPlant(A=1.0, B=0.0, K=0.0)
-        s = SimState(0.0, np.array([1.0]), np.array([0.0]))
+        cfg = TriggerConfig(v0=0.2671, sigma=0.1, rho0=0.1, gamma=1.2)
         with pytest.raises(PreconditionError):
-            propagate(s, plant, 0.0)
+            quiet_run(cfg, 1.0, 0.0)
         with pytest.raises(PreconditionError):
-            propagate(s, plant, 0.1, method="trapezoid")
+            quiet_run(cfg, 1.0, 0.1, integrator="trapezoid")
 
     def test_overflow_raises_divergence(self):
         plant = ScalarPlant(A=1.0, B=0.0, K=0.0)
@@ -185,43 +206,74 @@ class TestBlockMatexp:
                 np.testing.assert_allclose(closed, pade, rtol=1e-12, atol=1e-14)
 
     def test_block_diagonal_assembly(self):
-        M = error_transition(((1.0, 2), (2.0, 1)), 0.5)
-        assert M.shape == (3, 3)
-        assert M[2, 2] == pytest.approx(math.exp(1.0))
-        assert M[0, 2] == 0.0 and M[2, 0] == 0.0
+        # with every channel disabled the engine's error follows exp(A t) block
+        # by block: a unit error on the last block never leaks into the first
+        plant = JordanPlant(blocks=((1.0, 2), (2.0, 1)), B=np.zeros((3, 1)), K=np.zeros((1, 3)))
+        cfg = TriggerConfig(v0=((10.0, 10.0), (10.0,)), sigma=1.0, rho0=0.5, gamma=0.0)
+        for col, lam in ((2, 2.0), (0, 1.0)):
+            z0 = np.zeros(3)
+            z0[col] = 1.0
+            trace = run_vector(plant, cfg, [None] * 3, 0.5, 0.05, x0=z0, xhat0=np.zeros(3))
+            M_col = trace.z[-1]
+            assert M_col[col] == pytest.approx(math.exp(lam * 0.5))
+            assert all(M_col[i] == 0.0 for i in range(3) if i != col)
 
 
 class TestApplyJump:
     def test_perfect_estimate(self):
-        s = SimState(1.0, np.array([1.0]), np.array([0.4]))
-        out = apply_jump(s, 0, 0.6)
-        assert out.xhat[0] == pytest.approx(1.0)
-        assert out.z[0] == pytest.approx(0.0, abs=1e-15)
+        # zero delay: the decoded error equals the error at the trigger, so
+        # the jump leaves no residual
+        cfg = TriggerConfig(v0=0.2671, sigma=0.1, rho0=0.1, gamma=0.0)
+        trace = run_scalar(FIG7_PLANT, cfg, ConstantDelay(0.0, gamma=0.0),
+                           3.0, 0.001, x0=0.2, xhat0=0.1, refine=True)
+        assert trace.receptions()
+        for e in trace.receptions():
+            assert e.zbar == pytest.approx(e.sign * e.v_ts, rel=1e-12)
+            assert e.post_jump <= 1e-12
 
     def test_zero_jump_is_identity(self):
-        s = SimState(1.0, np.array([0.3, -0.2]), np.array([0.1, 0.0]))
-        out = apply_jump(s, 1, 0.0)
-        np.testing.assert_array_equal(out.x, s.x)
-        np.testing.assert_array_equal(out.xhat, s.xhat)
+        # between receptions the estimate only follows the nominal flow
+        plant, trace, _ = grid_reception_run()
+        h = trace.step
+        acl = plant.A - plant.B * plant.K
+        rx = np.array([e.t_c for e in trace.receptions()])
+        quiet = 0
+        for i in range(trace.times.size - 1):
+            if np.any((rx >= trace.times[i]) & (rx < trace.times[i + 1])):
+                continue
+            quiet += 1
+            assert trace.xhat[i + 1, 0] == pytest.approx(
+                math.exp(acl * h) * trace.xhat[i, 0], rel=1e-12, abs=1e-15
+            )
+        assert quiet > trace.times.size // 2
 
     def test_residual_arithmetic(self):
-        s = SimState(0.0, np.array([0.2]), np.array([0.1]))
-        out = apply_jump(s, 0, 0.095)
-        assert out.z[0] == pytest.approx(0.005, abs=1e-15)
+        _, trace, rows = grid_reception_run()
+        for e, j in zip(trace.receptions(), rows):
+            assert e.post_jump == pytest.approx(abs(trace.z[j, 0] - e.zbar), abs=1e-15)
 
     def test_never_modifies_state(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            x, xh = rng.normal(size=(2, 3))
-            s = SimState(0.0, x.copy(), xh.copy())
-            out = apply_jump(s, int(rng.integers(0, 3)), float(rng.normal()))
-            np.testing.assert_array_equal(out.x, x)
+        # the jump moves xhat by +zbar and z by -zbar, so x = xhat + z is untouched
+        plant, trace, rows = grid_reception_run()
+        h = trace.step
+        acl = plant.A - plant.B * plant.K
+        for e, j in zip(trace.receptions(), rows):
+            xhat_next = math.exp(acl * h) * (trace.xhat[j, 0] + e.zbar)
+            z_next = math.exp(plant.A * h) * (trace.z[j, 0] - e.zbar)
+            assert trace.xhat[j + 1, 0] == pytest.approx(xhat_next, rel=1e-12, abs=1e-15)
+            assert trace.z[j + 1, 0] == pytest.approx(z_next, rel=1e-9, abs=1e-15)
+            assert trace.x[j + 1, 0] == pytest.approx(xhat_next + z_next, rel=1e-12, abs=1e-15)
 
     def test_control_input(self):
-        plant = ScalarPlant(A=1.0, B=0.2, K=8.0)
-        s = SimState(0.0, np.array([0.5]), np.array([0.25]))
-        assert control_input(s, plant)[0] == pytest.approx(-2.0)
+        # u = -K xhat: with zero error x follows exp((A - B K) t) x(0)
+        trace = quiet_run(TriggerConfig(v0=0.2671, sigma=0.1, rho0=0.1, gamma=1.2),
+                          1.0, 0.01, x0=0.25)
+        np.testing.assert_allclose(trace.x[:, 0], 0.25 * np.exp((1.0 - 0.2 * 8.0) * trace.times),
+                                   rtol=1e-12)
 
     def test_dimension_mismatch_rejected(self):
+        plant = JordanPlant(blocks=((1.0, 1), (1.0, 1)), B=np.eye(2), K=np.eye(2))
+        cfg = TriggerConfig(v0=0.5, sigma=1.0, rho0=0.5, gamma=0.1)
         with pytest.raises(ConfigurationError):
-            SimState(0.0, np.zeros(2), np.zeros(3))
+            run_vector(plant, cfg, [ConstantDelay(0.0, gamma=0.1)] * 2, 1.0, 0.01,
+                       x0=np.zeros(2), xhat0=np.zeros(3))

@@ -1,24 +1,60 @@
 """Cross-validation of the chunked engine against a naive reference loop.
 
-The reference walks boundaries one at a time with the public propagate()
-API and plain sequential logic: deliveries applied at their exact times,
-grid-locked trigger detection, samples as left limits, receptions processed
-before trigger evaluation at coinciding instants, one fire per coordinate
-per instant.  Agreement here pins down the engine's event bookkeeping; the
+The reference walks boundaries one at a time with the exact stepper
+propagate() below and plain sequential logic: deliveries applied at their
+exact times, grid-locked trigger detection, samples as left limits,
+receptions processed before trigger evaluation at coinciding instants, one
+fire per coordinate per instant.  Agreement here pins down the engine's event bookkeeping; the
 trajectories match to float tolerance (the engine evaluates each chunk with
 single exponentials rather than step products).
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from etcsim import bounds as bnd
 from etcsim.channel import UniformDelay, sample_delay
 from etcsim.codec import decode, encode, reconstruct_error
-from etcsim.model import JordanPlant, ScalarPlant, SimState, TriggerConfig, propagate
+from etcsim.errors import DivergenceError
+from etcsim.model import OVERFLOW_LIMIT, JordanPlant, ScalarPlant, TriggerConfig, block_matexp
 from etcsim.sim import run_vector
+
+
+@dataclass(frozen=True)
+class SimState:
+    """Closed-loop snapshot: time, true state, and controller estimate."""
+
+    t: float
+    x: np.ndarray
+    xhat: np.ndarray
+
+    @property
+    def z(self) -> np.ndarray:
+        return self.x - self.xhat
+
+
+def propagate(state, plant, h):
+    """Advance the closed loop by h under u = -K xhat held as a linear law.
+
+    Evaluates the flow of the augmented linear system: z moves by the
+    closed-form Jordan exponential of each block and xhat by
+    expm((A - B K) h), the augmented-matrix solution in the (xhat, z) basis.
+    tests/test_model.py::TestPropagate checks this stepper against
+    numerical integration.
+    """
+    jp = plant.as_jordan() if isinstance(plant, ScalarPlant) else plant
+    z = np.empty_like(state.z)
+    for lam, p, sl in jp.block_slices():
+        z[sl] = block_matexp(lam, p, h) @ state.z[sl]
+    xhat = scipy.linalg.expm(jp.closed_loop_matrix() * h) @ state.xhat
+    x = xhat + z
+    if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > OVERFLOW_LIMIT:
+        raise DivergenceError(f"state overflow at t={state.t + h}")
+    return SimState(state.t + h, x, xhat)
 
 
 def reference_run(plant, cfg, delay_models, horizon, step, x0, xhat0, nu=2.0):

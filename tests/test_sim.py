@@ -62,9 +62,18 @@ class TestRunScalar:
         assert np.all(np.abs(trace.z) < 1e-15)
 
     def test_initial_error_precondition(self):
+        dm = ConstantDelay(0.0, gamma=1.2)
         with pytest.raises(PreconditionError):
-            run_scalar(FIG7_PLANT, FIG7_CFG, ConstantDelay(0.0, gamma=1.2),
-                       1.0, 0.001, x0=0.5, xhat0=0.1)
+            run_scalar(FIG7_PLANT, FIG7_CFG, dm, 1.0, 0.001, x0=0.5, xhat0=0.1)
+        with pytest.raises(PreconditionError):
+            run_vector(FIG7_PLANT.as_jordan(), FIG7_CFG, [dm], 1.0, 0.001, x0=[0.5], xhat0=[0.1])
+
+    def test_initial_error_at_trigger_level_runs(self):
+        cfg = TriggerConfig(v0=0.25, sigma=0.1, rho0=0.1, gamma=1.2)
+        dm = UniformDelay(gamma=1.2, seed=(3, 0))
+        a = run_scalar(FIG7_PLANT, cfg, dm, 1.0, 0.001, x0=0.25, xhat0=0.0)
+        b = run_vector(FIG7_PLANT.as_jordan(), cfg, [dm], 1.0, 0.001, x0=[0.25], xhat0=[0.0])
+        assert a.triggers() and a.events == b.events
 
     def test_zero_delay_sign_bit_exactness(self):
         cfg = TriggerConfig(v0=0.2671, sigma=0.1, rho0=0.1, gamma=0.0)
@@ -176,7 +185,7 @@ class TestMeasureRates:
     def test_trigger_rate_under_cap(self):
         trace = fig7_run(horizon=6.0)
         rep = measure_rates(trace)
-        cap = rep.bounds.triggering_upper
+        cap = rep.bounds.triggering_rate_upper
         assert rep.trigger_rate_empirical <= cap * 1.01 + 1.0 / trace.horizon
 
     def test_per_coordinate_breakdown(self):
@@ -205,13 +214,14 @@ class TestRunVector:
 
     def test_single_block_bit_identical_to_scalar(self):
         dm = UniformDelay(gamma=1.2, seed=(42, 0))
-        a = run_scalar(FIG7_PLANT, FIG7_CFG, dm, 3.0, 0.001, x0=0.2, xhat0=0.1)
-        b = run_vector(FIG7_PLANT.as_jordan(), FIG7_CFG, [dm], 3.0, 0.001,
-                       x0=[0.2], xhat0=[0.1])
-        assert np.array_equal(a.x, b.x)
-        assert np.array_equal(a.xhat, b.xhat)
-        assert np.array_equal(a.z, b.z)
-        assert a.events == b.events
+        for refine in (False, True):
+            a = run_scalar(FIG7_PLANT, FIG7_CFG, dm, 3.0, 0.001, x0=0.2, xhat0=0.1,
+                           refine=refine)
+            b = run_vector(FIG7_PLANT.as_jordan(), FIG7_CFG, [dm], 3.0, 0.001,
+                           x0=[0.2], xhat0=[0.1], refine=refine)
+            for name in ("times", "x", "xhat", "z", "v"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
+            assert a.events and a.events == b.events
 
     def test_diagonal_blocks_sum_of_scalar_runs(self):
         plant2 = JordanPlant(blocks=((1.0, 1), (1.0, 1)),

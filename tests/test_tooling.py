@@ -1,0 +1,30 @@
+"""Guards for what lives outside the package but depends on its names."""
+
+import importlib.util
+import re
+from pathlib import Path
+
+from etcsim import sim
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_traced_benchmark_hooks_resolve():
+    # bench/spans.py patches named package attributes; a missing one raises here
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    original = sim.run_vector
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        assert sim.run_vector is not original
+    finally:
+        tracer.uninstall()
+    assert sim.run_vector is original
+
+
+def test_readme_library_example_runs():
+    section = (ROOT / "README.md").read_text().split("## Library use", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})
