@@ -38,18 +38,20 @@ class BoundInputs:
     def __post_init__(self):
         blocks = tuple((float(lam), int(p)) for lam, p in self.blocks)
         object.__setattr__(self, "blocks", blocks)
-        if not blocks or any(lam <= 0 or p < 1 for lam, p in blocks):
-            raise PreconditionError(f"blocks must be (lam > 0, p >= 1) pairs, got {blocks}")
-        if not self.sigma > 0:
-            raise PreconditionError(f"sigma must be positive, got {self.sigma}")
+        if not blocks or any(not 0 < lam < math.inf or p < 1 for lam, p in blocks):
+            raise PreconditionError(
+                f"blocks must be (finite lam > 0, p >= 1) pairs, got {blocks}"
+            )
+        if not 0 < self.sigma < math.inf:
+            raise PreconditionError(f"sigma must be positive and finite, got {self.sigma}")
         if not 0 < self.rho0 < 1:
             raise PreconditionError(f"rho0 must lie in (0, 1), got {self.rho0}")
-        if self.gamma < 0:
-            raise PreconditionError(f"gamma must be >= 0, got {self.gamma}")
-        if not self.b > 1:
-            raise PreconditionError(f"b must exceed 1, got {self.b}")
-        if not self.nu >= 1:
-            raise PreconditionError(f"nu must be >= 1, got {self.nu}")
+        if not 0 <= self.gamma < math.inf:
+            raise PreconditionError(f"gamma must be finite and >= 0, got {self.gamma}")
+        if not 1 < self.b < math.inf:
+            raise PreconditionError(f"b must be finite and exceed 1, got {self.b}")
+        if not 1 <= self.nu < math.inf:
+            raise PreconditionError(f"nu must be finite and >= 1, got {self.nu}")
         if self.rho_ladders is not None:
             contraction_ladders(self.rho0, [p for _, p in blocks], self.rho_ladders)
 

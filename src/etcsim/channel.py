@@ -161,6 +161,8 @@ def build_delay(
     channel, returns None).  The adversarial form needs the plant growth
     rate and the trigger design parameters.
     """
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
     kind, _, arg = spec.partition(":")
     if kind == "constant":
         return ConstantDelay(delay=float(arg), gamma=gamma)

@@ -23,7 +23,7 @@ from . import __version__
 from . import bounds as bnd
 from . import sim
 from .channel import build_delay
-from .errors import ConfigurationError, DivergenceError, PreconditionError
+from .errors import ConfigurationError, DecodeError, DivergenceError, PreconditionError
 from .model import JordanPlant, ScalarPlant, TriggerConfig
 
 EXIT_OK = 0
@@ -38,6 +38,7 @@ SWEEP_COLUMNS = [
 ]
 
 _MISSING = object()
+_CSV_BLOCK_ROWS = 4096  # trace.csv rows converted to Python floats at a time
 
 
 class _Parser(argparse.ArgumentParser):
@@ -256,11 +257,13 @@ def _write_trace_csv(path: Path, trace: sim.SimTrace) -> None:
         + [f"z{i+1}" for i in range(n)]
         + [f"v{i+1}" for i in range(n)]
     )
+    table = np.column_stack((trace.times, trace.x, trace.xhat, trace.z, trace.v))
     with path.open("w") as fh:
         fh.write(",".join(cols) + "\n")
-        for i in range(trace.times.size):
-            row = [trace.times[i], *trace.x[i], *trace.xhat[i], *trace.z[i], *trace.v[i]]
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        # repr of a Python float is _fmt's cell text; blocks bound the list copies
+        for a in range(0, len(table), _CSV_BLOCK_ROWS):
+            rows = table[a : a + _CSV_BLOCK_ROWS].tolist()
+            fh.writelines([",".join(map(repr, r)) + "\n" for r in rows])
 
 
 def _write_events_json(path: Path, trace: sim.SimTrace) -> None:
@@ -471,7 +474,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "simulate":
             return cmd_simulate(cfg, out or Path("out"))
         return cmd_sweep(cfg, out or Path("out"))
-    except (ConfigurationError, PreconditionError) as err:
+    except (ConfigurationError, PreconditionError, DecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

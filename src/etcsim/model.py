@@ -35,8 +35,8 @@ class ScalarPlant:
     L: float = 1.0
 
     def __post_init__(self):
-        if not self.A > 0:
-            raise ConfigurationError(f"growth rate A must be positive, got {self.A}")
+        if not 0 < self.A < math.inf:
+            raise ConfigurationError(f"growth rate A must be positive and finite, got {self.A}")
         if not self.L > 0:
             raise ConfigurationError(f"initial-condition bound L must be positive, got {self.L}")
 
@@ -73,8 +73,8 @@ class JordanPlant:
         blocks = tuple((float(lam), int(p)) for lam, p in self.blocks)
         object.__setattr__(self, "blocks", blocks)
         for lam, p in blocks:
-            if not lam > 0:
-                raise ConfigurationError(f"eigenvalue must be positive, got {lam}")
+            if not 0 < lam < math.inf:
+                raise ConfigurationError(f"eigenvalue must be positive and finite, got {lam}")
             if p < 1:
                 raise ConfigurationError(f"block order must be >= 1, got {p}")
         if not self.L > 0:
@@ -149,14 +149,16 @@ class TriggerConfig:
     rho_ladders: tuple[tuple[float, ...], ...] | None = None
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ConfigurationError(f"decay rate sigma must be positive, got {self.sigma}")
+        if not 0 < self.sigma < math.inf:
+            raise ConfigurationError(
+                f"decay rate sigma must be positive and finite, got {self.sigma}"
+            )
         if not 0 < self.rho0 < 1:
             raise ConfigurationError(f"rho0 must lie in (0, 1), got {self.rho0}")
-        if self.gamma < 0:
-            raise ConfigurationError(f"delay bound gamma must be >= 0, got {self.gamma}")
-        if not self.b > 1:
-            raise ConfigurationError(f"window factor b must exceed 1, got {self.b}")
+        if not 0 <= self.gamma < math.inf:
+            raise ConfigurationError(f"delay bound gamma must be finite and >= 0, got {self.gamma}")
+        if not 1 < self.b < math.inf:
+            raise ConfigurationError(f"window factor b must be finite and exceed 1, got {self.b}")
         for v in self.v0_flat():
             if not v > 0:
                 raise ConfigurationError(f"trigger levels v0 must be positive, got {v}")

@@ -21,12 +21,11 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from . import bounds as bnd
 from .channel import ChannelState, DelayModel, sample_delay
 from .codec import decode, encode, reconstruct_error
-from .errors import ConfigurationError, DivergenceError, PreconditionError
+from .errors import ConfigurationError, DecodeError, DivergenceError, PreconditionError
 from .model import (
     OVERFLOW_LIMIT,
     JordanPlant,
@@ -36,6 +35,9 @@ from .model import (
 )
 
 _FP_SLACK = 1e-9  # relative allowance for float roundoff in contract checks
+_DETECT_WINDOW = 64  # samples in the first trigger-detection window of a chunk
+_POWER_BLOCK = 256  # samples committed per block of precomputed powers of Phi(h)
+MAX_TRACE_BYTES = 1 << 30  # largest x/xhat/z/v trace a run may allocate
 
 
 @dataclass
@@ -118,10 +120,10 @@ class _Engine:
         g: int | Sequence[int] | None,
         nu: float,
     ):
-        if not step > 0:
-            raise PreconditionError(f"step must be positive, got {step}")
-        if not horizon > 0:
-            raise PreconditionError(f"horizon must be positive, got {horizon}")
+        if not 0 < step < math.inf:
+            raise PreconditionError(f"step must be positive and finite, got {step}")
+        if not 0 < horizon < math.inf:
+            raise PreconditionError(f"horizon must be positive and finite, got {horizon}")
         self.plant = plant
         self.cfg = cfg
         self.n = plant.n
@@ -132,6 +134,12 @@ class _Engine:
         self.delay_models = list(delay_models)
         self.h = step
         steps = horizon / step
+        trace_bytes = (steps + 1) * 4 * self.n * 8
+        if not trace_bytes <= MAX_TRACE_BYTES:
+            raise PreconditionError(
+                f"horizon/step = {steps:.6g} samples needs a {trace_bytes:.3g}-byte trace, "
+                f"over the {MAX_TRACE_BYTES}-byte limit"
+            )
         self.S = int(round(steps)) if abs(steps - round(steps)) < 1e-9 else int(steps)
         self.t_end = self.S * step
         self.refine = refine
@@ -192,6 +200,8 @@ class _Engine:
     def _phi(self, dt: float) -> np.ndarray:
         phi = self._phi_cache.get(dt)
         if phi is None:
+            import scipy.linalg
+
             phi = scipy.linalg.expm(self.acl * dt)
             if len(self._phi_cache) < 4096:
                 self._phi_cache[dt] = phi
@@ -230,6 +240,45 @@ class _Engine:
                 out[sl.start + i] = acc * grow
         return out
 
+    def _phi_powers(self) -> np.ndarray:
+        """Phi(h)^(k+1) for k < _POWER_BLOCK, by doubling from Phi(h).
+
+        The last power, which carries the estimate from block to block, is
+        its own expm, so rounding in Phi(h) does not compound across blocks.
+        """
+        import scipy.linalg
+
+        P = np.empty((_POWER_BLOCK, self.n, self.n))
+        P[0] = scipy.linalg.expm(self.acl * self.h)
+        m = 1
+        while m < _POWER_BLOCK:
+            P[m : 2 * m] = P[:m] @ P[m - 1]
+            m *= 2
+        P[-1] = scipy.linalg.expm(self.acl * (self.h * _POWER_BLOCK))
+        return P
+
+    def _scan(self, t: float, z: np.ndarray, i0: int, i1: int):
+        """Error columns and trigger eligibility of samples i0.. from the state (t, z).
+
+        Windows of _DETECT_WINDOW, 2*_DETECT_WINDOW, ... samples are scanned
+        until one holds an eligible sample or i1 is reached.  Every window is
+        evaluated from the same (t, z), so the columns equal those of a single
+        scan over i0..i1.
+        """
+        idle = np.array([self.channel.admit(c) for c in range(self.n)]) & self.enabled
+        zparts, eparts = [], []
+        lo, width = i0, _DETECT_WINDOW
+        while lo <= i1:
+            hi = min(lo + width, i1 + 1)
+            zw = self._z_at_offsets(z, self._times[lo:hi] - t)
+            ew = (np.abs(zw) >= self._V[lo:hi].T) & idle[:, None]
+            zparts.append(zw)
+            eparts.append(ew)
+            if ew.any():
+                break
+            lo, width = hi, 2 * width
+        return np.concatenate(zparts, axis=1), np.concatenate(eparts, axis=1)
+
     def _v_at(self, coord: int, t: float) -> float:
         return self.v0s[coord] * math.exp(-self.sigma * t)
 
@@ -243,6 +292,7 @@ class _Engine:
         XH = np.full((S + 1, n), np.nan)
         Z = np.full((S + 1, n), np.nan)
         self._times, self._X, self._XH, self._Z, self._V = times, X, XH, Z, V
+        self._powers = self._phi_powers()
 
         t = 0.0
         z = self.x0 - self.xhat0
@@ -265,10 +315,7 @@ class _Engine:
                 np.searchsorted(times[next_idx:], chunk_end + 1e-15, side="right")
             )
             if idx_hi >= next_idx:
-                offsets = times[next_idx : idx_hi + 1] - t
-                zmat = self._z_at_offsets(z, offsets)
-                idle = np.array([self.channel.admit(c) for c in range(n)]) & self.enabled
-                eligible = (np.abs(zmat) >= V[next_idx : idx_hi + 1].T) & idle[:, None]
+                zmat, eligible = self._scan(t, z, next_idx, idx_hi)
                 hits = eligible.any(axis=0)
                 if hits.any():
                     jcol = int(np.argmax(hits))
@@ -327,25 +374,20 @@ class _Engine:
 
     def _commit(self, zcols: np.ndarray, t_from: float, xhat: np.ndarray,
                 i0: int, i1: int) -> np.ndarray:
-        """Fill samples i0..i1 from precomputed error columns; returns xhat at i1."""
-        times = self._times
-        if self.n == 1:
-            dts = times[i0 : i1 + 1] - t_from
-            xh = xhat[0] * np.exp(self.acl[0, 0] * dts)
-            self._XH[i0 : i1 + 1, 0] = xh
-            xhat_out = np.array([xh[-1]])
-        else:
-            cur = xhat
-            prev_t = t_from
-            for i in range(i0, i1 + 1):
-                cur = self._phi(times[i] - prev_t) @ cur
-                prev_t = times[i]
-                self._XH[i] = cur
-            xhat_out = cur.copy()
+        """Fill samples i0..i1 from precomputed error columns; returns xhat at i1.
+
+        The estimate reaches sample i0 from t_from through one exponential and
+        the later samples through the powers of Phi(h), one block at a time.
+        """
+        times, XH, P = self._times, self._XH, self._powers
+        XH[i0] = self._phi(times[i0] - t_from) @ xhat
+        for i in range(i0 + 1, i1 + 1, len(P)):
+            k = min(len(P), i1 + 1 - i)
+            XH[i : i + k] = P[:k] @ XH[i - 1]
         self._Z[i0 : i1 + 1] = zcols.T
-        self._X[i0 : i1 + 1] = self._XH[i0 : i1 + 1] + zcols.T
+        self._X[i0 : i1 + 1] = XH[i0 : i1 + 1] + zcols.T
         self._check_overflow(self._X[i1], times[i1], i1 + 1)
-        return xhat_out
+        return XH[i1].copy()
 
     def _check_overflow(self, x: np.ndarray, t: float, next_idx: int) -> None:
         if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > OVERFLOW_LIMIT:
@@ -778,9 +820,10 @@ def sweep_gamma(
     """Re-run the closed loop across delay bounds, one row per grid value.
 
     The packet size is recomputed for every gamma.  delay_factory(gamma, row,
-    coord) builds the per-coordinate delay model.  Rows that diverge record
-    the error and the sweep continues.  Rows are deterministic and mutually
-    independent, so execution order never affects the results.
+    coord) builds the per-coordinate delay model.  A row whose run fails with
+    a package error (divergence, configuration, precondition, decoding)
+    records the error and the sweep continues.  Rows are deterministic and
+    mutually independent, so execution order never affects the results.
     """
     jp = plant.as_jordan() if isinstance(plant, ScalarPlant) else plant
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -808,7 +851,7 @@ def sweep_gamma(
                     invariants_ok=validate_trace(trace).ok,
                 )
             )
-        except DivergenceError as err:
+        except (DivergenceError, ConfigurationError, PreconditionError, DecodeError) as err:
             rows.append(SweepRow(gamma=float(gamma), error=str(err)))
     return rows
 

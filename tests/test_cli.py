@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from etcsim import cli, sim
+from etcsim.errors import DecodeError
 
 DATA = Path(__file__).parent / "data"
 RECIPES = Path(cli.__file__).parent / "recipes"
@@ -23,6 +27,7 @@ def assert_one_line_usage_error(capsys, argv):
     assert rc == cli.EXIT_USAGE
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
 
 
 class TestConfigParsing:
@@ -86,6 +91,21 @@ class TestBoundsCommand:
     ], ids=["short_ladder", "negative_ladder"])
     def test_bad_ladder_is_clean_error(self, tmp_path, capsys, text):
         assert_one_line_usage_error(capsys, ["bounds", "--config", str(write_cfg(tmp_path, text))])
+
+    @pytest.mark.parametrize("flags, fragment", [
+        (["--gamma", "nan"], "gamma must be finite"),
+        (["--gamma", "inf"], "gamma must be finite"),
+        (["--gamma", "0.05", "--nu", "inf"], "nu must be finite"),
+    ], ids=["gamma_nan", "gamma_inf", "nu_inf"])
+    def test_non_finite_input_is_clean_error(self, capsys, flags, fragment):
+        argv = ["bounds", "--config", str(RECIPES / "fig3.cfg")] + flags
+        assert fragment in assert_one_line_usage_error(capsys, argv)
+
+    def test_infinite_growth_rate_is_clean_error(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, "A = inf\nsigma = 1\nrho0 = 0.5\ngamma = 0.5\n")
+        assert "positive and finite" in assert_one_line_usage_error(
+            capsys, ["bounds", "--config", str(path)]
+        )
 
     def test_json_output(self, tmp_path, capsys):
         rc = cli.main([
@@ -183,6 +203,32 @@ class TestSimulateCommand:
         rc = cli.main(["simulate", "--config", "/nonexistent.cfg"])
         assert rc == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("flags, fragment", [
+        (["--gamma", "nan"], "gamma must be finite"),
+        (["--horizon", "inf"], "horizon must be positive and finite"),
+        (["--step", "inf"], "step must be positive and finite"),
+        (["--nu", "inf"], "nu must be finite"),
+        (["--seed", "-1"], "seed must be >= 0"),
+        (["--horizon", "1e9", "--step", "1e-9"], "-byte limit"),
+    ], ids=["gamma_nan", "horizon_inf", "step_inf", "nu_inf", "seed_negative", "huge_trace"])
+    def test_boundary_input_refused_before_running(self, tmp_path, capsys, monkeypatch,
+                                                   flags, fragment):
+        # the trace arrays are allocated in _Engine.run, so a refused run allocates nothing
+        def never(self):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(sim._Engine, "run", never)
+        argv = ["simulate", "--config", str(RECIPES / "fig7.cfg"), "--out", str(tmp_path)]
+        assert fragment in assert_one_line_usage_error(capsys, argv + flags)
+
+    def test_decode_error_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        def undecodable(*args, **kwargs):
+            raise DecodeError("packet time outside the reception window")
+
+        monkeypatch.setattr(sim, "run_vector", undecodable)
+        assert_one_line_usage_error(capsys, ["simulate", "--config", str(RECIPES / "fig7.cfg"),
+                                             "--out", str(tmp_path)])
+
 
 class TestSweepCommand:
     def test_golden_csv(self, tmp_path):
@@ -225,10 +271,51 @@ class TestSweepCommand:
         rc = cli.main(["sweep", "--config", str(path), "--out", str(tmp_path)])
         assert rc == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("delays, exit_code", [
+        ("0.01", cli.EXIT_INVARIANT), ("0.01,0.01,0.01", cli.EXIT_OK),
+    ], ids=["every_row_fails", "one_row_fails"])
+    def test_exhausted_replay_recorded_per_row(self, tmp_path, capsys, delays, exit_code):
+        text = (RECIPES / "fig8.cfg").read_text()
+        text = text.replace("delay = uniform", f"delay = replay:{delays}")
+        text = text.replace("gamma_grid = 0.0005:0.2:11", "gamma_grid = 0.1, 0.5")
+        path = write_cfg(tmp_path, text)
+        assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == exit_code
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        rows = [dict(zip(cli.SWEEP_COLUMNS, ln.split(","))) for ln in lines[1:]]
+        assert [row["gamma"] for row in rows] == ["0.1", "0.5"]
+        assert "replay sequence exhausted" in rows[0]["error"]
+        if exit_code == cli.EXIT_OK:
+            assert rows[1]["error"] == "" and rows[1]["invariants_ok"] == "true"
+        else:
+            assert "replay sequence exhausted" in rows[1]["error"]
+
     def test_recipes_all_parse(self):
         for name in ("fig3", "fig4", "fig5", "fig6", "fig7", "fig8"):
             assert cli.recipe_path(name).exists()
             cli.RunConfig.from_file(cli.recipe_path(name))
+
+
+def _fresh_python(code, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestLazyScipy:
+    def test_cli_import_leaves_scipy_unloaded(self):
+        done = _fresh_python("import etcsim.cli, sys; assert 'scipy' not in sys.modules")
+        assert done.returncode == 0, done.stderr
+
+    def test_bounds_command_leaves_scipy_unloaded(self):
+        code = ("import sys\nfrom etcsim import cli\n"
+                "assert cli.main(sys.argv[1:]) == 0\nassert 'scipy' not in sys.modules\n")
+        done = _fresh_python(code, "bounds", "--config", str(RECIPES / "fig3.cfg"),
+                             "--gamma", "0.05")
+        assert done.returncode == 0, done.stderr
+        assert "access_rate" in done.stdout
 
 
 class TestUsage:

@@ -36,6 +36,13 @@ class TestPlants:
         with pytest.raises(ConfigurationError):
             ScalarPlant(A=1.0, B=1.0, K=1.0, L=0.0)
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_growth_rejected(self, value):
+        with pytest.raises(ConfigurationError, match="finite"):
+            ScalarPlant(A=value, B=1.0, K=2.0)
+        with pytest.raises(ConfigurationError, match="finite"):
+            JordanPlant(blocks=((1.0, 1), (value, 2)), B=np.eye(3), K=np.eye(3))
+
     def test_jordan_dimensions(self):
         plant = JordanPlant(blocks=((1.0, 2), (2.0, 1)), B=np.eye(3), K=np.zeros((3, 3)))
         assert plant.n == 3
@@ -66,6 +73,13 @@ class TestTriggerConfig:
             TriggerConfig(v0=1.0, sigma=1.0, rho0=0.5, gamma=-0.1)
         with pytest.raises(ConfigurationError):
             TriggerConfig(v0=1.0, sigma=1.0, rho0=0.5, gamma=0.1, b=1.0)
+
+    @pytest.mark.parametrize("field", ["sigma", "gamma", "b"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_rejected(self, field, value):
+        kw = dict(v0=1.0, sigma=1.0, rho0=0.5, gamma=0.1, b=1.0001)
+        with pytest.raises(ConfigurationError, match=field):
+            TriggerConfig(**{**kw, field: value})
 
     def test_ladder_must_end_at_rho0(self):
         with pytest.raises(ConfigurationError):

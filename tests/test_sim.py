@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from etcsim import bounds as bnd
+from etcsim import sim
 from etcsim.channel import ConstantDelay, ReplayDelay, UniformDelay
 from etcsim.errors import ConfigurationError, DivergenceError, PreconditionError
 from etcsim.model import JordanPlant, ScalarPlant, TriggerConfig
@@ -335,6 +337,82 @@ class TestRunVector:
         assert len(on_grid) == len(trace.receptions()) > 0
 
 
+VECTOR_PLANT = JordanPlant(blocks=((5.0, 2), (10.0, 1)), B=np.eye(3), K=15.0 * np.eye(3))
+VECTOR_CFG = TriggerConfig(v0=((0.5, 0.6), (0.5,)), sigma=2.0, rho0=0.5, gamma=0.05)
+
+
+class _FullScanEngine(sim._Engine):
+    """Oracle: detection evaluates every sample of the chunk in one scan."""
+
+    def _scan(self, t, z, i0, i1):
+        idle = np.array([self.channel.admit(c) for c in range(self.n)]) & self.enabled
+        zmat = self._z_at_offsets(z, self._times[i0 : i1 + 1] - t)
+        return zmat, (np.abs(zmat) >= self._V[i0 : i1 + 1].T) & idle[:, None]
+
+
+class TestEnginePaths:
+    @pytest.mark.parametrize("plant, cfg, xhat_anchor", [
+        (VECTOR_PLANT, VECTOR_CFG, [0.3, -0.2, 0.1]),
+        (FIG7_PLANT.as_jordan(), FIG7_CFG, [0.3]),
+    ], ids=["three_coordinates", "scalar"])
+    def test_commit_matches_expm_from_off_grid_anchor(self, plant, cfg, xhat_anchor):
+        h = 1e-4
+        n = plant.n
+        eng = sim._Engine(plant, cfg, [None] * n, 0.1, h, np.zeros(n), np.zeros(n),
+                          False, None, 2.0)
+        eng.run()  # allocates the trace arrays and the powers of Phi(h)
+        i0 = 101
+        i1 = i0 + 2 * sim._POWER_BLOCK + 37
+        t_anchor = eng._times[i0 - 1] + 0.37 * h  # off-grid, as after a reception
+        xhat_anchor = np.array(xhat_anchor)
+        out = eng._commit(np.zeros((n, i1 - i0 + 1)), t_anchor, xhat_anchor, i0, i1)
+        for i in range(i0, i1 + 1):
+            want = scipy.linalg.expm(plant.closed_loop_matrix() * (eng._times[i] - t_anchor))
+            want = want @ xhat_anchor
+            assert np.max(np.abs(eng._XH[i] - want)) <= 1e-12 * np.max(np.abs(want)), i
+        assert np.array_equal(out, eng._XH[i1])
+        assert np.array_equal(eng._X[i0 : i1 + 1], eng._XH[i0 : i1 + 1])
+
+    @staticmethod
+    def _runs(plant, cfg, models, horizon, step, x0, xhat0, refine):
+        args = (plant, cfg, models, horizon, step, np.asarray(x0, float),
+                np.asarray(xhat0, float), refine, None, 2.0)
+        return sim._Engine(*args).run(), _FullScanEngine(*args).run()
+
+    @staticmethod
+    def _assert_same(windowed, full):
+        assert windowed.events and windowed.events == full.events
+        for name in ("times", "x", "xhat", "z", "v"):
+            assert np.array_equal(getattr(windowed, name), getattr(full, name)), name
+
+    @pytest.mark.parametrize("refine", [False, True], ids=["grid", "refine"])
+    @pytest.mark.parametrize("first_hit", [
+        sim._DETECT_WINDOW,  # last sample of the first window
+        sim._DETECT_WINDOW + 1,  # first sample of the second window
+        3 * sim._DETECT_WINDOW + 100,  # inside the third window
+    ])
+    def test_windowed_detection_matches_full_chunk_scan(self, refine, first_hit):
+        # z = z0 e^{t} meets v = e^{-t} halfway between samples first_hit - 1 and first_hit
+        h = 1e-3
+        plant = ScalarPlant(A=1.0, B=1.0, K=3.0)
+        cfg = TriggerConfig(v0=1.0, sigma=1.0, rho0=0.5, gamma=0.1)
+        z0 = math.exp(-2.0 * h * (first_hit - 0.5))
+        windowed, full = self._runs(plant.as_jordan(), cfg, [ConstantDelay(0.05, 0.1)],
+                                    2.0, h, [z0], [0.0], refine)
+        t_first = windowed.events[0].t
+        if refine:
+            assert (first_hit - 1) * h < t_first < first_hit * h
+        else:
+            assert t_first == windowed.times[first_hit]
+        self._assert_same(windowed, full)
+
+    @pytest.mark.parametrize("refine", [False, True], ids=["grid", "refine"])
+    def test_windowed_detection_matches_full_chunk_scan_vector(self, refine):
+        models = [UniformDelay(gamma=0.05, seed=(3, 0, c)) for c in range(3)]
+        self._assert_same(*self._runs(VECTOR_PLANT, VECTOR_CFG, models, 1.0, 1e-4,
+                                      [0.1, 0.1, 0.1], [0.0, 0.0, 0.0], refine))
+
+
 class TestSweep:
     FIG8_PLANT = ScalarPlant(A=2.4, B=1.0, K=8.0)
     FIG8_CFG = TriggerConfig(v0=0.0442, sigma=0.2, rho0=0.1, gamma=1.0, b=1.0001)
@@ -365,6 +443,15 @@ class TestSweep:
         with pytest.raises(ConfigurationError):
             sweep_gamma(self.FIG8_PLANT, self.FIG8_CFG, [0.0], 1.0, 0.001,
                         delay_factory=self.factory(1), x0=[0.201], xhat0=[0.2])
+
+    def test_configuration_error_row_recorded_and_sweep_continues(self):
+        def replay(gamma, row, coord):
+            return ReplayDelay(delays=(0.01,) * 3, gamma=gamma)
+
+        rows = sweep_gamma(self.FIG8_PLANT, self.FIG8_CFG, [0.1, 0.5], 7.0, 0.0002,
+                           delay_factory=replay, x0=[0.201], xhat0=[0.2])
+        assert "replay sequence exhausted" in rows[0].error
+        assert rows[1].error is None and rows[1].invariants_ok
 
     def test_divergent_row_recorded_and_sweep_continues(self):
         plant = ScalarPlant(A=2.0, B=0.0, K=0.0)
