@@ -239,6 +239,14 @@ class TestSweepCommand:
         got = (tmp_path / "sweep.csv").read_bytes()
         assert got == (DATA / "golden_sweep.csv").read_bytes()
 
+    def test_golden_csv_sigma_sup_and_rho0_family(self, tmp_path):
+        rc = cli.main([
+            "sweep", "--config", str(DATA / "sup_sweep.cfg"), "--out", str(tmp_path),
+        ])
+        assert rc == 0
+        got = (tmp_path / "sweep.csv").read_bytes()
+        assert got == (DATA / "golden_sup_sweep.csv").read_bytes()
+
     def test_header_schema_frozen(self, tmp_path):
         rc = cli.main([
             "sweep", "--config", str(DATA / "small_sweep.cfg"), "--out", str(tmp_path),

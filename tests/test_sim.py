@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -485,3 +486,42 @@ class TestPhaseCurves:
         inp = bnd.BoundInputs.scalar(1.0, 0.5, 0.3, nu=2.0)
         pc = phase_curves(inp, [pc_geq := math.log(2.0)])
         assert pc.necessary_approx[0] == pytest.approx(pc.access_rate, rel=1e-12)
+
+    @pytest.mark.parametrize("inp", [
+        bnd.BoundInputs.scalar(1.3, 1.0, 0.9, b=1.0001, nu=2.0),
+        bnd.BoundInputs(blocks=((1.2, 2), (1.2, 1)), sigma=0.7, rho0=0.6, gamma=0.0,
+                        b=1.05, nu=3.0, rho_ladders=((0.2, 0.6), (0.6,))),
+    ], ids=["scalar", "two_blocks_with_ladders"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_columns_equal_point_functions_bitwise(self, inp, seed):
+        # gamma = 0, small delays, and delays past the (sigma + A)*gamma >= 700 branch
+        rng = np.random.default_rng(seed)
+        gammas = np.concatenate(([0.0], rng.uniform(0.0, 3.0, 12), rng.uniform(400.0, 600.0, 3)))
+        sigmas = rng.uniform(0.05, 6.0, 5)
+        pc = phase_curves(inp, gammas, sigma_grid=sigmas)
+        points = [replace(inp, gamma=float(g)) for g in gammas]
+        expected = {
+            "necessary": [bnd.transmission_rate_necessary(at) for at in points],
+            "necessary_approx": [bnd.transmission_rate_necessary_approx(at) for at in points],
+            "sufficient": [bnd.transmission_rate_sufficient(at) for at in points],
+            "necessary_sup_sigma": [
+                max(bnd.transmission_rate_necessary(replace(at, sigma=float(s))) for s in sigmas)
+                for at in points
+            ],
+        }
+        for name, values in expected.items():
+            assert getattr(pc, name).tobytes() == np.array(values).tobytes(), name
+
+    @pytest.mark.parametrize("gammas, sigmas, message", [
+        ([0.1, -0.5], None, "gamma must be finite and >= 0, got -0.5"),
+        ([math.nan], None, "gamma must be finite and >= 0, got nan"),
+        ([0.1, math.inf], [1.0], "gamma must be finite and >= 0, got inf"),
+        ([0.1], [1.0, 0.0], "sigma must be positive and finite, got 0.0"),
+        ([0.1], [math.nan], "sigma must be positive and finite, got nan"),
+        ([0.0, 0.1], [math.inf], "sigma must be positive and finite, got inf"),
+    ], ids=["gamma_negative", "gamma_nan", "gamma_inf", "sigma_zero", "sigma_nan", "sigma_inf"])
+    def test_bad_grid_value_raises(self, gammas, sigmas, message):
+        inp = bnd.BoundInputs.scalar(1.3, 1.0, 0.9, nu=2.0)
+        with pytest.raises(PreconditionError) as exc:
+            phase_curves(inp, gammas, sigma_grid=sigmas)
+        assert str(exc.value) == message
