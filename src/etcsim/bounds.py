@@ -17,6 +17,22 @@ from .model import contraction_ladders
 
 LN2 = math.log(2.0)
 
+_RANGES = {  # field: (admits, rule) for the scalar fields of BoundInputs
+    "sigma": (lambda v: 0 < v < math.inf, "must be positive and finite"),
+    "rho0": (lambda v: 0 < v < 1, "must lie in (0, 1)"),
+    "gamma": (lambda v: 0 <= v < math.inf, "must be finite and >= 0"),
+    "b": (lambda v: 1 < v < math.inf, "must be finite and exceed 1"),
+    "nu": (lambda v: 1 <= v < math.inf, "must be finite and >= 1"),
+}
+
+
+def _check_input(name: str, value: float) -> float:
+    """value, if BoundInputs admits it for the field name; else PreconditionError."""
+    admits, rule = _RANGES[name]
+    if not admits(value):
+        raise PreconditionError(f"{name} {rule}, got {value}")
+    return value
+
 
 @dataclass(frozen=True)
 class BoundInputs:
@@ -42,16 +58,8 @@ class BoundInputs:
             raise PreconditionError(
                 f"blocks must be (finite lam > 0, p >= 1) pairs, got {blocks}"
             )
-        if not 0 < self.sigma < math.inf:
-            raise PreconditionError(f"sigma must be positive and finite, got {self.sigma}")
-        if not 0 < self.rho0 < 1:
-            raise PreconditionError(f"rho0 must lie in (0, 1), got {self.rho0}")
-        if not 0 <= self.gamma < math.inf:
-            raise PreconditionError(f"gamma must be finite and >= 0, got {self.gamma}")
-        if not 1 < self.b < math.inf:
-            raise PreconditionError(f"b must be finite and exceed 1, got {self.b}")
-        if not 1 <= self.nu < math.inf:
-            raise PreconditionError(f"nu must be finite and >= 1, got {self.nu}")
+        for name in _RANGES:
+            _check_input(name, getattr(self, name))
         if self.rho_ladders is not None:
             contraction_ladders(self.rho0, [p for _, p in blocks], self.rho_ladders)
 
@@ -88,9 +96,17 @@ def _ln_em1(u: float) -> float:
     return u + math.log(-math.expm1(-u))
 
 
-def _ln_contraction(inp: BoundInputs) -> float:
+def _ln_em1s(blocks, gamma: float) -> tuple[float, ...]:
+    """Per block, ln(e^{lam*gamma} - 1), the sigma-free part of the necessary rates.
+
+    Empty at gamma = 0, where the rates that use it are 0.
+    """
+    return tuple(_ln_em1(lam * gamma) for lam, _ in blocks) if gamma else ()
+
+
+def _ln_contraction(sigma: float, rho0: float, gamma: float) -> float:
     """-ln(rho0 * exp(-sigma*gamma)), always positive."""
-    return inp.sigma * inp.gamma - math.log(inp.rho0)
+    return sigma * gamma - math.log(rho0)
 
 
 def access_rate_necessary(inp: BoundInputs) -> float:
@@ -114,48 +130,72 @@ def bits_lower_bound(t: float, L: float, z0_norm: float, inp: BoundInputs, kind:
     raise PreconditionError(f"kind must be 'estimation' or 'stabilization', got {kind!r}")
 
 
-def _packet_bits(lam: float, inp: BoundInputs) -> float:
-    """max{0, log2((e^{lam*gamma} - 1)/(rho0 e^{-sigma*gamma}))} for one eigenvalue."""
-    if inp.gamma == 0:
-        return 0.0
-    val = (_ln_em1(lam * inp.gamma) + _ln_contraction(inp)) / LN2
-    return max(0.0, val)
+def _packet_bits(ln_em1: float, sigma: float, rho0: float, gamma: float) -> float:
+    """max{0, log2((e^{lam*gamma} - 1)/(rho0 e^{-sigma*gamma}))}, gamma > 0.
+
+    ln_em1 is ln(e^{lam*gamma} - 1) for the eigenvalue lam.
+    """
+    return max(0.0, (ln_em1 + _ln_contraction(sigma, rho0, gamma)) / LN2)
 
 
 def packet_bits_necessary(inp: BoundInputs) -> float:
     """Minimum bits per triggering event (single-eigenvalue systems)."""
-    return _packet_bits(inp.A, inp)
+    A = inp.A
+    if inp.gamma == 0:
+        return 0.0
+    return _packet_bits(_ln_em1(A * inp.gamma), inp.sigma, inp.rho0, inp.gamma)
 
 
-def _trigger_upper(lam: float, inp: BoundInputs) -> float:
-    return (lam + inp.sigma) / _ln_contraction(inp)
-
-
-def _trigger_lower(lam: float, inp: BoundInputs) -> float:
+def _trigger_lower(lam: float, sigma: float, rho0: float, gamma: float, nu: float) -> float:
     # ln(2 + e^{sigma*gamma}/rho0) evaluated overflow-free.
-    u = inp.sigma * inp.gamma
-    ln_term = u + math.log(2 * math.exp(-u) + 1.0 / inp.rho0)
-    return (lam + inp.sigma) / (math.log(inp.nu) + ln_term)
+    u = sigma * gamma
+    ln_term = u + math.log(2 * math.exp(-u) + 1.0 / rho0)
+    return (lam + sigma) / (math.log(nu) + ln_term)
 
 
 def triggering_rate_upper(inp: BoundInputs) -> float:
     """Worst-case events/s of the triggering rule."""
-    return _trigger_upper(inp.A, inp)
+    return (inp.A + inp.sigma) / _ln_contraction(inp.sigma, inp.rho0, inp.gamma)
 
 
 def triggering_rate_lower(inp: BoundInputs) -> float:
     """Events/s forced by some delay realization under nu-precision."""
-    return _trigger_lower(inp.A, inp)
+    return _trigger_lower(inp.A, inp.sigma, inp.rho0, inp.gamma, inp.nu)
 
 
 def min_inter_event_time(inp: BoundInputs) -> float:
     """Uniform lower bound on the spacing of triggering events (seconds)."""
-    return _ln_contraction(inp) / (inp.A + inp.sigma)
+    return _ln_contraction(inp.sigma, inp.rho0, inp.gamma) / (inp.A + inp.sigma)
+
+
+def _rate_necessary(blocks, ln_em1s, sigma, rho0, gamma, nu) -> float:
+    """Necessary transmission rate; ln_em1s = _ln_em1s(blocks, gamma)."""
+    if gamma == 0:
+        return 0.0
+    total = 0.0
+    for (lam, p), ln_em1 in zip(blocks, ln_em1s):
+        total += (
+            p * _trigger_lower(lam, sigma, rho0, gamma, nu)
+            * _packet_bits(ln_em1, sigma, rho0, gamma)
+        )
+    return total
 
 
 def transmission_rate_necessary(inp: BoundInputs) -> float:
     """Bits/s forced by some delay realization; sums blocks with multiplicity."""
-    return sum(p * _trigger_lower(lam, inp) * _packet_bits(lam, inp) for lam, p in inp.blocks)
+    ln_em1s = _ln_em1s(inp.blocks, inp.gamma)
+    return _rate_necessary(inp.blocks, ln_em1s, inp.sigma, inp.rho0, inp.gamma, inp.nu)
+
+
+def _rate_necessary_approx(blocks, ln_em1s, sigma, rho0, gamma) -> float:
+    """Approximate necessary rate; ln_em1s = _ln_em1s(blocks, gamma)."""
+    if gamma == 0:
+        return 0.0
+    total = 0.0
+    den = _ln_contraction(sigma, rho0, gamma)
+    for (lam, p), ln_em1 in zip(blocks, ln_em1s):
+        total += p * (lam + sigma) / LN2 * max(0.0, 1.0 + ln_em1 / den)
+    return total
 
 
 def transmission_rate_necessary_approx(inp: BoundInputs) -> float:
@@ -163,19 +203,14 @@ def transmission_rate_necessary_approx(inp: BoundInputs) -> float:
 
     Intended regime rho0 << e^{sigma*gamma}/max{2, nu}; not enforced.
     """
-    total = 0.0
-    for lam, p in inp.blocks:
-        if inp.gamma == 0:
-            continue
-        ratio = _ln_em1(lam * inp.gamma) / _ln_contraction(inp)
-        total += p * (lam + inp.sigma) / LN2 * max(0.0, 1.0 + ratio)
-    return total
+    ln_em1s = _ln_em1s(inp.blocks, inp.gamma)
+    return _rate_necessary_approx(inp.blocks, ln_em1s, inp.sigma, inp.rho0, inp.gamma)
 
 
-def _log2_packet_term(lam: float, rho: float, inp: BoundInputs) -> float:
+def _log2_packet_term(lam: float, rho: float, sigma: float, gamma: float, b: float) -> float:
     """log2(b*gamma*(lam+sigma) / ln(1 + rho*e^{-(sigma+lam)*gamma}))."""
-    u = (inp.sigma + lam) * inp.gamma
-    num = math.log(inp.b * inp.gamma * (lam + inp.sigma))
+    u = (sigma + lam) * gamma
+    num = math.log(b * gamma * (lam + sigma))
     if u < 700:
         den = math.log(math.log1p(rho * math.exp(-u)))
     else:
@@ -184,21 +219,26 @@ def _log2_packet_term(lam: float, rho: float, inp: BoundInputs) -> float:
     return (num - den) / LN2
 
 
+def _rate_sufficient(rho_flat, sigma, rho0, gamma, b) -> float:
+    """Sufficient rate; rho_flat as BoundInputs.rho_flat returns it."""
+    if gamma == 0:
+        return 0.0
+    total = 0.0
+    den = _ln_contraction(sigma, rho0, gamma)
+    for lam, ladder in rho_flat:
+        for rho in ladder:
+            term = max(0.0, 1.0 + _log2_packet_term(lam, rho, sigma, gamma, b))
+            total += (lam + sigma) / den * term
+    return total
+
+
 def transmission_rate_sufficient(inp: BoundInputs) -> float:
     """Bits/s achieved by the sign + quantized-trigger-time policy.
 
     Vector systems sum one term per coordinate, each using its ladder
     contraction in place of rho0.
     """
-    if inp.gamma == 0:
-        return 0.0
-    total = 0.0
-    rate_factor_den = _ln_contraction(inp)
-    for lam, ladder in inp.rho_flat():
-        for rho in ladder:
-            term = max(0.0, 1.0 + _log2_packet_term(lam, rho, inp))
-            total += (lam + inp.sigma) / rate_factor_den * term
-    return total
+    return _rate_sufficient(inp.rho_flat(), inp.sigma, inp.rho0, inp.gamma, inp.b)
 
 
 def critical_delay(inp: BoundInputs) -> float:
@@ -249,7 +289,7 @@ def packet_size_sufficient(inp: BoundInputs) -> int:
     """
     if inp.gamma == 0:
         return 1
-    raw = 1.0 + _log2_packet_term(inp.A, inp.rho0, inp)
+    raw = 1.0 + _log2_packet_term(inp.A, inp.rho0, inp.sigma, inp.gamma, inp.b)
     return max(1, math.ceil(raw))
 
 
@@ -340,7 +380,7 @@ def assumption1_window(inp: BoundInputs, g: int) -> Assumption1Window:
         raise PreconditionError(f"the design window needs g >= 2, got {g}")
     if inp.gamma == 0:
         raise PreconditionError("the design window needs a positive delay bound")
-    lower = 1.0 + _log2_packet_term(inp.A, inp.rho0, inp)
+    lower = 1.0 + _log2_packet_term(inp.A, inp.rho0, inp.sigma, inp.gamma, inp.b)
     lower_ok = g >= lower
 
     re = inp.rho0 * math.exp(-inp.sigma * inp.gamma)

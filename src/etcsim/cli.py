@@ -39,6 +39,7 @@ SWEEP_COLUMNS = [
 
 _MISSING = object()
 _CSV_BLOCK_ROWS = 4096  # trace.csv rows converted to Python floats at a time
+MAX_GRID_POINTS = 100_000  # largest start:step:count grid a config may ask for
 
 
 class _Parser(argparse.ArgumentParser):
@@ -110,8 +111,8 @@ def _grid(s: str) -> list[float]:
         if len(parts) != 3:
             raise ValueError(f"grid must be start:step:count, got {s!r}")
         start, step, count = float(parts[0]), float(parts[1]), int(parts[2])
-        if count < 1:
-            raise ValueError("grid count must be >= 1")
+        if not 1 <= count <= MAX_GRID_POINTS:
+            raise ValueError(f"grid count must lie in [1, {MAX_GRID_POINTS}], got {count}")
         return [start + i * step for i in range(count)]
     vals = _floats(s)
     if not vals:
@@ -340,24 +341,32 @@ def _sweep_csv_rows(cfg: RunConfig) -> list[dict]:
     gamma_grid = cfg.get("gamma_grid", _grid)
     rows: list[dict] = []
     if mode == "analytic":
-        rho_list = cfg.get("rho0_list", _grid, None) or [cfg.get("rho0", float)]
+        base = build_inputs(cfg, gamma=max(gamma_grid))
+        if cfg.has("rho0_list") and cfg.has("rho_ladder"):
+            raise ConfigurationError(
+                "rho_ladder is defined for one rho0 and cannot be combined with rho0_list"
+            )
+        rho_list = cfg.get("rho0_list", _grid, None) or [base.rho0]
         sigma_grid = cfg.get("sigma_grid", _grid, None)
         for rho in rho_list:
-            base = build_inputs(cfg, gamma=max(gamma_grid))
-            base = dataclasses.replace(base, rho0=rho, rho_ladders=None)
-            curve = sim.phase_curves(base, gamma_grid, sigma_grid)
-            for i, gamma in enumerate(curve.gammas):
+            at = dataclasses.replace(base, rho0=rho)
+            curve = sim.phase_curves(at, gamma_grid, sigma_grid)
+            sup = curve.necessary_sup_sigma
+            columns = zip(
+                curve.gammas.tolist(), curve.necessary.tolist(),
+                curve.necessary_approx.tolist(), curve.sufficient.tolist(),
+                [None] * len(curve.gammas) if sup is None else sup.tolist(),
+            )
+            for gamma, nec, app, suf, nec_sup in columns:
                 rows.append(
                     {
-                        "gamma": float(gamma),
+                        "gamma": gamma,
                         "rho0": rho,
-                        "sigma": base.sigma,
-                        "R_necessary": curve.necessary[i],
-                        "R_necessary_approx": curve.necessary_approx[i],
-                        "R_sufficient": curve.sufficient[i],
-                        "R_necessary_sup": None
-                        if curve.necessary_sup_sigma is None
-                        else curve.necessary_sup_sigma[i],
+                        "sigma": at.sigma,
+                        "R_necessary": nec,
+                        "R_necessary_approx": app,
+                        "R_sufficient": suf,
+                        "R_necessary_sup": nec_sup,
                         "R_access": curve.access_rate,
                     }
                 )

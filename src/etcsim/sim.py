@@ -509,6 +509,8 @@ class _Engine:
         zb = z_a[self._coord_slice[c]]
         lo_s, hi_s = 0.0, hi
         for _ in range(80):
+            if t_a + lo_s == t_a + hi_s:
+                break  # rounding is monotone: further halving returns the same time
             mid = 0.5 * (lo_s + hi_s)
             zc = (block_matexp(lam, p, mid) @ zb)[i_in]
             if abs(zc) - v_a * math.exp(-self.sigma * mid) < 0.0:
@@ -881,32 +883,34 @@ def phase_curves(
 
     With sigma_grid, additionally reports the supremum over those decay rates
     of the necessary rate.  Grid points where the necessary rate exceeds the
-    sufficient one are counted, not asserted.
+    sufficient one are counted, not asserted.  inp was checked when it was
+    built; each grid value is checked once, as BoundInputs checks gamma and
+    sigma, and the rates come from the bound kernels at plain floats.
     """
-    gammas = np.asarray(list(gamma_grid), dtype=float)
-    nec = np.empty_like(gammas)
-    app = np.empty_like(gammas)
-    suf = np.empty_like(gammas)
-    sup = np.empty_like(gammas) if sigma_grid is not None else None
-    for i, g in enumerate(gammas):
-        at = replace(inp, gamma=float(g))
-        nec[i] = bnd.transmission_rate_necessary(at)
-        app[i] = bnd.transmission_rate_necessary_approx(at)
-        suf[i] = bnd.transmission_rate_sufficient(at)
-        if sup is not None:
-            sup[i] = max(
-                bnd.transmission_rate_necessary(replace(at, sigma=float(s)))
-                for s in sigma_grid
-            )
+    gammas = [bnd._check_input("gamma", float(g)) for g in gamma_grid]
+    sigmas = None if sigma_grid is None else [
+        bnd._check_input("sigma", float(s)) for s in sigma_grid
+    ]
+    blocks, rho_flat = inp.blocks, inp.rho_flat()
+    sigma, rho0, b, nu = inp.sigma, inp.rho0, inp.b, inp.nu
+    nec, app, suf, sup = [], [], [], []
+    for g in gammas:
+        ln_em1s = bnd._ln_em1s(blocks, g)  # sigma-free, shared by the supremum
+        nec.append(bnd._rate_necessary(blocks, ln_em1s, sigma, rho0, g, nu))
+        app.append(bnd._rate_necessary_approx(blocks, ln_em1s, sigma, rho0, g))
+        suf.append(bnd._rate_sufficient(rho_flat, sigma, rho0, g, b))
+        if sigmas is not None:
+            sup.append(max(bnd._rate_necessary(blocks, ln_em1s, s, rho0, g, nu) for s in sigmas))
+    nec, suf = np.array(nec, dtype=float), np.array(suf, dtype=float)
     return PhaseCurve(
-        gammas=gammas,
+        gammas=np.array(gammas, dtype=float),
         necessary=nec,
-        necessary_approx=app,
+        necessary_approx=np.array(app, dtype=float),
         sufficient=suf,
         gamma_c=bnd.critical_delay(inp),
         gamma_eq=bnd.equilibrium_delay(inp.A),
         asymptote=bnd.rate_asymptote(inp),
         access_rate=bnd.access_rate_necessary(inp),
-        necessary_sup_sigma=sup,
+        necessary_sup_sigma=None if sigmas is None else np.array(sup, dtype=float),
         necessary_exceeds_sufficient=int(np.sum(nec > suf * (1.0 + 1e-12))),
     )

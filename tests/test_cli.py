@@ -273,6 +273,35 @@ class TestSweepCommand:
         assert by_rho[0.1][g_lo] > by_rho[0.9][g_lo]
         assert by_rho[0.1][g_hi] < by_rho[0.9][g_hi]
 
+    @pytest.mark.parametrize("ladder", ["0.01 0.1", "0.09 0.1"])
+    def test_rho_ladder_honoured(self, tmp_path, ladder):
+        text = ("mode = analytic\nblocks = 1.0:2\nsigma = 1\nrho0 = 0.1\n"
+                f"gamma_grid = 0.5\nrho_ladder = {ladder}\n")
+        path = write_cfg(tmp_path, text)
+        assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        row = dict(zip(cli.SWEEP_COLUMNS, lines[1].split(",")))
+        assert cli.main(["bounds", "--config", str(path), "--gamma", "0.5",
+                         "--out", str(tmp_path)]) == 0
+        table = json.loads((tmp_path / "bounds.json").read_text())
+        assert float(row["R_sufficient"]) == table["rate_sufficient"]
+
+    def test_rho_ladder_with_rho0_list_refused(self, tmp_path, capsys):
+        text = ("mode = analytic\nblocks = 1.0:2\nsigma = 1\nrho0 = 0.1\n"
+                "rho0_list = 0.05, 0.1\ngamma_grid = 0.5\nrho_ladder = 0.01 0.1\n")
+        argv = ["sweep", "--config", str(write_cfg(tmp_path, text)), "--out", str(tmp_path)]
+        assert "rho0_list" in assert_one_line_usage_error(capsys, argv)
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_grid_count_capped(self, tmp_path, capsys):
+        assert len(cli._grid(f"0.1:0.1:{cli.MAX_GRID_POINTS}")) == cli.MAX_GRID_POINTS
+        # one point over the cap is refused first: unchecked, that grid is still small
+        with pytest.raises(ValueError, match="grid count"):
+            cli._grid(f"0.1:0.1:{cli.MAX_GRID_POINTS + 1}")
+        text = "mode = analytic\nA = 1\nsigma = 1\nrho0 = 0.5\ngamma_grid = 0.1:0.1:1000000000000\n"
+        argv = ["sweep", "--config", str(write_cfg(tmp_path, text)), "--out", str(tmp_path)]
+        assert "grid count" in assert_one_line_usage_error(capsys, argv)
+
     def test_empty_grid_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("mode = analytic\nA = 1\nsigma = 1\nrho0 = 0.5\ngamma_grid =\n")
