@@ -9,7 +9,7 @@ from etcsim import bounds as bnd
 from etcsim import sim
 from etcsim.channel import ConstantDelay, ReplayDelay, UniformDelay
 from etcsim.errors import ConfigurationError, DivergenceError, PreconditionError
-from etcsim.model import JordanPlant, ScalarPlant, TriggerConfig
+from etcsim.model import OVERFLOW_LIMIT, JordanPlant, ScalarPlant, TriggerConfig, block_matexp
 from etcsim.sim import (
     measure_rates,
     phase_curves,
@@ -373,6 +373,41 @@ class TestEnginePaths:
             assert np.max(np.abs(eng._XH[i] - want)) <= 1e-12 * np.max(np.abs(want)), i
         assert np.array_equal(out, eng._XH[i1])
         assert np.array_equal(eng._X[i0 : i1 + 1], eng._XH[i0 : i1 + 1])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_z_at_offsets_matches_block_exponentials(self, seed):
+        plant = JordanPlant(blocks=((0.7, 1), (1.3, 2), (2.1, 3)), B=np.eye(6), K=3.0 * np.eye(6))
+        cfg = TriggerConfig(v0=1.0, sigma=1.0, rho0=0.5, gamma=0.05)
+        eng = sim._Engine(plant, cfg, [None] * 6, 0.1, 1e-3, np.zeros(6), np.zeros(6),
+                          False, None, 2.0)
+        rng = np.random.default_rng(seed)
+        z = rng.uniform(-1.0, 1.0, 6)
+        offsets = np.concatenate(([0.0, 1e-4], np.sort(rng.uniform(0.0, 3.0, 7)), [5.0]))
+        got = eng._z_at_offsets(z, offsets)
+        assert got.shape == (6, offsets.size)
+        for j, s in enumerate(offsets):
+            want = np.concatenate([block_matexp(lam, p, s) @ z[sl]
+                                   for lam, p, sl in plant.block_slices()])
+            assert np.max(np.abs(got[:, j] - want)) <= 1e-14 * np.max(np.abs(want)), j
+
+    @pytest.mark.parametrize("bad", [
+        math.nan, math.inf, -math.inf,
+        np.nextafter(OVERFLOW_LIMIT, math.inf), -np.nextafter(OVERFLOW_LIMIT, math.inf),
+    ], ids=["nan", "inf", "-inf", "above_limit", "below_minus_limit"])
+    def test_check_overflow_refuses_with_partial_trace(self, bad):
+        eng = sim._Engine(VECTOR_PLANT, VECTOR_CFG, [None] * 3, 0.1, 1e-3, np.zeros(3),
+                          np.zeros(3), False, None, 2.0)
+        eng.run()  # allocates the trace arrays the partial trace is cut from
+        with pytest.raises(DivergenceError) as exc:
+            eng._check_overflow(np.array([0.1, bad, -0.2]), 0.05, 51)
+        assert exc.value.trace.diverged
+        assert exc.value.trace.times.shape == (51,) and exc.value.trace.x.shape == (51, 3)
+
+    def test_check_overflow_admits_the_limit(self):
+        eng = sim._Engine(VECTOR_PLANT, VECTOR_CFG, [None] * 3, 0.1, 1e-3, np.zeros(3),
+                          np.zeros(3), False, None, 2.0)
+        eng.run()
+        eng._check_overflow(np.array([OVERFLOW_LIMIT, -OVERFLOW_LIMIT, 0.0]), 0.05, 51)
 
     @staticmethod
     def _runs(plant, cfg, models, horizon, step, x0, xhat0, refine):
