@@ -367,7 +367,8 @@ def assumption1_window(inp: BoundInputs, g: int) -> Assumption1Window:
     lower_ok: g meets the sufficient-rate quantization bound.
     upper_ok: g does not quantize finer than nu-precision allows.
     expansion_ok: the cell-to-cell expansion condition with delta = b*gamma/2^(g-2).
-    Requires nu >= 2 (the upper bound is undefined below that) and g >= 2.
+    Requires nu >= 2 (the upper bound is undefined below that) and g >= 2,
+    and refuses inputs whose precision term eps or cell width underflow.
 
     The lower and upper bounds share the term log2(b*gamma*(A+sigma)), so the
     window's width does not depend on b; b only shifts it by log2(b).  When
@@ -384,14 +385,22 @@ def assumption1_window(inp: BoundInputs, g: int) -> Assumption1Window:
     lower_ok = g >= lower
 
     re = inp.rho0 * math.exp(-inp.sigma * inp.gamma)
-    eps = 1.0 / ((inp.nu - 1.0) * (2.0 + 1.0 / re))
+    eps = 1.0 / ((inp.nu - 1.0) * (2.0 + 1.0 / re)) if re > 0.0 else 0.0
+    u = (inp.A + inp.sigma) * math.ldexp(inp.b * inp.gamma, 2 - g)  # delta = b*gamma/2^(g-2)
+    if eps == 0.0:
+        raise PreconditionError(
+            f"the design window's precision term underflows at gamma={inp.gamma}, nu={inp.nu}"
+        )
+    if u / 4.0 == 0.0:
+        raise PreconditionError(
+            f"the design window's cell width b*gamma/2^(g-2) underflows at gamma={inp.gamma}, g={g}"
+        )
     upper = math.log2(inp.b * inp.gamma * (inp.A + inp.sigma) / abs(math.log1p(-eps)))
     upper_ok = g <= upper
 
-    delta = inp.b * inp.gamma / 2 ** (g - 2)
-    u = (inp.A + inp.sigma) * delta
     lhs = (-math.expm1(-u / 2.0)) / (-math.expm1(-u / 4.0))
-    expansion_ok = lhs >= math.exp(3.0 * u / 4.0)
+    # lhs = 1 + e^{-u/4} <= 2 < e^{3u/4} once 3u/4 >= 1; the guard also keeps exp in range
+    expansion_ok = 3.0 * u / 4.0 < 1.0 and lhs >= math.exp(3.0 * u / 4.0)
     return Assumption1Window(lower_ok, upper_ok, expansion_ok)
 
 
@@ -424,7 +433,12 @@ def v0_cascade_bound(
     lam, p = block
     if len(v0) != p or len(rho) != p:
         raise PreconditionError(f"need {p} trigger levels and contractions, got {v0}, {rho}")
-    E = math.exp((lam + sigma) * gamma)
+    try:
+        E = math.exp((lam + sigma) * gamma)
+    except OverflowError:
+        raise PreconditionError(
+            f"e^((lam+sigma)*gamma) leaves float range at lam={lam}, sigma={sigma}, gamma={gamma}"
+        ) from None
     envelope = tuple((rho0 - r) + E for r in rho)
     upper = []
     for i in range(1, p):  # cap on v0[i] from v0[i-1]

@@ -160,8 +160,8 @@ class TriggerConfig:
         if not 1 < self.b < math.inf:
             raise ConfigurationError(f"window factor b must be finite and exceed 1, got {self.b}")
         for v in self.v0_flat():
-            if not v > 0:
-                raise ConfigurationError(f"trigger levels v0 must be positive, got {v}")
+            if not 0 < v < math.inf:
+                raise ConfigurationError(f"trigger levels v0 must be positive and finite, got {v}")
         if self.rho_ladders is not None:
             # values only: the shape is checked against the plant in rho_flat
             contraction_ladders(self.rho0, [len(lad) for lad in self.rho_ladders], self.rho_ladders)

@@ -141,6 +141,10 @@ class _Engine:
                 f"over the {MAX_TRACE_BYTES}-byte limit"
             )
         self.S = int(round(steps)) if abs(steps - round(steps)) < 1e-9 else int(steps)
+        if self.S == 0:
+            raise PreconditionError(
+                f"horizon {horizon} is shorter than one step {step}: the run has no samples"
+            )
         self.t_end = self.S * step
         self.refine = refine
         self.nu = nu
@@ -230,18 +234,18 @@ class _Engine:
             grow = np.exp(lam * offsets)
             zb = z[sl]
             for i in range(p):
-                acc = np.full(offsets.size, zb[i])
-                powh = np.ones(offsets.size)
-                fact = 1.0
+                acc, powh, fact = zb[i], offsets, 1.0
                 for k in range(1, p - i):
-                    powh = powh * offsets
+                    if k > 1:
+                        powh = powh * offsets
                     fact *= k
                     acc = acc + zb[i + k] * powh / fact
-                out[sl.start + i] = acc * grow
+                np.multiply(acc, grow, out=out[sl.start + i])
         return out
 
     def _phi_powers(self) -> np.ndarray:
-        """Phi(h)^(k+1) for k < _POWER_BLOCK, by doubling from Phi(h).
+        """Phi(h)^(k+1) for k < _POWER_BLOCK, by doubling from Phi(h), stacked
+        into one (_POWER_BLOCK*n, n) matrix: rows k*n..(k+1)*n hold power k+1.
 
         The last power, which carries the estimate from block to block, is
         its own expm, so rounding in Phi(h) does not compound across blocks.
@@ -255,29 +259,33 @@ class _Engine:
             P[m : 2 * m] = P[:m] @ P[m - 1]
             m *= 2
         P[-1] = scipy.linalg.expm(self.acl * (self.h * _POWER_BLOCK))
-        return P
+        return P.reshape(_POWER_BLOCK * self.n, self.n)
 
     def _scan(self, t: float, z: np.ndarray, i0: int, i1: int):
-        """Error columns and trigger eligibility of samples i0.. from the state (t, z).
+        """Error columns of samples i0.. from the state (t, z), and the first trigger.
 
-        Windows of _DETECT_WINDOW, 2*_DETECT_WINDOW, ... samples are scanned
-        until one holds an eligible sample or i1 is reached.  Every window is
-        evaluated from the same (t, z), so the columns equal those of a single
-        scan over i0..i1.
+        Returns (zmat, hit).  hit is None when no sample up to i1 is eligible;
+        otherwise it is (j, fire): zmat's column j is the first eligible
+        sample and fire flags the coordinates that may fire there.  Windows
+        of _DETECT_WINDOW, 2*_DETECT_WINDOW, ... samples are scanned until
+        one holds an eligible sample or i1 is reached.  Every window is
+        evaluated from the same (t, z), so the columns equal those of a
+        single scan over i0..i1.
         """
         idle = np.array([self.channel.admit(c) for c in range(self.n)]) & self.enabled
-        zparts, eparts = [], []
+        zparts, hit = [], None
         lo, width = i0, _DETECT_WINDOW
-        while lo <= i1:
+        while hit is None and lo <= i1:
             hi = min(lo + width, i1 + 1)
             zw = self._z_at_offsets(z, self._times[lo:hi] - t)
             ew = (np.abs(zw) >= self._V[lo:hi].T) & idle[:, None]
             zparts.append(zw)
-            eparts.append(ew)
-            if ew.any():
-                break
+            if np.count_nonzero(ew):
+                j = int(ew.any(axis=0).argmax())
+                hit = (lo - i0 + j, ew[:, j])
             lo, width = hi, 2 * width
-        return np.concatenate(zparts, axis=1), np.concatenate(eparts, axis=1)
+        zmat = zparts[0] if len(zparts) == 1 else np.concatenate(zparts, axis=1)
+        return zmat, hit
 
     def _v_at(self, coord: int, t: float) -> float:
         return self.v0s[coord] * math.exp(-self.sigma * t)
@@ -315,21 +323,20 @@ class _Engine:
                 np.searchsorted(times[next_idx:], chunk_end + 1e-15, side="right")
             )
             if idx_hi >= next_idx:
-                zmat, eligible = self._scan(t, z, next_idx, idx_hi)
-                hits = eligible.any(axis=0)
-                if hits.any():
-                    jcol = int(np.argmax(hits))
+                zmat, hit = self._scan(t, z, next_idx, idx_hi)
+                if hit is not None:
+                    jcol, fire = hit
                     gi = next_idx + jcol
                     if self.refine:
                         t, z, xhat, next_idx = self._refine_fire(
-                            t, z, xhat, next_idx, gi, jcol, zmat, eligible[:, jcol]
+                            t, z, xhat, next_idx, gi, jcol, zmat, fire
                         )
                     else:
                         xhat = self._commit(zmat[:, : jcol + 1], t, xhat, next_idx, gi)
                         z = zmat[:, jcol].copy()
                         t = times[gi]
                         next_idx = gi + 1
-                        for c in np.flatnonzero(eligible[:, jcol]):
+                        for c in np.flatnonzero(fire):
                             self._fire(int(c), t, z)
                     continue
                 xhat = self._commit(zmat, t, xhat, next_idx, idx_hi)
@@ -377,20 +384,21 @@ class _Engine:
         """Fill samples i0..i1 from precomputed error columns; returns xhat at i1.
 
         The estimate reaches sample i0 from t_from through one exponential and
-        the later samples through the powers of Phi(h), one block at a time.
+        the later samples through the powers of Phi(h), one matrix-vector
+        product per block.
         """
-        times, XH, P = self._times, self._XH, self._powers
+        times, XH, Q, n = self._times, self._XH, self._powers, self.n
         XH[i0] = self._phi(times[i0] - t_from) @ xhat
-        for i in range(i0 + 1, i1 + 1, len(P)):
-            k = min(len(P), i1 + 1 - i)
-            XH[i : i + k] = P[:k] @ XH[i - 1]
+        for i in range(i0 + 1, i1 + 1, _POWER_BLOCK):
+            k = min(_POWER_BLOCK, i1 + 1 - i)
+            XH[i : i + k] = (Q[: k * n] @ XH[i - 1]).reshape(k, n)
         self._Z[i0 : i1 + 1] = zcols.T
         self._X[i0 : i1 + 1] = XH[i0 : i1 + 1] + zcols.T
         self._check_overflow(self._X[i1], times[i1], i1 + 1)
         return XH[i1].copy()
 
     def _check_overflow(self, x: np.ndarray, t: float, next_idx: int) -> None:
-        if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > OVERFLOW_LIMIT:
+        if _overflows(x):
             raise DivergenceError(
                 f"state overflow at t={t:.6g}", trace=self._partial_trace(next_idx)
             )
@@ -559,13 +567,18 @@ class _Engine:
                     _, t_c = self.channel.in_flight[c]
                     scheduled[c] = max(i + 1, int(math.floor(t_c / h + 1e-12)))
             X[i], XH[i] = x, xhat
-            if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > OVERFLOW_LIMIT:
+            if _overflows(x):
                 raise DivergenceError(f"state overflow at t={t:.6g}")
 
         return SimTrace(
             times, X, XH, X - XH, V, self.events, self.bits_sent, self.trigger_counts,
             horizon=self.t_end, step=h, params=self._params("euler"),
         )
+
+
+def _overflows(x: np.ndarray) -> bool:
+    """True when x holds NaN, an infinity or a magnitude above OVERFLOW_LIMIT."""
+    return np.count_nonzero(np.abs(x) <= OVERFLOW_LIMIT) < x.size  # NaN compares false
 
 
 def _delay_list(delay_models, n):
@@ -866,8 +879,8 @@ class PhaseCurve:
     necessary: np.ndarray
     necessary_approx: np.ndarray
     sufficient: np.ndarray
-    gamma_c: float
-    gamma_eq: float
+    gamma_c: float | None
+    gamma_eq: float | None
     asymptote: float
     access_rate: float
     necessary_sup_sigma: np.ndarray | None = None
@@ -885,7 +898,9 @@ def phase_curves(
     of the necessary rate.  Grid points where the necessary rate exceeds the
     sufficient one are counted, not asserted.  inp was checked when it was
     built; each grid value is checked once, as BoundInputs checks gamma and
-    sigma, and the rates come from the bound kernels at plain floats.
+    sigma, and the rates come from the bound kernels at plain floats.  The
+    delay markers gamma_c and gamma_eq need a single eigenvalue; they are
+    None for mixed ones, as in analytic_bounds.
     """
     gammas = [bnd._check_input("gamma", float(g)) for g in gamma_grid]
     sigmas = None if sigma_grid is None else [
@@ -902,13 +917,17 @@ def phase_curves(
         if sigmas is not None:
             sup.append(max(bnd._rate_necessary(blocks, ln_em1s, s, rho0, g, nu) for s in sigmas))
     nec, suf = np.array(nec, dtype=float), np.array(suf, dtype=float)
+    try:
+        A = inp.A
+    except PreconditionError:
+        A = None  # mixed eigenvalues: the delay markers are undefined
     return PhaseCurve(
         gammas=np.array(gammas, dtype=float),
         necessary=nec,
         necessary_approx=np.array(app, dtype=float),
         sufficient=suf,
-        gamma_c=bnd.critical_delay(inp),
-        gamma_eq=bnd.equilibrium_delay(inp.A),
+        gamma_c=None if A is None else bnd.critical_delay(inp),
+        gamma_eq=None if A is None else bnd.equilibrium_delay(A),
         asymptote=bnd.rate_asymptote(inp),
         access_rate=bnd.access_rate_necessary(inp),
         necessary_sup_sigma=None if sigmas is None else np.array(sup, dtype=float),

@@ -210,7 +210,9 @@ class TestSimulateCommand:
         (["--nu", "inf"], "nu must be finite"),
         (["--seed", "-1"], "seed must be >= 0"),
         (["--horizon", "1e9", "--step", "1e-9"], "-byte limit"),
-    ], ids=["gamma_nan", "horizon_inf", "step_inf", "nu_inf", "seed_negative", "huge_trace"])
+        (["--horizon", "1e-300"], "horizon 1e-300 is shorter than one step 0.0002"),
+    ], ids=["gamma_nan", "horizon_inf", "step_inf", "nu_inf", "seed_negative", "huge_trace",
+            "no_samples"])
     def test_boundary_input_refused_before_running(self, tmp_path, capsys, monkeypatch,
                                                    flags, fragment):
         # the trace arrays are allocated in _Engine.run, so a refused run allocates nothing
@@ -221,6 +223,15 @@ class TestSimulateCommand:
         argv = ["simulate", "--config", str(RECIPES / "fig7.cfg"), "--out", str(tmp_path)]
         assert fragment in assert_one_line_usage_error(capsys, argv + flags)
 
+    def test_infinite_trigger_level_refused_before_running(self, tmp_path, capsys, monkeypatch):
+        def never(self):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(sim._Engine, "run", never)
+        text = (RECIPES / "fig7.cfg").read_text().replace("v0 = 0.2671", "v0 = inf")
+        argv = ["simulate", "--config", str(write_cfg(tmp_path, text)), "--out", str(tmp_path)]
+        assert "v0 must be positive and finite" in assert_one_line_usage_error(capsys, argv)
+
     def test_decode_error_is_usage_error(self, tmp_path, capsys, monkeypatch):
         def undecodable(*args, **kwargs):
             raise DecodeError("packet time outside the reception window")
@@ -228,6 +239,23 @@ class TestSimulateCommand:
         monkeypatch.setattr(sim, "run_vector", undecodable)
         assert_one_line_usage_error(capsys, ["simulate", "--config", str(RECIPES / "fig7.cfg"),
                                              "--out", str(tmp_path)])
+
+
+@pytest.mark.parametrize("command, recipe, gamma, fragment", [
+    ("bounds", "fig3", "400", "precision term underflows at gamma=400.0"),
+    ("bounds", "fig5", "400", "cell width b*gamma/2^(g-2) underflows at gamma=400.0"),
+    ("bounds", "fig6", "400", "cell width b*gamma/2^(g-2) underflows at gamma=400.0"),
+    ("simulate", "fig7", "1e300", "leaves float range at lam=1.0, sigma=0.1, gamma=1e+300"),
+], ids=["bounds_fig3", "bounds_fig5", "bounds_fig6", "simulate_fig7"])
+def test_huge_finite_delay_bound_is_clean_error(tmp_path, capsys, monkeypatch,
+                                                command, recipe, gamma, fragment):
+    def never(self):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(sim._Engine, "run", never)
+    argv = [command, "--config", str(RECIPES / f"{recipe}.cfg"), "--gamma", gamma,
+            "--out", str(tmp_path)]
+    assert fragment in assert_one_line_usage_error(capsys, argv)
 
 
 class TestSweepCommand:
@@ -285,6 +313,22 @@ class TestSweepCommand:
                          "--out", str(tmp_path)]) == 0
         table = json.loads((tmp_path / "bounds.json").read_text())
         assert float(row["R_sufficient"]) == table["rate_sufficient"]
+
+    def test_mixed_eigenvalues_sweep_matches_bounds(self, tmp_path):
+        path = write_cfg(tmp_path, "mode = analytic\nblocks = 1:1, 2:1\nsigma = 1\n"
+                                   "rho0 = 0.5\ngamma_grid = 0.5, 1\n")
+        assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        rows = [dict(zip(cli.SWEEP_COLUMNS, ln.split(","))) for ln in lines[1:]]
+        assert [row["gamma"] for row in rows] == ["0.5", "1.0"]
+        for row in rows:
+            assert cli.main(["bounds", "--config", str(path), "--gamma", row["gamma"],
+                             "--out", str(tmp_path)]) == 0
+            table = json.loads((tmp_path / "bounds.json").read_text())
+            for column, key in (("R_necessary", "rate_necessary"),
+                                ("R_necessary_approx", "rate_necessary_approx"),
+                                ("R_sufficient", "rate_sufficient"), ("R_access", "access_rate")):
+                assert float(row[column]) == table[key], column
 
     def test_rho_ladder_with_rho0_list_refused(self, tmp_path, capsys):
         text = ("mode = analytic\nblocks = 1.0:2\nsigma = 1\nrho0 = 0.1\n"

@@ -348,7 +348,12 @@ class _FullScanEngine(sim._Engine):
     def _scan(self, t, z, i0, i1):
         idle = np.array([self.channel.admit(c) for c in range(self.n)]) & self.enabled
         zmat = self._z_at_offsets(z, self._times[i0 : i1 + 1] - t)
-        return zmat, (np.abs(zmat) >= self._V[i0 : i1 + 1].T) & idle[:, None]
+        eligible = (np.abs(zmat) >= self._V[i0 : i1 + 1].T) & idle[:, None]
+        hits = eligible.any(axis=0)
+        if not hits.any():
+            return zmat, None
+        j = int(np.argmax(hits))
+        return zmat, (j, eligible[:, j])
 
 
 class TestEnginePaths:
@@ -510,6 +515,15 @@ class TestPhaseCurves:
         below = pc.gammas < pc.gamma_c
         assert np.all(pc.necessary[below] == 0.0)
         assert np.all(pc.necessary[~below][1:] > 0.0)
+
+    def test_mixed_eigenvalues_leave_delay_markers_undefined(self):
+        inp = bnd.BoundInputs(blocks=((1.0, 1), (2.0, 1)), sigma=1.0, rho0=0.5, gamma=0.5)
+        pc = phase_curves(inp, [0.5, 1.0])
+        assert pc.gamma_c is None and pc.gamma_eq is None
+        assert pc.asymptote == bnd.rate_asymptote(inp)
+        assert pc.necessary.tolist() == [
+            bnd.transmission_rate_necessary(replace(inp, gamma=g)) for g in (0.5, 1.0)
+        ]
 
     def test_sup_over_sigma(self):
         inp = bnd.BoundInputs.scalar(1.3, 1.0, 0.9, b=1.0001, nu=2.0)
