@@ -356,10 +356,6 @@ class Assumption1Window:
     upper_ok: bool
     expansion_ok: bool
 
-    @property
-    def all_ok(self) -> bool:
-        return self.lower_ok and self.upper_ok and self.expansion_ok
-
 
 def assumption1_window(inp: BoundInputs, g: int) -> Assumption1Window:
     """Check a constant packet size g against the nu-precision design window.

@@ -40,6 +40,11 @@ SWEEP_COLUMNS = [
 _MISSING = object()
 _CSV_BLOCK_ROWS = 4096  # trace.csv rows converted to Python floats at a time
 MAX_GRID_POINTS = 100_000  # largest start:step:count grid a config may ask for
+# every key a command reads; RunConfig.from_file refuses any other
+CONFIG_KEYS = frozenset(
+    "A B K L blocks B_matrix K_matrix v0 sigma rho0 gamma b rho_ladder nu g assumption1 "
+    "delay seed horizon step refine x0 xhat0 mode gamma_grid rho0_list sigma_grid".split()
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,7 +75,10 @@ class RunConfig:
                     f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}"
                 )
             key, val = line.split("=", 1)
-            entries[key.strip()] = (val.strip(), lineno)
+            key = key.strip()
+            if key not in CONFIG_KEYS:
+                raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
+            entries[key] = (val.strip(), lineno)
         return cls(entries, str(path))
 
     def override(self, key: str, value) -> None:
@@ -291,7 +299,6 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     refine = cfg.get("refine", _bool, False)
     nu = cfg.get("nu", float, 2.0)
     g = cfg.get("g", int, 0) or None
-    integrator = cfg.get("integrator", str, "exact")
     x0 = np.asarray(cfg.get("x0", _floats), dtype=float)
     xhat0 = np.asarray(cfg.get("xhat0", _floats), dtype=float)
     factory = _delay_factory(cfg, plant, seed)
@@ -302,7 +309,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     try:
         trace = sim.run_vector(
             plant, trigger, models, horizon, step,
-            x0=x0, xhat0=xhat0, refine=refine, g=g, nu=nu, integrator=integrator,
+            x0=x0, xhat0=xhat0, refine=refine, g=g, nu=nu,
         )
     except DivergenceError as err:
         print(f"divergence: {err}", file=sys.stderr)
@@ -454,7 +461,7 @@ def _build_argparser() -> _Parser:
         p.add_argument("--horizon", type=float, default=None, help="run length (s)")
         p.add_argument("--gamma", type=float, default=None, help="delay bound (s)")
         p.add_argument("--delay", type=str, default=None, help="delay model spec")
-        p.add_argument("--g", type=int, default=None, help="packet size override (bits)")
+        p.add_argument("--g", type=int, default=None, help="packet size (bits), 0 = automatic")
         p.add_argument("--nu", type=float, default=None, help="precision parameter")
         p.add_argument("--refine", action="store_true", default=None,
                        help="resolve trigger crossings inside the step")

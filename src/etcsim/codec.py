@@ -49,8 +49,23 @@ class Packet:
 
 
 def cell_width(g: int, b: float, gamma: float) -> float:
-    """Sub-cell width delta = b*gamma/2^(g-2); division by 2^k is exact."""
-    return b * gamma / 2 ** (g - 2)
+    """Sub-cell width delta = b*gamma/2^(g-2); scaling by 2^k is exact."""
+    return math.ldexp(b * gamma, 2 - g)
+
+
+def check_resolvable(g: int, b: float, gamma: float, t_end: float) -> None:
+    """Refuse a packet size whose half cell vanishes against send times up to t_end.
+
+    The decoded send time is a cell midpoint; once b*gamma/2^(g-1) is below
+    the rounding of t_end the midpoint cannot be told from the cell edge, so
+    the quantization guarantee |t_s - q| <= b*gamma/2^(g-1) is meaningless.
+    """
+    half = math.ldexp(b * gamma, 1 - g)
+    if t_end + half == t_end:
+        raise PreconditionError(
+            f"packet size g={g} is too fine: its half cell b*gamma/2^(g-1) at b={b}, "
+            f"gamma={gamma} vanishes against send times up to the horizon {t_end}"
+        )
 
 
 def encode(t_s: float, sign: int, g: int, b: float, gamma: float, coord: int = 0) -> Packet:

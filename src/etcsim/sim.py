@@ -24,7 +24,7 @@ import numpy as np
 
 from . import bounds as bnd
 from .channel import ChannelState, DelayModel, sample_delay
-from .codec import decode, encode, reconstruct_error
+from .codec import check_resolvable, decode, encode, reconstruct_error
 from .errors import ConfigurationError, DecodeError, DivergenceError, PreconditionError
 from .model import (
     OVERFLOW_LIMIT,
@@ -117,7 +117,7 @@ class _Engine:
         x0: np.ndarray,
         xhat0: np.ndarray,
         refine: bool,
-        g: int | Sequence[int] | None,
+        g: int | None,
         nu: float,
     ):
         if not 0 < step < math.inf:
@@ -180,18 +180,16 @@ class _Engine:
                 bnd.packet_size_sufficient(bnd.per_coordinate_inputs(self.inputs, lam, rho))
                 for lam, rho in zip(self.lams, self.rhos)
             ]
-        elif isinstance(g, (int, np.integer)):
-            self.gs = [int(g)] * self.n
         else:
-            self.gs = [int(v) for v in g]
-            if len(self.gs) != self.n:
-                raise ConfigurationError(f"need {self.n} packet sizes, got {len(self.gs)}")
+            self.gs = [int(g)] * self.n
+        for gc in self.gs:
+            if gc >= 2 and cfg.gamma > 0:  # at gamma = 0 encode refuses timing bits itself
+                check_resolvable(gc, cfg.b, cfg.gamma, self.t_end)
 
         self.acl = plant.closed_loop_matrix()
         self._phi_cache: dict[float, np.ndarray] = {}
-        self._zexp_cache: dict[float, list[np.ndarray]] = {}
 
-        # run state, shared by the exact and euler paths
+        # run state
         self.events: list[Event] = []
         self.bits_sent = np.zeros(self.n, dtype=np.int64)
         self.trigger_counts = np.zeros(self.n, dtype=np.int64)
@@ -212,14 +210,9 @@ class _Engine:
         return phi
 
     def _z_step(self, z: np.ndarray, dt: float) -> np.ndarray:
-        mats = self._zexp_cache.get(dt)
-        if mats is None:
-            mats = [block_matexp(lam, p, dt) for lam, p, _ in self.block_slices]
-            if len(self._zexp_cache) < 4096:
-                self._zexp_cache[dt] = mats
         out = np.empty_like(z)
-        for (_, _, sl), M in zip(self.block_slices, mats):
-            out[sl] = M @ z[sl]
+        for lam, p, sl in self.block_slices:
+            out[sl] = block_matexp(lam, p, dt) @ z[sl]
         return out
 
     def _advance(self, z: np.ndarray, xhat: np.ndarray, dt: float):
@@ -356,10 +349,10 @@ class _Engine:
 
         return SimTrace(
             times, X, XH, Z, V, self.events, self.bits_sent, self.trigger_counts,
-            horizon=self.t_end, step=h, params=self._params("exact"),
+            horizon=self.t_end, step=h, params=self._params(),
         )
 
-    def _params(self, integrator: str) -> dict:
+    def _params(self) -> dict:
         return dict(
             plant=self.plant,
             trigger=self.cfg,
@@ -369,7 +362,6 @@ class _Engine:
             inputs=self.inputs,
             g=tuple(self.gs),
             refine=self.refine,
-            integrator=integrator,
             x0=tuple(self.x0),
             xhat0=tuple(self.xhat0),
             delays=tuple(
@@ -398,7 +390,8 @@ class _Engine:
         return XH[i1].copy()
 
     def _check_overflow(self, x: np.ndarray, t: float, next_idx: int) -> None:
-        if _overflows(x):
+        # NaN compares false, so NaN, infinities and magnitudes above the limit all fail
+        if np.count_nonzero(np.abs(x) <= OVERFLOW_LIMIT) < x.size:
             raise DivergenceError(
                 f"state overflow at t={t:.6g}", trace=self._partial_trace(next_idx)
             )
@@ -408,7 +401,7 @@ class _Engine:
         return SimTrace(
             self._times[:k], self._X[:k], self._XH[:k], self._Z[:k], self._V[:k],
             self.events, self.bits_sent, self.trigger_counts,
-            horizon=self.t_end, step=self.h, params=self._params("exact"),
+            horizon=self.t_end, step=self.h, params=self._params(),
             diverged=True,
         )
 
@@ -527,59 +520,6 @@ class _Engine:
                 hi_s = mid
         return t_a + hi_s
 
-    # -- fixed-step replica -----------------------------------------------------
-
-    def run_euler(self) -> SimTrace:
-        """Forward-difference run for replicating discretized executions.
-
-        Deliveries land on the first tick after the send whose time does not
-        precede the scheduled arrival rounded down to the grid, so effective
-        delays stay within the bound whenever the step is below gamma.
-        Samples record the post-update state at each tick.
-        """
-        n, h, S = self.n, self.h, self.S
-        times = np.arange(S + 1) * h
-        V = self.v0s[None, :] * np.exp(-self.sigma * times)[:, None]
-        X = np.empty((S + 1, n))
-        XH = np.empty((S + 1, n))
-        A = self.plant.a_matrix()
-        B, K = self.plant.B, self.plant.K
-        x, xhat = self.x0.copy(), self.xhat0.copy()
-        X[0], XH[0] = x, xhat
-        scheduled: dict[int, int] = {}
-
-        for i in range(1, S + 1):
-            u = -K @ xhat
-            x = x + h * (A @ x + B @ u)
-            xhat = xhat + h * (A @ xhat + B @ u)
-            t = times[i]
-            z = x - xhat
-            for c in [c for c, due in scheduled.items() if due <= i]:
-                del scheduled[c]
-                packet, _ = self.channel.in_flight[c]
-                t_eff = min(t, packet.t_s + self.cfg.gamma)
-                self._deliver(c, t_eff, z, xhat)
-            for c in range(n):
-                if not self.enabled[c] or not self.channel.admit(c):
-                    continue
-                if abs(z[c]) >= V[i, c]:
-                    self._fire(c, t, z)
-                    _, t_c = self.channel.in_flight[c]
-                    scheduled[c] = max(i + 1, int(math.floor(t_c / h + 1e-12)))
-            X[i], XH[i] = x, xhat
-            if _overflows(x):
-                raise DivergenceError(f"state overflow at t={t:.6g}")
-
-        return SimTrace(
-            times, X, XH, X - XH, V, self.events, self.bits_sent, self.trigger_counts,
-            horizon=self.t_end, step=h, params=self._params("euler"),
-        )
-
-
-def _overflows(x: np.ndarray) -> bool:
-    """True when x holds NaN, an infinity or a magnitude above OVERFLOW_LIMIT."""
-    return np.count_nonzero(np.abs(x) <= OVERFLOW_LIMIT) < x.size  # NaN compares false
-
 
 def _delay_list(delay_models, n):
     if delay_models is None:
@@ -601,12 +541,11 @@ def run_scalar(
     refine: bool = False,
     g: int | None = None,
     nu: float = 2.0,
-    integrator: str = "exact",
 ) -> SimTrace:
     """Closed-loop run of a scalar plant; requires |z(0)| <= v0 (see run_vector)."""
     return run_vector(
         plant.as_jordan(), cfg, [delay_model], horizon, step,
-        x0=[float(x0)], xhat0=[float(xhat0)], refine=refine, g=g, nu=nu, integrator=integrator,
+        x0=[float(x0)], xhat0=[float(xhat0)], refine=refine, g=g, nu=nu,
     )
 
 
@@ -620,9 +559,8 @@ def run_vector(
     x0: Sequence[float],
     xhat0: Sequence[float],
     refine: bool = False,
-    g: int | Sequence[int] | None = None,
+    g: int | None = None,
     nu: float = 2.0,
-    integrator: str = "exact",
 ) -> SimTrace:
     """Closed-loop run of a Jordan-form plant over per-coordinate channels.
 
@@ -631,15 +569,10 @@ def run_vector(
     violations refuse to run).  A None delay model disables that
     coordinate's channel entirely.
     """
-    eng = _Engine(
+    return _Engine(
         plant, cfg, _delay_list(delay_models, plant.n), horizon, step,
         x0, xhat0, refine, g, nu,
-    )
-    if integrator == "euler":
-        return eng.run_euler()
-    if integrator != "exact":
-        raise PreconditionError(f"unknown integrator {integrator!r}")
-    return eng.run()
+    ).run()
 
 
 def validate_cascade(plant: JordanPlant, cfg: TriggerConfig) -> None:
@@ -662,11 +595,6 @@ def validate_cascade(plant: JordanPlant, cfg: TriggerConfig) -> None:
         at += p
 
 
-def trace_inputs(trace: SimTrace) -> bnd.BoundInputs:
-    """Bound inputs matching a recorded run."""
-    return trace.params["inputs"]
-
-
 def measure_rates(trace: SimTrace) -> RateReport:
     """Empirical sent-bit and triggering rates over the run horizon."""
     T = trace.horizon
@@ -683,7 +611,7 @@ def measure_rates(trace: SimTrace) -> RateReport:
         per_coord_bits=tuple(int(b) for b in bits),
         per_coord_rate=tuple(float(b) / T for b in bits),
         per_coord_triggers=tuple(int(c) for c in trig),
-        bounds=bnd.analytic_bounds(trace_inputs(trace)),
+        bounds=bnd.analytic_bounds(trace.params["inputs"]),
     )
 
 

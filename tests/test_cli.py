@@ -211,8 +211,10 @@ class TestSimulateCommand:
         (["--seed", "-1"], "seed must be >= 0"),
         (["--horizon", "1e9", "--step", "1e-9"], "-byte limit"),
         (["--horizon", "1e-300"], "horizon 1e-300 is shorter than one step 0.0002"),
+        (["--g", "70"], "packet size g=70 is too fine"),
+        (["--horizon", "1", "--g", "2000000"], "packet size g=2000000 is too fine"),
     ], ids=["gamma_nan", "horizon_inf", "step_inf", "nu_inf", "seed_negative", "huge_trace",
-            "no_samples"])
+            "no_samples", "g_unresolvable", "g_huge"])
     def test_boundary_input_refused_before_running(self, tmp_path, capsys, monkeypatch,
                                                    flags, fragment):
         # the trace arrays are allocated in _Engine.run, so a refused run allocates nothing
@@ -232,6 +234,20 @@ class TestSimulateCommand:
         argv = ["simulate", "--config", str(write_cfg(tmp_path, text)), "--out", str(tmp_path)]
         assert "v0 must be positive and finite" in assert_one_line_usage_error(capsys, argv)
 
+    @pytest.mark.parametrize("line", ["integrator = euler", "rho_ladders = 0.05", "refin = true"])
+    def test_unknown_key_refused_before_running(self, tmp_path, capsys, monkeypatch, line):
+        def never(self):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(sim._Engine, "run", never)
+        text = (RECIPES / "fig7.cfg").read_text()
+        path = write_cfg(tmp_path, text + line + "\n")
+        key = line.split(" = ")[0]
+        lineno = len(text.splitlines()) + 1
+        err = assert_one_line_usage_error(capsys, ["simulate", "--config", str(path),
+                                                   "--out", str(tmp_path)])
+        assert f"{path}:{lineno}: unknown key '{key}'" in err
+
     def test_decode_error_is_usage_error(self, tmp_path, capsys, monkeypatch):
         def undecodable(*args, **kwargs):
             raise DecodeError("packet time outside the reception window")
@@ -246,7 +262,8 @@ class TestSimulateCommand:
     ("bounds", "fig5", "400", "cell width b*gamma/2^(g-2) underflows at gamma=400.0"),
     ("bounds", "fig6", "400", "cell width b*gamma/2^(g-2) underflows at gamma=400.0"),
     ("simulate", "fig7", "1e300", "leaves float range at lam=1.0, sigma=0.1, gamma=1e+300"),
-], ids=["bounds_fig3", "bounds_fig5", "bounds_fig6", "simulate_fig7"])
+    ("simulate", "fig7", "640", "packet size g=1030 is too fine"),
+], ids=["bounds_fig3", "bounds_fig5", "bounds_fig6", "simulate_fig7", "simulate_fig7_auto_g"])
 def test_huge_finite_delay_bound_is_clean_error(tmp_path, capsys, monkeypatch,
                                                 command, recipe, gamma, fragment):
     def never(self):

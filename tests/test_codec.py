@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from etcsim import bounds as bnd
-from etcsim.codec import Packet, cell_width, decode, encode, reconstruct_error
+from etcsim.codec import Packet, cell_width, check_resolvable, decode, encode, reconstruct_error
 from etcsim.errors import DecodeError, PreconditionError
 
 
@@ -21,6 +21,17 @@ class TestEncode:
         assert pkt.bits[2:] == (1, 1, 0, 1, 0, 1)
         delta = cell_width(8, 1.0001, 1.2)
         assert math.floor((1.0 % (1.0001 * 1.2)) / delta) == 53
+
+    def test_cell_width_scales_exactly(self):
+        for g in (1, 2, 8, 64, 1000, 1025):
+            assert cell_width(g, 1.0001, 1.2) == 1.0001 * 1.2 / 2 ** (g - 2)
+        assert cell_width(2_000_000, 1.0001, 1.2) == 0.0  # 2**(g-2) has no float
+
+    def test_resolvable_packet_size_bound(self):
+        # at fig7's 7 s horizon the half cell b*gamma/2^(g-1) stops resolving at g = 53
+        check_resolvable(52, 1.0001, 1.2, 7.0)
+        with pytest.raises(PreconditionError, match="g=53 is too fine"):
+            check_resolvable(53, 1.0001, 1.2, 7.0)
 
     def test_deterministic(self):
         a = encode(3.7, -1, 9, 1.2, 0.8)

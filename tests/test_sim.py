@@ -131,17 +131,6 @@ class TestRunScalar:
         val = validate_trace(fine)
         assert val.ok, val.violations
 
-    def test_euler_replica(self):
-        trace = fig7_run(horizon=2.0, step=0.0005, integrator="euler")
-        assert trace.params["integrator"] == "euler"
-        val = validate_trace(trace)
-        assert val.checks["decay_envelope"], val.violations
-        assert val.checks["no_zeno"]
-        exact = fig7_run(horizon=2.0, step=0.0005)
-        # same event pattern and nearby trajectories at this step size
-        assert len(trace.triggers()) == len(exact.triggers())
-        np.testing.assert_allclose(trace.x, exact.x, atol=5e-3)
-
     def test_replay_exhaustion_surfaces(self):
         model = ReplayDelay(delays=(0.2,), gamma=1.2)
         with pytest.raises(ConfigurationError, match="exhausted"):

@@ -4,7 +4,7 @@ import importlib.util
 import re
 from pathlib import Path
 
-from etcsim import sim
+from etcsim import cli, sim
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -22,6 +22,15 @@ def test_traced_benchmark_hooks_resolve():
     finally:
         tracer.uninstall()
     assert sim.run_vector is original
+
+
+def test_readme_config_keys_match_cli():
+    # the README's "Config keys" block lists exactly the keys a config file may hold
+    block = (ROOT / "README.md").read_text().split("### Config keys", 1)[1]
+    block = re.search(r"```ini\n(.*?)```", block, re.S).group(1)
+    keys = re.findall(r"(?:^|\s)([A-Za-z_]\w*) = ", block, re.M)
+    assert len(keys) == len(set(keys))
+    assert set(keys) == cli.CONFIG_KEYS
 
 
 def test_readme_library_example_runs():
