@@ -1,7 +1,7 @@
 """Event-triggered stabilization over finite-rate channels with bounded delay.
 
-Library layout: `model` holds the plant/trigger types and the Jordan block
-exponential, `bounds` the closed-form rate and bit bounds, `codec` the sign +
+Library layout: `model` holds the plant/trigger types and the matrix
+exponentials, `bounds` the closed-form rate and bit bounds, `codec` the sign +
 quantized-trigger-time packet format, `channel` the bounded-delay models,
 `sim` the event-driven closed-loop engine, and `cli` the command-line front
 end with bundled figure recipes.

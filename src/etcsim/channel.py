@@ -34,9 +34,6 @@ class ConstantDelay:
     def sample(self, k: int) -> float:
         return self.delay
 
-    def describe(self) -> str:
-        return f"constant:{self.delay}"
-
 
 @dataclass(frozen=True)
 class UniformDelay:
@@ -48,9 +45,6 @@ class UniformDelay:
     def sample(self, k: int) -> float:
         rng = np.random.default_rng((*self.seed, k))
         return float(rng.uniform(0.0, self.gamma))
-
-    def describe(self) -> str:
-        return f"uniform:seed={'.'.join(map(str, self.seed))}"
 
 
 @dataclass(frozen=True)
@@ -77,9 +71,6 @@ class AdversarialDelay:
     def sample(self, k: int) -> float:
         return min(self.beta, self.gamma)
 
-    def describe(self) -> str:
-        return f"adversarial:beta={self.beta}"
-
 
 @dataclass(frozen=True)
 class ReplayDelay:
@@ -100,9 +91,6 @@ class ReplayDelay:
                 f"replay sequence exhausted: packet {k} of {len(self.delays)} recorded delays"
             )
         return self.delays[k]
-
-    def describe(self) -> str:
-        return f"replay:{','.join(map(str, self.delays))}"
 
 
 DelayModel = ConstantDelay | UniformDelay | AdversarialDelay | ReplayDelay

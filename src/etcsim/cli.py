@@ -42,7 +42,7 @@ _CSV_BLOCK_ROWS = 4096  # trace.csv rows converted to Python floats at a time
 MAX_GRID_POINTS = 100_000  # largest start:step:count grid a config may ask for
 # every key a command reads; RunConfig.from_file refuses any other
 CONFIG_KEYS = frozenset(
-    "A B K L blocks B_matrix K_matrix v0 sigma rho0 gamma b rho_ladder nu g assumption1 "
+    "A B K blocks B_matrix K_matrix v0 sigma rho0 gamma b rho_ladder nu g "
     "delay seed horizon step refine x0 xhat0 mode gamma_grid rho0_list sigma_grid".split()
 )
 
@@ -150,12 +150,11 @@ def build_plant(cfg: RunConfig) -> JordanPlant:
         n = sum(p for _, p in blocks)
         B = cfg.get("B_matrix", _matrix, np.eye(n))
         K = cfg.get("K_matrix", _matrix, np.zeros((B.shape[1], n)))
-        return JordanPlant(blocks=blocks, B=B, K=K, L=cfg.get("L", float, 1.0))
+        return JordanPlant(blocks=blocks, B=B, K=K)
     return ScalarPlant(
         A=cfg.get("A", float),
         B=cfg.get("B", float, 0.0),
         K=cfg.get("K", float, 0.0),
-        L=cfg.get("L", float, 1.0),
     ).as_jordan()
 
 
@@ -216,13 +215,11 @@ def cmd_bounds(cfg: RunConfig, out_dir: Path | None, want_json: bool) -> int:
     table = bnd.analytic_bounds(inp)
     quantities = {k: v for k, v in dataclasses.asdict(table).items() if v is not None}
     scalar_like = table.packet_size_sufficient is not None
-    want_window = cfg.get("assumption1", _bool, False)
-    if want_window and inp.nu < 2:
-        raise ConfigurationError(
-            f"the quantization-precision design window needs nu >= 2, got nu={inp.nu}"
-        )
+    g = cfg.get("g", int, 0)
+    if g < 0:
+        raise ConfigurationError(f"packet size must be >= 1 bit, or 0 for automatic, got {g}")
     if scalar_like and inp.nu >= 2 and inp.gamma > 0:
-        g = cfg.get("g", int, 0) or table.packet_size_sufficient
+        g = g or table.packet_size_sufficient
         if g >= 2:
             win = bnd.assumption1_window(inp, g)
             quantities["assumption1_g"] = g
@@ -467,8 +464,6 @@ def _build_argparser() -> _Parser:
                        help="resolve trigger crossings inside the step")
         if name == "bounds":
             p.add_argument("--json", action="store_true", help="also write bounds.json")
-            p.add_argument("--assumption1", action="store_true", default=None,
-                           help="require the packet-size design window check")
     return parser
 
 
@@ -482,8 +477,6 @@ def main(argv: list[str] | None = None) -> int:
             cfg = RunConfig({}, "<cli>")
         for key in ("seed", "step", "horizon", "gamma", "delay", "g", "nu", "refine"):
             cfg.override(key, getattr(args, key, None))
-        if getattr(args, "assumption1", None):
-            cfg.override("assumption1", "true")
         out = args.out
         if args.command == "bounds":
             return cmd_bounds(cfg, out, args.json)

@@ -1,10 +1,10 @@
-"""Plant and trigger domain types, and the Jordan block exponential.
+"""Plant and trigger domain types, and the matrix exponentials of the loop.
 
 Between communication events the closed loop is linear in (xhat, z):
 the estimate follows the nominal feedback dynamics while the estimation
 error z = x - xhat obeys zdot = A z independently of the input.  The error
-factor has the closed-form transition block_matexp, so the engine
-propagates it free of integrator error.
+has the closed-form transition block_matexp and the estimate expm of the
+closed-loop matrix, so the engine propagates both free of integrator error.
 """
 
 from __future__ import annotations
@@ -25,20 +25,16 @@ OVERFLOW_LIMIT = 1e12
 class ScalarPlant:
     """First-order unstable plant xdot = A x + B u with feedback u = -K xhat.
 
-    A is the growth rate (1/s, positive), L bounds the initial condition
-    magnitude and is known to both ends of the link.
+    A is the growth rate (1/s, positive).
     """
 
     A: float
     B: float
     K: float
-    L: float = 1.0
 
     def __post_init__(self):
         if not 0 < self.A < math.inf:
             raise ConfigurationError(f"growth rate A must be positive and finite, got {self.A}")
-        if not self.L > 0:
-            raise ConfigurationError(f"initial-condition bound L must be positive, got {self.L}")
 
     @property
     def n(self) -> int:
@@ -49,7 +45,6 @@ class ScalarPlant:
             blocks=((self.A, 1),),
             B=np.array([[self.B]], dtype=float),
             K=np.array([[self.K]], dtype=float),
-            L=self.L,
         )
 
 
@@ -65,7 +60,6 @@ class JordanPlant:
     blocks: tuple[tuple[float, int], ...]
     B: np.ndarray
     K: np.ndarray
-    L: float = 1.0
 
     def __post_init__(self):
         if not self.blocks:
@@ -77,8 +71,6 @@ class JordanPlant:
                 raise ConfigurationError(f"eigenvalue must be positive and finite, got {lam}")
             if p < 1:
                 raise ConfigurationError(f"block order must be >= 1, got {p}")
-        if not self.L > 0:
-            raise ConfigurationError(f"initial-condition bound L must be positive, got {self.L}")
         B = np.atleast_2d(np.asarray(self.B, dtype=float))
         K = np.atleast_2d(np.asarray(self.K, dtype=float))
         n = self.n
@@ -223,3 +215,49 @@ def block_matexp(lam: float, p: int, h: float) -> np.ndarray:
         for i in range(p - k):
             M[i, i + k] = val
     return math.exp(lam * h) * M
+
+
+# Higham (2005), Table 2.3: the largest 1-norm at which the [m/m] Pade
+# approximant of exp, sum_k b_k M^k / sum_k b_k (-M)^k, is accurate to double
+# precision; b_k = (2m-k)! / (k! (m-k)!) is an integer, rounded once to float.
+_THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1), (7, 9.504178996162932e-1),
+          (9, 2.097847961257068e0), (13, 5.371920351148152e0))
+_PADE = [(m, theta, [math.factorial(2 * m - k) / (math.factorial(k) * math.factorial(m - k))
+                     for k in range(m + 1)]) for m, theta in _THETA]
+
+
+def expm(M: np.ndarray) -> np.ndarray:
+    """exp(M) of a square matrix by scaling and squaring (N. J. Higham,
+    SIAM J. Matrix Anal. Appl. 26(4), 2005).
+
+    The Pade degree is the lowest whose threshold covers the 1-norm; above
+    the last threshold M is halved s times and the result squared s times.
+    A diagonal M gives the elementwise exponential, exactly.
+    """
+    M = np.asarray(M, dtype=float)
+    d = M.diagonal()
+    if np.count_nonzero(M) == np.count_nonzero(d):
+        return np.diag(np.exp(d))
+    norm = float(np.abs(M).sum(axis=0).max())
+    if not norm < math.inf:  # an infinite or NaN entry has no exponential
+        return np.full(M.shape, np.nan)
+    s = 0
+    for m, theta, b in _PADE:
+        if norm <= theta:
+            break
+    else:
+        s = math.ceil(math.log2(norm / theta))
+        M = M * 2.0**-s
+    # numerator V + U and denominator V - U: U holds the odd powers of M, V the even
+    M2 = M @ M
+    P = np.eye(M.shape[0])
+    U, V = b[1] * P, b[0] * P
+    for k in range(1, m // 2 + 1):
+        P = P @ M2
+        U += b[2 * k + 1] * P
+        V += b[2 * k] * P
+    U = M @ U
+    E = np.linalg.solve(V - U, V + U)
+    for _ in range(s):
+        E = E @ E
+    return E

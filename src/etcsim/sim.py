@@ -32,6 +32,7 @@ from .model import (
     ScalarPlant,
     TriggerConfig,
     block_matexp,
+    expm,
 )
 
 _FP_SLACK = 1e-9  # relative allowance for float roundoff in contract checks
@@ -147,7 +148,6 @@ class _Engine:
             )
         self.t_end = self.S * step
         self.refine = refine
-        self.nu = nu
         self.sigma = cfg.sigma
 
         self.v0s = np.asarray(cfg.v0_levels(plant.blocks), dtype=float)
@@ -180,6 +180,8 @@ class _Engine:
                 bnd.packet_size_sufficient(bnd.per_coordinate_inputs(self.inputs, lam, rho))
                 for lam, rho in zip(self.lams, self.rhos)
             ]
+        elif g < 1:
+            raise PreconditionError(f"packet size must be >= 1 bit, got {g}")
         else:
             self.gs = [int(g)] * self.n
         for gc in self.gs:
@@ -187,7 +189,6 @@ class _Engine:
                 check_resolvable(gc, cfg.b, cfg.gamma, self.t_end)
 
         self.acl = plant.closed_loop_matrix()
-        self._phi_cache: dict[float, np.ndarray] = {}
 
         # run state
         self.events: list[Event] = []
@@ -199,16 +200,6 @@ class _Engine:
 
     # -- propagation helpers --------------------------------------------------
 
-    def _phi(self, dt: float) -> np.ndarray:
-        phi = self._phi_cache.get(dt)
-        if phi is None:
-            import scipy.linalg
-
-            phi = scipy.linalg.expm(self.acl * dt)
-            if len(self._phi_cache) < 4096:
-                self._phi_cache[dt] = phi
-        return phi
-
     def _z_step(self, z: np.ndarray, dt: float) -> np.ndarray:
         out = np.empty_like(z)
         for lam, p, sl in self.block_slices:
@@ -218,7 +209,7 @@ class _Engine:
     def _advance(self, z: np.ndarray, xhat: np.ndarray, dt: float):
         if dt == 0.0:
             return z, xhat
-        return self._z_step(z, dt), self._phi(dt) @ xhat
+        return self._z_step(z, dt), expm(self.acl * dt) @ xhat
 
     def _z_at_offsets(self, z: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         """Exact error trajectory at current time + offsets, shape (n, m)."""
@@ -243,15 +234,13 @@ class _Engine:
         The last power, which carries the estimate from block to block, is
         its own expm, so rounding in Phi(h) does not compound across blocks.
         """
-        import scipy.linalg
-
         P = np.empty((_POWER_BLOCK, self.n, self.n))
-        P[0] = scipy.linalg.expm(self.acl * self.h)
+        P[0] = expm(self.acl * self.h)
         m = 1
         while m < _POWER_BLOCK:
             P[m : 2 * m] = P[:m] @ P[m - 1]
             m *= 2
-        P[-1] = scipy.linalg.expm(self.acl * (self.h * _POWER_BLOCK))
+        P[-1] = expm(self.acl * (self.h * _POWER_BLOCK))
         return P.reshape(_POWER_BLOCK * self.n, self.n)
 
     def _scan(self, t: float, z: np.ndarray, i0: int, i1: int):
@@ -356,17 +345,9 @@ class _Engine:
         return dict(
             plant=self.plant,
             trigger=self.cfg,
-            gamma=self.cfg.gamma,
-            b=self.cfg.b,
-            nu=self.nu,
             inputs=self.inputs,
             g=tuple(self.gs),
             refine=self.refine,
-            x0=tuple(self.x0),
-            xhat0=tuple(self.xhat0),
-            delays=tuple(
-                m.describe() if m is not None else "disabled" for m in self.delay_models
-            ),
         )
 
     # -- boundary processing ----------------------------------------------------
@@ -380,7 +361,7 @@ class _Engine:
         product per block.
         """
         times, XH, Q, n = self._times, self._XH, self._powers, self.n
-        XH[i0] = self._phi(times[i0] - t_from) @ xhat
+        XH[i0] = expm(self.acl * (times[i0] - t_from)) @ xhat
         for i in range(i0 + 1, i1 + 1, _POWER_BLOCK):
             k = min(_POWER_BLOCK, i1 + 1 - i)
             XH[i : i + k] = (Q[: k * n] @ XH[i - 1]).reshape(k, n)

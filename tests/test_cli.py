@@ -78,13 +78,6 @@ class TestBoundsCommand:
         assert rc == 0
         assert "5.77078" in out
 
-    def test_assumption1_with_low_precision_is_clean_error(self, tmp_path, capsys):
-        path = write_cfg(tmp_path, "A = 1\nsigma = 1\nrho0 = 0.5\ngamma = 0.5\nnu = 1\n")
-        rc = cli.main(["bounds", "--config", str(path), "--assumption1"])
-        err = capsys.readouterr().err
-        assert rc == cli.EXIT_USAGE
-        assert "nu >= 2" in err
-
     @pytest.mark.parametrize("text", [
         "blocks = 1:2\nsigma = 1\nrho0 = 0.5\ngamma = 0.5\nrho_ladder = 0.5\n",
         "blocks = 1:1\nsigma = 1\nrho0 = 0.5\ngamma = 0.5\nrho_ladder = -0.3\n",
@@ -100,6 +93,14 @@ class TestBoundsCommand:
     def test_non_finite_input_is_clean_error(self, capsys, flags, fragment):
         argv = ["bounds", "--config", str(RECIPES / "fig3.cfg")] + flags
         assert fragment in assert_one_line_usage_error(capsys, argv)
+
+    @pytest.mark.parametrize("recipe, flags", [
+        ("fig7", []), ("fig3", ["--gamma", "0.05"]),
+    ], ids=["window", "no_window"])
+    def test_negative_packet_size_is_clean_error(self, capsys, recipe, flags):
+        # a negative g used to drop the design-window rows silently (fig7) or go unread (fig3)
+        argv = ["bounds", "--config", str(RECIPES / f"{recipe}.cfg"), "--g", "-1"] + flags
+        assert "packet size must be >= 1 bit" in assert_one_line_usage_error(capsys, argv)
 
     def test_infinite_growth_rate_is_clean_error(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "A = inf\nsigma = 1\nrho0 = 0.5\ngamma = 0.5\n")
@@ -213,8 +214,9 @@ class TestSimulateCommand:
         (["--horizon", "1e-300"], "horizon 1e-300 is shorter than one step 0.0002"),
         (["--g", "70"], "packet size g=70 is too fine"),
         (["--horizon", "1", "--g", "2000000"], "packet size g=2000000 is too fine"),
+        (["--g", "-1"], "packet size must be >= 1 bit"),
     ], ids=["gamma_nan", "horizon_inf", "step_inf", "nu_inf", "seed_negative", "huge_trace",
-            "no_samples", "g_unresolvable", "g_huge"])
+            "no_samples", "g_unresolvable", "g_huge", "g_negative"])
     def test_boundary_input_refused_before_running(self, tmp_path, capsys, monkeypatch,
                                                    flags, fragment):
         # the trace arrays are allocated in _Engine.run, so a refused run allocates nothing
@@ -234,7 +236,8 @@ class TestSimulateCommand:
         argv = ["simulate", "--config", str(write_cfg(tmp_path, text)), "--out", str(tmp_path)]
         assert "v0 must be positive and finite" in assert_one_line_usage_error(capsys, argv)
 
-    @pytest.mark.parametrize("line", ["integrator = euler", "rho_ladders = 0.05", "refin = true"])
+    @pytest.mark.parametrize("line", ["integrator = euler", "rho_ladders = 0.05", "refin = true",
+                                      "L = 1.0", "assumption1 = true"])
     def test_unknown_key_refused_before_running(self, tmp_path, capsys, monkeypatch, line):
         def never(self):
             raise AssertionError("the run started")
@@ -402,18 +405,68 @@ def _fresh_python(code, *args):
                           capture_output=True, text=True, timeout=120)
 
 
+_RUN_LEAVES_SCIPY_UNLOADED = ("import sys\nfrom etcsim import cli\n"
+                              "assert cli.main(sys.argv[1:]) == 0\n"
+                              "assert 'scipy' not in sys.modules\n")
+
+
 class TestLazyScipy:
+    """numpy is the only runtime dependency: no command loads scipy."""
+
     def test_cli_import_leaves_scipy_unloaded(self):
         done = _fresh_python("import etcsim.cli, sys; assert 'scipy' not in sys.modules")
         assert done.returncode == 0, done.stderr
 
     def test_bounds_command_leaves_scipy_unloaded(self):
-        code = ("import sys\nfrom etcsim import cli\n"
-                "assert cli.main(sys.argv[1:]) == 0\nassert 'scipy' not in sys.modules\n")
-        done = _fresh_python(code, "bounds", "--config", str(RECIPES / "fig3.cfg"),
-                             "--gamma", "0.05")
+        done = _fresh_python(_RUN_LEAVES_SCIPY_UNLOADED, "bounds",
+                             "--config", str(RECIPES / "fig3.cfg"), "--gamma", "0.05")
         assert done.returncode == 0, done.stderr
         assert "access_rate" in done.stdout
+
+    def test_simulate_command_leaves_scipy_unloaded(self, tmp_path):
+        done = _fresh_python(_RUN_LEAVES_SCIPY_UNLOADED, "simulate",
+                             "--config", str(RECIPES / "fig7.cfg"), "--out", str(tmp_path))
+        assert done.returncode == 0, done.stderr
+        assert "invariants: ok" in done.stdout
+
+    def test_empirical_sweep_leaves_scipy_unloaded(self, tmp_path):
+        done = _fresh_python(_RUN_LEAVES_SCIPY_UNLOADED, "sweep",
+                             "--config", str(RECIPES / "fig8.cfg"), "--horizon", "1",
+                             "--out", str(tmp_path))
+        assert done.returncode == 0, done.stderr
+        assert "(11 rows, 0 failed)" in done.stdout
+
+
+class _RunStarted(Exception):
+    pass
+
+
+_PROBE_VALUES = ["nan", "inf", "-1", "0", "1e300", str(2**31)]
+
+
+@pytest.mark.parametrize("value", _PROBE_VALUES)
+@pytest.mark.parametrize("flag", ["--seed", "--step", "--horizon", "--gamma", "--g", "--nu"])
+@pytest.mark.parametrize("command, recipe", [
+    ("simulate", "fig7"), ("bounds", "fig7"), ("sweep", "fig8"),
+])
+def test_numeric_flag_probe(tmp_path, capsys, monkeypatch, command, recipe, flag, value):
+    # every numeric flag at every edge value either reaches the (patched) run, so
+    # nothing is allocated, or ends with a documented exit code; exit 1 is one line
+    def started(self):
+        raise _RunStarted
+
+    monkeypatch.setattr(sim._Engine, "run", started)
+    argv = [command, "--config", str(RECIPES / f"{recipe}.cfg"), flag, value,
+            "--out", str(tmp_path)]
+    try:
+        rc = cli.main(argv)
+    except _RunStarted:
+        return
+    err = capsys.readouterr().err
+    assert rc in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_INVARIANT, cli.EXIT_DIVERGED)
+    assert "Traceback" not in err
+    if rc == cli.EXIT_USAGE:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 class TestUsage:

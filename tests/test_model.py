@@ -14,7 +14,7 @@ from test_reference_engine import SimState, propagate
 
 from etcsim.channel import ConstantDelay
 from etcsim.errors import ConfigurationError, DivergenceError, PreconditionError
-from etcsim.model import JordanPlant, ScalarPlant, TriggerConfig, block_matexp
+from etcsim.model import JordanPlant, ScalarPlant, TriggerConfig, block_matexp, expm
 from etcsim.sim import run_scalar, run_vector
 
 FIG7_PLANT = ScalarPlant(A=1.0, B=0.2, K=8.0)
@@ -33,8 +33,6 @@ class TestPlants:
     def test_scalar_requires_positive_growth(self):
         with pytest.raises(ConfigurationError):
             ScalarPlant(A=-1.0, B=1.0, K=1.0)
-        with pytest.raises(ConfigurationError):
-            ScalarPlant(A=1.0, B=1.0, K=1.0, L=0.0)
 
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_non_finite_growth_rejected(self, value):
@@ -57,7 +55,7 @@ class TestPlants:
             JordanPlant(blocks=((-1.0, 1),), B=np.eye(1), K=np.eye(1))
 
     def test_scalar_as_jordan_round_trip(self):
-        plant = ScalarPlant(A=2.4, B=1.0, K=8.0, L=3.0)
+        plant = ScalarPlant(A=2.4, B=1.0, K=8.0)
         jp = plant.as_jordan()
         assert jp.blocks == ((2.4, 1),)
         assert jp.closed_loop_matrix()[0, 0] == pytest.approx(2.4 - 8.0)
@@ -222,6 +220,64 @@ class TestBlockMatexp:
             M_col = trace.z[-1]
             assert M_col[col] == pytest.approx(math.exp(lam * 0.5))
             assert all(M_col[i] == 0.0 for i in range(3) if i != col)
+
+
+def _random_matrix(rng, n, kind, norm):
+    """A dense, defective (similar to one Jordan block) or non-normal
+    (triangular, large off-diagonal) n x n matrix scaled to the given 1-norm."""
+    if kind == "dense":
+        M = rng.standard_normal((n, n))
+    elif kind == "defective":
+        J = rng.uniform(-3.0, 3.0) * np.eye(n) + np.eye(n, k=1)
+        S = rng.standard_normal((n, n)) + 3.0 * np.eye(n)
+        M = S @ J @ np.linalg.inv(S)
+    else:
+        M = np.triu(5.0 * rng.standard_normal((n, n)))
+    return M * (norm / np.abs(M).sum(axis=0).max())
+
+
+class TestExpm:
+    """model.expm against scipy.linalg.expm, an independent implementation."""
+
+    # one norm per Pade degree (3, 5, 7, 9, 13) and two that need squaring
+    NORMS = (1e-3, 0.2, 0.9, 2.0, 5.0, 12.0, 20.0)
+
+    @pytest.mark.parametrize("kind", ["dense", "defective", "non_normal"])
+    def test_against_scipy(self, kind):
+        import scipy.linalg
+
+        rng = np.random.default_rng(["dense", "defective", "non_normal"].index(kind))
+        for _ in range(60):
+            for norm in self.NORMS:
+                M = _random_matrix(rng, int(rng.integers(2, 6)), kind, norm)
+                want = scipy.linalg.expm(M)
+                got = expm(M)
+                assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want)), (norm, M)
+
+    def test_engine_closed_loop_matrices(self):
+        import scipy.linalg
+
+        acl = JordanPlant(blocks=((5.0, 2), (10.0, 1)), B=np.eye(3),
+                          K=15.0 * np.eye(3)).closed_loop_matrix()
+        for dt in (0.0, 3.7e-5, 1e-4, 0.0256, 0.5, 7.0):
+            want = scipy.linalg.expm(acl * dt)
+            np.testing.assert_allclose(expm(acl * dt), want, rtol=1e-12, atol=1e-300)
+
+    def test_diagonal_is_elementwise_exp_bitwise(self):
+        import scipy.linalg
+
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 3, 5):
+            d = rng.uniform(-30.0, 30.0, n)
+            got = expm(np.diag(d))
+            assert np.array_equal(got, np.diag(np.exp(d)))
+            assert np.array_equal(got, scipy.linalg.expm(np.diag(d)))
+        assert np.array_equal(expm(np.zeros((3, 3))), np.eye(3))
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_entry_gives_nan(self, bad):
+        M = np.array([[-1.0, bad], [0.5, -2.0]])
+        assert np.isnan(expm(M)).all()
 
 
 class TestApplyJump:

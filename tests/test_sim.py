@@ -71,6 +71,13 @@ class TestRunScalar:
         with pytest.raises(PreconditionError):
             run_vector(FIG7_PLANT.as_jordan(), FIG7_CFG, [dm], 1.0, 0.001, x0=[0.5], xhat0=[0.1])
 
+    @pytest.mark.parametrize("g", [0, -1])
+    def test_packet_size_below_one_refused(self, g):
+        # x0 = xhat0 never triggers, so only an up-front check can refuse g
+        dm = ConstantDelay(0.0, gamma=1.2)
+        with pytest.raises(PreconditionError, match="packet size must be >= 1 bit"):
+            run_scalar(FIG7_PLANT, FIG7_CFG, dm, 1.0, 0.001, x0=0.15, xhat0=0.15, g=g)
+
     def test_initial_error_at_trigger_level_runs(self):
         cfg = TriggerConfig(v0=0.25, sigma=0.1, rho0=0.1, gamma=1.2)
         dm = UniformDelay(gamma=1.2, seed=(3, 0))
