@@ -168,23 +168,37 @@ def min_inter_event_time(inp: BoundInputs) -> float:
     return _ln_contraction(inp.sigma, inp.rho0, inp.gamma) / (inp.A + inp.sigma)
 
 
-def _rate_necessary(blocks, ln_em1s, sigma, rho0, gamma, nu) -> float:
-    """Necessary transmission rate; ln_em1s = _ln_em1s(blocks, gamma)."""
+def _rates_necessary(blocks, ln_em1s, sigmas, rho0, gamma, nu) -> list[float]:
+    """Necessary transmission rate at each decay rate in sigmas.
+
+    ln_em1s = _ln_em1s(blocks, gamma).  Each block adds
+    p * _trigger_lower(...) * _packet_bits(...), inlined with the same float
+    operations in the same order, so every value matches those factors bit
+    for bit; a block whose packet bits clamp to 0 adds exactly 0.0 and is
+    skipped.
+    """
     if gamma == 0:
-        return 0.0
-    total = 0.0
-    for (lam, p), ln_em1 in zip(blocks, ln_em1s):
-        total += (
-            p * _trigger_lower(lam, sigma, rho0, gamma, nu)
-            * _packet_bits(ln_em1, sigma, rho0, gamma)
-        )
-    return total
+        return [0.0] * len(sigmas)
+    ln_nu, ln_rho0, inv_rho0 = math.log(nu), math.log(rho0), 1.0 / rho0
+    terms = tuple((lam, p, ln_em1) for (lam, p), ln_em1 in zip(blocks, ln_em1s))
+    rates = []
+    for sigma in sigmas:
+        u = sigma * gamma
+        den = ln_nu + (u + math.log(2 * math.exp(-u) + inv_rho0))
+        ln_contraction = u - ln_rho0
+        total = 0.0
+        for lam, p, ln_em1 in terms:
+            bits = (ln_em1 + ln_contraction) / LN2
+            if bits > 0.0:
+                total += p * ((lam + sigma) / den) * bits
+        rates.append(total)
+    return rates
 
 
 def transmission_rate_necessary(inp: BoundInputs) -> float:
     """Bits/s forced by some delay realization; sums blocks with multiplicity."""
     ln_em1s = _ln_em1s(inp.blocks, inp.gamma)
-    return _rate_necessary(inp.blocks, ln_em1s, inp.sigma, inp.rho0, inp.gamma, inp.nu)
+    return _rates_necessary(inp.blocks, ln_em1s, (inp.sigma,), inp.rho0, inp.gamma, inp.nu)[0]
 
 
 def _rate_necessary_approx(blocks, ln_em1s, sigma, rho0, gamma) -> float:

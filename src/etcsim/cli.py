@@ -340,10 +340,11 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
 # -- sweep ----------------------------------------------------------------------
 
 
-def _sweep_csv_rows(cfg: RunConfig) -> list[dict]:
+def _sweep_csv_rows(cfg: RunConfig) -> tuple[list[str], int]:
+    """The sweep.csv data lines, each ending in a newline, and the count of failed rows."""
     mode = cfg.get("mode", str, "analytic")
     gamma_grid = cfg.get("gamma_grid", _grid)
-    rows: list[dict] = []
+    lines: list[str] = []
     if mode == "analytic":
         base = build_inputs(cfg, gamma=max(gamma_grid))
         if cfg.has("rho0_list") and cfg.has("rho_ladder"):
@@ -356,25 +357,19 @@ def _sweep_csv_rows(cfg: RunConfig) -> list[dict]:
             at = dataclasses.replace(base, rho0=rho)
             curve = sim.phase_curves(at, gamma_grid, sigma_grid)
             sup = curve.necessary_sup_sigma
+            # the curve's constant cells once; repr of a Python float is _fmt's cell text
+            head = f",{rho!r},{at.sigma!r},,,,"
+            tail = f",{curve.access_rate!r},,,,\n"
             columns = zip(
                 curve.gammas.tolist(), curve.necessary.tolist(),
                 curve.necessary_approx.tolist(), curve.sufficient.tolist(),
-                [None] * len(curve.gammas) if sup is None else sup.tolist(),
+                [""] * len(curve.gammas) if sup is None else map(repr, sup.tolist()),
             )
-            for gamma, nec, app, suf, nec_sup in columns:
-                rows.append(
-                    {
-                        "gamma": gamma,
-                        "rho0": rho,
-                        "sigma": at.sigma,
-                        "R_necessary": nec,
-                        "R_necessary_approx": app,
-                        "R_sufficient": suf,
-                        "R_necessary_sup": nec_sup,
-                        "R_access": curve.access_rate,
-                    }
-                )
-        return rows
+            lines += [
+                f"{gamma!r}{head}{nec!r},{app!r},{suf!r},{nec_sup}{tail}"
+                for gamma, nec, app, suf, nec_sup in columns
+            ]
+        return lines, 0
     if mode != "empirical":
         raise ConfigurationError(f"sweep mode must be analytic or empirical, got {mode!r}")
     plant = build_plant(cfg)
@@ -397,38 +392,29 @@ def _sweep_csv_rows(cfg: RunConfig) -> list[dict]:
     )
     for row in sweep:
         b = row.bounds
-        rows.append(
-            {
-                "gamma": row.gamma,
-                "rho0": trigger.rho0,
-                "sigma": trigger.sigma,
-                "g": row.g,
-                "R_s_empirical": row.rate_empirical,
-                "R_tr_empirical": row.trigger_rate_empirical,
-                "R_necessary": None if b is None else b.rate_necessary,
-                "R_necessary_approx": None if b is None else b.rate_necessary_approx,
-                "R_sufficient": None if b is None else b.rate_sufficient,
-                "R_access": None if b is None else b.access_rate,
-                "x0_norm": row.x0_norm,
-                "xT_norm": row.xT_norm,
-                "invariants_ok": row.invariants_ok,
-                "error": row.error,
-            }
+        cells = (  # in SWEEP_COLUMNS order
+            row.gamma, trigger.rho0, trigger.sigma, row.g,
+            row.rate_empirical, row.trigger_rate_empirical,
+            None if b is None else b.rate_necessary,
+            None if b is None else b.rate_necessary_approx,
+            None if b is None else b.rate_sufficient,
+            None,
+            None if b is None else b.access_rate,
+            row.x0_norm, row.xT_norm, row.invariants_ok, row.error,
         )
-    return rows
+        lines.append(",".join(map(_fmt, cells)) + "\n")
+    return lines, sum(1 for row in sweep if row.error)
 
 
 def cmd_sweep(cfg: RunConfig, out_dir: Path) -> int:
-    rows = _sweep_csv_rows(cfg)
+    lines, failed = _sweep_csv_rows(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "sweep.csv"
     with path.open("w") as fh:
         fh.write(",".join(SWEEP_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(row.get(c)) for c in SWEEP_COLUMNS) + "\n")
-    errors = [r for r in rows if r.get("error")]
-    print(f"wrote {path} ({len(rows)} rows, {len(errors)} failed)")
-    if errors and len(errors) == len(rows):
+        fh.writelines(lines)
+    print(f"wrote {path} ({len(lines)} rows, {failed} failed)")
+    if failed and failed == len(lines):
         return EXIT_INVARIANT
     return EXIT_OK
 
@@ -456,12 +442,14 @@ def _build_argparser() -> _Parser:
         p.add_argument("--seed", type=int, default=None, help="delay realization seed")
         p.add_argument("--step", type=float, default=None, help="sample step (s)")
         p.add_argument("--horizon", type=float, default=None, help="run length (s)")
-        p.add_argument("--gamma", type=float, default=None, help="delay bound (s)")
         p.add_argument("--delay", type=str, default=None, help="delay model spec")
-        p.add_argument("--g", type=int, default=None, help="packet size (bits), 0 = automatic")
         p.add_argument("--nu", type=float, default=None, help="precision parameter")
         p.add_argument("--refine", action="store_true", default=None,
                        help="resolve trigger crossings inside the step")
+        if name != "sweep":  # a sweep sizes packets per row and sweeps gamma_grid
+            p.add_argument("--gamma", type=float, default=None, help="delay bound (s)")
+            p.add_argument("--g", type=int, default=None,
+                           help="packet size (bits), 0 = automatic")
         if name == "bounds":
             p.add_argument("--json", action="store_true", help="also write bounds.json")
     return parser

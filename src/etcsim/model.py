@@ -80,6 +80,9 @@ class JordanPlant:
             raise ConfigurationError(
                 f"feedback gain K must have shape {(B.shape[1], n)}, got {K.shape}"
             )
+        for name, M in (("B", B), ("K", K)):
+            if not np.isfinite(M).all():
+                raise ConfigurationError(f"{name} entries must be finite, got {M.tolist()}")
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "K", K)
 

@@ -818,13 +818,15 @@ def phase_curves(
     blocks, rho_flat = inp.blocks, inp.rho_flat()
     sigma, rho0, b, nu = inp.sigma, inp.rho0, inp.b, inp.nu
     nec, app, suf, sup = [], [], [], []
+    at_sigmas = (sigma, *(sigmas or ()))  # the curve's own sigma, then the supremum's
     for g in gammas:
         ln_em1s = bnd._ln_em1s(blocks, g)  # sigma-free, shared by the supremum
-        nec.append(bnd._rate_necessary(blocks, ln_em1s, sigma, rho0, g, nu))
+        rates = bnd._rates_necessary(blocks, ln_em1s, at_sigmas, rho0, g, nu)
+        nec.append(rates[0])
         app.append(bnd._rate_necessary_approx(blocks, ln_em1s, sigma, rho0, g))
         suf.append(bnd._rate_sufficient(rho_flat, sigma, rho0, g, b))
         if sigmas is not None:
-            sup.append(max(bnd._rate_necessary(blocks, ln_em1s, s, rho0, g, nu) for s in sigmas))
+            sup.append(max(rates[1:]))
     nec, suf = np.array(nec, dtype=float), np.array(suf, dtype=float)
     try:
         A = inp.A

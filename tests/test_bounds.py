@@ -136,6 +136,25 @@ class TestTransmissionRateNecessary:
         product = bnd.triggering_rate_lower(inp) * bnd.packet_bits_necessary(inp)
         assert bnd.transmission_rate_necessary(inp) == pytest.approx(product, rel=1e-12)
 
+    def test_kernel_bitwise_equals_factor_product(self):
+        # the rate kernel inlines the two factor formulas; any drift changes some bits
+        rng = np.random.default_rng(2016)
+        cases = [random_inputs(rng) for _ in range(400)]
+        cases += [replace(inp, nu=1.0) for inp in cases[:100]]
+        cases += [replace(inp, gamma=0.0) for inp in cases[:20]]
+        cases += [  # (sigma + A)*gamma >= 700
+            replace(inp, gamma=float(rng.uniform(700.0, 2000.0)) / (inp.A + inp.sigma))
+            for inp in cases[:100]
+        ]
+        for inp in cases:
+            trig, bits = bnd.triggering_rate_lower(inp), bnd.packet_bits_necessary(inp)
+            got = bnd.transmission_rate_necessary(inp)
+            assert got.hex() == (trig * bits).hex(), inp
+            p = int(rng.integers(2, 7))
+            block = replace(inp, blocks=((inp.A, p),))
+            got = bnd.transmission_rate_necessary(block)
+            assert got.hex() == (p * trig * bits).hex(), (inp, p)
+
     def test_two_identical_blocks_double_scalar(self):
         one = scalar(1.5, 0.8, 0.4, gamma=0.9, nu=2.0)
         two = bnd.BoundInputs(blocks=((1.5, 1), (1.5, 1)), sigma=0.8, rho0=0.4,

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -227,6 +228,20 @@ class TestSimulateCommand:
         argv = ["simulate", "--config", str(RECIPES / "fig7.cfg"), "--out", str(tmp_path)]
         assert fragment in assert_one_line_usage_error(capsys, argv + flags)
 
+    @pytest.mark.parametrize("matrix_line, name", [
+        ("K_matrix = inf 0; 0 1", "K"), ("K_matrix = nan 0; 0 1", "K"),
+        ("B_matrix = 1 0; 0 inf", "B"),
+    ], ids=["K_inf", "K_nan", "B_inf"])
+    def test_non_finite_gain_is_clean_error(self, tmp_path, capsys, matrix_line, name):
+        # used to run into a numpy RuntimeWarning and exit 3 with a state overflow
+        text = ("blocks = 1:1, 2:1\nv0 = 0.1; 0.1\nsigma = 1\nrho0 = 0.5\ngamma = 0.1\n"
+                f"horizon = 1\nx0 = 0.01 0.01\nxhat0 = 0 0\n{matrix_line}\n")
+        argv = ["simulate", "--config", str(write_cfg(tmp_path, text)), "--out", str(tmp_path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # any warning fails the run
+            err = assert_one_line_usage_error(capsys, argv)
+        assert f"{name} entries must be finite" in err
+
     def test_infinite_trigger_level_refused_before_running(self, tmp_path, capsys, monkeypatch):
         def never(self):
             raise AssertionError("the run started")
@@ -427,6 +442,17 @@ class TestSweepCommand:
             }
             want.append(",".join(cli._fmt(row[c]) for c in cli.SWEEP_COLUMNS))
         assert got == want
+
+    @pytest.mark.parametrize("flag, value", [("--g", "-1"), ("--gamma", "5")],
+                             ids=["--g", "--gamma"])
+    def test_sweep_refuses_ignored_flags(self, tmp_path, capsys, flag, value):
+        # a sweep sizes packets per row and sweeps gamma_grid: neither flag has a meaning
+        argv = ["sweep", "--config", str(RECIPES / "fig8.cfg"), flag, value,
+                "--out", str(tmp_path)]
+        assert f"unrecognized arguments: {flag} {value}" in assert_one_line_usage_error(
+            capsys, argv
+        )
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_recipes_all_parse(self):
         for name in ("fig3", "fig4", "fig5", "fig6", "fig7", "fig8"):

@@ -1,5 +1,6 @@
 """Guards for what lives outside the package but depends on its names."""
 
+import argparse
 import importlib.util
 import re
 from pathlib import Path
@@ -37,3 +38,20 @@ def test_readme_library_example_runs():
     section = (ROOT / "README.md").read_text().split("## Library use", 1)[1]
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(code, "README.md", "exec"), {})
+
+
+def test_readme_flags_match_each_command():
+    # the README's "Flags by command" list names exactly each subparser's options
+    section = (ROOT / "README.md").read_text().split("Flags by command", 1)[1]
+    bullets = section.split("\n\n", 2)[1].split("\n- ")
+    listed = {
+        re.match(r"-? ?`(\w+)`:", b).group(1): set(re.findall(r"`(--[\w-]+)", b))
+        for b in bullets
+    }
+    sub = next(a for a in cli._build_argparser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {
+        name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
+    assert listed == options
