@@ -130,27 +130,16 @@ def bits_lower_bound(t: float, L: float, z0_norm: float, inp: BoundInputs, kind:
     raise PreconditionError(f"kind must be 'estimation' or 'stabilization', got {kind!r}")
 
 
-def _packet_bits(ln_em1: float, sigma: float, rho0: float, gamma: float) -> float:
-    """max{0, log2((e^{lam*gamma} - 1)/(rho0 e^{-sigma*gamma}))}, gamma > 0.
-
-    ln_em1 is ln(e^{lam*gamma} - 1) for the eigenvalue lam.
-    """
-    return max(0.0, (ln_em1 + _ln_contraction(sigma, rho0, gamma)) / LN2)
-
-
 def packet_bits_necessary(inp: BoundInputs) -> float:
-    """Minimum bits per triggering event (single-eigenvalue systems)."""
+    """Minimum bits per triggering event (single-eigenvalue systems).
+
+    max{0, log2((e^{A*gamma} - 1)/(rho0 e^{-sigma*gamma}))}, 0 at gamma = 0.
+    """
     A = inp.A
     if inp.gamma == 0:
         return 0.0
-    return _packet_bits(_ln_em1(A * inp.gamma), inp.sigma, inp.rho0, inp.gamma)
-
-
-def _trigger_lower(lam: float, sigma: float, rho0: float, gamma: float, nu: float) -> float:
-    # ln(2 + e^{sigma*gamma}/rho0) evaluated overflow-free.
-    u = sigma * gamma
-    ln_term = u + math.log(2 * math.exp(-u) + 1.0 / rho0)
-    return (lam + sigma) / (math.log(nu) + ln_term)
+    ln_em1 = _ln_em1(A * inp.gamma)
+    return max(0.0, (ln_em1 + _ln_contraction(inp.sigma, inp.rho0, inp.gamma)) / LN2)
 
 
 def triggering_rate_upper(inp: BoundInputs) -> float:
@@ -160,7 +149,10 @@ def triggering_rate_upper(inp: BoundInputs) -> float:
 
 def triggering_rate_lower(inp: BoundInputs) -> float:
     """Events/s forced by some delay realization under nu-precision."""
-    return _trigger_lower(inp.A, inp.sigma, inp.rho0, inp.gamma, inp.nu)
+    # ln(2 + e^{sigma*gamma}/rho0) evaluated overflow-free.
+    u = inp.sigma * inp.gamma
+    ln_term = u + math.log(2 * math.exp(-u) + 1.0 / inp.rho0)
+    return (inp.A + inp.sigma) / (math.log(inp.nu) + ln_term)
 
 
 def min_inter_event_time(inp: BoundInputs) -> float:
@@ -172,10 +164,10 @@ def _rates_necessary(blocks, ln_em1s, sigmas, rho0, gamma, nu) -> list[float]:
     """Necessary transmission rate at each decay rate in sigmas.
 
     ln_em1s = _ln_em1s(blocks, gamma).  Each block adds
-    p * _trigger_lower(...) * _packet_bits(...), inlined with the same float
-    operations in the same order, so every value matches those factors bit
-    for bit; a block whose packet bits clamp to 0 adds exactly 0.0 and is
-    skipped.
+    p * triggering_rate_lower * packet_bits_necessary at its eigenvalue,
+    with the same float operations in the same order, so every value
+    matches those factors bit for bit; a block whose packet bits clamp to 0
+    adds exactly 0.0 and is skipped.
     """
     if gamma == 0:
         return [0.0] * len(sigmas)

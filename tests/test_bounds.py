@@ -142,6 +142,10 @@ class TestTransmissionRateNecessary:
         cases = [random_inputs(rng) for _ in range(400)]
         cases += [replace(inp, nu=1.0) for inp in cases[:100]]
         cases += [replace(inp, gamma=0.0) for inp in cases[:20]]
+        cases += [  # packet bits just above and at their clamp to 0
+            replace(inp, gamma=bnd.critical_delay(inp) * f)
+            for inp in cases[:50] for f in (1 - 1e-9, 1 + 1e-9, 1 + 1e-6)
+        ]
         cases += [  # (sigma + A)*gamma >= 700
             replace(inp, gamma=float(rng.uniform(700.0, 2000.0)) / (inp.A + inp.sigma))
             for inp in cases[:100]
