@@ -15,6 +15,8 @@ import argparse
 import dataclasses
 import json
 import sys
+import warnings
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -40,65 +42,6 @@ SWEEP_COLUMNS = [
 _MISSING = object()
 _CSV_BLOCK_ROWS = 4096  # trace.csv rows converted to Python floats at a time
 MAX_GRID_POINTS = 100_000  # largest start:step:count grid a config may ask for
-# every key a command reads; RunConfig.from_file refuses any other
-CONFIG_KEYS = frozenset(
-    "A B K blocks B_matrix K_matrix v0 sigma rho0 gamma b rho_ladder nu g "
-    "delay seed horizon step refine x0 xhat0 mode gamma_grid rho0_list sigma_grid".split()
-)
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # usage problems map to exit code 1
-        raise ConfigurationError(message)
-
-
-class RunConfig:
-    """Key/value configuration with line-precise error reporting."""
-
-    def __init__(self, entries: dict[str, tuple[str, int]], source: str):
-        self.entries = entries
-        self.source = source
-
-    @classmethod
-    def from_file(cls, path: Path) -> "RunConfig":
-        entries: dict[str, tuple[str, int]] = {}
-        try:
-            text = path.read_text()
-        except OSError as err:
-            raise ConfigurationError(f"cannot read config {path}: {err}") from err
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigurationError(
-                    f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}"
-                )
-            key, val = line.split("=", 1)
-            key = key.strip()
-            if key not in CONFIG_KEYS:
-                raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
-            entries[key] = (val.strip(), lineno)
-        return cls(entries, str(path))
-
-    def override(self, key: str, value) -> None:
-        if value is not None:
-            self.entries[key] = (str(value), 0)
-
-    def has(self, key: str) -> bool:
-        return key in self.entries
-
-    def get(self, key: str, cast=str, default=_MISSING):
-        if key not in self.entries:
-            if default is _MISSING:
-                raise ConfigurationError(f"missing required field '{key}' in {self.source}")
-            return default
-        val, lineno = self.entries[key]
-        try:
-            return cast(val)
-        except (ValueError, ConfigurationError) as err:
-            where = f"line {lineno} of {self.source}" if lineno else "command line"
-            raise ConfigurationError(f"field '{key}' ({where}): {err}") from err
 
 
 def _bool(s: str) -> bool:
@@ -144,44 +87,132 @@ def _nested(s: str) -> tuple[tuple[float, ...], ...]:
     return tuple(tuple(float(v) for v in grp.replace(",", " ").split()) for grp in s.split(";"))
 
 
+_ALL = ("bounds", "simulate", "analytic", "empirical")
+_RUNS = ("simulate", "empirical")  # the readers that run the closed loop
+_SWEEPS = ("analytic", "empirical")
+# every key a config file may hold. parse: str -> value; default: _MISSING if required;
+# readers: the commands and sweep modes that read it; help: flag help, None if file only
+Setting = namedtuple("Setting", "parse default readers help", defaults=[None])
+SETTINGS = {
+    "A": Setting(float, _MISSING, _ALL),
+    "B": Setting(float, 0.0, _ALL),
+    "K": Setting(float, 0.0, _ALL),
+    "blocks": Setting(_blocks, _MISSING, _ALL),
+    "B_matrix": Setting(_matrix, _MISSING, _ALL),  # build_plant computes the default
+    "K_matrix": Setting(_matrix, _MISSING, _ALL),
+    "v0": Setting(_nested, _MISSING, _RUNS),
+    "sigma": Setting(float, _MISSING, _ALL),
+    "rho0": Setting(float, _MISSING, _ALL),
+    "gamma": Setting(float, _MISSING, ("bounds", "simulate"), "delay bound (s)"),
+    "b": Setting(float, 1.0001, _ALL),
+    "rho_ladder": Setting(_nested, None, _ALL),
+    "nu": Setting(float, 2.0, _ALL, "precision parameter"),  # bounds, analytic sweeps: 1.0
+    "g": Setting(int, 0, ("bounds", "simulate"), "packet size (bits), 0 = automatic"),
+    "delay": Setting(str, "uniform", _RUNS, "delay model spec"),
+    "seed": Setting(int, 0, _RUNS, "delay realization seed"),
+    "horizon": Setting(float, _MISSING, _RUNS, "run length (s)"),
+    "step": Setting(float, 0.0002, _RUNS, "sample step (s)"),
+    "refine": Setting(_bool, False, _RUNS, "resolve trigger crossings inside the step"),
+    "x0": Setting(_floats, _MISSING, _RUNS),
+    "xhat0": Setting(_floats, _MISSING, _RUNS),
+    "mode": Setting(str, "analytic", _SWEEPS),
+    "gamma_grid": Setting(_grid, _MISSING, _SWEEPS),
+    "rho0_list": Setting(_grid, None, ("analytic",)),
+    "sigma_grid": Setting(_grid, None, ("analytic",)),
+}
+CONFIG_KEYS = frozenset(SETTINGS)  # RunConfig.from_file refuses any other key
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # usage problems map to exit code 1
+        raise ConfigurationError(message)
+
+
+class RunConfig:
+    """Key/value configuration with line-precise error reporting."""
+
+    def __init__(self, entries: dict[str, tuple[str, int]], source: str):
+        self.entries = entries
+        self.source = source
+
+    @classmethod
+    def from_file(cls, path: Path) -> "RunConfig":
+        entries: dict[str, tuple[str, int]] = {}
+        try:
+            text = path.read_text()
+        except OSError as err:
+            raise ConfigurationError(f"cannot read config {path}: {err}") from err
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigurationError(
+                    f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}"
+                )
+            key, val = line.split("=", 1)
+            key = key.strip()
+            if key not in CONFIG_KEYS:
+                raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in entries:
+                raise ConfigurationError(
+                    f"{path}:{lineno}: duplicate key {key!r}, first set on line {entries[key][1]}"
+                )
+            entries[key] = (val.strip(), lineno)
+        return cls(entries, str(path))
+
+    def override(self, key: str, value) -> None:
+        if value is not None:
+            self.entries[key] = (str(value), 0)
+
+    def has(self, key: str) -> bool:
+        return key in self.entries
+
+    def get(self, key: str, *, default=_MISSING):
+        """The key's value parsed as SETTINGS says; default replaces the table's."""
+        if key not in self.entries:
+            default = SETTINGS[key].default if default is _MISSING else default
+            if default is _MISSING:
+                raise ConfigurationError(f"missing required field '{key}' in {self.source}")
+            return default
+        val, lineno = self.entries[key]
+        try:
+            return SETTINGS[key].parse(val)
+        except (ValueError, ConfigurationError) as err:
+            where = f"line {lineno} of {self.source}" if lineno else "command line"
+            raise ConfigurationError(f"field '{key}' ({where}): {err}") from err
+
+
 def build_plant(cfg: RunConfig) -> JordanPlant:
     if cfg.has("blocks"):
-        blocks = cfg.get("blocks", _blocks)
+        blocks = cfg.get("blocks")
         n = sum(p for _, p in blocks)
-        B = cfg.get("B_matrix", _matrix, np.eye(n))
-        K = cfg.get("K_matrix", _matrix, np.zeros((B.shape[1], n)))
+        B = cfg.get("B_matrix", default=np.eye(n))
+        K = cfg.get("K_matrix", default=np.zeros((B.shape[1], n)))
         return JordanPlant(blocks=blocks, B=B, K=K)
-    return ScalarPlant(
-        A=cfg.get("A", float),
-        B=cfg.get("B", float, 0.0),
-        K=cfg.get("K", float, 0.0),
-    ).as_jordan()
+    return ScalarPlant(A=cfg.get("A"), B=cfg.get("B"), K=cfg.get("K")).as_jordan()
 
 
-def build_trigger(cfg: RunConfig) -> TriggerConfig:
-    if cfg.has("blocks"):
-        v0 = cfg.get("v0", _nested)
-    else:
-        v0 = cfg.get("v0", float)
+def build_trigger(cfg: RunConfig, gamma: float | None = None) -> TriggerConfig:
     return TriggerConfig(
-        v0=v0,
-        sigma=cfg.get("sigma", float),
-        rho0=cfg.get("rho0", float),
-        gamma=cfg.get("gamma", float),
-        b=cfg.get("b", float, 1.0001),
-        rho_ladders=cfg.get("rho_ladder", _nested, None),
+        v0=cfg.get("v0"),
+        sigma=cfg.get("sigma"),
+        rho0=cfg.get("rho0"),
+        gamma=cfg.get("gamma") if gamma is None else gamma,
+        b=cfg.get("b"),
+        rho_ladders=cfg.get("rho_ladder"),
     )
 
 
 def build_inputs(cfg: RunConfig, gamma: float | None = None) -> bnd.BoundInputs:
     return bnd.BoundInputs(
         blocks=build_plant(cfg).blocks,
-        sigma=cfg.get("sigma", float),
-        rho0=cfg.get("rho0", float),
-        gamma=cfg.get("gamma", float) if gamma is None else gamma,
-        b=cfg.get("b", float, 1.0001),
-        nu=cfg.get("nu", float, 1.0),
-        rho_ladders=cfg.get("rho_ladder", _nested, None),
+        sigma=cfg.get("sigma"),
+        rho0=cfg.get("rho0"),
+        gamma=cfg.get("gamma") if gamma is None else gamma,
+        b=cfg.get("b"),
+        nu=cfg.get("nu", default=1.0),
+        rho_ladders=cfg.get("rho_ladder"),
     )
 
 
@@ -215,7 +246,7 @@ def cmd_bounds(cfg: RunConfig, out_dir: Path | None, want_json: bool) -> int:
     table = bnd.analytic_bounds(inp)
     quantities = {k: v for k, v in dataclasses.asdict(table).items() if v is not None}
     scalar_like = table.packet_size_sufficient is not None
-    g = cfg.get("g", int, 0)
+    g = cfg.get("g")
     if g < 0:
         raise ConfigurationError(f"packet size must be >= 1 bit, or 0 for automatic, got {g}")
     if scalar_like and inp.nu >= 2 and inp.gamma > 0:
@@ -240,11 +271,12 @@ def cmd_bounds(cfg: RunConfig, out_dir: Path | None, want_json: bool) -> int:
 # -- simulate -----------------------------------------------------------------
 
 
-def _delay_factory(cfg: RunConfig, plant: JordanPlant, seed: int):
-    spec = cfg.get("delay", str, "uniform")
+def _delay_factory(cfg: RunConfig, plant: JordanPlant):
+    spec = cfg.get("delay")
+    seed = cfg.get("seed")
     growth = max(lam for lam, _ in plant.blocks)
-    sigma = cfg.get("sigma", float)
-    rho0 = cfg.get("rho0", float)
+    sigma = cfg.get("sigma")
+    rho0 = cfg.get("rho0")
 
     def factory(gamma: float, row: int, coord: int):
         return build_delay(
@@ -290,19 +322,17 @@ def _write_events_json(path: Path, trace: sim.SimTrace) -> None:
 def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     plant = build_plant(cfg)
     trigger = build_trigger(cfg)
-    seed = cfg.get("seed", int, 0)
-    horizon = cfg.get("horizon", float)
-    step = cfg.get("step", float, 0.0002)
-    refine = cfg.get("refine", _bool, False)
-    nu = cfg.get("nu", float, 2.0)
-    g = cfg.get("g", int, 0) or None
-    x0 = np.asarray(cfg.get("x0", _floats), dtype=float)
-    xhat0 = np.asarray(cfg.get("xhat0", _floats), dtype=float)
-    factory = _delay_factory(cfg, plant, seed)
+    horizon = cfg.get("horizon")
+    step = cfg.get("step")
+    refine = cfg.get("refine")
+    nu = cfg.get("nu")
+    g = cfg.get("g") or None
+    x0 = np.asarray(cfg.get("x0"), dtype=float)
+    xhat0 = np.asarray(cfg.get("xhat0"), dtype=float)
+    factory = _delay_factory(cfg, plant)
     models = [factory(trigger.gamma, 0, c) for c in range(plant.n)]
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    code = EXIT_OK
     try:
         trace = sim.run_vector(
             plant, trigger, models, horizon, step,
@@ -332,9 +362,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     for v in validation.violations[:10]:
         print(f"  {v}", file=sys.stderr)
     print(f"wrote {out_dir / 'trace.csv'}, {out_dir / 'events.json'}, {out_dir / 'report.json'}")
-    if not validation.ok:
-        code = EXIT_INVARIANT
-    return code
+    return EXIT_OK if validation.ok else EXIT_INVARIANT
 
 
 # -- sweep ----------------------------------------------------------------------
@@ -342,8 +370,17 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
 
 def _sweep_csv_rows(cfg: RunConfig) -> tuple[list[str], int]:
     """The sweep.csv data lines, each ending in a newline, and the count of failed rows."""
-    mode = cfg.get("mode", str, "analytic")
-    gamma_grid = cfg.get("gamma_grid", _grid)
+    mode = cfg.get("mode")
+    if mode not in _SWEEPS:
+        raise ConfigurationError(f"sweep mode must be analytic or empirical, got {mode!r}")
+    other = "empirical" if mode == "analytic" else "analytic"
+    for key, (_, lineno) in cfg.entries.items():
+        if other in SETTINGS[key].readers and mode not in SETTINGS[key].readers:
+            where = f"{cfg.source}:{lineno}" if lineno else "command line"
+            raise ConfigurationError(
+                f"{where}: {key!r} is an {other}-sweep key; mode = {mode} does not read it"
+            )
+    gamma_grid = cfg.get("gamma_grid")
     lines: list[str] = []
     if mode == "analytic":
         base = build_inputs(cfg, gamma=max(gamma_grid))
@@ -351,8 +388,8 @@ def _sweep_csv_rows(cfg: RunConfig) -> tuple[list[str], int]:
             raise ConfigurationError(
                 "rho_ladder is defined for one rho0 and cannot be combined with rho0_list"
             )
-        rho_list = cfg.get("rho0_list", _grid, None) or [base.rho0]
-        sigma_grid = cfg.get("sigma_grid", _grid, None)
+        rho_list = cfg.get("rho0_list") or [base.rho0]
+        sigma_grid = cfg.get("sigma_grid")
         for rho in rho_list:
             at = dataclasses.replace(base, rho0=rho)
             curve = sim.phase_curves(at, gamma_grid, sigma_grid)
@@ -370,25 +407,12 @@ def _sweep_csv_rows(cfg: RunConfig) -> tuple[list[str], int]:
                 for gamma, nec, app, suf, nec_sup in columns
             ]
         return lines, 0
-    if mode != "empirical":
-        raise ConfigurationError(f"sweep mode must be analytic or empirical, got {mode!r}")
     plant = build_plant(cfg)
-    if not cfg.has("gamma"):
-        cfg.override("gamma", max(gamma_grid))  # placeholder; swept per row
-    trigger = build_trigger(cfg)
-    seed = cfg.get("seed", int, 0)
-    factory = _delay_factory(cfg, plant, seed)
+    trigger = build_trigger(cfg, gamma=max(gamma_grid))  # gamma is swept per row
     sweep = sim.sweep_gamma(
-        plant,
-        trigger,
-        gamma_grid,
-        cfg.get("horizon", float),
-        cfg.get("step", float, 0.0002),
-        delay_factory=factory,
-        x0=cfg.get("x0", _floats),
-        xhat0=cfg.get("xhat0", _floats),
-        refine=cfg.get("refine", _bool, False),
-        nu=cfg.get("nu", float, 2.0),
+        plant, trigger, gamma_grid, cfg.get("horizon"), cfg.get("step"),
+        delay_factory=_delay_factory(cfg, plant), x0=cfg.get("x0"), xhat0=cfg.get("xhat0"),
+        refine=cfg.get("refine"), nu=cfg.get("nu"),
     )
     for row in sweep:
         b = row.bounds
@@ -431,25 +455,21 @@ def _build_argparser() -> _Parser:
     parser = _Parser(prog="etcsim", description=__doc__)
     parser.add_argument("--version", action="version", version=f"etcsim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, desc in (
-        ("bounds", "print every analytic bound for one parameter set"),
-        ("simulate", "run the closed loop and export trace/events/report"),
-        ("sweep", "sweep the delay bound and export a rate-vs-delay CSV"),
+    for name, readers, desc in (
+        ("bounds", ("bounds",), "print every analytic bound for one parameter set"),
+        ("simulate", ("simulate",), "run the closed loop and export trace/events/report"),
+        ("sweep", _SWEEPS, "sweep the delay bound and export a rate-vs-delay CSV"),
     ):
         p = sub.add_parser(name, help=desc)
         p.add_argument("--config", type=Path, help="key = value configuration file")
         p.add_argument("--out", type=Path, default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="delay realization seed")
-        p.add_argument("--step", type=float, default=None, help="sample step (s)")
-        p.add_argument("--horizon", type=float, default=None, help="run length (s)")
-        p.add_argument("--delay", type=str, default=None, help="delay model spec")
-        p.add_argument("--nu", type=float, default=None, help="precision parameter")
-        p.add_argument("--refine", action="store_true", default=None,
-                       help="resolve trigger crossings inside the step")
-        if name != "sweep":  # a sweep sizes packets per row and sweeps gamma_grid
-            p.add_argument("--gamma", type=float, default=None, help="delay bound (s)")
-            p.add_argument("--g", type=int, default=None,
-                           help="packet size (bits), 0 = automatic")
+        for key, setting in SETTINGS.items():
+            if setting.help is None or set(readers).isdisjoint(setting.readers):
+                continue
+            if setting.parse is _bool:  # a switch: given means true
+                p.add_argument(f"--{key}", action="store_true", default=None, help=setting.help)
+            else:
+                p.add_argument(f"--{key}", type=setting.parse, help=setting.help)
         if name == "bounds":
             p.add_argument("--json", action="store_true", help="also write bounds.json")
     return parser
@@ -459,18 +479,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_argparser()
     try:
         args = parser.parse_args(argv)
-        if args.config is not None:
-            cfg = RunConfig.from_file(args.config)
-        else:
-            cfg = RunConfig({}, "<cli>")
-        for key in ("seed", "step", "horizon", "gamma", "delay", "g", "nu", "refine"):
+        cfg = RunConfig({}, "<cli>") if args.config is None else RunConfig.from_file(args.config)
+        for key in SETTINGS:  # args holds the command's flags, None where not given
             cfg.override(key, getattr(args, key, None))
-        out = args.out
-        if args.command == "bounds":
-            return cmd_bounds(cfg, out, args.json)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, out or Path("out"))
-        return cmd_sweep(cfg, out or Path("out"))
+        with warnings.catch_warnings():  # one line per warning; library callers keep theirs
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+            if args.command == "bounds":
+                return cmd_bounds(cfg, args.out, args.json)
+            if args.command == "simulate":
+                return cmd_simulate(cfg, args.out or Path("out"))
+            return cmd_sweep(cfg, args.out or Path("out"))
     except (ConfigurationError, PreconditionError, DecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

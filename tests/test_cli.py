@@ -34,8 +34,8 @@ def assert_one_line_usage_error(capsys, argv):
 class TestConfigParsing:
     def test_key_value_with_comments(self, tmp_path):
         cfg = cli.RunConfig.from_file(write_cfg(tmp_path, "A = 2.0  # growth\n\nsigma=1\n"))
-        assert cfg.get("A", float) == 2.0
-        assert cfg.get("sigma", float) == 1.0
+        assert cfg.get("A") == 2.0
+        assert cfg.get("sigma") == 1.0
 
     def test_malformed_line_reports_position(self, tmp_path):
         path = write_cfg(tmp_path, "A = 1\nnot a pair\n")
@@ -45,12 +45,12 @@ class TestConfigParsing:
     def test_bad_value_reports_field_and_line(self, tmp_path):
         cfg = cli.RunConfig.from_file(write_cfg(tmp_path, "A = fast\n"))
         with pytest.raises(cli.ConfigurationError, match="field 'A' \\(line 1"):
-            cfg.get("A", float)
+            cfg.get("A")
 
     def test_missing_field(self, tmp_path):
         cfg = cli.RunConfig.from_file(write_cfg(tmp_path, "A = 1\n"))
         with pytest.raises(cli.ConfigurationError, match="sigma"):
-            cfg.get("sigma", float)
+            cfg.get("sigma")
 
     def test_grid_forms(self):
         assert cli._grid("1:0.5:3") == [1.0, 1.5, 2.0]
@@ -58,10 +58,17 @@ class TestConfigParsing:
         with pytest.raises(ValueError):
             cli._grid("1:2")
 
+    def test_duplicate_key_refused(self, tmp_path):
+        # the later lines used to win silently: bounds printed access_rate 11.5416 (A=5, sigma=3)
+        path = write_cfg(tmp_path, "A = 1\nsigma = 1\nrho0 = 0.5\nA = 5\nsigma = 3\n")
+        with pytest.raises(cli.ConfigurationError,
+                           match=f"{path}:4: duplicate key 'A', first set on line 1"):
+            cli.RunConfig.from_file(path)
+
     def test_override_wins(self, tmp_path):
         cfg = cli.RunConfig.from_file(write_cfg(tmp_path, "seed = 1\n"))
         cfg.override("seed", 9)
-        assert cfg.get("seed", int) == 9
+        assert cfg.get("seed") == 9
 
 
 class TestBoundsCommand:
@@ -422,7 +429,7 @@ class TestSweepCommand:
         plant, trigger = cli.build_plant(cfg), cli.build_trigger(cfg)
         rows = sim.sweep_gamma(
             plant, trigger, cli._grid("0.1, 0.5, 0.9"), 3.0, 0.0002,
-            delay_factory=cli._delay_factory(cfg, plant, 1),
+            delay_factory=cli._delay_factory(cfg, plant),
             x0=[0.201], xhat0=[0.2], nu=2.0,
         )
         assert any(r.error for r in rows) and not all(r.error for r in rows)
@@ -453,6 +460,17 @@ class TestSweepCommand:
             capsys, argv
         )
         assert not (tmp_path / "sweep.csv").exists()
+
+    def test_adversarial_clamp_is_one_warning_line(self, tmp_path, capsys):
+        # the first row clamps; the warning used to print with a second, source-code line
+        shown = warnings.showwarning
+        argv = ["sweep", "--config", str(RECIPES / "fig8.cfg"), "--delay", "adversarial",
+                "--horizon", "1", "--out", str(tmp_path)]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: adversarial delay beta=0.0759604 exceeds gamma=0.0005; clamping"
+        ]
+        assert warnings.showwarning is shown
 
     def test_recipes_all_parse(self):
         for name in ("fig3", "fig4", "fig5", "fig6", "fig7", "fig8"):
@@ -501,6 +519,71 @@ class TestLazyScipy:
         assert "(11 rows, 0 failed)" in done.stdout
 
 
+def _as_blocks(text):
+    """The recipe text with its scalar plant A, B, K written as a one-block Jordan plant."""
+    renamed = {"A": "blocks", "B": "B_matrix", "K": "K_matrix"}
+    lines = []
+    for line in text.splitlines():
+        key, sep, value = line.partition(" = ")
+        if key in renamed:
+            line = renamed[key] + sep + (f"{value}:1" if key == "A" else value)
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("reader, command, recipes, flags", [
+    ("bounds", "bounds", ["fig7"], []),
+    ("simulate", "simulate", ["fig7"], ["--horizon", "1"]),
+    ("analytic", "sweep", ["fig4", "fig6"], []),
+    ("empirical", "sweep", ["fig8"], ["--horizon", "1"]),
+])
+def test_settings_table_names_the_keys_each_reader_reads(tmp_path, capsys, monkeypatch,
+                                                         reader, command, recipes, flags):
+    touched = set()
+    get, has = cli.RunConfig.get, cli.RunConfig.has
+
+    def spy_get(self, key, **kwargs):
+        touched.add(key)
+        return get(self, key, **kwargs)
+
+    def spy_has(self, key):
+        touched.add(key)
+        return has(self, key)
+
+    monkeypatch.setattr(cli.RunConfig, "get", spy_get)
+    monkeypatch.setattr(cli.RunConfig, "has", spy_has)
+    for recipe in recipes:
+        text = (RECIPES / f"{recipe}.cfg").read_text()
+        for form, body in (("scalar", text), ("blocks", _as_blocks(text))):
+            path = tmp_path / f"{recipe}_{form}.cfg"
+            path.write_text(body)
+            argv = [command, "--config", str(path), "--out", str(tmp_path / form)] + flags
+            assert cli.main(argv) == cli.EXIT_OK, capsys.readouterr().err
+    assert "blocks" in touched and "B_matrix" in touched  # the blocks form was read
+    assert touched == {key for key, s in cli.SETTINGS.items() if reader in s.readers}
+
+
+_FIG8_LINES = len((RECIPES / "fig8.cfg").read_text().splitlines())
+
+
+@pytest.mark.parametrize("command, recipe, lines, flags, fragment", [
+    ("bounds", "fig7", "",
+     ["--horizon", "-5", "--delay", "bogus", "--step", "nan", "--refine", "--json"],
+     "unrecognized arguments: --horizon -5 --delay bogus --step nan --refine"),
+    ("sweep", "fig3", "", ["--horizon", "-5", "--delay", "bogus"],
+     "command line: 'delay' is an empirical-sweep key; mode = analytic does not read it"),
+    ("sweep", "fig8", "rho0_list = 0.3, 0.5\nsigma_grid = 0.1, 0.2\n", [],
+     f":{_FIG8_LINES + 1}: 'rho0_list' is an analytic-sweep key; mode = empirical"),
+], ids=["bounds_run_flags", "analytic_sweep_run_flags", "empirical_sweep_analytic_keys"])
+def test_unread_setting_refused(tmp_path, capsys, command, recipe, lines, flags, fragment):
+    # each of these used to exit 0, ignoring the setting
+    path = write_cfg(tmp_path, (RECIPES / f"{recipe}.cfg").read_text() + lines)
+    out = tmp_path / "out"
+    argv = [command, "--config", str(path), "--out", str(out)] + flags
+    assert fragment in assert_one_line_usage_error(capsys, argv)
+    assert not out.exists()  # no bounds.json, no sweep.csv
+
+
 class _RunStarted(Exception):
     pass
 
@@ -511,7 +594,7 @@ _PROBE_VALUES = ["nan", "inf", "-1", "0", "1e300", str(2**31)]
 @pytest.mark.parametrize("value", _PROBE_VALUES)
 @pytest.mark.parametrize("flag", ["--seed", "--step", "--horizon", "--gamma", "--g", "--nu"])
 @pytest.mark.parametrize("command, recipe", [
-    ("simulate", "fig7"), ("bounds", "fig7"), ("sweep", "fig8"),
+    ("simulate", "fig7"), ("bounds", "fig7"), ("sweep", "fig8"), ("sweep", "fig3"),
 ])
 def test_numeric_flag_probe(tmp_path, capsys, monkeypatch, command, recipe, flag, value):
     # every numeric flag at every edge value either reaches the (patched) run, so
