@@ -1,10 +1,11 @@
 """Event-triggered stabilization over finite-rate channels with bounded delay.
 
 Library layout: `model` holds the plant/trigger types and the matrix
-exponentials, `bounds` the closed-form rate and bit bounds, `codec` the sign +
-quantized-trigger-time packet format, `channel` the bounded-delay models,
-`sim` the event-driven closed-loop engine, and `cli` the command-line front
-end with bundled figure recipes.
+exponentials, `bounds` the closed-form rate and bit bounds and the checks of
+the design parameters, `codec` the sign + quantized-trigger-time packet
+format, `channel` the bounded-delay models, `sim` the event-driven
+closed-loop engine, and `cli` the command-line front end with bundled figure
+recipes.
 """
 
 __version__ = "0.1.0"
@@ -42,7 +43,7 @@ from .channel import (
 )
 from .codec import Packet, decode, encode, reconstruct_error
 from .errors import ConfigurationError, DecodeError, DivergenceError, PreconditionError
-from .model import JordanPlant, ScalarPlant, TriggerConfig
+from .model import JordanPlant, TriggerConfig
 from .sim import (
     PhaseCurve,
     RateReport,
@@ -50,7 +51,6 @@ from .sim import (
     SweepRow,
     measure_rates,
     phase_curves,
-    run_scalar,
     run_vector,
     sweep_gamma,
     validate_trace,

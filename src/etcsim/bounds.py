@@ -5,19 +5,23 @@ max{0, .} terms return exactly 0.0, never a negative epsilon, so phase
 transition tests can compare against zero.  Expressions are arranged around
 expm1/log1p so they stay finite and accurate for very small and very large
 delay bounds.
+
+The module also holds the one check of each design parameter (_RANGES,
+check_blocks, contraction_ladders); model's types call it, and it imports
+nothing but the standard library and errors.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Sequence
 
-from .errors import PreconditionError
-from .model import contraction_ladders
+from .errors import ConfigurationError, PreconditionError
 
 LN2 = math.log(2.0)
 
-_RANGES = {  # field: (admits, rule) for the scalar fields of BoundInputs
+_RANGES = {  # parameter: (admits, rule), the one check of each scalar design parameter
     "sigma": (lambda v: 0 < v < math.inf, "must be positive and finite"),
     "rho0": (lambda v: 0 < v < 1, "must lie in (0, 1)"),
     "gamma": (lambda v: 0 <= v < math.inf, "must be finite and >= 0"),
@@ -27,11 +31,49 @@ _RANGES = {  # field: (admits, rule) for the scalar fields of BoundInputs
 
 
 def _check_input(name: str, value: float) -> float:
-    """value, if BoundInputs admits it for the field name; else PreconditionError."""
+    """value, if the parameter name admits it; else ConfigurationError."""
     admits, rule = _RANGES[name]
     if not admits(value):
-        raise PreconditionError(f"{name} {rule}, got {value}")
+        raise ConfigurationError(f"{name} {rule}, got {value}")
     return value
+
+
+def check_blocks(blocks) -> tuple[tuple[float, int], ...]:
+    """(eigenvalue, order) pairs as (float, int), each checked; else ConfigurationError."""
+    if not blocks:
+        raise ConfigurationError("at least one Jordan block is required")
+    blocks = tuple((float(lam), int(p)) for lam, p in blocks)
+    for lam, p in blocks:
+        if not 0 < lam < math.inf:
+            raise ConfigurationError(f"eigenvalue must be positive and finite, got {lam}")
+        if p < 1:
+            raise ConfigurationError(f"block order must be >= 1, got {p}")
+    return blocks
+
+
+def contraction_ladders(
+    rho0: float,
+    orders: Sequence[int],
+    ladders: tuple[tuple[float, ...], ...] | None,
+) -> tuple[tuple[float, ...], ...]:
+    """Per block of the given orders, its per-coordinate contraction ladder.
+
+    A ladder lies in (0, rho0], increases strictly and ends at rho0; without
+    ladders a block of order p gets the default rho0*i/p, i = 1..p.  Given
+    ladders are checked against the orders and these rules.
+    """
+    if ladders is None:
+        return tuple(tuple(rho0 * i / p for i in range(1, p + 1)) for p in orders)
+    for ladder in ladders:  # values first: TriggerConfig checks them without the plant
+        if not ladder or any(not 0 < r <= rho0 for r in ladder):
+            raise ConfigurationError(f"ladder values must lie in (0, rho0], got {ladder}")
+        if any(a >= b for a, b in zip(ladder, ladder[1:])):
+            raise ConfigurationError(f"ladder must be strictly increasing, got {ladder}")
+        if ladder[-1] != rho0:
+            raise ConfigurationError(f"ladder must end at rho0={rho0}, got {ladder}")
+    if len(ladders) != len(orders) or any(len(lad) != p for lad, p in zip(ladders, orders)):
+        raise ConfigurationError("rho_ladders shape must match the plant blocks")
+    return tuple(tuple(lad) for lad in ladders)
 
 
 @dataclass(frozen=True)
@@ -52,16 +94,11 @@ class BoundInputs:
     rho_ladders: tuple[tuple[float, ...], ...] | None = None
 
     def __post_init__(self):
-        blocks = tuple((float(lam), int(p)) for lam, p in self.blocks)
-        object.__setattr__(self, "blocks", blocks)
-        if not blocks or any(not 0 < lam < math.inf or p < 1 for lam, p in blocks):
-            raise PreconditionError(
-                f"blocks must be (finite lam > 0, p >= 1) pairs, got {blocks}"
-            )
+        object.__setattr__(self, "blocks", check_blocks(self.blocks))
         for name in _RANGES:
             _check_input(name, getattr(self, name))
         if self.rho_ladders is not None:
-            contraction_ladders(self.rho0, [p for _, p in blocks], self.rho_ladders)
+            contraction_ladders(self.rho0, [p for _, p in self.blocks], self.rho_ladders)
 
     @classmethod
     def scalar(cls, A, sigma, rho0, gamma=0.0, b=1.0001, nu=1.0) -> "BoundInputs":

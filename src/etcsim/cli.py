@@ -26,7 +26,7 @@ from . import bounds as bnd
 from . import sim
 from .channel import build_delay
 from .errors import ConfigurationError, DecodeError, DivergenceError, PreconditionError
-from .model import JordanPlant, ScalarPlant, TriggerConfig
+from .model import JordanPlant, TriggerConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -190,30 +190,27 @@ def build_plant(cfg: RunConfig) -> JordanPlant:
         B = cfg.get("B_matrix", default=np.eye(n))
         K = cfg.get("K_matrix", default=np.zeros((B.shape[1], n)))
         return JordanPlant(blocks=blocks, B=B, K=K)
-    return ScalarPlant(A=cfg.get("A"), B=cfg.get("B"), K=cfg.get("K")).as_jordan()
+    return JordanPlant.scalar(cfg.get("A"), cfg.get("B"), cfg.get("K"))
+
+
+def _design(cfg: RunConfig, gamma: float | None) -> dict:
+    """The design parameters TriggerConfig and BoundInputs share; gamma overrides the key."""
+    return dict(
+        sigma=cfg.get("sigma"),
+        rho0=cfg.get("rho0"),
+        gamma=cfg.get("gamma") if gamma is None else gamma,
+        b=cfg.get("b"),
+        rho_ladders=cfg.get("rho_ladder"),
+    )
 
 
 def build_trigger(cfg: RunConfig, gamma: float | None = None) -> TriggerConfig:
-    return TriggerConfig(
-        v0=cfg.get("v0"),
-        sigma=cfg.get("sigma"),
-        rho0=cfg.get("rho0"),
-        gamma=cfg.get("gamma") if gamma is None else gamma,
-        b=cfg.get("b"),
-        rho_ladders=cfg.get("rho_ladder"),
-    )
+    return TriggerConfig(v0=cfg.get("v0"), **_design(cfg, gamma))
 
 
 def build_inputs(cfg: RunConfig, gamma: float | None = None) -> bnd.BoundInputs:
-    return bnd.BoundInputs(
-        blocks=build_plant(cfg).blocks,
-        sigma=cfg.get("sigma"),
-        rho0=cfg.get("rho0"),
-        gamma=cfg.get("gamma") if gamma is None else gamma,
-        b=cfg.get("b"),
-        nu=cfg.get("nu", default=1.0),
-        rho_ladders=cfg.get("rho_ladder"),
-    )
+    return bnd.BoundInputs(blocks=build_plant(cfg).blocks, **_design(cfg, gamma),
+                           nu=cfg.get("nu", default=1.0))
 
 
 def _fmt(x) -> str:
@@ -319,6 +316,13 @@ def _write_events_json(path: Path, trace: sim.SimTrace) -> None:
     _write_json(path, payload)
 
 
+def _write_run(out_dir: Path, trace: sim.SimTrace) -> None:
+    """trace.csv and events.json; out_dir is made here, once a run has a trace."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_trace_csv(out_dir / "trace.csv", trace)
+    _write_events_json(out_dir / "events.json", trace)
+
+
 def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     plant = build_plant(cfg)
     trigger = build_trigger(cfg)
@@ -332,7 +336,6 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     factory = _delay_factory(cfg, plant)
     models = [factory(trigger.gamma, 0, c) for c in range(plant.n)]
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         trace = sim.run_vector(
             plant, trigger, models, horizon, step,
@@ -341,14 +344,12 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     except DivergenceError as err:
         print(f"divergence: {err}", file=sys.stderr)
         if err.trace is not None:
-            _write_trace_csv(out_dir / "trace.csv", err.trace)
-            _write_events_json(out_dir / "events.json", err.trace)
+            _write_run(out_dir, err.trace)
         return EXIT_DIVERGED
 
     report = sim.measure_rates(trace)
     validation = sim.validate_trace(trace)
-    _write_trace_csv(out_dir / "trace.csv", trace)
-    _write_events_json(out_dir / "events.json", trace)
+    _write_run(out_dir, trace)
     payload = dataclasses.asdict(report)
     payload["invariants_ok"] = validation.ok
     payload["violations"] = validation.violations

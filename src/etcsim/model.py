@@ -11,41 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
+from .bounds import BoundInputs, _check_input, check_blocks, contraction_ladders
 from .errors import ConfigurationError
 
 # States beyond this magnitude abort a run as diverged.
 OVERFLOW_LIMIT = 1e12
-
-
-@dataclass(frozen=True)
-class ScalarPlant:
-    """First-order unstable plant xdot = A x + B u with feedback u = -K xhat.
-
-    A is the growth rate (1/s, positive).
-    """
-
-    A: float
-    B: float
-    K: float
-
-    def __post_init__(self):
-        if not 0 < self.A < math.inf:
-            raise ConfigurationError(f"growth rate A must be positive and finite, got {self.A}")
-
-    @property
-    def n(self) -> int:
-        return 1
-
-    def as_jordan(self) -> "JordanPlant":
-        return JordanPlant(
-            blocks=((self.A, 1),),
-            B=np.array([[self.B]], dtype=float),
-            K=np.array([[self.K]], dtype=float),
-        )
 
 
 @dataclass(frozen=True)
@@ -54,7 +27,8 @@ class JordanPlant:
 
     Within a block of order p the error coordinates are chained,
     z_i' = lam*z_i + z_{i+1}, with the last coordinate purely exponential.
-    All eigenvalues must be real and positive.
+    All eigenvalues must be real and positive.  JordanPlant.scalar builds
+    the first-order plant xdot = A x + B u, u = -K xhat.
     """
 
     blocks: tuple[tuple[float, int], ...]
@@ -62,15 +36,7 @@ class JordanPlant:
     K: np.ndarray
 
     def __post_init__(self):
-        if not self.blocks:
-            raise ConfigurationError("at least one Jordan block is required")
-        blocks = tuple((float(lam), int(p)) for lam, p in self.blocks)
-        object.__setattr__(self, "blocks", blocks)
-        for lam, p in blocks:
-            if not 0 < lam < math.inf:
-                raise ConfigurationError(f"eigenvalue must be positive and finite, got {lam}")
-            if p < 1:
-                raise ConfigurationError(f"block order must be >= 1, got {p}")
+        object.__setattr__(self, "blocks", check_blocks(self.blocks))
         B = np.atleast_2d(np.asarray(self.B, dtype=float))
         K = np.atleast_2d(np.asarray(self.K, dtype=float))
         n = self.n
@@ -85,6 +51,10 @@ class JordanPlant:
                 raise ConfigurationError(f"{name} entries must be finite, got {M.tolist()}")
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "K", K)
+
+    @classmethod
+    def scalar(cls, A: float, B: float, K: float) -> "JordanPlant":
+        return cls(blocks=((A, 1),), B=[[B]], K=[[K]])
 
     @property
     def n(self) -> int:
@@ -144,16 +114,8 @@ class TriggerConfig:
     rho_ladders: tuple[tuple[float, ...], ...] | None = None
 
     def __post_init__(self):
-        if not 0 < self.sigma < math.inf:
-            raise ConfigurationError(
-                f"decay rate sigma must be positive and finite, got {self.sigma}"
-            )
-        if not 0 < self.rho0 < 1:
-            raise ConfigurationError(f"rho0 must lie in (0, 1), got {self.rho0}")
-        if not 0 <= self.gamma < math.inf:
-            raise ConfigurationError(f"delay bound gamma must be finite and >= 0, got {self.gamma}")
-        if not 1 < self.b < math.inf:
-            raise ConfigurationError(f"window factor b must be finite and exceed 1, got {self.b}")
+        for name in ("sigma", "rho0", "gamma", "b"):
+            _check_input(name, getattr(self, name))
         for v in self.v0_flat():
             if not 0 < v < math.inf:
                 raise ConfigurationError(f"trigger levels v0 must be positive and finite, got {v}")
@@ -183,30 +145,10 @@ class TriggerConfig:
         ladders = contraction_ladders(self.rho0, [p for _, p in blocks], self.rho_ladders)
         return tuple(r for lad in ladders for r in lad)
 
-
-def contraction_ladders(
-    rho0: float,
-    orders: Sequence[int],
-    ladders: tuple[tuple[float, ...], ...] | None,
-) -> tuple[tuple[float, ...], ...]:
-    """Per block of the given orders, its per-coordinate contraction ladder.
-
-    A ladder lies in (0, rho0], increases strictly and ends at rho0; without
-    ladders a block of order p gets the default rho0*i/p, i = 1..p.  Given
-    ladders are checked against the orders and these rules.
-    """
-    if ladders is None:
-        return tuple(tuple(rho0 * i / p for i in range(1, p + 1)) for p in orders)
-    if len(ladders) != len(orders) or any(len(lad) != p for lad, p in zip(ladders, orders)):
-        raise ConfigurationError("rho_ladders shape must match the plant blocks")
-    for ladder in ladders:
-        if not ladder or any(not 0 < r <= rho0 for r in ladder):
-            raise ConfigurationError(f"ladder values must lie in (0, rho0], got {ladder}")
-        if any(a >= b for a, b in zip(ladder, ladder[1:])):
-            raise ConfigurationError(f"ladder must be strictly increasing, got {ladder}")
-        if ladder[-1] != rho0:
-            raise ConfigurationError(f"ladder must end at rho0={rho0}, got {ladder}")
-    return tuple(tuple(lad) for lad in ladders)
+    def bound_inputs(self, blocks: tuple[tuple[float, int], ...], nu: float) -> BoundInputs:
+        """The analytic-bound parameters of a run of this trigger on the given blocks."""
+        return BoundInputs(blocks=blocks, sigma=self.sigma, rho0=self.rho0, gamma=self.gamma,
+                           b=self.b, nu=nu, rho_ladders=self.rho_ladders)
 
 
 def block_matexp(lam: float, p: int, h: float) -> np.ndarray:

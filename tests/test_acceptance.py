@@ -21,8 +21,8 @@ import pytest
 from etcsim import bounds as bnd
 from etcsim.channel import ConstantDelay, UniformDelay
 from etcsim.codec import decode, encode, reconstruct_error
-from etcsim.model import JordanPlant, ScalarPlant, TriggerConfig
-from etcsim.sim import run_scalar, run_vector, sweep_gamma
+from etcsim.model import JordanPlant, TriggerConfig
+from etcsim.sim import run_vector, sweep_gamma
 
 DATA = Path(__file__).parent / "data"
 DATA_RATE_FIG8 = 3.7512  # (A + sigma)/ln2 threshold quoted for the sweep
@@ -109,14 +109,14 @@ def _fig7_checks(trace, refine: bool):
 
 def test_criterion_3_fig7_replication():
     t0 = time.time()
-    plant = ScalarPlant(A=1.0, B=0.2, K=8.0)
+    plant = JordanPlant.scalar(A=1.0, B=0.2, K=8.0)
     cfg = TriggerConfig(v0=0.2671, sigma=0.1, rho0=0.1, gamma=1.2, b=1.0001)
     delays = UniformDelay(gamma=1.2, seed=(7, 0, 0))
 
-    fine = run_scalar(plant, cfg, delays, 7.0, 0.0002, x0=0.2, xhat0=0.1, refine=True)
+    fine = run_vector(plant, cfg, delays, 7.0, 0.0002, x0=0.2, xhat0=0.1, refine=True)
     env_ok, jump_ok, spacing_ok = _fig7_checks(fine, refine=True)
     # the paper-style grid-locked run keeps (a) and (c) as well
-    grid = run_scalar(plant, cfg, delays, 7.0, 0.0002, x0=0.2, xhat0=0.1)
+    grid = run_vector(plant, cfg, delays, 7.0, 0.0002, x0=0.2, xhat0=0.1)
     g_env_ok, g_jump_ok, g_spacing_ok = _fig7_checks(grid, refine=False)
 
     elapsed = time.time() - t0
@@ -131,7 +131,7 @@ def test_criterion_3_fig7_replication():
 
 def test_criterion_4_fig8_sweep_threshold_crossing():
     t0 = time.time()
-    plant = ScalarPlant(A=2.4, B=1.0, K=8.0)
+    plant = JordanPlant.scalar(A=2.4, B=1.0, K=8.0)
     cfg = TriggerConfig(v0=0.0442, sigma=0.2, rho0=0.1, gamma=1.0, b=1.0001)
     grid = [0.0005 + 0.2 * i for i in range(11)]
 
@@ -199,9 +199,9 @@ def test_criterion_5_codec_property_suite():
 
 def test_criterion_6_zero_delay_exactness():
     t0 = time.time()
-    plant = ScalarPlant(A=1.0, B=0.2, K=8.0)
+    plant = JordanPlant.scalar(A=1.0, B=0.2, K=8.0)
     cfg = TriggerConfig(v0=0.2671, sigma=0.1, rho0=0.1, gamma=0.0)
-    trace = run_scalar(plant, cfg, ConstantDelay(0.0, gamma=0.0), 40.0, 0.0002,
+    trace = run_vector(plant, cfg, ConstantDelay(0.0, gamma=0.0), 40.0, 0.0002,
                        x0=0.2, xhat0=0.1, refine=True)
     receptions = trace.receptions()
     worst = max(e.post_jump for e in receptions)
@@ -270,11 +270,11 @@ def test_criterion_7_sandwich_and_phase_properties():
 
 def test_criterion_8_vector_consistency():
     t0 = time.time()
-    plant_s = ScalarPlant(A=1.0, B=0.2, K=8.0)
+    plant_s = JordanPlant.scalar(A=1.0, B=0.2, K=8.0)
     cfg_s = TriggerConfig(v0=0.2671, sigma=0.1, rho0=0.1, gamma=1.2, b=1.0001)
     dm = UniformDelay(gamma=1.2, seed=(42, 0))
-    a = run_scalar(plant_s, cfg_s, dm, 7.0, 0.0002, x0=0.2, xhat0=0.1)
-    b = run_vector(plant_s.as_jordan(), cfg_s, [dm], 7.0, 0.0002, x0=[0.2], xhat0=[0.1])
+    a = run_vector(plant_s, cfg_s, dm, 7.0, 0.0002, x0=0.2, xhat0=0.1)
+    b = run_vector(plant_s, cfg_s, [dm], 7.0, 0.0002, x0=[0.2], xhat0=[0.1])
     identical = (
         np.array_equal(a.x, b.x)
         and np.array_equal(a.xhat, b.xhat)
@@ -289,7 +289,7 @@ def test_criterion_8_vector_consistency():
                       x0=[0.2, 0.15], xhat0=[0.1, 0.05])
     solo_bits = 0
     for c, (x0, xh0) in enumerate(((0.2, 0.1), (0.15, 0.05))):
-        solo = run_scalar(plant_s, cfg_s, models[c], 7.0, 0.0002, x0=x0, xhat0=xh0)
+        solo = run_vector(plant_s, cfg_s, models[c], 7.0, 0.0002, x0=x0, xhat0=xh0)
         solo_bits += int(solo.bits_sent.sum())
     bits_match = int(both.bits_sent.sum()) == solo_bits
 

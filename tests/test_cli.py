@@ -1,14 +1,18 @@
 import json
+import math
 import os
 import subprocess
 import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from etcsim import cli, sim
-from etcsim.errors import DecodeError
+from etcsim.bounds import BoundInputs
+from etcsim.errors import ConfigurationError, DecodeError
+from etcsim.model import JordanPlant, TriggerConfig
 
 DATA = Path(__file__).parent / "data"
 RECIPES = Path(cli.__file__).parent / "recipes"
@@ -227,13 +231,16 @@ class TestSimulateCommand:
             "no_samples", "g_unresolvable", "g_huge", "g_negative"])
     def test_boundary_input_refused_before_running(self, tmp_path, capsys, monkeypatch,
                                                    flags, fragment):
-        # the trace arrays are allocated in _Engine.run, so a refused run allocates nothing
+        # the trace arrays are allocated in _Engine.run, so a refused run allocates
+        # nothing, and it leaves no output directory behind
         def never(self):
             raise AssertionError("the run started")
 
         monkeypatch.setattr(sim._Engine, "run", never)
-        argv = ["simulate", "--config", str(RECIPES / "fig7.cfg"), "--out", str(tmp_path)]
+        out = tmp_path / "out"
+        argv = ["simulate", "--config", str(RECIPES / "fig7.cfg"), "--out", str(out)]
         assert fragment in assert_one_line_usage_error(capsys, argv + flags)
+        assert not out.exists()
 
     @pytest.mark.parametrize("matrix_line, name", [
         ("K_matrix = inf 0; 0 1", "K"), ("K_matrix = nan 0; 0 1", "K"),
@@ -517,6 +524,57 @@ class TestLazyScipy:
                              "--out", str(tmp_path))
         assert done.returncode == 0, done.stderr
         assert "(11 rows, 0 failed)" in done.stdout
+
+
+_FIG7_DESIGN = dict(sigma=0.1, rho0=0.1, gamma=1.2, b=1.0001)
+
+
+@pytest.mark.parametrize("key, value, field, parsed", [
+    ("sigma", "0", "sigma", 0.0),
+    ("rho0", "1", "rho0", 1.0),
+    ("gamma", "-1", "gamma", -1.0),
+    ("b", "1", "b", 1.0),
+    ("A", "inf", "blocks", ((math.inf, 1),)),
+    ("blocks", "inf:1", "blocks", ((math.inf, 1),)),
+    ("blocks", "1:0", "blocks", ((1.0, 0),)),
+    ("rho_ladder", "1.5", "rho_ladders", ((1.5,),)),
+    ("rho_ladder", "0.05, 1.5", "rho_ladders", ((0.05, 1.5),)),
+], ids=["sigma", "rho0", "gamma", "b", "A_inf", "blocks_inf", "blocks_order_0",
+        "ladder_value", "ladder_value_and_shape"])
+def test_one_message_per_parameter(tmp_path, capsys, monkeypatch, key, value, field, parsed):
+    # every library constructor of the parameter raises one ConfigurationError text,
+    # and every command that reads the key prints exactly that text
+    if field == "blocks":
+        builds = [lambda: JordanPlant(blocks=parsed, B=np.eye(1), K=np.zeros((1, 1))),
+                  lambda: BoundInputs(blocks=parsed, **_FIG7_DESIGN)]
+    else:
+        design = {**_FIG7_DESIGN, field: parsed}
+        builds = [lambda: TriggerConfig(v0=0.2671, **design),
+                  lambda: BoundInputs(blocks=((1.0, 1),), **design)]
+    messages = set()
+    for build in builds:
+        with pytest.raises(ConfigurationError) as exc:
+            build()
+        messages.add(str(exc.value))
+    assert len(messages) == 1, messages
+    expected = f"error: {messages.pop()}\n"
+
+    def never(self):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(sim._Engine, "run", never)
+    runs = [("bounds", "fig7"), ("simulate", "fig7")]
+    if "analytic" in cli.SETTINGS[key].readers:
+        runs.append(("sweep", "fig3"))
+    replaced = {key, "A"} if key == "blocks" else {key}  # blocks takes the place of A
+    for command, recipe in runs:
+        lines = [line for line in (RECIPES / f"{recipe}.cfg").read_text().splitlines()
+                 if line.partition(" = ")[0] not in replaced]
+        path = tmp_path / f"{command}.cfg"
+        path.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
+        argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+        assert assert_one_line_usage_error(capsys, argv) == expected, command
+        assert not (tmp_path / "out").exists()
 
 
 def _as_blocks(text):

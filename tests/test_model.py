@@ -14,10 +14,10 @@ from test_reference_engine import SimState, propagate
 
 from etcsim.channel import ConstantDelay
 from etcsim.errors import ConfigurationError, DivergenceError, PreconditionError
-from etcsim.model import JordanPlant, ScalarPlant, TriggerConfig, block_matexp, expm
-from etcsim.sim import run_scalar, run_vector
+from etcsim.model import JordanPlant, TriggerConfig, block_matexp, expm
+from etcsim.sim import run_vector
 
-FIG7_PLANT = ScalarPlant(A=1.0, B=0.2, K=8.0)
+FIG7_PLANT = JordanPlant.scalar(A=1.0, B=0.2, K=8.0)
 
 
 def integrate_error(blocks, z0, h):
@@ -32,12 +32,12 @@ def integrate_error(blocks, z0, h):
 class TestPlants:
     def test_scalar_requires_positive_growth(self):
         with pytest.raises(ConfigurationError):
-            ScalarPlant(A=-1.0, B=1.0, K=1.0)
+            JordanPlant.scalar(A=-1.0, B=1.0, K=1.0)
 
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_non_finite_growth_rejected(self, value):
         with pytest.raises(ConfigurationError, match="finite"):
-            ScalarPlant(A=value, B=1.0, K=2.0)
+            JordanPlant.scalar(A=value, B=1.0, K=2.0)
         with pytest.raises(ConfigurationError, match="finite"):
             JordanPlant(blocks=((1.0, 1), (value, 2)), B=np.eye(3), K=np.eye(3))
 
@@ -54,11 +54,10 @@ class TestPlants:
         with pytest.raises(ConfigurationError):
             JordanPlant(blocks=((-1.0, 1),), B=np.eye(1), K=np.eye(1))
 
-    def test_scalar_as_jordan_round_trip(self):
-        plant = ScalarPlant(A=2.4, B=1.0, K=8.0)
-        jp = plant.as_jordan()
-        assert jp.blocks == ((2.4, 1),)
-        assert jp.closed_loop_matrix()[0, 0] == pytest.approx(2.4 - 8.0)
+    def test_scalar_is_one_block(self):
+        plant = JordanPlant.scalar(A=2.4, B=1.0, K=8.0)
+        assert plant.blocks == ((2.4, 1),)
+        assert plant.closed_loop_matrix()[0, 0] == pytest.approx(2.4 - 8.0)
 
 
 class TestTriggerConfig:
@@ -94,16 +93,16 @@ class TestTriggerConfig:
 
 def quiet_run(cfg, horizon, step, x0=0.2, **kw):
     """fig7 plant with zero initial error: no trigger ever fires."""
-    return run_scalar(FIG7_PLANT, cfg, ConstantDelay(0.0, gamma=cfg.gamma),
+    return run_vector(FIG7_PLANT, cfg, ConstantDelay(0.0, gamma=cfg.gamma),
                       horizon, step, x0=x0, xhat0=x0, **kw)
 
 
 def grid_reception_run():
     """Power-of-two step and delay: every reception lands on a sample instant,
     whose recorded sample is the pre-jump left limit."""
-    plant = ScalarPlant(A=2.0, B=1.0, K=5.0)
+    plant = JordanPlant.scalar(A=2.0, B=1.0, K=5.0)
     cfg = TriggerConfig(v0=0.5, sigma=1.5, rho0=0.3, gamma=0.25)
-    trace = run_scalar(plant, cfg, ConstantDelay(0.125, gamma=0.25),
+    trace = run_vector(plant, cfg, ConstantDelay(0.125, gamma=0.25),
                        6.0, 2.0**-7, x0=0.3, xhat0=0.0)
     rows = [int(np.flatnonzero(trace.times == e.t_c)[0]) for e in trace.receptions()]
     assert rows
@@ -113,7 +112,7 @@ def grid_reception_run():
 class TestTriggerValue:
     def test_reported_initial_value(self):
         cfg = TriggerConfig(v0=0.2671, sigma=0.1, rho0=0.1, gamma=1.2)
-        trace = run_scalar(FIG7_PLANT, cfg, ConstantDelay(0.5, gamma=1.2),
+        trace = run_vector(FIG7_PLANT, cfg, ConstantDelay(0.5, gamma=1.2),
                            3.0, 0.001, x0=0.2, xhat0=0.1)
         assert trace.v[0, 0] == pytest.approx(0.2671, abs=1e-12)
         np.testing.assert_allclose(trace.v[:, 0], 0.2671 * np.exp(-0.1 * trace.times),
@@ -138,7 +137,7 @@ class TestTriggerValue:
 class TestPropagate:
     def test_pure_exponential_growth(self):
         # A=1, B=0, x=1, xhat=0, h=ln2 doubles the state
-        plant = ScalarPlant(A=1.0, B=0.0, K=0.0)
+        plant = JordanPlant.scalar(A=1.0, B=0.0, K=0.0)
         state = SimState(0.0, np.array([1.0]), np.array([0.0]))
         out = propagate(state, plant, math.log(2.0))
         assert out.x[0] == pytest.approx(2.0, rel=1e-12)
@@ -146,7 +145,7 @@ class TestPropagate:
         assert out.z[0] == pytest.approx(2.0, rel=1e-12)
 
     def test_zero_error_stays_zero(self):
-        plant = ScalarPlant(A=1.0, B=0.5, K=2.0)
+        plant = JordanPlant.scalar(A=1.0, B=0.5, K=2.0)
         state = SimState(0.0, np.array([0.7]), np.array([0.7]))
         out = propagate(state, plant, 1.3)
         assert abs(out.z[0]) < 1e-14
@@ -174,7 +173,7 @@ class TestPropagate:
             np.testing.assert_allclose(out.z, oracle, rtol=1e-9, atol=1e-13)
 
     def test_additive_in_time(self):
-        plant = ScalarPlant(A=1.3, B=0.4, K=5.0)
+        plant = JordanPlant.scalar(A=1.3, B=0.4, K=5.0)
         rng = np.random.default_rng(3)
         for _ in range(20):
             x0, xh0 = rng.normal(size=2)
@@ -191,7 +190,7 @@ class TestPropagate:
             quiet_run(cfg, 1.0, 0.0)
 
     def test_overflow_raises_divergence(self):
-        plant = ScalarPlant(A=1.0, B=0.0, K=0.0)
+        plant = JordanPlant.scalar(A=1.0, B=0.0, K=0.0)
         s = SimState(0.0, np.array([1e11]), np.array([0.0]))
         with pytest.raises(DivergenceError):
             propagate(s, plant, 10.0)
@@ -285,7 +284,7 @@ class TestApplyJump:
         # zero delay: the decoded error equals the error at the trigger, so
         # the jump leaves no residual
         cfg = TriggerConfig(v0=0.2671, sigma=0.1, rho0=0.1, gamma=0.0)
-        trace = run_scalar(FIG7_PLANT, cfg, ConstantDelay(0.0, gamma=0.0),
+        trace = run_vector(FIG7_PLANT, cfg, ConstantDelay(0.0, gamma=0.0),
                            3.0, 0.001, x0=0.2, xhat0=0.1, refine=True)
         assert trace.receptions()
         for e in trace.receptions():
@@ -296,7 +295,7 @@ class TestApplyJump:
         # between receptions the estimate only follows the nominal flow
         plant, trace, _ = grid_reception_run()
         h = trace.step
-        acl = plant.A - plant.B * plant.K
+        acl = plant.closed_loop_matrix()[0, 0]
         rx = np.array([e.t_c for e in trace.receptions()])
         quiet = 0
         for i in range(trace.times.size - 1):
@@ -317,10 +316,10 @@ class TestApplyJump:
         # the jump moves xhat by +zbar and z by -zbar, so x = xhat + z is untouched
         plant, trace, rows = grid_reception_run()
         h = trace.step
-        acl = plant.A - plant.B * plant.K
+        acl = plant.closed_loop_matrix()[0, 0]
         for e, j in zip(trace.receptions(), rows):
             xhat_next = math.exp(acl * h) * (trace.xhat[j, 0] + e.zbar)
-            z_next = math.exp(plant.A * h) * (trace.z[j, 0] - e.zbar)
+            z_next = math.exp(plant.blocks[0][0] * h) * (trace.z[j, 0] - e.zbar)
             assert trace.xhat[j + 1, 0] == pytest.approx(xhat_next, rel=1e-12, abs=1e-15)
             assert trace.z[j + 1, 0] == pytest.approx(z_next, rel=1e-9, abs=1e-15)
             assert trace.x[j + 1, 0] == pytest.approx(xhat_next + z_next, rel=1e-12, abs=1e-15)

@@ -20,7 +20,7 @@ from etcsim import bounds as bnd
 from etcsim.channel import UniformDelay, sample_delay
 from etcsim.codec import decode, encode, reconstruct_error
 from etcsim.errors import DivergenceError
-from etcsim.model import OVERFLOW_LIMIT, JordanPlant, ScalarPlant, TriggerConfig, block_matexp
+from etcsim.model import OVERFLOW_LIMIT, JordanPlant, TriggerConfig, block_matexp
 from etcsim.sim import run_vector
 
 
@@ -46,11 +46,10 @@ def propagate(state, plant, h):
     tests/test_model.py::TestPropagate checks this stepper against
     numerical integration.
     """
-    jp = plant.as_jordan() if isinstance(plant, ScalarPlant) else plant
     z = np.empty_like(state.z)
-    for lam, p, sl in jp.block_slices():
+    for lam, p, sl in plant.block_slices():
         z[sl] = block_matexp(lam, p, h) @ state.z[sl]
-    xhat = scipy.linalg.expm(jp.closed_loop_matrix() * h) @ state.xhat
+    xhat = scipy.linalg.expm(plant.closed_loop_matrix() * h) @ state.xhat
     x = xhat + z
     if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > OVERFLOW_LIMIT:
         raise DivergenceError(f"state overflow at t={state.t + h}")
@@ -150,12 +149,12 @@ class TestEngineAgainstReference:
             assert e.post_jump == pytest.approx(post, rel=1e-6, abs=1e-11)
 
     def test_scalar_run_matches(self):
-        plant = ScalarPlant(A=1.0, B=0.2, K=8.0).as_jordan()
+        plant = JordanPlant.scalar(A=1.0, B=0.2, K=8.0)
         cfg = TriggerConfig(v0=0.2671, sigma=0.1, rho0=0.1, gamma=1.2, b=1.0001)
         self.compare(plant, cfg, [(7, 0)], 3.0, 0.001, [0.2], [0.1])
 
     def test_busy_scalar_run_matches(self):
-        plant = ScalarPlant(A=2.0, B=1.0, K=5.0).as_jordan()
+        plant = JordanPlant.scalar(A=2.0, B=1.0, K=5.0)
         cfg = TriggerConfig(v0=0.5, sigma=1.5, rho0=0.3, gamma=0.15)
         self.compare(plant, cfg, [(3,)], 4.0, 0.002, [0.3], [0.0])
 

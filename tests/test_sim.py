@@ -9,22 +9,21 @@ from etcsim import bounds as bnd
 from etcsim import sim
 from etcsim.channel import ConstantDelay, ReplayDelay, UniformDelay
 from etcsim.errors import ConfigurationError, DivergenceError, PreconditionError
-from etcsim.model import OVERFLOW_LIMIT, JordanPlant, ScalarPlant, TriggerConfig, block_matexp
+from etcsim.model import OVERFLOW_LIMIT, JordanPlant, TriggerConfig, block_matexp
 from etcsim.sim import (
     measure_rates,
     phase_curves,
-    run_scalar,
     run_vector,
     sweep_gamma,
     validate_trace,
 )
 
-FIG7_PLANT = ScalarPlant(A=1.0, B=0.2, K=8.0)
+FIG7_PLANT = JordanPlant.scalar(A=1.0, B=0.2, K=8.0)
 FIG7_CFG = TriggerConfig(v0=0.2671, sigma=0.1, rho0=0.1, gamma=1.2, b=1.0001)
 
 
 def fig7_run(horizon=3.0, step=0.001, seed=(7, 0), **kw):
-    return run_scalar(
+    return run_vector(
         FIG7_PLANT, FIG7_CFG, UniformDelay(gamma=1.2, seed=seed),
         horizon, step, x0=0.2, xhat0=0.1, **kw,
     )
@@ -59,7 +58,7 @@ class TestRunScalar:
         assert trace.params["g"] == (bnd.packet_size_sufficient(inp),) == (7,)
 
     def test_zero_initial_error_never_triggers(self):
-        trace = run_scalar(FIG7_PLANT, FIG7_CFG, ConstantDelay(0.1, gamma=1.2),
+        trace = run_vector(FIG7_PLANT, FIG7_CFG, ConstantDelay(0.1, gamma=1.2),
                            2.0, 0.001, x0=0.15, xhat0=0.15)
         assert trace.events == []
         assert np.all(np.abs(trace.z) < 1e-15)
@@ -67,27 +66,27 @@ class TestRunScalar:
     def test_initial_error_precondition(self):
         dm = ConstantDelay(0.0, gamma=1.2)
         with pytest.raises(PreconditionError):
-            run_scalar(FIG7_PLANT, FIG7_CFG, dm, 1.0, 0.001, x0=0.5, xhat0=0.1)
+            run_vector(FIG7_PLANT, FIG7_CFG, dm, 1.0, 0.001, x0=0.5, xhat0=0.1)
         with pytest.raises(PreconditionError):
-            run_vector(FIG7_PLANT.as_jordan(), FIG7_CFG, [dm], 1.0, 0.001, x0=[0.5], xhat0=[0.1])
+            run_vector(FIG7_PLANT, FIG7_CFG, [dm], 1.0, 0.001, x0=[0.5], xhat0=[0.1])
 
     @pytest.mark.parametrize("g", [0, -1])
     def test_packet_size_below_one_refused(self, g):
         # x0 = xhat0 never triggers, so only an up-front check can refuse g
         dm = ConstantDelay(0.0, gamma=1.2)
         with pytest.raises(PreconditionError, match="packet size must be >= 1 bit"):
-            run_scalar(FIG7_PLANT, FIG7_CFG, dm, 1.0, 0.001, x0=0.15, xhat0=0.15, g=g)
+            run_vector(FIG7_PLANT, FIG7_CFG, dm, 1.0, 0.001, x0=0.15, xhat0=0.15, g=g)
 
     def test_initial_error_at_trigger_level_runs(self):
         cfg = TriggerConfig(v0=0.25, sigma=0.1, rho0=0.1, gamma=1.2)
         dm = UniformDelay(gamma=1.2, seed=(3, 0))
-        a = run_scalar(FIG7_PLANT, cfg, dm, 1.0, 0.001, x0=0.25, xhat0=0.0)
-        b = run_vector(FIG7_PLANT.as_jordan(), cfg, [dm], 1.0, 0.001, x0=[0.25], xhat0=[0.0])
+        a = run_vector(FIG7_PLANT, cfg, dm, 1.0, 0.001, x0=0.25, xhat0=0.0)
+        b = run_vector(FIG7_PLANT, cfg, [dm], 1.0, 0.001, x0=[0.25], xhat0=[0.0])
         assert a.triggers() and a.events == b.events
 
     def test_zero_delay_sign_bit_exactness(self):
         cfg = TriggerConfig(v0=0.2671, sigma=0.1, rho0=0.1, gamma=0.0)
-        trace = run_scalar(FIG7_PLANT, cfg, ConstantDelay(0.0, gamma=0.0),
+        trace = run_vector(FIG7_PLANT, cfg, ConstantDelay(0.0, gamma=0.0),
                            3.0, 0.001, x0=0.2, xhat0=0.1, refine=True)
         receptions = trace.receptions()
         assert receptions
@@ -106,10 +105,10 @@ class TestRunScalar:
         assert a.events != c.events
 
     def test_divergence_partial_trace(self):
-        plant = ScalarPlant(A=2.0, B=0.0, K=0.0)  # no actuation, open loop
+        plant = JordanPlant.scalar(A=2.0, B=0.0, K=0.0)  # no actuation, open loop
         cfg = TriggerConfig(v0=2e11, sigma=0.1, rho0=0.1, gamma=0.0)
         with pytest.raises(DivergenceError) as exc:
-            run_scalar(plant, cfg, ConstantDelay(0.0, gamma=0.0),
+            run_vector(plant, cfg, ConstantDelay(0.0, gamma=0.0),
                        10.0, 0.01, x0=1e11, xhat0=1e9)
         trace = exc.value.trace
         assert trace is not None and trace.diverged
@@ -141,7 +140,7 @@ class TestRunScalar:
     def test_replay_exhaustion_surfaces(self):
         model = ReplayDelay(delays=(0.2,), gamma=1.2)
         with pytest.raises(ConfigurationError, match="exhausted"):
-            run_scalar(FIG7_PLANT, FIG7_CFG, model, 7.0, 0.001, x0=0.2, xhat0=0.1)
+            run_vector(FIG7_PLANT, FIG7_CFG, model, 7.0, 0.001, x0=0.2, xhat0=0.1)
 
 
 class TestStabilization:
@@ -166,7 +165,7 @@ class TestStabilization:
 
 class TestMeasureRates:
     def test_empty_run(self):
-        trace = run_scalar(FIG7_PLANT, FIG7_CFG, ConstantDelay(0.0, gamma=1.2),
+        trace = run_vector(FIG7_PLANT, FIG7_CFG, ConstantDelay(0.0, gamma=1.2),
                            1.0, 0.001, x0=0.15, xhat0=0.15)
         rep = measure_rates(trace)
         assert rep.rate_empirical == 0.0
@@ -214,9 +213,9 @@ class TestRunVector:
     def test_single_block_bit_identical_to_scalar(self):
         dm = UniformDelay(gamma=1.2, seed=(42, 0))
         for refine in (False, True):
-            a = run_scalar(FIG7_PLANT, FIG7_CFG, dm, 3.0, 0.001, x0=0.2, xhat0=0.1,
+            a = run_vector(FIG7_PLANT, FIG7_CFG, dm, 3.0, 0.001, x0=0.2, xhat0=0.1,
                            refine=refine)
-            b = run_vector(FIG7_PLANT.as_jordan(), FIG7_CFG, [dm], 3.0, 0.001,
+            b = run_vector(FIG7_PLANT, FIG7_CFG, [dm], 3.0, 0.001,
                            x0=[0.2], xhat0=[0.1], refine=refine)
             for name in ("times", "x", "xhat", "z", "v"):
                 assert np.array_equal(getattr(a, name), getattr(b, name)), name
@@ -229,7 +228,7 @@ class TestRunVector:
         both = run_vector(plant2, FIG7_CFG, models, 3.0, 0.001,
                           x0=[0.2, 0.15], xhat0=[0.1, 0.05])
         solo = [
-            run_scalar(FIG7_PLANT, FIG7_CFG, models[c], 3.0, 0.001,
+            run_vector(FIG7_PLANT, FIG7_CFG, models[c], 3.0, 0.001,
                        x0=[0.2, 0.15][c], xhat0=[0.1, 0.05][c])
             for c in range(2)
         ]
@@ -311,11 +310,11 @@ class TestRunVector:
     def test_adversarial_delay_run(self):
         from etcsim.channel import AdversarialDelay
 
-        plant = ScalarPlant(A=2.0, B=1.0, K=5.0)
+        plant = JordanPlant.scalar(A=2.0, B=1.0, K=5.0)
         cfg = TriggerConfig(v0=0.5, sigma=1.5, rho0=0.3, gamma=0.15)
         with pytest.warns(UserWarning):
             model = AdversarialDelay.from_params(2.0, 1.5, 0.3, 0.15)
-        trace = run_scalar(plant, cfg, model, 6.0, 0.0005, x0=0.3, xhat0=0.0)
+        trace = run_vector(plant, cfg, model, 6.0, 0.0005, x0=0.3, xhat0=0.0)
         val = validate_trace(trace)
         assert val.ok, val.violations
         assert all(e.delta == pytest.approx(0.15) for e in trace.receptions())
@@ -323,9 +322,9 @@ class TestRunVector:
     def test_grid_coincident_deliveries(self):
         # power-of-two step and delay: every delivery lands exactly on a grid
         # instant, exercising the reception-then-trigger ordering path
-        plant = ScalarPlant(A=2.0, B=1.0, K=5.0)
+        plant = JordanPlant.scalar(A=2.0, B=1.0, K=5.0)
         cfg = TriggerConfig(v0=0.5, sigma=1.5, rho0=0.3, gamma=0.25)
-        trace = run_scalar(plant, cfg, ConstantDelay(0.125, gamma=0.25),
+        trace = run_vector(plant, cfg, ConstantDelay(0.125, gamma=0.25),
                            6.0, 0.0078125, x0=0.3, xhat0=0.0)
         val = validate_trace(trace)
         assert val.ok, val.violations
@@ -355,7 +354,7 @@ class _FullScanEngine(sim._Engine):
 class TestEnginePaths:
     @pytest.mark.parametrize("plant, cfg, xhat_anchor", [
         (VECTOR_PLANT, VECTOR_CFG, [0.3, -0.2, 0.1]),
-        (FIG7_PLANT.as_jordan(), FIG7_CFG, [0.3]),
+        (FIG7_PLANT, FIG7_CFG, [0.3]),
     ], ids=["three_coordinates", "scalar"])
     def test_commit_matches_expm_from_off_grid_anchor(self, plant, cfg, xhat_anchor):
         h = 1e-4
@@ -431,10 +430,10 @@ class TestEnginePaths:
     def test_windowed_detection_matches_full_chunk_scan(self, refine, first_hit):
         # z = z0 e^{t} meets v = e^{-t} halfway between samples first_hit - 1 and first_hit
         h = 1e-3
-        plant = ScalarPlant(A=1.0, B=1.0, K=3.0)
+        plant = JordanPlant.scalar(A=1.0, B=1.0, K=3.0)
         cfg = TriggerConfig(v0=1.0, sigma=1.0, rho0=0.5, gamma=0.1)
         z0 = math.exp(-2.0 * h * (first_hit - 0.5))
-        windowed, full = self._runs(plant.as_jordan(), cfg, [ConstantDelay(0.05, 0.1)],
+        windowed, full = self._runs(plant, cfg, [ConstantDelay(0.05, 0.1)],
                                     2.0, h, [z0], [0.0], refine)
         t_first = windowed.events[0].t
         if refine:
@@ -451,7 +450,7 @@ class TestEnginePaths:
 
 
 class TestSweep:
-    FIG8_PLANT = ScalarPlant(A=2.4, B=1.0, K=8.0)
+    FIG8_PLANT = JordanPlant.scalar(A=2.4, B=1.0, K=8.0)
     FIG8_CFG = TriggerConfig(v0=0.0442, sigma=0.2, rho0=0.1, gamma=1.0, b=1.0001)
 
     def factory(self, seed):
@@ -491,7 +490,7 @@ class TestSweep:
         assert rows[1].error is None and rows[1].invariants_ok
 
     def test_divergent_row_recorded_and_sweep_continues(self):
-        plant = ScalarPlant(A=2.0, B=0.0, K=0.0)
+        plant = JordanPlant.scalar(A=2.0, B=0.0, K=0.0)
         cfg = TriggerConfig(v0=2e11, sigma=0.1, rho0=0.1, gamma=1.0)
         rows = sweep_gamma(plant, cfg, [0.5, 1.0], 14.0, 0.01,
                            delay_factory=self.factory(1), x0=[1e11], xhat0=[1e9])
@@ -567,6 +566,6 @@ class TestPhaseCurves:
     ], ids=["gamma_negative", "gamma_nan", "gamma_inf", "sigma_zero", "sigma_nan", "sigma_inf"])
     def test_bad_grid_value_raises(self, gammas, sigmas, message):
         inp = bnd.BoundInputs.scalar(1.3, 1.0, 0.9, nu=2.0)
-        with pytest.raises(PreconditionError) as exc:
+        with pytest.raises(ConfigurationError) as exc:
             phase_curves(inp, gammas, sigma_grid=sigmas)
         assert str(exc.value) == message

@@ -1,8 +1,10 @@
 """Guards for what lives outside the package but depends on its names."""
 
 import argparse
+import ast
 import importlib.util
 import re
+import sys
 from pathlib import Path
 
 from etcsim import cli, sim
@@ -23,6 +25,20 @@ def test_traced_benchmark_hooks_resolve():
     finally:
         tracer.uninstall()
     assert sim.run_vector is original
+
+
+def test_bounds_imports_only_stdlib_and_errors():
+    # model imports bounds, never the reverse, and the analytic path needs no numpy
+    tree = ast.parse((ROOT / "src" / "etcsim" / "bounds.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    relative = {name for name in imported if name.startswith(".")}
+    assert relative == {".errors"}
+    assert {name.split(".")[0] for name in imported - relative} <= sys.stdlib_module_names
 
 
 def test_readme_config_keys_match_cli():
