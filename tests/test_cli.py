@@ -577,6 +577,29 @@ def test_one_message_per_parameter(tmp_path, capsys, monkeypatch, key, value, fi
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("lines, message", [
+    (["A = inf"], "eigenvalue must be positive and finite, got inf"),
+    (["blocks = 1:0"], "block order must be >= 1, got 0"),
+    (["A = 1", "B = inf"], "B entries must be finite, got [[inf]]"),
+    (["A = 1", "K = nan"], "K entries must be finite, got [[nan]]"),
+    (["blocks = 1:2", "B_matrix = 1 0"], "input map B must have 2 rows, got shape (1, 2)"),
+    (["blocks = 1:2", "K_matrix = inf 0; 0 1"],
+     "K entries must be finite, got [[inf, 0.0], [0.0, 1.0]]"),
+], ids=["A_inf", "blocks_order_0", "B_inf", "K_nan", "B_matrix_shape", "K_matrix_inf"])
+@pytest.mark.parametrize("command, recipe", [("bounds", "fig7"), ("sweep", "fig3")])
+def test_bad_plant_value_refused_by_analytic_commands(tmp_path, capsys, lines, message,
+                                                      command, recipe):
+    # bounds and analytic sweeps read the plant but never run it; each bad value still
+    # exits 1 with the plant's own one-line message and writes nothing
+    kept = [line for line in (RECIPES / f"{recipe}.cfg").read_text().splitlines()
+            if line.partition(" = ")[0] not in {"A", "B", "K"}]
+    path = tmp_path / "plant.cfg"
+    path.write_text("\n".join(kept + lines) + "\n")
+    argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+    assert assert_one_line_usage_error(capsys, argv) == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def _as_blocks(text):
     """The recipe text with its scalar plant A, B, K written as a one-block Jordan plant."""
     renamed = {"A": "blocks", "B": "B_matrix", "K": "K_matrix"}
