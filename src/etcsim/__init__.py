@@ -1,57 +1,55 @@
 """Event-triggered stabilization over finite-rate channels with bounded delay.
 
 Library layout: `model` holds the plant/trigger types and the matrix
-exponentials, `bounds` the closed-form rate and bit bounds and the checks of
-the design parameters, `codec` the sign + quantized-trigger-time packet
-format, `channel` the bounded-delay models, `sim` the event-driven
-closed-loop engine, and `cli` the command-line front end with bundled figure
-recipes.
+exponentials, `bounds` the closed-form rate and bit bounds, the analytic
+phase curves and the checks of the design parameters, `codec` the sign +
+quantized-trigger-time packet format, `channel` the bounded-delay models,
+`sim` the event-driven closed-loop engine, and `cli` the command-line front
+end with bundled figure recipes.  Each exported name imports its submodule
+on first use, so the analytic names leave numpy unloaded.
 """
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .bounds import (
-    Assumption1Window,
-    BoundInputs,
-    CascadeBounds,
-    access_rate_necessary,
-    assumption1_window,
-    beta,
-    bits_lower_bound,
-    critical_delay,
-    equilibrium_delay,
-    min_inter_event_time,
-    packet_bits_necessary,
-    packet_size_sufficient,
-    rate_asymptote,
-    time_quantization_tolerance,
-    transmission_rate_necessary,
-    transmission_rate_necessary_approx,
-    transmission_rate_sufficient,
-    triggering_rate_lower,
-    triggering_rate_upper,
-    v0_cascade_bound,
-)
-from .channel import (
-    AdversarialDelay,
-    ChannelState,
-    ConstantDelay,
-    ReplayDelay,
-    UniformDelay,
-    build_delay,
-    sample_delay,
-)
-from .codec import Packet, decode, encode, reconstruct_error
-from .errors import ConfigurationError, DecodeError, DivergenceError, PreconditionError
-from .model import JordanPlant, TriggerConfig
-from .sim import (
-    PhaseCurve,
-    RateReport,
-    SimTrace,
-    SweepRow,
-    measure_rates,
-    phase_curves,
-    run_vector,
-    sweep_gamma,
-    validate_trace,
-)
+_EXPORTS = {  # submodule: the public names it defines, each imported on first use
+    "bounds": (
+        "Assumption1Window", "BoundInputs", "CascadeBounds", "PhaseCurve",
+        "access_rate_necessary", "assumption1_window", "beta", "bits_lower_bound",
+        "critical_delay", "equilibrium_delay", "min_inter_event_time",
+        "packet_bits_necessary", "packet_size_sufficient", "phase_curves", "rate_asymptote",
+        "time_quantization_tolerance", "transmission_rate_necessary",
+        "transmission_rate_necessary_approx", "transmission_rate_sufficient",
+        "triggering_rate_lower", "triggering_rate_upper", "v0_cascade_bound",
+    ),
+    "channel": (
+        "AdversarialDelay", "ChannelState", "ConstantDelay", "ReplayDelay", "UniformDelay",
+        "build_delay", "sample_delay",
+    ),
+    "codec": ("Packet", "decode", "encode", "reconstruct_error"),
+    "errors": ("ConfigurationError", "DecodeError", "DivergenceError", "PreconditionError"),
+    "model": ("JordanPlant", "TriggerConfig"),
+    "sim": (
+        "RateReport", "SimTrace", "SweepRow", "measure_rates", "run_vector", "sweep_gamma",
+        "validate_trace",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    """An exported name or submodule, imported now: numpy loads only with a module that uses it."""
+    if name in _HOME:
+        value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    elif name in _EXPORTS:
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_EXPORTS})

@@ -7,8 +7,9 @@ expm1/log1p so they stay finite and accurate for very small and very large
 delay bounds.
 
 The module also holds the one check of each design parameter (_RANGES,
-check_blocks, contraction_ladders); model's types call it, and it imports
-nothing but the standard library and errors.
+check_blocks, check_gains, contraction_ladders); model's types call it, and
+it imports nothing but the standard library and errors, so the analytic
+commands run without numpy.
 """
 
 from __future__ import annotations
@@ -39,16 +40,61 @@ def _check_input(name: str, value: float) -> float:
 
 
 def check_blocks(blocks) -> tuple[tuple[float, int], ...]:
-    """(eigenvalue, order) pairs as (float, int), each checked; else ConfigurationError."""
+    """(eigenvalue, order) pairs as (float, int), each checked; else ConfigurationError.
+
+    An order with a fractional part is refused, not truncated.
+    """
     if not blocks:
         raise ConfigurationError("at least one Jordan block is required")
-    blocks = tuple((float(lam), int(p)) for lam, p in blocks)
+    checked = []
     for lam, p in blocks:
+        lam = float(lam)
         if not 0 < lam < math.inf:
             raise ConfigurationError(f"eigenvalue must be positive and finite, got {lam}")
-        if p < 1:
-            raise ConfigurationError(f"block order must be >= 1, got {p}")
-    return blocks
+        try:
+            order = int(p)
+        except (TypeError, ValueError, OverflowError):
+            order = None
+        if order != p:
+            raise ConfigurationError(f"block order must be a positive integer, got {p}")
+        if order < 1:
+            raise ConfigurationError(f"block order must be >= 1, got {order}")
+        checked.append((lam, order))
+    return tuple(checked)
+
+
+def _gain_rows(name: str, M) -> tuple[tuple[float, ...], ...]:
+    """M as rows of floats; a number is one 1 x 1 row and a flat sequence one row."""
+    M = M.tolist() if hasattr(M, "tolist") else M  # numpy arrays and scalars
+    if not isinstance(M, (list, tuple)):
+        M = [[M]]
+    elif M and not isinstance(M[0], (list, tuple)):
+        M = [M]
+    rows = tuple(tuple(float(v) for v in row) for row in M)
+    if len({len(row) for row in rows}) > 1:
+        raise ConfigurationError(
+            f"{name} rows must have equal lengths, got {[list(row) for row in rows]}"
+        )
+    return rows
+
+
+def check_gains(n: int, B, K) -> tuple[tuple, tuple]:
+    """Input map B (n x m) and feedback gain K (m x n) as rows of floats, each checked.
+
+    A matrix with no rows fits any column count.  Else ConfigurationError.
+    """
+    B, K = _gain_rows("B", B), _gain_rows("K", K)
+    m = len(B[0]) if B else 0
+    if len(B) != n:
+        raise ConfigurationError(f"input map B must have {n} rows, got shape {(len(B), m)}")
+    if len(K) != m or any(len(row) != n for row in K):
+        raise ConfigurationError(
+            f"feedback gain K must have shape {(m, n)}, got {(len(K), len(K[0]) if K else 0)}"
+        )
+    for name, M in (("B", B), ("K", K)):
+        if not all(map(math.isfinite, (v for row in M for v in row))):
+            raise ConfigurationError(f"{name} entries must be finite, got {[list(r) for r in M]}")
+    return B, K
 
 
 def contraction_ladders(
@@ -389,6 +435,69 @@ def analytic_bounds(inp: BoundInputs) -> AnalyticBounds:
     out.packet_size_sufficient = packet_size_sufficient(inp)
     out.time_quantization_tolerance = time_quantization_tolerance(inp)
     return out
+
+
+@dataclass
+class PhaseCurve:
+    """Analytic rate curves over a delay grid, with the transition markers."""
+
+    gammas: tuple[float, ...]
+    necessary: tuple[float, ...]
+    necessary_approx: tuple[float, ...]
+    sufficient: tuple[float, ...]
+    gamma_c: float | None
+    gamma_eq: float | None
+    asymptote: float
+    access_rate: float
+    necessary_sup_sigma: tuple[float, ...] | None = None
+    necessary_exceeds_sufficient: int = 0
+
+
+def phase_curves(
+    inp: BoundInputs,
+    gamma_grid: Sequence[float],
+    sigma_grid: Sequence[float] | None = None,
+) -> PhaseCurve:
+    """Necessary, approximate-necessary, and sufficient rates per grid delay.
+
+    With sigma_grid, additionally reports the supremum over those decay rates
+    of the necessary rate.  Grid points where the necessary rate exceeds the
+    sufficient one are counted, not asserted.  inp was checked when it was
+    built; each grid value is checked once, as BoundInputs checks gamma and
+    sigma, and the rates come from the bound kernels at plain floats.  The
+    delay markers gamma_c and gamma_eq need a single eigenvalue; they are
+    None for mixed ones, as in analytic_bounds.
+    """
+    gammas = tuple(_check_input("gamma", float(g)) for g in gamma_grid)
+    sigmas = None if sigma_grid is None else [_check_input("sigma", float(s)) for s in sigma_grid]
+    blocks, rho_flat = inp.blocks, inp.rho_flat()
+    sigma, rho0, b, nu = inp.sigma, inp.rho0, inp.b, inp.nu
+    nec, app, suf, sup = [], [], [], []
+    at_sigmas = (sigma, *(sigmas or ()))  # the curve's own sigma, then the supremum's
+    for g in gammas:
+        ln_em1s = _ln_em1s(blocks, g)  # sigma-free, shared by the supremum
+        rates = _rates_necessary(blocks, ln_em1s, at_sigmas, rho0, g, nu)
+        nec.append(rates[0])
+        app.append(_rate_necessary_approx(blocks, ln_em1s, sigma, rho0, g))
+        suf.append(_rate_sufficient(rho_flat, sigma, rho0, g, b))
+        if sigmas is not None:
+            sup.append(max(rates[1:]))
+    try:
+        A = inp.A
+    except PreconditionError:
+        A = None  # mixed eigenvalues: the delay markers are undefined
+    return PhaseCurve(
+        gammas=gammas,
+        necessary=tuple(nec),
+        necessary_approx=tuple(app),
+        sufficient=tuple(suf),
+        gamma_c=None if A is None else critical_delay(inp),
+        gamma_eq=None if A is None else equilibrium_delay(A),
+        asymptote=rate_asymptote(inp),
+        access_rate=access_rate_necessary(inp),
+        necessary_sup_sigma=None if sigmas is None else tuple(sup),
+        necessary_exceeds_sufficient=sum(n > s * (1.0 + 1e-12) for n, s in zip(nec, suf)),
+    )
 
 
 @dataclass(frozen=True)

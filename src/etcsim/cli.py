@@ -18,15 +18,15 @@ import sys
 import warnings
 from collections import namedtuple
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
 from . import bounds as bnd
-from . import sim
-from .channel import build_delay
 from .errors import ConfigurationError, DecodeError, DivergenceError, PreconditionError
-from .model import JordanPlant, TriggerConfig
+
+if TYPE_CHECKING:  # numpy and the engine load only where a command runs the closed loop
+    from .model import JordanPlant, TriggerConfig
+    from .sim import SimTrace
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -79,8 +79,8 @@ def _blocks(s: str) -> tuple[tuple[float, int], ...]:
     return tuple(out)
 
 
-def _matrix(s: str) -> np.ndarray:
-    return np.array([[float(v) for v in row.split()] for row in s.split(";")])
+def _matrix(s: str) -> tuple[tuple[float, ...], ...]:
+    return tuple(tuple(float(v) for v in row.split()) for row in s.split(";"))
 
 
 def _nested(s: str) -> tuple[tuple[float, ...], ...]:
@@ -183,14 +183,23 @@ class RunConfig:
             raise ConfigurationError(f"field '{key}' ({where}): {err}") from err
 
 
+def _plant_parts(cfg: RunConfig) -> tuple:
+    """blocks, B and K as configured, unchecked; the blocks form defaults to B = I, K = 0."""
+    if not cfg.has("blocks"):
+        return ((cfg.get("A"), 1),), cfg.get("B"), cfg.get("K")
+    blocks = cfg.get("blocks")
+    n = sum(p for _, p in blocks)
+    identity = tuple(tuple(float(i == j) for j in range(n)) for i in range(n))
+    B = cfg.get("B_matrix", default=identity)
+    m = len(B[0]) if B else 0
+    return blocks, B, cfg.get("K_matrix", default=((0.0,) * n,) * m)
+
+
 def build_plant(cfg: RunConfig) -> JordanPlant:
-    if cfg.has("blocks"):
-        blocks = cfg.get("blocks")
-        n = sum(p for _, p in blocks)
-        B = cfg.get("B_matrix", default=np.eye(n))
-        K = cfg.get("K_matrix", default=np.zeros((B.shape[1], n)))
-        return JordanPlant(blocks=blocks, B=B, K=K)
-    return JordanPlant.scalar(cfg.get("A"), cfg.get("B"), cfg.get("K"))
+    from .model import JordanPlant
+
+    blocks, B, K = _plant_parts(cfg)
+    return JordanPlant(blocks=blocks, B=B, K=K)
 
 
 def _design(cfg: RunConfig, gamma: float | None) -> dict:
@@ -205,15 +214,22 @@ def _design(cfg: RunConfig, gamma: float | None) -> dict:
 
 
 def build_trigger(cfg: RunConfig, gamma: float | None = None) -> TriggerConfig:
+    from .model import TriggerConfig
+
     return TriggerConfig(v0=cfg.get("v0"), **_design(cfg, gamma))
 
 
 def build_inputs(cfg: RunConfig, gamma: float | None = None) -> bnd.BoundInputs:
-    return bnd.BoundInputs(blocks=build_plant(cfg).blocks, **_design(cfg, gamma),
-                           nu=cfg.get("nu", default=1.0))
+    """The plant is checked as JordanPlant checks it, without building it (or numpy)."""
+    blocks, B, K = _plant_parts(cfg)
+    blocks = bnd.check_blocks(blocks)
+    bnd.check_gains(sum(p for _, p in blocks), B, K)
+    return bnd.BoundInputs(blocks=blocks, **_design(cfg, gamma), nu=cfg.get("nu", default=1.0))
 
 
 def _fmt(x) -> str:
+    import numpy as np  # only the empirical sweep formats cells, after its runs loaded numpy
+
     if x is None:
         return ""
     if isinstance(x, bool):
@@ -224,6 +240,8 @@ def _fmt(x) -> str:
 
 
 def _np_default(o):
+    import numpy as np  # json calls this only for values it cannot write: numpy's
+
     if isinstance(o, (np.floating, np.integer)):
         return o.item()
     if isinstance(o, np.ndarray):
@@ -269,6 +287,8 @@ def cmd_bounds(cfg: RunConfig, out_dir: Path | None, want_json: bool) -> int:
 
 
 def _delay_factory(cfg: RunConfig, plant: JordanPlant):
+    from .channel import build_delay
+
     spec = cfg.get("delay")
     seed = cfg.get("seed")
     growth = max(lam for lam, _ in plant.blocks)
@@ -283,7 +303,9 @@ def _delay_factory(cfg: RunConfig, plant: JordanPlant):
     return factory
 
 
-def _write_trace_csv(path: Path, trace: sim.SimTrace) -> None:
+def _write_trace_csv(path: Path, trace: SimTrace) -> None:
+    import numpy as np
+
     n = trace.n
     cols = (
         ["t"]
@@ -301,7 +323,7 @@ def _write_trace_csv(path: Path, trace: sim.SimTrace) -> None:
             fh.writelines([",".join(map(repr, r)) + "\n" for r in rows])
 
 
-def _write_events_json(path: Path, trace: sim.SimTrace) -> None:
+def _write_events_json(path: Path, trace: SimTrace) -> None:
     payload = {
         "schema": "etcsim-events-1",
         "horizon": trace.horizon,
@@ -316,7 +338,7 @@ def _write_events_json(path: Path, trace: sim.SimTrace) -> None:
     _write_json(path, payload)
 
 
-def _write_run(out_dir: Path, trace: sim.SimTrace) -> None:
+def _write_run(out_dir: Path, trace: SimTrace) -> None:
     """trace.csv and events.json; out_dir is made here, once a run has a trace."""
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_trace_csv(out_dir / "trace.csv", trace)
@@ -324,6 +346,10 @@ def _write_run(out_dir: Path, trace: sim.SimTrace) -> None:
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
+    import numpy as np
+
+    from . import sim
+
     plant = build_plant(cfg)
     trigger = build_trigger(cfg)
     horizon = cfg.get("horizon")
@@ -393,21 +419,22 @@ def _sweep_csv_rows(cfg: RunConfig) -> tuple[list[str], int]:
         sigma_grid = cfg.get("sigma_grid")
         for rho in rho_list:
             at = dataclasses.replace(base, rho0=rho)
-            curve = sim.phase_curves(at, gamma_grid, sigma_grid)
+            curve = bnd.phase_curves(at, gamma_grid, sigma_grid)
             sup = curve.necessary_sup_sigma
             # the curve's constant cells once; repr of a Python float is _fmt's cell text
             head = f",{rho!r},{at.sigma!r},,,,"
             tail = f",{curve.access_rate!r},,,,\n"
             columns = zip(
-                curve.gammas.tolist(), curve.necessary.tolist(),
-                curve.necessary_approx.tolist(), curve.sufficient.tolist(),
-                [""] * len(curve.gammas) if sup is None else map(repr, sup.tolist()),
+                curve.gammas, curve.necessary, curve.necessary_approx, curve.sufficient,
+                [""] * len(curve.gammas) if sup is None else map(repr, sup),
             )
             lines += [
                 f"{gamma!r}{head}{nec!r},{app!r},{suf!r},{nec_sup}{tail}"
                 for gamma, nec, app, suf, nec_sup in columns
             ]
         return lines, 0
+    from . import sim
+
     plant = build_plant(cfg)
     trigger = build_trigger(cfg, gamma=max(gamma_grid))  # gamma is swept per row
     sweep = sim.sweep_gamma(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundInputs, _check_input, check_blocks, contraction_ladders
+from .bounds import BoundInputs, _check_input, check_blocks, check_gains, contraction_ladders
 from .errors import ConfigurationError
 
 # States beyond this magnitude abort a run as diverged.
@@ -37,20 +37,10 @@ class JordanPlant:
 
     def __post_init__(self):
         object.__setattr__(self, "blocks", check_blocks(self.blocks))
-        B = np.atleast_2d(np.asarray(self.B, dtype=float))
-        K = np.atleast_2d(np.asarray(self.K, dtype=float))
-        n = self.n
-        if B.shape[0] != n:
-            raise ConfigurationError(f"input map B must have {n} rows, got shape {B.shape}")
-        if K.shape != (B.shape[1], n):
-            raise ConfigurationError(
-                f"feedback gain K must have shape {(B.shape[1], n)}, got {K.shape}"
-            )
-        for name, M in (("B", B), ("K", K)):
-            if not np.isfinite(M).all():
-                raise ConfigurationError(f"{name} entries must be finite, got {M.tolist()}")
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "K", K)
+        B, K = check_gains(self.n, self.B, self.K)
+        m = len(B[0])
+        object.__setattr__(self, "B", np.array(B, dtype=float).reshape(self.n, m))
+        object.__setattr__(self, "K", np.array(K, dtype=float).reshape(m, self.n))
 
     @classmethod
     def scalar(cls, A: float, B: float, K: float) -> "JordanPlant":

@@ -531,6 +531,7 @@ def run_vector(
 # name, and tests/test_tooling.py checks that its hooks resolve.  Delete the alias
 # together with that hook.
 run_scalar = run_vector
+phase_curves = bnd.phase_curves  # the same: the curves live in bounds, free of numpy
 
 
 def validate_cascade(plant: JordanPlant, cfg: TriggerConfig) -> None:
@@ -752,69 +753,3 @@ def sweep_gamma(
         except (DivergenceError, ConfigurationError, PreconditionError, DecodeError) as err:
             rows.append(SweepRow(gamma=float(gamma), error=str(err)))
     return rows
-
-
-@dataclass
-class PhaseCurve:
-    """Analytic rate curves over a delay grid, with the transition markers."""
-
-    gammas: np.ndarray
-    necessary: np.ndarray
-    necessary_approx: np.ndarray
-    sufficient: np.ndarray
-    gamma_c: float | None
-    gamma_eq: float | None
-    asymptote: float
-    access_rate: float
-    necessary_sup_sigma: np.ndarray | None = None
-    necessary_exceeds_sufficient: int = 0
-
-
-def phase_curves(
-    inp: bnd.BoundInputs,
-    gamma_grid: Sequence[float],
-    sigma_grid: Sequence[float] | None = None,
-) -> PhaseCurve:
-    """Necessary, approximate-necessary, and sufficient rates per grid delay.
-
-    With sigma_grid, additionally reports the supremum over those decay rates
-    of the necessary rate.  Grid points where the necessary rate exceeds the
-    sufficient one are counted, not asserted.  inp was checked when it was
-    built; each grid value is checked once, as BoundInputs checks gamma and
-    sigma, and the rates come from the bound kernels at plain floats.  The
-    delay markers gamma_c and gamma_eq need a single eigenvalue; they are
-    None for mixed ones, as in analytic_bounds.
-    """
-    gammas = [bnd._check_input("gamma", float(g)) for g in gamma_grid]
-    sigmas = None if sigma_grid is None else [
-        bnd._check_input("sigma", float(s)) for s in sigma_grid
-    ]
-    blocks, rho_flat = inp.blocks, inp.rho_flat()
-    sigma, rho0, b, nu = inp.sigma, inp.rho0, inp.b, inp.nu
-    nec, app, suf, sup = [], [], [], []
-    at_sigmas = (sigma, *(sigmas or ()))  # the curve's own sigma, then the supremum's
-    for g in gammas:
-        ln_em1s = bnd._ln_em1s(blocks, g)  # sigma-free, shared by the supremum
-        rates = bnd._rates_necessary(blocks, ln_em1s, at_sigmas, rho0, g, nu)
-        nec.append(rates[0])
-        app.append(bnd._rate_necessary_approx(blocks, ln_em1s, sigma, rho0, g))
-        suf.append(bnd._rate_sufficient(rho_flat, sigma, rho0, g, b))
-        if sigmas is not None:
-            sup.append(max(rates[1:]))
-    nec, suf = np.array(nec, dtype=float), np.array(suf, dtype=float)
-    try:
-        A = inp.A
-    except PreconditionError:
-        A = None  # mixed eigenvalues: the delay markers are undefined
-    return PhaseCurve(
-        gammas=np.array(gammas, dtype=float),
-        necessary=nec,
-        necessary_approx=np.array(app, dtype=float),
-        sufficient=suf,
-        gamma_c=None if A is None else bnd.critical_delay(inp),
-        gamma_eq=None if A is None else bnd.equilibrium_delay(A),
-        asymptote=bnd.rate_asymptote(inp),
-        access_rate=bnd.access_rate_necessary(inp),
-        necessary_sup_sigma=None if sigmas is None else np.array(sup, dtype=float),
-        necessary_exceeds_sufficient=int(np.sum(nec > suf * (1.0 + 1e-12))),
-    )

@@ -526,6 +526,45 @@ class TestLazyScipy:
         assert "(11 rows, 0 failed)" in done.stdout
 
 
+_RUN_LEAVES_NUMPY_UNLOADED = ("import sys\nfrom etcsim import cli\n"
+                              "assert cli.main(sys.argv[1:]) == 0\n"
+                              "assert 'numpy' not in sys.modules\n")
+
+
+class TestLazyNumpy:
+    """The analytic path is pure math: importing the CLI, bounds and analytic sweeps load
+    no numpy, and the package resolves its exported names on first use."""
+
+    @pytest.mark.parametrize("code", [
+        "import etcsim.cli",
+        "import etcsim; etcsim.BoundInputs",
+    ], ids=["cli", "bound_inputs"])
+    def test_import_leaves_numpy_unloaded(self, code):
+        done = _fresh_python(f"{code}\nimport sys; assert 'numpy' not in sys.modules")
+        assert done.returncode == 0, done.stderr
+
+    @pytest.mark.parametrize("command, recipe, flags, printed", [
+        ("bounds", "fig3", ["--gamma", "0.05", "--json"], "wrote"),
+        ("bounds", "fig7", ["--json"], "wrote"),
+        ("sweep", "fig3", [], "(200 rows, 0 failed)"),
+        ("sweep", "fig6", [], "(200 rows, 0 failed)"),
+    ], ids=["bounds_fig3", "bounds_fig7", "sweep_fig3", "sweep_fig6"])
+    def test_analytic_command_leaves_numpy_unloaded(self, tmp_path, command, recipe, flags,
+                                                     printed):
+        done = _fresh_python(_RUN_LEAVES_NUMPY_UNLOADED, command,
+                             "--config", str(RECIPES / f"{recipe}.cfg"),
+                             "--out", str(tmp_path), *flags)
+        assert done.returncode == 0, done.stderr
+        assert printed in done.stdout
+        assert any(tmp_path.iterdir())
+
+    def test_engine_names_still_import(self):
+        done = _fresh_python("from etcsim import run_vector, SimTrace\n"
+                             "import sys; assert 'numpy' in sys.modules\n"
+                             "assert run_vector.__module__ == 'etcsim.sim'")
+        assert done.returncode == 0, done.stderr
+
+
 _FIG7_DESIGN = dict(sigma=0.1, rho0=0.1, gamma=1.2, b=1.0001)
 
 
@@ -591,6 +630,24 @@ def test_bad_plant_value_refused_by_analytic_commands(tmp_path, capsys, lines, m
                                                       command, recipe):
     # bounds and analytic sweeps read the plant but never run it; each bad value still
     # exits 1 with the plant's own one-line message and writes nothing
+    kept = [line for line in (RECIPES / f"{recipe}.cfg").read_text().splitlines()
+            if line.partition(" = ")[0] not in {"A", "B", "K"}]
+    path = tmp_path / "plant.cfg"
+    path.write_text("\n".join(kept + lines) + "\n")
+    argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+    assert assert_one_line_usage_error(capsys, argv) == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("lines, message", [
+    (["blocks = 1:-1"], "block order must be >= 1, got -1"),
+    (["blocks = 1:2", "B_matrix = 1 0; 0"],
+     "B rows must have equal lengths, got [[1.0, 0.0], [0.0]]"),
+], ids=["blocks_order_negative", "B_matrix_ragged"])
+@pytest.mark.parametrize("command, recipe", [("bounds", "fig7"), ("simulate", "fig7"),
+                                             ("sweep", "fig3")])
+def test_bad_plant_shape_is_clean_error(tmp_path, capsys, lines, message, command, recipe):
+    # a negative order used to end in numpy's traceback, a ragged matrix in numpy's message
     kept = [line for line in (RECIPES / f"{recipe}.cfg").read_text().splitlines()
             if line.partition(" = ")[0] not in {"A", "B", "K"}]
     path = tmp_path / "plant.cfg"

@@ -12,6 +12,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from test_reference_engine import SimState, propagate
 
+from etcsim.bounds import BoundInputs
 from etcsim.channel import ConstantDelay
 from etcsim.errors import ConfigurationError, DivergenceError, PreconditionError
 from etcsim.model import JordanPlant, TriggerConfig, block_matexp, expm
@@ -53,6 +54,28 @@ class TestPlants:
             JordanPlant(blocks=((1.0, 2),), B=np.eye(3), K=np.zeros((3, 3)))
         with pytest.raises(ConfigurationError):
             JordanPlant(blocks=((-1.0, 1),), B=np.eye(1), K=np.eye(1))
+
+    @pytest.mark.parametrize("order", [1.7, 2.9, math.nan, math.inf])
+    def test_non_integral_block_order_refused(self, order):
+        # int() used to truncate the order: 1.7 became a first-order block, 2.9 a second
+        messages = set()
+        for build in (lambda: JordanPlant(blocks=((1.0, order),), B=np.eye(1), K=np.eye(1)),
+                      lambda: BoundInputs(blocks=((1.0, order),), sigma=1, rho0=0.5, gamma=0.1)):
+            with pytest.raises(ConfigurationError) as exc:
+                build()
+            messages.add(str(exc.value))
+        assert messages == {f"block order must be a positive integer, got {order}"}
+
+    @pytest.mark.parametrize("order", [2, 2.0, np.int64(2)], ids=["int", "float", "np_int64"])
+    def test_integral_block_order_accepted(self, order):
+        plant = JordanPlant(blocks=((1.0, order),), B=np.eye(2), K=np.zeros((2, 2)))
+        inputs = BoundInputs(blocks=((1.0, order),), sigma=1, rho0=0.5, gamma=0.1)
+        assert plant.blocks == inputs.blocks == ((1.0, 2),)
+        assert type(plant.blocks[0][1]) is type(inputs.blocks[0][1]) is int
+
+    def test_ragged_gain_is_configuration_error(self):
+        with pytest.raises(ConfigurationError, match="B rows must have equal lengths"):
+            JordanPlant(blocks=((1.0, 2),), B=[[1.0, 0.0], [0.0]], K=np.zeros((2, 2)))
 
     def test_scalar_is_one_block(self):
         plant = JordanPlant.scalar(A=2.4, B=1.0, K=8.0)

@@ -7,12 +7,12 @@ import scipy.linalg
 
 from etcsim import bounds as bnd
 from etcsim import sim
+from etcsim.bounds import phase_curves
 from etcsim.channel import ConstantDelay, ReplayDelay, UniformDelay
 from etcsim.errors import ConfigurationError, DivergenceError, PreconditionError
 from etcsim.model import OVERFLOW_LIMIT, JordanPlant, TriggerConfig, block_matexp
 from etcsim.sim import (
     measure_rates,
-    phase_curves,
     run_vector,
     sweep_gamma,
     validate_trace,
@@ -507,16 +507,18 @@ class TestPhaseCurves:
         assert pc.gamma_eq == pytest.approx(0.1386, abs=1e-3)
         assert pc.access_rate == pytest.approx(11.5416, abs=1e-3)
         # necessary rate is zero up to gamma_c and positive afterwards
-        below = pc.gammas < pc.gamma_c
-        assert np.all(pc.necessary[below] == 0.0)
-        assert np.all(pc.necessary[~below][1:] > 0.0)
+        below = [r for g, r in zip(pc.gammas, pc.necessary) if g < pc.gamma_c]
+        above = [r for g, r in zip(pc.gammas, pc.necessary) if not g < pc.gamma_c]
+        assert len(pc.gammas) == len(pc.necessary) == len(grid)
+        assert all(r == 0.0 for r in below)
+        assert all(r > 0.0 for r in above[1:])
 
     def test_mixed_eigenvalues_leave_delay_markers_undefined(self):
         inp = bnd.BoundInputs(blocks=((1.0, 1), (2.0, 1)), sigma=1.0, rho0=0.5, gamma=0.5)
         pc = phase_curves(inp, [0.5, 1.0])
         assert pc.gamma_c is None and pc.gamma_eq is None
         assert pc.asymptote == bnd.rate_asymptote(inp)
-        assert pc.necessary.tolist() == [
+        assert list(pc.necessary) == [
             bnd.transmission_rate_necessary(replace(inp, gamma=g)) for g in (0.5, 1.0)
         ]
 
@@ -524,7 +526,8 @@ class TestPhaseCurves:
         inp = bnd.BoundInputs.scalar(1.3, 1.0, 0.9, b=1.0001, nu=2.0)
         pc = phase_curves(inp, [0.5, 1.0, 2.0], sigma_grid=[0.5, 1.0, 2.0, 4.0])
         assert pc.necessary_sup_sigma is not None
-        assert np.all(pc.necessary_sup_sigma >= pc.necessary - 1e-12)
+        assert len(pc.necessary_sup_sigma) == len(pc.necessary) == 3
+        assert all(s >= n - 1e-12 for s, n in zip(pc.necessary_sup_sigma, pc.necessary))
 
     def test_approx_at_equilibrium_equals_access(self):
         inp = bnd.BoundInputs.scalar(1.0, 0.5, 0.3, nu=2.0)
@@ -554,7 +557,9 @@ class TestPhaseCurves:
             ],
         }
         for name, values in expected.items():
-            assert getattr(pc, name).tobytes() == np.array(values).tobytes(), name
+            column = getattr(pc, name)
+            assert isinstance(column, tuple), name
+            assert list(map(float.hex, column)) == list(map(float.hex, values)), name
 
     @pytest.mark.parametrize("gammas, sigmas, message", [
         ([0.1, -0.5], None, "gamma must be finite and >= 0, got -0.5"),

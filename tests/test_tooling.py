@@ -7,9 +7,26 @@ import re
 import sys
 from pathlib import Path
 
+import pytest
+
+import etcsim
 from etcsim import cli, sim
 
 ROOT = Path(__file__).resolve().parents[1]
+# the names `etcsim` exported when it imported every submodule eagerly
+EXPORTS = [
+    "Assumption1Window", "BoundInputs", "CascadeBounds", "access_rate_necessary",
+    "assumption1_window", "beta", "bits_lower_bound", "critical_delay", "equilibrium_delay",
+    "min_inter_event_time", "packet_bits_necessary", "packet_size_sufficient", "rate_asymptote",
+    "time_quantization_tolerance", "transmission_rate_necessary",
+    "transmission_rate_necessary_approx", "transmission_rate_sufficient",
+    "triggering_rate_lower", "triggering_rate_upper", "v0_cascade_bound",
+    "AdversarialDelay", "ChannelState", "ConstantDelay", "ReplayDelay", "UniformDelay",
+    "build_delay", "sample_delay", "Packet", "decode", "encode", "reconstruct_error",
+    "ConfigurationError", "DecodeError", "DivergenceError", "PreconditionError",
+    "JordanPlant", "TriggerConfig", "PhaseCurve", "RateReport", "SimTrace", "SweepRow",
+    "measure_rates", "phase_curves", "run_vector", "sweep_gamma", "validate_trace",
+]
 
 
 def test_traced_benchmark_hooks_resolve():
@@ -27,18 +44,57 @@ def test_traced_benchmark_hooks_resolve():
     assert sim.run_vector is original
 
 
+def _imported(nodes) -> tuple[set[str], set[str]]:
+    """The package-relative names (with their dots) and the top-level modules that the
+    import statements among nodes bring in."""
+    imported = set()
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module is None:  # from . import x
+            imported.update("." * node.level + alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + node.module)
+    relative = {name for name in imported if name.startswith(".")}
+    return relative, {name.split(".")[0] for name in imported - relative}
+
+
 def test_bounds_imports_only_stdlib_and_errors():
     # model imports bounds, never the reverse, and the analytic path needs no numpy
     tree = ast.parse((ROOT / "src" / "etcsim" / "bounds.py").read_text())
-    imported = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            imported.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            imported.add("." * node.level + (node.module or ""))
-    relative = {name for name in imported if name.startswith(".")}
+    relative, absolute = _imported(ast.walk(tree))
     assert relative == {".errors"}
-    assert {name.split(".")[0] for name in imported - relative} <= sys.stdlib_module_names
+    assert absolute <= sys.stdlib_module_names
+
+
+def test_cli_imports_only_stdlib_bounds_and_errors_at_load():
+    # numpy, sim, model and channel are imported inside the functions that run the loop
+    tree = ast.parse((ROOT / "src" / "etcsim" / "cli.py").read_text())
+    relative, absolute = _imported(tree.body)
+    assert relative == {".__version__", ".bounds", ".errors"}
+    assert absolute <= sys.stdlib_module_names
+
+
+def test_package_exports_the_same_names():
+    # each name is the object its defining module holds, resolved on first use
+    assert sorted(etcsim.__all__) == sorted(EXPORTS)
+    assert len(etcsim.__all__) == len(EXPORTS)
+    listed = dir(etcsim)
+    for name in EXPORTS:
+        assert name in listed, name
+        obj = getattr(etcsim, name)
+        assert obj.__module__.startswith("etcsim."), name
+        assert obj is getattr(sys.modules[obj.__module__], name), name
+
+
+def test_package_refuses_unknown_names_and_imports_submodules():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        etcsim.no_such_name
+    assert not hasattr(etcsim, "run_scalar")  # an alias for the benchmark, not exported
+    from etcsim import channel, cli, model, sim  # as bench/workloads.py imports them
+
+    for module in (channel, cli, model, sim):
+        assert module is sys.modules[module.__name__]
 
 
 def test_readme_config_keys_match_cli():
