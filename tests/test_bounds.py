@@ -1,5 +1,7 @@
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from etcsim import bounds as bnd
 from etcsim.errors import PreconditionError
 
 LN2 = math.log(2.0)
+RATE_TABLE = Path(__file__).parent / "data" / "rate_table.json"
 
 
 def scalar(A, sigma, rho0, gamma=0.0, b=1.0001, nu=1.0):
@@ -385,3 +388,57 @@ class TestUncertaintyIntervalInclusion:
             v_tc = v0 * math.exp(-sigma * tc)
             assert v_tc <= v_ts * (1 + 1e-12)
             assert v_ts * math.exp(A * gamma) <= v_tc * math.exp((A + sigma) * gamma) * (1 + 1e-12)
+
+
+def _rate_table_cases():
+    """(inputs, sigma grid, rows) per case of rate_table.json, rows as float.hex strings."""
+    table = json.loads(RATE_TABLE.read_text())
+    for case in table["cases"]:
+        f = float.fromhex
+        ladders = case["rho_ladders"]
+        inp = bnd.BoundInputs(
+            blocks=tuple((f(lam), p) for lam, p in case["blocks"]),
+            sigma=f(case["sigma"]), rho0=f(case["rho0"]), gamma=0.0,
+            b=f(case["b"]), nu=f(case["nu"]),
+            rho_ladders=None if ladders is None else tuple(tuple(map(f, lad)) for lad in ladders),
+        )
+        yield inp, [f(s) for s in case["sigma_grid"]], case["rows"]
+
+
+class TestRateTable:
+    """The rates bit for bit as recorded (tests/data/make_rate_table.py), not as recomputed."""
+
+    def test_table_covers_the_edge_cases(self):
+        cases = list(_rate_table_cases())
+        gammas = [(inp, float.fromhex(r[0])) for inp, _, rows in cases for r in rows]
+        assert len(gammas) >= 290
+        assert any(g == 0.0 for _, g in gammas)
+        assert any(inp.rho_ladders and len(inp.blocks) > 1 for inp, _, _ in cases)
+        assert any(inp.nu == 1.0 for inp, _, _ in cases)
+        assert any(len(sigmas) == 50 for _, sigmas, _ in cases)
+        assert any((inp.sigma + min(lam for lam, _ in inp.blocks)) * g >= 700 for inp, g in gammas)
+        near_gc = [
+            g for inp, g in gammas
+            if len({lam for lam, _ in inp.blocks}) == 1 and g
+            and abs(g - bnd.critical_delay(inp)) <= 1e-9
+        ]
+        assert len(near_gc) >= 30
+
+    def test_point_functions_match(self):
+        for inp, sigmas, rows in _rate_table_cases():
+            for row in rows:
+                at = replace(inp, gamma=float.fromhex(row[0]))
+                got = [
+                    bnd.transmission_rate_necessary(at),
+                    bnd.transmission_rate_necessary_approx(at),
+                    bnd.transmission_rate_sufficient(at),
+                    max(bnd.transmission_rate_necessary(replace(at, sigma=s)) for s in sigmas),
+                ]
+                assert list(map(float.hex, got)) == row[1:], (inp, row[0])
+
+    def test_phase_curves_match(self):
+        for inp, sigmas, rows in _rate_table_cases():
+            pc = bnd.phase_curves(inp, [float.fromhex(r[0]) for r in rows], sigma_grid=sigmas)
+            columns = (pc.necessary, pc.necessary_approx, pc.sufficient, pc.necessary_sup_sigma)
+            for k, column in enumerate(columns, start=1):
+                assert list(map(float.hex, column)) == [r[k] for r in rows], (inp, k)

@@ -191,6 +191,31 @@ class TestSimulateCommand:
         assert rc == cli.EXIT_DIVERGED
         assert (tmp_path / "o" / "trace.csv").exists()
 
+    @pytest.mark.parametrize("text, flags, exit_code", [
+        ((RECIPES / "fig7.cfg").read_text(), ["--horizon", "1"], cli.EXIT_OK),
+        (THREE_BLOCKS + "v0 = 0.5 0.5 0.5\nx0 = 0.3 -0.2 0.1\nxhat0 = 0 0 0\n", [], cli.EXIT_OK),
+        ("A = 2\nB = 0\nK = 0\nv0 = 2e11\nsigma = 0.1\nrho0 = 0.1\ngamma = 0\n"
+         "delay = constant:0\nhorizon = 12\nstep = 0.01\nx0 = 1e11\nxhat0 = 1e9\n", [],
+         cli.EXIT_DIVERGED),
+    ], ids=["fig7", "three_blocks", "diverged"])
+    def test_trace_csv_equals_per_row_repr(self, tmp_path, capsys, monkeypatch, text, flags,
+                                           exit_code):
+        # every cell is repr of the Python float, every row ",".join of its cells
+        traces = []
+        write = cli._write_trace_csv
+        monkeypatch.setattr(cli, "_write_trace_csv",
+                            lambda path, trace: (traces.append(trace), write(path, trace)))
+        path = write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(path), "--out", str(out), *flags]) == exit_code
+        (trace,) = traces
+        n = trace.n
+        header = ",".join(["t"] + [f"{c}{i + 1}" for c in ("x", "xhat", "z", "v") for i in range(n)])
+        table = np.column_stack((trace.times, trace.x, trace.xhat, trace.z, trace.v)).tolist()
+        expected = "".join([header + "\n"] + [",".join(map(repr, row)) + "\n" for row in table])
+        assert len(table) > 1
+        assert (out / "trace.csv").read_text() == expected
+
     @pytest.mark.parametrize("text", [
         THREE_BLOCKS + "v0 = 0.5 0.5 0.5 0.5\nx0 = 0 0 0\nxhat0 = 0 0 0\n",
         THREE_BLOCKS + "v0 = 0.5 0.5 0.5\nx0 = 0 0\nxhat0 = 0 0\n",
