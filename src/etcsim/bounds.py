@@ -21,6 +21,9 @@ from typing import Sequence
 from .errors import ConfigurationError, PreconditionError
 
 LN2 = math.log(2.0)
+# largest plant order (sum of block orders): the closed loop's stack of 256 n x n
+# powers then stays within sim.MAX_TRACE_BYTES
+MAX_ORDER = 512
 
 _RANGES = {  # parameter: (admits, rule), the one check of each scalar design parameter
     "sigma": (lambda v: 0 < v < math.inf, "must be positive and finite"),
@@ -42,7 +45,8 @@ def _check_input(name: str, value: float) -> float:
 def check_blocks(blocks) -> tuple[tuple[float, int], ...]:
     """(eigenvalue, order) pairs as (float, int), each checked; else ConfigurationError.
 
-    An order with a fractional part is refused, not truncated.
+    An order with a fractional part is refused, not truncated, and so is a
+    plant whose orders sum past MAX_ORDER.
     """
     if not blocks:
         raise ConfigurationError("at least one Jordan block is required")
@@ -60,6 +64,10 @@ def check_blocks(blocks) -> tuple[tuple[float, int], ...]:
         if order < 1:
             raise ConfigurationError(f"block order must be >= 1, got {order}")
         checked.append((lam, order))
+    n = sum(p for _, p in checked)
+    if n > MAX_ORDER:
+        raise ConfigurationError(f"plant order (sum of block orders) must be <= {MAX_ORDER}, "
+                                 f"got {n}")
     return tuple(checked)
 
 
@@ -179,14 +187,6 @@ def _ln_em1(u: float) -> float:
     return u + math.log(-math.expm1(-u))
 
 
-def _ln_em1s(blocks, gamma: float) -> tuple[float, ...]:
-    """Per block, ln(e^{lam*gamma} - 1), the sigma-free part of the necessary rates.
-
-    Empty at gamma = 0, where the rates that use it are 0.
-    """
-    return tuple(_ln_em1(lam * gamma) for lam, _ in blocks) if gamma else ()
-
-
 def _ln_contraction(sigma: float, rho0: float, gamma: float) -> float:
     """-ln(rho0 * exp(-sigma*gamma)), always positive."""
     return sigma * gamma - math.log(rho0)
@@ -243,59 +243,6 @@ def min_inter_event_time(inp: BoundInputs) -> float:
     return _ln_contraction(inp.sigma, inp.rho0, inp.gamma) / (inp.A + inp.sigma)
 
 
-def _rates_necessary(blocks, ln_em1s, sigmas, rho0, gamma, nu) -> list[float]:
-    """Necessary transmission rate at each decay rate in sigmas.
-
-    ln_em1s = _ln_em1s(blocks, gamma).  Each block adds
-    p * triggering_rate_lower * packet_bits_necessary at its eigenvalue,
-    with the same float operations in the same order, so every value
-    matches those factors bit for bit; a block whose packet bits clamp to 0
-    adds exactly 0.0 and is skipped.
-    """
-    if gamma == 0:
-        return [0.0] * len(sigmas)
-    ln_nu, ln_rho0, inv_rho0 = math.log(nu), math.log(rho0), 1.0 / rho0
-    terms = tuple((lam, p, ln_em1) for (lam, p), ln_em1 in zip(blocks, ln_em1s))
-    rates = []
-    for sigma in sigmas:
-        u = sigma * gamma
-        den = ln_nu + (u + math.log(2 * math.exp(-u) + inv_rho0))
-        ln_contraction = u - ln_rho0
-        total = 0.0
-        for lam, p, ln_em1 in terms:
-            bits = (ln_em1 + ln_contraction) / LN2
-            if bits > 0.0:
-                total += p * ((lam + sigma) / den) * bits
-        rates.append(total)
-    return rates
-
-
-def transmission_rate_necessary(inp: BoundInputs) -> float:
-    """Bits/s forced by some delay realization; sums blocks with multiplicity."""
-    ln_em1s = _ln_em1s(inp.blocks, inp.gamma)
-    return _rates_necessary(inp.blocks, ln_em1s, (inp.sigma,), inp.rho0, inp.gamma, inp.nu)[0]
-
-
-def _rate_necessary_approx(blocks, ln_em1s, sigma, rho0, gamma) -> float:
-    """Approximate necessary rate; ln_em1s = _ln_em1s(blocks, gamma)."""
-    if gamma == 0:
-        return 0.0
-    total = 0.0
-    den = _ln_contraction(sigma, rho0, gamma)
-    for (lam, p), ln_em1 in zip(blocks, ln_em1s):
-        total += p * (lam + sigma) / LN2 * max(0.0, 1.0 + ln_em1 / den)
-    return total
-
-
-def transmission_rate_necessary_approx(inp: BoundInputs) -> float:
-    """Small-rho0 approximation of the necessary transmission rate.
-
-    Intended regime rho0 << e^{sigma*gamma}/max{2, nu}; not enforced.
-    """
-    ln_em1s = _ln_em1s(inp.blocks, inp.gamma)
-    return _rate_necessary_approx(inp.blocks, ln_em1s, inp.sigma, inp.rho0, inp.gamma)
-
-
 def _log2_packet_term(lam: float, rho: float, sigma: float, gamma: float, b: float) -> float:
     """log2(b*gamma*(lam+sigma) / ln(1 + rho*e^{-(sigma+lam)*gamma}))."""
     u = (sigma + lam) * gamma
@@ -308,17 +255,73 @@ def _log2_packet_term(lam: float, rho: float, sigma: float, gamma: float, b: flo
     return (num - den) / LN2
 
 
-def _rate_sufficient(rho_flat, sigma, rho0, gamma, b) -> float:
-    """Sufficient rate; rho_flat as BoundInputs.rho_flat returns it."""
-    if gamma == 0:
-        return 0.0
-    total = 0.0
-    den = _ln_contraction(sigma, rho0, gamma)
-    for lam, ladder in rho_flat:
-        for rho in ladder:
-            term = max(0.0, 1.0 + _log2_packet_term(lam, rho, sigma, gamma, b))
-            total += (lam + sigma) / den * term
-    return total
+def _rate_curves(
+    inp: BoundInputs, gammas: Sequence[float], sigmas: Sequence[float] | None = None
+) -> tuple[list[float], list[float], list[float], list[float]]:
+    """Per delay in gammas: the necessary, approximate-necessary and sufficient
+    rates at inp.sigma, and the largest necessary rate over sigmas (empty
+    if sigmas is None), as four lists.
+
+    One walk of the grid holds the one copy of each rate formula.  ln nu,
+    ln rho0, 1/rho0 and each block's lam + sigma at the curve's sigma are
+    taken once per call, each block's ln(e^{lam*gamma} - 1) once per delay.
+    Each block adds p * triggering_rate_lower * packet_bits_necessary at its
+    eigenvalue to the necessary rate, with the same float operations in the
+    same order, so every value matches those factors bit for bit; a block
+    whose packet bits clamp to 0 adds exactly 0.0 and is skipped.  The
+    sufficient rate adds one term per coordinate, with its ladder contraction
+    in place of rho0.  Every rate is 0 at gamma = 0.
+    """
+    sigma, rho0, b, blocks = inp.sigma, inp.rho0, inp.b, inp.blocks
+    ln_nu, ln_rho0, inv_rho0 = math.log(inp.nu), math.log(rho0), 1.0 / rho0
+    at_sigmas = (sigma, *(sigmas or ()))  # the curve's own sigma, then the supremum's
+    weights = [p * (lam + sigma) / LN2 for lam, p in blocks]  # approximate rate per unit term
+    coords = [(lam, lam + sigma, ladder) for lam, ladder in inp.rho_flat()]
+    nec, app, suf, sup = [], [], [], []
+    for gamma in gammas:
+        if gamma == 0:
+            rates, approx, sufficient = [0.0] * len(at_sigmas), 0.0, 0.0
+        else:
+            terms = [(lam, p, _ln_em1(lam * gamma)) for lam, p in blocks]
+            rates = []
+            for s in at_sigmas:
+                u = s * gamma
+                den = ln_nu + (u + math.log(2 * math.exp(-u) + inv_rho0))
+                ln_contraction = u - ln_rho0
+                total = 0.0
+                for lam, p, ln_em1 in terms:
+                    bits = (ln_em1 + ln_contraction) / LN2
+                    if bits > 0.0:
+                        total += p * ((lam + s) / den) * bits
+                rates.append(total)
+            den = sigma * gamma - ln_rho0  # _ln_contraction at the curve's sigma
+            approx = 0.0
+            for w, (_, _, ln_em1) in zip(weights, terms):
+                approx += w * max(0.0, 1.0 + ln_em1 / den)
+            sufficient = 0.0
+            for lam, ls, ladder in coords:
+                for rho in ladder:
+                    term = max(0.0, 1.0 + _log2_packet_term(lam, rho, sigma, gamma, b))
+                    sufficient += ls / den * term
+        nec.append(rates[0])
+        app.append(approx)
+        suf.append(sufficient)
+        if sigmas is not None:
+            sup.append(max(rates[1:]))
+    return nec, app, suf, sup
+
+
+def transmission_rate_necessary(inp: BoundInputs) -> float:
+    """Bits/s forced by some delay realization; sums blocks with multiplicity."""
+    return _rate_curves(inp, (inp.gamma,))[0][0]
+
+
+def transmission_rate_necessary_approx(inp: BoundInputs) -> float:
+    """Small-rho0 approximation of the necessary transmission rate.
+
+    Intended regime rho0 << e^{sigma*gamma}/max{2, nu}; not enforced.
+    """
+    return _rate_curves(inp, (inp.gamma,))[1][0]
 
 
 def transmission_rate_sufficient(inp: BoundInputs) -> float:
@@ -327,7 +330,7 @@ def transmission_rate_sufficient(inp: BoundInputs) -> float:
     Vector systems sum one term per coordinate, each using its ladder
     contraction in place of rho0.
     """
-    return _rate_sufficient(inp.rho_flat(), inp.sigma, inp.rho0, inp.gamma, inp.b)
+    return _rate_curves(inp, (inp.gamma,))[2][0]
 
 
 def critical_delay(inp: BoundInputs) -> float:
@@ -464,24 +467,13 @@ def phase_curves(
     of the necessary rate.  Grid points where the necessary rate exceeds the
     sufficient one are counted, not asserted.  inp was checked when it was
     built; each grid value is checked once, as BoundInputs checks gamma and
-    sigma, and the rates come from the bound kernels at plain floats.  The
-    delay markers gamma_c and gamma_eq need a single eigenvalue; they are
+    sigma, and the rates come from one walk of the grid by the rate kernel.
+    The delay markers gamma_c and gamma_eq need a single eigenvalue; they are
     None for mixed ones, as in analytic_bounds.
     """
     gammas = tuple(_check_input("gamma", float(g)) for g in gamma_grid)
     sigmas = None if sigma_grid is None else [_check_input("sigma", float(s)) for s in sigma_grid]
-    blocks, rho_flat = inp.blocks, inp.rho_flat()
-    sigma, rho0, b, nu = inp.sigma, inp.rho0, inp.b, inp.nu
-    nec, app, suf, sup = [], [], [], []
-    at_sigmas = (sigma, *(sigmas or ()))  # the curve's own sigma, then the supremum's
-    for g in gammas:
-        ln_em1s = _ln_em1s(blocks, g)  # sigma-free, shared by the supremum
-        rates = _rates_necessary(blocks, ln_em1s, at_sigmas, rho0, g, nu)
-        nec.append(rates[0])
-        app.append(_rate_necessary_approx(blocks, ln_em1s, sigma, rho0, g))
-        suf.append(_rate_sufficient(rho_flat, sigma, rho0, g, b))
-        if sigmas is not None:
-            sup.append(max(rates[1:]))
+    nec, app, suf, sup = _rate_curves(inp, gammas, sigmas)
     try:
         A = inp.A
     except PreconditionError:

@@ -71,11 +71,12 @@ def _grid(s: str) -> list[float]:
     return vals
 
 
-def _blocks(s: str) -> tuple[tuple[float, int], ...]:
+def _blocks(s: str) -> tuple[tuple[float, float], ...]:
+    """(eigenvalue, order) pairs; bounds.check_blocks refuses an order that is no integer."""
     out = []
     for part in s.split(","):
         lam, _, p = part.strip().partition(":")
-        out.append((float(lam), int(p) if p else 1))
+        out.append((float(lam), float(p) if p else 1.0))
     return tuple(out)
 
 
@@ -184,10 +185,13 @@ class RunConfig:
 
 
 def _plant_parts(cfg: RunConfig) -> tuple:
-    """blocks, B and K as configured, unchecked; the blocks form defaults to B = I, K = 0."""
+    """blocks, checked, and B and K as configured; the blocks form defaults to B = I, K = 0.
+
+    The blocks are checked before the n x n default gains are built.
+    """
     if not cfg.has("blocks"):
-        return ((cfg.get("A"), 1),), cfg.get("B"), cfg.get("K")
-    blocks = cfg.get("blocks")
+        return bnd.check_blocks(((cfg.get("A"), 1),)), cfg.get("B"), cfg.get("K")
+    blocks = bnd.check_blocks(cfg.get("blocks"))
     n = sum(p for _, p in blocks)
     identity = tuple(tuple(float(i == j) for j in range(n)) for i in range(n))
     B = cfg.get("B_matrix", default=identity)
@@ -222,7 +226,6 @@ def build_trigger(cfg: RunConfig, gamma: float | None = None) -> TriggerConfig:
 def build_inputs(cfg: RunConfig, gamma: float | None = None) -> bnd.BoundInputs:
     """The plant is checked as JordanPlant checks it, without building it (or numpy)."""
     blocks, B, K = _plant_parts(cfg)
-    blocks = bnd.check_blocks(blocks)
     bnd.check_gains(sum(p for _, p in blocks), B, K)
     return bnd.BoundInputs(blocks=blocks, **_design(cfg, gamma), nu=cfg.get("nu", default=1.0))
 
@@ -315,12 +318,14 @@ def _write_trace_csv(path: Path, trace: SimTrace) -> None:
         + [f"v{i+1}" for i in range(n)]
     )
     table = np.column_stack((trace.times, trace.x, trace.xhat, trace.z, trace.v))
+    row = ",".join(["%r"] * len(cols)) + "\n"
     with path.open("w") as fh:
         fh.write(",".join(cols) + "\n")
-        # repr of a Python float is _fmt's cell text; blocks bound the list copies
+        # %r of a Python float is _fmt's cell text; one % formats a block of rows, and
+        # blocks bound the list copies
         for a in range(0, len(table), _CSV_BLOCK_ROWS):
-            rows = table[a : a + _CSV_BLOCK_ROWS].tolist()
-            fh.writelines([",".join(map(repr, r)) + "\n" for r in rows])
+            block = table[a : a + _CSV_BLOCK_ROWS]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def _write_events_json(path: Path, trace: SimTrace) -> None:

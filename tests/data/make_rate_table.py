@@ -37,7 +37,8 @@ def _case(rng, k):
         lam = rng.uniform(0.05, 6.0)
         blocks = ((lam, rng.randint(1, 3)), (lam, rng.randint(1, 2)))
     else:
-        blocks = tuple((rng.uniform(0.05, 8.0), rng.randint(1, 3)) for _ in range(rng.randint(2, 3)))
+        count = rng.randint(2, 3)
+        blocks = tuple((rng.uniform(0.05, 8.0), rng.randint(1, 3)) for _ in range(count))
     ladders = tuple(_ladder(rng, rho0, p) for _, p in blocks) if kind in (3, 4) else None
     inp = bnd.BoundInputs(
         blocks=blocks, sigma=rng.uniform(0.02, 5.0), rho0=rho0, gamma=0.0,

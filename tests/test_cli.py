@@ -210,7 +210,8 @@ class TestSimulateCommand:
         assert cli.main(["simulate", "--config", str(path), "--out", str(out), *flags]) == exit_code
         (trace,) = traces
         n = trace.n
-        header = ",".join(["t"] + [f"{c}{i + 1}" for c in ("x", "xhat", "z", "v") for i in range(n)])
+        header = ",".join(["t"] + [f"{c}{i + 1}" for c in ("x", "xhat", "z", "v")
+                                   for i in range(n)])
         table = np.column_stack((trace.times, trace.x, trace.xhat, trace.z, trace.v)).tolist()
         expected = "".join([header + "\n"] + [",".join(map(repr, row)) + "\n" for row in table])
         assert len(table) > 1
@@ -601,10 +602,13 @@ _FIG7_DESIGN = dict(sigma=0.1, rho0=0.1, gamma=1.2, b=1.0001)
     ("A", "inf", "blocks", ((math.inf, 1),)),
     ("blocks", "inf:1", "blocks", ((math.inf, 1),)),
     ("blocks", "1:0", "blocks", ((1.0, 0),)),
+    ("blocks", "1:2.5", "blocks", ((1.0, 2.5),)),
+    ("blocks", "1:400, 2:113", "blocks", ((1.0, 400), (2.0, 113))),
     ("rho_ladder", "1.5", "rho_ladders", ((1.5,),)),
     ("rho_ladder", "0.05, 1.5", "rho_ladders", ((0.05, 1.5),)),
 ], ids=["sigma", "rho0", "gamma", "b", "A_inf", "blocks_inf", "blocks_order_0",
-        "ladder_value", "ladder_value_and_shape"])
+        "blocks_order_fractional", "blocks_order_over_cap", "ladder_value",
+        "ladder_value_and_shape"])
 def test_one_message_per_parameter(tmp_path, capsys, monkeypatch, key, value, field, parsed):
     # every library constructor of the parameter raises one ConfigurationError text,
     # and every command that reads the key prints exactly that text
@@ -644,12 +648,15 @@ def test_one_message_per_parameter(tmp_path, capsys, monkeypatch, key, value, fi
 @pytest.mark.parametrize("lines, message", [
     (["A = inf"], "eigenvalue must be positive and finite, got inf"),
     (["blocks = 1:0"], "block order must be >= 1, got 0"),
+    (["blocks = 1:2.5"], "block order must be a positive integer, got 2.5"),
+    (["blocks = 1:513"], "plant order (sum of block orders) must be <= 512, got 513"),
     (["A = 1", "B = inf"], "B entries must be finite, got [[inf]]"),
     (["A = 1", "K = nan"], "K entries must be finite, got [[nan]]"),
     (["blocks = 1:2", "B_matrix = 1 0"], "input map B must have 2 rows, got shape (1, 2)"),
     (["blocks = 1:2", "K_matrix = inf 0; 0 1"],
      "K entries must be finite, got [[inf, 0.0], [0.0, 1.0]]"),
-], ids=["A_inf", "blocks_order_0", "B_inf", "K_nan", "B_matrix_shape", "K_matrix_inf"])
+], ids=["A_inf", "blocks_order_0", "blocks_order_fractional", "blocks_order_over_cap", "B_inf",
+        "K_nan", "B_matrix_shape", "K_matrix_inf"])
 @pytest.mark.parametrize("command, recipe", [("bounds", "fig7"), ("sweep", "fig3")])
 def test_bad_plant_value_refused_by_analytic_commands(tmp_path, capsys, lines, message,
                                                       command, recipe):

@@ -12,6 +12,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from test_reference_engine import SimState, propagate
 
+from etcsim import bounds, sim
 from etcsim.bounds import BoundInputs
 from etcsim.channel import ConstantDelay
 from etcsim.errors import ConfigurationError, DivergenceError, PreconditionError
@@ -72,6 +73,25 @@ class TestPlants:
         inputs = BoundInputs(blocks=((1.0, order),), sigma=1, rho0=0.5, gamma=0.1)
         assert plant.blocks == inputs.blocks == ((1.0, 2),)
         assert type(plant.blocks[0][1]) is type(inputs.blocks[0][1]) is int
+
+    @pytest.mark.parametrize("blocks, n", [
+        (((1.0, 100_000),), 100_000),
+        (((1.0, 500), (2.0, 13)), 513),
+        (((1.0, 1),) * 513, 513),
+    ], ids=["one_huge_block", "two_blocks", "many_blocks"])
+    def test_plant_order_capped(self, blocks, n):
+        # an order of 100000 used to pass: the CLI built an n x n identity of floats from it,
+        # and the engine a (256, n, n) stack of powers
+        assert bounds.MAX_ORDER == 512
+        with pytest.raises(ConfigurationError) as exc:
+            bounds.check_blocks(blocks)
+        assert str(exc.value) == f"plant order (sum of block orders) must be <= 512, got {n}"
+
+    def test_order_at_cap_accepted(self):
+        assert bounds.check_blocks(((1.0, 500), (2.0, 12))) == ((1.0, 500), (2.0, 12))
+
+    def test_power_stack_at_cap_within_trace_limit(self):
+        assert sim._POWER_BLOCK * bounds.MAX_ORDER**2 * 8 <= sim.MAX_TRACE_BYTES
 
     def test_ragged_gain_is_configuration_error(self):
         with pytest.raises(ConfigurationError, match="B rows must have equal lengths"):
