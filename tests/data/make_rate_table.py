@@ -58,6 +58,10 @@ def _case(rng, k):
     return inp, gammas, sigmas
 
 
+def _hexes(xs):
+    return [float.hex(float(x)) for x in xs]
+
+
 def _row(inp, gamma, sigmas):
     at = replace(inp, gamma=gamma)
     sup = max(bnd.transmission_rate_necessary(replace(at, sigma=s)) for s in sigmas)
@@ -75,16 +79,15 @@ def main():
     cases = []
     for k in range(N_CASES):
         inp, gammas, sigmas = _case(rng, k)
-        hexes = lambda xs: [float.hex(float(x)) for x in xs]  # noqa: E731
         cases.append({
             "blocks": [[float.hex(lam), p] for lam, p in inp.blocks],
             "sigma": float.hex(inp.sigma),
             "rho0": float.hex(inp.rho0),
             "b": float.hex(inp.b),
             "nu": float.hex(inp.nu),
-            "rho_ladders": None if inp.rho_ladders is None else list(map(hexes, inp.rho_ladders)),
-            "sigma_grid": hexes(sigmas),
-            "rows": [hexes(_row(inp, g, sigmas)) for g in gammas],
+            "rho_ladders": None if inp.rho_ladders is None else list(map(_hexes, inp.rho_ladders)),
+            "sigma_grid": _hexes(sigmas),
+            "rows": [_hexes(_row(inp, g, sigmas)) for g in gammas],
         })
     path = Path(__file__).with_name("rate_table.json")
     path.write_text(json.dumps({"columns": ["gamma", "necessary", "necessary_approx",
