@@ -156,6 +156,21 @@ class TestSimulateCommand:
         assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
         assert (out1 / "events.json").read_bytes() == (out2 / "events.json").read_bytes()
 
+    @pytest.mark.parametrize("name, flags", [
+        ("seed1", ["--seed", "1"]),
+        ("seed2_refine", ["--seed", "2", "--refine"]),
+        ("seed4_adversarial", ["--seed", "4", "--delay", "adversarial"]),
+        ("seed5_g3", ["--seed", "5", "--g", "3"]),
+    ])
+    def test_vector_ladder_golden(self, tmp_path, name, flags):
+        # four coordinates, two blocks, a given ladder and one trigger level each: the
+        # per-coordinate levels, contractions, packet sizes and checks, byte for byte
+        rc = cli.main(["simulate", "--config", str(DATA / "vector_ladder.cfg"), *flags,
+                       "--out", str(tmp_path)])
+        assert rc == 0
+        for file in ("events.json", "report.json"):
+            assert (tmp_path / file).read_bytes() == (DATA / "vector_ladder" / name / file).read_bytes()
+
     def test_zero_delay_single_bit_run(self, tmp_path):
         rc = cli.main([
             "simulate", "--config", str(RECIPES / "fig7.cfg"),
