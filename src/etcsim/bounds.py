@@ -7,16 +7,18 @@ expm1/log1p so they stay finite and accurate for very small and very large
 delay bounds.
 
 The module also holds the one check of each design parameter (_RANGES,
-check_blocks, check_gains, contraction_ladders); model's types call it, and
-it imports nothing but the standard library and errors, so the analytic
-commands run without numpy.
+check_blocks, check_gains, contraction_ladders), which model's types call,
+and the per-coordinate table of a trigger design (coordinates), which the
+engine and its checks read.  It imports nothing but the standard library
+and errors, so the analytic commands run without numpy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Sequence
+import sys
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 from .errors import ConfigurationError, PreconditionError
 
@@ -24,21 +26,24 @@ LN2 = math.log(2.0)
 # largest plant order (sum of block orders): the closed loop's stack of 256 n x n
 # powers then stays within sim.MAX_TRACE_BYTES
 MAX_ORDER = 512
+_NORMAL_MIN = sys.float_info.min  # smallest positive normal float
 
-_RANGES = {  # parameter: (admits, rule), the one check of each scalar design parameter
-    "sigma": (lambda v: 0 < v < math.inf, "must be positive and finite"),
-    "rho0": (lambda v: 0 < v < 1, "must lie in (0, 1)"),
-    "gamma": (lambda v: 0 <= v < math.inf, "must be finite and >= 0"),
-    "b": (lambda v: 1 < v < math.inf, "must be finite and exceed 1"),
-    "nu": (lambda v: 1 <= v < math.inf, "must be finite and >= 1"),
+_RANGES = {  # parameter: its (admits, rule) pairs, the one check of each design parameter
+    "sigma": [(lambda v: 0 < v < math.inf, "must be positive and finite")],
+    "rho0": [(lambda v: 0 < v < 1, "must lie in (0, 1)"),
+             # the rate kernels take 1/rho0, which overflows for the smallest subnormals
+             (lambda v: v >= _NORMAL_MIN, f"must not be subnormal (< {_NORMAL_MIN})")],
+    "gamma": [(lambda v: 0 <= v < math.inf, "must be finite and >= 0")],
+    "b": [(lambda v: 1 < v < math.inf, "must be finite and exceed 1")],
+    "nu": [(lambda v: 1 <= v < math.inf, "must be finite and >= 1")],
 }
 
 
 def _check_input(name: str, value: float) -> float:
     """value, if the parameter name admits it; else ConfigurationError."""
-    admits, rule = _RANGES[name]
-    if not admits(value):
-        raise ConfigurationError(f"{name} {rule}, got {value}")
+    for admits, rule in _RANGES[name]:
+        if not admits(value):
+            raise ConfigurationError(f"{name} {rule}, got {value}")
     return value
 
 
@@ -174,11 +179,6 @@ class BoundInputs:
             raise PreconditionError("scalar growth rate undefined for mixed eigenvalues")
         return lams.pop()
 
-    def rho_flat(self) -> tuple[tuple[float, tuple[float, ...]], ...]:
-        """Per block: (eigenvalue, per-coordinate contraction ladder)."""
-        ladders = contraction_ladders(self.rho0, [p for _, p in self.blocks], self.rho_ladders)
-        return tuple((lam, lad) for (lam, _), lad in zip(self.blocks, ladders))
-
 
 def _ln_em1(u: float) -> float:
     """ln(e^u - 1), overflow-free and accurate for small u."""
@@ -240,19 +240,45 @@ def triggering_rate_lower(inp: BoundInputs) -> float:
 
 def min_inter_event_time(inp: BoundInputs) -> float:
     """Uniform lower bound on the spacing of triggering events (seconds)."""
-    return _ln_contraction(inp.sigma, inp.rho0, inp.gamma) / (inp.A + inp.sigma)
+    return _spacing(inp.A, inp.sigma, inp.gamma, inp.rho0, inp.rho0)
+
+
+def _spacing(lam: float, sigma: float, gamma: float, rho0: float, rho: float) -> float:
+    """Guaranteed spacing of triggering events for one coordinate (seconds).
+
+    A coordinate contracted to rho0 (a chain end, or a scalar plant) regrows
+    purely exponentially, giving -ln(rho0 e^{-sigma gamma})/(lam+sigma).  A
+    coupled coordinate is additionally driven by the coordinate below it,
+    whose envelope (absorbed via the ladder slack rho0 - rho and the cascade
+    caps) shortens the guaranteed spacing to
+    ln((1+c)/(rho e^{-sigma gamma} + (rho0-rho) + c))/(lam+sigma) with
+    c = (rho0-rho)/(e^{(lam+sigma) gamma} - 1).
+    """
+    if rho >= rho0:
+        return _ln_contraction(sigma, rho0, gamma) / (lam + sigma)
+    if gamma == 0.0:
+        return 0.0  # the zero-delay cascade cap is infinite: no spacing floor
+    c = (rho0 - rho) / math.expm1((lam + sigma) * gamma)
+    u = (1.0 + c) / (rho * math.exp(-sigma * gamma) + (rho0 - rho) + c)
+    return math.log(u) / (lam + sigma)
 
 
 def _log2_packet_term(lam: float, rho: float, sigma: float, gamma: float, b: float) -> float:
     """log2(b*gamma*(lam+sigma) / ln(1 + rho*e^{-(sigma+lam)*gamma}))."""
     u = (sigma + lam) * gamma
     num = math.log(b * gamma * (lam + sigma))
-    if u < 700:
-        den = math.log(math.log1p(rho * math.exp(-u)))
-    else:
-        # ln(1+x) ~ x once x underflows territory: ln ln(1+x) ~ ln(rho) - u
-        den = math.log(rho) - u
+    x = rho * math.exp(-u) if u < 700 else 0.0
+    # once x underflows, ln(1+x) ~ x: ln ln(1+x) ~ ln(rho) - u
+    den = math.log(math.log1p(x)) if x > 0.0 else math.log(rho) - u
     return (num - den) / LN2
+
+
+def _packet_size(lam: float, rho: float, sigma: float, gamma: float, b: float) -> int:
+    """Integer packet size meeting the sufficient-rate bound at eigenvalue lam
+    and contraction rho; 1 at gamma = 0."""
+    if gamma == 0:
+        return 1
+    return max(1, math.ceil(1.0 + _log2_packet_term(lam, rho, sigma, gamma, b)))
 
 
 def _rate_curves(
@@ -276,7 +302,8 @@ def _rate_curves(
     ln_nu, ln_rho0, inv_rho0 = math.log(inp.nu), math.log(rho0), 1.0 / rho0
     at_sigmas = (sigma, *(sigmas or ()))  # the curve's own sigma, then the supremum's
     weights = [p * (lam + sigma) / LN2 for lam, p in blocks]  # approximate rate per unit term
-    coords = [(lam, lam + sigma, ladder) for lam, ladder in inp.rho_flat()]
+    ladders = contraction_ladders(rho0, [p for _, p in blocks], inp.rho_ladders)
+    coords = [(lam, lam + sigma, ladder) for (lam, _), ladder in zip(blocks, ladders)]
     nec, app, suf, sup = [], [], [], []
     for gamma in gammas:
         if gamma == 0:
@@ -379,10 +406,7 @@ def packet_size_sufficient(inp: BoundInputs) -> int:
 
     gamma = 0 returns 1: the sign bit alone suffices when timing is exact.
     """
-    if inp.gamma == 0:
-        return 1
-    raw = 1.0 + _log2_packet_term(inp.A, inp.rho0, inp.sigma, inp.gamma, inp.b)
-    return max(1, math.ceil(raw))
+    return _packet_size(inp.A, inp.rho0, inp.sigma, inp.gamma, inp.b)
 
 
 def time_quantization_tolerance(inp: BoundInputs) -> float:
@@ -417,11 +441,12 @@ class AnalyticBounds:
 
 def analytic_bounds(inp: BoundInputs) -> AnalyticBounds:
     """Evaluate every bound; single-eigenvalue quantities where defined."""
+    (nec,), (app,), (suf,), _ = _rate_curves(inp, (inp.gamma,))
     out = AnalyticBounds(
         access_rate=access_rate_necessary(inp),
-        rate_necessary=transmission_rate_necessary(inp),
-        rate_necessary_approx=transmission_rate_necessary_approx(inp),
-        rate_sufficient=transmission_rate_sufficient(inp),
+        rate_necessary=nec,
+        rate_necessary_approx=app,
+        rate_sufficient=suf,
         asymptote=rate_asymptote(inp),
     )
     try:
@@ -594,6 +619,48 @@ def v0_cascade_bound(
     return CascadeBounds(upper=tuple(upper), envelope=envelope)
 
 
-def per_coordinate_inputs(inp: BoundInputs, lam: float, rho: float) -> BoundInputs:
-    """Scalar view of one coordinate: its eigenvalue and ladder contraction."""
-    return replace(inp, blocks=((lam, 1),), rho0=rho, rho_ladders=None)
+class Coordinate(NamedTuple):
+    """One flat coordinate of a plant with its share of the trigger design."""
+
+    lam: float  # eigenvalue of its Jordan block
+    start: int  # flat index of the block's first coordinate
+    order: int  # order of the block
+    index: int  # position in the block; order - 1 is the chain end
+    rho: float  # ladder contraction
+    v0: float  # trigger level
+    envelope: float  # (rho0 - rho) + e^{(lam+sigma)*gamma}
+    spacing: float  # guaranteed spacing of its triggering events
+    g: int  # sufficient packet size
+
+
+def coordinates(inp: BoundInputs, v0: Sequence[float]) -> tuple[Coordinate, ...]:
+    """The per-coordinate table of inp's plant and the trigger levels v0.
+
+    The one place that broadcasts per-coordinate parameters: a single level
+    applies to every coordinate, ladders default as contraction_ladders says.
+    Refuses, with ConfigurationError, a level count other than one or the
+    plant order and a chained level above its coupling cap (v0_cascade_bound).
+    """
+    n = inp.n
+    levels = tuple(v0) * n if len(v0) == 1 else tuple(v0)
+    if len(levels) != n:
+        raise ConfigurationError(f"need one trigger level per coordinate ({n}), got {len(levels)}")
+    sigma, rho0, gamma = inp.sigma, inp.rho0, inp.gamma
+    ladders = contraction_ladders(rho0, [p for _, p in inp.blocks], inp.rho_ladders)
+    table, at = [], 0
+    for (lam, p), ladder in zip(inp.blocks, ladders):
+        v_blk = levels[at : at + p]
+        caps = v0_cascade_bound((lam, p), v0=v_blk, rho=ladder, sigma=sigma, rho0=rho0, gamma=gamma)
+        for i, cap in enumerate(caps.upper, start=1):
+            if v_blk[i] > cap * (1.0 + 1e-12):
+                raise ConfigurationError(
+                    f"trigger level v0={v_blk[i]} for chained coordinate {at + i} "
+                    f"exceeds its coupling cap {cap:.6g}"
+                )
+        table += [
+            Coordinate(lam, at, p, i, rho, v, env, _spacing(lam, sigma, gamma, rho0, rho),
+                       _packet_size(lam, rho, sigma, gamma, inp.b))
+            for i, (rho, v, env) in enumerate(zip(ladder, v_blk, caps.envelope))
+        ]
+        at += p
+    return tuple(table)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import warnings
@@ -231,29 +232,17 @@ def build_inputs(cfg: RunConfig, gamma: float | None = None) -> bnd.BoundInputs:
 
 
 def _fmt(x) -> str:
-    import numpy as np  # only the empirical sweep formats cells, after its runs loaded numpy
-
     if x is None:
         return ""
     if isinstance(x, bool):
         return str(x).lower()
-    if isinstance(x, (float, np.floating)):
+    if isinstance(x, float):  # numpy's float64 too; float() drops its repr's type name
         return repr(float(x))
     return str(x)
 
 
-def _np_default(o):
-    import numpy as np  # json calls this only for values it cannot write: numpy's
-
-    if isinstance(o, (np.floating, np.integer)):
-        return o.item()
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    raise TypeError(f"not JSON serializable: {type(o)}")
-
-
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, default=_np_default) + "\n")
+    path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
 # -- bounds -------------------------------------------------------------------
@@ -484,6 +473,7 @@ def recipe_path(name: str) -> Path:
     return Path(__file__).parent / "recipes" / f"{name}.cfg"
 
 
+@functools.cache  # the parser depends on SETTINGS alone: one per process
 def _build_argparser() -> _Parser:
     parser = _Parser(prog="etcsim", description=__doc__)
     parser.add_argument("--version", action="version", version=f"etcsim {__version__}")

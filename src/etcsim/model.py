@@ -76,14 +76,6 @@ class JordanPlant:
             at += p
         return out
 
-    def coord_map(self) -> list[tuple[int, float, int, int]]:
-        """Per flat coordinate: (block index, eigenvalue, order, index-in-block)."""
-        out = []
-        for j, (lam, p) in enumerate(self.blocks):
-            for i in range(p):
-                out.append((j, lam, p, i))
-        return out
-
 
 @dataclass(frozen=True)
 class TriggerConfig:
@@ -110,30 +102,13 @@ class TriggerConfig:
             if not 0 < v < math.inf:
                 raise ConfigurationError(f"trigger levels v0 must be positive and finite, got {v}")
         if self.rho_ladders is not None:
-            # values only: the shape is checked against the plant in rho_flat
+            # values only: the shape is checked against the plant in bound_inputs
             contraction_ladders(self.rho0, [len(lad) for lad in self.rho_ladders], self.rho_ladders)
 
     def v0_flat(self) -> tuple[float, ...]:
         if isinstance(self.v0, (int, float)):
             return (float(self.v0),)
         return tuple(float(v) for block in self.v0 for v in block)
-
-    def v0_levels(self, blocks: tuple[tuple[float, int], ...]) -> tuple[float, ...]:
-        """Per-coordinate trigger levels; a single level applies to every coordinate."""
-        n = sum(p for _, p in blocks)
-        levels = self.v0_flat()
-        if len(levels) == 1:
-            levels = levels * n
-        if len(levels) != n:
-            raise ConfigurationError(
-                f"need one trigger level per coordinate ({n}), got {len(levels)}"
-            )
-        return levels
-
-    def rho_flat(self, blocks: tuple[tuple[float, int], ...]) -> tuple[float, ...]:
-        """Per-coordinate contraction values; defaults to rho0*i/p within a block."""
-        ladders = contraction_ladders(self.rho0, [p for _, p in blocks], self.rho_ladders)
-        return tuple(r for lad in ladders for r in lad)
 
     def bound_inputs(self, blocks: tuple[tuple[float, int], ...], nu: float) -> BoundInputs:
         """The analytic-bound parameters of a run of this trigger on the given blocks."""

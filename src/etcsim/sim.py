@@ -57,7 +57,10 @@ class Event:
 
 @dataclass
 class SimTrace:
-    """Sampled trajectories plus the ordered event log of one run."""
+    """Sampled trajectories plus the ordered event log of one run, with the
+    design it ran: the analytic-bound inputs, the per-coordinate table
+    (bounds.coordinates), the packet size of each coordinate and the
+    detection mode."""
 
     times: np.ndarray
     x: np.ndarray
@@ -69,7 +72,10 @@ class SimTrace:
     trigger_counts: np.ndarray
     horizon: float
     step: float
-    params: dict
+    inputs: bnd.BoundInputs
+    coords: tuple[bnd.Coordinate, ...]
+    g: tuple[int, ...]
+    refine: bool
     diverged: bool = False
 
     @property
@@ -118,7 +124,6 @@ class _Engine:
             raise PreconditionError(f"step must be positive and finite, got {step}")
         if not 0 < horizon < math.inf:
             raise PreconditionError(f"horizon must be positive and finite, got {horizon}")
-        self.plant = plant
         self.cfg = cfg
         self.n = plant.n
         if len(delay_models) != self.n:
@@ -143,38 +148,26 @@ class _Engine:
         self.refine = refine
         self.sigma = cfg.sigma
 
-        self.v0s = np.asarray(cfg.v0_levels(plant.blocks), dtype=float)
-        self.rhos = np.asarray(cfg.rho_flat(plant.blocks), dtype=float)
+        self.inputs = cfg.bound_inputs(plant.blocks, nu)
+        self.coords = bnd.coordinates(self.inputs, cfg.v0_flat())
         self.block_slices = plant.block_slices()
-        self.coord_map = plant.coord_map()
-        self.lams = np.array([lam for _, lam, _, _ in self.coord_map])
-        self._coord_slice = []
-        for _, _, sl in self.block_slices:
-            self._coord_slice.extend([sl] * (sl.stop - sl.start))
         self.enabled = np.array([m is not None for m in self.delay_models])
 
         self.x0 = np.atleast_1d(np.asarray(x0, dtype=float))
         self.xhat0 = np.atleast_1d(np.asarray(xhat0, dtype=float))
         if self.x0.shape != (self.n,) or self.xhat0.shape != (self.n,):
             raise ConfigurationError(f"initial conditions must have shape ({self.n},)")
-        validate_cascade(plant, cfg)
-        z0 = np.abs(self.x0 - self.xhat0)
-        if np.any(z0 > self.v0s):
-            raise PreconditionError(
-                f"initial errors {z0} must not exceed trigger levels {self.v0s}"
-            )
+        z0, v0s = np.abs(self.x0 - self.xhat0), np.array([co.v0 for co in self.coords])
+        if np.any(z0 > v0s):
+            raise PreconditionError(f"initial errors {z0} must not exceed trigger levels {v0s}")
 
-        self.inputs = cfg.bound_inputs(plant.blocks, nu)
         if g is None:
-            self.gs = [
-                bnd.packet_size_sufficient(bnd.per_coordinate_inputs(self.inputs, lam, rho))
-                for lam, rho in zip(self.lams, self.rhos)
-            ]
+            self.g = tuple(co.g for co in self.coords)
         elif g < 1:
             raise PreconditionError(f"packet size must be >= 1 bit, got {g}")
         else:
-            self.gs = [int(g)] * self.n
-        for gc in self.gs:
+            self.g = (int(g),) * self.n
+        for gc in self.g:
             if gc >= 2 and cfg.gamma > 0:  # at gamma = 0 encode refuses timing bits itself
                 check_resolvable(gc, cfg.b, cfg.gamma, self.t_end)
 
@@ -260,14 +253,14 @@ class _Engine:
         return zmat, hit
 
     def _v_at(self, coord: int, t: float) -> float:
-        return self.v0s[coord] * math.exp(-self.sigma * t)
+        return self.coords[coord].v0 * math.exp(-self.sigma * t)
 
     # -- main loop (exact propagation) ----------------------------------------
 
     def run(self) -> SimTrace:
         n, h, S = self.n, self.h, self.S
         times = np.arange(S + 1) * h
-        V = self.v0s[None, :] * np.exp(-self.sigma * times)[:, None]
+        V = np.array([co.v0 for co in self.coords]) * np.exp(-self.sigma * times)[:, None]
         X = np.full((S + 1, n), np.nan)
         XH = np.full((S + 1, n), np.nan)
         Z = np.full((S + 1, n), np.nan)
@@ -326,18 +319,15 @@ class _Engine:
                 continue
             break
 
-        return SimTrace(
-            times, X, XH, Z, V, self.events, self.bits_sent, self.trigger_counts,
-            horizon=self.t_end, step=h, params=self._params(),
-        )
+        return self._trace(S + 1, diverged=False)
 
-    def _params(self) -> dict:
-        return dict(
-            plant=self.plant,
-            trigger=self.cfg,
-            inputs=self.inputs,
-            g=tuple(self.gs),
-            refine=self.refine,
+    def _trace(self, k: int, diverged: bool) -> SimTrace:
+        """The trace of the first k samples."""
+        return SimTrace(
+            self._times[:k], self._X[:k], self._XH[:k], self._Z[:k], self._V[:k],
+            self.events, self.bits_sent, self.trigger_counts, horizon=self.t_end, step=self.h,
+            inputs=self.inputs, coords=self.coords, g=self.g, refine=self.refine,
+            diverged=diverged,
         )
 
     # -- boundary processing ----------------------------------------------------
@@ -364,24 +354,15 @@ class _Engine:
         # NaN compares false, so NaN, infinities and magnitudes above the limit all fail
         if np.count_nonzero(np.abs(x) <= OVERFLOW_LIMIT) < x.size:
             raise DivergenceError(
-                f"state overflow at t={t:.6g}", trace=self._partial_trace(next_idx)
+                f"state overflow at t={t:.6g}", trace=self._trace(next_idx, diverged=True)
             )
-
-    def _partial_trace(self, next_idx: int) -> SimTrace:
-        k = next_idx
-        return SimTrace(
-            self._times[:k], self._X[:k], self._XH[:k], self._Z[:k], self._V[:k],
-            self.events, self.bits_sent, self.trigger_counts,
-            horizon=self.t_end, step=self.h, params=self._params(),
-            diverged=True,
-        )
 
     def _fire(self, c: int, t_s: float, z: np.ndarray) -> None:
         if self._fired_at[c] == t_s:
             return
         self._fired_at[c] = t_s
         sign = 1 if z[c] > 0 else -1
-        g = self.gs[c]
+        g = self.g[c]
         packet = encode(t_s, sign, g, self.cfg.b, self.cfg.gamma, coord=c)
         delta = sample_delay(self.delay_models[c], self._k[c])
         if delta > self.cfg.gamma + 1e-12:
@@ -405,13 +386,14 @@ class _Engine:
         """Decode, reconstruct and apply the jump for coordinate c at t_eff."""
         packet = self.channel.deliver(c)
         gamma, b = self.cfg.gamma, self.cfg.b
+        co = self.coords[c]
         sign, q = decode(packet, t_eff, b, gamma)
-        zbar = reconstruct_error(sign, q, t_eff, self.v0s[c], self.sigma, self.lams[c])
+        zbar = reconstruct_error(sign, q, t_eff, co.v0, self.sigma, co.lam)
         z[c] -= zbar
         xhat[c] += zbar
         v_ts = self._v_at(c, packet.t_s)
-        jump_bound = self.rhos[c] * math.exp(-self.sigma * gamma) * v_ts + (
-            self.cfg.rho0 - self.rhos[c]
+        jump_bound = co.rho * math.exp(-self.sigma * gamma) * v_ts + (
+            self.cfg.rho0 - co.rho
         ) * self._v_at(c, t_eff)
         self.events.append(
             Event(
@@ -470,7 +452,8 @@ class _Engine:
 
     def _crossing(self, c: int, t_a: float, z_a: np.ndarray, hi: float) -> float:
         """First s in (0, hi] with |z_c(t_a+s)| = v_c(t_a+s), as absolute time."""
-        _, lam, p, i_in = self.coord_map[c]
+        co = self.coords[c]
+        lam, p, i_in = co.lam, co.order, co.index
         v_a = self._v_at(c, t_a)
         if abs(z_a[c]) >= v_a:
             return t_a
@@ -478,7 +461,7 @@ class _Engine:
             # chain-end coordinate grows purely exponentially against the threshold
             s = math.log(v_a / abs(z_a[c])) / (lam + self.sigma)
             return t_a + min(s, hi)
-        zb = z_a[self._coord_slice[c]]
+        zb = z_a[co.start : co.start + p]
         lo_s, hi_s = 0.0, hi
         for _ in range(80):
             if t_a + lo_s == t_a + hi_s:
@@ -534,26 +517,6 @@ run_scalar = run_vector
 phase_curves = bnd.phase_curves  # the same: the curves live in bounds, free of numpy
 
 
-def validate_cascade(plant: JordanPlant, cfg: TriggerConfig) -> None:
-    """Refuse trigger levels whose chained coordinates exceed the coupling caps."""
-    v0s = cfg.v0_levels(plant.blocks)
-    rhos = cfg.rho_flat(plant.blocks)
-    at = 0
-    for lam, p in plant.blocks:
-        v_blk = v0s[at : at + p]
-        r_blk = rhos[at : at + p]
-        caps = bnd.v0_cascade_bound(
-            (lam, p), v0=v_blk, rho=r_blk, sigma=cfg.sigma, rho0=cfg.rho0, gamma=cfg.gamma
-        )
-        for i, cap in enumerate(caps.upper, start=1):
-            if v_blk[i] > cap * (1.0 + 1e-12):
-                raise ConfigurationError(
-                    f"trigger level v0={v_blk[i]} for chained coordinate {at + i} "
-                    f"exceeds its coupling cap {cap:.6g}"
-                )
-        at += p
-
-
 def measure_rates(trace: SimTrace) -> RateReport:
     """Empirical sent-bit and triggering rates over the run horizon."""
     T = trace.horizon
@@ -570,7 +533,7 @@ def measure_rates(trace: SimTrace) -> RateReport:
         per_coord_bits=tuple(int(b) for b in bits),
         per_coord_rate=tuple(float(b) / T for b in bits),
         per_coord_triggers=tuple(int(c) for c in trig),
-        bounds=bnd.analytic_bounds(trace.params["inputs"]),
+        bounds=bnd.analytic_bounds(trace.inputs),
     )
 
 
@@ -590,13 +553,8 @@ def validate_trace(trace: SimTrace) -> Validation:
     delivery each lag by at most one step, inflating the pre-jump error by at
     most e^{2(lam+sigma)h}.
     """
-    plant: JordanPlant = trace.params["plant"]
-    cfg: TriggerConfig = trace.params["trigger"]
-    refine = trace.params.get("refine", False)
-    gamma, sigma, h = cfg.gamma, cfg.sigma, trace.step
-    rhos = cfg.rho_flat(plant.blocks)
-    v0s = cfg.v0_levels(plant.blocks)
-    coord_map = plant.coord_map()
+    inp, coords, refine = trace.inputs, trace.coords, trace.refine
+    gamma, sigma, h = inp.gamma, inp.sigma, trace.step
     violations: list[str] = []
     checks: dict[str, bool] = {}
 
@@ -609,7 +567,7 @@ def validate_trace(trace: SimTrace) -> Validation:
 
     ok = True
     for e in trace.receptions():
-        lam = coord_map[e.coord][1]
+        lam = coords[e.coord].lam
         slack = e.jump_bound * _FP_SLACK + 1e-15
         if not refine:
             slack += math.expm1(2.0 * (lam + sigma) * h) * e.v_ts * math.exp(lam * gamma)
@@ -622,14 +580,11 @@ def validate_trace(trace: SimTrace) -> Validation:
     checks["post_jump_contract"] = ok
 
     ok = True
-    for c in range(trace.n):
-        lam = coord_map[c][1]
-        env = v0s[c] * ((cfg.rho0 - rhos[c]) + math.exp((lam + sigma) * gamma)) * np.exp(
-            -sigma * trace.times
-        )
+    for c, co in enumerate(coords):
+        env = co.v0 * co.envelope * np.exp(-sigma * trace.times)
         zc = np.abs(trace.z[:, c])
         zmax = float(np.nanmax(zc)) if zc.size else 0.0
-        slack = 2.0 * h * (lam + sigma) * zmax + env * _FP_SLACK
+        slack = 2.0 * h * (co.lam + sigma) * zmax + env * _FP_SLACK
         bad = zc > env + slack
         if bad.any():
             ok = False
@@ -641,54 +596,29 @@ def validate_trace(trace: SimTrace) -> Validation:
     checks["decay_envelope"] = ok
 
     ok = True
-    dmins = [
-        _min_spacing(coord_map[c][1], sigma, gamma, cfg.rho0, rhos[c])
-        for c in range(trace.n)
-    ]
-    for c in range(trace.n):
+    for c, co in enumerate(coords):
         ts = [e.t_s for e in trace.triggers() if e.coord == c]
         for a, b_ in zip(ts, ts[1:]):
-            if b_ - a < dmins[c] - 2.0 * h - 1e-12:
+            if b_ - a < co.spacing - 2.0 * h - 1e-12:
                 ok = False
                 violations.append(
-                    f"inter-event time {b_ - a:.6g} below {dmins[c]:.6g} - 2h on coord {c}"
+                    f"inter-event time {b_ - a:.6g} below {co.spacing:.6g} - 2h on coord {c}"
                 )
     checks["no_zeno"] = ok
 
     ok = True
     T = trace.horizon
-    for c in range(trace.n):
-        if dmins[c] <= 0.0:
+    for c, co in enumerate(coords):
+        if co.spacing <= 0.0:
             continue
-        lam = coord_map[c][1]
-        upper = 1.0 / dmins[c]
+        upper = 1.0 / co.spacing
         r_emp = trace.trigger_counts[c] / T
-        if r_emp > upper * (1.0 + 2.0 * (lam + sigma) * h) + 1.0 / T + 1e-12:
+        if r_emp > upper * (1.0 + 2.0 * (co.lam + sigma) * h) + 1.0 / T + 1e-12:
             ok = False
             violations.append(f"trigger rate {r_emp:.6g} above cap {upper:.6g} on coord {c}")
     checks["trigger_rate_cap"] = ok
 
     return Validation(ok=not violations, violations=violations, checks=checks)
-
-
-def _min_spacing(lam, sigma, gamma, rho0, rho_i):
-    """Guaranteed spacing of triggering events for one coordinate.
-
-    Chain-end coordinates regrow purely exponentially from the post-jump
-    contraction, giving -ln(rho0 e^{-sigma gamma})/(lam+sigma).  A coupled
-    coordinate is additionally driven by the coordinate below it, whose
-    envelope (absorbed via the ladder slack rho0 - rho_i and the cascade
-    caps) shortens the guaranteed spacing to
-    ln((1+c)/(rho_i e^{-sigma gamma} + (rho0-rho_i) + c))/(lam+sigma) with
-    c = (rho0-rho_i)/(e^{(lam+sigma) gamma} - 1).
-    """
-    if rho_i >= rho0:
-        return (sigma * gamma - math.log(rho0)) / (lam + sigma)
-    if gamma == 0.0:
-        return 0.0  # the zero-delay cascade cap is infinite: no spacing floor
-    c = (rho0 - rho_i) / math.expm1((lam + sigma) * gamma)
-    u = (1.0 + c) / (rho_i * math.exp(-sigma * gamma) + (rho0 - rho_i) + c)
-    return math.log(u) / (lam + sigma)
 
 
 @dataclass
@@ -741,7 +671,7 @@ def sweep_gamma(
             rows.append(
                 SweepRow(
                     gamma=float(gamma),
-                    g=max(trace.params["g"]),
+                    g=max(trace.g),
                     rate_empirical=report.rate_empirical,
                     trigger_rate_empirical=report.trigger_rate_empirical,
                     bounds=report.bounds,

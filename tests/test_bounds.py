@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from etcsim import bounds as bnd
-from etcsim.errors import PreconditionError
+from etcsim.errors import ConfigurationError, PreconditionError
 
 LN2 = math.log(2.0)
 RATE_TABLE = Path(__file__).parent / "data" / "rate_table.json"
@@ -371,6 +371,56 @@ class TestCascadeBound:
         with pytest.raises(PreconditionError):
             bnd.v0_cascade_bound((1.0, 2), v0=(1.0, 0.5), rho=(0.5, 0.5), sigma=1.0,
                                  rho0=0.5, gamma=0.1)
+
+
+class TestCoordinates:
+    # the plant and design of tests/data/vector_ladder.cfg
+    LADDER = bnd.BoundInputs(blocks=((0.8, 3), (2.0, 1)), sigma=1.0, rho0=0.5, gamma=0.1,
+                             nu=2.0, rho_ladders=((0.1, 0.3, 0.5), (0.5,)))
+    LEVELS = (0.4, 0.05, 0.004, 0.5)
+
+    def test_each_field_matches_its_formula(self):
+        inp = self.LADDER
+        table = bnd.coordinates(inp, self.LEVELS)
+        ladders = bnd.contraction_ladders(inp.rho0, (3, 1), inp.rho_ladders)
+        rows = [(lam, start, p, i, ladder)
+                for (lam, p), start, ladder in zip(inp.blocks, (0, 3), ladders) for i in range(p)]
+        assert len(table) == inp.n == len(rows)
+        for co, v0, (lam, start, p, i, ladder) in zip(table, self.LEVELS, rows):
+            rho = ladder[i]
+            assert (co.lam, co.start, co.order, co.index) == (lam, start, p, i)
+            assert (co.rho, co.v0) == (rho, v0)
+            caps = bnd.v0_cascade_bound((lam, p), v0=self.LEVELS[start : start + p], rho=ladder,
+                                        sigma=inp.sigma, rho0=inp.rho0, gamma=inp.gamma)
+            assert co.envelope == caps.envelope[i]
+            alone = bnd.BoundInputs.scalar(lam, inp.sigma, rho, gamma=inp.gamma, b=inp.b, nu=inp.nu)
+            assert co.g == bnd.packet_size_sufficient(alone)
+            if i == p - 1:  # a chain end regrows from rho0 alone
+                assert co.spacing == bnd.min_inter_event_time(replace(alone, rho0=inp.rho0))
+            else:
+                ls, slack = lam + inp.sigma, inp.rho0 - rho
+                c = slack / math.expm1(ls * inp.gamma)
+                want = math.log((1 + c) / (rho * math.exp(-inp.sigma * inp.gamma) + slack + c)) / ls
+                assert co.spacing == pytest.approx(want, rel=1e-12)
+                assert 0 < co.spacing < bnd.min_inter_event_time(replace(alone, rho0=inp.rho0))
+        assert [co.g for co in table] == [3, 1, 1, 1]
+
+    def test_one_level_applies_to_every_coordinate(self):
+        table = bnd.coordinates(replace(self.LADDER, rho_ladders=None), (0.01,))
+        assert [co.v0 for co in table] == [0.01] * 4
+        assert [co.rho for co in table] == [0.5 / 3, 0.5 * 2 / 3, 0.5, 0.5]
+
+    @pytest.mark.parametrize("levels, message", [
+        ((0.4, 0.05, 0.004), "need one trigger level per coordinate (4), got 3"),
+        ((0.4, 1.0, 0.004, 0.5),
+         "trigger level v0=1.0 for chained coordinate 1 exceeds its coupling cap 0.914289"),
+        ((0.4, 0.05, 0.1, 0.5),
+         "trigger level v0=0.1 for chained coordinate 2 exceeds its coupling cap 0.0653226"),
+    ], ids=["level_count", "cap_coordinate_1", "cap_coordinate_2"])
+    def test_refusals(self, levels, message):
+        with pytest.raises(ConfigurationError) as exc:
+            bnd.coordinates(self.LADDER, levels)
+        assert str(exc.value) == message
 
 
 class TestUncertaintyIntervalInclusion:

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from etcsim import bounds as bnd
 from etcsim import cli, sim
 from etcsim.bounds import BoundInputs
 from etcsim.errors import ConfigurationError, DecodeError
@@ -168,8 +169,9 @@ class TestSimulateCommand:
         rc = cli.main(["simulate", "--config", str(DATA / "vector_ladder.cfg"), *flags,
                        "--out", str(tmp_path)])
         assert rc == 0
+        golden = DATA / "vector_ladder" / name
         for file in ("events.json", "report.json"):
-            assert (tmp_path / file).read_bytes() == (DATA / "vector_ladder" / name / file).read_bytes()
+            assert (tmp_path / file).read_bytes() == (golden / file).read_bytes(), file
 
     def test_zero_delay_single_bit_run(self, tmp_path):
         rc = cli.main([
@@ -612,6 +614,8 @@ _FIG7_DESIGN = dict(sigma=0.1, rho0=0.1, gamma=1.2, b=1.0001)
 @pytest.mark.parametrize("key, value, field, parsed", [
     ("sigma", "0", "sigma", 0.0),
     ("rho0", "1", "rho0", 1.0),
+    ("rho0", "1e-320", "rho0", 1e-320),
+    ("rho0", "5e-324", "rho0", 5e-324),
     ("gamma", "-1", "gamma", -1.0),
     ("b", "1", "b", 1.0),
     ("A", "inf", "blocks", ((math.inf, 1),)),
@@ -621,7 +625,7 @@ _FIG7_DESIGN = dict(sigma=0.1, rho0=0.1, gamma=1.2, b=1.0001)
     ("blocks", "1:400, 2:113", "blocks", ((1.0, 400), (2.0, 113))),
     ("rho_ladder", "1.5", "rho_ladders", ((1.5,),)),
     ("rho_ladder", "0.05, 1.5", "rho_ladders", ((0.05, 1.5),)),
-], ids=["sigma", "rho0", "gamma", "b", "A_inf", "blocks_inf", "blocks_order_0",
+], ids=["sigma", "rho0", "rho0_subnormal", "rho0_smallest_subnormal", "gamma", "b", "A_inf", "blocks_inf", "blocks_order_0",
         "blocks_order_fractional", "blocks_order_over_cap", "ladder_value",
         "ladder_value_and_shape"])
 def test_one_message_per_parameter(tmp_path, capsys, monkeypatch, key, value, field, parsed):
@@ -684,6 +688,28 @@ def test_bad_plant_value_refused_by_analytic_commands(tmp_path, capsys, lines, m
     argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
     assert assert_one_line_usage_error(capsys, argv) == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, lines", [
+    ("bounds", ["gamma = 600"]), ("sweep", ["mode = analytic", "gamma_grid = 600"]),
+])
+def test_underflowing_packet_term_runs(tmp_path, capsys, command, lines):
+    # rho0 * e^{-(A+sigma)*gamma} underflows to 0 below (A+sigma)*gamma = 700; the packet
+    # term takes its asymptote ln(rho0) - (A+sigma)*gamma there instead of ln(0)
+    path = write_cfg(tmp_path, "\n".join(["A = 1", "sigma = 0.1", "rho0 = 1e-300"] + lines))
+    rc = cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_OK and captured.err == ""
+    inp = BoundInputs.scalar(1.0, 0.1, 1e-300, gamma=600.0, nu=2.0)
+    u = 1.1 * 600.0
+    term = (math.log(1.0001 * 600.0 * 1.1) - (math.log(1e-300) - u)) / math.log(2.0)
+    assert bnd.packet_size_sufficient(inp) == math.ceil(1.0 + term) == 1960
+    if command == "bounds":
+        assert "packet_size_sufficient         1960\n" in captured.out
+    else:
+        row = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1].split(",")
+        assert float(row[cli.SWEEP_COLUMNS.index("R_sufficient")]) == (
+            bnd.transmission_rate_sufficient(inp))
 
 
 @pytest.mark.parametrize("lines, message", [

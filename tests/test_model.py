@@ -127,11 +127,13 @@ class TestTriggerConfig:
                           rho_ladders=((0.2, 0.4),))
         cfg = TriggerConfig(v0=((1.0, 1.0),), sigma=1.0, rho0=0.5, gamma=0.1,
                             rho_ladders=((0.25, 0.5),))
-        assert cfg.rho_flat(((1.0, 2),)) == (0.25, 0.5)
+        table = bounds.coordinates(cfg.bound_inputs(((1.0, 2),), 2.0), cfg.v0_flat())
+        assert tuple(co.rho for co in table) == (0.25, 0.5)
 
     def test_default_ladder(self):
         cfg = TriggerConfig(v0=((1.0, 1.0, 1.0),), sigma=1.0, rho0=0.6, gamma=0.1)
-        assert cfg.rho_flat(((1.0, 3),)) == (pytest.approx(0.2), pytest.approx(0.4), 0.6)
+        table = bounds.coordinates(cfg.bound_inputs(((1.0, 3),), 2.0), cfg.v0_flat())
+        assert tuple(co.rho for co in table) == (pytest.approx(0.2), pytest.approx(0.4), 0.6)
 
 
 def quiet_run(cfg, horizon, step, x0=0.2, **kw):

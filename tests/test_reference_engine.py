@@ -63,11 +63,11 @@ def reference_run(plant, cfg, delay_models, horizon, step, x0, xhat0, nu=2.0):
     v0s = np.asarray(cfg.v0_flat(), dtype=float)
     if v0s.size == 1:
         v0s = np.full(n, v0s[0])
-    rhos = cfg.rho_flat(plant.blocks)
-    lams = [lam for _, lam, _, _ in plant.coord_map()]
-    base = bnd.BoundInputs(blocks=plant.blocks, sigma=cfg.sigma, rho0=cfg.rho0,
-                           gamma=cfg.gamma, b=cfg.b, nu=nu)
-    gs = [bnd.packet_size_sufficient(bnd.per_coordinate_inputs(base, lams[c], rhos[c]))
+    ladders = bnd.contraction_ladders(cfg.rho0, [p for _, p in plant.blocks], cfg.rho_ladders)
+    rhos = [r for ladder in ladders for r in ladder]
+    lams = [lam for lam, p in plant.blocks for _ in range(p)]
+    gs = [bnd.packet_size_sufficient(bnd.BoundInputs.scalar(lams[c], cfg.sigma, rhos[c],
+                                                            gamma=cfg.gamma, b=cfg.b, nu=nu))
           for c in range(n)]
 
     state = SimState(0.0, np.asarray(x0, float), np.asarray(xhat0, float))

@@ -55,7 +55,7 @@ class TestRunScalar:
     def test_packet_size_follows_sufficient_rule(self):
         trace = fig7_run(horizon=1.5)
         inp = bnd.BoundInputs.scalar(1.0, 0.1, 0.1, gamma=1.2, b=1.0001, nu=2.0)
-        assert trace.params["g"] == (bnd.packet_size_sufficient(inp),) == (7,)
+        assert trace.g == (bnd.packet_size_sufficient(inp),) == (7,)
 
     def test_zero_initial_error_never_triggers(self):
         trace = run_vector(FIG7_PLANT, FIG7_CFG, ConstantDelay(0.1, gamma=1.2),
