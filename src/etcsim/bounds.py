@@ -26,13 +26,13 @@ LN2 = math.log(2.0)
 # largest plant order (sum of block orders): the closed loop's stack of 256 n x n
 # powers then stays within sim.MAX_TRACE_BYTES
 MAX_ORDER = 512
-_NORMAL_MIN = sys.float_info.min  # smallest positive normal float
 
 _RANGES = {  # parameter: its (admits, rule) pairs, the one check of each design parameter
     "sigma": [(lambda v: 0 < v < math.inf, "must be positive and finite")],
     "rho0": [(lambda v: 0 < v < 1, "must lie in (0, 1)"),
              # the rate kernels take 1/rho0, which overflows for the smallest subnormals
-             (lambda v: v >= _NORMAL_MIN, f"must not be subnormal (< {_NORMAL_MIN})")],
+             (lambda v: v >= sys.float_info.min,
+              f"must not be subnormal (< {sys.float_info.min})")],
     "gamma": [(lambda v: 0 <= v < math.inf, "must be finite and >= 0")],
     "b": [(lambda v: 1 < v < math.inf, "must be finite and exceed 1")],
     "nu": [(lambda v: 1 <= v < math.inf, "must be finite and >= 1")],
@@ -266,7 +266,9 @@ def _spacing(lam: float, sigma: float, gamma: float, rho0: float, rho: float) ->
 def _log2_packet_term(lam: float, rho: float, sigma: float, gamma: float, b: float) -> float:
     """log2(b*gamma*(lam+sigma) / ln(1 + rho*e^{-(sigma+lam)*gamma}))."""
     u = (sigma + lam) * gamma
-    num = math.log(b * gamma * (lam + sigma))
+    width = b * gamma * (lam + sigma)
+    # a width that underflows (gamma near the smallest float) is taken as a sum of logs
+    num = math.log(width) if width > 0.0 else math.log(b) + math.log(gamma) + math.log(lam + sigma)
     x = rho * math.exp(-u) if u < 700 else 0.0
     # once x underflows, ln(1+x) ~ x: ln ln(1+x) ~ ln(rho) - u
     den = math.log(math.log1p(x)) if x > 0.0 else math.log(rho) - u

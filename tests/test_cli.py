@@ -625,7 +625,8 @@ _FIG7_DESIGN = dict(sigma=0.1, rho0=0.1, gamma=1.2, b=1.0001)
     ("blocks", "1:400, 2:113", "blocks", ((1.0, 400), (2.0, 113))),
     ("rho_ladder", "1.5", "rho_ladders", ((1.5,),)),
     ("rho_ladder", "0.05, 1.5", "rho_ladders", ((0.05, 1.5),)),
-], ids=["sigma", "rho0", "rho0_subnormal", "rho0_smallest_subnormal", "gamma", "b", "A_inf", "blocks_inf", "blocks_order_0",
+], ids=["sigma", "rho0", "rho0_subnormal", "rho0_smallest_subnormal", "gamma", "b", "A_inf",
+        "blocks_inf", "blocks_order_0",
         "blocks_order_fractional", "blocks_order_over_cap", "ladder_value",
         "ladder_value_and_shape"])
 def test_one_message_per_parameter(tmp_path, capsys, monkeypatch, key, value, field, parsed):
@@ -710,6 +711,19 @@ def test_underflowing_packet_term_runs(tmp_path, capsys, command, lines):
         row = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1].split(",")
         assert float(row[cli.SWEEP_COLUMNS.index("R_sufficient")]) == (
             bnd.transmission_rate_sufficient(inp))
+
+
+@pytest.mark.parametrize("flags", [[], ["--g", "1"]], ids=["automatic_g", "given_g"])
+def test_underflowing_delay_width_is_clean_error(tmp_path, capsys, flags):
+    # b*gamma*(A+sigma) underflows to 0 at gamma = 5e-324: the packet size is 1, not
+    # log(0)'s traceback, and the run's bounds still refuse the delay, writing nothing
+    assert bnd.packet_size_sufficient(BoundInputs.scalar(0.1, 0.1, 0.1, gamma=5e-324)) == 1
+    path = write_cfg(tmp_path, "A = 0.1\nB = 0.2\nK = 8\nv0 = 0.3\nsigma = 0.1\nrho0 = 0.1\n"
+                     "gamma = 5e-324\nx0 = 0.2\nxhat0 = 0.1\nhorizon = 0.1\nstep = 0.001\n")
+    argv = ["simulate", "--config", str(path), *flags, "--out", str(tmp_path / "out")]
+    message = assert_one_line_usage_error(capsys, argv)
+    assert message == "error: needs a positive exponent, got 0.0\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("lines, message", [
