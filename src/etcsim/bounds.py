@@ -1,10 +1,17 @@
-"""Closed-form rate bounds, bit bounds, critical delays and design checks.
+"""Closed-form rate bounds, critical delays and design checks.
 
 Conventions: log2 for bit counts and rates, natural log elsewhere.  Clamped
 max{0, .} terms return exactly 0.0, never a negative epsilon, so phase
 transition tests can compare against zero.  Expressions are arranged around
 expm1/log1p so they stay finite and accurate for very small and very large
 delay bounds.
+
+Each rate formula lives once, in the rate kernel _rate_curves:
+analytic_bounds, the one bound table, reads it at one delay and
+phase_curves over a delay grid.  The table's single-eigenvalue fields
+(packet_bits_necessary, triggering_rate_lower, ...) are the kernel's
+factors, which it inlines for speed.  beta is the one home of the
+adversarial delay, which channel reads.
 
 The module also holds the one check of each design parameter (_RANGES,
 check_blocks, check_gains, contraction_ladders), which model's types call,
@@ -180,10 +187,13 @@ class BoundInputs:
         return lams.pop()
 
 
-def _ln_em1(u: float) -> float:
-    """ln(e^u - 1), overflow-free and accurate for small u."""
+def _ln_em1(lam: float, gamma: float) -> float:
+    """ln(e^{lam*gamma} - 1) for gamma > 0, overflow-free and accurate for small lam*gamma."""
+    u = lam * gamma
     if u <= 0:
-        raise PreconditionError(f"needs a positive exponent, got {u}")
+        raise ConfigurationError(
+            f"gamma={gamma} is too small for eigenvalue lam={lam}: lam*gamma underflows to 0"
+        )
     return u + math.log(-math.expm1(-u))
 
 
@@ -197,22 +207,6 @@ def access_rate_necessary(inp: BoundInputs) -> float:
     return (inp.trace + inp.n * inp.sigma) / LN2
 
 
-def bits_lower_bound(t: float, L: float, z0_norm: float, inp: BoundInputs, kind: str) -> float:
-    """Minimum bits over [0, t] for exponential-rate estimation or stabilization."""
-    if t < 0:
-        raise PreconditionError(f"horizon must be >= 0, got {t}")
-    base = t * (inp.trace + inp.n * inp.sigma) / LN2
-    if kind == "stabilization":
-        return base
-    if kind == "estimation":
-        if z0_norm == 0:
-            raise PreconditionError("estimation bound undefined for zero initial error")
-        if not 0 < z0_norm <= L:
-            raise PreconditionError(f"need 0 < |z(0)| <= L, got {z0_norm} vs L={L}")
-        return base + inp.n * math.log2(L / z0_norm)
-    raise PreconditionError(f"kind must be 'estimation' or 'stabilization', got {kind!r}")
-
-
 def packet_bits_necessary(inp: BoundInputs) -> float:
     """Minimum bits per triggering event (single-eigenvalue systems).
 
@@ -221,7 +215,7 @@ def packet_bits_necessary(inp: BoundInputs) -> float:
     A = inp.A
     if inp.gamma == 0:
         return 0.0
-    ln_em1 = _ln_em1(A * inp.gamma)
+    ln_em1 = _ln_em1(A, inp.gamma)
     return max(0.0, (ln_em1 + _ln_contraction(inp.sigma, inp.rho0, inp.gamma)) / LN2)
 
 
@@ -256,9 +250,10 @@ def _spacing(lam: float, sigma: float, gamma: float, rho0: float, rho: float) ->
     """
     if rho >= rho0:
         return _ln_contraction(sigma, rho0, gamma) / (lam + sigma)
-    if gamma == 0.0:
-        return 0.0  # the zero-delay cascade cap is infinite: no spacing floor
-    c = (rho0 - rho) / math.expm1((lam + sigma) * gamma)
+    em1 = math.expm1((lam + sigma) * gamma)
+    if em1 == 0.0:
+        return 0.0  # gamma = 0 or too small to move e^{(lam+sigma) gamma}: no spacing floor
+    c = (rho0 - rho) / em1
     u = (1.0 + c) / (rho * math.exp(-sigma * gamma) + (rho0 - rho) + c)
     return math.log(u) / (lam + sigma)
 
@@ -280,7 +275,13 @@ def _packet_size(lam: float, rho: float, sigma: float, gamma: float, b: float) -
     and contraction rho; 1 at gamma = 0."""
     if gamma == 0:
         return 1
-    return max(1, math.ceil(1.0 + _log2_packet_term(lam, rho, sigma, gamma, b)))
+    term = _log2_packet_term(lam, rho, sigma, gamma, b)
+    if not term < math.inf:
+        raise ConfigurationError(
+            f"the sufficient packet size is infinite: b*(lam+sigma)*gamma overflows at "
+            f"lam={lam}, sigma={sigma}, gamma={gamma}, b={b}"
+        )
+    return max(1, math.ceil(1.0 + term))
 
 
 def _rate_curves(
@@ -311,8 +312,10 @@ def _rate_curves(
         if gamma == 0:
             rates, approx, sufficient = [0.0] * len(at_sigmas), 0.0, 0.0
         else:
-            terms = [(lam, p, _ln_em1(lam * gamma)) for lam, p in blocks]
+            terms = [(lam, p, _ln_em1(lam, gamma)) for lam, p in blocks]
             rates = []
+            # both factors inline: a helper call per sigma or per block slows the
+            # sweeps; test_kernel_bitwise_equals_factor_product keeps them equal
             for s in at_sigmas:
                 u = s * gamma
                 den = ln_nu + (u + math.log(2 * math.exp(-u) + inv_rho0))
@@ -338,28 +341,6 @@ def _rate_curves(
         if sigmas is not None:
             sup.append(max(rates[1:]))
     return nec, app, suf, sup
-
-
-def transmission_rate_necessary(inp: BoundInputs) -> float:
-    """Bits/s forced by some delay realization; sums blocks with multiplicity."""
-    return _rate_curves(inp, (inp.gamma,))[0][0]
-
-
-def transmission_rate_necessary_approx(inp: BoundInputs) -> float:
-    """Small-rho0 approximation of the necessary transmission rate.
-
-    Intended regime rho0 << e^{sigma*gamma}/max{2, nu}; not enforced.
-    """
-    return _rate_curves(inp, (inp.gamma,))[1][0]
-
-
-def transmission_rate_sufficient(inp: BoundInputs) -> float:
-    """Bits/s achieved by the sign + quantized-trigger-time policy.
-
-    Vector systems sum one term per coordinate, each using its ladder
-    contraction in place of rho0.
-    """
-    return _rate_curves(inp, (inp.gamma,))[2][0]
 
 
 def critical_delay(inp: BoundInputs) -> float:
@@ -592,10 +573,11 @@ def v0_cascade_bound(
 
     For i = 2..p the level v0_i may not exceed
     v0_{i-1}*(lam+sigma)*(rho0-rho_{i-1}) / (((rho0-rho_{i-1}) + E)*(E - 1)),
-    E = e^{(lam+sigma)*gamma}: the slack rho0 - rho_{i-1} of the coordinate
-    above must absorb the coupling that coordinate i injects.  gamma = 0
-    degenerates to an infinite cap.  Also returns each coordinate's envelope
-    constant (rho0 - rho_i) + E.
+    E = e^{(lam+sigma)*gamma}, E - 1 taken by expm1: the slack rho0 - rho_{i-1}
+    of the coordinate above must absorb the coupling that coordinate i injects.
+    gamma = 0, or a gamma too small to move E - 1 off 0, degenerates to an
+    infinite cap.  Also returns each coordinate's envelope constant
+    (rho0 - rho_i) + E.
     """
     lam, p = block
     if len(v0) != p or len(rho) != p:
@@ -606,6 +588,7 @@ def v0_cascade_bound(
         raise PreconditionError(
             f"e^((lam+sigma)*gamma) leaves float range at lam={lam}, sigma={sigma}, gamma={gamma}"
         ) from None
+    em1 = math.expm1((lam + sigma) * gamma)
     envelope = tuple((rho0 - r) + E for r in rho)
     upper = []
     for i in range(1, p):  # cap on v0[i] from v0[i-1]
@@ -614,10 +597,10 @@ def v0_cascade_bound(
             raise PreconditionError(
                 f"ladder value {rho[i - 1]} leaves no coupling slack below rho0={rho0}"
             )
-        if gamma == 0:
+        if em1 == 0.0:
             upper.append(math.inf)
             continue
-        upper.append(v0[i - 1] * (lam + sigma) * slack / ((slack + E) * (E - 1.0)))
+        upper.append(v0[i - 1] * (lam + sigma) * slack / ((slack + E) * em1))
     return CascadeBounds(upper=tuple(upper), envelope=envelope)
 
 

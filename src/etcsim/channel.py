@@ -8,12 +8,12 @@ packet; triggering is suppressed while a packet is in flight.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import bounds
 from .codec import Packet
 from .errors import ConfigurationError
 
@@ -59,7 +59,7 @@ class AdversarialDelay:
     def from_params(
         cls, growth: float, sigma: float, rho0: float, gamma: float
     ) -> "AdversarialDelay":
-        beta = math.log1p(2.0 * rho0 * math.exp(-sigma * gamma)) / growth
+        beta = bounds.beta(bounds.BoundInputs.scalar(growth, sigma, rho0, gamma))
         clamped = beta > gamma
         if clamped:
             warnings.warn(

@@ -58,9 +58,9 @@ class Event:
 @dataclass
 class SimTrace:
     """Sampled trajectories plus the ordered event log of one run, with the
-    design it ran: the analytic-bound inputs, the per-coordinate table
-    (bounds.coordinates), the packet size of each coordinate and the
-    detection mode."""
+    design it ran: the analytic-bound inputs and their bound table, the
+    per-coordinate table (bounds.coordinates), the packet size of each
+    coordinate and the detection mode."""
 
     times: np.ndarray
     x: np.ndarray
@@ -73,6 +73,7 @@ class SimTrace:
     horizon: float
     step: float
     inputs: bnd.BoundInputs
+    bounds: bnd.AnalyticBounds
     coords: tuple[bnd.Coordinate, ...]
     g: tuple[int, ...]
     refine: bool
@@ -149,6 +150,7 @@ class _Engine:
         self.sigma = cfg.sigma
 
         self.inputs = cfg.bound_inputs(plant.blocks, nu)
+        self.bounds = bnd.analytic_bounds(self.inputs)  # a bound that fails stops the run here
         self.coords = bnd.coordinates(self.inputs, cfg.v0_flat())
         self.block_slices = plant.block_slices()
         self.enabled = np.array([m is not None for m in self.delay_models])
@@ -326,8 +328,8 @@ class _Engine:
         return SimTrace(
             self._times[:k], self._X[:k], self._XH[:k], self._Z[:k], self._V[:k],
             self.events, self.bits_sent, self.trigger_counts, horizon=self.t_end, step=self.h,
-            inputs=self.inputs, coords=self.coords, g=self.g, refine=self.refine,
-            diverged=diverged,
+            inputs=self.inputs, bounds=self.bounds, coords=self.coords, g=self.g,
+            refine=self.refine, diverged=diverged,
         )
 
     # -- boundary processing ----------------------------------------------------
@@ -518,7 +520,8 @@ phase_curves = bnd.phase_curves  # the same: the curves live in bounds, free of 
 
 
 def measure_rates(trace: SimTrace) -> RateReport:
-    """Empirical sent-bit and triggering rates over the run horizon."""
+    """Empirical sent-bit and triggering rates over the run horizon, next to the
+    bound table the engine computed before the run."""
     T = trace.horizon
     if not T > 0:
         raise PreconditionError("rate measurement needs a positive horizon")
@@ -533,7 +536,7 @@ def measure_rates(trace: SimTrace) -> RateReport:
         per_coord_bits=tuple(int(b) for b in bits),
         per_coord_rate=tuple(float(b) / T for b in bits),
         per_coord_triggers=tuple(int(c) for c in trig),
-        bounds=bnd.analytic_bounds(trace.inputs),
+        bounds=trace.bounds,
     )
 
 

@@ -4,11 +4,11 @@
 
 Each case is one plant and design with a delay grid and a decay-rate grid;
 each row holds the necessary, approximate-necessary, sufficient and
-sigma-supremum rates at one delay, from the point functions.  The cases
-cover scalar plants, repeated and mixed eigenvalues, contraction ladders,
-gamma = 0, delays within 1e-9 of gamma_c, (sigma + lam)*gamma >= 700 and
-nu = 1.  test_bounds.TestRateTable checks the package against the table, so
-regenerate it only when a change means to move these values.
+sigma-supremum rates at one delay, from the bound table (analytic_bounds).
+The cases cover scalar plants, repeated and mixed eigenvalues, contraction
+ladders, gamma = 0, delays within 1e-9 of gamma_c, (sigma + lam)*gamma >= 700
+and nu = 1.  test_bounds.TestRateTable checks the package against the table,
+so regenerate it only when a change means to move these values.
 """
 
 import json
@@ -64,14 +64,9 @@ def _hexes(xs):
 
 def _row(inp, gamma, sigmas):
     at = replace(inp, gamma=gamma)
-    sup = max(bnd.transmission_rate_necessary(replace(at, sigma=s)) for s in sigmas)
-    return [
-        gamma,
-        bnd.transmission_rate_necessary(at),
-        bnd.transmission_rate_necessary_approx(at),
-        bnd.transmission_rate_sufficient(at),
-        sup,
-    ]
+    table = bnd.analytic_bounds(at)
+    sup = max(bnd.analytic_bounds(replace(at, sigma=s)).rate_necessary for s in sigmas)
+    return [gamma, table.rate_necessary, table.rate_necessary_approx, table.rate_sufficient, sup]
 
 
 def main():

@@ -240,21 +240,21 @@ def test_criterion_7_sandwich_and_phase_properties():
             nu=2.0,
         )
         gc = bnd.critical_delay(inp)
-        lo = bnd.transmission_rate_necessary(replace(inp, gamma=max(gc - 1e-9, 0.0)))
-        hi = bnd.transmission_rate_necessary(replace(inp, gamma=gc + 1e-6))
+        lo = bnd.analytic_bounds(replace(inp, gamma=max(gc - 1e-9, 0.0))).rate_necessary
+        hi = bnd.analytic_bounds(replace(inp, gamma=gc + 1e-6)).rate_necessary
         if not (lo == 0.0 and hi > 0.0):
             phase_ok = False
 
     eq_inp = bnd.BoundInputs.scalar(1.7, 0.9, 0.35, gamma=math.log(2.0) / 1.7)
     access = bnd.access_rate_necessary(eq_inp)
-    eq_ok = abs(bnd.transmission_rate_necessary_approx(eq_inp) - access) <= 1e-12 * access
+    eq_ok = abs(bnd.analytic_bounds(eq_inp).rate_necessary_approx - access) <= 1e-12 * access
 
     # asymptote within 1% at gamma = 50/A; the log(gamma)/gamma tail of the
     # sufficient curve needs the high-sigma/A regime at this depth
     asy_inp = bnd.BoundInputs.scalar(1.0, 20.0, 0.9, gamma=50.0, b=1.0001)
     asym = bnd.rate_asymptote(asy_inp)
-    gap_app = abs(bnd.transmission_rate_necessary_approx(asy_inp) - asym) / asym
-    gap_suf = abs(bnd.transmission_rate_sufficient(asy_inp) - asym) / asym
+    gap_app = abs(bnd.analytic_bounds(asy_inp).rate_necessary_approx - asym) / asym
+    gap_suf = abs(bnd.analytic_bounds(asy_inp).rate_sufficient - asym) / asym
     asy_ok = gap_app <= 0.01 and gap_suf <= 0.01
 
     elapsed = time.time() - t0

@@ -44,27 +44,6 @@ class TestAccessRate:
         assert bnd.access_rate_necessary(inp) == pytest.approx((4.0 + 3 * 0.5) / LN2)
 
 
-class TestBitsLowerBound:
-    def test_zero_horizon_tight_radius(self):
-        inp = scalar(1.0, 1.0, 0.5)
-        assert bnd.bits_lower_bound(0.0, 1.0, 1.0, inp, "estimation") == 0.0
-
-    def test_plug_in_arithmetic(self):
-        inp = scalar(1.0, 1.0, 0.5)
-        val = bnd.bits_lower_bound(LN2, 2.0, 1.0, inp, "estimation")
-        assert val == pytest.approx(3.0, rel=1e-12)
-
-    def test_stabilization_matches_access_rate_times_t(self):
-        inp = scalar(2.4, 0.2, 0.5)
-        val = bnd.bits_lower_bound(1.0, 1.0, 0.5, inp, "stabilization")
-        assert val == pytest.approx(bnd.access_rate_necessary(inp), rel=1e-12)
-
-    def test_zero_initial_error_rejected(self):
-        inp = scalar(1.0, 1.0, 0.5)
-        with pytest.raises(PreconditionError):
-            bnd.bits_lower_bound(1.0, 1.0, 0.0, inp, "estimation")
-
-
 class TestPacketBits:
     def test_zero_delay_clamps(self):
         assert bnd.packet_bits_necessary(scalar(1.0, 0.5, 0.7, gamma=0.0)) == 0.0
@@ -131,16 +110,16 @@ class TestTransmissionRateNecessary:
     def test_zero_below_critical_delay(self):
         inp = scalar(5.0, 3.0, 0.7, nu=2.0)
         gc = bnd.critical_delay(inp)
-        assert bnd.transmission_rate_necessary(replace(inp, gamma=0.9 * gc)) == 0.0
-        assert bnd.transmission_rate_necessary(replace(inp, gamma=1.1 * gc)) > 0.0
+        assert bnd.analytic_bounds(replace(inp, gamma=0.9 * gc)).rate_necessary == 0.0
+        assert bnd.analytic_bounds(replace(inp, gamma=1.1 * gc)).rate_necessary > 0.0
 
     def test_factor_product_cross_check(self):
-        inp = scalar(5.0, 3.0, 0.7, gamma=0.2, nu=2.0)
-        product = bnd.triggering_rate_lower(inp) * bnd.packet_bits_necessary(inp)
-        assert bnd.transmission_rate_necessary(inp) == pytest.approx(product, rel=1e-12)
+        table = bnd.analytic_bounds(scalar(5.0, 3.0, 0.7, gamma=0.2, nu=2.0))
+        product = table.triggering_rate_lower * table.packet_bits_necessary
+        assert table.rate_necessary == pytest.approx(product, rel=1e-12)
 
     def test_kernel_bitwise_equals_factor_product(self):
-        # the rate kernel inlines the two factor formulas; any drift changes some bits
+        # the rate kernel inlines packet_bits_necessary's formula; any drift changes some bits
         rng = np.random.default_rng(2016)
         cases = [random_inputs(rng) for _ in range(400)]
         cases += [replace(inp, nu=1.0) for inp in cases[:100]]
@@ -154,27 +133,27 @@ class TestTransmissionRateNecessary:
             for inp in cases[:100]
         ]
         for inp in cases:
-            trig, bits = bnd.triggering_rate_lower(inp), bnd.packet_bits_necessary(inp)
-            got = bnd.transmission_rate_necessary(inp)
-            assert got.hex() == (trig * bits).hex(), inp
+            table = bnd.analytic_bounds(inp)
+            trig, bits = table.triggering_rate_lower, table.packet_bits_necessary
+            assert table.rate_necessary.hex() == (trig * bits).hex(), inp
             p = int(rng.integers(2, 7))
             block = replace(inp, blocks=((inp.A, p),))
-            got = bnd.transmission_rate_necessary(block)
+            got = bnd.analytic_bounds(block).rate_necessary
             assert got.hex() == (p * trig * bits).hex(), (inp, p)
 
     def test_two_identical_blocks_double_scalar(self):
         one = scalar(1.5, 0.8, 0.4, gamma=0.9, nu=2.0)
         two = bnd.BoundInputs(blocks=((1.5, 1), (1.5, 1)), sigma=0.8, rho0=0.4,
                               gamma=0.9, b=1.0001, nu=2.0)
-        assert bnd.transmission_rate_necessary(two) == pytest.approx(
-            2.0 * bnd.transmission_rate_necessary(one), rel=1e-12
+        assert bnd.analytic_bounds(two).rate_necessary == pytest.approx(
+            2.0 * bnd.analytic_bounds(one).rate_necessary, rel=1e-12
         )
 
     def test_block_multiplicity(self):
         blk = bnd.BoundInputs(blocks=((1.5, 3),), sigma=0.8, rho0=0.4, gamma=0.9, nu=2.0)
         one = scalar(1.5, 0.8, 0.4, gamma=0.9, nu=2.0)
-        assert bnd.transmission_rate_necessary(blk) == pytest.approx(
-            3.0 * bnd.transmission_rate_necessary(one), rel=1e-12
+        assert bnd.analytic_bounds(blk).rate_necessary == pytest.approx(
+            3.0 * bnd.analytic_bounds(one).rate_necessary, rel=1e-12
         )
 
 
@@ -182,7 +161,7 @@ class TestTransmissionRateApprox:
     def test_equilibrium_matches_access_rate(self):
         for A, sigma, rho in ((1.0, 0.5, 0.3), (2.4, 0.2, 0.1), (5.0, 3.0, 0.7)):
             inp = scalar(A, sigma, rho, gamma=LN2 / A)
-            assert bnd.transmission_rate_necessary_approx(inp) == pytest.approx(
+            assert bnd.analytic_bounds(inp).rate_necessary_approx == pytest.approx(
                 bnd.access_rate_necessary(inp), rel=1e-12
             )
 
@@ -190,19 +169,19 @@ class TestTransmissionRateApprox:
         # convergence is O(log(gamma)/gamma): a few percent at gamma = 50/A
         inp = scalar(1.0, 1.0, 0.5, gamma=50.0)
         asym = bnd.rate_asymptote(inp)
-        assert bnd.transmission_rate_necessary_approx(inp) == pytest.approx(asym, rel=0.01)
+        assert bnd.analytic_bounds(inp).rate_necessary_approx == pytest.approx(asym, rel=0.01)
 
     def test_deep_asymptote_figure_parameters(self):
         for A, sigma, rho in ((1.0, 0.5, 0.5), (1.3, 1.0, 0.9), (2.4, 0.2, 0.1)):
             inp = scalar(A, sigma, rho, gamma=5000.0 / A)
             asym = bnd.rate_asymptote(inp)
-            assert bnd.transmission_rate_necessary_approx(inp) == pytest.approx(asym, rel=0.01)
+            assert bnd.analytic_bounds(inp).rate_necessary_approx == pytest.approx(asym, rel=0.01)
 
     def test_ordering_swap_across_equilibrium(self):
         # smaller rho0 costs more rate below ln2/A and less above it
-        below = [bnd.transmission_rate_necessary_approx(scalar(1.0, 0.5, r, gamma=0.3))
+        below = [bnd.analytic_bounds(scalar(1.0, 0.5, r, gamma=0.3)).rate_necessary_approx
                  for r in (0.1, 0.9)]
-        above = [bnd.transmission_rate_necessary_approx(scalar(1.0, 0.5, r, gamma=2.0))
+        above = [bnd.analytic_bounds(scalar(1.0, 0.5, r, gamma=2.0)).rate_necessary_approx
                  for r in (0.1, 0.9)]
         assert below[0] > below[1]
         assert above[0] < above[1]
@@ -210,7 +189,7 @@ class TestTransmissionRateApprox:
 
 class TestTransmissionRateSufficient:
     def test_zero_delay_clamps(self):
-        assert bnd.transmission_rate_sufficient(scalar(1.0, 1.0, 0.5, gamma=0.0)) == 0.0
+        assert bnd.analytic_bounds(scalar(1.0, 1.0, 0.5, gamma=0.0)).rate_sufficient == 0.0
 
     def test_figure_caption_asymptotes(self):
         # the asymptote values quoted for the curve families
@@ -221,7 +200,7 @@ class TestTransmissionRateSufficient:
     def test_convergence_to_asymptote(self):
         inp = scalar(1.0, 1.0, 0.5, b=1.0001)
         asym = bnd.rate_asymptote(inp)
-        gaps = [abs(bnd.transmission_rate_sufficient(replace(inp, gamma=g)) - asym) / asym
+        gaps = [abs(bnd.analytic_bounds(replace(inp, gamma=g)).rate_sufficient - asym) / asym
                 for g in (50.0, 200.0, 1000.0)]
         assert gaps[0] < 0.05 and gaps[1] < 0.02 and gaps[2] < 0.005
         assert gaps[0] > gaps[1] > gaps[2]
@@ -229,10 +208,8 @@ class TestTransmissionRateSufficient:
     def test_dominates_approx_necessary_on_figure_grid(self):
         inp = scalar(1.3, 1.0, 0.9, b=1.0001, nu=2.0)
         for g in np.linspace(0.02, 4.0, 200):
-            at = replace(inp, gamma=float(g))
-            assert bnd.transmission_rate_sufficient(at) >= (
-                bnd.transmission_rate_necessary_approx(at) * (1 - 1e-12)
-            )
+            table = bnd.analytic_bounds(replace(inp, gamma=float(g)))
+            assert table.rate_sufficient >= table.rate_necessary_approx * (1 - 1e-12)
 
     def test_vector_sums_ladder_terms(self):
         inp = bnd.BoundInputs(blocks=((1.0, 2),), sigma=1.0, rho0=0.5, gamma=0.4,
@@ -243,7 +220,7 @@ class TestTransmissionRateSufficient:
                 1.0001 * 0.4 * 2.0 / math.log1p(rho * math.exp(-2.0 * 0.4))
             )
             by_hand += 2.0 / (0.4 - math.log(0.5)) * max(0.0, term)
-        assert bnd.transmission_rate_sufficient(inp) == pytest.approx(by_hand, rel=1e-12)
+        assert bnd.analytic_bounds(inp).rate_sufficient == pytest.approx(by_hand, rel=1e-12)
 
 
 class TestCriticalDelay:
@@ -475,14 +452,14 @@ class TestRateTable:
         assert len(near_gc) >= 30
 
     def test_point_functions_match(self):
+        # the bound table evaluated at each delay on its own, one delay per kernel call
         for inp, sigmas, rows in _rate_table_cases():
             for row in rows:
                 at = replace(inp, gamma=float.fromhex(row[0]))
+                table = bnd.analytic_bounds(at)
                 got = [
-                    bnd.transmission_rate_necessary(at),
-                    bnd.transmission_rate_necessary_approx(at),
-                    bnd.transmission_rate_sufficient(at),
-                    max(bnd.transmission_rate_necessary(replace(at, sigma=s)) for s in sigmas),
+                    table.rate_necessary, table.rate_necessary_approx, table.rate_sufficient,
+                    max(bnd.analytic_bounds(replace(at, sigma=s)).rate_necessary for s in sigmas),
                 ]
                 assert list(map(float.hex, got)) == row[1:], (inp, row[0])
 

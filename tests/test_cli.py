@@ -710,20 +710,33 @@ def test_underflowing_packet_term_runs(tmp_path, capsys, command, lines):
     else:
         row = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1].split(",")
         assert float(row[cli.SWEEP_COLUMNS.index("R_sufficient")]) == (
-            bnd.transmission_rate_sufficient(inp))
+            bnd.analytic_bounds(inp).rate_sufficient)
 
 
 @pytest.mark.parametrize("flags", [[], ["--g", "1"]], ids=["automatic_g", "given_g"])
-def test_underflowing_delay_width_is_clean_error(tmp_path, capsys, flags):
+def test_underflowing_delay_width_is_clean_error(tmp_path, capsys, no_run, flags):
     # b*gamma*(A+sigma) underflows to 0 at gamma = 5e-324: the packet size is 1, not
-    # log(0)'s traceback, and the run's bounds still refuse the delay, writing nothing
+    # log(0)'s traceback, and the run's bounds refuse the delay, naming lam and gamma,
+    # before the (patched) run starts and writing nothing
     assert bnd.packet_size_sufficient(BoundInputs.scalar(0.1, 0.1, 0.1, gamma=5e-324)) == 1
     path = write_cfg(tmp_path, "A = 0.1\nB = 0.2\nK = 8\nv0 = 0.3\nsigma = 0.1\nrho0 = 0.1\n"
                      "gamma = 5e-324\nx0 = 0.2\nxhat0 = 0.1\nhorizon = 0.1\nstep = 0.001\n")
     argv = ["simulate", "--config", str(path), *flags, "--out", str(tmp_path / "out")]
     message = assert_one_line_usage_error(capsys, argv)
-    assert message == "error: needs a positive exponent, got 0.0\n"
+    assert message == ("error: gamma=5e-324 is too small for eigenvalue lam=0.1: "
+                       "lam*gamma underflows to 0\n")
     assert not (tmp_path / "out").exists()
+
+
+def test_tiny_delay_cascade_cap_runs(tmp_path, capsys):
+    # e^{(lam+sigma)*gamma} rounds to 1 at gamma = 1e-17: the chained level's cap takes
+    # E - 1 from expm1 and no longer divides by zero
+    path = write_cfg(tmp_path, "blocks = 1:2\nsigma = 1\nrho0 = 0.5\ngamma = 1e-17\n"
+                     "v0 = 0.5 0.1\nx0 = 0.1 0.05\nxhat0 = 0 0\nhorizon = 1\n")
+    rc = cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_OK and captured.err == ""
+    assert "invariants: ok" in captured.out
 
 
 @pytest.mark.parametrize("lines, message", [
@@ -813,23 +826,60 @@ class _RunStarted(Exception):
     pass
 
 
-_PROBE_VALUES = ["nan", "inf", "-1", "0", "1e300", str(2**31)]
-
-
-@pytest.mark.parametrize("value", _PROBE_VALUES)
-@pytest.mark.parametrize("flag", ["--seed", "--step", "--horizon", "--gamma", "--g", "--nu"])
-@pytest.mark.parametrize("command, recipe", [
-    ("simulate", "fig7"), ("bounds", "fig7"), ("sweep", "fig8"), ("sweep", "fig3"),
-])
-def test_numeric_flag_probe(tmp_path, capsys, monkeypatch, command, recipe, flag, value):
-    # every numeric flag at every edge value either reaches the (patched) run, so
-    # nothing is allocated, or ends with a documented exit code; exit 1 is one line
+@pytest.fixture
+def no_run(monkeypatch):
+    """_Engine.run raises _RunStarted: a case that reaches the run allocates nothing."""
     def started(self):
         raise _RunStarted
 
     monkeypatch.setattr(sim._Engine, "run", started)
-    argv = [command, "--config", str(RECIPES / f"{recipe}.cfg"), flag, value,
-            "--out", str(tmp_path)]
+
+
+_TWO_BLOCKS = ("blocks = 1:2\nsigma = 1\nrho0 = 0.5\ngamma = 0.1\nv0 = 0.5 0.1\n"
+               "x0 = 0.1 0.05\nxhat0 = 0 0\nhorizon = 1\n")
+# the float keys of cli.SETTINGS, each written into a base config at each float extreme
+_EDGE_KEYS = ["A", "sigma", "rho0", "gamma", "b", "nu", "step", "horizon", "B", "K", "v0", "x0",
+              "gamma_grid", "sigma_grid"]
+_EDGE_VALUES = ["5e-324", "1e-300", "1e-17", "1e300", "1.7976931348623157e308"]
+
+
+def _probe_cases():
+    """(command, base, setting, value): six numeric flags at six values on four recipe
+    runs, then each float key read by the run at each float extreme on seven runs."""
+    for command, base in [("simulate", "fig7"), ("bounds", "fig7"), ("sweep", "fig8"),
+                          ("sweep", "fig3")]:
+        for flag in ["--seed", "--step", "--horizon", "--gamma", "--g", "--nu"]:
+            for value in ["nan", "inf", "-1", "0", "1e300", str(2**31)]:
+                yield command, base, flag, value
+    for command, base, reader in [
+        ("simulate", "fig7", "simulate"), ("simulate", "two_blocks", "simulate"),
+        ("bounds", "fig7", "bounds"), ("bounds", "two_blocks", "bounds"),
+        ("sweep", "fig3", "analytic"), ("sweep", "fig6", "analytic"), ("sweep", "fig8", "empirical"),
+    ]:
+        for key in _EDGE_KEYS:
+            if reader in cli.SETTINGS[key].readers:
+                for value in _EDGE_VALUES:
+                    yield command, base, key, value
+
+
+_PROBE_CASES = list(_probe_cases())
+
+
+@pytest.mark.parametrize("command, base, setting, value", _PROBE_CASES,
+                         ids=["-".join(case) for case in _PROBE_CASES])
+def test_numeric_flag_probe(tmp_path, capsys, no_run, command, base, setting, value):
+    # every numeric flag and float key at every edge value either reaches the (patched)
+    # run, so nothing is allocated, or ends with a documented exit code; exit 1 is one line
+    if setting.startswith("--"):
+        path, extra = RECIPES / f"{base}.cfg", [setting, value]
+    else:  # the value replaces each entry of the key's line (one per coordinate for v0, x0)
+        text = _TWO_BLOCKS if base == "two_blocks" else (RECIPES / f"{base}.cfg").read_text()
+        entries = {k.strip(): v for k, _, v in (line.partition("=") for line in text.splitlines())}
+        count = len(entries.get(setting, "0").replace(",", " ").split())
+        lines = [line for line in text.splitlines() if line.partition("=")[0].strip() != setting]
+        path, extra = tmp_path / "probe.cfg", []
+        path.write_text("\n".join(lines + [f"{setting} = {' '.join([value] * count)}"]) + "\n")
+    argv = [command, "--config", str(path), *extra, "--out", str(tmp_path / "out")]
     try:
         rc = cli.main(argv)
     except _RunStarted:

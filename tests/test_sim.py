@@ -519,7 +519,7 @@ class TestPhaseCurves:
         assert pc.gamma_c is None and pc.gamma_eq is None
         assert pc.asymptote == bnd.rate_asymptote(inp)
         assert list(pc.necessary) == [
-            bnd.transmission_rate_necessary(replace(inp, gamma=g)) for g in (0.5, 1.0)
+            bnd.analytic_bounds(replace(inp, gamma=g)).rate_necessary for g in (0.5, 1.0)
         ]
 
     def test_sup_over_sigma(self):
@@ -541,18 +541,21 @@ class TestPhaseCurves:
     ], ids=["scalar", "two_blocks_with_ladders"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_columns_equal_point_functions_bitwise(self, inp, seed):
-        # gamma = 0, small delays, and delays past the (sigma + A)*gamma >= 700 branch
+        # one walk of the grid equals the bound table at each delay alone, so no state
+        # leaks from one grid point to the next; gamma = 0, small delays, and delays
+        # past the (sigma + A)*gamma >= 700 branch
         rng = np.random.default_rng(seed)
         gammas = np.concatenate(([0.0], rng.uniform(0.0, 3.0, 12), rng.uniform(400.0, 600.0, 3)))
         sigmas = rng.uniform(0.05, 6.0, 5)
         pc = phase_curves(inp, gammas, sigma_grid=sigmas)
         points = [replace(inp, gamma=float(g)) for g in gammas]
+        tables = [bnd.analytic_bounds(at) for at in points]
         expected = {
-            "necessary": [bnd.transmission_rate_necessary(at) for at in points],
-            "necessary_approx": [bnd.transmission_rate_necessary_approx(at) for at in points],
-            "sufficient": [bnd.transmission_rate_sufficient(at) for at in points],
+            "necessary": [t.rate_necessary for t in tables],
+            "necessary_approx": [t.rate_necessary_approx for t in tables],
+            "sufficient": [t.rate_sufficient for t in tables],
             "necessary_sup_sigma": [
-                max(bnd.transmission_rate_necessary(replace(at, sigma=float(s))) for s in sigmas)
+                max(bnd.analytic_bounds(replace(at, sigma=float(s))).rate_necessary for s in sigmas)
                 for at in points
             ],
         }

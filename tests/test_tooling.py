@@ -13,14 +13,14 @@ import etcsim
 from etcsim import cli, sim
 
 ROOT = Path(__file__).resolve().parents[1]
-# the names `etcsim` exported when it imported every submodule eagerly
+# the names `etcsim` exported when it imported every submodule eagerly, less the
+# rate point functions and bits_lower_bound (analytic_bounds holds the rates)
 EXPORTS = [
     "Assumption1Window", "BoundInputs", "CascadeBounds", "access_rate_necessary",
-    "assumption1_window", "beta", "bits_lower_bound", "critical_delay", "equilibrium_delay",
+    "assumption1_window", "beta", "critical_delay", "equilibrium_delay",
     "min_inter_event_time", "packet_bits_necessary", "packet_size_sufficient", "rate_asymptote",
-    "time_quantization_tolerance", "transmission_rate_necessary",
-    "transmission_rate_necessary_approx", "transmission_rate_sufficient",
-    "triggering_rate_lower", "triggering_rate_upper", "v0_cascade_bound",
+    "time_quantization_tolerance", "triggering_rate_lower", "triggering_rate_upper",
+    "v0_cascade_bound",
     "AdversarialDelay", "ChannelState", "ConstantDelay", "ReplayDelay", "UniformDelay",
     "build_delay", "sample_delay", "Packet", "decode", "encode", "reconstruct_error",
     "ConfigurationError", "DecodeError", "DivergenceError", "PreconditionError",
