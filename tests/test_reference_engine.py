@@ -163,3 +163,18 @@ class TestEngineAgainstReference:
         cfg = TriggerConfig(v0=((0.5, 0.6),), sigma=1.0, rho0=0.5, gamma=0.1,
                             rho_ladders=((0.25, 0.5),))
         self.compare(plant, cfg, [(5, 0), (5, 1)], 3.0, 0.002, [0.3, 0.4], [0.0, 0.0])
+
+    def test_vector_dense_plant_matches(self):
+        # the benchmark's dense plant: two blocks, multi-bit packets, events every few ms
+        plant = JordanPlant(blocks=((5.0, 2), (10.0, 1)), B=np.eye(3), K=15.0 * np.eye(3))
+        cfg = TriggerConfig(v0=((0.5, 0.6), (0.5,)), sigma=2.0, rho0=0.5, gamma=0.05)
+        self.compare(plant, cfg, [(1, c) for c in range(3)], 0.5, 1e-4,
+                     [0.1, 0.1, 0.1], [0.0, 0.0, 0.0])
+
+    def test_non_normal_closed_loop_matches(self):
+        # a full, non-triangular K couples every estimate coordinate: A - BK is non-normal
+        K = np.array([[6.0, 2.0, -1.0], [3.0, 5.0, 2.0], [-2.0, 1.0, 7.0]])
+        plant = JordanPlant(blocks=((1.0, 2), (2.0, 1)), B=np.eye(3), K=K)
+        cfg = TriggerConfig(v0=((0.5, 0.6), (0.5,)), sigma=1.0, rho0=0.5, gamma=0.1)
+        self.compare(plant, cfg, [(9, c) for c in range(3)], 3.0, 0.001,
+                     [0.3, 0.4, 0.2], [0.0, 0.0, 0.0])
