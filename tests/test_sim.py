@@ -10,7 +10,7 @@ from etcsim import sim
 from etcsim.bounds import phase_curves
 from etcsim.channel import ConstantDelay, ReplayDelay, UniformDelay
 from etcsim.errors import ConfigurationError, DivergenceError, PreconditionError
-from etcsim.model import OVERFLOW_LIMIT, JordanPlant, TriggerConfig, block_matexp
+from etcsim.model import OVERFLOW_LIMIT, JordanPlant, TriggerConfig, block_matexp, expm
 from etcsim.sim import (
     measure_rates,
     run_vector,
@@ -335,6 +335,74 @@ class TestRunVector:
 
 VECTOR_PLANT = JordanPlant(blocks=((5.0, 2), (10.0, 1)), B=np.eye(3), K=15.0 * np.eye(3))
 VECTOR_CFG = TriggerConfig(v0=((0.5, 0.6), (0.5,)), sigma=2.0, rho0=0.5, gamma=0.05)
+
+
+NON_NORMAL_PLANT = JordanPlant(blocks=((1.0, 2), (2.0, 1)), B=np.eye(3),
+                               K=[[6.0, 2.0, -1.0], [3.0, 5.0, 2.0], [-2.0, 1.0, 7.0]])
+
+
+def _engine(plant, cfg, step):
+    n = plant.n
+    return sim._Engine(plant, cfg, [None] * n, 1.0, step, np.zeros(n), np.zeros(n),
+                       False, None, 2.0)
+
+
+class TestFlow:
+    @pytest.mark.parametrize("plant, h", [
+        (VECTOR_PLANT, 1e-4),
+        (NON_NORMAL_PLANT, 1e-3),
+        (NON_NORMAL_PLANT, 0.045),  # theta = ||Acl||_1 h = 0.45, near the fallback
+    ], ids=["vector_dense", "non_normal", "non_normal_theta_0.45"])
+    def test_matches_scipy_expm_within_a_step(self, plant, h):
+        eng = _engine(plant, VECTOR_CFG, h)
+        assert eng._taylor is not None
+        rng = np.random.default_rng(17)
+        for dt in [0.0, h / 3, h, *rng.uniform(0.0, h, 20)]:
+            v = rng.uniform(-1.0, 1.0, plant.n)
+            want = scipy.linalg.expm(eng.acl * dt) @ v
+            got = eng._flow(dt, v)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), dt
+
+    @pytest.mark.parametrize("plant, cfg, h", [
+        (FIG7_PLANT, FIG7_CFG, 1e-3),
+        (JordanPlant(blocks=((1.0, 1), (2.0, 1)), B=np.eye(2), K=np.diag([4.0, 5.0])),
+         TriggerConfig(v0=0.5, sigma=1.0, rho0=0.5, gamma=0.05), 1e-3),
+        (VECTOR_PLANT, VECTOR_CFG, 0.05),  # theta = 0.55: a stiff step keeps the Pade
+    ], ids=["scalar", "diagonal_two_blocks", "stiff"])
+    def test_falls_back_to_expm_bit_for_bit(self, plant, cfg, h):
+        eng = _engine(plant, cfg, h)
+        assert eng._taylor is None
+        rng = np.random.default_rng(18)
+        for dt in [0.0, h / 3, h, *rng.uniform(0.0, h, 5)]:
+            v = rng.uniform(-1.0, 1.0, plant.n)
+            assert np.array_equal(eng._flow(dt, v), expm(eng.acl * dt) @ v), dt
+
+    @pytest.mark.parametrize("refine", [False, True], ids=["grid", "refine"])
+    def test_offsets_stay_within_one_step(self, refine):
+        # the table's degree is chosen for offsets up to h: every caller stays inside
+        offsets = []
+
+        class Recording(sim._Engine):
+            def _flow(self, dt, v):
+                offsets.append(dt)
+                return super()._flow(dt, v)
+
+        h = 1e-4
+        models = [UniformDelay(gamma=0.05, seed=(4, c)) for c in range(3)]
+        Recording(VECTOR_PLANT, VECTOR_CFG, models, 1.0, h, np.full(3, 0.1), np.zeros(3),
+                  refine, None, 2.0).run()
+        assert len(offsets) > 20
+        assert 0.0 <= min(offsets) and max(offsets) <= h * (1.0 + 1e-12)
+
+    def test_trace_cap_counts_times(self):
+        # 3e7 samples of one coordinate: 0.96 GB in x/xhat/z/v, 1.2 GB with times
+        with pytest.raises(PreconditionError) as exc:
+            sim._Engine(FIG7_PLANT, FIG7_CFG, [None], 29_999_999.0, 1.0, [0.0], [0.0],
+                        False, None, 2.0)
+        assert str(exc.value) == (
+            "horizon/step = 3e+07 samples need a 1.2e+09-byte trace (5 float64 columns: "
+            "times, and x, xhat, z and v of each coordinate), over the 1073741824-byte limit"
+        )
 
 
 class _FullScanEngine(sim._Engine):
