@@ -394,16 +394,6 @@ class TestFlow:
         assert len(offsets) > 20
         assert 0.0 <= min(offsets) and max(offsets) <= h * (1.0 + 1e-12)
 
-    def test_trace_cap_counts_times(self):
-        # 3e7 samples of one coordinate: 0.96 GB in x/xhat/z/v, 1.2 GB with times
-        with pytest.raises(PreconditionError) as exc:
-            sim._Engine(FIG7_PLANT, FIG7_CFG, [None], 29_999_999.0, 1.0, [0.0], [0.0],
-                        False, None, 2.0)
-        assert str(exc.value) == (
-            "horizon/step = 3e+07 samples need a 1.2e+09-byte trace (5 float64 columns: "
-            "times, and x, xhat, z and v of each coordinate), over the 1073741824-byte limit"
-        )
-
 
 class _FullScanEngine(sim._Engine):
     """Oracle: detection evaluates every sample of the chunk in one scan."""
@@ -476,6 +466,16 @@ class TestEnginePaths:
                           np.zeros(3), False, None, 2.0)
         eng.run()
         eng._check_overflow(np.array([OVERFLOW_LIMIT, -OVERFLOW_LIMIT, 0.0]), 0.05, 51)
+
+    def test_trace_cap_counts_times(self):
+        # 3e7 samples of one coordinate: 0.96 GB in x/xhat/z/v, 1.2 GB with times
+        with pytest.raises(PreconditionError) as exc:
+            sim._Engine(FIG7_PLANT, FIG7_CFG, [None], 29_999_999.0, 1.0, [0.0], [0.0],
+                        False, None, 2.0)
+        assert str(exc.value) == (
+            "horizon/step = 3e+07 samples need a 1.2e+09-byte trace (5 float64 columns: "
+            "times, and x, xhat, z and v of each coordinate), over the 1073741824-byte limit"
+        )
 
     @staticmethod
     def _runs(plant, cfg, models, horizon, step, x0, xhat0, refine):
