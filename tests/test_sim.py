@@ -337,6 +337,7 @@ VECTOR_PLANT = JordanPlant(blocks=((5.0, 2), (10.0, 1)), B=np.eye(3), K=15.0 * n
 VECTOR_CFG = TriggerConfig(v0=((0.5, 0.6), (0.5,)), sigma=2.0, rho0=0.5, gamma=0.05)
 
 
+OPEN_LOOP_PLANT = JordanPlant(blocks=((5.0, 2), (10.0, 1)), B=np.eye(3), K=np.zeros((3, 3)))
 NON_NORMAL_PLANT = JordanPlant(blocks=((1.0, 2), (2.0, 1)), B=np.eye(3),
                                K=[[6.0, 2.0, -1.0], [3.0, 5.0, 2.0], [-2.0, 1.0, 7.0]])
 
@@ -515,6 +516,58 @@ class TestEnginePaths:
         models = [UniformDelay(gamma=0.05, seed=(3, 0, c)) for c in range(3)]
         self._assert_same(*self._runs(VECTOR_PLANT, VECTOR_CFG, models, 1.0, 1e-4,
                                       [0.1, 0.1, 0.1], [0.0, 0.0, 0.0], refine))
+
+
+    @pytest.mark.parametrize("refine", [False, True], ids=["grid", "refine"])
+    @pytest.mark.parametrize("plant, x0, xhat0, diverges", [
+        (VECTOR_PLANT, [0.1] * 3, [0.0] * 3, False),
+        (OPEN_LOOP_PLANT, [1e10 + 0.1] * 3, [1e10] * 3, True),
+    ], ids=["finished", "diverged"])
+    def test_detection_window_never_changes_the_trace(self, monkeypatch, refine, plant, x0,
+                                                      xhat0, diverges):
+        traces = []
+        for window in (1, 7, sim._DETECT_WINDOW):
+            monkeypatch.setattr(sim, "_DETECT_WINDOW", window)
+            models = [UniformDelay(gamma=0.05, seed=(5, c)) for c in range(3)]
+            try:
+                trace = run_vector(plant, VECTOR_CFG, models, 0.5, 1e-4, x0=x0, xhat0=xhat0,
+                                   refine=refine)
+            except DivergenceError as err:
+                trace = err.trace
+            assert trace.diverged == diverges
+            for name in ("times", "x", "xhat", "z", "v"):
+                assert not np.isnan(getattr(trace, name)).any(), (window, name)
+            traces.append(trace)
+        if diverges:
+            assert traces[0].times.size < 5001
+        for trace in traces[1:]:
+            self._assert_same(trace, traces[0])
+
+
+class TestValidateTrace:
+    def test_violation_text(self):
+        # coords 0 and 2 leave their envelopes, coords 0 and 1 fire twice at one instant
+        models = [UniformDelay(gamma=0.05, seed=(5, c)) for c in range(3)]
+        trace = run_vector(VECTOR_PLANT, VECTOR_CFG, models, 0.5, 1e-4,
+                           x0=[0.1] * 3, xhat0=[0.0] * 3)
+        assert validate_trace(trace).ok
+        z = trace.z * [3.0, 1.0, 3.0]
+        events = list(trace.events)
+        for c in (0, 1):
+            i = next(i for i, e in enumerate(events) if e.kind == "trigger" and e.coord == c)
+            events.insert(i + 1, events[i])
+        val = validate_trace(replace(trace, z=z, events=events))
+        assert not val.ok
+        assert val.checks == {
+            "delays_in_bound": True, "post_jump_contract": True, "decay_envelope": False,
+            "no_zeno": False, "trigger_rate_cap": True,
+        }
+        assert val.violations == [
+            "envelope exceeded on coord 0 at t=0.1292: |z|=0.646318 > 0.644499",
+            "envelope exceeded on coord 2 at t=0.093: |z|=0.760353 > 0.756429",
+            "inter-event time 0 below 0.056801 - 2h on coord 0",
+            "inter-event time 0 below 0.113307 - 2h on coord 1",
+        ]
 
 
 class TestSweep:
