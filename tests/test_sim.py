@@ -401,8 +401,8 @@ class _FullScanEngine(sim._Engine):
 
     def _scan(self, t, z, i0, i1):
         idle = np.array([self.channel.admit(c) for c in range(self.n)]) & self.enabled
-        zmat = self._z_at_offsets(z, self._times[i0 : i1 + 1] - t)
-        eligible = (np.abs(zmat) >= self._V[i0 : i1 + 1].T) & idle[:, None]
+        zmat = self._z_at_offsets(z, self._times[i0 : i1 + 1] - t, out=self._Z[:, i0 : i1 + 1])
+        eligible = (np.abs(zmat) >= self._V[:, i0 : i1 + 1]) & idle[:, None]
         hits = eligible.any(axis=0)
         if not hits.any():
             return zmat, None
@@ -425,13 +425,15 @@ class TestEnginePaths:
         i1 = i0 + 2 * sim._POWER_BLOCK + 37
         t_anchor = eng._times[i0 - 1] + 0.37 * h  # off-grid, as after a reception
         xhat_anchor = np.array(xhat_anchor)
-        out = eng._commit(np.zeros((n, i1 - i0 + 1)), t_anchor, xhat_anchor, i0, i1)
+        eng._Z[:, i0 : i1 + 1] = 0.0  # the error columns _scan would have written
+        out = eng._commit(t_anchor, xhat_anchor, i0, i1)
         for i in range(i0, i1 + 1):
             want = scipy.linalg.expm(plant.closed_loop_matrix() * (eng._times[i] - t_anchor))
             want = want @ xhat_anchor
             assert np.max(np.abs(eng._XH[i] - want)) <= 1e-12 * np.max(np.abs(want)), i
         assert np.array_equal(out, eng._XH[i1])
-        assert np.array_equal(eng._X[i0 : i1 + 1], eng._XH[i0 : i1 + 1])
+        x = eng._trace(i1 + 1, diverged=False).x
+        assert np.array_equal(x[i0 : i1 + 1], eng._XH[i0 : i1 + 1])
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_z_at_offsets_matches_block_exponentials(self, seed):
@@ -490,26 +492,40 @@ class TestEnginePaths:
         for name in ("times", "x", "xhat", "z", "v"):
             assert np.array_equal(getattr(windowed, name), getattr(full, name)), name
 
-    @pytest.mark.parametrize("refine", [False, True], ids=["grid", "refine"])
-    @pytest.mark.parametrize("first_hit", [
-        sim._DETECT_WINDOW,  # last sample of the first window
-        sim._DETECT_WINDOW + 1,  # first sample of the second window
-        3 * sim._DETECT_WINDOW + 100,  # inside the third window
-    ])
-    def test_windowed_detection_matches_full_chunk_scan(self, refine, first_hit):
+    def _first_hit_case(self, refine, first_hit):
         # z = z0 e^{t} meets v = e^{-t} halfway between samples first_hit - 1 and first_hit
         h = 1e-3
         plant = JordanPlant.scalar(A=1.0, B=1.0, K=3.0)
         cfg = TriggerConfig(v0=1.0, sigma=1.0, rho0=0.5, gamma=0.1)
         z0 = math.exp(-2.0 * h * (first_hit - 0.5))
+        horizon = h * max(2000, 2 * first_hit)  # the hit, and at least as many samples after it
         windowed, full = self._runs(plant, cfg, [ConstantDelay(0.05, 0.1)],
-                                    2.0, h, [z0], [0.0], refine)
+                                    horizon, h, [z0], [0.0], refine)
         t_first = windowed.events[0].t
         if refine:
             assert (first_hit - 1) * h < t_first < first_hit * h
         else:
             assert t_first == windowed.times[first_hit]
         self._assert_same(windowed, full)
+
+    @pytest.mark.parametrize("refine", [False, True], ids=["grid", "refine"])
+    @pytest.mark.parametrize("first_hit", [
+        64,  # last sample of the first window
+        65,  # first sample of the second window
+        3 * 64 + 100,  # inside the third window
+    ])
+    def test_windowed_detection_matches_full_chunk_scan(self, monkeypatch, refine, first_hit):
+        monkeypatch.setattr(sim, "_DETECT_WINDOW", 64)
+        self._first_hit_case(refine, first_hit)
+
+    @pytest.mark.parametrize("refine", [False, True], ids=["grid", "refine"])
+    @pytest.mark.parametrize("first_hit", [
+        sim._DETECT_WINDOW,
+        sim._DETECT_WINDOW + 1,
+        3 * sim._DETECT_WINDOW + 100,
+    ], ids=["last_of_first", "first_of_second", "inside_third"])
+    def test_default_windows_match_full_chunk_scan(self, refine, first_hit):
+        self._first_hit_case(refine, first_hit)
 
     @pytest.mark.parametrize("refine", [False, True], ids=["grid", "refine"])
     def test_windowed_detection_matches_full_chunk_scan_vector(self, refine):
