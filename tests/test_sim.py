@@ -533,7 +533,6 @@ class TestEnginePaths:
         self._assert_same(*self._runs(VECTOR_PLANT, VECTOR_CFG, models, 1.0, 1e-4,
                                       [0.1, 0.1, 0.1], [0.0, 0.0, 0.0], refine))
 
-
     @pytest.mark.parametrize("refine", [False, True], ids=["grid", "refine"])
     @pytest.mark.parametrize("plant, x0, xhat0, diverges", [
         (VECTOR_PLANT, [0.1] * 3, [0.0] * 3, False),
