@@ -214,17 +214,14 @@ class _Engine:
 
     # -- propagation helpers --------------------------------------------------
 
-    def _z_step(self, z: np.ndarray, dt: float) -> np.ndarray:
-        out = np.empty_like(z)
-        for lam, p, sl in self.block_slices:
-            out[sl] = block_matexp(lam, p, dt) @ z[sl]
-        return out
-
     def _advance(self, z: np.ndarray, xhat: np.ndarray, dt: float):
         """(z, xhat) dt later, for dt in [0, h]: z by the Jordan blocks, xhat by _flow."""
         if dt == 0.0:
             return z, xhat
-        return self._z_step(z, dt), self._flow(dt, xhat)
+        z_new = np.empty_like(z)
+        for lam, p, sl in self.block_slices:
+            z_new[sl] = block_matexp(lam, p, dt) @ z[sl]
+        return z_new, self._flow(dt, xhat)
 
     def _flow_table(self) -> tuple[np.ndarray, np.ndarray] | None:
         """The exponents 0..m and the terms Acl^k/k! (shape (m+1, n, n)) of
@@ -292,31 +289,29 @@ class _Engine:
         return P.reshape(_POWER_BLOCK * self.n, self.n)
 
     def _scan(self, t: float, z: np.ndarray, i0: int, i1: int):
-        """Error columns of samples i0.. from the state (t, z), and the first trigger.
+        """The first trigger among samples i0..i1, from the state (t, z).
 
-        Returns (zmat, hit).  zmat is a view of the trace storage Z from
-        column i0 to the end of the last window, which the scan writes in
-        place; hit is None when no sample up to i1 is eligible;
-        otherwise it is (j, fire): zmat's column j is the first eligible
-        sample and fire flags the coordinates that may fire there.  Windows
-        of _DETECT_WINDOW, 2*_DETECT_WINDOW, ... samples are scanned until
-        one holds an eligible sample or i1 is reached.  Every window is
+        Writes the error columns of the samples it scans in place into the
+        trace storage Z and returns None when no sample up to i1 is
+        eligible, otherwise (i, fire): i is the first eligible sample and
+        fire flags the coordinates that may fire there.  Windows of
+        _DETECT_WINDOW, 2*_DETECT_WINDOW, ... samples are scanned until one
+        holds an eligible sample or i1 is reached.  Every window is
         evaluated from the same (t, z), so the columns equal those of a
         single scan over i0..i1.
         """
         idle = np.array([self.channel.admit(c) for c in range(self.n)]) & self.enabled
         times, Z, V = self._times, self._Z, self._V
-        hit = None
         lo, width = i0, _DETECT_WINDOW
-        while hit is None and lo <= i1:
+        while lo <= i1:
             hi = min(lo + width, i1 + 1)
             zw = self._z_at_offsets(z, times[lo:hi] - t, out=Z[:, lo:hi])
             ew = (np.abs(zw) >= V[:, lo:hi]) & idle[:, None]
             if np.count_nonzero(ew):
                 j = int(ew.any(axis=0).argmax())
-                hit = (lo - i0 + j, ew[:, j])
+                return lo + j, ew[:, j]
             lo, width = hi, 2 * width
-        return Z[:, i0:lo], hit
+        return None
 
     def _v_at(self, coord: int, t: float) -> float:
         return self.coords[coord].v0 * math.exp(-self.sigma * t)
@@ -345,46 +340,33 @@ class _Engine:
             nd = self.channel.next_delivery()
             t_rx = nd[0] if nd is not None else math.inf
             if t_rx <= t:
-                z, xhat = self._process_receptions(t, z, xhat)
-                self._instant_eval(t, z, next_idx)
+                self._receive(t, z, xhat, next_idx)
                 continue
             chunk_end = min(t_rx, self.t_end)
-            is_rx = t_rx <= self.t_end
-
             idx_hi = next_idx - 1 + int(
                 np.searchsorted(times[next_idx:], chunk_end + 1e-15, side="right")
             )
-            if idx_hi >= next_idx:
-                zmat, hit = self._scan(t, z, next_idx, idx_hi)
-                if hit is not None:
-                    jcol, fire = hit
-                    gi = next_idx + jcol
-                    if self.refine:
-                        t, z, xhat, next_idx = self._refine_fire(
-                            t, z, xhat, next_idx, gi, jcol, zmat, fire
-                        )
-                    else:
-                        xhat = self._commit(t, xhat, next_idx, gi)
-                        z = zmat[:, jcol].copy()
-                        t = times[gi]
-                        next_idx = gi + 1
-                        for c in np.flatnonzero(fire):
-                            self._fire(int(c), t, z)
-                    continue
-                xhat = self._commit(t, xhat, next_idx, idx_hi)
-                z = zmat[:, -1].copy()
-                t = times[idx_hi]
-                next_idx = idx_hi + 1
-
+            hit = self._scan(t, z, next_idx, idx_hi) if idx_hi >= next_idx else None
+            # commit the chunk's last sample, or grid mode's hit, or the sample before
+            # refine mode's hit, whose crossing lies inside the step after it
+            i = idx_hi if hit is None else hit[0] - self.refine
+            if i >= next_idx:
+                xhat = self._commit(t, xhat, next_idx, i)
+                t, z, next_idx = times[i], Z[:, i].copy(), i + 1
+            if hit is not None:
+                gi, fire = hit
+                if self.refine:
+                    t, z, xhat = self._refine_fire(t, z, xhat, next_idx, gi, fire)
+                else:
+                    for c in np.flatnonzero(fire):
+                        self._fire(int(c), t, z)
+                continue
             if chunk_end > t:
                 z, xhat = self._advance(z, xhat, chunk_end - t)
                 t = chunk_end
                 self._check_overflow(xhat + z, t, next_idx)
-            if is_rx:
-                z, xhat = self._process_receptions(t, z, xhat)
-                self._instant_eval(t, z, next_idx)
-                continue
-            break
+            if t_rx > self.t_end:
+                break  # otherwise the top of the loop applies the delivery at t = t_rx
 
         return self._trace(S + 1, diverged=False)
 
@@ -474,20 +456,16 @@ class _Engine:
             )
         )
 
-    def _process_receptions(self, t: float, z: np.ndarray, xhat: np.ndarray):
-        while True:
-            nd = self.channel.next_delivery()
-            if nd is None or nd[0] > t:
-                return z, xhat
-            self._deliver(nd[1], nd[0], z, xhat)
+    def _receive(self, t: float, z: np.ndarray, xhat: np.ndarray, next_idx: int) -> None:
+        """Apply, in place, every delivery due by t, then re-evaluate triggers at t.
 
-    def _instant_eval(self, t: float, z: np.ndarray, next_idx: int) -> None:
-        """Trigger re-evaluation right after receptions at the same instant.
-
-        Grid runs only re-evaluate when the instant is a grid point; refined
-        runs fire at any boundary where a coordinate sits at or above its
-        threshold.
+        Grid runs only re-evaluate when t is a grid point; refined runs fire
+        at any boundary where a coordinate sits at or above its threshold.
         """
+        nd = self.channel.next_delivery()
+        while nd is not None and nd[0] <= t:
+            self._deliver(nd[1], nd[0], z, xhat)
+            nd = self.channel.next_delivery()
         at_grid = next_idx >= 1 and self._times[next_idx - 1] == t
         if not (self.refine or at_grid):
             return
@@ -497,27 +475,20 @@ class _Engine:
             if abs(z[c]) >= self._v_at(c, t):
                 self._fire(c, t, z)
 
-    def _refine_fire(self, t, z, xhat, next_idx, gi, jcol, zmat, elig_col):
-        """Resolve exact crossings inside the detection step, fire the earliest."""
-        times = self._times
-        if jcol > 0:
-            xhat = self._commit(t, xhat, next_idx, gi - 1)
-            t_a = times[gi - 1]
-            z_a = zmat[:, jcol - 1].copy()
-            next_idx = gi
-        else:
-            t_a, z_a = t, z
-        hi = times[gi] - t_a
-        crossings = {
-            int(c): self._crossing(int(c), t_a, z_a, hi) for c in np.flatnonzero(elig_col)
-        }
+    def _refine_fire(self, t_a, z_a, xhat, next_idx, gi, fire):
+        """Fire the earliest exact crossing of the coordinates flagged in fire,
+        inside the step from the state (t_a, z_a, xhat) to the hit sample gi;
+        returns the state (t, z, xhat) at the crossing.  next_idx is the first
+        sample not yet committed."""
+        hi = self._times[gi] - t_a
+        crossings = {int(c): self._crossing(int(c), t_a, z_a, hi) for c in np.flatnonzero(fire)}
         t_star = min(crossings.values())
         z_new, xhat_new = self._advance(z_a, xhat, t_star - t_a)
         for c, s in crossings.items():
             if s == t_star:
                 self._fire(c, t_star, z_new)
         self._check_overflow(xhat_new + z_new, t_star, next_idx)
-        return t_star, z_new, xhat_new, next_idx
+        return t_star, z_new, xhat_new
 
     def _crossing(self, c: int, t_a: float, z_a: np.ndarray, hi: float) -> float:
         """First s in (0, hi] with |z_c(t_a+s)| = v_c(t_a+s), as absolute time."""

@@ -405,9 +405,9 @@ class _FullScanEngine(sim._Engine):
         eligible = (np.abs(zmat) >= self._V[:, i0 : i1 + 1]) & idle[:, None]
         hits = eligible.any(axis=0)
         if not hits.any():
-            return zmat, None
+            return None
         j = int(np.argmax(hits))
-        return zmat, (j, eligible[:, j])
+        return i0 + j, eligible[:, j]
 
 
 class TestEnginePaths:
