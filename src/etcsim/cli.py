@@ -306,14 +306,14 @@ def _write_trace_csv(path: Path, trace: SimTrace) -> None:
         + [f"z{i+1}" for i in range(n)]
         + [f"v{i+1}" for i in range(n)]
     )
-    table = np.column_stack((trace.times, trace.x, trace.xhat, trace.z, trace.v))
+    columns = (trace.times, trace.x, trace.xhat, trace.z, trace.v)
     row = ",".join(["%r"] * len(cols)) + "\n"
     with path.open("w") as fh:
         fh.write(",".join(cols) + "\n")
         # %r of a Python float is _fmt's cell text; one % formats a block of rows, and
-        # blocks bound the list copies
-        for a in range(0, len(table), _CSV_BLOCK_ROWS):
-            block = table[a : a + _CSV_BLOCK_ROWS]
+        # blocks bound the copies: each block is stacked on its own
+        for a in range(0, len(trace.times), _CSV_BLOCK_ROWS):
+            block = np.column_stack([c[a : a + _CSV_BLOCK_ROWS] for c in columns])
             fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
