@@ -451,6 +451,40 @@ class TestEnginePaths:
                                    for lam, p, sl in plant.block_slices()])
             assert np.max(np.abs(got[:, j] - want)) <= 1e-14 * np.max(np.abs(want)), j
 
+    def test_z_at_offsets_equals_the_per_block_formula_bitwise(self):
+        # the formula with one exponential per block and a division by every k!, 1 included
+        def per_block(eng, z, offsets):
+            out = np.empty((eng.n, offsets.size))
+            for lam, p, sl in eng.block_slices:
+                grow = np.exp(lam * offsets)
+                zb = z[sl]
+                for i in range(p):
+                    acc, powh, fact = zb[i], offsets, 1.0
+                    for k in range(1, p - i):
+                        if k > 1:
+                            powh = powh * offsets
+                        fact *= k
+                        acc = acc + zb[i + k] * powh / fact
+                    np.multiply(acc, grow, out=out[sl.start + i])
+            return out
+
+        plant = JordanPlant(blocks=((0.7, 1), (13.0, 2), (2.1, 3), (0.35, 4)), B=np.eye(10),
+                            K=30.0 * np.eye(10))
+        cfg = TriggerConfig(v0=1.0, sigma=1.0, rho0=0.5, gamma=0.05)
+        h = 1e-4
+        eng = sim._Engine(plant, cfg, [None] * 10, 1.0, h, np.zeros(10), np.zeros(10),
+                          False, None, 2.0)
+        eng.run()  # allocates the trace's sample times
+        times = eng._times
+        rng = np.random.default_rng(21)
+        for width in (1, 7, 2000):
+            for lo in (1, 4321, times.size - width):
+                for t in (times[lo], times[lo - 1] + 0.37 * h):  # first offset 0, or off-grid
+                    z = rng.uniform(-1.0, 1.0, 10)
+                    offsets = times[lo : lo + width] - t
+                    got, want = eng._z_at_offsets(z, offsets), per_block(eng, z, offsets)
+                    assert got.tobytes() == want.tobytes(), (width, lo, t)
+
     @pytest.mark.parametrize("bad", [
         math.nan, math.inf, -math.inf,
         np.nextafter(OVERFLOW_LIMIT, math.inf), -np.nextafter(OVERFLOW_LIMIT, math.inf),
@@ -469,6 +503,75 @@ class TestEnginePaths:
                           np.zeros(3), False, None, 2.0)
         eng.run()
         eng._check_overflow(np.array([OVERFLOW_LIMIT, -OVERFLOW_LIMIT, 0.0]), 0.05, 51)
+
+    @pytest.mark.parametrize("plant, cfg", [(FIG7_PLANT, FIG7_CFG), (VECTOR_PLANT, VECTOR_CFG)],
+                             ids=["n1", "n3"])
+    def test_check_overflow_at_the_edges(self, plant, cfg):
+        n = plant.n
+        eng = sim._Engine(plant, cfg, [None] * n, 0.1, 1e-3, np.zeros(n), np.zeros(n),
+                          False, None, 2.0)
+        eng.run()
+        above = np.nextafter(OVERFLOW_LIMIT, math.inf)
+        for bad in (math.nan, math.inf, -math.inf, above, -above):
+            with pytest.raises(DivergenceError) as exc:
+                eng._check_overflow(np.array([0.5] * (n - 1) + [bad]), 0.0375, 38)
+            assert str(exc.value) == "state overflow at t=0.0375"
+            assert exc.value.trace.diverged and exc.value.trace.times.size == 38
+            assert exc.value.trace.x.shape == (38, n)
+        for ok in (OVERFLOW_LIMIT, -OVERFLOW_LIMIT, np.nextafter(OVERFLOW_LIMIT, 0.0)):
+            eng._check_overflow(np.array([-0.5] * (n - 1) + [ok]), 0.0375, 38)
+
+    @staticmethod
+    def _bisect_with_product(eng, c, t_a, z_a, hi):
+        """The refine bisection as it was before its row-sum filter, and its
+        step count: every step evaluates row i_in of block_matexp(lam, p, mid) @ zb."""
+        co = eng.coords[c]
+        lam, p, i_in = co.lam, co.order, co.index
+        v_a = eng._v_at(c, t_a)
+        if abs(z_a[c]) >= v_a:
+            return t_a, 0
+        zb = z_a[co.start : co.start + p]
+        lo_s, hi_s = 0.0, hi
+        for step in range(80):
+            if t_a + lo_s == t_a + hi_s:
+                break
+            mid = 0.5 * (lo_s + hi_s)
+            zc = (block_matexp(lam, p, mid) @ zb)[i_in]
+            if abs(zc) - v_a * math.exp(-eng.sigma * mid) < 0.0:
+                lo_s = mid
+            else:
+                hi_s = mid
+        return t_a + hi_s, step
+
+    def test_crossing_equals_the_matrix_product_bisection(self, monkeypatch):
+        # blocks of orders 2 and 3: coordinates 0, 2 and 3 are coupled (not chain ends)
+        plant = JordanPlant(blocks=((1.3, 2), (2.1, 3)), B=np.eye(5), K=3.0 * np.eye(5))
+        cfg = TriggerConfig(v0=1.0, sigma=1.0, rho0=0.5, gamma=0.05)
+        eng = sim._Engine(plant, cfg, [None] * 5, 0.1, 1e-3, np.zeros(5), np.zeros(5),
+                          False, None, 2.0)
+        products = []
+        monkeypatch.setattr(sim, "block_matexp",
+                            lambda *a: products.append(a) or block_matexp(*a))
+        rng = np.random.default_rng(20)
+        steps = 0
+        for k in range(240):
+            c = (0, 2, 3)[k % 3]
+            t_a = float(rng.uniform(0.0, 3.0))
+            hi = float(10.0 ** rng.uniform(-4.0, -1.0))
+            v_a = eng._v_at(c, t_a)
+            z_a = rng.uniform(-1.0, 1.0, 5) * v_a
+            if k % 4 == 0:  # a few ulps below the threshold
+                zc = v_a
+                for _ in range(1 + k % 5):
+                    zc = float(np.nextafter(zc, 0.0))
+            else:
+                zc = v_a * (1.0 - 10.0 ** rng.uniform(-14.0, -1.0))
+            z_a[c] = zc if rng.random() < 0.5 else -zc
+            if k % 40 == 1:
+                z_a[c - 1 if c == 3 else c + 1] = math.nan  # a non-finite error in the block
+            want, n_steps = self._bisect_with_product(eng, c, t_a, z_a.copy(), hi)
+            assert eng._crossing(c, t_a, z_a, hi) == want, k
+            steps += n_steps
 
     def test_trace_cap_counts_times(self):
         # 3e7 samples of one coordinate: 0.96 GB in x/xhat/z/v, 1.2 GB with times

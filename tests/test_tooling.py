@@ -7,10 +7,11 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import etcsim
-from etcsim import cli, sim
+from etcsim import channel, cli, model, sim
 
 ROOT = Path(__file__).resolve().parents[1]
 # the names `etcsim` exported when it imported every submodule eagerly, less the
@@ -42,6 +43,26 @@ def test_traced_benchmark_hooks_resolve():
     finally:
         tracer.uninstall()
     assert sim.run_vector is original
+
+
+def test_traced_benchmark_sees_each_hooked_callee():
+    # a hot-path rewrite that bypasses a patched name would zero a per-layer metric
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    plant = model.JordanPlant(blocks=((5.0, 2), (10.0, 1)), B=np.eye(3), K=15.0 * np.eye(3))
+    cfg = model.TriggerConfig(v0=((0.5, 0.6), (0.5,)), sigma=2.0, rho0=0.5, gamma=0.05)
+    models = [channel.build_delay("uniform", 0.05, seed=1701, salt=(0, c)) for c in range(3)]
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        sim.run_vector(plant, cfg, models, 0.2, 1e-4, x0=(0.1, 0.1, 0.1),
+                       xhat0=(0.0, 0.0, 0.0), refine=True)
+    finally:
+        tracer.uninstall()
+    for name in ("model.block_matexp", "codec.encode", "channel.sample_delay",
+                 "channel.ChannelState.admit"):
+        assert tracer.calls[name] > 0, name
 
 
 def _imported(nodes) -> tuple[set[str], set[str]]:
