@@ -472,15 +472,18 @@ def phase_curves(
     """Necessary, approximate-necessary, and sufficient rates per grid delay.
 
     With sigma_grid, additionally reports the supremum over those decay rates
-    of the necessary rate.  Grid points where the necessary rate exceeds the
-    sufficient one are counted, not asserted.  inp was checked when it was
-    built; each grid value is checked once, as BoundInputs checks gamma and
-    sigma, and the rates come from one walk of the grid by the rate kernel.
+    of the necessary rate; an empty sigma_grid is refused.  Grid points where
+    the necessary rate exceeds the sufficient one are counted, not asserted.
+    inp was checked when it was built; each grid value is checked once, as
+    BoundInputs checks gamma and sigma, and the rates come from one walk of
+    the grid by the rate kernel.
     The delay markers gamma_c and gamma_eq need a single eigenvalue; they are
     None for mixed ones, as in analytic_bounds.
     """
     gammas = tuple(_check_input("gamma", float(g)) for g in gamma_grid)
     sigmas = None if sigma_grid is None else [_check_input("sigma", float(s)) for s in sigma_grid]
+    if sigmas == []:
+        raise ConfigurationError("sigma_grid must hold at least one decay rate, got none")
     nec, app, suf, sup = _rate_curves(inp, gammas, sigmas)
     try:
         A = inp.A

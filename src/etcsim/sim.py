@@ -28,8 +28,11 @@ coordinate-major z storage and compares it with the thresholds of v, stored
 the same way, so a committed chunk is never copied; x = xhat + z is formed
 once, when the trace is cut.  The first window of a chunk (the samples up
 to the next delivery) is _DETECT_WINDOW samples and each next one doubles.
-A window costs about 16 us of numpy dispatch against about 7 ns of
-arithmetic per sample (n = 3), and on vector_dense's plant (5 s, seeds
+A window costs about 11 us of dispatch against about 16 ns of arithmetic
+per sample (n = 3; a one-sample scan, and the slope from 1024 to 4096
+samples, best of 7 x 2,000 scans on a shared 2-core host): one exponential
+call serves every block, and the rows of busy channels are cleared in place
+only when some channel is busy.  On vector_dense's plant (5 s, seeds
 1701-1710) the median chunk is 392 samples and the median first trigger
 falls at sample 649 of its chunk, so 1024 samples cover most chunks in one
 window (115 windows per run, against 293 at 64).  Every window is evaluated
@@ -53,6 +56,7 @@ from .model import OVERFLOW_LIMIT, JordanPlant, TriggerConfig, block_matexp, exp
 _FP_SLACK = 1e-9  # relative allowance for float roundoff in contract checks
 _DETECT_WINDOW = 1024  # samples in the first trigger-detection window of a chunk
 _POWER_BLOCK = 256  # samples committed per block of precomputed powers of Phi(h)
+_VALIDATE_BLOCK = 65536  # samples per block of validate_trace's envelope check
 MAX_TRACE_BYTES = 1 << 30  # largest trace (times and x/xhat/z/v) a run may allocate
 
 
@@ -181,7 +185,10 @@ class _Engine:
         self.bounds = bnd.analytic_bounds(self.inputs)  # a bound that fails stops the run here
         self.coords = bnd.coordinates(self.inputs, cfg.v0_flat())
         self.block_slices = plant.block_slices()
-        self.enabled = np.array([m is not None for m in self.delay_models])
+        self._block_lams = np.array([lam for lam, _, _ in self.block_slices])
+        # coordinates with a channel, and those without, which never fire
+        self._enabled = [c for c, m in enumerate(self.delay_models) if m is not None]
+        self._muted = [c for c, m in enumerate(self.delay_models) if m is None]
 
         self.x0 = np.atleast_1d(np.asarray(x0, dtype=float))
         self.xhat0 = np.atleast_1d(np.asarray(xhat0, dtype=float))
@@ -259,8 +266,8 @@ class _Engine:
         written into out when given."""
         if out is None:
             out = np.empty((self.n, offsets.size))
-        for lam, p, sl in self.block_slices:
-            grow = np.exp(lam * offsets)
+        grow = np.exp(np.multiply.outer(self._block_lams, offsets))
+        for (_, p, sl), grow_b in zip(self.block_slices, grow):
             zb = z[sl]
             for i in range(p):
                 acc, powh, fact = zb[i], offsets, 1.0
@@ -268,8 +275,9 @@ class _Engine:
                     if k > 1:
                         powh = powh * offsets
                     fact *= k
-                    acc = acc + zb[i + k] * powh / fact
-                np.multiply(acc, grow, out=out[sl.start + i])
+                    term = zb[i + k] * powh
+                    acc = acc + (term if k == 1 else term / fact)  # x / 1.0 == x
+                np.multiply(acc, grow_b, out=out[sl.start + i])
         return out
 
     def _phi_powers(self) -> np.ndarray:
@@ -300,13 +308,16 @@ class _Engine:
         evaluated from the same (t, z), so the columns equal those of a
         single scan over i0..i1.
         """
-        idle = np.array([self.channel.admit(c) for c in range(self.n)]) & self.enabled
+        admit = self.channel.admit
+        busy = self._muted + [c for c in self._enabled if not admit(c)]
         times, Z, V = self._times, self._Z, self._V
         lo, width = i0, _DETECT_WINDOW
         while lo <= i1:
             hi = min(lo + width, i1 + 1)
             zw = self._z_at_offsets(z, times[lo:hi] - t, out=Z[:, lo:hi])
-            ew = (np.abs(zw) >= V[:, lo:hi]) & idle[:, None]
+            ew = np.abs(zw) >= V[:, lo:hi]
+            if busy:
+                ew[busy] = False
             if np.count_nonzero(ew):
                 j = int(ew.any(axis=0).argmax())
                 return lo + j, ew[:, j]
@@ -343,9 +354,8 @@ class _Engine:
                 self._receive(t, z, xhat, next_idx)
                 continue
             chunk_end = min(t_rx, self.t_end)
-            idx_hi = next_idx - 1 + int(
-                np.searchsorted(times[next_idx:], chunk_end + 1e-15, side="right")
-            )
+            # every committed sample lies at or before t < chunk_end
+            idx_hi = int(times.searchsorted(chunk_end + 1e-15, side="right")) - 1
             hit = self._scan(t, z, next_idx, idx_hi) if idx_hi >= next_idx else None
             # commit the chunk's last sample, or grid mode's hit, or the sample before
             # refine mode's hit, whose crossing lies inside the step after it
@@ -395,15 +405,16 @@ class _Engine:
         """
         times, XH, Q, n = self._times, self._XH, self._powers, self.n
         XH[i0] = self._flow(times[i0] - t_from, xhat)
+        flat = XH.reshape(-1)
         for i in range(i0 + 1, i1 + 1, _POWER_BLOCK):
             k = min(_POWER_BLOCK, i1 + 1 - i)
-            XH[i : i + k] = (Q[: k * n] @ XH[i - 1]).reshape(k, n)
+            np.matmul(Q[: k * n], XH[i - 1], out=flat[i * n : (i + k) * n])
         self._check_overflow(XH[i1] + self._Z[:, i1], times[i1], i1 + 1)
         return XH[i1].copy()
 
     def _check_overflow(self, x: np.ndarray, t: float, next_idx: int) -> None:
         # NaN compares false, so NaN, infinities and magnitudes above the limit all fail
-        if np.count_nonzero(np.abs(x) <= OVERFLOW_LIMIT) < x.size:
+        if not all(abs(v) <= OVERFLOW_LIMIT for v in x.tolist()):
             raise DivergenceError(
                 f"state overflow at t={t:.6g}", trace=self._trace(next_idx, diverged=True)
             )
@@ -469,10 +480,8 @@ class _Engine:
         at_grid = next_idx >= 1 and self._times[next_idx - 1] == t
         if not (self.refine or at_grid):
             return
-        for c in range(self.n):
-            if not self.enabled[c] or not self.channel.admit(c):
-                continue
-            if abs(z[c]) >= self._v_at(c, t):
+        for c in self._enabled:
+            if self.channel.admit(c) and abs(z[c]) >= self._v_at(c, t):
                 self._fire(c, t, z)
 
     def _refine_fire(self, t_a, z_a, xhat, next_idx, gi, fire):
@@ -491,7 +500,19 @@ class _Engine:
         return t_star, z_new, xhat_new
 
     def _crossing(self, c: int, t_a: float, z_a: np.ndarray, hi: float) -> float:
-        """First s in (0, hi] with |z_c(t_a+s)| = v_c(t_a+s), as absolute time."""
+        """First s in (0, hi] with |z_c(t_a+s)| = v_c(t_a+s), as absolute time.
+
+        A coupled coordinate bisects on the sign of |z_c| - v, with z_c row
+        i_in of block_matexp(lam, p, mid) @ zb.  Each step first sums that row
+        in Python from the same matrix entries.  Any order of summing p
+        products lies within p*2^-53*sum|terms| of the exact sum (Higham,
+        Accuracy and Stability of Numerical Algorithms, 2002, sec. 3.1), so a
+        sum that clears v by 4*p*2^-53*sum|terms| decides as the product would
+        (a floating-point filter, as in Shewchuk's exact predicates, DCG 18,
+        1997); 2^-1060 more covers products that underflow.  Any other step
+        evaluates the product, so every midpoint and the result are those of
+        the product alone.
+        """
         co = self.coords[c]
         lam, p, i_in = co.lam, co.order, co.index
         v_a = self._v_at(c, t_a)
@@ -502,13 +523,21 @@ class _Engine:
             s = math.log(v_a / abs(z_a[c])) / (lam + self.sigma)
             return t_a + min(s, hi)
         zb = z_a[co.start : co.start + p]
+        tail = [(math.factorial(k), zk) for k, zk in enumerate(zb[i_in:].tolist())]
+        # NaN, for a block with a non-finite error, sends every step to the product
+        tol = 4.0 * p * 2.0**-53 if np.isfinite(zb).all() else math.nan
         lo_s, hi_s = 0.0, hi
         for _ in range(80):
             if t_a + lo_s == t_a + hi_s:
                 break  # rounding is monotone: further halving returns the same time
             mid = 0.5 * (lo_s + hi_s)
-            zc = (block_matexp(lam, p, mid) @ zb)[i_in]
-            if abs(zc) - v_a * math.exp(-self.sigma * mid) < 0.0:
+            w = v_a * math.exp(-self.sigma * mid)
+            e = math.exp(lam * mid)
+            terms = [e * (mid**k / f) * zk for k, (f, zk) in enumerate(tail)]
+            gap = abs(sum(terms)) - w
+            if not abs(gap) > tol * sum(map(abs, terms)) + 2.0**-1060:
+                gap = abs((block_matexp(lam, p, mid) @ zb)[i_in]) - w
+            if gap < 0.0:
                 lo_s = mid
             else:
                 hi_s = mid
@@ -621,22 +650,31 @@ def validate_trace(trace: SimTrace) -> Validation:
             )
     checks["post_jump_contract"] = ok
 
-    ok = True
-    decay = np.exp(-sigma * trace.times)
-    for c, co in enumerate(coords):
-        env = (co.v0 * co.envelope) * decay
-        zc = np.abs(trace.z[:, c])
-        zmax = float(np.nanmax(zc)) if zc.size else 0.0
-        slack = 2.0 * h * (co.lam + sigma) * zmax + env * _FP_SLACK
-        bad = zc > env + slack
-        if bad.any():
-            ok = False
-            i = int(np.argmax(bad))
-            violations.append(
-                f"envelope exceeded on coord {c} at t={trace.times[i]:.6g}: "
-                f"|z|={zc[i]:.6g} > {env[i]:.6g}"
-            )
-    checks["decay_envelope"] = ok
+    # the envelope check walks the samples in blocks through four reused buffers,
+    # so its memory stays bounded at any horizon; max(...) below equals nanmax(|z|)
+    times, z = trace.times, trace.z
+    zslack = [2.0 * h * (co.lam + sigma) * max(np.nanmax(z[:, c]), -np.nanmin(z[:, c]))
+              if times.size else 0.0 for c, co in enumerate(coords)]
+    first: dict[int, str] = {}  # the first violation of each coordinate
+    buffers = np.empty((4, min(times.size, _VALIDATE_BLOCK)))
+    for a in range(0, times.size, _VALIDATE_BLOCK):
+        decay, env, zc, lim = buffers[:, : min(_VALIDATE_BLOCK, times.size - a)]
+        np.exp(np.multiply(-sigma, times[a : a + decay.size], out=decay), out=decay)
+        for c, co in enumerate(coords):
+            if c in first:
+                continue
+            np.multiply(co.v0 * co.envelope, decay, out=env)
+            np.abs(z[a : a + env.size, c], out=zc)
+            np.multiply(env, _FP_SLACK, out=lim)
+            np.add(zslack[c], lim, out=lim)  # env + (zslack + env*_FP_SLACK), in that order
+            np.add(env, lim, out=lim)
+            bad = zc > lim
+            if bad.any():
+                i = int(np.argmax(bad))
+                first[c] = (f"envelope exceeded on coord {c} at t={times[a + i]:.6g}: "
+                            f"|z|={zc[i]:.6g} > {env[i]:.6g}")
+    violations.extend(first[c] for c in sorted(first))
+    checks["decay_envelope"] = not first
 
     ok = True
     sent: list[list[float]] = [[] for _ in coords]

@@ -400,7 +400,8 @@ class _FullScanEngine(sim._Engine):
     """Oracle: detection evaluates every sample of the chunk in one scan."""
 
     def _scan(self, t, z, i0, i1):
-        idle = np.array([self.channel.admit(c) for c in range(self.n)]) & self.enabled
+        idle = np.array([self.channel.admit(c) and self.delay_models[c] is not None
+                         for c in range(self.n)])
         zmat = self._z_at_offsets(z, self._times[i0 : i1 + 1] - t, out=self._Z[:, i0 : i1 + 1])
         eligible = (np.abs(zmat) >= self._V[:, i0 : i1 + 1]) & idle[:, None]
         hits = eligible.any(axis=0)
@@ -572,6 +573,8 @@ class TestEnginePaths:
             want, n_steps = self._bisect_with_product(eng, c, t_a, z_a.copy(), hi)
             assert eng._crossing(c, t_a, z_a, hi) == want, k
             steps += n_steps
+        # the row sum decided most steps, the product the rest
+        assert 0 < len(products) < steps / 4
 
     def test_trace_cap_counts_times(self):
         # 3e7 samples of one coordinate: 0.96 GB in x/xhat/z/v, 1.2 GB with times
@@ -688,6 +691,25 @@ class TestValidateTrace:
         ]
 
 
+    @pytest.mark.parametrize("block", [1, 7, 930])
+    def test_blockwise_envelope_check_equals_one_block(self, monkeypatch, block):
+        # coords 0 and 2 leave their envelopes (at samples 1292 and 930), and NaN
+        # errors on coord 1 are skipped by the maximum and fail no comparison
+        models = [UniformDelay(gamma=0.05, seed=(5, c)) for c in range(3)]
+        trace = run_vector(VECTOR_PLANT, VECTOR_CFG, models, 0.5, 1e-4,
+                           x0=[0.1] * 3, xhat0=[0.0] * 3)
+        z = trace.z * [3.0, 1.0, 3.0]
+        z[2000:2100, 1] = math.nan
+        trace = replace(trace, z=z)
+        whole = validate_trace(trace)
+        assert trace.times.size <= sim._VALIDATE_BLOCK
+        assert whole.checks["decay_envelope"] is False and len(whole.violations) == 2
+        monkeypatch.setattr(sim, "_VALIDATE_BLOCK", block)
+        blocks = validate_trace(trace)
+        assert blocks.checks == whole.checks
+        assert blocks.violations == whole.violations
+
+
 class TestSweep:
     FIG8_PLANT = JordanPlant.scalar(A=2.4, B=1.0, K=8.0)
     FIG8_CFG = TriggerConfig(v0=0.0442, sigma=0.2, rho0=0.1, gamma=1.0, b=1.0001)
@@ -802,6 +824,12 @@ class TestPhaseCurves:
             column = getattr(pc, name)
             assert isinstance(column, tuple), name
             assert list(map(float.hex, column)) == list(map(float.hex, values)), name
+
+    def test_empty_sigma_grid_refused(self):
+        inp = bnd.BoundInputs.scalar(1.3, 1.0, 0.9, nu=2.0)
+        with pytest.raises(ConfigurationError) as exc:
+            phase_curves(inp, [0.1], [])
+        assert str(exc.value) == "sigma_grid must hold at least one decay rate, got none"
 
     @pytest.mark.parametrize("gammas, sigmas, message", [
         ([0.1, -0.5], None, "gamma must be finite and >= 0, got -0.5"),
