@@ -8,6 +8,8 @@ packet; triggering is suppressed while a packet is in flight.
 
 from __future__ import annotations
 
+import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -35,16 +37,127 @@ class ConstantDelay:
         return self.delay
 
 
+# numpy's SeedSequence (a pool of four uint32 words) and its PCG64 seeding; the
+# constants and the order of the mixing steps are numpy's, so draws match it bit for bit
+_POOL = 4
+_LANES = 64  # packet indices per block: an aligned block never straddles a 2**32 boundary
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _chain(init: int, mult: int, first: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The xor and multiplier columns (uint32) of steps first .. first+count-1 of a
+    SeedSequence hash: step i xors init * mult**i (mod 2**32) into its word and then
+    multiplies by the next constant of that chain."""
+    c = [init * pow(mult, first, 1 << 32) & _M32]
+    for _ in range(count):
+        c.append(c[-1] * mult & _M32)
+    column = np.array(c, dtype=np.uint32)[:, None]
+    return column[:-1], column[1:]
+
+
+# steps 0-3 fill the pool; pool word s then mixes into each other word in turn (steps
+# 4+3s .. 6+3s), and row s gets a dummy constant because its update is discarded
+_FILL = _chain(_INIT_A, _MULT_A, 0, _POOL)
+_PAIRS = [
+    tuple(np.insert(c, s, 0, axis=0) for c in _chain(_INIT_A, _MULT_A, _POOL + 3 * s, 3))
+    for s in range(_POOL)
+]
+_STATE = _chain(_INIT_B, _MULT_B, 0, 2 * _POOL)  # generate_state's eight uint32 words
+_CYCLE = np.arange(2 * _POOL) % _POOL
+_LANE = np.arange(_LANES, dtype=np.uint32)
+
+
+def _words(n: int) -> list[int]:
+    """The uint32 words of a non-negative integer, least significant first ([0] for 0)."""
+    n = operator.index(n)
+    if n < 0:
+        raise ConfigurationError(f"uniform delay seeds and packet indices must be >= 0, got {n}")
+    words = [n & _M32]
+    while n := n >> 32:
+        words.append(n & _M32)
+    return words
+
+
+def _mix_into(pool: np.ndarray, source: np.ndarray, constants) -> None:
+    """SeedSequence's mix(pool[d], hashmix(source)) for every pool word d at once."""
+    h = source ^ constants[0]
+    h *= constants[1]
+    h ^= h >> 16
+    pool *= _MIX_L
+    pool -= h * _MIX_R
+    pool ^= pool >> 16
+
+
+def _uniform_block(seed: tuple[int, ...], block: int) -> list[list[int]]:
+    """PCG64 seeds of packets 64*block .. 64*block+63, as numpy's SeedSequence((*seed, k))
+    makes them: one [state high, state low, increment high, increment low] row per packet.
+
+    The lanes share every entropy word but the low word of k, so one pass over
+    (pool word, lane) arrays hashes all 64 entropies.  uint32 arrays wrap silently."""
+    prefix = [w for v in seed for w in _words(v)]
+    words = prefix + _words(_LANES * block)
+    entropy = np.zeros((max(len(words), _POOL), _LANES), dtype=np.uint32)
+    entropy[: len(words)] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[len(prefix)] |= _LANE
+    pool = entropy[:_POOL] ^ _FILL[0]
+    pool *= _FILL[1]
+    pool ^= pool >> 16
+    for s, constants in enumerate(_PAIRS):
+        kept = pool[s].copy()
+        _mix_into(pool, kept, constants)
+        pool[s] = kept
+    extra = _chain(_INIT_A, _MULT_A, _POOL * _POOL, _POOL * (len(words) - _POOL))
+    for j, w in enumerate(range(_POOL, len(words))):  # entropy beyond the pool size
+        _mix_into(pool, entropy[w], [c[_POOL * j : _POOL * j + _POOL] for c in extra])
+    state = pool[_CYCLE] ^ _STATE[0]
+    state *= _STATE[1]
+    state ^= state >> 16
+    state = state.astype(np.uint64)
+    return (state[0::2] | state[1::2] << np.uint64(32)).T.tolist()
+
+
+def _uniform_draw(row: list[int], gamma: float) -> float:
+    """numpy's Generator.uniform(0, gamma) from a fresh PCG64 seeded with one row."""
+    s_high, s_low, i_high, i_low = row
+    inc = ((i_high << 64 | i_low) << 1 | 1) & _M128
+    state = (inc + (s_high << 64 | s_low)) & _M128  # srandom: step from 0, add the seed
+    state = (state * _PCG_MULT + inc) & _M128  # srandom's closing step
+    state = (state * _PCG_MULT + inc) & _M128  # the draw's step
+    rot = state >> 122
+    xsl = ((state >> 64) ^ state) & _M64
+    out = (xsl >> rot | xsl << (64 - rot)) & _M64  # XSL-RR output
+    return 0.0 + gamma * ((out >> 11) * 2.0**-53)
+
+
 @dataclass(frozen=True)
 class UniformDelay:
-    """Independent uniform draws on [0, gamma], reproducible per (seed, k)."""
+    """Independent uniform draws on [0, gamma], reproducible per (seed, k).
+
+    The k-th delay is exactly float(np.random.default_rng((*seed, k)).uniform(0, gamma)).
+    The generator seeds of k's aligned 64-packet block are computed at once and kept
+    on this instance (never shared with an equal one) for the block's other packets."""
 
     gamma: float
     seed: tuple[int, ...] = (0,)
+    _block: tuple[int, list[list[int]]] | None = field(
+        default=None, init=False, compare=False, hash=False, repr=False
+    )
+
+    def __post_init__(self):
+        if not math.isfinite(self.gamma):
+            raise ConfigurationError(f"uniform delays need a finite gamma, got {self.gamma}")
 
     def sample(self, k: int) -> float:
-        rng = np.random.default_rng((*self.seed, k))
-        return float(rng.uniform(0.0, self.gamma))
+        index, lane = divmod(k, _LANES)
+        block = self._block
+        if block is None or block[0] != index:
+            block = (index, _uniform_block(self.seed, index))
+            object.__setattr__(self, "_block", block)
+        return _uniform_draw(block[1][lane], float(self.gamma))
 
 
 @dataclass(frozen=True)

@@ -88,8 +88,8 @@ class SimTrace:
     per-coordinate table (bounds.coordinates), the packet size of each
     coordinate and the detection mode.
 
-    Every array has one row per sample.  z and v are transposed views of the
-    engine's coordinate-major storage, so they are not C-contiguous: take
+    Every array has one row per sample.  x, z and v are transposed views of
+    coordinate-major arrays, so they are not C-contiguous: take
     np.ascontiguousarray(trace.z) for their raw bytes in row order."""
 
     times: np.ndarray
@@ -384,7 +384,7 @@ class _Engine:
         """The trace of the first k samples; x is formed here as xhat + z,
         except row 0, which is x0 itself."""
         XH, Z = self._XH[:k], self._Z[:, :k]
-        X = XH + Z.T
+        X = (XH.T + Z).T  # coordinate-major, so Z is read in its own order
         X[0] = self.x0
         return SimTrace(
             self._times[:k], X, XH, Z.T, self._V[:, :k].T,

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from etcsim.channel import (
@@ -60,6 +61,59 @@ class TestDelayModels:
             m.sample(3)
         with pytest.raises(ConfigurationError):
             ReplayDelay(delays=(0.5,), gamma=0.3)
+
+
+def numpy_draw(seed, k, gamma):
+    """The definition of a uniform delay: numpy's generator seeded with (*seed, k)."""
+    return float(np.random.default_rng((*seed, k)).uniform(0.0, gamma))
+
+
+@pytest.mark.filterwarnings("error")  # the CLI prints any warning as a `warning:` line
+class TestUniformBlockKernel:
+    KS = (0, 1, 63, 64, 65, 127, 2**32 - 1, 2**32, 2**32 + 63, 2**32 + 64, 2**40 + 5, 2**64 + 1)
+
+    @pytest.mark.parametrize("case", range(40))
+    def test_matches_numpy_bit_for_bit(self, case):
+        rng = np.random.default_rng([2016, case])
+        # 0-4 seed words of 1-70 bits: words >= 2**32 and >= 2**64 (the CLI's u64 seed
+        # plus salts) take two or three entropy words each
+        seed = tuple(int(rng.integers(2**62)) << int(rng.integers(9)) >> int(rng.integers(62))
+                     for _ in range(int(rng.integers(5))))
+        seed += (2**64 + int(rng.integers(2**32)),) if case % 4 == 0 else ()
+        gamma = 0.0 if case % 10 == 9 else float(rng.uniform(0.0, 2.0))
+        ks = self.KS + tuple(int(k) for k in rng.integers(2**34, size=8))
+        m = UniformDelay(gamma=gamma, seed=seed)
+        for k in ks:
+            assert m.sample(k).hex() == numpy_draw(seed, k, gamma).hex(), (seed, k)
+
+    @pytest.mark.parametrize("seed", [(7,), (), (0,), (2**64 - 1,), (2**32, 0, 2**64)])
+    def test_short_and_wide_seeds_match_numpy(self, seed):
+        m = UniformDelay(gamma=0.7, seed=seed)
+        assert [m.sample(k).hex() for k in range(130)] == [
+            numpy_draw(seed, k, 0.7).hex() for k in range(130)
+        ]
+
+    def test_built_seeds_match_numpy(self):
+        for salt in ((), (2, 1)):
+            m = build_delay("uniform", 0.3, seed=2**63 + 5, salt=salt)
+            assert m.seed == (2**63 + 5, *salt)
+            assert [m.sample(k) for k in (0, 63, 64, 65)] == [
+                numpy_draw(m.seed, k, 0.3) for k in (0, 63, 64, 65)
+            ]
+
+    @pytest.mark.parametrize("seed, k", [((-1,), 0), ((5, -2**40), 0), ((5,), -1)])
+    def test_negative_words_refused_as_numpy_refuses_them(self, seed, k):
+        with pytest.raises(ValueError):
+            numpy_draw(seed, k, 0.5)
+        with pytest.raises(ValueError):
+            UniformDelay(gamma=0.5, seed=seed).sample(k)
+
+    @pytest.mark.parametrize("gamma", [math.inf, -math.inf, math.nan])
+    def test_non_finite_gamma_refused(self, gamma):
+        with pytest.raises(OverflowError):
+            numpy_draw((1,), 0, gamma)
+        with pytest.raises(ConfigurationError, match="finite gamma"):
+            UniformDelay(gamma=gamma)
 
 
 class TestBuildDelay:

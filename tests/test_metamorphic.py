@@ -94,6 +94,28 @@ def test_uniform_run_equals_replay_of_its_draws(refine):
     assert_same_run(uniform, replayed)
 
 
+@MODES
+def test_uniform_run_equals_replay_of_numpys_draws(refine):
+    # a uniform delay is defined as numpy's default_rng((*seed, k)).uniform(0, gamma)
+    draws = [
+        tuple(float(np.random.default_rng((11, s, k)).uniform(0.0, CFG.gamma)) for k in range(100))
+        for s in range(3)
+    ]
+    replayed = dense_run(15.0, refine,
+                         models=[ReplayDelay(delays=d, gamma=CFG.gamma) for d in draws])
+    assert_same_run(dense_run(15.0, refine), replayed)
+
+
+def test_uniform_draws_depend_on_neither_call_order_nor_an_equal_instance():
+    a, b = (UniformDelay(gamma=CFG.gamma, seed=(11, 0)) for _ in range(2))
+    ks = (200, 3, 64, 63)  # blocks 3, 0, 1, 0
+    shuffled = {k: a.sample(k) for k in ks}
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert b._block is None  # the block lives on its instance, not under its value
+    assert shuffled == {k: b.sample(k) for k in sorted(ks)}
+    assert a._block is not b._block
+
+
 PERM = [2, 0, 1]  # coordinate j of the reordered run is coordinate PERM[j] of the original
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ import scipy.linalg
 from etcsim import bounds as bnd
 from etcsim import sim
 from etcsim.bounds import phase_curves
-from etcsim.channel import ConstantDelay, ReplayDelay, UniformDelay
+from etcsim.channel import AdversarialDelay, ConstantDelay, ReplayDelay, UniformDelay
 from etcsim.errors import ConfigurationError, DivergenceError, PreconditionError
 from etcsim.model import OVERFLOW_LIMIT, JordanPlant, TriggerConfig, block_matexp, expm
 from etcsim.sim import (
@@ -161,6 +162,36 @@ class TestStabilization:
             gap_before = abs(trace.z[i - 1, 0])
             gap_after = abs(trace.z[min(i + 1, trace.times.size - 1), 0])
             assert gap_after < gap_before
+
+    def test_random_designs_keep_every_contract(self):
+        # the sufficiency theorem on 200 seeded designs drawn as in ROADMAP item 17: in
+        # refine mode, with the sufficient packet size, validate_trace finds no violation
+        rng = np.random.default_rng(1917)
+        for i in range(200):
+            lam, sigma, rho0 = rng.uniform(0.2, 5.0), rng.uniform(0.05, 2.0), rng.uniform(0.05, 0.9)
+            gamma, b = rng.uniform(0.01, 1.5), rng.uniform(1.0001, 1.5)
+            p = int(rng.integers(1, 3))
+            v0 = [rng.uniform(0.05, 1.0)]
+            if p == 2:  # the chained level under its cascade cap, or the run is refused
+                (ladder,) = bnd.contraction_ladders(rho0, [2], None)
+                (cap,) = bnd.v0_cascade_bound((lam, 2), v0=(v0[0], 0.0), rho=ladder, sigma=sigma,
+                                              rho0=rho0, gamma=gamma).upper
+                v0.append(cap * rng.uniform(0.05, 1.0))
+            x0 = rng.uniform(-1.0, 1.0, p)
+            xhat0 = x0 + np.array(v0) * rng.uniform(-1.0, 1.0, p)
+            plant = JordanPlant(blocks=((lam, p),), B=np.eye(p),
+                                K=(lam + rng.uniform(0.5, 5.0)) * np.eye(p))
+            cfg = TriggerConfig(v0=(tuple(v0),), sigma=sigma, rho0=rho0, gamma=gamma, b=b)
+            if i % 2:
+                with warnings.catch_warnings():  # beta above gamma is clamped, with a warning
+                    warnings.simplefilter("ignore", UserWarning)
+                    delays = AdversarialDelay.from_params(lam, sigma, rho0, gamma)
+            else:
+                seed = int(rng.integers(2**64, dtype=np.uint64))  # fresh u64 seeds, as --seed takes
+                delays = [UniformDelay(gamma=gamma, seed=(seed, c)) for c in range(p)]
+            trace = run_vector(plant, cfg, delays, 5.0, 1e-3, x0=x0, xhat0=xhat0, refine=True)
+            check = validate_trace(trace)
+            assert check.ok, (i, check.violations[:1])
 
 
 class TestMeasureRates:

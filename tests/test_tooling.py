@@ -96,6 +96,22 @@ def test_cli_imports_only_stdlib_bounds_and_errors_at_load():
     assert absolute <= sys.stdlib_module_names
 
 
+def test_package_draws_nothing_from_numpy_random():
+    # channel computes numpy's uniform draws itself: numpy.random is the tests' oracle,
+    # never a second way to draw a delay inside the package
+    for path in sorted((ROOT / "src" / "etcsim").rglob("*.py")):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names.add(f"{node.value.id}.{node.attr}")
+            elif isinstance(node, ast.Import):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+                names.update(f"{node.module}.{alias.name}" for alias in node.names)
+        random = {n for n in names if n.split(".")[:2] in (["np", "random"], ["numpy", "random"])}
+        assert not random, (path.name, random)
+
+
 def test_package_exports_the_same_names():
     # each name is the object its defining module holds, resolved on first use
     assert sorted(etcsim.__all__) == sorted(EXPORTS)
