@@ -94,7 +94,7 @@ def _mix_into(pool: np.ndarray, source: np.ndarray, constants) -> None:
 
 def _uniform_block(seed: tuple[int, ...], block: int) -> list[list[int]]:
     """PCG64 seeds of packets 64*block .. 64*block+63, as numpy's SeedSequence((*seed, k))
-    makes them: one [state high, state low, increment high, increment low] row per packet.
+    makes them: per packet, the high and low words of srandom's initstate and initseq.
 
     The lanes share every entropy word but the low word of k, so one pass over
     (pool word, lane) arrays hashes all 64 entropies.  uint32 arrays wrap silently."""
@@ -110,9 +110,8 @@ def _uniform_block(seed: tuple[int, ...], block: int) -> list[list[int]]:
         kept = pool[s].copy()
         _mix_into(pool, kept, constants)
         pool[s] = kept
-    extra = _chain(_INIT_A, _MULT_A, _POOL * _POOL, _POOL * (len(words) - _POOL))
-    for j, w in enumerate(range(_POOL, len(words))):  # entropy beyond the pool size
-        _mix_into(pool, entropy[w], [c[_POOL * j : _POOL * j + _POOL] for c in extra])
+    for w in range(_POOL, len(words)):  # entropy beyond the pool: steps 4w .. 4w+3
+        _mix_into(pool, entropy[w], _chain(_INIT_A, _MULT_A, _POOL * w, _POOL))
     state = pool[_CYCLE] ^ _STATE[0]
     state *= _STATE[1]
     state ^= state >> 16
@@ -122,9 +121,9 @@ def _uniform_block(seed: tuple[int, ...], block: int) -> list[list[int]]:
 
 def _uniform_draw(row: list[int], gamma: float) -> float:
     """numpy's Generator.uniform(0, gamma) from a fresh PCG64 seeded with one row."""
-    s_high, s_low, i_high, i_low = row
-    inc = ((i_high << 64 | i_low) << 1 | 1) & _M128
-    state = (inc + (s_high << 64 | s_low)) & _M128  # srandom: step from 0, add the seed
+    s_high, s_low, q_high, q_low = row
+    inc = ((q_high << 64 | q_low) << 1 | 1) & _M128
+    state = (inc + (s_high << 64 | s_low)) & _M128  # srandom: step from 0, add initstate
     state = (state * _PCG_MULT + inc) & _M128  # srandom's closing step
     state = (state * _PCG_MULT + inc) & _M128  # the draw's step
     rot = state >> 122
