@@ -1,9 +1,11 @@
 """Command-line front end: analytic bound tables, closed-loop runs, sweeps.
 
 Configuration comes from a plain key = value text file (see recipes/) with
-command-line flags taking precedence.  Numbers in CSV/JSON outputs use the
-shortest round-trip decimal form, so identical configurations and seeds
-produce byte-identical files.
+command-line flags taking precedence; both are parsed by the same functions.
+Numbers in CSV/JSON outputs use the shortest round-trip decimal form, so
+identical configurations and seeds produce byte-identical files: each
+trace.csv cell is repr of the Python float, produced by the numpy kernel in
+_shortest.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 runtime invariant
 violation, 3 divergence.
@@ -41,7 +43,7 @@ SWEEP_COLUMNS = [
 ]
 
 _MISSING = object()
-_CSV_BLOCK_ROWS = 4096  # trace.csv rows converted to Python floats at a time
+_CSV_BLOCK_CELLS = 8192  # trace.csv cells per kernel call; its temporaries scale with it
 MAX_GRID_POINTS = 100_000  # largest start:step:count grid a config may ask for
 
 
@@ -51,6 +53,13 @@ def _bool(s: str) -> bool:
     if s.lower() in ("0", "false", "no", "off"):
         return False
     raise ValueError(f"expected a boolean, got {s!r}")
+
+
+def _seed(s: str) -> int:
+    seed = int(s)
+    if not 0 <= seed < 2**64:  # a u64, as the README documents
+        raise ValueError("seed must be >= 0 and < 2**64")
+    return seed
 
 
 def _floats(s: str) -> list[float]:
@@ -111,7 +120,7 @@ SETTINGS = {
     "nu": Setting(float, 2.0, _ALL, "precision parameter"),  # bounds, analytic sweeps: 1.0
     "g": Setting(int, 0, ("bounds", "simulate"), "packet size (bits), 0 = automatic"),
     "delay": Setting(str, "uniform", _RUNS, "delay model spec"),
-    "seed": Setting(int, 0, _RUNS, "delay realization seed"),
+    "seed": Setting(_seed, 0, _RUNS, "delay realization seed"),
     "horizon": Setting(float, _MISSING, _RUNS, "run length (s)"),
     "step": Setting(float, 0.0002, _RUNS, "sample step (s)"),
     "refine": Setting(_bool, False, _RUNS, "resolve trigger crossings inside the step"),
@@ -298,6 +307,8 @@ def _delay_factory(cfg: RunConfig, plant: JordanPlant):
 def _write_trace_csv(path: Path, trace: SimTrace) -> None:
     import numpy as np
 
+    from ._shortest import _shortest_csv
+
     n = trace.n
     cols = (
         ["t"]
@@ -307,14 +318,14 @@ def _write_trace_csv(path: Path, trace: SimTrace) -> None:
         + [f"v{i+1}" for i in range(n)]
     )
     columns = (trace.times, trace.x, trace.xhat, trace.z, trace.v)
-    row = ",".join(["%r"] * len(cols)) + "\n"
-    with path.open("w") as fh:
-        fh.write(",".join(cols) + "\n")
-        # %r of a Python float is _fmt's cell text; one % formats a block of rows, and
-        # blocks bound the copies: each block is stacked on its own
-        for a in range(0, len(trace.times), _CSV_BLOCK_ROWS):
-            block = np.column_stack([c[a : a + _CSV_BLOCK_ROWS] for c in columns])
-            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+    rows = max(1, _CSV_BLOCK_CELLS // len(cols))
+    with path.open("wb") as fh:
+        fh.write((",".join(cols) + "\n").encode())
+        # each cell is repr of the Python float, _fmt's cell text; blocks of whole rows
+        # bound the copies whatever the plant order
+        for a in range(0, len(trace.times), rows):
+            block = np.column_stack([c[a : a + rows] for c in columns])
+            fh.write(_shortest_csv(block, len(cols)))
 
 
 def _write_events_json(path: Path, trace: SimTrace) -> None:
@@ -491,8 +502,8 @@ def _build_argparser() -> _Parser:
                 continue
             if setting.parse is _bool:  # a switch: given means true
                 p.add_argument(f"--{key}", action="store_true", default=None, help=setting.help)
-            else:
-                p.add_argument(f"--{key}", type=setting.parse, help=setting.help)
+            else:  # RunConfig.get parses the value, as it parses the config file's
+                p.add_argument(f"--{key}", help=setting.help)
         if name == "bounds":
             p.add_argument("--json", action="store_true", help="also write bounds.json")
     return parser

@@ -208,16 +208,21 @@ class TestSimulateCommand:
         assert rc == cli.EXIT_DIVERGED
         assert (tmp_path / "o" / "trace.csv").exists()
 
-    @pytest.mark.parametrize("text, flags, exit_code", [
-        ((RECIPES / "fig7.cfg").read_text(), ["--horizon", "1"], cli.EXIT_OK),
-        (THREE_BLOCKS + "v0 = 0.5 0.5 0.5\nx0 = 0.3 -0.2 0.1\nxhat0 = 0 0 0\n", [], cli.EXIT_OK),
+    @pytest.mark.parametrize("text, flags, exit_code, last_row", [
+        ((RECIPES / "fig7.cfg").read_text(), ["--horizon", "1"], cli.EXIT_OK, None),
+        (THREE_BLOCKS + "v0 = 0.5 0.5 0.5\nx0 = 0.3 -0.2 0.1\nxhat0 = 0 0 0\n", [], cli.EXIT_OK,
+         None),
         ("A = 2\nB = 0\nK = 0\nv0 = 2e11\nsigma = 0.1\nrho0 = 0.1\ngamma = 0\n"
          "delay = constant:0\nhorizon = 12\nstep = 0.01\nx0 = 1e11\nxhat0 = 1e9\n", [],
-         cli.EXIT_DIVERGED),
-    ], ids=["fig7", "three_blocks", "diverged"])
+         cli.EXIT_DIVERGED, None),
+        ("A = 800\nB = 0\nK = 0\nv0 = 1\nsigma = 0.1\nrho0 = 0.1\ngamma = 0\n"
+         "delay = constant:0\nhorizon = 5\nstep = 1\nx0 = 1\nxhat0 = 0\n", [],
+         cli.EXIT_DIVERGED, "1.0,nan,nan,inf,0.9048374180359595\n"),
+    ], ids=["fig7", "three_blocks", "diverged", "non_finite"])
     def test_trace_csv_equals_per_row_repr(self, tmp_path, capsys, monkeypatch, text, flags,
-                                           exit_code):
-        # every cell is repr of the Python float, every row ",".join of its cells
+                                           exit_code, last_row):
+        # every cell is repr of the Python float, every row ",".join of its cells; a run
+        # that overflows in one step writes nan and inf cells
         traces = []
         write = cli._write_trace_csv
         monkeypatch.setattr(cli, "_write_trace_csv",
@@ -233,6 +238,8 @@ class TestSimulateCommand:
         expected = "".join([header + "\n"] + [",".join(map(repr, row)) + "\n" for row in table])
         assert len(table) > 1
         assert (out / "trace.csv").read_text() == expected
+        if last_row is not None:
+            assert expected.endswith("\n" + last_row)
 
     @pytest.mark.parametrize("text", [
         THREE_BLOCKS + "v0 = 0.5 0.5 0.5 0.5\nx0 = 0 0 0\nxhat0 = 0 0 0\n",
@@ -841,6 +848,8 @@ _TWO_BLOCKS = ("blocks = 1:2\nsigma = 1\nrho0 = 0.5\ngamma = 0.1\nv0 = 0.5 0.1\n
 _EDGE_KEYS = ["A", "sigma", "rho0", "gamma", "b", "nu", "step", "horizon", "B", "K", "v0", "x0",
               "gamma_grid", "sigma_grid"]
 _EDGE_VALUES = ["5e-324", "1e-300", "1e-17", "1e300", "1.7976931348623157e308"]
+# the largest u64 seed runs; the next one and a 4,001-digit one are refused
+_SEED_EDGES = {str(2**64 - 1): "runs", str(2**64): "refused", str(10**4000): "refused"}
 
 
 def _probe_cases():
@@ -860,16 +869,22 @@ def _probe_cases():
             if reader in cli.SETTINGS[key].readers:
                 for value in _EDGE_VALUES:
                     yield command, base, key, value
+    for command, base in [("simulate", "fig7"), ("sweep", "fig8")]:
+        for value in _SEED_EDGES:
+            yield command, base, "--seed", value
 
 
 _PROBE_CASES = list(_probe_cases())
 
 
 @pytest.mark.parametrize("command, base, setting, value", _PROBE_CASES,
-                         ids=["-".join(case) for case in _PROBE_CASES])
+                         ids=["-".join(case[:3] + (case[3] if len(case[3]) < 30
+                                                   else f"{len(case[3])}_digits",))
+                              for case in _PROBE_CASES])
 def test_numeric_flag_probe(tmp_path, capsys, no_run, command, base, setting, value):
     # every numeric flag and float key at every edge value either reaches the (patched)
     # run, so nothing is allocated, or ends with a documented exit code; exit 1 is one line
+    expect = _SEED_EDGES.get(value) if setting == "--seed" else None
     if setting.startswith("--"):
         path, extra = RECIPES / f"{base}.cfg", [setting, value]
     else:  # the value replaces each entry of the key's line (one per coordinate for v0, x0)
@@ -883,12 +898,16 @@ def test_numeric_flag_probe(tmp_path, capsys, no_run, command, base, setting, va
     try:
         rc = cli.main(argv)
     except _RunStarted:
+        assert expect != "refused"
         return
     err = capsys.readouterr().err
     assert rc in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_INVARIANT, cli.EXIT_DIVERGED)
     assert "Traceback" not in err
     if rc == cli.EXIT_USAGE:
         assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert expect != "runs", err
+    if expect == "refused":
+        assert rc == cli.EXIT_USAGE and "seed must be >= 0 and < 2**64" in err, err
 
 
 class TestUsage:

@@ -88,6 +88,14 @@ def test_bounds_imports_only_stdlib_and_errors():
     assert absolute <= sys.stdlib_module_names
 
 
+def test_shortest_imports_only_numpy_and_stdlib():
+    # the trace.csv kernel adds no runtime dependency beside numpy, the package's one
+    tree = ast.parse((ROOT / "src" / "etcsim" / "_shortest.py").read_text())
+    relative, absolute = _imported(ast.walk(tree))
+    assert relative == set()
+    assert absolute <= sys.stdlib_module_names | {"numpy"}
+
+
 def test_cli_imports_only_stdlib_bounds_and_errors_at_load():
     # numpy, sim, model and channel are imported inside the functions that run the loop
     tree = ast.parse((ROOT / "src" / "etcsim" / "cli.py").read_text())
