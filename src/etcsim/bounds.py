@@ -394,8 +394,14 @@ def packet_size_sufficient(inp: BoundInputs) -> int:
 
 def time_quantization_tolerance(inp: BoundInputs) -> float:
     """Largest trigger-time quantization error that preserves the jump contract."""
-    u = (inp.A + inp.sigma) * inp.gamma
-    return math.log1p(inp.rho0 * math.exp(-u)) / (inp.A + inp.sigma)
+    return _tolerance(inp.A, inp.sigma, inp.gamma, inp.rho0)
+
+
+def _tolerance(lam: float, sigma: float, gamma: float, rho0: float) -> float:
+    """ln(1 + rho0 e^{-(lam+sigma) gamma})/(lam+sigma): time_quantization_tolerance
+    at eigenvalue lam."""
+    u = (lam + sigma) * gamma
+    return math.log1p(rho0 * math.exp(-u)) / (lam + sigma)
 
 
 @dataclass
@@ -619,6 +625,7 @@ class Coordinate(NamedTuple):
     envelope: float  # (rho0 - rho) + e^{(lam+sigma)*gamma}
     spacing: float  # guaranteed spacing of its triggering events
     g: int  # sufficient packet size
+    tolerance: float  # time-quantization tolerance at (lam, rho0): grid mode's largest step
 
 
 def coordinates(inp: BoundInputs, v0: Sequence[float]) -> tuple[Coordinate, ...]:
@@ -639,6 +646,7 @@ def coordinates(inp: BoundInputs, v0: Sequence[float]) -> tuple[Coordinate, ...]
     for (lam, p), ladder in zip(inp.blocks, ladders):
         v_blk = levels[at : at + p]
         caps = v0_cascade_bound((lam, p), v0=v_blk, rho=ladder, sigma=sigma, rho0=rho0, gamma=gamma)
+        tol = _tolerance(lam, sigma, gamma, rho0)
         for i, cap in enumerate(caps.upper, start=1):
             if v_blk[i] > cap * (1.0 + 1e-12):
                 raise ConfigurationError(
@@ -647,7 +655,7 @@ def coordinates(inp: BoundInputs, v0: Sequence[float]) -> tuple[Coordinate, ...]
                 )
         table += [
             Coordinate(lam, at, p, i, rho, v, env, _spacing(lam, sigma, gamma, rho0, rho),
-                       _packet_size(lam, rho, sigma, gamma, inp.b))
+                       _packet_size(lam, rho, sigma, gamma, inp.b), tol)
             for i, (rho, v, env) in enumerate(zip(ladder, v_blk, caps.envelope))
         ]
         at += p

@@ -42,6 +42,7 @@ from the chunk's start state, so the window size never changes a trace.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -56,7 +57,12 @@ from .model import OVERFLOW_LIMIT, JordanPlant, TriggerConfig, block_matexp, exp
 _FP_SLACK = 1e-9  # relative allowance for float roundoff in contract checks
 _DETECT_WINDOW = 1024  # samples in the first trigger-detection window of a chunk
 _POWER_BLOCK = 256  # samples committed per block of precomputed powers of Phi(h)
-_VALIDATE_BLOCK = 65536  # samples per block of validate_trace's envelope check
+# samples per block of validate_trace's envelope check.  Its four buffers take
+# 256 KiB, which the allocator can keep from call to call; 65,536 samples (2 MiB)
+# were a fresh mapping that every call faulted in, 782 of vector_dense's 3,094
+# faults per operation.  8,192 gave vector_dense's lowest op_p50_s of 4,096, 8,192
+# and 16,384 in three rounds of bench/run.py on a shared 2-core host
+_VALIDATE_BLOCK = 8192
 MAX_TRACE_BYTES = 1 << 30  # largest trace (times and x/xhat/z/v) a run may allocate
 
 
@@ -207,6 +213,8 @@ class _Engine:
         for gc in self.g:
             if gc >= 2 and cfg.gamma > 0:  # at gamma = 0 encode refuses timing bits itself
                 check_resolvable(gc, cfg.b, cfg.gamma, self.t_end)
+        if not refine:  # after every refusal: a refused run prints its error alone
+            self._check_step()
 
         self.acl = plant.closed_loop_matrix()
         self._taylor = self._flow_table()
@@ -218,6 +226,25 @@ class _Engine:
         self.channel = ChannelState()
         self._k = [0] * self.n
         self._fired_at = [-math.inf] * self.n
+
+    def _check_step(self) -> None:
+        """Warn, once, when the grid step exceeds the time-quantization tolerance
+        of some coordinate with a channel: a grid trigger lags its crossing by up
+        to one step, so a post-jump error may then land above v and the contract
+        fails in a cascade that validate_trace reports without naming the step."""
+        over = [(self.h / self.coords[c].tolerance, c) for c in self._enabled
+                if self.h > self.coords[c].tolerance]
+        if not over:
+            return
+        ratio, c = max(over)
+        largest = min(self.coords[c].tolerance for c in self._enabled)
+        others = f" and {len(over) - 1} more" if len(over) > 1 else ""
+        warnings.warn(
+            f"grid step h={self.h:.6g} exceeds the time-quantization tolerance of "
+            f"coordinate {c}{others} (h/tolerance = {ratio:.3g}); the largest admissible "
+            f"step is {largest:.6g}: use a smaller step or --refine",
+            stacklevel=4,
+        )
 
     # -- propagation helpers --------------------------------------------------
 
@@ -333,8 +360,13 @@ class _Engine:
         n, h, S = self.n, self.h, self.S
         # z and v are coordinate-major, so a detection window is written in place
         # and read row by row; xhat is sample-major for the Phi(h) power products
-        times = np.arange(S + 1) * h
-        V = np.array([co.v0 for co in self.coords])[:, None] * np.exp(-self.sigma * times)
+        # both are built in place: no temporary spans the horizon
+        times = np.arange(S + 1, dtype=float)
+        times *= h
+        V = np.empty((n, S + 1))
+        np.exp(np.multiply(-self.sigma, times, out=V[0]), out=V[0])
+        for c in range(n - 1, -1, -1):  # row 0 holds the decay until it is scaled last
+            np.multiply(self.coords[c].v0, V[0], out=V[c])
         XH = np.empty((S + 1, n))
         Z = np.empty((n, S + 1))
         self._times, self._XH, self._Z, self._V = times, XH, Z, V

@@ -20,7 +20,8 @@ import pytest
 
 from etcsim import bounds as bnd
 from etcsim.channel import ConstantDelay, UniformDelay
-from etcsim.codec import decode, encode, reconstruct_error
+from etcsim.codec import check_resolvable, decode, encode, reconstruct_error
+from etcsim.errors import PreconditionError
 from etcsim.model import JordanPlant, TriggerConfig
 from etcsim.sim import run_vector, sweep_gamma
 
@@ -155,13 +156,28 @@ def test_criterion_4_fig8_sweep_threshold_crossing():
     assert elapsed < 120.0
 
 
+def _finest_admitted(b: float, gamma: float, t_s: float) -> int:
+    """The largest packet size that check_resolvable admits at send time t_s."""
+    # from a size whose half cell is at least 2 ulps of t_s, which is admitted
+    g = max(2, math.frexp(b * gamma)[1] - math.frexp(math.ulp(t_s))[1])
+    while t_s + math.ldexp(b * gamma, -g) != t_s:  # the half cell of g + 1 shows
+        g += 1
+    check_resolvable(g, b, gamma, t_s)
+    try:
+        check_resolvable(g + 1, b, gamma, t_s)
+    except PreconditionError:
+        return g
+    raise AssertionError(f"g={g + 1} admitted at t_s={t_s!r}, b*gamma={b * gamma!r}")
+
+
 def test_criterion_5_codec_property_suite():
     t0 = time.time()
     rng = np.random.default_rng(777)
     n_cases = 100_000
     round_trip_ok = True
     contract_ok = True
-    for _ in range(n_cases):
+    refused_broken = 0  # draws whose first refused g misses b*gamma/2^(g-1)
+    for i in range(n_cases):
         A = float(rng.uniform(0.1, 3.0))
         sigma = float(rng.uniform(0.05, 2.0))
         rho0 = float(rng.uniform(0.05, 0.95))
@@ -171,11 +187,19 @@ def test_criterion_5_codec_property_suite():
         t_c = t_s + float(rng.uniform(0.0, gamma))
         sign = 1 if rng.random() < 0.5 else -1
 
-        g_rand = int(rng.integers(2, 16))
+        # every g that check_resolvable admits at t_s round-trips within the half cell
+        # plus the rounding of t_s: a neighbouring cell when t_s/delta rounds across an
+        # integer (1 ulp) and the roundings of the decoded midpoint (2 ulps)
+        g_max = _finest_admitted(b, gamma, t_s)
+        g_rand = int(rng.integers(2, g_max + 1))
         pkt = encode(t_s, sign, g_rand, b, gamma)
         dsign, q = decode(pkt, t_c, b, gamma)
-        if not (dsign == sign and abs(t_s - q) <= b * gamma / 2 ** (g_rand - 1) * (1 + 1e-9)):
+        half = b * gamma / 2 ** (g_rand - 1)
+        if not (dsign == sign and abs(t_s - q) <= half * (1 + 1e-9) + 3 * math.ulp(t_s)):
             round_trip_ok = False
+        if i % 10 == 0:  # the first refused g, whose half cell is below the rounding of t_s
+            dsign, q = decode(encode(t_s, sign, g_max + 1, b, gamma), t_c, b, gamma)
+            refused_broken += abs(t_s - q) > b * gamma / 2**g_max * (1 + 1e-9)
 
         inp = bnd.BoundInputs.scalar(A, sigma, rho0, gamma=gamma, b=b)
         g_rule = bnd.packet_size_sufficient(inp)
@@ -189,11 +213,12 @@ def test_criterion_5_codec_property_suite():
         if not abs(z_tc - zbar) <= bound * (1 + 1e-9) + 1e-15:
             contract_ok = False
     elapsed = time.time() - t0
-    ok = round_trip_ok and contract_ok and elapsed < 60.0
+    ok = round_trip_ok and contract_ok and refused_broken > 0 and elapsed < 60.0
     _line(5, ok, f"codec round-trip and jump contract on {n_cases} random cases",
-          f"{elapsed:.2f}s")
+          f"{elapsed:.2f}s, first refused g misses its half cell in {refused_broken} cases")
     assert round_trip_ok
     assert contract_ok
+    assert refused_broken > 0
     assert elapsed < 60.0
 
 

@@ -372,6 +372,8 @@ class TestCoordinates:
             assert co.envelope == caps.envelope[i]
             alone = bnd.BoundInputs.scalar(lam, inp.sigma, rho, gamma=inp.gamma, b=inp.b, nu=inp.nu)
             assert co.g == bnd.packet_size_sufficient(alone)
+            # every coordinate's tolerance is the scalar one at (lam, rho0), bit for bit
+            assert co.tolerance == bnd.time_quantization_tolerance(replace(alone, rho0=inp.rho0))
             if i == p - 1:  # a chain end regrows from rho0 alone
                 assert co.spacing == bnd.min_inter_event_time(replace(alone, rho0=inp.rho0))
             else:

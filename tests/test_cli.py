@@ -163,15 +163,50 @@ class TestSimulateCommand:
         ("seed4_adversarial", ["--seed", "4", "--delay", "adversarial"]),
         ("seed5_g3", ["--seed", "5", "--g", "3"]),
     ])
-    def test_vector_ladder_golden(self, tmp_path, name, flags):
+    def test_vector_ladder_golden(self, tmp_path, capsys, name, flags):
         # four coordinates, two blocks, a given ladder and one trigger level each: the
         # per-coordinate levels, contractions, packet sizes and checks, byte for byte
         rc = cli.main(["simulate", "--config", str(DATA / "vector_ladder.cfg"), *flags,
                        "--out", str(tmp_path)])
         assert rc == 0
+        assert "grid step" not in capsys.readouterr().err  # every step below its tolerance
         golden = DATA / "vector_ladder" / name
         for file in ("events.json", "report.json"):
             assert (tmp_path / file).read_bytes() == (golden / file).read_bytes(), file
+
+    # ROADMAP item 17's failing scalar design, 13.7 times its tolerance at h = 1e-3
+    COARSE_STEP = ("A = 4.023421330248466\nB = 1\nK = 8.265796292401253\n"
+                   "v0 = 0.13890751039046972\nsigma = 1.3595958862623714\n"
+                   "rho0 = 0.7682696278330945\ngamma = 1.4081277427198269\n"
+                   "b = 1.0114066026706126\nx0 = 0.19904894610655433\n"
+                   "xhat0 = 0.2656233646547711\nhorizon = 5\nstep = 1e-3\nseed = 21\n")
+
+    def test_coarse_grid_step_warns_and_exits_invariant(self, tmp_path, capsys):
+        argv = ["simulate", "--config", str(write_cfg(tmp_path, self.COARSE_STEP)),
+                "--out", str(tmp_path)]
+        assert cli.main(argv) == cli.EXIT_INVARIANT
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("warning:")] == [err[0]] == [
+            "warning: grid step h=0.001 exceeds the time-quantization tolerance of coordinate 0 "
+            "(h/tolerance = 13.7); the largest admissible step is 7.28553e-05: use a smaller "
+            "step or --refine"
+        ]
+        assert json.loads((tmp_path / "report.json").read_text())["invariants_ok"] is False
+
+    def test_coarse_step_design_runs_clean_in_refine_mode(self, tmp_path, capsys):
+        argv = ["simulate", "--config", str(write_cfg(tmp_path, self.COARSE_STEP)), "--refine",
+                "--out", str(tmp_path)]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert "warning" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, recipe", [("simulate", "fig7"), ("sweep", "fig8")])
+    def test_bundled_recipes_emit_no_step_warning(self, tmp_path, capsys, command, recipe):
+        # one sample per run: the step is checked before the run, on every fig8 row
+        # up to gamma = 2.0005, where h/tolerance is 0.944
+        argv = [command, "--config", str(RECIPES / f"{recipe}.cfg"), "--horizon", "0.0002",
+                "--out", str(tmp_path)]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert "warning" not in capsys.readouterr().err
 
     def test_zero_delay_single_bit_run(self, tmp_path):
         rc = cli.main([

@@ -10,6 +10,7 @@ single exponentials rather than step products).
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,19 +38,26 @@ class SimState:
         return self.x - self.xhat
 
 
-def propagate(state, plant, h):
+def propagate(state, plant, h, flows=None):
     """Advance the closed loop by h under u = -K xhat held as a linear law.
 
     Evaluates the flow of the augmented linear system: z moves by the
     closed-form Jordan exponential of each block and xhat by
     expm((A - B K) h), the augmented-matrix solution in the (xhat, z) basis.
+    flows, a dict the caller keeps for one plant, holds that exponential by h,
+    so a run computes it once per distinct step.
     tests/test_model.py::TestPropagate checks this stepper against
     numerical integration.
     """
     z = np.empty_like(state.z)
     for lam, p, sl in plant.block_slices():
         z[sl] = block_matexp(lam, p, h) @ state.z[sl]
-    xhat = scipy.linalg.expm(plant.closed_loop_matrix() * h) @ state.xhat
+    phi = None if flows is None else flows.get(h)
+    if phi is None:
+        phi = scipy.linalg.expm(plant.closed_loop_matrix() * h)
+        if flows is not None:
+            flows[h] = phi
+    xhat = phi @ state.xhat
     x = xhat + z
     if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > OVERFLOW_LIMIT:
         raise DivergenceError(f"state overflow at t={state.t + h}")
@@ -71,6 +79,7 @@ def reference_run(plant, cfg, delay_models, horizon, step, x0, xhat0, nu=2.0):
           for c in range(n)]
 
     state = SimState(0.0, np.asarray(x0, float), np.asarray(xhat0, float))
+    flows = {}  # expm((A - BK) h) by h, for propagate
     in_flight = {}  # coord -> (packet, t_c)
     k = [0] * n
     fired_at = {}
@@ -87,7 +96,7 @@ def reference_run(plant, cfg, delay_models, horizon, step, x0, xhat0, nu=2.0):
             if t_c > upto or (strictly_before and t_c == upto):
                 break
             if t_c > state.t:
-                state = propagate(state, plant, t_c - state.t)
+                state = propagate(state, plant, t_c - state.t, flows)
             del in_flight[c]
             sign, q = decode(packet, t_c, cfg.b, cfg.gamma)
             zbar = reconstruct_error(sign, q, t_c, v0s[c], cfg.sigma, lams[c])
@@ -118,7 +127,7 @@ def reference_run(plant, cfg, delay_models, horizon, step, x0, xhat0, nu=2.0):
         t_i = times[i]
         state = deliver_due(state, t_i, strictly_before=True)
         if t_i > state.t:
-            state = propagate(state, plant, t_i - state.t)
+            state = propagate(state, plant, t_i - state.t, flows)
         samples.append(state)  # left limit: before any delivery at exactly t_i
         state = deliver_due(state, t_i, strictly_before=False)
         fire_eligible(state)
@@ -126,7 +135,9 @@ def reference_run(plant, cfg, delay_models, horizon, step, x0, xhat0, nu=2.0):
 
 
 class TestEngineAgainstReference:
-    def compare(self, plant, cfg, seeds, horizon, step, x0, xhat0):
+    def compare(self, plant, cfg, seeds, horizon, step, x0, xhat0, per_column=False):
+        """The engine's trace, checked against the reference; per_column measures rtol
+        against each column's largest magnitude, the scale the step products round at."""
         models = [UniformDelay(gamma=cfg.gamma, seed=s) for s in seeds]
         trace = run_vector(plant, cfg, models, horizon, step, x0=x0, xhat0=xhat0)
         times, samples, triggers, receptions = reference_run(
@@ -135,8 +146,12 @@ class TestEngineAgainstReference:
         assert np.array_equal(trace.times, times)
         ref_x = np.array([s.x for s in samples])
         ref_z = np.array([s.z for s in samples])
-        np.testing.assert_allclose(trace.x, ref_x, rtol=1e-8, atol=1e-11)
-        np.testing.assert_allclose(trace.z, ref_z, rtol=1e-8, atol=1e-11)
+        for got, ref in ((trace.x, ref_x), (trace.z, ref_z)):
+            if per_column:
+                gap = np.abs(got - ref) / (1e-11 + 1e-8 * np.abs(ref).max(axis=0))
+                assert gap.max() <= 1.0, (np.unravel_index(gap.argmax(), gap.shape), gap.max())
+            else:
+                np.testing.assert_allclose(got, ref, rtol=1e-8, atol=1e-11)
         got_triggers = [(e.coord, e.t_s, e.t_c, e.g) for e in trace.triggers()]
         assert got_triggers == triggers
         got_rx = [(e.coord, e.t_s, e.t_c) for e in trace.receptions()]
@@ -147,6 +162,7 @@ class TestEngineAgainstReference:
             # the post-jump residual is a near-cancellation of z and zbar, so
             # trajectory-level float drift is amplified relative to it
             assert e.post_jump == pytest.approx(post, rel=1e-6, abs=1e-11)
+        return trace
 
     def test_scalar_run_matches(self):
         plant = JordanPlant.scalar(A=1.0, B=0.2, K=8.0)
@@ -178,3 +194,43 @@ class TestEngineAgainstReference:
         cfg = TriggerConfig(v0=((0.5, 0.6), (0.5,)), sigma=1.0, rho0=0.5, gamma=0.1)
         self.compare(plant, cfg, [(9, c) for c in range(3)], 3.0, 0.001,
                      [0.3, 0.4, 0.2], [0.0, 0.0, 0.0])
+
+    def test_random_jordan_plants_match(self):
+        # 30 seeded plants of order 1-3, cut into random Jordan blocks with eigenvalues
+        # in [0.5, 10]; a random B and a K that places A - BK at -(D + N), D diagonal and
+        # N small, so the loop is stable and non-normal; levels under their cascade caps.
+        # Near-zero entries of a fast block (lam ~ 10) drift up to 1.5e-10 of the block's
+        # scale in the reference's 1,000 step products, so rtol is per column here
+        rng = np.random.default_rng(2307)
+        events = 0
+        for i in range(30):
+            n = int(rng.integers(1, 4))
+            cuts = [0, *np.flatnonzero(rng.random(n - 1) < 0.5) + 1, n]
+            blocks = tuple((float(rng.uniform(0.5, 10.0)), int(b - a))
+                           for a, b in zip(cuts, cuts[1:]))
+            B = np.eye(n) + rng.uniform(-0.3, 0.3, (n, n))
+            target = np.diag(rng.uniform(0.5, 5.0, n)) + rng.uniform(-0.3, 0.3, (n, n))
+            A = JordanPlant(blocks=blocks, B=np.eye(n), K=np.zeros((n, n))).a_matrix()
+            plant = JordanPlant(blocks=blocks, B=B, K=np.linalg.solve(B, A + target))
+            assert np.linalg.eigvals(plant.closed_loop_matrix()).real.max() < 0, i
+            sigma, rho0 = rng.uniform(0.1, 2.0), rng.uniform(0.2, 0.9)
+            gamma, b = rng.uniform(0.01, 0.2), rng.uniform(1.0001, 1.5)
+            ladders = bnd.contraction_ladders(rho0, [p for _, p in blocks], None)
+            levels = []
+            for (lam, p), ladder in zip(blocks, ladders):
+                v = [rng.uniform(0.1, 1.0)]
+                for k in range(1, p):  # the cap on level k follows from level k - 1
+                    caps = bnd.v0_cascade_bound((lam, p), v0=(*v, *[0.0] * (p - k)), rho=ladder,
+                                                sigma=sigma, rho0=rho0, gamma=gamma).upper
+                    v.append(caps[k - 1] * rng.uniform(0.1, 0.9))
+                levels.append(tuple(v))
+            cfg = TriggerConfig(v0=tuple(levels), sigma=sigma, rho0=rho0, gamma=gamma, b=b)
+            xhat0 = rng.uniform(-1.0, 1.0, n)
+            z0 = np.concatenate(levels) * rng.choice([-1, 1], n) * rng.uniform(0.5, 0.95, n)
+            seed = int(rng.integers(2**32))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # every step lies below its coordinates' tolerance
+                trace = self.compare(plant, cfg, [(seed, c) for c in range(n)], 1.0, 1e-3,
+                                     list(xhat0 + z0), list(xhat0), per_column=True)
+            events += len(trace.events)
+        assert events > 300  # the plants trigger, so the logs are compared, not only empty

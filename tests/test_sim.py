@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -192,6 +193,62 @@ class TestStabilization:
             trace = run_vector(plant, cfg, delays, 5.0, 1e-3, x0=x0, xhat0=xhat0, refine=True)
             check = validate_trace(trace)
             assert check.ok, (i, check.violations[:1])
+
+
+class TestStepTolerance:
+    # ROADMAP item 17's failing scalar design: at h = 1e-3, 13.7 times its tolerance,
+    # a grid trigger lags its crossing so far that the contract fails in a cascade
+    PLANT = JordanPlant.scalar(A=4.023421330248466, B=1.0, K=8.265796292401253)
+    CFG = TriggerConfig(v0=0.13890751039046972, sigma=1.3595958862623714,
+                        rho0=0.7682696278330945, gamma=1.4081277427198269, b=1.0114066026706126)
+    WARNING = ("grid step h=0.001 exceeds the time-quantization tolerance of coordinate 0 "
+               "(h/tolerance = 13.7); the largest admissible step is 7.28553e-05: use a "
+               "smaller step or --refine")
+
+    def run(self, step, refine=False):
+        return run_vector(self.PLANT, self.CFG, UniformDelay(gamma=self.CFG.gamma, seed=(21, 0)),
+                          5.0, step, x0=0.19904894610655433, xhat0=0.2656233646547711,
+                          refine=refine)
+
+    def test_step_above_tolerance_warns_once_before_the_run(self, monkeypatch):
+        started = []  # warnings shown when the run started
+        run = sim._Engine.run
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            monkeypatch.setattr(sim._Engine, "run",
+                                lambda eng: started.append(len(caught)) or run(eng))
+            trace = self.run(1e-3)
+        assert [str(w.message) for w in caught] == [self.WARNING] and started == [1]
+        (co,) = trace.coords
+        assert co.tolerance == trace.bounds.time_quantization_tolerance
+        assert 1e-3 / co.tolerance == pytest.approx(13.7, abs=0.05)
+        check = validate_trace(trace)
+        assert not check.checks["post_jump_contract"] and not check.ok
+
+    @pytest.mark.parametrize("step, refine", [(1e-5, False), (1e-3, True)],
+                             ids=["grid_1e-5", "refine_1e-3"])
+    def test_fine_step_and_refine_mode_are_silent_and_clean(self, step, refine):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = self.run(step, refine)
+        assert validate_trace(trace).ok
+
+    def test_warning_names_the_worst_coordinate_and_the_finest_tolerance(self):
+        # two scalar blocks, both above their tolerances at h = 2e-3; a muted third
+        # coordinate never fires, so its finer tolerance is not checked
+        plant = JordanPlant(blocks=((4.0, 1), (6.0, 1), (9.0, 1)), B=np.eye(3),
+                            K=np.diag([6.0, 8.0, 11.0]))
+        cfg = TriggerConfig(v0=0.5, sigma=1.0, rho0=0.1, gamma=0.5)
+        tol = [co.tolerance for co in bnd.coordinates(cfg.bound_inputs(plant.blocks, 2.0), (0.5,))]
+        assert 2e-3 > tol[0] > tol[1] > tol[2]
+        with pytest.warns(UserWarning) as caught:
+            run_vector(plant, cfg, [ConstantDelay(0.1, gamma=0.5)] * 2 + [None], 0.01, 2e-3,
+                       x0=[0.0] * 3, xhat0=[0.0] * 3)
+        assert [str(w.message) for w in caught] == [
+            f"grid step h=0.002 exceeds the time-quantization tolerance of coordinate 1 and 1 "
+            f"more (h/tolerance = {2e-3 / tol[1]:.3g}); the largest admissible step is "
+            f"{tol[1]:.6g}: use a smaller step or --refine"
+        ]
 
 
 class TestMeasureRates:
@@ -739,6 +796,22 @@ class TestValidateTrace:
         blocks = validate_trace(trace)
         assert blocks.checks == whole.checks
         assert blocks.violations == whole.violations
+
+    def test_envelope_check_memory_does_not_grow_with_the_horizon(self):
+        # tracemalloc sees numpy's allocations: above the trace it is given, the check
+        # holds only its block buffers, as much at fig7's 7 s (35,001 samples) as at
+        # 20 s (100,001); a horizon-sized scratch took 1.16 and 2.20 MB
+        peaks = []
+        for horizon in (7.0, 20.0):
+            trace = fig7_run(horizon=horizon, step=0.0002)
+            tracemalloc.start()
+            try:
+                held = tracemalloc.get_traced_memory()[0]
+                assert validate_trace(trace).ok
+                peaks.append(tracemalloc.get_traced_memory()[1] - held)
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 16384 and peaks[1] < 1 << 20, peaks
 
 
 class TestSweep:
