@@ -15,12 +15,8 @@ __version__ = "0.1.0"
 
 _EXPORTS = {  # submodule: the public names it defines, each imported on first use
     "bounds": (
-        "Assumption1Window", "BoundInputs", "CascadeBounds", "PhaseCurve",
-        "access_rate_necessary", "assumption1_window", "beta", "critical_delay",
-        "equilibrium_delay", "min_inter_event_time", "packet_bits_necessary",
-        "packet_size_sufficient", "phase_curves", "rate_asymptote",
-        "time_quantization_tolerance", "triggering_rate_lower", "triggering_rate_upper",
-        "v0_cascade_bound",
+        "AnalyticBounds", "Assumption1Window", "BoundInputs", "CascadeBounds", "PhaseCurve",
+        "analytic_bounds", "assumption1_window", "phase_curves", "v0_cascade_bound",
     ),
     "channel": (
         "AdversarialDelay", "ChannelState", "ConstantDelay", "ReplayDelay", "UniformDelay",

@@ -7,11 +7,15 @@ expm1/log1p so they stay finite and accurate for very small and very large
 delay bounds.
 
 Each rate formula lives once, in the rate kernel _rate_curves:
-analytic_bounds, the one bound table, reads it at one delay and
-phase_curves over a delay grid.  The table's single-eigenvalue fields
-(packet_bits_necessary, triggering_rate_lower, ...) are the kernel's
-factors, which it inlines for speed.  beta is the one home of the
-adversarial delay, which channel reads.
+analytic_bounds, the one bound table and the one public path to each
+bound, reads it at one delay and phase_curves over a delay grid.  The
+table's single-eigenvalue fields come from private kernels on plain floats
+(_triggering_rates, _spacing, _critical_delay, _beta, _packet_size,
+_tolerance), so a caller that needs one value in a hot loop skips the
+table: channel's adversarial delay calls _beta, and the per-coordinate
+table _spacing, _packet_size and _tolerance.  packet_bits_necessary and
+triggering_rate_lower are the rate kernel's factors, which it inlines for
+speed.
 
 The module also holds the one check of each design parameter (_RANGES,
 check_blocks, check_gains, contraction_ladders), which model's types call,
@@ -202,39 +206,16 @@ def _ln_contraction(sigma: float, rho0: float, gamma: float) -> float:
     return sigma * gamma - math.log(rho0)
 
 
-def access_rate_necessary(inp: BoundInputs) -> float:
-    """Bits/s the controller must receive: (Tr(A) + n*sigma)/ln 2."""
-    return (inp.trace + inp.n * inp.sigma) / LN2
-
-
-def packet_bits_necessary(inp: BoundInputs) -> float:
-    """Minimum bits per triggering event (single-eigenvalue systems).
-
-    max{0, log2((e^{A*gamma} - 1)/(rho0 e^{-sigma*gamma}))}, 0 at gamma = 0.
-    """
-    A = inp.A
-    if inp.gamma == 0:
-        return 0.0
-    ln_em1 = _ln_em1(A, inp.gamma)
-    return max(0.0, (ln_em1 + _ln_contraction(inp.sigma, inp.rho0, inp.gamma)) / LN2)
-
-
-def triggering_rate_upper(inp: BoundInputs) -> float:
-    """Worst-case events/s of the triggering rule."""
-    return (inp.A + inp.sigma) / _ln_contraction(inp.sigma, inp.rho0, inp.gamma)
-
-
-def triggering_rate_lower(inp: BoundInputs) -> float:
-    """Events/s forced by some delay realization under nu-precision."""
+def _triggering_rates(
+    lam: float, sigma: float, rho0: float, gamma: float, nu: float
+) -> tuple[float, float]:
+    """Worst-case events/s of the triggering rule, and the events/s forced by
+    some delay realization under nu-precision."""
+    upper = (lam + sigma) / _ln_contraction(sigma, rho0, gamma)
     # ln(2 + e^{sigma*gamma}/rho0) evaluated overflow-free.
-    u = inp.sigma * inp.gamma
-    ln_term = u + math.log(2 * math.exp(-u) + 1.0 / inp.rho0)
-    return (inp.A + inp.sigma) / (math.log(inp.nu) + ln_term)
-
-
-def min_inter_event_time(inp: BoundInputs) -> float:
-    """Uniform lower bound on the spacing of triggering events (seconds)."""
-    return _spacing(inp.A, inp.sigma, inp.gamma, inp.rho0, inp.rho0)
+    u = sigma * gamma
+    ln_term = u + math.log(2 * math.exp(-u) + 1.0 / rho0)
+    return upper, (lam + sigma) / (math.log(nu) + ln_term)
 
 
 def _spacing(lam: float, sigma: float, gamma: float, rho0: float, rho: float) -> float:
@@ -343,63 +324,34 @@ def _rate_curves(
     return nec, app, suf, sup
 
 
-def critical_delay(inp: BoundInputs) -> float:
+def _critical_delay(A: float, sigma: float, rho0: float) -> float:
     """Delay bound gamma_c below which the necessary transmission rate is zero.
 
     Root of e^{A*gamma} - rho0*e^{-sigma*gamma} = 1, bisected on
     [0, ln2/A]; the residual is monotone increasing with a sign change
-    guaranteed on that bracket for rho0 in (0, 1).
+    guaranteed on that bracket for rho0 in (0, 1).  Once the midpoint equals
+    an end no later halving moves either end, so the loop stops there.
     """
-    A = inp.A
-
-    def residual(g: float) -> float:
-        return math.expm1(A * g) - inp.rho0 * math.exp(-inp.sigma * g)
-
     lo, hi = 0.0, LN2 / A
     for _ in range(100):
         mid = 0.5 * (lo + hi)
-        if residual(mid) < 0.0:
+        if mid == lo or mid == hi:
+            break
+        if math.expm1(A * mid) - rho0 * math.exp(-sigma * mid) < 0.0:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
 
 
-def equilibrium_delay(A: float) -> float:
-    """Delay equal to the inverse entropy rate, ln2/A."""
-    if not A > 0:
-        raise PreconditionError(f"growth rate must be positive, got {A}")
-    return LN2 / A
-
-
-def rate_asymptote(inp: BoundInputs) -> float:
-    """Large-delay limit of the transmission rate, (A+sigma)/ln2*(1+A/sigma)."""
-    return sum(
-        p * (lam + inp.sigma) / LN2 * (1.0 + lam / inp.sigma) for lam, p in inp.blocks
-    )
-
-
-def beta(inp: BoundInputs) -> float:
-    """Delay over which the error sweeps one full quantization cell."""
-    return math.log1p(2.0 * inp.rho0 * math.exp(-inp.sigma * inp.gamma)) / inp.A
-
-
-def packet_size_sufficient(inp: BoundInputs) -> int:
-    """Integer packet size meeting the sufficient-rate quantization bound.
-
-    gamma = 0 returns 1: the sign bit alone suffices when timing is exact.
-    """
-    return _packet_size(inp.A, inp.rho0, inp.sigma, inp.gamma, inp.b)
-
-
-def time_quantization_tolerance(inp: BoundInputs) -> float:
-    """Largest trigger-time quantization error that preserves the jump contract."""
-    return _tolerance(inp.A, inp.sigma, inp.gamma, inp.rho0)
+def _beta(lam: float, sigma: float, rho0: float, gamma: float) -> float:
+    """Delay over which the error sweeps one full quantization cell at eigenvalue lam."""
+    return math.log1p(2.0 * rho0 * math.exp(-sigma * gamma)) / lam
 
 
 def _tolerance(lam: float, sigma: float, gamma: float, rho0: float) -> float:
-    """ln(1 + rho0 e^{-(lam+sigma) gamma})/(lam+sigma): time_quantization_tolerance
-    at eigenvalue lam."""
+    """ln(1 + rho0 e^{-(lam+sigma) gamma})/(lam+sigma): the largest trigger-time
+    quantization error that preserves the jump contract at eigenvalue lam."""
     u = (lam + sigma) * gamma
     return math.log1p(rho0 * math.exp(-u)) / (lam + sigma)
 
@@ -428,29 +380,42 @@ class AnalyticBounds:
     time_quantization_tolerance: float | None = None
 
 
-def analytic_bounds(inp: BoundInputs) -> AnalyticBounds:
-    """Evaluate every bound; single-eigenvalue quantities where defined."""
-    (nec,), (app,), (suf,), _ = _rate_curves(inp, (inp.gamma,))
-    out = AnalyticBounds(
-        access_rate=access_rate_necessary(inp),
-        rate_necessary=nec,
-        rate_necessary_approx=app,
-        rate_sufficient=suf,
-        asymptote=rate_asymptote(inp),
+def _delay_free(inp: BoundInputs) -> tuple[float, float, float | None, float | None, float | None]:
+    """The bounds that do not depend on the delay: the access rate
+    (Tr(A) + n*sigma)/ln 2 and the large-delay asymptote
+    sum p*(lam+sigma)/ln2*(1+lam/sigma), then the growth rate A, gamma_c and
+    the equilibrium delay ln2/A, the last three None for mixed eigenvalues."""
+    access = (inp.trace + inp.n * inp.sigma) / LN2
+    asymptote = sum(
+        p * (lam + inp.sigma) / LN2 * (1.0 + lam / inp.sigma) for lam, p in inp.blocks
     )
     try:
         A = inp.A
     except PreconditionError:
+        return access, asymptote, None, None, None
+    return access, asymptote, A, _critical_delay(A, inp.sigma, inp.rho0), LN2 / A
+
+
+def analytic_bounds(inp: BoundInputs) -> AnalyticBounds:
+    """Evaluate every bound; single-eigenvalue quantities where defined."""
+    (nec,), (app,), (suf,), _ = _rate_curves(inp, (inp.gamma,))
+    access, asymptote, A, gamma_c, gamma_eq = _delay_free(inp)
+    out = AnalyticBounds(access, nec, app, suf, asymptote, gamma_c=gamma_c, gamma_eq=gamma_eq)
+    if A is None:
         return out
-    out.packet_bits_necessary = packet_bits_necessary(inp)
-    out.triggering_rate_upper = triggering_rate_upper(inp)
-    out.triggering_rate_lower = triggering_rate_lower(inp)
-    out.min_inter_event_time = min_inter_event_time(inp)
-    out.gamma_c = critical_delay(inp)
-    out.gamma_eq = equilibrium_delay(A)
-    out.beta = beta(inp)
-    out.packet_size_sufficient = packet_size_sufficient(inp)
-    out.time_quantization_tolerance = time_quantization_tolerance(inp)
+    sigma, rho0, gamma = inp.sigma, inp.rho0, inp.gamma
+    # max{0, log2((e^{A*gamma} - 1)/(rho0 e^{-sigma*gamma}))}, 0 at gamma = 0
+    out.packet_bits_necessary = 0.0 if gamma == 0 else max(
+        0.0, (_ln_em1(A, gamma) + _ln_contraction(sigma, rho0, gamma)) / LN2
+    )
+    out.triggering_rate_upper, out.triggering_rate_lower = _triggering_rates(
+        A, sigma, rho0, gamma, inp.nu
+    )
+    out.min_inter_event_time = _spacing(A, sigma, gamma, rho0, rho0)
+    out.beta = _beta(A, sigma, rho0, gamma)
+    # gamma = 0 gives 1: the sign bit alone suffices when timing is exact
+    out.packet_size_sufficient = _packet_size(A, rho0, sigma, gamma, inp.b)
+    out.time_quantization_tolerance = _tolerance(A, sigma, gamma, rho0)
     return out
 
 
@@ -491,19 +456,16 @@ def phase_curves(
     if sigmas == []:
         raise ConfigurationError("sigma_grid must hold at least one decay rate, got none")
     nec, app, suf, sup = _rate_curves(inp, gammas, sigmas)
-    try:
-        A = inp.A
-    except PreconditionError:
-        A = None  # mixed eigenvalues: the delay markers are undefined
+    access, asymptote, _, gamma_c, gamma_eq = _delay_free(inp)
     return PhaseCurve(
         gammas=gammas,
         necessary=tuple(nec),
         necessary_approx=tuple(app),
         sufficient=tuple(suf),
-        gamma_c=None if A is None else critical_delay(inp),
-        gamma_eq=None if A is None else equilibrium_delay(A),
-        asymptote=rate_asymptote(inp),
-        access_rate=access_rate_necessary(inp),
+        gamma_c=gamma_c,
+        gamma_eq=gamma_eq,
+        asymptote=asymptote,
+        access_rate=access,
         necessary_sup_sigma=None if sigmas is None else tuple(sup),
         necessary_exceeds_sufficient=sum(n > s * (1.0 + 1e-12) for n, s in zip(nec, suf)),
     )

@@ -171,7 +171,8 @@ class AdversarialDelay:
     def from_params(
         cls, growth: float, sigma: float, rho0: float, gamma: float
     ) -> "AdversarialDelay":
-        beta = bounds.beta(bounds.BoundInputs.scalar(growth, sigma, rho0, gamma))
+        inp = bounds.BoundInputs.scalar(growth, sigma, rho0, gamma)  # checks each parameter
+        beta = bounds._beta(inp.A, inp.sigma, inp.rho0, inp.gamma)
         clamped = beta > gamma
         if clamped:
             warnings.warn(

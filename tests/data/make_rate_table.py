@@ -51,7 +51,7 @@ def _case(rng, k):
         sigmas = [rng.uniform(0.02, 6.0) for _ in range(rng.randint(2, 6))]
     gammas = [0.0, rng.uniform(1e-9, 1e-6)] + [rng.uniform(0.0, 3.0) for _ in range(4)]
     if len({lam for lam, _ in blocks}) == 1:
-        gc = bnd.critical_delay(inp)
+        gc = bnd.analytic_bounds(inp).gamma_c
         gammas += [gc, gc - rng.uniform(0.0, 1e-9), gc + rng.uniform(0.0, 1e-9)]
     lam_min = min(lam for lam, _ in blocks)
     gammas += [700.0 / (inp.sigma + lam_min) * rng.uniform(1.0, 1.3) for _ in range(2)]

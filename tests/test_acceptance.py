@@ -43,19 +43,19 @@ def test_criterion_1_bound_golden_values():
         checks.append(abs(value - target) <= 1e-3)
         return checks[-1]
 
-    fast = bnd.BoundInputs.scalar(5.0, 3.0, 0.7)
-    close(bnd.access_rate_necessary(fast), 11.5416)
-    close(bnd.equilibrium_delay(5.0), 0.1386)
-    close(bnd.critical_delay(fast), 0.0864)
+    fast = bnd.analytic_bounds(bnd.BoundInputs.scalar(5.0, 3.0, 0.7))
+    close(fast.access_rate, 11.5416)
+    close(fast.gamma_eq, 0.1386)
+    close(fast.gamma_c, 0.0864)
 
-    mid = bnd.BoundInputs.scalar(1.0, 0.5, 0.5)
-    close(bnd.access_rate_necessary(mid), 2.1640)
-    close(bnd.equilibrium_delay(1.0), 0.6931)
-    close(bnd.rate_asymptote(mid), 6.4921)
+    mid = bnd.analytic_bounds(bnd.BoundInputs.scalar(1.0, 0.5, 0.5))
+    close(mid.access_rate, 2.1640)
+    close(mid.gamma_eq, 0.6931)
+    close(mid.asymptote, 6.4921)
 
-    close(bnd.rate_asymptote(bnd.BoundInputs.scalar(1.0, 1.0, 0.5)), 5.7708)
-    close(bnd.rate_asymptote(bnd.BoundInputs.scalar(1.3, 1.0, 0.9)), 7.6319)
-    close(bnd.access_rate_necessary(bnd.BoundInputs.scalar(2.4, 0.2, 0.1)), 3.7512)
+    close(bnd.analytic_bounds(bnd.BoundInputs.scalar(1.0, 1.0, 0.5)).asymptote, 5.7708)
+    close(bnd.analytic_bounds(bnd.BoundInputs.scalar(1.3, 1.0, 0.9)).asymptote, 7.6319)
+    close(bnd.analytic_bounds(bnd.BoundInputs.scalar(2.4, 0.2, 0.1)).access_rate, 3.7512)
 
     elapsed = time.time() - t0
     ok = all(checks) and elapsed < 1.0
@@ -74,7 +74,7 @@ def test_criterion_2_critical_delay_residual():
             sigma=float(rng.uniform(0.02, 6.0)),
             rho0=float(rng.uniform(0.01, 0.99)),
         )
-        gc = bnd.critical_delay(inp)
+        gc = bnd._critical_delay(inp.A, inp.sigma, inp.rho0)  # the table's float kernel
         res = abs(math.exp(inp.A * gc) - inp.rho0 * math.exp(-inp.sigma * gc) - 1.0)
         worst = max(worst, res)
     elapsed = time.time() - t0
@@ -201,8 +201,7 @@ def test_criterion_5_codec_property_suite():
             dsign, q = decode(encode(t_s, sign, g_max + 1, b, gamma), t_c, b, gamma)
             refused_broken += abs(t_s - q) > b * gamma / 2**g_max * (1 + 1e-9)
 
-        inp = bnd.BoundInputs.scalar(A, sigma, rho0, gamma=gamma, b=b)
-        g_rule = bnd.packet_size_sufficient(inp)
+        g_rule = bnd._packet_size(A, rho0, sigma, gamma, b)  # the table's packet_size_sufficient
         pkt = encode(t_s, sign, g_rule, b, gamma)
         dsign, q = decode(pkt, t_c, b, gamma)
         v0 = float(rng.uniform(0.1, 2.0))
@@ -253,7 +252,8 @@ def test_criterion_7_sandwich_and_phase_properties():
             gamma=float(rng.uniform(0.0, 3.0)),
             nu=float(rng.uniform(1.0, 8.0)),
         )
-        if bnd.triggering_rate_lower(inp) > bnd.triggering_rate_upper(inp) * (1 + 1e-12):
+        upper, lower = bnd._triggering_rates(inp.A, inp.sigma, inp.rho0, inp.gamma, inp.nu)
+        if lower > upper * (1 + 1e-12):
             sandwich_ok = False
 
     phase_ok = True
@@ -264,22 +264,22 @@ def test_criterion_7_sandwich_and_phase_properties():
             rho0=float(rng.uniform(0.05, 0.95)),
             nu=2.0,
         )
-        gc = bnd.critical_delay(inp)
+        gc = bnd.analytic_bounds(inp).gamma_c
         lo = bnd.analytic_bounds(replace(inp, gamma=max(gc - 1e-9, 0.0))).rate_necessary
         hi = bnd.analytic_bounds(replace(inp, gamma=gc + 1e-6)).rate_necessary
         if not (lo == 0.0 and hi > 0.0):
             phase_ok = False
 
     eq_inp = bnd.BoundInputs.scalar(1.7, 0.9, 0.35, gamma=math.log(2.0) / 1.7)
-    access = bnd.access_rate_necessary(eq_inp)
-    eq_ok = abs(bnd.analytic_bounds(eq_inp).rate_necessary_approx - access) <= 1e-12 * access
+    eq = bnd.analytic_bounds(eq_inp)
+    eq_ok = abs(eq.rate_necessary_approx - eq.access_rate) <= 1e-12 * eq.access_rate
 
     # asymptote within 1% at gamma = 50/A; the log(gamma)/gamma tail of the
     # sufficient curve needs the high-sigma/A regime at this depth
     asy_inp = bnd.BoundInputs.scalar(1.0, 20.0, 0.9, gamma=50.0, b=1.0001)
-    asym = bnd.rate_asymptote(asy_inp)
-    gap_app = abs(bnd.analytic_bounds(asy_inp).rate_necessary_approx - asym) / asym
-    gap_suf = abs(bnd.analytic_bounds(asy_inp).rate_sufficient - asym) / asym
+    asy = bnd.analytic_bounds(asy_inp)
+    gap_app = abs(asy.rate_necessary_approx - asy.asymptote) / asy.asymptote
+    gap_suf = abs(asy.rate_sufficient - asy.asymptote) / asy.asymptote
     asy_ok = gap_app <= 0.01 and gap_suf <= 0.01
 
     elapsed = time.time() - t0

@@ -31,41 +31,41 @@ def random_inputs(rng, gamma_zero_ok=True):
 
 class TestAccessRate:
     def test_reported_values(self):
-        assert bnd.access_rate_necessary(scalar(5, 3, 0.7)) == pytest.approx(11.5416, abs=1e-3)
-        assert bnd.access_rate_necessary(scalar(2.4, 0.2, 0.5)) == pytest.approx(3.7512, abs=1e-3)
+        for args, want in (((5, 3, 0.7), 11.5416), ((2.4, 0.2, 0.5), 3.7512)):
+            assert bnd.analytic_bounds(scalar(*args)).access_rate == pytest.approx(want, abs=1e-3)
 
     def test_classic_limit(self):
         # sigma -> 0 recovers the plain entropy-rate requirement A/ln2
-        val = bnd.access_rate_necessary(scalar(1.0, 1e-12, 0.5))
+        val = bnd.analytic_bounds(scalar(1.0, 1e-12, 0.5)).access_rate
         assert val == pytest.approx(1.0 / LN2, rel=1e-9)
 
     def test_vector_uses_trace_and_dimension(self):
         inp = bnd.BoundInputs(blocks=((1.0, 2), (2.0, 1)), sigma=0.5, rho0=0.5, gamma=0.1)
-        assert bnd.access_rate_necessary(inp) == pytest.approx((4.0 + 3 * 0.5) / LN2)
+        assert bnd.analytic_bounds(inp).access_rate == pytest.approx((4.0 + 3 * 0.5) / LN2)
 
 
 class TestPacketBits:
     def test_zero_delay_clamps(self):
-        assert bnd.packet_bits_necessary(scalar(1.0, 0.5, 0.7, gamma=0.0)) == 0.0
+        assert bnd.analytic_bounds(scalar(1.0, 0.5, 0.7, gamma=0.0)).packet_bits_necessary == 0.0
 
     def test_boundary_at_critical_delay(self):
         inp = scalar(5.0, 3.0, 0.7, gamma=0.0864)
         # just past the transition: the bit requirement is barely positive
-        assert 0.0 <= bnd.packet_bits_necessary(inp) < 2e-3
+        assert 0.0 <= bnd.analytic_bounds(inp).packet_bits_necessary < 2e-3
 
     def test_equilibrium_limit(self):
         # rho0 -> 1, sigma -> 0 at gamma = ln2/A gives log2(1/1) = 0+
         inp = scalar(1.0, 1e-9, 0.999999, gamma=LN2)
-        assert bnd.packet_bits_necessary(inp) == pytest.approx(0.0, abs=1e-4)
+        assert bnd.analytic_bounds(inp).packet_bits_necessary == pytest.approx(0.0, abs=1e-4)
 
     def test_matches_unclamped_formula(self):
         inp = scalar(2.0, 1.0, 0.3, gamma=0.8)
         direct = math.log2((math.exp(2.0 * 0.8) - 1.0) / (0.3 * math.exp(-0.8)))
-        assert bnd.packet_bits_necessary(inp) == pytest.approx(direct, rel=1e-12)
+        assert bnd.analytic_bounds(inp).packet_bits_necessary == pytest.approx(direct, rel=1e-12)
 
     def test_large_delay_no_overflow(self):
         inp = scalar(3.0, 1.0, 0.5, gamma=400.0)
-        val = bnd.packet_bits_necessary(inp)
+        val = bnd.analytic_bounds(inp).packet_bits_necessary
         assert math.isfinite(val)
         assert val == pytest.approx((3 * 400 + 1 * 400 - math.log(0.5)) / LN2, rel=1e-9)
 
@@ -73,43 +73,47 @@ class TestPacketBits:
 class TestTriggeringRates:
     def test_upper_plug_in(self):
         inp = scalar(1.0, 0.5, 0.7, gamma=0.0)
-        assert bnd.triggering_rate_upper(inp) == pytest.approx(1.5 / (-math.log(0.7)), rel=1e-12)
+        expect = 1.5 / (-math.log(0.7))
+        assert bnd.analytic_bounds(inp).triggering_rate_upper == pytest.approx(expect, rel=1e-12)
 
     def test_upper_decreases_with_delay(self):
-        vals = [bnd.triggering_rate_upper(scalar(1.0, 0.5, 0.7, gamma=g))
+        vals = [bnd.analytic_bounds(scalar(1.0, 0.5, 0.7, gamma=g)).triggering_rate_upper
                 for g in np.linspace(0, 3, 30)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_upper_blows_up_as_rho_to_one(self):
-        assert bnd.triggering_rate_upper(scalar(1.0, 0.5, 1 - 1e-12, gamma=0.0)) > 1e9
+        table = bnd.analytic_bounds(scalar(1.0, 0.5, 1 - 1e-12, gamma=0.0))
+        assert table.triggering_rate_upper > 1e9
 
     def test_lower_plug_in(self):
         inp = scalar(1.0, 0.5, 0.7, gamma=0.0, nu=1.0)
         expect = 1.5 / math.log(2.0 + 1.0 / 0.7)
-        assert bnd.triggering_rate_lower(inp) == pytest.approx(expect, rel=1e-12)
+        assert bnd.analytic_bounds(inp).triggering_rate_lower == pytest.approx(expect, rel=1e-12)
 
     def test_lower_decreases_with_precision(self):
-        vals = [bnd.triggering_rate_lower(scalar(1.0, 0.5, 0.7, gamma=0.2, nu=nu))
+        vals = [bnd.analytic_bounds(scalar(1.0, 0.5, 0.7, gamma=0.2, nu=nu)).triggering_rate_lower
                 for nu in (1.0, 2.0, 4.0, 16.0)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_sandwich_randomized(self):
+        # the table's float kernel: 10,000 tables would cost a third of a second
         rng = np.random.default_rng(1234)
         for _ in range(10_000):
             inp = random_inputs(rng)
-            assert bnd.triggering_rate_lower(inp) <= bnd.triggering_rate_upper(inp) * (1 + 1e-12)
+            upper, lower = bnd._triggering_rates(inp.A, inp.sigma, inp.rho0, inp.gamma, inp.nu)
+            assert lower <= upper * (1 + 1e-12)
 
     def test_min_inter_event_inverse(self):
-        inp = scalar(1.0, 0.5, 0.7, gamma=0.3)
-        assert bnd.min_inter_event_time(inp) == pytest.approx(
-            1.0 / bnd.triggering_rate_upper(inp), rel=1e-12
+        table = bnd.analytic_bounds(scalar(1.0, 0.5, 0.7, gamma=0.3))
+        assert table.min_inter_event_time == pytest.approx(
+            1.0 / table.triggering_rate_upper, rel=1e-12
         )
 
 
 class TestTransmissionRateNecessary:
     def test_zero_below_critical_delay(self):
         inp = scalar(5.0, 3.0, 0.7, nu=2.0)
-        gc = bnd.critical_delay(inp)
+        gc = bnd.analytic_bounds(inp).gamma_c
         assert bnd.analytic_bounds(replace(inp, gamma=0.9 * gc)).rate_necessary == 0.0
         assert bnd.analytic_bounds(replace(inp, gamma=1.1 * gc)).rate_necessary > 0.0
 
@@ -125,7 +129,7 @@ class TestTransmissionRateNecessary:
         cases += [replace(inp, nu=1.0) for inp in cases[:100]]
         cases += [replace(inp, gamma=0.0) for inp in cases[:20]]
         cases += [  # packet bits just above and at their clamp to 0
-            replace(inp, gamma=bnd.critical_delay(inp) * f)
+            replace(inp, gamma=bnd.analytic_bounds(inp).gamma_c * f)
             for inp in cases[:50] for f in (1 - 1e-9, 1 + 1e-9, 1 + 1e-6)
         ]
         cases += [  # (sigma + A)*gamma >= 700
@@ -160,22 +164,18 @@ class TestTransmissionRateNecessary:
 class TestTransmissionRateApprox:
     def test_equilibrium_matches_access_rate(self):
         for A, sigma, rho in ((1.0, 0.5, 0.3), (2.4, 0.2, 0.1), (5.0, 3.0, 0.7)):
-            inp = scalar(A, sigma, rho, gamma=LN2 / A)
-            assert bnd.analytic_bounds(inp).rate_necessary_approx == pytest.approx(
-                bnd.access_rate_necessary(inp), rel=1e-12
-            )
+            table = bnd.analytic_bounds(scalar(A, sigma, rho, gamma=LN2 / A))
+            assert table.rate_necessary_approx == pytest.approx(table.access_rate, rel=1e-12)
 
     def test_asymptote_at_moderate_depth(self):
         # convergence is O(log(gamma)/gamma): a few percent at gamma = 50/A
-        inp = scalar(1.0, 1.0, 0.5, gamma=50.0)
-        asym = bnd.rate_asymptote(inp)
-        assert bnd.analytic_bounds(inp).rate_necessary_approx == pytest.approx(asym, rel=0.01)
+        table = bnd.analytic_bounds(scalar(1.0, 1.0, 0.5, gamma=50.0))
+        assert table.rate_necessary_approx == pytest.approx(table.asymptote, rel=0.01)
 
     def test_deep_asymptote_figure_parameters(self):
         for A, sigma, rho in ((1.0, 0.5, 0.5), (1.3, 1.0, 0.9), (2.4, 0.2, 0.1)):
-            inp = scalar(A, sigma, rho, gamma=5000.0 / A)
-            asym = bnd.rate_asymptote(inp)
-            assert bnd.analytic_bounds(inp).rate_necessary_approx == pytest.approx(asym, rel=0.01)
+            table = bnd.analytic_bounds(scalar(A, sigma, rho, gamma=5000.0 / A))
+            assert table.rate_necessary_approx == pytest.approx(table.asymptote, rel=0.01)
 
     def test_ordering_swap_across_equilibrium(self):
         # smaller rho0 costs more rate below ln2/A and less above it
@@ -193,13 +193,13 @@ class TestTransmissionRateSufficient:
 
     def test_figure_caption_asymptotes(self):
         # the asymptote values quoted for the curve families
-        assert bnd.rate_asymptote(scalar(1.0, 1.0, 0.5)) == pytest.approx(5.7708, abs=1e-3)
-        assert bnd.rate_asymptote(scalar(1.3, 1.0, 0.9)) == pytest.approx(7.6319, abs=1e-3)
-        assert bnd.rate_asymptote(scalar(1.0, 0.5, 0.5)) == pytest.approx(6.4921, abs=1e-3)
+        for args, want in (((1.0, 1.0, 0.5), 5.7708), ((1.3, 1.0, 0.9), 7.6319),
+                           ((1.0, 0.5, 0.5), 6.4921)):
+            assert bnd.analytic_bounds(scalar(*args)).asymptote == pytest.approx(want, abs=1e-3)
 
     def test_convergence_to_asymptote(self):
         inp = scalar(1.0, 1.0, 0.5, b=1.0001)
-        asym = bnd.rate_asymptote(inp)
+        asym = bnd.analytic_bounds(inp).asymptote
         gaps = [abs(bnd.analytic_bounds(replace(inp, gamma=g)).rate_sufficient - asym) / asym
                 for g in (50.0, 200.0, 1000.0)]
         assert gaps[0] < 0.05 and gaps[1] < 0.02 and gaps[2] < 0.005
@@ -225,64 +225,69 @@ class TestTransmissionRateSufficient:
 
 class TestCriticalDelay:
     def test_figure_value(self):
-        assert bnd.critical_delay(scalar(5.0, 3.0, 0.7)) == pytest.approx(0.0864, abs=1e-3)
+        assert bnd.analytic_bounds(scalar(5.0, 3.0, 0.7)).gamma_c == pytest.approx(0.0864, abs=1e-3)
 
     def test_residual_tolerance(self):
         rng = np.random.default_rng(99)
         for _ in range(1000):
             inp = random_inputs(rng)
-            gc = bnd.critical_delay(inp)
+            gc = bnd._critical_delay(inp.A, inp.sigma, inp.rho0)
             res = math.exp(inp.A * gc) - inp.rho0 * math.exp(-inp.sigma * gc) - 1.0
             assert abs(res) <= 1e-8
             assert 0.0 < gc < LN2 / inp.A
 
     def test_limit_toward_equilibrium(self):
         inp = scalar(1.0, 1e-9, 1 - 1e-9)
-        assert bnd.critical_delay(inp) == pytest.approx(LN2, abs=1e-6)
+        assert bnd.analytic_bounds(inp).gamma_c == pytest.approx(LN2, abs=1e-6)
 
     def test_vanishes_with_rho(self):
-        assert bnd.critical_delay(scalar(1.0, 1.0, 1e-9)) == pytest.approx(0.0, abs=1e-6)
+        assert bnd.analytic_bounds(scalar(1.0, 1.0, 1e-9)).gamma_c == pytest.approx(0.0, abs=1e-6)
 
     def test_below_equilibrium_delay(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
-            inp = random_inputs(rng)
-            assert bnd.critical_delay(inp) < bnd.equilibrium_delay(inp.A)
+            table = bnd.analytic_bounds(random_inputs(rng))
+            assert table.gamma_c < table.gamma_eq
 
 
 class TestSmallFormulas:
     def test_equilibrium_delay_values(self):
-        assert bnd.equilibrium_delay(5.0) == pytest.approx(0.1386, abs=1e-3)
-        assert bnd.equilibrium_delay(1.0) == pytest.approx(0.6931, abs=1e-3)
+        for A, want in ((5.0, 0.1386), (1.0, 0.6931)):
+            gamma_eq = bnd.analytic_bounds(scalar(A, 0.5, 0.5)).gamma_eq
+            assert gamma_eq == pytest.approx(want, abs=1e-3)
 
     def test_beta_plug_in(self):
-        assert bnd.beta(scalar(1.0, 1.0, 0.5, gamma=0.0)) == pytest.approx(LN2, rel=1e-12)
-        val = bnd.beta(scalar(1.0, 0.1, 0.1, gamma=1.2))
+        val = bnd.analytic_bounds(scalar(1.0, 1.0, 0.5, gamma=0.0)).beta
+        assert val == pytest.approx(LN2, rel=1e-12)
+        val = bnd.analytic_bounds(scalar(1.0, 0.1, 0.1, gamma=1.2)).beta
         assert val == pytest.approx(math.log1p(0.2 * math.exp(-0.12)), rel=1e-12)
 
     def test_time_quantization_tolerance(self):
-        inp = scalar(1.0, 0.1, 0.1, gamma=1.2)
+        tol = bnd.analytic_bounds(scalar(1.0, 0.1, 0.1, gamma=1.2)).time_quantization_tolerance
         expect = math.log1p(0.1 * math.exp(-1.1 * 1.2)) / 1.1
-        assert bnd.time_quantization_tolerance(inp) == pytest.approx(expect, rel=1e-12)
-        assert bnd.time_quantization_tolerance(inp) == pytest.approx(0.02397, abs=1e-4)
+        assert tol == pytest.approx(expect, rel=1e-12)
+        assert tol == pytest.approx(0.02397, abs=1e-4)
 
     def test_tolerance_limits(self):
-        assert bnd.time_quantization_tolerance(scalar(1.0, 1.0, 1e-12, gamma=0.5)) < 1e-11
-        assert bnd.time_quantization_tolerance(scalar(1.0, 1.0, 0.5, gamma=200.0)) < 1e-10
+        tiny_rho = bnd.analytic_bounds(scalar(1.0, 1.0, 1e-12, gamma=0.5))
+        long_delay = bnd.analytic_bounds(scalar(1.0, 1.0, 0.5, gamma=200.0))
+        assert tiny_rho.time_quantization_tolerance < 1e-11
+        assert long_delay.time_quantization_tolerance < 1e-10
 
 
 class TestPacketSizeSufficient:
     def test_example_configuration(self):
         inp = scalar(1.0, 0.1, 0.1, gamma=1.2, b=1.0001)
-        assert bnd.packet_size_sufficient(inp) == 7
+        assert bnd.analytic_bounds(inp).packet_size_sufficient == 7
 
     def test_tiny_delay_clamps_to_sign_bit(self):
-        assert bnd.packet_size_sufficient(scalar(1.0, 0.1, 0.1, gamma=1e-5)) == 1
-        assert bnd.packet_size_sufficient(scalar(1.0, 0.1, 0.1, gamma=0.0)) == 1
+        for gamma in (1e-5, 0.0):
+            table = bnd.analytic_bounds(scalar(1.0, 0.1, 0.1, gamma=gamma))
+            assert table.packet_size_sufficient == 1
 
     def test_monotone_beyond_clamp(self):
         inp = scalar(2.4, 0.2, 0.1, b=1.0001)
-        gs = [bnd.packet_size_sufficient(replace(inp, gamma=g))
+        gs = [bnd.analytic_bounds(replace(inp, gamma=g)).packet_size_sufficient
               for g in np.linspace(1e-4, 3.0, 400)]
         assert all(a <= b for a, b in zip(gs, gs[1:]))
 
@@ -290,7 +295,7 @@ class TestPacketSizeSufficient:
         rng = np.random.default_rng(17)
         for _ in range(500):
             inp = random_inputs(rng, gamma_zero_ok=False)
-            g = bnd.packet_size_sufficient(inp)
+            g = bnd.analytic_bounds(inp).packet_size_sufficient
             u = (inp.A + inp.sigma) * inp.gamma
             need = 1.0 + math.log2(
                 inp.b * inp.gamma * (inp.A + inp.sigma)
@@ -371,17 +376,18 @@ class TestCoordinates:
                                         sigma=inp.sigma, rho0=inp.rho0, gamma=inp.gamma)
             assert co.envelope == caps.envelope[i]
             alone = bnd.BoundInputs.scalar(lam, inp.sigma, rho, gamma=inp.gamma, b=inp.b, nu=inp.nu)
-            assert co.g == bnd.packet_size_sufficient(alone)
+            at_rho0 = bnd.analytic_bounds(replace(alone, rho0=inp.rho0))
+            assert co.g == bnd.analytic_bounds(alone).packet_size_sufficient
             # every coordinate's tolerance is the scalar one at (lam, rho0), bit for bit
-            assert co.tolerance == bnd.time_quantization_tolerance(replace(alone, rho0=inp.rho0))
+            assert co.tolerance == at_rho0.time_quantization_tolerance
             if i == p - 1:  # a chain end regrows from rho0 alone
-                assert co.spacing == bnd.min_inter_event_time(replace(alone, rho0=inp.rho0))
+                assert co.spacing == at_rho0.min_inter_event_time
             else:
                 ls, slack = lam + inp.sigma, inp.rho0 - rho
                 c = slack / math.expm1(ls * inp.gamma)
                 want = math.log((1 + c) / (rho * math.exp(-inp.sigma * inp.gamma) + slack + c)) / ls
                 assert co.spacing == pytest.approx(want, rel=1e-12)
-                assert 0 < co.spacing < bnd.min_inter_event_time(replace(alone, rho0=inp.rho0))
+                assert 0 < co.spacing < at_rho0.min_inter_event_time
         assert [co.g for co in table] == [3, 1, 1, 1]
 
     def test_one_level_applies_to_every_coordinate(self):
@@ -449,7 +455,7 @@ class TestRateTable:
         near_gc = [
             g for inp, g in gammas
             if len({lam for lam, _ in inp.blocks}) == 1 and g
-            and abs(g - bnd.critical_delay(inp)) <= 1e-9
+            and abs(g - bnd.analytic_bounds(inp).gamma_c) <= 1e-9
         ]
         assert len(near_gc) >= 30
 

@@ -746,13 +746,13 @@ def test_underflowing_packet_term_runs(tmp_path, capsys, command, lines):
     inp = BoundInputs.scalar(1.0, 0.1, 1e-300, gamma=600.0, nu=2.0)
     u = 1.1 * 600.0
     term = (math.log(1.0001 * 600.0 * 1.1) - (math.log(1e-300) - u)) / math.log(2.0)
-    assert bnd.packet_size_sufficient(inp) == math.ceil(1.0 + term) == 1960
+    table = bnd.analytic_bounds(inp)
+    assert table.packet_size_sufficient == math.ceil(1.0 + term) == 1960
     if command == "bounds":
         assert "packet_size_sufficient         1960\n" in captured.out
     else:
         row = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1].split(",")
-        assert float(row[cli.SWEEP_COLUMNS.index("R_sufficient")]) == (
-            bnd.analytic_bounds(inp).rate_sufficient)
+        assert float(row[cli.SWEEP_COLUMNS.index("R_sufficient")]) == table.rate_sufficient
 
 
 @pytest.mark.parametrize("flags", [[], ["--g", "1"]], ids=["automatic_g", "given_g"])
@@ -760,7 +760,7 @@ def test_underflowing_delay_width_is_clean_error(tmp_path, capsys, no_run, flags
     # b*gamma*(A+sigma) underflows to 0 at gamma = 5e-324: the packet size is 1, not
     # log(0)'s traceback, and the run's bounds refuse the delay, naming lam and gamma,
     # before the (patched) run starts and writing nothing
-    assert bnd.packet_size_sufficient(BoundInputs.scalar(0.1, 0.1, 0.1, gamma=5e-324)) == 1
+    assert bnd._packet_size(0.1, 0.1, 0.1, 5e-324, 1.0001) == 1
     path = write_cfg(tmp_path, "A = 0.1\nB = 0.2\nK = 8\nv0 = 0.3\nsigma = 0.1\nrho0 = 0.1\n"
                      "gamma = 5e-324\nx0 = 0.2\nxhat0 = 0.1\nhorizon = 0.1\nstep = 0.001\n")
     argv = ["simulate", "--config", str(path), *flags, "--out", str(tmp_path / "out")]

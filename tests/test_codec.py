@@ -162,7 +162,7 @@ class TestReconstruct:
         # rho0 e^{-sigma gamma} v(t_s) for every delay in [0, gamma]
         A, sigma, rho0, gamma, v0 = 1.0, 0.1, 0.1, 1.2, 0.2671
         inp = bnd.BoundInputs.scalar(A, sigma, rho0, gamma=gamma)
-        tol = bnd.time_quantization_tolerance(inp)
+        tol = bnd.analytic_bounds(inp).time_quantization_tolerance
         bound = rho0 * math.exp(-sigma * gamma)
         for t_s in np.linspace(0.0, 6.0, 13):
             v_ts = v0 * math.exp(-sigma * t_s)
@@ -182,8 +182,7 @@ class TestEndToEndContract:
             rho0 = float(rng.uniform(0.05, 0.95))
             gamma = float(rng.uniform(0.01, 3.0))
             b = float(rng.uniform(1.0001, 1.5))
-            inp = bnd.BoundInputs.scalar(A, sigma, rho0, gamma=gamma, b=b)
-            g = bnd.packet_size_sufficient(inp)
+            g = bnd._packet_size(A, rho0, sigma, gamma, b)  # the table's packet_size_sufficient
             v0 = float(rng.uniform(0.1, 2.0))
             t_s = float(rng.uniform(0.0, 30.0))
             t_c = t_s + float(rng.uniform(0.0, gamma))

@@ -174,7 +174,8 @@ class TestTriggerValue:
 
     def test_monotone_decay(self):
         cfg = TriggerConfig(v0=0.7, sigma=0.3, rho0=0.1, gamma=0.0)
-        vals = quiet_run(cfg, 50.0, 0.25).v[:, 0]
+        with pytest.warns(UserWarning, match="grid step"):  # a coarse step on purpose
+            vals = quiet_run(cfg, 50.0, 0.25).v[:, 0]
         assert np.all(vals[1:] < vals[:-1])
         assert vals[-1] < 1e-6
 

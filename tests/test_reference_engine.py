@@ -64,7 +64,7 @@ def propagate(state, plant, h, flows=None):
     return SimState(state.t + h, x, xhat)
 
 
-def reference_run(plant, cfg, delay_models, horizon, step, x0, xhat0, nu=2.0):
+def reference_run(plant, cfg, delay_models, horizon, step, x0, xhat0):
     n = plant.n
     S = int(round(horizon / step))
     times = np.arange(S + 1) * step
@@ -74,9 +74,8 @@ def reference_run(plant, cfg, delay_models, horizon, step, x0, xhat0, nu=2.0):
     ladders = bnd.contraction_ladders(cfg.rho0, [p for _, p in plant.blocks], cfg.rho_ladders)
     rhos = [r for ladder in ladders for r in ladder]
     lams = [lam for lam, p in plant.blocks for _ in range(p)]
-    gs = [bnd.packet_size_sufficient(bnd.BoundInputs.scalar(lams[c], cfg.sigma, rhos[c],
-                                                            gamma=cfg.gamma, b=cfg.b, nu=nu))
-          for c in range(n)]
+    # the table's packet_size_sufficient at each coordinate's eigenvalue and contraction
+    gs = [bnd._packet_size(lams[c], rhos[c], cfg.sigma, cfg.gamma, cfg.b) for c in range(n)]
 
     state = SimState(0.0, np.asarray(x0, float), np.asarray(xhat0, float))
     flows = {}  # expm((A - BK) h) by h, for propagate

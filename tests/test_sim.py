@@ -57,7 +57,7 @@ class TestRunScalar:
     def test_packet_size_follows_sufficient_rule(self):
         trace = fig7_run(horizon=1.5)
         inp = bnd.BoundInputs.scalar(1.0, 0.1, 0.1, gamma=1.2, b=1.0001, nu=2.0)
-        assert trace.g == (bnd.packet_size_sufficient(inp),) == (7,)
+        assert trace.g == (bnd.analytic_bounds(inp).packet_size_sufficient,) == (7,)
 
     def test_zero_initial_error_never_triggers(self):
         trace = run_vector(FIG7_PLANT, FIG7_CFG, ConstantDelay(0.1, gamma=1.2),
@@ -166,7 +166,8 @@ class TestStabilization:
 
     def test_random_designs_keep_every_contract(self):
         # the sufficiency theorem on 200 seeded designs drawn as in ROADMAP item 17: in
-        # refine mode, with the sufficient packet size, validate_trace finds no violation
+        # refine mode, with the sufficient packet size, validate_trace finds no violation;
+        # nor in grid mode at half the finest time-quantization tolerance, with no warning
         rng = np.random.default_rng(1917)
         for i in range(200):
             lam, sigma, rho0 = rng.uniform(0.2, 5.0), rng.uniform(0.05, 2.0), rng.uniform(0.05, 0.9)
@@ -193,6 +194,12 @@ class TestStabilization:
             trace = run_vector(plant, cfg, delays, 5.0, 1e-3, x0=x0, xhat0=xhat0, refine=True)
             check = validate_trace(trace)
             assert check.ok, (i, check.violations[:1])
+            step = min(1e-3, 0.5 * min(co.tolerance for co in trace.coords))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                grid = run_vector(plant, cfg, delays, 5.0, step, x0=x0, xhat0=xhat0)
+            check = validate_trace(grid)
+            assert check.ok, (i, step, check.violations[:1])
 
 
 class TestStepTolerance:
@@ -835,8 +842,9 @@ class TestSweep:
 
     def test_packet_size_monotone_in_gamma(self):
         grid = [0.0005 + 0.2 * i for i in range(11)]
-        rows = sweep_gamma(self.FIG8_PLANT, self.FIG8_CFG, grid, 0.5, 0.001,
-                           delay_factory=self.factory(3), x0=[0.201], xhat0=[0.2])
+        with pytest.warns(UserWarning, match="grid step"):  # h tops long delays' tolerances
+            rows = sweep_gamma(self.FIG8_PLANT, self.FIG8_CFG, grid, 0.5, 0.001,
+                               delay_factory=self.factory(3), x0=[0.201], xhat0=[0.2])
         gs = [r.g for r in rows]
         assert all(x <= y for x, y in zip(gs, gs[1:]))
 
@@ -857,8 +865,9 @@ class TestSweep:
     def test_divergent_row_recorded_and_sweep_continues(self):
         plant = JordanPlant.scalar(A=2.0, B=0.0, K=0.0)
         cfg = TriggerConfig(v0=2e11, sigma=0.1, rho0=0.1, gamma=1.0)
-        rows = sweep_gamma(plant, cfg, [0.5, 1.0], 14.0, 0.01,
-                           delay_factory=self.factory(1), x0=[1e11], xhat0=[1e9])
+        with pytest.warns(UserWarning, match="grid step"):  # a coarse step on purpose
+            rows = sweep_gamma(plant, cfg, [0.5, 1.0], 14.0, 0.01,
+                               delay_factory=self.factory(1), x0=[1e11], xhat0=[1e9])
         assert all(r.error is not None and "overflow" in r.error for r in rows)
         assert len(rows) == 2
 
@@ -882,7 +891,7 @@ class TestPhaseCurves:
         inp = bnd.BoundInputs(blocks=((1.0, 1), (2.0, 1)), sigma=1.0, rho0=0.5, gamma=0.5)
         pc = phase_curves(inp, [0.5, 1.0])
         assert pc.gamma_c is None and pc.gamma_eq is None
-        assert pc.asymptote == bnd.rate_asymptote(inp)
+        assert pc.asymptote == bnd.analytic_bounds(inp).asymptote
         assert list(pc.necessary) == [
             bnd.analytic_bounds(replace(inp, gamma=g)).rate_necessary for g in (0.5, 1.0)
         ]

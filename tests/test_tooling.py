@@ -14,14 +14,12 @@ import etcsim
 from etcsim import channel, cli, model, sim
 
 ROOT = Path(__file__).resolve().parents[1]
-# the names `etcsim` exported when it imported every submodule eagerly, less the
-# rate point functions and bits_lower_bound (analytic_bounds holds the rates)
+# the names `etcsim` exported when it imported every submodule eagerly, less every
+# point bound (rates, packet sizes, delays) and bits_lower_bound, plus the one bound
+# table that holds them (analytic_bounds, AnalyticBounds)
 EXPORTS = [
-    "Assumption1Window", "BoundInputs", "CascadeBounds", "access_rate_necessary",
-    "assumption1_window", "beta", "critical_delay", "equilibrium_delay",
-    "min_inter_event_time", "packet_bits_necessary", "packet_size_sufficient", "rate_asymptote",
-    "time_quantization_tolerance", "triggering_rate_lower", "triggering_rate_upper",
-    "v0_cascade_bound",
+    "AnalyticBounds", "Assumption1Window", "BoundInputs", "CascadeBounds", "analytic_bounds",
+    "assumption1_window", "v0_cascade_bound",
     "AdversarialDelay", "ChannelState", "ConstantDelay", "ReplayDelay", "UniformDelay",
     "build_delay", "sample_delay", "Packet", "decode", "encode", "reconstruct_error",
     "ConfigurationError", "DecodeError", "DivergenceError", "PreconditionError",
