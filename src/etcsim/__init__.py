@@ -25,10 +25,7 @@ _EXPORTS = {  # submodule: the public names it defines, each imported on first u
     "codec": ("Packet", "decode", "encode", "reconstruct_error"),
     "errors": ("ConfigurationError", "DecodeError", "DivergenceError", "PreconditionError"),
     "model": ("JordanPlant", "TriggerConfig"),
-    "sim": (
-        "RateReport", "SimTrace", "SweepRow", "measure_rates", "run_vector", "sweep_gamma",
-        "validate_trace",
-    ),
+    "sim": ("RateReport", "SimTrace", "measure_rates", "run_vector", "validate_trace"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = list(_HOME)

@@ -287,21 +287,16 @@ def cmd_bounds(cfg: RunConfig, out_dir: Path | None, want_json: bool) -> int:
 # -- simulate -----------------------------------------------------------------
 
 
-def _delay_factory(cfg: RunConfig, plant: JordanPlant):
+def _delays(cfg: RunConfig, plant: JordanPlant, gamma: float, row: int) -> list:
+    """The delay model of each coordinate in a run of delay bound gamma, row `row` of a sweep."""
     from .channel import build_delay
 
-    spec = cfg.get("delay")
-    seed = cfg.get("seed")
     growth = max(lam for lam, _ in plant.blocks)
-    sigma = cfg.get("sigma")
-    rho0 = cfg.get("rho0")
-
-    def factory(gamma: float, row: int, coord: int):
-        return build_delay(
-            spec, gamma, seed=seed, salt=(row, coord), growth=growth, sigma=sigma, rho0=rho0
-        )
-
-    return factory
+    return [
+        build_delay(cfg.get("delay"), gamma, seed=cfg.get("seed"), salt=(row, c), growth=growth,
+                    sigma=cfg.get("sigma"), rho0=cfg.get("rho0"))
+        for c in range(plant.n)
+    ]
 
 
 def _write_trace_csv(path: Path, trace: SimTrace) -> None:
@@ -351,8 +346,6 @@ def _write_run(out_dir: Path, trace: SimTrace) -> None:
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
-    import numpy as np
-
     from . import sim
 
     plant = build_plant(cfg)
@@ -362,10 +355,9 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     refine = cfg.get("refine")
     nu = cfg.get("nu")
     g = cfg.get("g") or None
-    x0 = np.asarray(cfg.get("x0"), dtype=float)
-    xhat0 = np.asarray(cfg.get("xhat0"), dtype=float)
-    factory = _delay_factory(cfg, plant)
-    models = [factory(trigger.gamma, 0, c) for c in range(plant.n)]
+    x0 = cfg.get("x0")
+    xhat0 = cfg.get("xhat0")
+    models = _delays(cfg, plant, trigger.gamma, 0)
 
     try:
         trace = sim.run_vector(
@@ -438,29 +430,40 @@ def _sweep_csv_rows(cfg: RunConfig) -> tuple[list[str], int]:
                 for gamma, nec, app, suf, nec_sup in columns
             ]
         return lines, 0
+
+    bad = [gamma for gamma in gamma_grid if not gamma > 0]
+    if bad:  # before any row runs
+        raise ConfigurationError(f"sweep grid values must be positive, got {bad[0]}")
+    import numpy as np
+
     from . import sim
 
     plant = build_plant(cfg)
     trigger = build_trigger(cfg, gamma=max(gamma_grid))  # gamma is swept per row
-    sweep = sim.sweep_gamma(
-        plant, trigger, gamma_grid, cfg.get("horizon"), cfg.get("step"),
-        delay_factory=_delay_factory(cfg, plant), x0=cfg.get("x0"), xhat0=cfg.get("xhat0"),
-        refine=cfg.get("refine"), nu=cfg.get("nu"),
-    )
-    for row in sweep:
-        b = row.bounds
-        cells = (  # in SWEEP_COLUMNS order
-            row.gamma, trigger.rho0, trigger.sigma, row.g,
-            row.rate_empirical, row.trigger_rate_empirical,
-            None if b is None else b.rate_necessary,
-            None if b is None else b.rate_necessary_approx,
-            None if b is None else b.rate_sufficient,
-            None,
-            None if b is None else b.access_rate,
-            row.x0_norm, row.xT_norm, row.invariants_ok, row.error,
-        )
+    horizon, step = cfg.get("horizon"), cfg.get("step")
+    x0, xhat0, refine, nu = cfg.get("x0"), cfg.get("xhat0"), cfg.get("refine"), cfg.get("nu")
+    failed = 0
+    for row, gamma in enumerate(gamma_grid):
+        models = _delays(cfg, plant, gamma, row)  # a spec this gamma refuses stops the sweep
+        try:
+            trace = sim.run_vector(
+                plant, dataclasses.replace(trigger, gamma=gamma), models, horizon, step,
+                x0=x0, xhat0=xhat0, refine=refine, nu=nu,
+            )
+            report = sim.measure_rates(trace)
+            b = report.bounds
+            cells = (  # in SWEEP_COLUMNS order
+                gamma, trigger.rho0, trigger.sigma, max(trace.g),
+                report.rate_empirical, report.trigger_rate_empirical,
+                b.rate_necessary, b.rate_necessary_approx, b.rate_sufficient, None, b.access_rate,
+                float(np.linalg.norm(trace.x[0])), float(np.linalg.norm(trace.x[-1])),
+                sim.validate_trace(trace).ok, None,
+            )
+        except (DivergenceError, ConfigurationError, PreconditionError, DecodeError) as err:
+            failed += 1  # the row records why and the sweep goes on
+            cells = (gamma, trigger.rho0, trigger.sigma, *[None] * 11, str(err))
         lines.append(",".join(map(_fmt, cells)) + "\n")
-    return lines, sum(1 for row in sweep if row.error)
+    return lines, failed
 
 
 def cmd_sweep(cfg: RunConfig, out_dir: Path) -> int:

@@ -1,4 +1,7 @@
-"""Closed-loop event-driven simulation with trace capture and rate measurement.
+"""Closed-loop event-driven simulation: run_vector, the one run entry point, and
+the trace's rate measurement (measure_rates) and invariant checks
+(validate_trace).  A delay sweep is a loop over run_vector; `etcsim sweep` is
+that loop with CSV output.
 
 The engine propagates the factored closed loop exactly between boundaries
 (grid sample instants, packet deliveries, triggering events) and detects
@@ -43,15 +46,15 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import bounds as bnd
 from .channel import ChannelState, DelayModel, sample_delay
 from .codec import check_resolvable, decode, encode, reconstruct_error
-from .errors import ConfigurationError, DecodeError, DivergenceError, PreconditionError
+from .errors import ConfigurationError, DivergenceError, PreconditionError
 from .model import OVERFLOW_LIMIT, JordanPlant, TriggerConfig, block_matexp, expm
 
 _FP_SLACK = 1e-9  # relative allowance for float roundoff in contract checks
@@ -734,67 +737,3 @@ def validate_trace(trace: SimTrace) -> Validation:
     checks["trigger_rate_cap"] = ok
 
     return Validation(ok=not violations, violations=violations, checks=checks)
-
-
-@dataclass
-class SweepRow:
-    """One delay-bound setting of an empirical sweep."""
-
-    gamma: float
-    g: int | None = None
-    rate_empirical: float | None = None
-    trigger_rate_empirical: float | None = None
-    bounds: bnd.AnalyticBounds | None = None
-    x0_norm: float | None = None
-    xT_norm: float | None = None
-    invariants_ok: bool | None = None
-    error: str | None = None
-
-
-def sweep_gamma(
-    plant: JordanPlant,
-    cfg: TriggerConfig,
-    gamma_grid: Sequence[float],
-    horizon: float,
-    step: float,
-    *,
-    delay_factory: Callable[[float, int, int], DelayModel],
-    x0,
-    xhat0,
-    refine: bool = False,
-    nu: float = 2.0,
-) -> list[SweepRow]:
-    """Re-run the closed loop across delay bounds, one row per grid value.
-
-    The packet size is recomputed for every gamma.  delay_factory(gamma, row,
-    coord) builds the per-coordinate delay model.  A row whose run fails with
-    a package error (divergence, configuration, precondition, decoding)
-    records the error and the sweep continues.  Rows are deterministic and
-    mutually independent, so execution order never affects the results.
-    """
-    rows: list[SweepRow] = []
-    for r, gamma in enumerate(gamma_grid):
-        if not gamma > 0:
-            raise ConfigurationError(f"sweep grid values must be positive, got {gamma}")
-        cfg_g = replace(cfg, gamma=float(gamma))
-        models = [delay_factory(float(gamma), r, c) for c in range(plant.n)]
-        try:
-            trace = run_vector(
-                plant, cfg_g, models, horizon, step, x0=x0, xhat0=xhat0, refine=refine, nu=nu
-            )
-            report = measure_rates(trace)
-            rows.append(
-                SweepRow(
-                    gamma=float(gamma),
-                    g=max(trace.g),
-                    rate_empirical=report.rate_empirical,
-                    trigger_rate_empirical=report.trigger_rate_empirical,
-                    bounds=report.bounds,
-                    x0_norm=float(np.linalg.norm(trace.x[0])),
-                    xT_norm=float(np.linalg.norm(trace.x[-1])),
-                    invariants_ok=validate_trace(trace).ok,
-                )
-            )
-        except (DivergenceError, ConfigurationError, PreconditionError, DecodeError) as err:
-            rows.append(SweepRow(gamma=float(gamma), error=str(err)))
-    return rows

@@ -19,11 +19,12 @@ import numpy as np
 import pytest
 
 from etcsim import bounds as bnd
+from etcsim import cli
 from etcsim.channel import ConstantDelay, UniformDelay
 from etcsim.codec import check_resolvable, decode, encode, reconstruct_error
 from etcsim.errors import PreconditionError
 from etcsim.model import JordanPlant, TriggerConfig
-from etcsim.sim import run_vector, sweep_gamma
+from etcsim.sim import run_vector
 
 DATA = Path(__file__).parent / "data"
 DATA_RATE_FIG8 = 3.7512  # (A + sigma)/ln2 threshold quoted for the sweep
@@ -130,26 +131,21 @@ def test_criterion_3_fig7_replication():
     assert elapsed < 30.0
 
 
-def test_criterion_4_fig8_sweep_threshold_crossing():
+def test_criterion_4_fig8_sweep_threshold_crossing(tmp_path):
     t0 = time.time()
-    plant = JordanPlant.scalar(A=2.4, B=1.0, K=8.0)
-    cfg = TriggerConfig(v0=0.0442, sigma=0.2, rho0=0.1, gamma=1.0, b=1.0001)
-    grid = [0.0005 + 0.2 * i for i in range(11)]
-
-    def factory(gamma, row, coord):
-        return UniformDelay(gamma=gamma, seed=(1, row, coord))
-
-    rows = sweep_gamma(plant, cfg, grid, 7.0, 0.0002, delay_factory=factory,
-                       x0=[0.201], xhat0=[0.2])
+    argv = ["sweep", "--config", str(cli.recipe_path("fig8")), "--out", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_OK
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    rows = [dict(zip(cli.SWEEP_COLUMNS, line.split(","))) for line in lines[1:]]
     elapsed = time.time() - t0
-    clean = all(r.error is None for r in rows)
-    below = rows[0].rate_empirical < DATA_RATE_FIG8
-    above = rows[-1].rate_empirical > DATA_RATE_FIG8
-    stable = all(r.xT_norm < r.x0_norm for r in rows if r.error is None)
+    rates = [float(r["R_s_empirical"] or "nan") for r in rows]
+    clean = all(not r["error"] for r in rows)
+    below = rates[0] < DATA_RATE_FIG8
+    above = rates[-1] > DATA_RATE_FIG8
+    stable = all(float(r["xT_norm"]) < float(r["x0_norm"]) for r in rows if not r["error"])
     ok = clean and below and above and stable and len(rows) == 11 and elapsed < 120.0
     _line(4, ok, "delay sweep crosses the data-rate threshold with stable rows",
-          f"R_s[0]={rows[0].rate_empirical:.3f}, R_s[-1]={rows[-1].rate_empirical:.3f}, "
-          f"{elapsed:.2f}s")
+          f"R_s[0]={rates[0]:.3f}, R_s[-1]={rates[-1]:.3f}, {elapsed:.2f}s")
     assert clean and len(rows) == 11
     assert below and above
     assert stable

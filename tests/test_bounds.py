@@ -95,14 +95,6 @@ class TestTriggeringRates:
                 for nu in (1.0, 2.0, 4.0, 16.0)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
-    def test_sandwich_randomized(self):
-        # the table's float kernel: 10,000 tables would cost a third of a second
-        rng = np.random.default_rng(1234)
-        for _ in range(10_000):
-            inp = random_inputs(rng)
-            upper, lower = bnd._triggering_rates(inp.A, inp.sigma, inp.rho0, inp.gamma, inp.nu)
-            assert lower <= upper * (1 + 1e-12)
-
     def test_min_inter_event_inverse(self):
         table = bnd.analytic_bounds(scalar(1.0, 0.5, 0.7, gamma=0.3))
         assert table.min_inter_event_time == pytest.approx(

@@ -504,6 +504,16 @@ class TestSweepCommand:
         else:
             assert "replay sequence exhausted" in rows[1]["error"]
 
+    def test_nonpositive_grid_value_refused_before_any_row(self, tmp_path, capsys):
+        # at h = 0.01 each positive row would warn that the step tops its tolerance
+        text = (RECIPES / "fig8.cfg").read_text()
+        text = text.replace("gamma_grid = 0.0005:0.2:11", "gamma_grid = 0.5, 1.5, 0")
+        argv = ["sweep", "--config", str(write_cfg(tmp_path, text)), "--step", "0.01",
+                "--out", str(tmp_path)]
+        message = assert_one_line_usage_error(capsys, argv)  # no row ran: no warning line
+        assert "sweep grid values must be positive, got 0.0" in message
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_empirical_csv_cells_byte_for_byte(self, tmp_path):
         # every cell kind of an empirical row: empty, boolean, integer, float and an error
         text = (RECIPES / "fig8.cfg").read_text()

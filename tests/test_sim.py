@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -8,7 +9,7 @@ import pytest
 import scipy.linalg
 
 from etcsim import bounds as bnd
-from etcsim import sim
+from etcsim import cli, sim
 from etcsim.bounds import phase_curves
 from etcsim.channel import AdversarialDelay, ConstantDelay, ReplayDelay, UniformDelay
 from etcsim.errors import ConfigurationError, DivergenceError, PreconditionError
@@ -16,7 +17,6 @@ from etcsim.model import OVERFLOW_LIMIT, JordanPlant, TriggerConfig, block_matex
 from etcsim.sim import (
     measure_rates,
     run_vector,
-    sweep_gamma,
     validate_trace,
 )
 
@@ -821,54 +821,58 @@ class TestValidateTrace:
         assert peaks[1] <= peaks[0] + 16384 and peaks[1] < 1 << 20, peaks
 
 
+def fig8_sweep(tmp_path, grid, *flags, text=None):
+    """`etcsim sweep`'s exit code and sweep.csv rows, one dict each, on the fig8 recipe (or
+    text) with gamma_grid = grid.  The recipe's uniform delays of seed s give row r, coordinate
+    c the model UniformDelay(gamma, seed=(s, r, c))."""
+    text = cli.recipe_path("fig8").read_text() if text is None else text
+    tmp_path.mkdir(exist_ok=True)
+    path = tmp_path / "sweep.cfg"
+    path.write_text(re.sub(r"(?m)^gamma_grid = .*$", f"gamma_grid = {grid}", text))
+    rc = cli.main(["sweep", "--config", str(path), *flags, "--out", str(tmp_path)])
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    return rc, [dict(zip(cli.SWEEP_COLUMNS, line.split(",", len(cli.SWEEP_COLUMNS) - 1)))
+                for line in lines[1:]]
+
+
 class TestSweep:
-    FIG8_PLANT = JordanPlant.scalar(A=2.4, B=1.0, K=8.0)
-    FIG8_CFG = TriggerConfig(v0=0.0442, sigma=0.2, rho0=0.1, gamma=1.0, b=1.0001)
+    """The empirical sweep: `etcsim sweep` runs run_vector once per grid value."""
 
-    def factory(self, seed):
-        def make(gamma, row, coord):
-            return UniformDelay(gamma=gamma, seed=(seed, row, coord))
-        return make
+    def test_rows_and_determinism(self, tmp_path):
+        flags = ("--horizon", "2", "--step", "0.001", "--seed", "1")
+        rc_a, a = fig8_sweep(tmp_path / "a", "0.0005, 0.5, 1.0", *flags)
+        rc_b, _ = fig8_sweep(tmp_path / "b", "0.0005, 0.5, 1.0", *flags)
+        assert rc_a == rc_b == cli.EXIT_OK
+        assert (tmp_path / "a" / "sweep.csv").read_bytes() == (
+            tmp_path / "b" / "sweep.csv").read_bytes()
+        assert [r["gamma"] for r in a] == ["0.0005", "0.5", "1.0"]
+        assert all(r["error"] == "" for r in a)
 
-    def test_rows_and_determinism(self):
-        grid = [0.0005, 0.5, 1.0]
-        a = sweep_gamma(self.FIG8_PLANT, self.FIG8_CFG, grid, 2.0, 0.001,
-                        delay_factory=self.factory(1), x0=[0.201], xhat0=[0.2])
-        b = sweep_gamma(self.FIG8_PLANT, self.FIG8_CFG, grid, 2.0, 0.001,
-                        delay_factory=self.factory(1), x0=[0.201], xhat0=[0.2])
-        assert a == b
-        assert [r.gamma for r in a] == grid
-        assert all(r.error is None for r in a)
+    def test_packet_size_monotone_in_gamma(self, tmp_path, capsys):
+        rc, rows = fig8_sweep(tmp_path, "0.0005:0.2:11", "--horizon", "0.5", "--step", "0.001",
+                              "--seed", "3")
+        assert rc == cli.EXIT_OK
+        assert "warning: grid step" in capsys.readouterr().err  # h tops long delays' tolerances
+        gs = [int(r["g"]) for r in rows]
+        assert len(gs) == 11 and all(x <= y for x, y in zip(gs, gs[1:]))
 
-    def test_packet_size_monotone_in_gamma(self):
-        grid = [0.0005 + 0.2 * i for i in range(11)]
-        with pytest.warns(UserWarning, match="grid step"):  # h tops long delays' tolerances
-            rows = sweep_gamma(self.FIG8_PLANT, self.FIG8_CFG, grid, 0.5, 0.001,
-                               delay_factory=self.factory(3), x0=[0.201], xhat0=[0.2])
-        gs = [r.g for r in rows]
-        assert all(x <= y for x, y in zip(gs, gs[1:]))
+    def test_rejects_nonpositive_grid(self, tmp_path, capsys):
+        path = tmp_path / "zero.cfg"
+        path.write_text(cli.recipe_path("fig8").read_text().replace(
+            "gamma_grid = 0.0005:0.2:11", "gamma_grid = 0.0"))
+        rc = cli.main(["sweep", "--config", str(path), "--horizon", "1", "--step", "0.001",
+                       "--out", str(tmp_path)])
+        assert rc == cli.EXIT_USAGE
+        assert "sweep grid values must be positive, got 0.0" in capsys.readouterr().err
 
-    def test_rejects_nonpositive_grid(self):
-        with pytest.raises(ConfigurationError):
-            sweep_gamma(self.FIG8_PLANT, self.FIG8_CFG, [0.0], 1.0, 0.001,
-                        delay_factory=self.factory(1), x0=[0.201], xhat0=[0.2])
-
-    def test_configuration_error_row_recorded_and_sweep_continues(self):
-        def replay(gamma, row, coord):
-            return ReplayDelay(delays=(0.01,) * 3, gamma=gamma)
-
-        rows = sweep_gamma(self.FIG8_PLANT, self.FIG8_CFG, [0.1, 0.5], 7.0, 0.0002,
-                           delay_factory=replay, x0=[0.201], xhat0=[0.2])
-        assert "replay sequence exhausted" in rows[0].error
-        assert rows[1].error is None and rows[1].invariants_ok
-
-    def test_divergent_row_recorded_and_sweep_continues(self):
-        plant = JordanPlant.scalar(A=2.0, B=0.0, K=0.0)
-        cfg = TriggerConfig(v0=2e11, sigma=0.1, rho0=0.1, gamma=1.0)
-        with pytest.warns(UserWarning, match="grid step"):  # a coarse step on purpose
-            rows = sweep_gamma(plant, cfg, [0.5, 1.0], 14.0, 0.01,
-                               delay_factory=self.factory(1), x0=[1e11], xhat0=[1e9])
-        assert all(r.error is not None and "overflow" in r.error for r in rows)
+    def test_divergent_row_recorded_and_sweep_continues(self, tmp_path, capsys):
+        text = ("mode = empirical\nA = 2\nB = 0\nK = 0\nv0 = 2e11\nsigma = 0.1\n"
+                "rho0 = 0.1\nx0 = 1e11\nxhat0 = 1e9\nhorizon = 14\nstep = 0.01\n"
+                "gamma_grid = 0\nseed = 1\n")
+        rc, rows = fig8_sweep(tmp_path, "0.5, 1.0", text=text)
+        assert rc == cli.EXIT_INVARIANT  # every row failed
+        assert "warning: grid step" in capsys.readouterr().err  # a coarse step on purpose
+        assert all("overflow" in r["error"] for r in rows)
         assert len(rows) == 2
 
 

@@ -14,17 +14,18 @@ import etcsim
 from etcsim import channel, cli, model, sim
 
 ROOT = Path(__file__).resolve().parents[1]
-# the names `etcsim` exported when it imported every submodule eagerly, less every
+# the 31 names `etcsim` exported when it imported every submodule eagerly, less every
 # point bound (rates, packet sizes, delays) and bits_lower_bound, plus the one bound
-# table that holds them (analytic_bounds, AnalyticBounds)
+# table that holds them (analytic_bounds, AnalyticBounds), and less the sweep wrapper
+# (sweep_gamma, SweepRow): a delay sweep is a loop over run_vector
 EXPORTS = [
     "AnalyticBounds", "Assumption1Window", "BoundInputs", "CascadeBounds", "analytic_bounds",
     "assumption1_window", "v0_cascade_bound",
     "AdversarialDelay", "ChannelState", "ConstantDelay", "ReplayDelay", "UniformDelay",
     "build_delay", "sample_delay", "Packet", "decode", "encode", "reconstruct_error",
     "ConfigurationError", "DecodeError", "DivergenceError", "PreconditionError",
-    "JordanPlant", "TriggerConfig", "PhaseCurve", "RateReport", "SimTrace", "SweepRow",
-    "measure_rates", "phase_curves", "run_vector", "sweep_gamma", "validate_trace",
+    "JordanPlant", "TriggerConfig", "PhaseCurve", "RateReport", "SimTrace", "measure_rates",
+    "phase_curves", "run_vector", "validate_trace",
 ]
 
 
@@ -128,6 +129,24 @@ def test_package_exports_the_same_names():
         obj = getattr(etcsim, name)
         assert obj.__module__.startswith("etcsim."), name
         assert obj is getattr(sys.modules[obj.__module__], name), name
+
+
+def test_engine_built_only_by_run_vector():
+    # one run entry point: simulate, every sweep row and every library run go through
+    # sim.run_vector, the one function that builds the engine
+    callers = []
+    for path in sorted((ROOT / "src" / "etcsim").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            func = node.func if isinstance(node, ast.Call) else None
+            if getattr(func, "id", getattr(func, "attr", None)) != "_Engine":
+                continue
+            scope = node
+            while not isinstance(scope, (ast.FunctionDef, ast.Lambda, ast.Module)):
+                scope = parents[scope]
+            callers.append(f"{path.stem}.{getattr(scope, 'name', type(scope).__name__)}")
+    assert callers == ["sim.run_vector"]
 
 
 def test_package_refuses_unknown_names_and_imports_submodules():
