@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -551,6 +552,20 @@ class TestSweepCommand:
         for name in ("fig3", "fig4", "fig5", "fig6", "fig7", "fig8"):
             assert cli.recipe_path(name).exists()
             cli.RunConfig.from_file(cli.recipe_path(name))
+
+
+def test_recipe_outputs_match_digests(tmp_path):
+    # the byte-identity check: every bundled recipe's outputs and stdout, as sha256
+    spec = importlib.util.spec_from_file_location("make_recipe_digests",
+                                                  DATA / "make_recipe_digests.py")
+    make = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make)
+    got = make.recipe_digests(tmp_path)
+    want = json.loads(make.PATH.read_text())
+    assert got.keys() == want.keys()
+    differ = [f"{name}/{file}" for name in want for file in want[name].keys() | got[name].keys()
+              if got[name].get(file) != want[name].get(file)]
+    assert not differ, f"outputs differ from {make.PATH.name}: {', '.join(sorted(differ))}"
 
 
 def _fresh_python(code, *args):
