@@ -1,5 +1,7 @@
 """The trace.csv kernel against repr, cell for cell."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -24,12 +26,27 @@ def _with_neighbours(values):
                                -values])
 
 
+def _one_and_17_digits(rng):
+    # every decimal point position with 1 digit and, where a double has that many, 17;
+    # the two smallest subnormals; both signs
+    values = [5e-324, 1e-323]
+    for e in range(-323, 309):
+        x = float(f"1.2345678901234567e{e}")
+        for _ in range(8):  # a few ulps away from any digit pattern, one has all 17
+            if len(repr(x).split("e")[0].replace(".", "").strip("0")) == 17:
+                break
+            x = math.nextafter(x, math.inf)
+        values += [float(f"1e{e}"), x]
+    return np.array(values + [-v for v in values])
+
+
 # each kind of cell the 'r' rules treat apart; the sizes keep the test near one second
 _CASES = {
     "random_bit_patterns": _random_bits,
     "powers_of_2_and_10": lambda rng: _with_neighbours(np.concatenate(
         [np.ldexp(1.0, np.arange(-1074, 1024)), [float(f"1e{e}") for e in range(-323, 309)]])),
     "subnormals": lambda rng: _u64(np.arange(1, 2**17)),  # every significand below 2**17
+    "every_decimal_point_position": _one_and_17_digits,
     "zeros_infinities_nan": lambda rng: np.array(
         [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, _u64([0x7FF0_0000_0000_0001])[0]]),
     "integers_up_to_2_53": lambda rng: np.concatenate([
