@@ -265,10 +265,17 @@ def build_delay(
     if seed < 0:
         raise ConfigurationError(f"seed must be >= 0, got {seed}")
     kind, _, arg = spec.partition(":")
+
+    def number(text: str) -> float:
+        try:
+            return float(text)
+        except ValueError:
+            raise ConfigurationError(f"delay spec {spec!r}: {text!r} is not a number") from None
+
     if kind == "constant":
-        return ConstantDelay(delay=float(arg), gamma=gamma)
+        return ConstantDelay(delay=number(arg), gamma=gamma)
     if kind == "fraction":
-        f = float(arg)
+        f = number(arg)
         if not 0 <= f <= 1:
             raise ConfigurationError(f"delay fraction must lie in [0, 1], got {f}")
         return ConstantDelay(delay=f * gamma, gamma=gamma)
@@ -279,7 +286,7 @@ def build_delay(
             raise ConfigurationError("adversarial delays need growth, sigma and rho0")
         return AdversarialDelay.from_params(growth, sigma, rho0, gamma)
     if kind == "replay":
-        return ReplayDelay(delays=tuple(float(v) for v in arg.split(",") if v), gamma=gamma)
+        return ReplayDelay(delays=tuple(number(v) for v in arg.split(",") if v), gamma=gamma)
     if kind == "disabled":
         return None
     raise ConfigurationError(f"unknown delay spec {spec!r}")

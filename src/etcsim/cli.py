@@ -434,6 +434,9 @@ def _sweep_csv_rows(cfg: RunConfig) -> tuple[list[str], int]:
     bad = [gamma for gamma in gamma_grid if not gamma > 0]
     if bad:  # before any row runs
         raise ConfigurationError(f"sweep grid values must be positive, got {bad[0]}")
+    import csv
+    import io
+
     import numpy as np
 
     from . import sim
@@ -441,6 +444,7 @@ def _sweep_csv_rows(cfg: RunConfig) -> tuple[list[str], int]:
     plant = build_plant(cfg)
     trigger = build_trigger(cfg, gamma=max(gamma_grid))  # gamma is swept per row
     horizon, step = cfg.get("horizon"), cfg.get("step")
+    sim._sample_count(horizon, step, plant.n)  # the same in every row: refused before any
     x0, xhat0, refine, nu = cfg.get("x0"), cfg.get("xhat0"), cfg.get("refine"), cfg.get("nu")
     failed = 0
     for row, gamma in enumerate(gamma_grid):
@@ -462,7 +466,9 @@ def _sweep_csv_rows(cfg: RunConfig) -> tuple[list[str], int]:
         except (DivergenceError, ConfigurationError, PreconditionError, DecodeError) as err:
             failed += 1  # the row records why and the sweep goes on
             cells = (gamma, trigger.rho0, trigger.sigma, *[None] * 11, str(err))
-        lines.append(",".join(map(_fmt, cells)) + "\n")
+        record = io.StringIO()  # RFC 4180 minimal quoting: a comma in a message stays in its cell
+        csv.writer(record, lineterminator="\n").writerow(map(_fmt, cells))
+        lines.append(record.getvalue())
     return lines, failed
 
 

@@ -144,6 +144,30 @@ class RateReport:
     bounds: bnd.AnalyticBounds
 
 
+def _sample_count(horizon: float, step: float, n: int) -> int:
+    """The samples after t = 0 of a run of an n-coordinate plant, horizon and step
+    checked. No other input enters, so a sweep checks them once, before its rows."""
+    if not 0 < step < math.inf:
+        raise PreconditionError(f"step must be positive and finite, got {step}")
+    if not 0 < horizon < math.inf:
+        raise PreconditionError(f"horizon must be positive and finite, got {horizon}")
+    steps = horizon / step
+    columns = 4 * n + 1  # times, and x, xhat, z and v of each coordinate
+    trace_bytes = (steps + 1) * columns * 8
+    if not trace_bytes <= MAX_TRACE_BYTES:
+        raise PreconditionError(
+            f"horizon/step = {steps:.6g} samples need a {trace_bytes:.3g}-byte trace "
+            f"({columns} float64 columns: times, and x, xhat, z and v of each coordinate), "
+            f"over the {MAX_TRACE_BYTES}-byte limit"
+        )
+    samples = int(round(steps)) if abs(steps - round(steps)) < 1e-9 else int(steps)
+    if samples == 0:
+        raise PreconditionError(
+            f"horizon {horizon} is shorter than one step {step}: the run has no samples"
+        )
+    return samples
+
+
 class _Engine:
     """Single deterministic run over a Jordan-form plant."""
 
@@ -160,10 +184,7 @@ class _Engine:
         g: int | None,
         nu: float,
     ):
-        if not 0 < step < math.inf:
-            raise PreconditionError(f"step must be positive and finite, got {step}")
-        if not 0 < horizon < math.inf:
-            raise PreconditionError(f"horizon must be positive and finite, got {horizon}")
+        self.S = _sample_count(horizon, step, plant.n)
         self.cfg = cfg
         self.n = plant.n
         if len(delay_models) != self.n:
@@ -172,20 +193,6 @@ class _Engine:
             )
         self.delay_models = list(delay_models)
         self.h = step
-        steps = horizon / step
-        columns = 4 * self.n + 1  # times, and x, xhat, z and v of each coordinate
-        trace_bytes = (steps + 1) * columns * 8
-        if not trace_bytes <= MAX_TRACE_BYTES:
-            raise PreconditionError(
-                f"horizon/step = {steps:.6g} samples need a {trace_bytes:.3g}-byte trace "
-                f"({columns} float64 columns: times, and x, xhat, z and v of each coordinate), "
-                f"over the {MAX_TRACE_BYTES}-byte limit"
-            )
-        self.S = int(round(steps)) if abs(steps - round(steps)) < 1e-9 else int(steps)
-        if self.S == 0:
-            raise PreconditionError(
-                f"horizon {horizon} is shorter than one step {step}: the run has no samples"
-            )
         self.t_end = self.S * step
         self.refine = refine
         self.sigma = cfg.sigma

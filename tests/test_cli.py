@@ -1,3 +1,4 @@
+import csv
 import importlib.util
 import json
 import math
@@ -393,6 +394,22 @@ def test_huge_finite_delay_bound_is_clean_error(tmp_path, capsys, monkeypatch,
     assert fragment in assert_one_line_usage_error(capsys, argv)
 
 
+@pytest.mark.parametrize("spec, text", [
+    ("constant:", ""), ("constant:x", "x"), ("fraction:", ""), ("fraction:x", "x"),
+    ("replay:0.1,x", "x"),
+])
+@pytest.mark.parametrize("command, recipe", [("simulate", "fig7"), ("sweep", "fig8")])
+def test_malformed_delay_spec_number_is_clean_error(tmp_path, capsys, command, recipe,
+                                                    spec, text):
+    # each number field was a bare float(): a ValueError traceback
+    argv = [command, "--config", str(RECIPES / f"{recipe}.cfg"), "--delay", spec,
+            "--out", str(tmp_path)]
+    assert assert_one_line_usage_error(capsys, argv) == (
+        f"error: delay spec {spec!r}: {text!r} is not a number\n"
+    )
+    assert not any(tmp_path.iterdir())
+
+
 class TestSweepCommand:
     def test_golden_csv(self, tmp_path):
         rc = cli.main([
@@ -514,6 +531,35 @@ class TestSweepCommand:
         message = assert_one_line_usage_error(capsys, argv)  # no row ran: no warning line
         assert "sweep grid values must be positive, got 0.0" in message
         assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("flag, value, fragment", [
+        ("--step", "0", "step must be positive and finite, got 0.0"),
+        ("--horizon", "inf", "horizon must be positive and finite, got inf"),
+        ("--horizon", "1e-5", "horizon 1e-05 is shorter than one step 0.0002"),
+    ], ids=["step", "horizon", "no_samples"])
+    def test_run_wide_input_refused_before_any_row(self, tmp_path, capsys, flag, value,
+                                                   fragment):
+        # each of fig8's 11 rows used to fail on it alone: exit 2 and 11 error rows
+        argv = ["sweep", "--config", str(RECIPES / "fig8.cfg"), flag, value,
+                "--out", str(tmp_path)]
+        assert fragment in assert_one_line_usage_error(capsys, argv)
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_error_cell_with_comma_stays_one_field(self, tmp_path, capsys):
+        # the second row's automatic packet size is too fine for its horizon
+        text = (RECIPES / "fig8.cfg").read_text()
+        text = text.replace("gamma_grid = 0.0005:0.2:11", "gamma_grid = 0.5, 250")
+        argv = ["sweep", "--config", str(write_cfg(tmp_path, text)), "--horizon", "0.5",
+                "--out", str(tmp_path)]
+        assert cli.main(argv) == cli.EXIT_OK
+        with (tmp_path / "sweep.csv").open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(row) for row in rows] == [len(cli.SWEEP_COLUMNS)] * 3
+        assert rows[1][-1] == ""
+        assert rows[2][-1] == (
+            "packet size g=952 is too fine: its half cell b*gamma/2^(g-1) at b=1.0001, "
+            "gamma=250.0 vanishes against send times up to the horizon 0.5"
+        )
 
     def test_empirical_csv_cells_byte_for_byte(self, tmp_path):
         # every cell kind of an empirical row: empty, boolean, integer, float and an error
