@@ -15,8 +15,8 @@ __version__ = "0.1.0"
 
 _EXPORTS = {  # submodule: the public names it defines, each imported on first use
     "bounds": (
-        "AnalyticBounds", "Assumption1Window", "BoundInputs", "CascadeBounds", "PhaseCurve",
-        "analytic_bounds", "assumption1_window", "phase_curves", "v0_cascade_bound",
+        "AnalyticBounds", "Assumption1Window", "BoundInputs", "PhaseCurve", "analytic_bounds",
+        "assumption1_window", "phase_curves",
     ),
     "channel": (
         "AdversarialDelay", "ChannelState", "ConstantDelay", "ReplayDelay", "UniformDelay",

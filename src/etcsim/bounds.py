@@ -20,7 +20,9 @@ speed.
 The module also holds the one check of each design parameter (_RANGES,
 check_blocks, check_gains, contraction_ladders), which model's types call,
 and the per-coordinate table of a trigger design (coordinates), which the
-engine and its checks read.  It imports nothing but the standard library
+engine and its checks read; its cap column bounds each chained trigger level,
+v0_i <= v0_{i-1}*(lam+sigma)*(rho0-rho_{i-1}) / (((rho0-rho_{i-1}) + E)*(E - 1))
+with E = e^{(lam+sigma)*gamma}.  It imports nothing but the standard library
 and errors, so the analytic commands run without numpy.
 """
 
@@ -432,7 +434,6 @@ class PhaseCurve:
     asymptote: float
     access_rate: float
     necessary_sup_sigma: tuple[float, ...] | None = None
-    necessary_exceeds_sufficient: int = 0
 
 
 def phase_curves(
@@ -443,8 +444,7 @@ def phase_curves(
     """Necessary, approximate-necessary, and sufficient rates per grid delay.
 
     With sigma_grid, additionally reports the supremum over those decay rates
-    of the necessary rate; an empty sigma_grid is refused.  Grid points where
-    the necessary rate exceeds the sufficient one are counted, not asserted.
+    of the necessary rate; an empty sigma_grid is refused.
     inp was checked when it was built; each grid value is checked once, as
     BoundInputs checks gamma and sigma, and the rates come from one walk of
     the grid by the rate kernel.
@@ -467,7 +467,6 @@ def phase_curves(
         asymptote=asymptote,
         access_rate=access,
         necessary_sup_sigma=None if sigmas is None else tuple(sup),
-        necessary_exceeds_sufficient=sum(n > s * (1.0 + 1e-12) for n, s in zip(nec, suf)),
     )
 
 
@@ -523,58 +522,6 @@ def assumption1_window(inp: BoundInputs, g: int) -> Assumption1Window:
     return Assumption1Window(lower_ok, upper_ok, expansion_ok)
 
 
-@dataclass(frozen=True)
-class CascadeBounds:
-    """Per-coordinate trigger-level caps and envelope constants for one block."""
-
-    upper: tuple[float, ...]  # max v0_i given v0_{i-1}, for i = 2..p
-    envelope: tuple[float, ...]  # ((rho0 - rho_i) + e^{(lam+sigma)*gamma}), i = 1..p
-
-
-def v0_cascade_bound(
-    block: tuple[float, int],
-    *,
-    v0: tuple[float, ...],
-    rho: tuple[float, ...],
-    sigma: float,
-    rho0: float,
-    gamma: float,
-) -> CascadeBounds:
-    """Caps on the trigger levels of chained coordinates in one Jordan block.
-
-    For i = 2..p the level v0_i may not exceed
-    v0_{i-1}*(lam+sigma)*(rho0-rho_{i-1}) / (((rho0-rho_{i-1}) + E)*(E - 1)),
-    E = e^{(lam+sigma)*gamma}, E - 1 taken by expm1: the slack rho0 - rho_{i-1}
-    of the coordinate above must absorb the coupling that coordinate i injects.
-    gamma = 0, or a gamma too small to move E - 1 off 0, degenerates to an
-    infinite cap.  Also returns each coordinate's envelope constant
-    (rho0 - rho_i) + E.
-    """
-    lam, p = block
-    if len(v0) != p or len(rho) != p:
-        raise PreconditionError(f"need {p} trigger levels and contractions, got {v0}, {rho}")
-    try:
-        E = math.exp((lam + sigma) * gamma)
-    except OverflowError:
-        raise PreconditionError(
-            f"e^((lam+sigma)*gamma) leaves float range at lam={lam}, sigma={sigma}, gamma={gamma}"
-        ) from None
-    em1 = math.expm1((lam + sigma) * gamma)
-    envelope = tuple((rho0 - r) + E for r in rho)
-    upper = []
-    for i in range(1, p):  # cap on v0[i] from v0[i-1]
-        slack = rho0 - rho[i - 1]
-        if slack <= 0:
-            raise PreconditionError(
-                f"ladder value {rho[i - 1]} leaves no coupling slack below rho0={rho0}"
-            )
-        if em1 == 0.0:
-            upper.append(math.inf)
-            continue
-        upper.append(v0[i - 1] * (lam + sigma) * slack / ((slack + E) * em1))
-    return CascadeBounds(upper=tuple(upper), envelope=envelope)
-
-
 class Coordinate(NamedTuple):
     """One flat coordinate of a plant with its share of the trigger design."""
 
@@ -584,10 +531,19 @@ class Coordinate(NamedTuple):
     index: int  # position in the block; order - 1 is the chain end
     rho: float  # ladder contraction
     v0: float  # trigger level
+    cap: float  # coupling cap on v0 from the level above; inf at the block's head
     envelope: float  # (rho0 - rho) + e^{(lam+sigma)*gamma}
     spacing: float  # guaranteed spacing of its triggering events
     g: int  # sufficient packet size
     tolerance: float  # time-quantization tolerance at (lam, rho0): grid mode's largest step
+
+
+def _levels(n: int, v0: Sequence[float]) -> tuple[float, ...]:
+    """The trigger levels of n coordinates; a single level applies to every one."""
+    levels = tuple(v0) * n if len(v0) == 1 else tuple(v0)
+    if len(levels) != n:
+        raise ConfigurationError(f"need one trigger level per coordinate ({n}), got {len(levels)}")
+    return levels
 
 
 def coordinates(inp: BoundInputs, v0: Sequence[float]) -> tuple[Coordinate, ...]:
@@ -595,30 +551,43 @@ def coordinates(inp: BoundInputs, v0: Sequence[float]) -> tuple[Coordinate, ...]
 
     The one place that broadcasts per-coordinate parameters: a single level
     applies to every coordinate, ladders default as contraction_ladders says.
-    Refuses, with ConfigurationError, a level count other than one or the
-    plant order and a chained level above its coupling cap (v0_cascade_bound).
+    The slack rho0 - rho_{i-1} of a block's coordinate i - 1 must absorb the
+    coupling that coordinate i injects, which caps v0_i at
+    v0_{i-1}*(lam+sigma)*(rho0-rho_{i-1}) / (((rho0-rho_{i-1}) + E)*(E - 1)),
+    E = e^{(lam+sigma)*gamma}, E - 1 by expm1; inf at the block's head and
+    where E - 1 rounds to 0.  Before a block's rows, an E out of float range
+    is refused (PreconditionError) and so is a level above its cap
+    (ConfigurationError), as is a level count other than one or the order.
     """
-    n = inp.n
-    levels = tuple(v0) * n if len(v0) == 1 else tuple(v0)
-    if len(levels) != n:
-        raise ConfigurationError(f"need one trigger level per coordinate ({n}), got {len(levels)}")
+    levels = _levels(inp.n, v0)
     sigma, rho0, gamma = inp.sigma, inp.rho0, inp.gamma
     ladders = contraction_ladders(rho0, [p for _, p in inp.blocks], inp.rho_ladders)
     table, at = [], 0
     for (lam, p), ladder in zip(inp.blocks, ladders):
         v_blk = levels[at : at + p]
-        caps = v0_cascade_bound((lam, p), v0=v_blk, rho=ladder, sigma=sigma, rho0=rho0, gamma=gamma)
-        tol = _tolerance(lam, sigma, gamma, rho0)
-        for i, cap in enumerate(caps.upper, start=1):
-            if v_blk[i] > cap * (1.0 + 1e-12):
+        try:
+            E = math.exp((lam + sigma) * gamma)
+        except OverflowError:
+            raise PreconditionError(
+                f"e^((lam+sigma)*gamma) leaves float range at lam={lam}, sigma={sigma}, gamma={gamma}"
+            ) from None
+        em1 = math.expm1((lam + sigma) * gamma)
+        caps = [math.inf] + [  # coordinate i's cap, from level i - 1 and its slack
+            math.inf if em1 == 0.0 else v * (lam + sigma) * (rho0 - r) / (((rho0 - r) + E) * em1)
+            for v, r in zip(v_blk, ladder[:-1])
+        ]
+        for i, (v, cap) in enumerate(zip(v_blk, caps)):
+            if v > cap * (1.0 + 1e-12):
                 raise ConfigurationError(
-                    f"trigger level v0={v_blk[i]} for chained coordinate {at + i} "
+                    f"trigger level v0={v} for chained coordinate {at + i} "
                     f"exceeds its coupling cap {cap:.6g}"
                 )
+        tol = _tolerance(lam, sigma, gamma, rho0)
         table += [
-            Coordinate(lam, at, p, i, rho, v, env, _spacing(lam, sigma, gamma, rho0, rho),
+            Coordinate(lam, at, p, i, rho, v, cap, (rho0 - rho) + E,
+                       _spacing(lam, sigma, gamma, rho0, rho),
                        _packet_size(lam, rho, sigma, gamma, inp.b), tol)
-            for i, (rho, v, env) in enumerate(zip(ladder, v_blk, caps.envelope))
+            for i, (rho, v, cap) in enumerate(zip(ladder, v_blk, caps))
         ]
         at += p
     return tuple(table)

@@ -62,6 +62,13 @@ def _seed(s: str) -> int:
     return seed
 
 
+def _packet_bits(s: str) -> int:
+    g = int(s)
+    if g < 0:
+        raise ValueError(f"packet size must be >= 1 bit, or 0 for automatic, got {g}")
+    return g
+
+
 def _floats(s: str) -> list[float]:
     return [float(v) for v in s.replace(",", " ").split()]
 
@@ -118,7 +125,7 @@ SETTINGS = {
     "b": Setting(float, 1.0001, _ALL),
     "rho_ladder": Setting(_nested, None, _ALL),
     "nu": Setting(float, 2.0, _ALL, "precision parameter"),  # bounds, analytic sweeps: 1.0
-    "g": Setting(int, 0, ("bounds", "simulate"), "packet size (bits), 0 = automatic"),
+    "g": Setting(_packet_bits, 0, ("bounds", "simulate"), "packet size (bits), 0 = automatic"),
     "delay": Setting(str, "uniform", _RUNS, "delay model spec"),
     "seed": Setting(_seed, 0, _RUNS, "delay realization seed"),
     "horizon": Setting(float, _MISSING, _RUNS, "run length (s)"),
@@ -263,8 +270,6 @@ def cmd_bounds(cfg: RunConfig, out_dir: Path | None, want_json: bool) -> int:
     quantities = {k: v for k, v in dataclasses.asdict(table).items() if v is not None}
     scalar_like = table.packet_size_sufficient is not None
     g = cfg.get("g")
-    if g < 0:
-        raise ConfigurationError(f"packet size must be >= 1 bit, or 0 for automatic, got {g}")
     if scalar_like and inp.nu >= 2 and inp.gamma > 0:
         g = g or table.packet_size_sufficient
         if g >= 2:
@@ -446,6 +451,7 @@ def _sweep_csv_rows(cfg: RunConfig) -> tuple[list[str], int]:
     horizon, step = cfg.get("horizon"), cfg.get("step")
     sim._sample_count(horizon, step, plant.n)  # the same in every row: refused before any
     x0, xhat0, refine, nu = cfg.get("x0"), cfg.get("xhat0"), cfg.get("refine"), cfg.get("nu")
+    sim._initial_state(x0, xhat0, bnd._levels(plant.n, trigger.v0_flat()))  # as are these
     failed = 0
     for row, gamma in enumerate(gamma_grid):
         models = _delays(cfg, plant, gamma, row)  # a spec this gamma refuses stops the sweep

@@ -168,6 +168,18 @@ def _sample_count(horizon: float, step: float, n: int) -> int:
     return samples
 
 
+def _initial_state(x0, xhat0, levels: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """x0 and xhat0 as float arrays, one entry per trigger level, each error |x0 - xhat0|
+    checked against its level. No other input enters, so a sweep checks them once."""
+    x0, xhat0 = (np.atleast_1d(np.asarray(a, dtype=float)) for a in (x0, xhat0))
+    if x0.shape != (len(levels),) or xhat0.shape != x0.shape:
+        raise ConfigurationError(f"initial conditions must have shape ({len(levels)},)")
+    z0, v0s = np.abs(x0 - xhat0), np.array(levels)
+    if np.any(z0 > v0s):
+        raise PreconditionError(f"initial errors {z0} must not exceed trigger levels {v0s}")
+    return x0, xhat0
+
+
 class _Engine:
     """Single deterministic run over a Jordan-form plant."""
 
@@ -206,13 +218,7 @@ class _Engine:
         self._enabled = [c for c, m in enumerate(self.delay_models) if m is not None]
         self._muted = [c for c, m in enumerate(self.delay_models) if m is None]
 
-        self.x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-        self.xhat0 = np.atleast_1d(np.asarray(xhat0, dtype=float))
-        if self.x0.shape != (self.n,) or self.xhat0.shape != (self.n,):
-            raise ConfigurationError(f"initial conditions must have shape ({self.n},)")
-        z0, v0s = np.abs(self.x0 - self.xhat0), np.array([co.v0 for co in self.coords])
-        if np.any(z0 > v0s):
-            raise PreconditionError(f"initial errors {z0} must not exceed trigger levels {v0s}")
+        self.x0, self.xhat0 = _initial_state(x0, xhat0, [co.v0 for co in self.coords])
 
         if g is None:
             self.g = tuple(co.g for co in self.coords)
@@ -586,14 +592,6 @@ class _Engine:
         return t_a + hi_s
 
 
-def _delay_list(delay_models, n):
-    if delay_models is None:
-        raise ConfigurationError("a delay model is required")
-    if not isinstance(delay_models, (list, tuple)):
-        return [delay_models] * n
-    return list(delay_models)
-
-
 def run_vector(
     plant: JordanPlant,
     cfg: TriggerConfig,
@@ -615,10 +613,11 @@ def run_vector(
     coordinate's channel entirely.  A single delay model serves every
     coordinate, and a scalar x0/xhat0 is the state of a one-coordinate plant.
     """
-    return _Engine(
-        plant, cfg, _delay_list(delay_models, plant.n), horizon, step,
-        x0, xhat0, refine, g, nu,
-    ).run()
+    if delay_models is None:
+        raise ConfigurationError("a delay model is required")
+    if not isinstance(delay_models, (list, tuple)):
+        delay_models = [delay_models] * plant.n
+    return _Engine(plant, cfg, delay_models, horizon, step, x0, xhat0, refine, g, nu).run()
 
 
 # Not a second entry point: the benchmark tracer (bench/spans.py) patches this

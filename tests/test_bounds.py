@@ -304,6 +304,8 @@ class TestAssumption1Window:
             bnd.assumption1_window(inp, 4)
         with pytest.raises(PreconditionError):
             bnd.assumption1_window(replace(inp, nu=4.0), 1)
+        with pytest.raises(PreconditionError, match="needs a positive delay bound"):
+            bnd.assumption1_window(replace(inp, nu=4.0, gamma=0.0), 4)
 
     def test_lower_bound_gate(self):
         inp = scalar(1.0, 1.0, 0.5, gamma=0.5, b=1.0001, nu=4.0)
@@ -320,31 +322,32 @@ class TestAssumption1Window:
         assert not bnd.assumption1_window(inp, 2).expansion_ok
 
 
-class TestCascadeBound:
+class TestCascadeBound:  # the coupling caps of the chained levels, Coordinate.cap
     def test_first_order_block_has_no_caps(self):
-        cb = bnd.v0_cascade_bound((1.0, 1), v0=(1.0,), rho=(0.5,), sigma=1.0,
-                                  rho0=0.5, gamma=0.1)
-        assert cb.upper == ()
-        assert cb.envelope == (pytest.approx(math.exp(0.2)),)
+        (co,) = bnd.coordinates(scalar(1.0, 1.0, 0.5, gamma=0.1), (1.0,))
+        assert co.cap == math.inf
+        assert co.envelope == pytest.approx(math.exp(0.2))
 
     def test_zero_delay_cap_is_infinite(self):
-        cb = bnd.v0_cascade_bound((1.0, 2), v0=(1.0, 5.0), rho=(0.25, 0.5), sigma=1.0,
-                                  rho0=0.5, gamma=0.0)
-        assert cb.upper == (math.inf,)
+        inp = bnd.BoundInputs(blocks=((1.0, 2),), sigma=1.0, rho0=0.5, gamma=0.0,
+                              rho_ladders=((0.25, 0.5),))
+        assert [co.cap for co in bnd.coordinates(inp, (1.0, 5.0))] == [math.inf, math.inf]
 
     def test_worked_example(self):
-        cb = bnd.v0_cascade_bound((1.0, 2), v0=(1.0, 0.5), rho=(0.25, 0.5), sigma=1.0,
-                                  rho0=0.5, gamma=0.1)
+        inp = bnd.BoundInputs(blocks=((1.0, 2),), sigma=1.0, rho0=0.5, gamma=0.1,
+                              rho_ladders=((0.25, 0.5),))
+        head, chained = bnd.coordinates(inp, (1.0, 0.5))
         E = math.exp(0.2)
         expect = 1.0 * 2.0 * 0.25 / ((0.25 + E) * (E - 1.0))
-        assert cb.upper[0] == pytest.approx(expect, rel=1e-12)
-        assert cb.upper[0] == pytest.approx(1.5348, abs=1e-3)
-        assert cb.envelope == (pytest.approx(0.25 + E), pytest.approx(E))
+        assert head.cap == math.inf
+        assert chained.cap == pytest.approx(expect, rel=1e-12)
+        assert chained.cap == pytest.approx(1.5348, abs=1e-3)
+        assert (head.envelope, chained.envelope) == (pytest.approx(0.25 + E), pytest.approx(E))
 
     def test_saturated_ladder_rejected(self):
-        with pytest.raises(PreconditionError):
-            bnd.v0_cascade_bound((1.0, 2), v0=(1.0, 0.5), rho=(0.5, 0.5), sigma=1.0,
-                                 rho0=0.5, gamma=0.1)
+        # a ladder value at rho0 before the chain end leaves no coupling slack
+        with pytest.raises(ConfigurationError, match="ladder must be strictly increasing"):
+            bnd.contraction_ladders(0.5, [2], ((0.5, 0.5),))
 
 
 class TestCoordinates:
@@ -364,9 +367,14 @@ class TestCoordinates:
             rho = ladder[i]
             assert (co.lam, co.start, co.order, co.index) == (lam, start, p, i)
             assert (co.rho, co.v0) == (rho, v0)
-            caps = bnd.v0_cascade_bound((lam, p), v0=self.LEVELS[start : start + p], rho=ladder,
-                                        sigma=inp.sigma, rho0=inp.rho0, gamma=inp.gamma)
-            assert co.envelope == caps.envelope[i]
+            ls = lam + inp.sigma
+            assert co.envelope == (inp.rho0 - rho) + math.exp(ls * inp.gamma)
+            if i == 0:
+                assert co.cap == math.inf
+            else:  # the slack of the coordinate above absorbs this one's coupling
+                slack, E = inp.rho0 - ladder[i - 1], math.exp(ls * inp.gamma)
+                v_above = self.LEVELS[start + i - 1]
+                assert co.cap == v_above * ls * slack / ((slack + E) * math.expm1(ls * inp.gamma))
             alone = bnd.BoundInputs.scalar(lam, inp.sigma, rho, gamma=inp.gamma, b=inp.b, nu=inp.nu)
             at_rho0 = bnd.analytic_bounds(replace(alone, rho0=inp.rho0))
             assert co.g == bnd.analytic_bounds(alone).packet_size_sufficient

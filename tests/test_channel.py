@@ -63,6 +63,21 @@ class TestDelayModels:
             ReplayDelay(delays=(0.5,), gamma=0.3)
 
 
+class _StrayDelay:
+    """A delay model outside its own bound: -0.25 for packet 0, 0.75 after."""
+
+    gamma = 0.5
+
+    def sample(self, k):
+        return 0.75 if k else -0.25
+
+
+@pytest.mark.parametrize("k, delay", [(0, -0.25), (1, 0.75)])
+def test_sample_delay_refuses_a_delay_outside_the_bound(k, delay):
+    with pytest.raises(ConfigurationError, match=f"delay model produced {delay} outside"):
+        sample_delay(_StrayDelay(), k)
+
+
 def numpy_draw(seed, k, gamma):
     """The definition of a uniform delay: numpy's generator seeded with (*seed, k)."""
     return float(np.random.default_rng((*seed, k)).uniform(0.0, gamma))
@@ -135,6 +150,8 @@ class TestBuildDelay:
             build_delay("adversarial", 1.0)
         with pytest.raises(ConfigurationError):
             build_delay("fraction:1.5", 1.0)
+        with pytest.raises(ConfigurationError, match="seed must be >= 0, got -1"):
+            build_delay("uniform", 1.0, seed=-1)
 
 
 class TestChannelState:

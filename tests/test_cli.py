@@ -59,6 +59,13 @@ class TestConfigParsing:
         with pytest.raises(cli.ConfigurationError, match="sigma"):
             cfg.get("sigma")
 
+    def test_boolean_forms(self, tmp_path):
+        for text, parsed in [("true", True), ("yes", True), ("on", True), ("1", True),
+                             ("false", False), ("no", False), ("off", False), ("0", False),
+                             ("OFF", False)]:
+            cfg = cli.RunConfig.from_file(write_cfg(tmp_path, f"refine = {text}\n"))
+            assert cfg.get("refine") is parsed, text
+
     def test_grid_forms(self):
         assert cli._grid("1:0.5:3") == [1.0, 1.5, 2.0]
         assert cli._grid("0.1, 0.2") == [0.1, 0.2]
@@ -93,12 +100,17 @@ class TestBoundsCommand:
         assert rc == 0
         assert "5.77078" in out
 
-    @pytest.mark.parametrize("text", [
-        "blocks = 1:2\nsigma = 1\nrho0 = 0.5\ngamma = 0.5\nrho_ladder = 0.5\n",
-        "blocks = 1:1\nsigma = 1\nrho0 = 0.5\ngamma = 0.5\nrho_ladder = -0.3\n",
-    ], ids=["short_ladder", "negative_ladder"])
-    def test_bad_ladder_is_clean_error(self, tmp_path, capsys, text):
-        assert_one_line_usage_error(capsys, ["bounds", "--config", str(write_cfg(tmp_path, text))])
+    @pytest.mark.parametrize("text, message", [
+        ("blocks = 1:2\nsigma = 1\nrho0 = 0.5\ngamma = 0.5\nrho_ladder = 0.5\n",
+         "rho_ladders shape must match the plant blocks"),
+        ("blocks = 1:1\nsigma = 1\nrho0 = 0.5\ngamma = 0.5\nrho_ladder = -0.3\n",
+         "ladder values must lie in (0, rho0], got (-0.3,)"),
+        ("blocks = 1:2\nsigma = 1\nrho0 = 0.5\ngamma = 0.5\nrho_ladder = 0.5 0.25\n",
+         "ladder must be strictly increasing, got (0.5, 0.25)"),
+    ], ids=["short_ladder", "negative_ladder", "decreasing_ladder"])
+    def test_bad_ladder_is_clean_error(self, tmp_path, capsys, text, message):
+        argv = ["bounds", "--config", str(write_cfg(tmp_path, text))]
+        assert assert_one_line_usage_error(capsys, argv) == f"error: {message}\n"
 
     @pytest.mark.parametrize("flags, fragment", [
         (["--gamma", "nan"], "gamma must be finite"),
@@ -113,9 +125,13 @@ class TestBoundsCommand:
         ("fig7", []), ("fig3", ["--gamma", "0.05"]),
     ], ids=["window", "no_window"])
     def test_negative_packet_size_is_clean_error(self, capsys, recipe, flags):
-        # a negative g used to drop the design-window rows silently (fig7) or go unread (fig3)
+        # a negative g used to drop the design-window rows silently (fig7) or go unread (fig3);
+        # simulate prints the same line (test_boundary_input_refused_before_running)
         argv = ["bounds", "--config", str(RECIPES / f"{recipe}.cfg"), "--g", "-1"] + flags
-        assert "packet size must be >= 1 bit" in assert_one_line_usage_error(capsys, argv)
+        assert assert_one_line_usage_error(capsys, argv) == (
+            "error: field 'g' (command line): packet size must be >= 1 bit, or 0 for automatic, "
+            "got -1\n"
+        )
 
     def test_infinite_growth_rate_is_clean_error(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "A = inf\nsigma = 1\nrho0 = 0.5\ngamma = 0.5\n")
@@ -313,7 +329,8 @@ class TestSimulateCommand:
         (["--horizon", "1e-300"], "horizon 1e-300 is shorter than one step 0.0002"),
         (["--g", "70"], "packet size g=70 is too fine"),
         (["--horizon", "1", "--g", "2000000"], "packet size g=2000000 is too fine"),
-        (["--g", "-1"], "packet size must be >= 1 bit"),
+        (["--g", "-1"], "field 'g' (command line): packet size must be >= 1 bit, or 0 for "
+                        "automatic, got -1"),
     ], ids=["gamma_nan", "horizon_inf", "step_inf", "nu_inf", "seed_negative", "huge_trace",
             "no_samples", "g_unresolvable", "g_huge", "g_negative"])
     def test_boundary_input_refused_before_running(self, tmp_path, capsys, monkeypatch,
@@ -532,18 +549,26 @@ class TestSweepCommand:
         assert "sweep grid values must be positive, got 0.0" in message
         assert not (tmp_path / "sweep.csv").exists()
 
-    @pytest.mark.parametrize("flag, value, fragment", [
+    @pytest.mark.parametrize("setting, value, fragment", [
         ("--step", "0", "step must be positive and finite, got 0.0"),
         ("--horizon", "inf", "horizon must be positive and finite, got inf"),
         ("--horizon", "1e-5", "horizon 1e-05 is shorter than one step 0.0002"),
-    ], ids=["step", "horizon", "no_samples"])
-    def test_run_wide_input_refused_before_any_row(self, tmp_path, capsys, flag, value,
+        ("x0", "0.1 0.2", "initial conditions must have shape (1,)"),
+        ("x0", "0.9", "initial errors [0.7] must not exceed trigger levels [0.0442]"),
+        ("v0", "0.0442 0.0442", "need one trigger level per coordinate (1), got 2"),
+    ], ids=["step", "horizon", "no_samples", "x0_shape", "x0_above_level", "v0_count"])
+    def test_run_wide_input_refused_before_any_row(self, tmp_path, capsys, setting, value,
                                                    fragment):
         # each of fig8's 11 rows used to fail on it alone: exit 2 and 11 error rows
-        argv = ["sweep", "--config", str(RECIPES / "fig8.cfg"), flag, value,
-                "--out", str(tmp_path)]
+        if setting.startswith("--"):
+            path, extra = RECIPES / "fig8.cfg", [setting, value]
+        else:  # a config key: its line is replaced
+            lines = [line for line in (RECIPES / "fig8.cfg").read_text().splitlines()
+                     if line.partition(" = ")[0] != setting]
+            path, extra = write_cfg(tmp_path, "\n".join(lines + [f"{setting} = {value}"])), []
+        argv = ["sweep", "--config", str(path), *extra, "--out", str(tmp_path / "out")]
         assert fragment in assert_one_line_usage_error(capsys, argv)
-        assert not (tmp_path / "sweep.csv").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_error_cell_with_comma_stays_one_field(self, tmp_path, capsys):
         # the second row's automatic packet size is too fine for its horizon
@@ -829,7 +854,8 @@ def test_tiny_delay_cascade_cap_runs(tmp_path, capsys):
     (["blocks = 1:-1"], "block order must be >= 1, got -1"),
     (["blocks = 1:2", "B_matrix = 1 0; 0"],
      "B rows must have equal lengths, got [[1.0, 0.0], [0.0]]"),
-], ids=["blocks_order_negative", "B_matrix_ragged"])
+    (["blocks = 1:2", "K_matrix = 1 0"], "feedback gain K must have shape (2, 2), got (1, 2)"),
+], ids=["blocks_order_negative", "B_matrix_ragged", "K_matrix_shape"])
 @pytest.mark.parametrize("command, recipe", [("bounds", "fig7"), ("simulate", "fig7"),
                                              ("sweep", "fig3")])
 def test_bad_plant_shape_is_clean_error(tmp_path, capsys, lines, message, command, recipe):
@@ -898,9 +924,14 @@ _FIG8_LINES = len((RECIPES / "fig8.cfg").read_text().splitlines())
      "command line: 'delay' is an empirical-sweep key; mode = analytic does not read it"),
     ("sweep", "fig8", "rho0_list = 0.3, 0.5\nsigma_grid = 0.1, 0.2\n", [],
      f":{_FIG8_LINES + 1}: 'rho0_list' is an analytic-sweep key; mode = empirical"),
-], ids=["bounds_run_flags", "analytic_sweep_run_flags", "empirical_sweep_analytic_keys"])
+    ("sweep", "fig7", "mode = bogus\n", [],
+     "sweep mode must be analytic or empirical, got 'bogus'"),
+    ("simulate", "fig7", "refine = maybe\n", [], "expected a boolean, got 'maybe'"),
+], ids=["bounds_run_flags", "analytic_sweep_run_flags", "empirical_sweep_analytic_keys",
+        "sweep_mode_bogus", "refine_maybe"])
 def test_unread_setting_refused(tmp_path, capsys, command, recipe, lines, flags, fragment):
-    # each of these used to exit 0, ignoring the setting
+    # a setting the command cannot act on exits 1 with one line and writes nothing; the
+    # first three used to exit 0, ignoring the setting
     path = write_cfg(tmp_path, (RECIPES / f"{recipe}.cfg").read_text() + lines)
     out = tmp_path / "out"
     argv = [command, "--config", str(path), "--out", str(out)] + flags

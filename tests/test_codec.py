@@ -51,6 +51,9 @@ class TestEncode:
             encode(0.1, +1, 0, 1.1, 1.0)
         with pytest.raises(PreconditionError):
             encode(0.1, +1, 3, 1.1, 0.0)  # timing bits need a delay bound
+        for bits in ((), (1, 2)):
+            with pytest.raises(PreconditionError, match="bits must be a nonempty 0/1 sequence"):
+                Packet(0, bits, 0.0)
 
     def test_bits_hex_width(self):
         pkt = Packet(0, (1, 0, 1), 0.0)

@@ -214,14 +214,13 @@ class TestEngineAgainstReference:
             assert np.linalg.eigvals(plant.closed_loop_matrix()).real.max() < 0, i
             sigma, rho0 = rng.uniform(0.1, 2.0), rng.uniform(0.2, 0.9)
             gamma, b = rng.uniform(0.01, 0.2), rng.uniform(1.0001, 1.5)
-            ladders = bnd.contraction_ladders(rho0, [p for _, p in blocks], None)
             levels = []
-            for (lam, p), ladder in zip(blocks, ladders):
+            for lam, p in blocks:
                 v = [rng.uniform(0.1, 1.0)]
+                block = bnd.BoundInputs(blocks=((lam, p),), sigma=sigma, rho0=rho0, gamma=gamma)
                 for k in range(1, p):  # the cap on level k follows from level k - 1
-                    caps = bnd.v0_cascade_bound((lam, p), v0=(*v, *[0.0] * (p - k)), rho=ladder,
-                                                sigma=sigma, rho0=rho0, gamma=gamma).upper
-                    v.append(caps[k - 1] * rng.uniform(0.1, 0.9))
+                    cap = bnd.coordinates(block, (*v, *[0.0] * (p - k)))[k].cap
+                    v.append(cap * rng.uniform(0.1, 0.9))
                 levels.append(tuple(v))
             cfg = TriggerConfig(v0=tuple(levels), sigma=sigma, rho0=rho0, gamma=gamma, b=b)
             xhat0 = rng.uniform(-1.0, 1.0, n)

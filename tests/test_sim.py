@@ -79,6 +79,22 @@ class TestRunScalar:
         with pytest.raises(PreconditionError, match="packet size must be >= 1 bit"):
             run_vector(FIG7_PLANT, FIG7_CFG, dm, 1.0, 0.001, x0=0.15, xhat0=0.15, g=g)
 
+    def test_delay_model_count_and_missing_model_refused(self):
+        dm = ConstantDelay(0.1, gamma=1.2)
+        with pytest.raises(ConfigurationError,
+                           match=re.escape("need one delay model per coordinate (1), got 2")):
+            run_vector(FIG7_PLANT, FIG7_CFG, [dm, dm], 1.0, 0.001, x0=0.2, xhat0=0.1)
+        with pytest.raises(ConfigurationError, match="a delay model is required"):
+            run_vector(FIG7_PLANT, FIG7_CFG, None, 1.0, 0.001, x0=0.2, xhat0=0.1)
+
+    def test_delay_above_the_trigger_gamma_refused(self):
+        # the model's own bound admits 0.2, the trigger's gamma = 0.1 does not
+        cfg = replace(FIG7_CFG, gamma=0.1)
+        with pytest.raises(ConfigurationError,
+                           match="delay 0.2 exceeds the configured bound gamma=0.1"):
+            run_vector(FIG7_PLANT, cfg, ConstantDelay(0.2, gamma=0.2), 3.0, 0.001,
+                       x0=0.2, xhat0=0.1)
+
     def test_initial_error_at_trigger_level_runs(self):
         cfg = TriggerConfig(v0=0.25, sigma=0.1, rho0=0.1, gamma=1.2)
         dm = UniformDelay(gamma=1.2, seed=(3, 0))
@@ -175,10 +191,8 @@ class TestStabilization:
             p = int(rng.integers(1, 3))
             v0 = [rng.uniform(0.05, 1.0)]
             if p == 2:  # the chained level under its cascade cap, or the run is refused
-                (ladder,) = bnd.contraction_ladders(rho0, [2], None)
-                (cap,) = bnd.v0_cascade_bound((lam, 2), v0=(v0[0], 0.0), rho=ladder, sigma=sigma,
-                                              rho0=rho0, gamma=gamma).upper
-                v0.append(cap * rng.uniform(0.05, 1.0))
+                block = bnd.BoundInputs(blocks=((lam, 2),), sigma=sigma, rho0=rho0, gamma=gamma)
+                v0.append(bnd.coordinates(block, (v0[0], 0.0))[1].cap * rng.uniform(0.05, 1.0))
             x0 = rng.uniform(-1.0, 1.0, p)
             xhat0 = x0 + np.array(v0) * rng.uniform(-1.0, 1.0, p)
             plant = JordanPlant(blocks=((lam, p),), B=np.eye(p),
@@ -378,12 +392,10 @@ class TestRunVector:
         lam, sigma, gamma, rho0 = 0.8, 1.0, 0.08, 0.6
         ladder = (0.2, 0.4, 0.6)
         v01 = 0.5
-        caps1 = bnd.v0_cascade_bound((lam, 3), v0=(v01, 1.0, 1.0), rho=ladder,
-                                     sigma=sigma, rho0=rho0, gamma=gamma)
-        v02 = 0.9 * caps1.upper[0]
-        caps2 = bnd.v0_cascade_bound((lam, 3), v0=(v01, v02, 1.0), rho=ladder,
-                                     sigma=sigma, rho0=rho0, gamma=gamma)
-        v03 = 0.9 * caps2.upper[1]
+        block = bnd.BoundInputs(blocks=((lam, 3),), sigma=sigma, rho0=rho0, gamma=gamma,
+                                rho_ladders=(ladder,))
+        v02 = 0.9 * bnd.coordinates(block, (v01, 0.0, 0.0))[1].cap
+        v03 = 0.9 * bnd.coordinates(block, (v01, v02, 0.0))[2].cap
         plant = JordanPlant(blocks=((lam, 3),), B=np.eye(3), K=2.5 * np.eye(3))
         cfg = TriggerConfig(v0=((v01, v02, v03),), sigma=sigma, rho0=rho0,
                             gamma=gamma, rho_ladders=(ladder,))
@@ -760,7 +772,56 @@ class TestEnginePaths:
             self._assert_same(trace, traces[0])
 
 
+class TestTriggerGuards:
+    @pytest.mark.parametrize("refine", [False, True], ids=["grid", "refine"])
+    def test_retrigger_at_the_delivery_instant(self, monkeypatch, refine):
+        # a delay above ln2/(lam+sigma) leaves the post-jump error at or above v, so
+        # the delivery re-triggers at its own instant: 6 of the 7 triggers fire there
+        fired_in_receive = []
+        receive = sim._Engine._receive
+
+        def counting(self, *args):
+            before = int(self.trigger_counts.sum())
+            receive(self, *args)
+            fired_in_receive.append(int(self.trigger_counts.sum()) - before)
+
+        monkeypatch.setattr(sim._Engine, "_receive", counting)
+        trace = run_vector(FIG7_PLANT, FIG7_CFG, ConstantDelay(1.0, gamma=1.2), 7.0, 0.0002,
+                           x0=0.2, xhat0=0.1, refine=refine, g=1)
+        delivered = {e.t for e in trace.receptions()}
+        assert len(trace.triggers()) == 7
+        assert sum(e.t_s in delivered for e in trace.triggers()) == 6
+        assert sum(fired_in_receive) == 6
+
+    def test_one_trigger_per_coordinate_and_instant(self, monkeypatch):
+        # zero delays deliver at the trigger instant, and the re-evaluation there finds
+        # the error still above v: the coordinate has fired at that instant already
+        repeats = []
+        fire = sim._Engine._fire
+
+        def counting(self, c, t_s, z):
+            repeats.append(self._fired_at[c] == t_s)
+            fire(self, c, t_s, z)
+
+        monkeypatch.setattr(sim._Engine, "_fire", counting)
+        cfg = TriggerConfig(v0=0.5, sigma=0.1, rho0=0.5, gamma=0.1)
+        with pytest.warns(UserWarning, match="grid step h=1 exceeds"):
+            trace = run_vector(JordanPlant.scalar(2.0, 1.0, 5.0), cfg, ConstantDelay(0.0, 0.1),
+                               10.0, 1.0, x0=0.3, xhat0=0.0, g=1)
+        instants = [(e.coord, e.t_s) for e in trace.triggers()]
+        assert len(instants) == len(set(instants)) == 10
+        assert sum(repeats) == 10
+
+
 class TestValidateTrace:
+    def test_reception_delay_outside_bound_reported(self):
+        trace = fig7_run(horizon=2.0)
+        late = next(e for e in trace.events if e.kind == "reception")
+        events = [replace(e, delta=1.5) if e is late else e for e in trace.events]
+        val = validate_trace(replace(trace, events=events))
+        assert val.checks["delays_in_bound"] is False
+        assert f"delay 1.5 outside [0, 1.2] at t={late.t}" in val.violations
+
     def test_violation_text(self):
         # coords 0 and 2 leave their envelopes, coords 0 and 1 fire twice at one instant
         models = [UniformDelay(gamma=0.05, seed=(5, c)) for c in range(3)]

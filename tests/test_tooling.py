@@ -14,13 +14,14 @@ import etcsim
 from etcsim import channel, cli, model, sim
 
 ROOT = Path(__file__).resolve().parents[1]
-# the 31 names `etcsim` exported when it imported every submodule eagerly, less every
+# the 29 names `etcsim` exported when it imported every submodule eagerly, less every
 # point bound (rates, packet sizes, delays) and bits_lower_bound, plus the one bound
-# table that holds them (analytic_bounds, AnalyticBounds), and less the sweep wrapper
-# (sweep_gamma, SweepRow): a delay sweep is a loop over run_vector
+# table that holds them (analytic_bounds, AnalyticBounds), less the sweep wrapper
+# (sweep_gamma, SweepRow): a delay sweep is a loop over run_vector, and less the
+# per-block cap helper (v0_cascade_bound, CascadeBounds): the caps are Coordinate.cap
 EXPORTS = [
-    "AnalyticBounds", "Assumption1Window", "BoundInputs", "CascadeBounds", "analytic_bounds",
-    "assumption1_window", "v0_cascade_bound",
+    "AnalyticBounds", "Assumption1Window", "BoundInputs", "analytic_bounds",
+    "assumption1_window",
     "AdversarialDelay", "ChannelState", "ConstantDelay", "ReplayDelay", "UniformDelay",
     "build_delay", "sample_delay", "Packet", "decode", "encode", "reconstruct_error",
     "ConfigurationError", "DecodeError", "DivergenceError", "PreconditionError",
