@@ -18,10 +18,7 @@ _EXPORTS = {  # submodule: the public names it defines, each imported on first u
         "AnalyticBounds", "Assumption1Window", "BoundInputs", "PhaseCurve", "analytic_bounds",
         "assumption1_window", "phase_curves",
     ),
-    "channel": (
-        "AdversarialDelay", "ChannelState", "ConstantDelay", "ReplayDelay", "UniformDelay",
-        "build_delay", "sample_delay",
-    ),
+    "channel": ("AdversarialDelay", "ConstantDelay", "ReplayDelay", "UniformDelay"),
     "codec": ("Packet", "decode", "encode", "reconstruct_error"),
     "errors": ("ConfigurationError", "DecodeError", "DivergenceError", "PreconditionError"),
     "model": ("JordanPlant", "TriggerConfig"),

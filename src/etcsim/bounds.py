@@ -255,16 +255,11 @@ def _log2_packet_term(lam: float, rho: float, sigma: float, gamma: float, b: flo
 
 def _packet_size(lam: float, rho: float, sigma: float, gamma: float, b: float) -> int:
     """Integer packet size meeting the sufficient-rate bound at eigenvalue lam
-    and contraction rho; 1 at gamma = 0."""
+    and contraction rho; 1 at gamma = 0.  The rate kernel and coordinates refuse
+    a b*(lam+sigma)*gamma that overflows before it reaches here."""
     if gamma == 0:
         return 1
-    term = _log2_packet_term(lam, rho, sigma, gamma, b)
-    if not term < math.inf:
-        raise ConfigurationError(
-            f"the sufficient packet size is infinite: b*(lam+sigma)*gamma overflows at "
-            f"lam={lam}, sigma={sigma}, gamma={gamma}, b={b}"
-        )
-    return max(1, math.ceil(1.0 + term))
+    return max(1, math.ceil(1.0 + _log2_packet_term(lam, rho, sigma, gamma, b)))
 
 
 def _rate_curves(
@@ -282,11 +277,18 @@ def _rate_curves(
     same order, so every value matches those factors bit for bit; a block
     whose packet bits clamp to 0 adds exactly 0.0 and is skipped.  The
     sufficient rate adds one term per coordinate, with its ladder contraction
-    in place of rho0.  Every rate is 0 at gamma = 0.
+    in place of rho0.  Every rate is 0 at gamma = 0.  A grid on which
+    b*(lam+sigma)*gamma/ln2 overflows at any of its sigmas is refused.
     """
     sigma, rho0, b, blocks = inp.sigma, inp.rho0, inp.b, inp.blocks
     ln_nu, ln_rho0, inv_rho0 = math.log(inp.nu), math.log(rho0), 1.0 / rho0
     at_sigmas = (sigma, *(sigmas or ()))  # the curve's own sigma, then the supremum's
+    growth = max(lam for lam, _ in blocks) + max(at_sigmas)
+    if gammas and not max(gammas) * b * growth / LN2 < math.inf:
+        raise ConfigurationError(
+            f"the rate bounds and the sufficient packet size leave float range: "
+            f"b*(lam+sigma)*gamma/ln2 overflows at lam+sigma={growth}, gamma={max(gammas)}, b={b}"
+        )
     weights = [p * (lam + sigma) / LN2 for lam, p in blocks]  # approximate rate per unit term
     ladders = contraction_ladders(rho0, [p for _, p in blocks], inp.rho_ladders)
     coords = [(lam, lam + sigma, ladder) for (lam, _), ladder in zip(blocks, ladders)]
@@ -382,30 +384,22 @@ class AnalyticBounds:
     time_quantization_tolerance: float | None = None
 
 
-def _delay_free(inp: BoundInputs) -> tuple[float, float, float | None, float | None, float | None]:
-    """The bounds that do not depend on the delay: the access rate
-    (Tr(A) + n*sigma)/ln 2 and the large-delay asymptote
-    sum p*(lam+sigma)/ln2*(1+lam/sigma), then the growth rate A, gamma_c and
-    the equilibrium delay ln2/A, the last three None for mixed eigenvalues."""
-    access = (inp.trace + inp.n * inp.sigma) / LN2
-    asymptote = sum(
-        p * (lam + inp.sigma) / LN2 * (1.0 + lam / inp.sigma) for lam, p in inp.blocks
-    )
-    try:
-        A = inp.A
-    except PreconditionError:
-        return access, asymptote, None, None, None
-    return access, asymptote, A, _critical_delay(A, inp.sigma, inp.rho0), LN2 / A
+def _access_rate(inp: BoundInputs) -> float:
+    """(Tr(A) + n*sigma)/ln 2, the rate of the access bound at any delay."""
+    return (inp.trace + inp.n * inp.sigma) / LN2
 
 
 def analytic_bounds(inp: BoundInputs) -> AnalyticBounds:
     """Evaluate every bound; single-eigenvalue quantities where defined."""
     (nec,), (app,), (suf,), _ = _rate_curves(inp, (inp.gamma,))
-    access, asymptote, A, gamma_c, gamma_eq = _delay_free(inp)
-    out = AnalyticBounds(access, nec, app, suf, asymptote, gamma_c=gamma_c, gamma_eq=gamma_eq)
-    if A is None:
-        return out
     sigma, rho0, gamma = inp.sigma, inp.rho0, inp.gamma
+    asymptote = sum(p * (lam + sigma) / LN2 * (1.0 + lam / sigma) for lam, p in inp.blocks)
+    out = AnalyticBounds(_access_rate(inp), nec, app, suf, asymptote)
+    try:
+        A = inp.A
+    except PreconditionError:
+        return out
+    out.gamma_c, out.gamma_eq = _critical_delay(A, sigma, rho0), LN2 / A
     # max{0, log2((e^{A*gamma} - 1)/(rho0 e^{-sigma*gamma}))}, 0 at gamma = 0
     out.packet_bits_necessary = 0.0 if gamma == 0 else max(
         0.0, (_ln_em1(A, gamma) + _ln_contraction(sigma, rho0, gamma)) / LN2
@@ -423,15 +417,12 @@ def analytic_bounds(inp: BoundInputs) -> AnalyticBounds:
 
 @dataclass
 class PhaseCurve:
-    """Analytic rate curves over a delay grid, with the transition markers."""
+    """Analytic rate curves over a delay grid, and the plant's access rate."""
 
     gammas: tuple[float, ...]
     necessary: tuple[float, ...]
     necessary_approx: tuple[float, ...]
     sufficient: tuple[float, ...]
-    gamma_c: float | None
-    gamma_eq: float | None
-    asymptote: float
     access_rate: float
     necessary_sup_sigma: tuple[float, ...] | None = None
 
@@ -448,24 +439,18 @@ def phase_curves(
     inp was checked when it was built; each grid value is checked once, as
     BoundInputs checks gamma and sigma, and the rates come from one walk of
     the grid by the rate kernel.
-    The delay markers gamma_c and gamma_eq need a single eigenvalue; they are
-    None for mixed ones, as in analytic_bounds.
     """
     gammas = tuple(_check_input("gamma", float(g)) for g in gamma_grid)
     sigmas = None if sigma_grid is None else [_check_input("sigma", float(s)) for s in sigma_grid]
     if sigmas == []:
         raise ConfigurationError("sigma_grid must hold at least one decay rate, got none")
     nec, app, suf, sup = _rate_curves(inp, gammas, sigmas)
-    access, asymptote, _, gamma_c, gamma_eq = _delay_free(inp)
     return PhaseCurve(
         gammas=gammas,
         necessary=tuple(nec),
         necessary_approx=tuple(app),
         sufficient=tuple(suf),
-        gamma_c=gamma_c,
-        gamma_eq=gamma_eq,
-        asymptote=asymptote,
-        access_rate=access,
+        access_rate=_access_rate(inp),
         necessary_sup_sigma=None if sigmas is None else tuple(sup),
     )
 

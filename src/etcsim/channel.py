@@ -165,7 +165,6 @@ class AdversarialDelay:
 
     beta: float
     gamma: float
-    clamped: bool = False
 
     @classmethod
     def from_params(
@@ -173,13 +172,12 @@ class AdversarialDelay:
     ) -> "AdversarialDelay":
         inp = bounds.BoundInputs.scalar(growth, sigma, rho0, gamma)  # checks each parameter
         beta = bounds._beta(inp.A, inp.sigma, inp.rho0, inp.gamma)
-        clamped = beta > gamma
-        if clamped:
+        if beta > gamma:
             warnings.warn(
                 f"adversarial delay beta={beta:.6g} exceeds gamma={gamma:.6g}; clamping",
                 stacklevel=2,
             )
-        return cls(beta=beta, gamma=gamma, clamped=clamped)
+        return cls(beta=beta, gamma=gamma)
 
     def sample(self, k: int) -> float:
         return min(self.beta, self.gamma)

@@ -451,7 +451,7 @@ def _sweep_csv_rows(cfg: RunConfig) -> tuple[list[str], int]:
     horizon, step = cfg.get("horizon"), cfg.get("step")
     sim._sample_count(horizon, step, plant.n)  # the same in every row: refused before any
     x0, xhat0, refine, nu = cfg.get("x0"), cfg.get("xhat0"), cfg.get("refine"), cfg.get("nu")
-    sim._initial_state(x0, xhat0, bnd._levels(plant.n, trigger.v0_flat()))  # as are these
+    sim._initial_state(x0, xhat0, bnd._levels(plant.n, trigger.v0))  # as are these
     failed = 0
     for row, gamma in enumerate(gamma_grid):
         models = _delays(cfg, plant, gamma, row)  # a spec this gamma refuses stops the sweep

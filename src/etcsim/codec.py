@@ -25,7 +25,6 @@ class Packet:
     when present, bits[2:] the sub-cell index.
     """
 
-    coord: int
     bits: tuple[int, ...]
     t_s: float
 
@@ -68,7 +67,7 @@ def check_resolvable(g: int, b: float, gamma: float, t_end: float) -> None:
         )
 
 
-def encode(t_s: float, sign: int, g: int, b: float, gamma: float, coord: int = 0) -> Packet:
+def encode(t_s: float, sign: int, g: int, b: float, gamma: float) -> Packet:
     """Quantize a send time into a g-bit packet.
 
     Cells are left-closed: a time exactly on an edge belongs to the cell it
@@ -83,7 +82,7 @@ def encode(t_s: float, sign: int, g: int, b: float, gamma: float, coord: int = 0
         raise PreconditionError(f"packet size must be >= 1 bit, got {g}")
     sign_bit = 0 if sign > 0 else 1
     if g == 1:
-        return Packet(coord, (sign_bit,), t_s)
+        return Packet((sign_bit,), t_s)
     if gamma <= 0:
         raise PreconditionError("packets with timing bits need a positive delay bound")
     delta = cell_width(g, b, gamma)
@@ -91,7 +90,7 @@ def encode(t_s: float, sign: int, g: int, b: float, gamma: float, coord: int = 0
     window, idx = m >> (g - 2), m & (2 ** (g - 2) - 1)
     parity = window & 1
     idx_bits = tuple((idx >> (g - 3 - j)) & 1 for j in range(g - 2))
-    return Packet(coord, (sign_bit, parity, *idx_bits), t_s)
+    return Packet((sign_bit, parity, *idx_bits), t_s)
 
 
 def decode(packet: Packet, t_c: float, b: float, gamma: float) -> tuple[int, float]:

@@ -50,10 +50,6 @@ class JordanPlant:
     def n(self) -> int:
         return sum(p for _, p in self.blocks)
 
-    @property
-    def trace(self) -> float:
-        return sum(lam * p for lam, p in self.blocks)
-
     def a_matrix(self) -> np.ndarray:
         n = self.n
         A = np.zeros((n, n))
@@ -77,18 +73,26 @@ class JordanPlant:
         return out
 
 
+def _flat(v) -> tuple[float, ...]:
+    """The numbers of a number or a sequence, nested to any depth, in order."""
+    if isinstance(v, (list, tuple, np.ndarray)):
+        return tuple(x for item in v for x in _flat(item))
+    return (float(v),)
+
+
 @dataclass(frozen=True)
 class TriggerConfig:
     """Exponential trigger threshold v0*exp(-sigma*t) and the jump design knobs.
 
-    v0 is a scalar for single-coordinate runs or a tuple of per-block tuples
-    for vector runs.  rho0 sets the post-jump contraction, gamma the known
-    worst-case channel delay, and b > 1 the width factor of the time
-    quantization windows.  rho_ladders, when given, lists per block the
-    strictly increasing per-coordinate contraction values ending at rho0.
+    v0, a number (one level for every coordinate) or a sequence nested to any
+    depth, is stored as the flat tuple of its levels in coordinate order.  rho0
+    sets the post-jump contraction, gamma the known worst-case channel delay,
+    and b > 1 the width factor of the time quantization windows.  rho_ladders,
+    when given, lists per block the strictly increasing per-coordinate
+    contraction values ending at rho0.
     """
 
-    v0: float | tuple[tuple[float, ...], ...]
+    v0: tuple[float, ...]
     sigma: float
     rho0: float
     gamma: float
@@ -98,17 +102,13 @@ class TriggerConfig:
     def __post_init__(self):
         for name in ("sigma", "rho0", "gamma", "b"):
             _check_input(name, getattr(self, name))
-        for v in self.v0_flat():
+        object.__setattr__(self, "v0", _flat(self.v0))
+        for v in self.v0:
             if not 0 < v < math.inf:
                 raise ConfigurationError(f"trigger levels v0 must be positive and finite, got {v}")
         if self.rho_ladders is not None:
             # values only: the shape is checked against the plant in bound_inputs
             contraction_ladders(self.rho0, [len(lad) for lad in self.rho_ladders], self.rho_ladders)
-
-    def v0_flat(self) -> tuple[float, ...]:
-        if isinstance(self.v0, (int, float)):
-            return (float(self.v0),)
-        return tuple(float(v) for block in self.v0 for v in block)
 
     def bound_inputs(self, blocks: tuple[tuple[float, int], ...], nu: float) -> BoundInputs:
         """The analytic-bound parameters of a run of this trigger on the given blocks."""

@@ -9,7 +9,8 @@ triggers on the sample grid: a coordinate fires at the first grid instant
 where its error magnitude meets the threshold and its channel is idle,
 replicating a discretized run.  With refine=True the crossing instant is
 additionally resolved inside the bracketing step (closed form for chain-end
-coordinates, bisection for coupled ones) and events occur off-grid.
+coordinates, bisection for coupled ones) and events occur off-grid.  A
+coordinate fires at most once per instant (a repeat waits for the next sample).
 
 Recorded samples are left limits: a sample coinciding exactly with a
 delivery shows the pre-jump state, while the event log carries post-jump
@@ -211,7 +212,7 @@ class _Engine:
 
         self.inputs = cfg.bound_inputs(plant.blocks, nu)
         self.bounds = bnd.analytic_bounds(self.inputs)  # a bound that fails stops the run here
-        self.coords = bnd.coordinates(self.inputs, cfg.v0_flat())
+        self.coords = bnd.coordinates(self.inputs, cfg.v0)
         self.block_slices = plant.block_slices()
         self._block_lams = np.array([lam for lam, _, _ in self.block_slices])
         # coordinates with a channel, and those without, which never fire
@@ -240,7 +241,6 @@ class _Engine:
         self.bits_sent = np.zeros(self.n, dtype=np.int64)
         self.trigger_counts = np.zeros(self.n, dtype=np.int64)
         self.channel = ChannelState()
-        self._k = [0] * self.n
         self._fired_at = [-math.inf] * self.n
 
     def _check_step(self) -> None:
@@ -354,6 +354,8 @@ class _Engine:
         admit = self.channel.admit
         busy = self._muted + [c for c in self._enabled if not admit(c)]
         times, Z, V = self._times, self._Z, self._V
+        # once per instant: a coordinate that fired at t skips sample i0 if it lies at t
+        again = [c for c in self._enabled if self._fired_at[c] == t] if times[i0] == t else []
         lo, width = i0, _DETECT_WINDOW
         while lo <= i1:
             hi = min(lo + width, i1 + 1)
@@ -361,6 +363,8 @@ class _Engine:
             ew = np.abs(zw) >= V[:, lo:hi]
             if busy:
                 ew[busy] = False
+            if again and lo == i0:
+                ew[again, 0] = False
             if np.count_nonzero(ew):
                 j = int(ew.any(axis=0).argmax())
                 return lo + j, ew[:, j]
@@ -473,13 +477,12 @@ class _Engine:
         self._fired_at[c] = t_s
         sign = 1 if z[c] > 0 else -1
         g = self.g[c]
-        packet = encode(t_s, sign, g, self.cfg.b, self.cfg.gamma, coord=c)
-        delta = sample_delay(self.delay_models[c], self._k[c])
+        packet = encode(t_s, sign, g, self.cfg.b, self.cfg.gamma)
+        delta = sample_delay(self.delay_models[c], int(self.trigger_counts[c]))
         if delta > self.cfg.gamma + 1e-12:
             raise ConfigurationError(
                 f"delay {delta} exceeds the configured bound gamma={self.cfg.gamma}"
             )
-        self._k[c] += 1
         t_c = t_s + delta
         self.channel.send(c, packet, t_c)
         self.bits_sent[c] += g
@@ -536,9 +539,10 @@ class _Engine:
         """Fire the earliest exact crossing of the coordinates flagged in fire,
         inside the step from the state (t_a, z_a, xhat) to the hit sample gi;
         returns the state (t, z, xhat) at the crossing.  next_idx is the first
-        sample not yet committed."""
+        sample not yet committed.  A crossing at its coordinate's last firing moves to gi."""
         hi = self._times[gi] - t_a
         crossings = {int(c): self._crossing(int(c), t_a, z_a, hi) for c in np.flatnonzero(fire)}
+        crossings = {c: t_a + hi if s == self._fired_at[c] else s for c, s in crossings.items()}
         t_star = min(crossings.values())
         z_new, xhat_new = self._advance(z_a, xhat, t_star - t_a)
         for c, s in crossings.items():
@@ -722,8 +726,8 @@ def validate_trace(trace: SimTrace) -> Validation:
     for e in trace.triggers():
         sent[e.coord].append(e.t_s)
     for c, (co, ts) in enumerate(zip(coords, sent)):
-        for a, b_ in zip(ts, ts[1:]):
-            if b_ - a < co.spacing - 2.0 * h - 1e-12:
+        for a, b_ in zip(ts, ts[1:]):  # two triggers at one instant fail at any step
+            if b_ - a <= 0.0 or b_ - a < co.spacing - 2.0 * h - 1e-12:
                 ok = False
                 violations.append(
                     f"inter-event time {b_ - a:.6g} below {co.spacing:.6g} - 2h on coord {c}"

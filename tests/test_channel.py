@@ -46,12 +46,12 @@ class TestDelayModels:
         expect = math.log1p(0.2 * math.exp(-0.12))
         assert m.sample(0) == pytest.approx(expect, rel=1e-12)
         assert m.sample(5) == m.sample(0)
-        assert not m.clamped
+        assert m.beta <= m.gamma
 
     def test_adversarial_clamps_with_warning(self):
         with pytest.warns(UserWarning, match="clamping"):
             m = AdversarialDelay.from_params(1.0, 1.0, 0.9, 0.1)
-        assert m.clamped
+        assert m.beta > m.gamma
         assert m.sample(0) == pytest.approx(0.1)
 
     def test_replay(self):
@@ -158,7 +158,7 @@ class TestChannelState:
     def test_single_in_flight_discipline(self):
         ch = ChannelState()
         assert ch.admit(0) and ch.admit(1)
-        pkt = encode(0.5, +1, 3, 1.1, 1.0, coord=0)
+        pkt = encode(0.5, +1, 3, 1.1, 1.0)
         ch.send(0, pkt, 1.0)
         assert not ch.admit(0)
         assert ch.admit(1)
@@ -170,8 +170,8 @@ class TestChannelState:
 
     def test_next_delivery_ordering(self):
         ch = ChannelState()
-        ch.send(1, encode(0.0, +1, 1, 1.1, 0.0, coord=1), 2.0)
-        ch.send(0, encode(0.0, +1, 1, 1.1, 0.0, coord=0), 1.0)
+        ch.send(1, encode(0.0, +1, 1, 1.1, 0.0), 2.0)
+        ch.send(0, encode(0.0, +1, 1, 1.1, 0.0), 1.0)
         t_c, coord, _ = ch.next_delivery()
         assert (t_c, coord) == (1.0, 0)
         ch.deliver(0)
@@ -179,6 +179,6 @@ class TestChannelState:
 
     def test_tie_broken_by_coordinate(self):
         ch = ChannelState()
-        ch.send(2, encode(0.0, +1, 1, 1.1, 0.0, coord=2), 1.0)
-        ch.send(1, encode(0.0, +1, 1, 1.1, 0.0, coord=1), 1.0)
+        ch.send(2, encode(0.0, +1, 1, 1.1, 0.0), 1.0)
+        ch.send(1, encode(0.0, +1, 1, 1.1, 0.0), 1.0)
         assert ch.next_delivery()[1] == 1

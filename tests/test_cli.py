@@ -839,6 +839,44 @@ def test_underflowing_delay_width_is_clean_error(tmp_path, capsys, no_run, flags
     assert not (tmp_path / "out").exists()
 
 
+_TWO_EIGENVALUES = "blocks = 1:1, 2:1\nsigma = 3\nrho0 = 0.7\nnu = 2\n"
+
+
+@pytest.mark.parametrize("command, text, flags", [
+    ("bounds", _TWO_EIGENVALUES, ["--gamma", "1e308"]),
+    ("bounds", _TWO_EIGENVALUES, ["--gamma", "3e307"]),
+    ("sweep", (RECIPES / "fig3.cfg").read_text() + "gamma_grid = 0.5, 1e308\n", []),
+], ids=["bounds_nan", "bounds_inf", "sweep_nan"])
+def test_rate_overflow_is_clean_error(tmp_path, capsys, command, text, flags):
+    # b*(lam+sigma)*gamma/ln2 overflows: the rates used to print and write as nan or inf
+    path = write_cfg(tmp_path, text.replace("gamma_grid = 0.002:0.002:200\n", ""))
+    argv = [command, "--config", str(path), *flags, "--out", str(tmp_path / "out")]
+    message = assert_one_line_usage_error(capsys, argv)
+    assert "the rate bounds and the sufficient packet size leave float range" in message
+    assert "b*(lam+sigma)*gamma/ln2 overflows at lam+sigma=" in message
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flags", [[], ["--refine"]], ids=["grid", "refine"])
+def test_zero_delay_retriggers_end_in_violations(tmp_path, capsys, monkeypatch, flags):
+    # a 1.2 s delay, then zero ones: refine mode used to re-scan the re-trigger instant forever
+    calls = []
+    refine_fire = sim._Engine._refine_fire
+
+    def bounded(self, *args):
+        calls.append(None)
+        if len(calls) > 10_000:
+            raise AssertionError("refine mode keeps re-scanning one instant")
+        return refine_fire(self, *args)
+
+    monkeypatch.setattr(sim._Engine, "_refine_fire", bounded)
+    delay = "replay:1.2," + ",".join(["0"] * 50)
+    rc = cli.main(["simulate", "--config", str(RECIPES / "fig7.cfg"), *flags, "--g", "1",
+                   "--delay", delay, "--out", str(tmp_path)])
+    assert rc == cli.EXIT_INVARIANT
+    assert "invariants: VIOLATED" in capsys.readouterr().out
+
+
 def test_tiny_delay_cascade_cap_runs(tmp_path, capsys):
     # e^{(lam+sigma)*gamma} rounds to 1 at gamma = 1e-17: the chained level's cap takes
     # E - 1 from expm1 and no longer divides by zero

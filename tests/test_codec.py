@@ -53,12 +53,12 @@ class TestEncode:
             encode(0.1, +1, 3, 1.1, 0.0)  # timing bits need a delay bound
         for bits in ((), (1, 2)):
             with pytest.raises(PreconditionError, match="bits must be a nonempty 0/1 sequence"):
-                Packet(0, bits, 0.0)
+                Packet(bits, 0.0)
 
     def test_bits_hex_width(self):
-        pkt = Packet(0, (1, 0, 1), 0.0)
+        pkt = Packet((1, 0, 1), 0.0)
         assert pkt.bits_hex() == "5"
-        pkt = Packet(0, (1, 0, 1, 0, 1), 0.0)
+        pkt = Packet((1, 0, 1, 0, 1), 0.0)
         assert pkt.bits_hex() == "15"
 
 
@@ -97,7 +97,7 @@ class TestDecode:
         # flipped parity bit cannot match either and must be rejected
         b, gamma = 1.5, 1.0
         pkt = encode(2.0, +1, 4, b, gamma)
-        bad = Packet(pkt.coord, (pkt.bits[0], 1 - pkt.bits[1], *pkt.bits[2:]), pkt.t_s)
+        bad = Packet((pkt.bits[0], 1 - pkt.bits[1], *pkt.bits[2:]), pkt.t_s)
         with pytest.raises(DecodeError):
             decode(bad, 2.9, b, gamma)
 
@@ -106,7 +106,7 @@ class TestDecode:
         # window and yields q < 0, which the caller flags rather than clamps
         b, gamma = 1.5, 1.0
         pkt = encode(0.2, +1, 4, b, gamma)
-        bad = Packet(pkt.coord, (pkt.bits[0], 1 - pkt.bits[1], *pkt.bits[2:]), pkt.t_s)
+        bad = Packet((pkt.bits[0], 1 - pkt.bits[1], *pkt.bits[2:]), pkt.t_s)
         _, q = decode(bad, 0.25, b, gamma)
         assert q < 0.0
 

@@ -46,7 +46,7 @@ class TestPlants:
     def test_jordan_dimensions(self):
         plant = JordanPlant(blocks=((1.0, 2), (2.0, 1)), B=np.eye(3), K=np.zeros((3, 3)))
         assert plant.n == 3
-        assert plant.trace == pytest.approx(1.0 * 2 + 2.0)
+        assert np.trace(plant.a_matrix()) == pytest.approx(1.0 * 2 + 2.0)
         A = plant.a_matrix()
         assert A[0, 1] == 1.0 and A[1, 2] == 0.0 and A[2, 2] == 2.0
 
@@ -55,6 +55,8 @@ class TestPlants:
             JordanPlant(blocks=((1.0, 2),), B=np.eye(3), K=np.zeros((3, 3)))
         with pytest.raises(ConfigurationError):
             JordanPlant(blocks=((-1.0, 1),), B=np.eye(1), K=np.eye(1))
+        with pytest.raises(ConfigurationError, match="at least one Jordan block is required"):
+            JordanPlant(blocks=(), B=np.eye(1), K=np.eye(1))
 
     @pytest.mark.parametrize("order", [1.7, 2.9, math.nan, math.inf])
     def test_non_integral_block_order_refused(self, order):
@@ -101,9 +103,19 @@ class TestPlants:
         plant = JordanPlant.scalar(A=2.4, B=1.0, K=8.0)
         assert plant.blocks == ((2.4, 1),)
         assert plant.closed_loop_matrix()[0, 0] == pytest.approx(2.4 - 8.0)
+        flat = JordanPlant(blocks=((2.4, 1),), B=[1.0], K=(8.0,))  # a flat sequence is one row
+        assert flat.B.tolist() == plant.B.tolist() and flat.K.tolist() == plant.K.tolist()
 
 
 class TestTriggerConfig:
+    @pytest.mark.parametrize("v0", [(0.5, 0.6, 0.5), ((0.5, 0.6), (0.5,)), [[0.5], [0.6, 0.5]],
+                                    np.array([0.5, 0.6, 0.5])],
+                             ids=["flat", "per_block", "nested_lists", "array"])
+    def test_levels_stored_flat_in_coordinate_order(self, v0):
+        cfg = TriggerConfig(v0=v0, sigma=2.0, rho0=0.5, gamma=0.05)
+        assert cfg.v0 == (0.5, 0.6, 0.5) and all(type(v) is float for v in cfg.v0)
+        assert TriggerConfig(v0=0.5, sigma=2.0, rho0=0.5, gamma=0.05).v0 == (0.5,)
+
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             TriggerConfig(v0=1.0, sigma=0.0, rho0=0.5, gamma=0.1)
@@ -127,12 +139,12 @@ class TestTriggerConfig:
                           rho_ladders=((0.2, 0.4),))
         cfg = TriggerConfig(v0=((1.0, 1.0),), sigma=1.0, rho0=0.5, gamma=0.1,
                             rho_ladders=((0.25, 0.5),))
-        table = bounds.coordinates(cfg.bound_inputs(((1.0, 2),), 2.0), cfg.v0_flat())
+        table = bounds.coordinates(cfg.bound_inputs(((1.0, 2),), 2.0), cfg.v0)
         assert tuple(co.rho for co in table) == (0.25, 0.5)
 
     def test_default_ladder(self):
         cfg = TriggerConfig(v0=((1.0, 1.0, 1.0),), sigma=1.0, rho0=0.6, gamma=0.1)
-        table = bounds.coordinates(cfg.bound_inputs(((1.0, 3),), 2.0), cfg.v0_flat())
+        table = bounds.coordinates(cfg.bound_inputs(((1.0, 3),), 2.0), cfg.v0)
         assert tuple(co.rho for co in table) == (pytest.approx(0.2), pytest.approx(0.4), 0.6)
 
 

@@ -68,7 +68,7 @@ def reference_run(plant, cfg, delay_models, horizon, step, x0, xhat0):
     n = plant.n
     S = int(round(horizon / step))
     times = np.arange(S + 1) * step
-    v0s = np.asarray(cfg.v0_flat(), dtype=float)
+    v0s = np.asarray(cfg.v0, dtype=float)
     if v0s.size == 1:
         v0s = np.full(n, v0s[0])
     ladders = bnd.contraction_ladders(cfg.rho0, [p for _, p in plant.blocks], cfg.rho_ladders)
@@ -116,7 +116,7 @@ def reference_run(plant, cfg, delay_models, horizon, step, x0, xhat0):
             if abs(state.z[c]) >= v_at(c, t):
                 fired_at[c] = t
                 sign = 1 if state.z[c] > 0 else -1
-                packet = encode(t, sign, gs[c], cfg.b, cfg.gamma, coord=c)
+                packet = encode(t, sign, gs[c], cfg.b, cfg.gamma)
                 t_c = t + sample_delay(delay_models[c], k[c])
                 k[c] += 1
                 in_flight[c] = (packet, t_c)

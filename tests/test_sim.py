@@ -2,7 +2,7 @@ import math
 import re
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -101,6 +101,9 @@ class TestRunScalar:
         a = run_vector(FIG7_PLANT, cfg, dm, 1.0, 0.001, x0=0.25, xhat0=0.0)
         b = run_vector(FIG7_PLANT, cfg, [dm], 1.0, 0.001, x0=[0.25], xhat0=[0.0])
         assert a.triggers() and a.events == b.events
+        assert a.triggers()[0].t_s == 0.001  # grid mode detects from the first sample on
+        c = run_vector(FIG7_PLANT, cfg, dm, 1.0, 0.001, x0=0.25, xhat0=0.0, refine=True)
+        assert c.triggers()[0].t_s == 0.0  # refine mode fires at the crossing itself
 
     def test_zero_delay_sign_bit_exactness(self):
         cfg = TriggerConfig(v0=0.2671, sigma=0.1, rho0=0.1, gamma=0.0)
@@ -279,6 +282,8 @@ class TestMeasureRates:
         rep = measure_rates(trace)
         assert rep.rate_empirical == 0.0
         assert rep.trigger_rate_empirical == 0.0
+        with pytest.raises(PreconditionError, match="rate measurement needs a positive horizon"):
+            measure_rates(replace(trace, horizon=0.0))
 
     def test_exact_arithmetic(self):
         trace = fig7_run(horizon=5.0)
@@ -811,6 +816,38 @@ class TestTriggerGuards:
         instants = [(e.coord, e.t_s) for e in trace.triggers()]
         assert len(instants) == len(set(instants)) == 10
         assert sum(repeats) == 10
+        # a repeat fails no_zeno though 2h exceeds the spacing floor; a zero gap used to pass
+        first = trace.triggers()[0]
+        events = list(trace.events)
+        events.insert(events.index(first) + 1, first)
+        val = validate_trace(replace(trace, events=events))
+        assert val.checks["no_zeno"] is False
+        assert any(v.startswith("inter-event time 0 below") for v in val.violations)
+
+    def test_refine_zero_delay_retrigger_waits_for_the_next_sample(self, monkeypatch):
+        # the zero delays deliver at the trigger instant and leave the error above v; the
+        # crossing search then returned that instant forever, where the coordinate had fired
+        calls = []
+        refine_fire = sim._Engine._refine_fire
+
+        def bounded(self, *args):
+            calls.append(None)
+            if len(calls) > 10_000:
+                raise AssertionError("refine mode keeps re-scanning one instant")
+            return refine_fire(self, *args)
+
+        monkeypatch.setattr(sim._Engine, "_refine_fire", bounded)
+        cfg = TriggerConfig(v0=0.5, sigma=0.1, rho0=0.5, gamma=1.0)
+        trace = run_vector(JordanPlant.scalar(2.0, 1.0, 5.0), cfg,
+                           ReplayDelay((1.0,) + (0.0,) * 200, gamma=1.0), 3.0, 1e-3,
+                           x0=0.3, xhat0=0.0, g=1, refine=True)
+        instants = [e.t_s for e in trace.triggers()]
+        assert len(instants) == len(set(instants))
+        assert instants[0] == pytest.approx(0.24325, abs=1e-5)
+        assert instants[1] == instants[0] + 1.0  # the first delivery re-triggers at once
+        # later ones fire once per grid sample, as grid mode does, until the error drops
+        assert instants[2:8] == list(trace.times[1244:1250]) and instants[8] > 1.9
+        assert not validate_trace(trace).checks["post_jump_contract"]
 
 
 class TestValidateTrace:
@@ -942,12 +979,14 @@ class TestPhaseCurves:
         inp = bnd.BoundInputs.scalar(5.0, 3.0, 0.7, b=1.0001, nu=2.0)
         grid = np.linspace(0.002, 0.4, 100)
         pc = phase_curves(inp, grid)
-        assert pc.gamma_c == pytest.approx(0.0864, abs=1e-3)
-        assert pc.gamma_eq == pytest.approx(0.1386, abs=1e-3)
+        markers = bnd.analytic_bounds(inp)  # the curve's delay markers depend on no delay
+        assert markers.gamma_c == pytest.approx(0.0864, abs=1e-3)
+        assert markers.gamma_eq == pytest.approx(0.1386, abs=1e-3)
         assert pc.access_rate == pytest.approx(11.5416, abs=1e-3)
+        assert pc.access_rate == markers.access_rate
         # necessary rate is zero up to gamma_c and positive afterwards
-        below = [r for g, r in zip(pc.gammas, pc.necessary) if g < pc.gamma_c]
-        above = [r for g, r in zip(pc.gammas, pc.necessary) if not g < pc.gamma_c]
+        below = [r for g, r in zip(pc.gammas, pc.necessary) if g < markers.gamma_c]
+        above = [r for g, r in zip(pc.gammas, pc.necessary) if not g < markers.gamma_c]
         assert len(pc.gammas) == len(pc.necessary) == len(grid)
         assert all(r == 0.0 for r in below)
         assert all(r > 0.0 for r in above[1:])
@@ -955,8 +994,10 @@ class TestPhaseCurves:
     def test_mixed_eigenvalues_leave_delay_markers_undefined(self):
         inp = bnd.BoundInputs(blocks=((1.0, 1), (2.0, 1)), sigma=1.0, rho0=0.5, gamma=0.5)
         pc = phase_curves(inp, [0.5, 1.0])
-        assert pc.gamma_c is None and pc.gamma_eq is None
-        assert pc.asymptote == bnd.analytic_bounds(inp).asymptote
+        table = bnd.analytic_bounds(inp)
+        assert table.gamma_c is None and table.gamma_eq is None
+        assert pc.access_rate == table.access_rate
+        assert not {"gamma_c", "gamma_eq", "asymptote"} & {f.name for f in fields(pc)}
         assert list(pc.necessary) == [
             bnd.analytic_bounds(replace(inp, gamma=g)).rate_necessary for g in (0.5, 1.0)
         ]
@@ -1016,7 +1057,12 @@ class TestPhaseCurves:
         ([0.1], [1.0, 0.0], "sigma must be positive and finite, got 0.0"),
         ([0.1], [math.nan], "sigma must be positive and finite, got nan"),
         ([0.0, 0.1], [math.inf], "sigma must be positive and finite, got inf"),
-    ], ids=["gamma_negative", "gamma_nan", "gamma_inf", "sigma_zero", "sigma_nan", "sigma_inf"])
+        ([0.5, 1e308], None, "the rate bounds and the sufficient packet size leave float range: "
+         "b*(lam+sigma)*gamma/ln2 overflows at lam+sigma=2.3, gamma=1e+308, b=1.0001"),
+        ([1.0], [1.0, 1.5e308], "the rate bounds and the sufficient packet size leave float "
+         "range: b*(lam+sigma)*gamma/ln2 overflows at lam+sigma=1.5e+308, gamma=1.0, b=1.0001"),
+    ], ids=["gamma_negative", "gamma_nan", "gamma_inf", "sigma_zero", "sigma_nan", "sigma_inf",
+            "rates_overflow", "sup_rates_overflow"])
     def test_bad_grid_value_raises(self, gammas, sigmas, message):
         inp = bnd.BoundInputs.scalar(1.3, 1.0, 0.9, nu=2.0)
         with pytest.raises(ConfigurationError) as exc:

@@ -14,16 +14,18 @@ import etcsim
 from etcsim import channel, cli, model, sim
 
 ROOT = Path(__file__).resolve().parents[1]
-# the 29 names `etcsim` exported when it imported every submodule eagerly, less every
+# the 26 names `etcsim` exported when it imported every submodule eagerly, less every
 # point bound (rates, packet sizes, delays) and bits_lower_bound, plus the one bound
 # table that holds them (analytic_bounds, AnalyticBounds), less the sweep wrapper
 # (sweep_gamma, SweepRow): a delay sweep is a loop over run_vector, and less the
-# per-block cap helper (v0_cascade_bound, CascadeBounds): the caps are Coordinate.cap
+# per-block cap helper (v0_cascade_bound, CascadeBounds): the caps are Coordinate.cap,
+# and less the engine's channel plumbing (ChannelState, sample_delay) and the CLI's
+# delay-spec parser (build_delay), which etcsim.channel still defines
 EXPORTS = [
     "AnalyticBounds", "Assumption1Window", "BoundInputs", "analytic_bounds",
     "assumption1_window",
-    "AdversarialDelay", "ChannelState", "ConstantDelay", "ReplayDelay", "UniformDelay",
-    "build_delay", "sample_delay", "Packet", "decode", "encode", "reconstruct_error",
+    "AdversarialDelay", "ConstantDelay", "ReplayDelay", "UniformDelay",
+    "Packet", "decode", "encode", "reconstruct_error",
     "ConfigurationError", "DecodeError", "DivergenceError", "PreconditionError",
     "JordanPlant", "TriggerConfig", "PhaseCurve", "RateReport", "SimTrace", "measure_rates",
     "phase_curves", "run_vector", "validate_trace",
