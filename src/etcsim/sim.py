@@ -354,8 +354,6 @@ class _Engine:
         admit = self.channel.admit
         busy = self._muted + [c for c in self._enabled if not admit(c)]
         times, Z, V = self._times, self._Z, self._V
-        # once per instant: a coordinate that fired at t skips sample i0 if it lies at t
-        again = [c for c in self._enabled if self._fired_at[c] == t] if times[i0] == t else []
         lo, width = i0, _DETECT_WINDOW
         while lo <= i1:
             hi = min(lo + width, i1 + 1)
@@ -363,8 +361,6 @@ class _Engine:
             ew = np.abs(zw) >= V[:, lo:hi]
             if busy:
                 ew[busy] = False
-            if again and lo == i0:
-                ew[again, 0] = False
             if np.count_nonzero(ew):
                 j = int(ew.any(axis=0).argmax())
                 return lo + j, ew[:, j]
@@ -416,12 +412,12 @@ class _Engine:
                 xhat = self._commit(t, xhat, next_idx, i)
                 t, z, next_idx = times[i], Z[:, i].copy(), i + 1
             if hit is not None:
-                gi, fire = hit
+                fire = np.flatnonzero(hit[1]).tolist()
                 if self.refine:
-                    t, z, xhat = self._refine_fire(t, z, xhat, next_idx, gi, fire)
+                    t, z, xhat, next_idx = self._refine_fire(t, z, xhat, next_idx, fire)
                 else:
-                    for c in np.flatnonzero(fire):
-                        self._fire(int(c), t, z)
+                    for c in fire:
+                        self._fire(c, t, z)
                 continue
             if chunk_end > t:
                 z, xhat = self._advance(z, xhat, chunk_end - t)
@@ -472,8 +468,6 @@ class _Engine:
             )
 
     def _fire(self, c: int, t_s: float, z: np.ndarray) -> None:
-        if self._fired_at[c] == t_s:
-            return
         self._fired_at[c] = t_s
         sign = 1 if z[c] > 0 else -1
         g = self.g[c]
@@ -528,28 +522,30 @@ class _Engine:
         while nd is not None and nd[0] <= t:
             self._deliver(nd[1], nd[0], z, xhat)
             nd = self.channel.next_delivery()
-        at_grid = next_idx >= 1 and self._times[next_idx - 1] == t
-        if not (self.refine or at_grid):
+        if not (self.refine or self._times[next_idx - 1] == t):
             return
-        for c in self._enabled:
-            if self.channel.admit(c) and abs(z[c]) >= self._v_at(c, t):
+        for c in self._enabled:  # once per instant: a coordinate that fired at t waits
+            if self._fired_at[c] != t and self.channel.admit(c) and abs(z[c]) >= self._v_at(c, t):
                 self._fire(c, t, z)
 
-    def _refine_fire(self, t_a, z_a, xhat, next_idx, gi, fire):
-        """Fire the earliest exact crossing of the coordinates flagged in fire,
-        inside the step from the state (t_a, z_a, xhat) to the hit sample gi;
-        returns the state (t, z, xhat) at the crossing.  next_idx is the first
-        sample not yet committed.  A crossing at its coordinate's last firing moves to gi."""
-        hi = self._times[gi] - t_a
-        crossings = {int(c): self._crossing(int(c), t_a, z_a, hi) for c in np.flatnonzero(fire)}
-        crossings = {c: t_a + hi if s == self._fired_at[c] else s for c, s in crossings.items()}
+    def _refine_fire(self, t_a, z_a, xhat, next_idx, fire):
+        """Fire the earliest exact crossing of the coordinates in fire inside the step
+        from the state (t_a, z_a, xhat) to the hit sample next_idx, the first sample
+        not committed; returns the state (t, z, xhat, next_idx) there.  A crossing at
+        the hit sample commits it and fires there, as grid mode does."""
+        t_b = self._times[next_idx]
+        crossings = {c: self._crossing(c, t_a, z_a, t_b - t_a) for c in fire}
         t_star = min(crossings.values())
-        z_new, xhat_new = self._advance(z_a, xhat, t_star - t_a)
+        if t_star == t_b:
+            xhat = self._commit(t_a, xhat, next_idx, next_idx)
+            z, next_idx = self._Z[:, next_idx].copy(), next_idx + 1
+        else:
+            z, xhat = self._advance(z_a, xhat, t_star - t_a)
         for c, s in crossings.items():
             if s == t_star:
-                self._fire(c, t_star, z_new)
-        self._check_overflow(xhat_new + z_new, t_star, next_idx)
-        return t_star, z_new, xhat_new
+                self._fire(c, t_star, z)
+        self._check_overflow(xhat + z, t_star, next_idx)
+        return t_star, z, xhat, next_idx
 
     def _crossing(self, c: int, t_a: float, z_a: np.ndarray, hi: float) -> float:
         """First s in (0, hi] with |z_c(t_a+s)| = v_c(t_a+s), as absolute time.
@@ -568,8 +564,8 @@ class _Engine:
         co = self.coords[c]
         lam, p, i_in = co.lam, co.order, co.index
         v_a = self._v_at(c, t_a)
-        if abs(z_a[c]) >= v_a:
-            return t_a
+        if abs(z_a[c]) >= v_a:  # a coordinate that fired at t_a waits for the hit sample
+            return t_a + hi if self._fired_at[c] == t_a else t_a
         if i_in == p - 1:
             # chain-end coordinate grows purely exponentially against the threshold
             s = math.log(v_a / abs(z_a[c])) / (lam + self.sigma)

@@ -800,7 +800,7 @@ class TestTriggerGuards:
 
     def test_one_trigger_per_coordinate_and_instant(self, monkeypatch):
         # zero delays deliver at the trigger instant, and the re-evaluation there finds
-        # the error still above v: the coordinate has fired at that instant already
+        # the error still above v: it skips the coordinate, which fired at that instant
         repeats = []
         fire = sim._Engine._fire
 
@@ -815,7 +815,7 @@ class TestTriggerGuards:
                                10.0, 1.0, x0=0.3, xhat0=0.0, g=1)
         instants = [(e.coord, e.t_s) for e in trace.triggers()]
         assert len(instants) == len(set(instants)) == 10
-        assert sum(repeats) == 10
+        assert sum(repeats) == 0  # _fire is never asked to repeat an instant
         # a repeat fails no_zeno though 2h exceeds the spacing floor; a zero gap used to pass
         first = trace.triggers()[0]
         events = list(trace.events)
@@ -848,6 +848,25 @@ class TestTriggerGuards:
         # later ones fire once per grid sample, as grid mode does, until the error drops
         assert instants[2:8] == list(trace.times[1244:1250]) and instants[8] > 1.9
         assert not validate_trace(trace).checks["post_jump_contract"]
+
+
+    @pytest.mark.parametrize("refine", [False, True], ids=["grid", "refine"])
+    def test_sample_at_a_reception_is_its_left_limit(self, refine):
+        # zero delays re-trigger at samples: each such sample holds the pre-jump error,
+        # so it less the reconstruction is the post-jump error of the first reception there
+        cfg = TriggerConfig(v0=0.5, sigma=0.1, rho0=0.5, gamma=1.0)
+        trace = run_vector(JordanPlant.scalar(2.0, 1.0, 5.0), cfg,
+                           ReplayDelay((1.0,) + (0.0,) * 200, gamma=1.0), 3.0, 1e-3,
+                           x0=0.3, xhat0=0.0, g=1, refine=refine)
+        index = {t: i for i, t in enumerate(trace.times.tolist())}
+        first = {}
+        for e in trace.receptions():
+            if e.t in index:
+                first.setdefault(e.t, e)
+        assert len(first) >= 6
+        for t, e in first.items():
+            pre = trace.z[index[t], e.coord]
+            assert abs(pre - e.zbar) == pytest.approx(e.post_jump, rel=1e-12), t
 
 
 class TestValidateTrace:
