@@ -41,6 +41,10 @@ class JordanPlant:
         m = len(B[0])
         object.__setattr__(self, "B", np.array(B, dtype=float).reshape(self.n, m))
         object.__setattr__(self, "K", np.array(K, dtype=float).reshape(m, self.n))
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(self.closed_loop_matrix()).all()
+        if not finite:
+            raise ConfigurationError("the closed-loop matrix A - B K is not finite: B K overflows")
 
     @classmethod
     def scalar(cls, A: float, B: float, K: float) -> "JordanPlant":
@@ -116,6 +120,14 @@ class TriggerConfig:
                            b=self.b, nu=nu, rho_ladders=self.rho_ladders)
 
 
+def exp_or_inf(x: float) -> float:
+    """math.exp(x), or inf where the result leaves float range (a run then diverges)."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def block_matexp(lam: float, p: int, h: float) -> np.ndarray:
     """exp(J*h) for a p x p Jordan block: exp(lam*h) times the upper
     triangular Toeplitz matrix with h^k/k! on the k-th superdiagonal."""
@@ -124,7 +136,7 @@ def block_matexp(lam: float, p: int, h: float) -> np.ndarray:
         val = h**k / math.factorial(k)
         for i in range(p - k):
             M[i, i + k] = val
-    return math.exp(lam * h) * M
+    return exp_or_inf(lam * h) * M
 
 
 # Higham (2005), Table 2.3: the largest 1-norm at which the [m/m] Pade

@@ -8,9 +8,9 @@ The engine propagates the factored closed loop exactly between boundaries
 triggers on the sample grid: a coordinate fires at the first grid instant
 where its error magnitude meets the threshold and its channel is idle,
 replicating a discretized run.  With refine=True the crossing instant is
-additionally resolved inside the bracketing step (closed form for chain-end
-coordinates, bisection for coupled ones) and events occur off-grid.  A
-coordinate fires at most once per instant (a repeat waits for the next sample).
+additionally resolved inside the bracketing step, or before a delivery between
+samples (closed form for chain-end coordinates, bisection for coupled ones), and
+events occur off-grid.  A coordinate fires at most once per instant.
 
 Recorded samples are left limits: a sample coinciding exactly with a
 delivery shows the pre-jump state, while the event log carries post-jump
@@ -56,7 +56,7 @@ from . import bounds as bnd
 from .channel import ChannelState, DelayModel, sample_delay
 from .codec import check_resolvable, decode, encode, reconstruct_error
 from .errors import ConfigurationError, DivergenceError, PreconditionError
-from .model import OVERFLOW_LIMIT, JordanPlant, TriggerConfig, block_matexp, expm
+from .model import OVERFLOW_LIMIT, JordanPlant, TriggerConfig, block_matexp, exp_or_inf, expm
 
 _FP_SLACK = 1e-9  # relative allowance for float roundoff in contract checks
 _DETECT_WINDOW = 1024  # samples in the first trigger-detection window of a chunk
@@ -412,16 +412,22 @@ class _Engine:
                 xhat = self._commit(t, xhat, next_idx, i)
                 t, z, next_idx = times[i], Z[:, i].copy(), i + 1
             if hit is not None:
-                fire = np.flatnonzero(hit[1]).tolist()
+                gi, fire = hit[0], np.flatnonzero(hit[1]).tolist()
                 if self.refine:
-                    t, z, xhat, next_idx = self._refine_fire(t, z, xhat, next_idx, fire)
+                    t, z, xhat, next_idx = self._refine_fire(t, z, xhat, next_idx, times[gi], fire)
                 else:
                     for c in fire:
                         self._fire(c, t, z)
                 continue
             if chunk_end > t:
-                z, xhat = self._advance(z, xhat, chunk_end - t)
-                t = chunk_end
+                z_end, xhat_end = self._advance(z, xhat, chunk_end - t)
+                # refine: a crossing after the chunk's last sample fires before its delivery
+                fire = [c for c in self._enabled if abs(z_end[c]) >= self._v_at(c, chunk_end)
+                        and self.channel.admit(c)] if self.refine else []
+                if fire:
+                    t, z, xhat, next_idx = self._refine_fire(t, z, xhat, next_idx, chunk_end, fire)
+                    continue
+                t, z, xhat = chunk_end, z_end, xhat_end
                 self._check_overflow(xhat + z, t, next_idx)
             if t_rx > self.t_end:
                 break  # otherwise the top of the loop applies the delivery at t = t_rx
@@ -528,22 +534,23 @@ class _Engine:
             if self._fired_at[c] != t and self.channel.admit(c) and abs(z[c]) >= self._v_at(c, t):
                 self._fire(c, t, z)
 
-    def _refine_fire(self, t_a, z_a, xhat, next_idx, fire):
-        """Fire the earliest exact crossing of the coordinates in fire inside the step
-        from the state (t_a, z_a, xhat) to the hit sample next_idx, the first sample
-        not committed; returns the state (t, z, xhat, next_idx) there.  A crossing at
-        the hit sample commits it and fires there, as grid mode does."""
-        t_b = self._times[next_idx]
+    def _refine_fire(self, t_a, z_a, xhat, next_idx, t_b, fire):
+        """Fire the earliest exact crossing of the coordinates in fire inside (t_a, t_b]
+        from the state (t_a, z_a, xhat); returns the state (t, z, xhat, next_idx) there.
+        t_b is either the hit sample next_idx, the first not committed, where a crossing
+        commits the sample and fires there as grid mode does, or the delivery that ends
+        the chunk, where _receive fires a crossing after the delivery."""
         crossings = {c: self._crossing(c, t_a, z_a, t_b - t_a) for c in fire}
         t_star = min(crossings.values())
-        if t_star == t_b:
+        fire = [c for c, s in crossings.items() if s == t_star]
+        if t_star == self._times[next_idx]:
             xhat = self._commit(t_a, xhat, next_idx, next_idx)
             z, next_idx = self._Z[:, next_idx].copy(), next_idx + 1
         else:
             z, xhat = self._advance(z_a, xhat, t_star - t_a)
-        for c, s in crossings.items():
-            if s == t_star:
-                self._fire(c, t_star, z)
+            fire = [] if t_star == t_b else fire
+        for c in fire:
+            self._fire(c, t_star, z)
         self._check_overflow(xhat + z, t_star, next_idx)
         return t_star, z, xhat, next_idx
 
@@ -580,7 +587,7 @@ class _Engine:
                 break  # rounding is monotone: further halving returns the same time
             mid = 0.5 * (lo_s + hi_s)
             w = v_a * math.exp(-self.sigma * mid)
-            e = math.exp(lam * mid)
+            e = exp_or_inf(lam * mid)
             terms = [e * (mid**k / f) * zk for k, (f, zk) in enumerate(tail)]
             gap = abs(sum(terms)) - w
             if not abs(gap) > tol * sum(map(abs, terms)) + 2.0**-1060:
@@ -617,7 +624,8 @@ def run_vector(
         raise ConfigurationError("a delay model is required")
     if not isinstance(delay_models, (list, tuple)):
         delay_models = [delay_models] * plant.n
-    return _Engine(plant, cfg, delay_models, horizon, step, x0, xhat0, refine, g, nu).run()
+    with np.errstate(over="ignore", invalid="ignore"):  # _check_overflow reports these
+        return _Engine(plant, cfg, delay_models, horizon, step, x0, xhat0, refine, g, nu).run()
 
 
 # Not a second entry point: the benchmark tracer (bench/spans.py) patches this

@@ -877,6 +877,47 @@ def test_zero_delay_retriggers_end_in_violations(tmp_path, capsys, monkeypatch, 
     assert "invariants: VIOLATED" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("refine", ["false", "true"], ids=["grid", "refine"])
+def test_stiff_block_overflow_is_a_divergence(tmp_path, capsys, refine):
+    # exp(lam*h) leaves float range at lam = 2000, h = 1: refine mode's crossing search
+    # and block_matexp used to raise OverflowError; the state overflow is the report
+    path = write_cfg(tmp_path, "blocks = 2000:2\nv0 = 1 0.001\nsigma = 0.1\nrho0 = 0.5\n"
+                     "gamma = 0.001\nhorizon = 5\nstep = 1\nx0 = 0.5 0.0005\nxhat0 = 0 0\n"
+                     f"refine = {refine}\n")
+    rc = cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_DIVERGED
+    assert "Traceback" not in err and "encountered" not in err
+    assert err.splitlines()[-1].startswith("divergence: state overflow at t=")
+
+
+def test_overshooting_detection_window_prints_nothing(tmp_path, capsys):
+    # a detection window past the hit sample overflows np.exp; the run is healthy
+    path = write_cfg(tmp_path, "A = 100\nB = 1\nK = 110\nv0 = 0.5\nsigma = 1\nrho0 = 0.5\n"
+                     "gamma = 0.001\nhorizon = 20\nx0 = 0.3\nxhat0 = 0\n")
+    rc = cli.main(["simulate", "--config", str(path), "--refine", "--step", "0.01",
+                   "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_OK and capsys.readouterr().err == ""
+
+
+def test_overflowing_closed_loop_is_refused(tmp_path, capsys):
+    # B K overflows: simulate ran with Acl = -inf and the sweep wrote its rows
+    def with_huge_b(recipe):
+        lines = [line for line in (RECIPES / f"{recipe}.cfg").read_text().splitlines()
+                 if not line.startswith("B =")]
+        path = tmp_path / f"{recipe}.cfg"
+        path.write_text("\n".join(lines + ["B = 1.7976931348623157e308"]) + "\n")
+        return str(path)
+
+    for command, recipe in (("simulate", "fig7"), ("sweep", "fig8")):
+        out = tmp_path / command
+        err = assert_one_line_usage_error(
+            capsys, [command, "--config", with_huge_b(recipe), "--out", str(out)])
+        assert "A - B K is not finite" in err
+        assert not out.exists()
+    assert cli.main(["bounds", "--config", with_huge_b("fig7")]) == cli.EXIT_OK
+
+
 def test_tiny_delay_cascade_cap_runs(tmp_path, capsys):
     # e^{(lam+sigma)*gamma} rounds to 1 at gamma = 1e-17: the chained level's cap takes
     # E - 1 from expm1 and no longer divides by zero

@@ -869,6 +869,36 @@ class TestTriggerGuards:
             assert abs(pre - e.zbar) == pytest.approx(e.post_jump, rel=1e-12), t
 
 
+    @pytest.mark.parametrize("seed, coord, late, crossing", [
+        (2, 2, 1.2789418787793798, 1.2784128410425668),
+        (7, 0, 0.881820809167172, 0.8814309953398296),
+        (9, 0, 3.9838534945247175, 3.9836087477671964),
+    ])
+    def test_refine_crossing_before_a_delivery_fires_there(self, seed, coord, late, crossing):
+        # the crossing lies after the chunk's last sample, before another coordinate's
+        # delivery: refine mode used to fire it late, at that delivery
+        models = [UniformDelay(gamma=0.05, seed=(seed, 0, c)) for c in range(3)]
+        trace = run_vector(VECTOR_PLANT, VECTOR_CFG, models, 5.0, 1e-3,
+                           x0=[0.1] * 3, xhat0=[0.0] * 3, refine=True)
+        near = [e.t_s for e in trace.triggers() if e.coord == coord and abs(e.t_s - late) < 1e-3]
+        assert near == [pytest.approx(crossing, abs=1e-12)]
+        assert validate_trace(trace).ok
+
+    def test_refine_crossing_at_a_delivery_fires_after_it(self):
+        # coordinate 0 re-triggers at its zero-delay delivery and stays above v; coordinate
+        # 1's delivery ends the chunk before the next sample, and coordinate 0 fires there
+        # after that reception, as receptions come first at an instant
+        plant = JordanPlant(blocks=((2.0, 1), (2.0, 1)), B=np.eye(2), K=5.0 * np.eye(2))
+        cfg = TriggerConfig(v0=0.5, sigma=0.1, rho0=0.5, gamma=1.0)
+        models = [ReplayDelay((d,) + (0.0,) * 200, gamma=1.0) for d in (0.999, 0.9995)]
+        trace = run_vector(plant, cfg, models, 3.0, 1e-3, x0=[0.3, 0.3], xhat0=[0.0, 0.0],
+                           g=1, refine=True)
+        t_rx = next(e.t for e in trace.receptions() if e.coord == 1)
+        assert trace.times[1242] < t_rx < trace.times[1243]
+        at = [(e.kind, e.coord) for e in trace.events if e.t == t_rx]
+        assert at[:3] == [("reception", 1), ("trigger", 0), ("trigger", 1)]
+
+
 class TestValidateTrace:
     def test_reception_delay_outside_bound_reported(self):
         trace = fig7_run(horizon=2.0)
