@@ -97,10 +97,6 @@ def _blocks(s: str) -> tuple[tuple[float, float], ...]:
     return tuple(out)
 
 
-def _matrix(s: str) -> tuple[tuple[float, ...], ...]:
-    return tuple(tuple(float(v) for v in row.split()) for row in s.split(";"))
-
-
 def _nested(s: str) -> tuple[tuple[float, ...], ...]:
     return tuple(tuple(float(v) for v in grp.replace(",", " ").split()) for grp in s.split(";"))
 
@@ -116,8 +112,8 @@ SETTINGS = {
     "B": Setting(float, 0.0, _ALL),
     "K": Setting(float, 0.0, _ALL),
     "blocks": Setting(_blocks, _MISSING, _ALL),
-    "B_matrix": Setting(_matrix, _MISSING, _ALL),  # build_plant computes the default
-    "K_matrix": Setting(_matrix, _MISSING, _ALL),
+    "B_matrix": Setting(_nested, _MISSING, _ALL),  # build_plant computes the default
+    "K_matrix": Setting(_nested, _MISSING, _ALL),
     "v0": Setting(_nested, _MISSING, _RUNS),
     "sigma": Setting(float, _MISSING, _ALL),
     "rho0": Setting(float, _MISSING, _ALL),
@@ -138,7 +134,6 @@ SETTINGS = {
     "rho0_list": Setting(_grid, None, ("analytic",)),
     "sigma_grid": Setting(_grid, None, ("analytic",)),
 }
-CONFIG_KEYS = frozenset(SETTINGS)  # RunConfig.from_file refuses any other key
 
 
 class _Parser(argparse.ArgumentParser):
@@ -170,7 +165,7 @@ class RunConfig:
                 )
             key, val = line.split("=", 1)
             key = key.strip()
-            if key not in CONFIG_KEYS:
+            if key not in SETTINGS:
                 raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
             if key in entries:
                 raise ConfigurationError(
@@ -264,7 +259,7 @@ def _write_json(path: Path, payload) -> None:
 # -- bounds -------------------------------------------------------------------
 
 
-def cmd_bounds(cfg: RunConfig, out_dir: Path | None, want_json: bool) -> int:
+def cmd_bounds(cfg: RunConfig, out_dir: Path | None) -> int:
     inp = build_inputs(cfg)
     table = bnd.analytic_bounds(inp)
     quantities = {k: v for k, v in dataclasses.asdict(table).items() if v is not None}
@@ -281,8 +276,7 @@ def cmd_bounds(cfg: RunConfig, out_dir: Path | None, want_json: bool) -> int:
     for name, value in quantities.items():
         shown = f"{value:.6g}" if isinstance(value, float) else value
         print(f"{name:30s} {shown}")
-    if want_json or out_dir is not None:
-        out_dir = out_dir or Path("out")
+    if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         _write_json(out_dir / "bounds.json", quantities)
         print(f"wrote {out_dir / 'bounds.json'}")
@@ -519,8 +513,6 @@ def _build_argparser() -> _Parser:
                 p.add_argument(f"--{key}", action="store_true", default=None, help=setting.help)
             else:  # RunConfig.get parses the value, as it parses the config file's
                 p.add_argument(f"--{key}", help=setting.help)
-        if name == "bounds":
-            p.add_argument("--json", action="store_true", help="also write bounds.json")
     return parser
 
 
@@ -534,7 +526,7 @@ def main(argv: list[str] | None = None) -> int:
         with warnings.catch_warnings():  # one line per warning; library callers keep theirs
             warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
             if args.command == "bounds":
-                return cmd_bounds(cfg, args.out, args.json)
+                return cmd_bounds(cfg, args.out)
             if args.command == "simulate":
                 return cmd_simulate(cfg, args.out or Path("out"))
             return cmd_sweep(cfg, args.out or Path("out"))

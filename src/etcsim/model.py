@@ -69,13 +69,6 @@ class JordanPlant:
     def closed_loop_matrix(self) -> np.ndarray:
         return self.a_matrix() - self.B @ self.K
 
-    def block_slices(self) -> list[tuple[float, int, slice]]:
-        out, at = [], 0
-        for lam, p in self.blocks:
-            out.append((lam, p, slice(at, at + p)))
-            at += p
-        return out
-
 
 def _flat(v) -> tuple[float, ...]:
     """The numbers of a number or a sequence, nested to any depth, in order."""

@@ -198,7 +198,6 @@ class _Engine:
         nu: float,
     ):
         self.S = _sample_count(horizon, step, plant.n)
-        self.cfg = cfg
         self.n = plant.n
         if len(delay_models) != self.n:
             raise ConfigurationError(
@@ -213,7 +212,8 @@ class _Engine:
         self.inputs = cfg.bound_inputs(plant.blocks, nu)
         self.bounds = bnd.analytic_bounds(self.inputs)  # a bound that fails stops the run here
         self.coords = bnd.coordinates(self.inputs, cfg.v0)
-        self.block_slices = plant.block_slices()
+        self.block_slices = [(co.lam, co.order, slice(co.start, co.start + co.order))
+                             for co in self.coords if co.index == 0]
         self._block_lams = np.array([lam for lam, _, _ in self.block_slices])
         # coordinates with a channel, and those without, which never fire
         self._enabled = [c for c, m in enumerate(self.delay_models) if m is not None]
@@ -227,9 +227,10 @@ class _Engine:
             raise PreconditionError(f"packet size must be >= 1 bit, got {g}")
         else:
             self.g = (int(g),) * self.n
+        inp = self.inputs
         for gc in self.g:
-            if gc >= 2 and cfg.gamma > 0:  # at gamma = 0 encode refuses timing bits itself
-                check_resolvable(gc, cfg.b, cfg.gamma, self.t_end)
+            if gc >= 2 and inp.gamma > 0:  # at gamma = 0 encode refuses timing bits itself
+                check_resolvable(gc, inp.b, inp.gamma, self.t_end)
         if not refine:  # after every refusal: a refused run prints its error alone
             self._check_step()
 
@@ -477,12 +478,11 @@ class _Engine:
         self._fired_at[c] = t_s
         sign = 1 if z[c] > 0 else -1
         g = self.g[c]
-        packet = encode(t_s, sign, g, self.cfg.b, self.cfg.gamma)
+        gamma = self.inputs.gamma
+        packet = encode(t_s, sign, g, self.inputs.b, gamma)
         delta = sample_delay(self.delay_models[c], int(self.trigger_counts[c]))
-        if delta > self.cfg.gamma + 1e-12:
-            raise ConfigurationError(
-                f"delay {delta} exceeds the configured bound gamma={self.cfg.gamma}"
-            )
+        if delta > gamma + 1e-12:
+            raise ConfigurationError(f"delay {delta} exceeds the configured bound gamma={gamma}")
         t_c = t_s + delta
         self.channel.send(c, packet, t_c)
         self.bits_sent[c] += g
@@ -498,7 +498,7 @@ class _Engine:
     def _deliver(self, c: int, t_eff: float, z: np.ndarray, xhat: np.ndarray) -> None:
         """Decode, reconstruct and apply the jump for coordinate c at t_eff."""
         packet = self.channel.deliver(c)
-        gamma, b = self.cfg.gamma, self.cfg.b
+        gamma, b = self.inputs.gamma, self.inputs.b
         co = self.coords[c]
         sign, q = decode(packet, t_eff, b, gamma)
         zbar = reconstruct_error(sign, q, t_eff, co.v0, self.sigma, co.lam)
@@ -506,7 +506,7 @@ class _Engine:
         xhat[c] += zbar
         v_ts = self._v_at(c, packet.t_s)
         jump_bound = co.rho * math.exp(-self.sigma * gamma) * v_ts + (
-            self.cfg.rho0 - co.rho
+            self.inputs.rho0 - co.rho
         ) * self._v_at(c, t_eff)
         self.events.append(
             Event(

@@ -22,9 +22,9 @@ from etcsim import cli
 
 # (name, command, recipe, flags); the name is the output directory
 RUNS = [
-    *[(f"bounds_{fig}", "bounds", fig, ["--json", "--gamma", "0.05"])
+    *[(f"bounds_{fig}", "bounds", fig, ["--gamma", "0.05"])
       for fig in ("fig3", "fig4", "fig5", "fig6")],
-    ("bounds_fig7", "bounds", "fig7", ["--json"]),
+    ("bounds_fig7", "bounds", "fig7", []),
     *[(f"sweep_{fig}", "sweep", fig, []) for fig in ("fig3", "fig4", "fig5", "fig6", "fig8")],
     ("simulate_fig7", "simulate", "fig7", []),
     ("simulate_fig7_refine", "simulate", "fig7", ["--refine"]),

@@ -72,6 +72,16 @@ class TestConfigParsing:
         with pytest.raises(ValueError):
             cli._grid("1:2")
 
+    def test_gain_matrix_accepts_commas(self, tmp_path):
+        # B_matrix and K_matrix share v0's grammar; "1, 0; 0, 1" used to exit 1
+        plants = []
+        for sep in (" ", ", "):
+            text = f"blocks = 1:2\nB_matrix = 1{sep}0; 0{sep}1\nK_matrix = 2{sep}0; 0{sep}3\n"
+            plants.append(cli.build_plant(cli.RunConfig.from_file(write_cfg(tmp_path, text))))
+        assert plants[0].blocks == plants[1].blocks
+        assert np.array_equal(plants[0].B, plants[1].B) and np.array_equal(plants[0].K, plants[1].K)
+        assert plants[1].K.tolist() == [[2.0, 0.0], [0.0, 3.0]]
+
     def test_duplicate_key_refused(self, tmp_path):
         # the later lines used to win silently: bounds printed access_rate 11.5416 (A=5, sigma=3)
         path = write_cfg(tmp_path, "A = 1\nsigma = 1\nrho0 = 0.5\nA = 5\nsigma = 3\n")
@@ -142,7 +152,7 @@ class TestBoundsCommand:
     def test_json_output(self, tmp_path, capsys):
         rc = cli.main([
             "bounds", "--config", str(RECIPES / "fig3.cfg"), "--gamma", "0.05",
-            "--json", "--out", str(tmp_path),
+            "--out", str(tmp_path),
         ])
         assert rc == 0
         payload = json.loads((tmp_path / "bounds.json").read_text())
@@ -698,8 +708,8 @@ class TestLazyNumpy:
         assert done.returncode == 0, done.stderr
 
     @pytest.mark.parametrize("command, recipe, flags, printed", [
-        ("bounds", "fig3", ["--gamma", "0.05", "--json"], "wrote"),
-        ("bounds", "fig7", ["--json"], "wrote"),
+        ("bounds", "fig3", ["--gamma", "0.05"], "wrote"),
+        ("bounds", "fig7", [], "wrote"),
         ("sweep", "fig3", [], "(200 rows, 0 failed)"),
         ("sweep", "fig6", [], "(200 rows, 0 failed)"),
     ], ids=["bounds_fig3", "bounds_fig7", "sweep_fig3", "sweep_fig6"])
@@ -998,7 +1008,7 @@ _FIG8_LINES = len((RECIPES / "fig8.cfg").read_text().splitlines())
 @pytest.mark.parametrize("command, recipe, lines, flags, fragment", [
     ("bounds", "fig7", "",
      ["--horizon", "-5", "--delay", "bogus", "--step", "nan", "--refine", "--json"],
-     "unrecognized arguments: --horizon -5 --delay bogus --step nan --refine"),
+     "unrecognized arguments: --horizon -5 --delay bogus --step nan --refine --json"),
     ("sweep", "fig3", "", ["--horizon", "-5", "--delay", "bogus"],
      "command line: 'delay' is an empirical-sweep key; mode = analytic does not read it"),
     ("sweep", "fig8", "rho0_list = 0.3, 0.5\nsigma_grid = 0.1, 0.2\n", [],

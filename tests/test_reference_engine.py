@@ -50,8 +50,10 @@ def propagate(state, plant, h, flows=None):
     numerical integration.
     """
     z = np.empty_like(state.z)
-    for lam, p, sl in plant.block_slices():
-        z[sl] = block_matexp(lam, p, h) @ state.z[sl]
+    at = 0
+    for lam, p in plant.blocks:
+        z[at : at + p] = block_matexp(lam, p, h) @ state.z[at : at + p]
+        at += p
     phi = None if flows is None else flows.get(h)
     if phi is None:
         phi = scipy.linalg.expm(plant.closed_loop_matrix() * h)

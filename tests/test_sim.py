@@ -561,7 +561,7 @@ class TestEnginePaths:
         assert got.shape == (6, offsets.size)
         for j, s in enumerate(offsets):
             want = np.concatenate([block_matexp(lam, p, s) @ z[sl]
-                                   for lam, p, sl in plant.block_slices()])
+                                   for lam, p, sl in eng.block_slices])
             assert np.max(np.abs(got[:, j] - want)) <= 1e-14 * np.max(np.abs(want)), j
 
     def test_z_at_offsets_equals_the_per_block_formula_bitwise(self):

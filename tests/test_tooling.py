@@ -168,7 +168,7 @@ def test_readme_config_keys_match_cli():
     block = re.search(r"```ini\n(.*?)```", block, re.S).group(1)
     keys = re.findall(r"(?:^|\s)([A-Za-z_]\w*) = ", block, re.M)
     assert len(keys) == len(set(keys))
-    assert set(keys) == cli.CONFIG_KEYS
+    assert set(keys) == set(cli.SETTINGS)
 
 
 def test_readme_library_example_runs():
