@@ -89,6 +89,22 @@ def check_blocks(blocks) -> tuple[tuple[float, int], ...]:
     return tuple(checked)
 
 
+def check_packet_size(g) -> int:
+    """g as an int, if it is a whole number of bits >= 1; else PreconditionError.
+
+    A fractional or non-finite g is refused, not truncated.
+    """
+    try:
+        bits = int(g)
+    except (TypeError, ValueError, OverflowError):
+        bits = None
+    if bits != g:
+        raise PreconditionError(f"packet size must be an integer number of bits, got {g}")
+    if bits < 1:
+        raise PreconditionError(f"packet size must be >= 1 bit, got {g}")
+    return bits
+
+
 def _gain_rows(name: str, M) -> tuple[tuple[float, ...], ...]:
     """M as rows of floats; a number is one 1 x 1 row and a flat sequence one row."""
     M = M.tolist() if hasattr(M, "tolist") else M  # numpy arrays and scalars
@@ -470,7 +486,7 @@ def assumption1_window(inp: BoundInputs, g: int) -> Assumption1Window:
     lower_ok: g meets the sufficient-rate quantization bound.
     upper_ok: g does not quantize finer than nu-precision allows.
     expansion_ok: the cell-to-cell expansion condition with delta = b*gamma/2^(g-2).
-    Requires nu >= 2 (the upper bound is undefined below that) and g >= 2,
+    Requires nu >= 2 (the upper bound is undefined below that) and an integer g >= 2,
     and refuses inputs whose precision term eps or cell width underflow.
 
     The lower and upper bounds share the term log2(b*gamma*(A+sigma)), so the
@@ -480,6 +496,7 @@ def assumption1_window(inp: BoundInputs, g: int) -> Assumption1Window:
     """
     if inp.nu < 2:
         raise PreconditionError(f"the design window needs nu >= 2, got {inp.nu}")
+    g = check_packet_size(g)
     if g < 2:
         raise PreconditionError(f"the design window needs g >= 2, got {g}")
     if inp.gamma == 0:

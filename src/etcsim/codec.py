@@ -14,7 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .bounds import _RANGES
 from .errors import DecodeError, PreconditionError
+
+_B_RULE = _RANGES["b"][0][1]  # b's one range message; the packet paths compare inline
 
 
 @dataclass(frozen=True)
@@ -74,8 +77,10 @@ def encode(t_s: float, sign: int, g: int, b: float, gamma: float) -> Packet:
     starts.  g = 1 emits the sign alone and is valid whenever timing needs no
     refinement (zero delay, or b*gamma within the quantization tolerance).
     """
-    if t_s < 0:
-        raise PreconditionError(f"send time must be >= 0, got {t_s}")
+    if not 0 <= t_s < math.inf:
+        raise PreconditionError(f"send time must be finite and >= 0, got {t_s}")
+    if not 1 < b < math.inf:
+        raise PreconditionError(f"b {_B_RULE}, got {b}")
     if sign not in (1, -1):
         raise PreconditionError(f"sign must be +1 or -1, got {sign}")
     if g < 1:
@@ -83,8 +88,10 @@ def encode(t_s: float, sign: int, g: int, b: float, gamma: float) -> Packet:
     sign_bit = 0 if sign > 0 else 1
     if g == 1:
         return Packet((sign_bit,), t_s)
-    if gamma <= 0:
-        raise PreconditionError("packets with timing bits need a positive delay bound")
+    if not 0 < gamma < math.inf:
+        raise PreconditionError(
+            f"packets with timing bits need a positive finite delay bound, got gamma={gamma}"
+        )
     delta = cell_width(g, b, gamma)
     m = math.floor(t_s / delta)
     window, idx = m >> (g - 2), m & (2 ** (g - 2) - 1)
@@ -101,10 +108,18 @@ def decode(packet: Packet, t_c: float, b: float, gamma: float) -> tuple[int, flo
     does not depend on where t_c falls in the admissible delay range.  A
     parity matching neither candidate window signals corrupted input.
     """
+    if not -math.inf < t_c < math.inf:
+        raise PreconditionError(f"reception time must be finite, got {t_c}")
+    if not 1 < b < math.inf:
+        raise PreconditionError(f"b {_B_RULE}, got {b}")
     g = packet.g
     sign = packet.sign
     if g == 1:
         return sign, t_c
+    if not 0 < gamma < math.inf:
+        raise PreconditionError(
+            f"packets with timing bits need a positive finite delay bound, got gamma={gamma}"
+        )
     width = b * gamma
     parity = packet.bits[1]
     idx = 0

@@ -175,6 +175,8 @@ def _initial_state(x0, xhat0, levels: Sequence[float]) -> tuple[np.ndarray, np.n
     x0, xhat0 = (np.atleast_1d(np.asarray(a, dtype=float)) for a in (x0, xhat0))
     if x0.shape != (len(levels),) or xhat0.shape != x0.shape:
         raise ConfigurationError(f"initial conditions must have shape ({len(levels)},)")
+    if not (np.isfinite(x0).all() and np.isfinite(xhat0).all()):
+        raise ConfigurationError(f"initial states must be finite, got x0={x0}, xhat0={xhat0}")
     z0, v0s = np.abs(x0 - xhat0), np.array(levels)
     if np.any(z0 > v0s):
         raise PreconditionError(f"initial errors {z0} must not exceed trigger levels {v0s}")
@@ -223,10 +225,8 @@ class _Engine:
 
         if g is None:
             self.g = tuple(co.g for co in self.coords)
-        elif g < 1:
-            raise PreconditionError(f"packet size must be >= 1 bit, got {g}")
         else:
-            self.g = (int(g),) * self.n
+            self.g = (bnd.check_packet_size(g),) * self.n
         inp = self.inputs
         for gc in self.g:
             if gc >= 2 and inp.gamma > 0:  # at gamma = 0 encode refuses timing bits itself

@@ -306,6 +306,11 @@ class TestAssumption1Window:
             bnd.assumption1_window(replace(inp, nu=4.0), 1)
         with pytest.raises(PreconditionError, match="needs a positive delay bound"):
             bnd.assumption1_window(replace(inp, nu=4.0, gamma=0.0), 4)
+        # a fractional g used to reach ldexp's TypeError
+        with pytest.raises(PreconditionError, match="must be an integer number of bits, got 3.5"):
+            bnd.assumption1_window(replace(inp, nu=4.0), 3.5)
+        assert bnd.assumption1_window(replace(inp, nu=4.0), 4.0) == bnd.assumption1_window(
+            replace(inp, nu=4.0), 4)
 
     def test_lower_bound_gate(self):
         inp = scalar(1.0, 1.0, 0.5, gamma=0.5, b=1.0001, nu=4.0)

@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -370,6 +371,20 @@ class TestSimulateCommand:
             err = assert_one_line_usage_error(capsys, argv)
         assert f"{name} entries must be finite" in err
 
+    @pytest.mark.parametrize("lines", [["x0 = nan"], ["x0 = inf", "xhat0 = inf"], ["xhat0 = nan"]],
+                             ids=["x0_nan", "both_inf", "xhat0_nan"])
+    def test_non_finite_initial_state_refused(self, tmp_path, capsys, lines):
+        # used to exit 3 with a state overflow at t=0 (at t=7 for xhat0 = nan), writing the trace
+        keys = {line.partition(" = ")[0] for line in lines}
+        kept = [line for line in (RECIPES / "fig7.cfg").read_text().splitlines()
+                if line.partition(" = ")[0] not in keys]
+        out = tmp_path / "out"
+        argv = ["simulate", "--config", str(write_cfg(tmp_path, "\n".join(kept + lines))),
+                "--out", str(out)]
+        assert "error: initial states must be finite, got x0=" in assert_one_line_usage_error(
+            capsys, argv)
+        assert not out.exists()
+
     def test_infinite_trigger_level_refused_before_running(self, tmp_path, capsys, monkeypatch):
         def never(self):
             raise AssertionError("the run started")
@@ -566,7 +581,8 @@ class TestSweepCommand:
         ("x0", "0.1 0.2", "initial conditions must have shape (1,)"),
         ("x0", "0.9", "initial errors [0.7] must not exceed trigger levels [0.0442]"),
         ("v0", "0.0442 0.0442", "need one trigger level per coordinate (1), got 2"),
-    ], ids=["step", "horizon", "no_samples", "x0_shape", "x0_above_level", "v0_count"])
+        ("x0", "nan", "initial states must be finite, got x0=[nan], xhat0=[0.2]"),
+    ], ids=["step", "horizon", "no_samples", "x0_shape", "x0_above_level", "v0_count", "x0_nan"])
     def test_run_wide_input_refused_before_any_row(self, tmp_path, capsys, setting, value,
                                                    fragment):
         # each of fig8's 11 rows used to fail on it alone: exit 2 and 11 error rows
@@ -1107,6 +1123,44 @@ def test_numeric_flag_probe(tmp_path, capsys, no_run, command, base, setting, va
     assert expect != "runs", err
     if expect == "refused":
         assert rc == cli.EXIT_USAGE and "seed must be >= 0 and < 2**64" in err, err
+
+
+# structural values: empty, words, each grammar's separators out of place, NaN, a bad spec
+_STRUCTURAL_VALUES = ["", "a", "1;2", "1:2:3", "1:0", "1:513", "nan", "0.5 nan", "1,", ";", "2.5",
+                      "constant:x"]
+
+
+@pytest.mark.parametrize("command, base", [("simulate", "fig7"), ("bounds", "fig7"),
+                                           ("sweep", "fig8"), ("simulate", "two_blocks")])
+def test_structural_value_probe(tmp_path, capsys, command, base):
+    # every config key at every structural value, each a real run at horizon 0.01 (fig8's
+    # over two rows): exit 0, 1 or 2, one line on exit 1 and 15 fields in each sweep.csv row;
+    # a NaN initial state used to exit 3
+    text = _TWO_BLOCKS if base == "two_blocks" else (RECIPES / f"{base}.cfg").read_text()
+    lines = [line for line in text.splitlines()
+             if line.partition("=")[0].strip() not in ("horizon", "gamma_grid")]
+    lines += ["horizon = 0.01"] + (["gamma_grid = 0.5, 1"] if command == "sweep" else [])
+    path, out = tmp_path / "probe.cfg", tmp_path / "out"
+    failures = []
+    for key in cli.SETTINGS:
+        kept = [line for line in lines if line.partition("=")[0].strip() != key]
+        for value in _STRUCTURAL_VALUES:
+            path.write_text("\n".join(kept + [f"{key} = {value}"]) + "\n")
+            try:
+                rc = cli.main([command, "--config", str(path), "--out", str(out)])
+            except Exception as exc:  # names the case that escaped
+                raise AssertionError(f"{key} = {value!r}") from exc
+            err = capsys.readouterr().err
+            ok = rc in (cli.EXIT_OK, cli.EXIT_INVARIANT) or (
+                rc == cli.EXIT_USAGE and err.startswith("error: ") and err.count("\n") == 1)
+            if (out / "sweep.csv").exists():
+                with (out / "sweep.csv").open(newline="") as fh:
+                    ok = ok and all(len(row) == len(cli.SWEEP_COLUMNS) for row in csv.reader(fh))
+            if not ok:
+                failures.append((key, value, rc, err))
+            if out.exists():
+                shutil.rmtree(out)
+    assert not failures
 
 
 class TestUsage:

@@ -51,6 +51,17 @@ class TestEncode:
             encode(0.1, +1, 0, 1.1, 1.0)
         with pytest.raises(PreconditionError):
             encode(0.1, +1, 3, 1.1, 0.0)  # timing bits need a delay bound
+        # a non-finite send time used to raise OverflowError or ValueError, an infinite
+        # gamma to encode (0, 0, 0) silently, and b <= 1 to encode windows that decode wrong
+        for args, message in [
+            ((math.inf, +1, 3, 1.0001, 1.0), "send time must be finite and >= 0, got inf"),
+            ((math.nan, +1, 3, 1.0001, 1.0), "send time must be finite and >= 0, got nan"),
+            ((0.5, +1, 3, 1.0001, math.inf), "positive finite delay bound, got gamma=inf"),
+            ((0.5, +1, 3, 0.5, 1.0), "b must be finite and exceed 1, got 0.5"),
+            ((0.5, +1, 1, math.nan, 0.0), "b must be finite and exceed 1, got nan"),
+        ]:
+            with pytest.raises(PreconditionError, match=message):
+                encode(*args)
         for bits in ((), (1, 2)):
             with pytest.raises(PreconditionError, match="bits must be a nonempty 0/1 sequence"):
                 Packet(bits, 0.0)
@@ -91,6 +102,21 @@ class TestDecode:
         for tc in (t_s, t_s + 0.5 * gamma, t_s + gamma):
             _, q = decode(pkt, tc, b, gamma)
             assert abs(t_s - q) <= width / 2 ** 5 * (1 + 1e-9)
+
+    def test_rejects_bad_arguments(self):
+        # each used to raise ZeroDivisionError or OverflowError, or (b = 0.5) to decode a
+        # wrong send time without an error
+        pkt = Packet((0, 1, 0), 0.5)
+        for args, message in [
+            ((pkt, 1.0, 1.0001, 0.0), "positive finite delay bound, got gamma=0.0"),
+            ((pkt, 1.0, 1.0001, math.inf), "positive finite delay bound, got gamma=inf"),
+            ((pkt, math.inf, 1.0001, 1.0), "reception time must be finite, got inf"),
+            ((Packet((0,), 0.5), math.nan, 1.0001, 0.0), "reception time must be finite, got nan"),
+            ((pkt, 1.0, 0.5, 1.0), "b must be finite and exceed 1, got 0.5"),
+            ((pkt, 1.0, 0.0, 1.0), "b must be finite and exceed 1, got 0.0"),
+        ]:
+            with pytest.raises(PreconditionError, match=message):
+                decode(*args)
 
     def test_decode_error_on_corrupted_parity(self):
         # reception deep inside one window: both candidates coincide, so a

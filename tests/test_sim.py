@@ -79,6 +79,14 @@ class TestRunScalar:
         with pytest.raises(PreconditionError, match="packet size must be >= 1 bit"):
             run_vector(FIG7_PLANT, FIG7_CFG, dm, 1.0, 0.001, x0=0.15, xhat0=0.15, g=g)
 
+    @pytest.mark.parametrize("g", [2.5, math.inf, math.nan])
+    def test_packet_size_not_an_integer_refused(self, g):
+        # 2.5 used to run as 2 bits, inf and nan to end in int()'s traceback
+        dm = ConstantDelay(0.0, gamma=1.2)
+        with pytest.raises(PreconditionError,
+                           match=f"packet size must be an integer number of bits, got {g}"):
+            run_vector(FIG7_PLANT, FIG7_CFG, dm, 1.0, 0.001, x0=0.15, xhat0=0.15, g=g)
+
     def test_delay_model_count_and_missing_model_refused(self):
         dm = ConstantDelay(0.1, gamma=1.2)
         with pytest.raises(ConfigurationError,
