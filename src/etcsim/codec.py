@@ -17,7 +17,9 @@ from dataclasses import dataclass
 from .bounds import _RANGES
 from .errors import DecodeError, PreconditionError
 
-_B_RULE = _RANGES["b"][0][1]  # b's one range message; the packet paths compare inline
+# the packet paths compare inline, once per packet, and share these messages
+_B_RULE = _RANGES["b"][0][1]
+_GAMMA_RULE = "packets with timing bits need a positive finite delay bound"
 
 
 @dataclass(frozen=True)
@@ -89,9 +91,7 @@ def encode(t_s: float, sign: int, g: int, b: float, gamma: float) -> Packet:
     if g == 1:
         return Packet((sign_bit,), t_s)
     if not 0 < gamma < math.inf:
-        raise PreconditionError(
-            f"packets with timing bits need a positive finite delay bound, got gamma={gamma}"
-        )
+        raise PreconditionError(f"{_GAMMA_RULE}, got gamma={gamma}")
     delta = cell_width(g, b, gamma)
     m = math.floor(t_s / delta)
     window, idx = m >> (g - 2), m & (2 ** (g - 2) - 1)
@@ -117,9 +117,7 @@ def decode(packet: Packet, t_c: float, b: float, gamma: float) -> tuple[int, flo
     if g == 1:
         return sign, t_c
     if not 0 < gamma < math.inf:
-        raise PreconditionError(
-            f"packets with timing bits need a positive finite delay bound, got gamma={gamma}"
-        )
+        raise PreconditionError(f"{_GAMMA_RULE}, got gamma={gamma}")
     width = b * gamma
     parity = packet.bits[1]
     idx = 0

@@ -170,8 +170,8 @@ def _sample_count(horizon: float, step: float, n: int) -> int:
 
 
 def _initial_state(x0, xhat0, levels: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """x0 and xhat0 as float arrays, one entry per trigger level, each error |x0 - xhat0|
-    checked against its level. No other input enters, so a sweep checks them once."""
+    """x0 and xhat0 as finite float arrays, one entry per trigger level, each error
+    |x0 - xhat0| checked against its level. No other input enters, so a sweep checks them once."""
     x0, xhat0 = (np.atleast_1d(np.asarray(a, dtype=float)) for a in (x0, xhat0))
     if x0.shape != (len(levels),) or xhat0.shape != x0.shape:
         raise ConfigurationError(f"initial conditions must have shape ({len(levels)},)")
