@@ -79,7 +79,6 @@ class TestConfigParsing:
         for sep in (" ", ", "):
             text = f"blocks = 1:2\nB_matrix = 1{sep}0; 0{sep}1\nK_matrix = 2{sep}0; 0{sep}3\n"
             plants.append(cli.build_plant(cli.RunConfig.from_file(write_cfg(tmp_path, text))))
-        assert plants[0].blocks == plants[1].blocks
         assert np.array_equal(plants[0].B, plants[1].B) and np.array_equal(plants[0].K, plants[1].K)
         assert plants[1].K.tolist() == [[2.0, 0.0], [0.0, 3.0]]
 
