@@ -1,12 +1,12 @@
 """Bit-exact sign + quantized-trigger-time codec.
 
-A packet of g bits carries the sign of the error, the parity of the
-b*gamma-wide window holding the send time, and a (g-2)-bit index of a
-uniform sub-cell of that window, most significant bit first.  The decoder
-resolves the window from the parity bit and the known delay bound, then
-reconstructs the cell midpoint; the quantization error is at most
-b*gamma/2^(g-1).  A single-bit packet carries the sign alone, for regimes
-where the reception time itself is precise enough.
+A packet is one g-bit word: the sign bit (0 = positive error), then the low
+g-1 bits of the send time's cell index floor(t_s/delta), delta = b*gamma/2^(g-2):
+the parity of the b*gamma-wide window holding it and its (g-2)-bit sub-cell
+index.  The decoder resolves the window from the parity bit and the known
+delay bound, then reconstructs the cell midpoint; the quantization error is
+at most b*gamma/2^(g-1).  A single-bit packet carries the sign alone, for
+regimes where the reception time itself is precise enough.
 """
 
 from __future__ import annotations
@@ -24,32 +24,22 @@ _GAMMA_RULE = "packets with timing bits need a positive finite delay bound"
 
 @dataclass(frozen=True)
 class Packet:
-    """Payload sent at one triggering event.
+    """Payload sent at one triggering event: the g-bit word of the module docstring."""
 
-    bits[0] is the sign bit (0 = positive error), bits[1] the window parity
-    when present, bits[2:] the sub-cell index.
-    """
-
-    bits: tuple[int, ...]
+    word: int
+    g: int
     t_s: float
 
     def __post_init__(self):
-        if len(self.bits) < 1 or any(b not in (0, 1) for b in self.bits):
-            raise PreconditionError(f"bits must be a nonempty 0/1 sequence, got {self.bits}")
-
-    @property
-    def g(self) -> int:
-        return len(self.bits)
+        if not (self.g >= 1 and 0 <= self.word < 1 << self.g):
+            raise PreconditionError(f"a packet needs g >= 1 and a word in [0, 2**g), got {self}")
 
     @property
     def sign(self) -> int:
-        return 1 if self.bits[0] == 0 else -1
+        return -1 if self.word >> (self.g - 1) else 1
 
     def bits_hex(self) -> str:
-        value = 0
-        for b in self.bits:
-            value = (value << 1) | b
-        return f"{value:0{(self.g + 3) // 4}x}"
+        return f"{self.word:0{(self.g + 3) // 4}x}"
 
 
 def cell_width(g: int, b: float, gamma: float) -> float:
@@ -89,15 +79,12 @@ def encode(t_s: float, sign: int, g: int, b: float, gamma: float) -> Packet:
         raise PreconditionError(f"packet size must be >= 1 bit, got {g}")
     sign_bit = 0 if sign > 0 else 1
     if g == 1:
-        return Packet((sign_bit,), t_s)
+        return Packet(sign_bit, 1, t_s)
     if not 0 < gamma < math.inf:
         raise PreconditionError(f"{_GAMMA_RULE}, got gamma={gamma}")
     delta = cell_width(g, b, gamma)
     m = math.floor(t_s / delta)
-    window, idx = m >> (g - 2), m & (2 ** (g - 2) - 1)
-    parity = window & 1
-    idx_bits = tuple((idx >> (g - 3 - j)) & 1 for j in range(g - 2))
-    return Packet((sign_bit, parity, *idx_bits), t_s)
+    return Packet(sign_bit << (g - 1) | m & ((1 << (g - 1)) - 1), g, t_s)
 
 
 def decode(packet: Packet, t_c: float, b: float, gamma: float) -> tuple[int, float]:
@@ -119,10 +106,7 @@ def decode(packet: Packet, t_c: float, b: float, gamma: float) -> tuple[int, flo
     if not 0 < gamma < math.inf:
         raise PreconditionError(f"{_GAMMA_RULE}, got gamma={gamma}")
     width = b * gamma
-    parity = packet.bits[1]
-    idx = 0
-    for bit in packet.bits[2:]:
-        idx = (idx << 1) | bit
+    parity, idx = divmod(packet.word & ((1 << (g - 1)) - 1), 1 << (g - 2))
     later = math.floor(t_c / width)
     earlier = math.floor((t_c - gamma) / width)
     if earlier == later:

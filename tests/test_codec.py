@@ -11,14 +11,14 @@ from etcsim.errors import DecodeError, PreconditionError
 class TestEncode:
     def test_first_cell(self):
         pkt = encode(0.0, +1, 3, 2.0, 1.0)
-        assert pkt.bits == (0, 0, 0)
+        assert (pkt.word, pkt.g) == (0, 3)
         assert pkt.sign == 1
 
     def test_worked_example(self):
         # t_s = 1.0, g = 8, b = 1.0001, gamma = 1.2: cell index 53 of 64
         pkt = encode(1.0, +1, 8, 1.0001, 1.2)
-        assert pkt.bits[0] == 0 and pkt.bits[1] == 0
-        assert pkt.bits[2:] == (1, 1, 0, 1, 0, 1)
+        # sign 0, window parity 0, sub-cell index 110101
+        assert (pkt.word, pkt.g) == (0b00110101, 8)
         delta = cell_width(8, 1.0001, 1.2)
         assert math.floor((1.0 % (1.0001 * 1.2)) / delta) == 53
 
@@ -39,8 +39,8 @@ class TestEncode:
         assert a == b
 
     def test_sign_bit_convention(self):
-        assert encode(0.5, -1, 1, 1.1, 0.0).bits == (1,)
-        assert encode(0.5, +1, 1, 1.1, 0.0).bits == (0,)
+        assert encode(0.5, -1, 1, 1.1, 0.0).word == 1
+        assert encode(0.5, +1, 1, 1.1, 0.0).word == 0
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(PreconditionError):
@@ -62,14 +62,14 @@ class TestEncode:
         ]:
             with pytest.raises(PreconditionError, match=message):
                 encode(*args)
-        for bits in ((), (1, 2)):
-            with pytest.raises(PreconditionError, match="bits must be a nonempty 0/1 sequence"):
-                Packet(bits, 0.0)
+        for word, g in ((8, 3), (-1, 3), (0, 0)):
+            with pytest.raises(PreconditionError, match="a packet needs g >= 1 and a word in"):
+                Packet(word, g, 0.0)
 
     def test_bits_hex_width(self):
-        pkt = Packet((1, 0, 1), 0.0)
+        pkt = Packet(0b101, 3, 0.0)
         assert pkt.bits_hex() == "5"
-        pkt = Packet((1, 0, 1, 0, 1), 0.0)
+        pkt = Packet(0b10101, 5, 0.0)
         assert pkt.bits_hex() == "15"
 
 
@@ -106,12 +106,12 @@ class TestDecode:
     def test_rejects_bad_arguments(self):
         # each used to raise ZeroDivisionError or OverflowError, or (b = 0.5) to decode a
         # wrong send time without an error
-        pkt = Packet((0, 1, 0), 0.5)
+        pkt = Packet(0b010, 3, 0.5)
         for args, message in [
             ((pkt, 1.0, 1.0001, 0.0), "positive finite delay bound, got gamma=0.0"),
             ((pkt, 1.0, 1.0001, math.inf), "positive finite delay bound, got gamma=inf"),
             ((pkt, math.inf, 1.0001, 1.0), "reception time must be finite, got inf"),
-            ((Packet((0,), 0.5), math.nan, 1.0001, 0.0), "reception time must be finite, got nan"),
+            ((Packet(0, 1, 0.5), math.nan, 1.0001, 0.0), "reception time must be finite, got nan"),
             ((pkt, 1.0, 0.5, 1.0), "b must be finite and exceed 1, got 0.5"),
             ((pkt, 1.0, 0.0, 1.0), "b must be finite and exceed 1, got 0.0"),
         ]:
@@ -123,7 +123,7 @@ class TestDecode:
         # flipped parity bit cannot match either and must be rejected
         b, gamma = 1.5, 1.0
         pkt = encode(2.0, +1, 4, b, gamma)
-        bad = Packet((pkt.bits[0], 1 - pkt.bits[1], *pkt.bits[2:]), pkt.t_s)
+        bad = Packet(pkt.word ^ 1 << (pkt.g - 2), pkt.g, pkt.t_s)
         with pytest.raises(DecodeError):
             decode(bad, 2.9, b, gamma)
 
@@ -132,7 +132,7 @@ class TestDecode:
         # window and yields q < 0, which the caller flags rather than clamps
         b, gamma = 1.5, 1.0
         pkt = encode(0.2, +1, 4, b, gamma)
-        bad = Packet((pkt.bits[0], 1 - pkt.bits[1], *pkt.bits[2:]), pkt.t_s)
+        bad = Packet(pkt.word ^ 1 << (pkt.g - 2), pkt.g, pkt.t_s)
         _, q = decode(bad, 0.25, b, gamma)
         assert q < 0.0
 
