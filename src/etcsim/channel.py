@@ -149,6 +149,8 @@ class UniformDelay:
     def __post_init__(self):
         if not math.isfinite(self.gamma):
             raise ConfigurationError(f"uniform delays need a finite gamma, got {self.gamma}")
+        if type(self.seed) is not tuple or not all(isinstance(w, int) and w >= 0 for w in self.seed):
+            raise ConfigurationError(f"uniform delay seed must be a tuple of ints >= 0, got {self.seed}")
 
     def sample(self, k: int) -> float:
         index, lane = divmod(k, _LANES)
@@ -260,8 +262,6 @@ def build_delay(
     channel, returns None).  The adversarial form needs the plant growth
     rate and the trigger design parameters.
     """
-    if seed < 0:
-        raise ConfigurationError(f"seed must be >= 0, got {seed}")
     kind, _, arg = spec.partition(":")
 
     def number(text: str) -> float:

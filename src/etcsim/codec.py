@@ -12,6 +12,7 @@ regimes where the reception time itself is precise enough.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .bounds import _RANGES
@@ -20,6 +21,13 @@ from .errors import DecodeError, PreconditionError
 # the packet paths compare inline, once per packet, and share these messages
 _B_RULE = _RANGES["b"][0][1]
 _GAMMA_RULE = "packets with timing bits need a positive finite delay bound"
+_LN_MAX = math.log(sys.float_info.max)  # the largest x whose math.exp(x) has a float
+
+
+def _size_error(g) -> PreconditionError:
+    """check_packet_size's refusal of a g that is not an int >= 1 (3.0 too: a word needs an int)."""
+    rule = "must be >= 1 bit" if type(g) is int else "must be an integer number of bits"
+    return PreconditionError(f"packet size {rule}, got {g}")
 
 
 @dataclass(frozen=True)
@@ -31,8 +39,10 @@ class Packet:
     t_s: float
 
     def __post_init__(self):
-        if not (self.g >= 1 and 0 <= self.word < 1 << self.g):
-            raise PreconditionError(f"a packet needs g >= 1 and a word in [0, 2**g), got {self}")
+        if type(self.g) is not int or self.g < 1:
+            raise _size_error(self.g)
+        if type(self.word) is not int or not 0 <= self.word < 1 << self.g:
+            raise PreconditionError(f"word must be an int in [0, 2**{self.g}), got {self.word}")
 
     @property
     def sign(self) -> int:
@@ -54,6 +64,10 @@ def check_resolvable(g: int, b: float, gamma: float, t_end: float) -> None:
     the rounding of t_end the midpoint cannot be told from the cell edge, so
     the quantization guarantee |t_s - q| <= b*gamma/2^(g-1) is meaningless.
     """
+    if type(g) is not int or g < 1:
+        raise _size_error(g)
+    if not (1 < b < math.inf and 0 < gamma < math.inf):
+        raise PreconditionError(f"b {_B_RULE} and gamma positive and finite, got {b}, {gamma}")
     half = math.ldexp(b * gamma, 1 - g)
     if t_end + half == t_end:
         raise PreconditionError(
@@ -68,6 +82,7 @@ def encode(t_s: float, sign: int, g: int, b: float, gamma: float) -> Packet:
     Cells are left-closed: a time exactly on an edge belongs to the cell it
     starts.  g = 1 emits the sign alone and is valid whenever timing needs no
     refinement (zero delay, or b*gamma within the quantization tolerance).
+    A send time whose cell index t_s/delta has no float is refused.
     """
     if not 0 <= t_s < math.inf:
         raise PreconditionError(f"send time must be finite and >= 0, got {t_s}")
@@ -75,15 +90,18 @@ def encode(t_s: float, sign: int, g: int, b: float, gamma: float) -> Packet:
         raise PreconditionError(f"b {_B_RULE}, got {b}")
     if sign not in (1, -1):
         raise PreconditionError(f"sign must be +1 or -1, got {sign}")
-    if g < 1:
-        raise PreconditionError(f"packet size must be >= 1 bit, got {g}")
+    if type(g) is not int or g < 1:
+        raise _size_error(g)
     sign_bit = 0 if sign > 0 else 1
     if g == 1:
         return Packet(sign_bit, 1, t_s)
     if not 0 < gamma < math.inf:
         raise PreconditionError(f"{_GAMMA_RULE}, got gamma={gamma}")
     delta = cell_width(g, b, gamma)
-    m = math.floor(t_s / delta)
+    cells = t_s / delta if 0 < delta < math.inf else math.inf
+    if cells == math.inf:
+        raise PreconditionError(f"send time {t_s} has no cell index at cell width {delta}")
+    m = math.floor(cells)
     return Packet(sign_bit << (g - 1) | m & ((1 << (g - 1)) - 1), g, t_s)
 
 
@@ -93,7 +111,8 @@ def decode(packet: Packet, t_c: float, b: float, gamma: float) -> tuple[int, flo
     The send time lies in [t_c - gamma, t_c], which meets at most two
     windows of width b*gamma > gamma; the parity bit picks one.  The result
     does not depend on where t_c falls in the admissible delay range.  A
-    parity matching neither candidate window signals corrupted input.
+    parity matching neither candidate window signals corrupted input.  A
+    reception time whose window index t_c/(b*gamma) has no float is refused.
     """
     if not -math.inf < t_c < math.inf:
         raise PreconditionError(f"reception time must be finite, got {t_c}")
@@ -107,8 +126,10 @@ def decode(packet: Packet, t_c: float, b: float, gamma: float) -> tuple[int, flo
         raise PreconditionError(f"{_GAMMA_RULE}, got gamma={gamma}")
     width = b * gamma
     parity, idx = divmod(packet.word & ((1 << (g - 1)) - 1), 1 << (g - 2))
-    later = math.floor(t_c / width)
-    earlier = math.floor((t_c - gamma) / width)
+    hi, lo = t_c / width, (t_c - gamma) / width
+    if not (width < math.inf and -math.inf < lo and hi < math.inf):
+        raise PreconditionError(f"reception time {t_c} has no window index at width {width}")
+    later, earlier = math.floor(hi), math.floor(lo)
     if earlier == later:
         if (later & 1) != parity:
             raise DecodeError(
@@ -125,5 +146,14 @@ def reconstruct_error(
     sign: int, q: float, t_c: float, v0: float, sigma: float, growth: float
 ) -> float:
     """Controller-side estimate of z at reception:
-    sign * v(q) * e^{growth*(t_c - q)} with v(q) = v0*exp(-sigma*q)."""
-    return sign * v0 * math.exp(-sigma * q) * math.exp(growth * (t_c - q))
+    sign * v(q) * e^{growth*(t_c - q)} with v(q) = v0*exp(-sigma*q).
+
+    An exponent whose exponential has no float is refused (PreconditionError),
+    not returned as inf, and so is a NaN exponent.
+    """
+    decay, rise = -sigma * q, growth * (t_c - q)
+    if not (decay <= _LN_MAX and rise <= _LN_MAX):
+        raise PreconditionError(
+            f"exponent -sigma*q={decay} or growth*(t_c-q)={rise} exceeds ln(max float)"
+        )
+    return sign * v0 * math.exp(decay) * math.exp(rise)

@@ -123,6 +123,12 @@ class TestUniformBlockKernel:
         with pytest.raises(ValueError):
             UniformDelay(gamma=0.5, seed=seed).sample(k)
 
+    @pytest.mark.parametrize("seed", [3, (1.5,), (-1,), [1, 2], (1, None)])
+    def test_seed_not_a_tuple_of_non_negative_ints_refused(self, seed):
+        # seed=3 used to construct and fail at the first draw with a TypeError
+        with pytest.raises(ConfigurationError, match="uniform delay seed must be a tuple of ints"):
+            UniformDelay(gamma=0.5, seed=seed)
+
     @pytest.mark.parametrize("gamma", [math.inf, -math.inf, math.nan])
     def test_non_finite_gamma_refused(self, gamma):
         with pytest.raises(OverflowError):
@@ -150,7 +156,7 @@ class TestBuildDelay:
             build_delay("adversarial", 1.0)
         with pytest.raises(ConfigurationError):
             build_delay("fraction:1.5", 1.0)
-        with pytest.raises(ConfigurationError, match="seed must be >= 0, got -1"):
+        with pytest.raises(ConfigurationError, match=r"seed must be a tuple of ints >= 0, got \(-1,\)"):
             build_delay("uniform", 1.0, seed=-1)
 
 

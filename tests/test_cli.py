@@ -15,7 +15,9 @@ import pytest
 from etcsim import bounds as bnd
 from etcsim import cli, sim
 from etcsim.bounds import BoundInputs
-from etcsim.errors import ConfigurationError, DecodeError
+from etcsim.channel import AdversarialDelay, ConstantDelay, ReplayDelay, UniformDelay
+from etcsim.codec import Packet, decode, encode, reconstruct_error
+from etcsim.errors import ConfigurationError, DecodeError, DivergenceError, PreconditionError
 from etcsim.model import JordanPlant, TriggerConfig
 
 DATA = Path(__file__).parent / "data"
@@ -1159,6 +1161,75 @@ def test_structural_value_probe(tmp_path, capsys, command, base):
                 failures.append((key, value, rc, err))
             if out.exists():
                 shutil.rmtree(out)
+    assert not failures
+
+
+# the library's edge values; -1 and 0 stay ints, so an int argument sees them too
+_LIBRARY_VALUES = [math.nan, math.inf, -math.inf, -1, 0, 0.5, 2.5, 3.0, 1e308, 5e-324]
+
+
+def _library_calls():
+    """(callable, valid keyword arguments, use of the result) for each public constructor and
+    function; the use draws a delay or formats a packet, where a bad value could wait."""
+    inp = BoundInputs(((1.0, 1),), 1.0, 0.5, 0.5, nu=4.0)
+    plant, trigger = JordanPlant(((1.0, 1),), ((1.0,),), ((3.0,),)), TriggerConfig(0.5, 1.0, 0.5, 0.1)
+    draw = lambda model: model.sample(1)  # noqa: E731
+    return [
+        (BoundInputs, dict(blocks=((1.0, 1),), sigma=1.0, rho0=0.5, gamma=0.5, b=1.0001, nu=4.0,
+                           rho_ladders=((0.5,),)), bnd.analytic_bounds),
+        (bnd.analytic_bounds, dict(inp=inp), None),
+        (bnd.assumption1_window, dict(inp=inp, g=3), None),
+        (bnd.phase_curves, dict(inp=inp, gamma_grid=(0.1, 0.5), sigma_grid=(0.5, 1.0)), None),
+        (ConstantDelay, dict(delay=0.05, gamma=0.1), draw),
+        (UniformDelay, dict(gamma=0.1, seed=(1, 0)), draw),
+        (AdversarialDelay.from_params, dict(growth=1.0, sigma=1.0, rho0=0.5, gamma=0.1), draw),
+        (ReplayDelay, dict(delays=(0.05, 0.1), gamma=0.1), draw),
+        (Packet, dict(word=5, g=3, t_s=0.5), Packet.bits_hex),
+        (encode, dict(t_s=0.5, sign=1, g=3, b=1.0001, gamma=1.0), Packet.bits_hex),
+        (decode, dict(packet=encode(0.5, 1, 3, 1.0001, 1.0), t_c=1.0, b=1.0001, gamma=1.0), None),
+        (reconstruct_error, dict(sign=1, q=0.5, t_c=1.0, v0=0.1, sigma=0.1, growth=1.0), None),
+        (JordanPlant, dict(blocks=((1.0, 1),), B=((1.0,),), K=((3.0,),)), None),
+        (TriggerConfig, dict(v0=(0.5,), sigma=1.0, rho0=0.5, gamma=0.1, b=1.0001,
+                             rho_ladders=((0.5,),)), None),
+        (sim.run_vector, dict(plant=plant, cfg=trigger, delay_models=UniformDelay(0.1, (1,)),
+                              horizon=0.5, step=1e-3, x0=0.1, xhat0=0.0, refine=False, g=3,
+                              nu=2.0), None),
+    ]
+
+
+def test_library_value_probe():
+    # each edge value in each number or tuple argument of each public constructor and
+    # function (an argument that holds an etcsim object is left as it is): the call
+    # returns, and its result's use succeeds, or either raises one of etcsim's four
+    # errors.  A TypeError may come only from the call itself, for a number where a
+    # tuple belongs; UniformDelay(0.1, seed=3) used to construct and fail at its draw
+    etcsim_errors = (ConfigurationError, DecodeError, DivergenceError, PreconditionError)
+    failures = []
+    for fn, valid, use in _library_calls():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            result = fn(**valid)  # the valid call runs
+            if use is not None:
+                use(result)
+        for name, default in valid.items():
+            if not isinstance(default, (bool, int, float, tuple)):
+                continue
+            for value in _LIBRARY_VALUES:
+                stage = "call"
+                try:
+                    with warnings.catch_warnings():  # adversarial clamping, the grid step
+                        warnings.simplefilter("ignore", UserWarning)
+                        result = fn(**{**valid, name: value})
+                        stage = "use"
+                        if use is not None:
+                            use(result)
+                except etcsim_errors:
+                    pass
+                except TypeError as exc:
+                    if stage == "use" or not isinstance(default, tuple):
+                        failures.append((fn.__qualname__, name, value, stage, repr(exc)))
+                except Exception as exc:
+                    failures.append((fn.__qualname__, name, value, stage, repr(exc)))
     assert not failures
 
 

@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -32,6 +34,15 @@ class TestEncode:
         check_resolvable(52, 1.0001, 1.2, 7.0)
         with pytest.raises(PreconditionError, match="g=53 is too fine"):
             check_resolvable(53, 1.0001, 1.2, 7.0)
+        # a NaN b or gamma used to pass, and a fractional g to raise ldexp's TypeError
+        for args, message in [
+            ((3, 1.0001, math.nan, 7.0), "b must be finite and exceed 1 and gamma positive and "
+                                         "finite, got 1.0001, nan"),
+            ((3, math.nan, 1.2, 7.0), "got nan, 1.2"),
+            ((2.5, 1.0001, 1.2, 7.0), "packet size must be an integer number of bits, got 2.5"),
+        ]:
+            with pytest.raises(PreconditionError, match=re.escape(message)):
+                check_resolvable(*args)
 
     def test_deterministic(self):
         a = encode(3.7, -1, 9, 1.2, 0.8)
@@ -59,18 +70,51 @@ class TestEncode:
             ((0.5, +1, 3, 1.0001, math.inf), "positive finite delay bound, got gamma=inf"),
             ((0.5, +1, 3, 0.5, 1.0), "b must be finite and exceed 1, got 0.5"),
             ((0.5, +1, 1, math.nan, 0.0), "b must be finite and exceed 1, got nan"),
+            # these raised ldexp's TypeError, OverflowError and ZeroDivisionError
+            ((0.5, +1, 2.5, 1.0001, 1.0), "packet size must be an integer number of bits, got 2.5"),
+            ((0.5, +1, 3.0, 1.0001, 1.0), "packet size must be an integer number of bits, got 3.0"),
+            ((0.5, +1, 0, 1.0001, 1.0), "packet size must be >= 1 bit, got 0"),
+            ((1e308, +1, 3, 1.0001, 1.0), "send time 1e+308 has no cell index at cell width 0.50005"),
+            ((0.5, +1, 3, 1.0001, 5e-324), "send time 0.5 has no cell index at cell width 0.0"),
+            ((0.5, +1, 3, 1e308, 10.0), "send time 0.5 has no cell index at cell width inf"),
         ]:
-            with pytest.raises(PreconditionError, match=message):
+            with pytest.raises(PreconditionError, match=re.escape(message)):
                 encode(*args)
-        for word, g in ((8, 3), (-1, 3), (0, 0)):
-            with pytest.raises(PreconditionError, match="a packet needs g >= 1 and a word in"):
-                Packet(word, g, 0.0)
+        for args, message in [
+            ((8, 3), "word must be an int in [0, 2**3), got 8"),
+            ((-1, 3), "word must be an int in [0, 2**3), got -1"),
+            ((1.0, 3), "word must be an int in [0, 2**3), got 1.0"),
+            ((0, 0), "packet size must be >= 1 bit, got 0"),
+            ((0, 2.5), "packet size must be an integer number of bits, got 2.5"),
+        ]:
+            with pytest.raises(PreconditionError, match=re.escape(message)):
+                Packet(*args, 0.0)
 
     def test_bits_hex_width(self):
         pkt = Packet(0b101, 3, 0.0)
         assert pkt.bits_hex() == "5"
         pkt = Packet(0b10101, 5, 0.0)
         assert pkt.bits_hex() == "15"
+
+    def test_word_layout_random(self):
+        # the top bit is the sign and the g-1 bits below it the low bits of the cell index;
+        # a send time whose index has no float is refused
+        rng = np.random.default_rng(2016)
+        for _ in range(2000):
+            g = int(rng.integers(1, 1026))
+            b = float(rng.uniform(1.0001, 1.8))
+            gamma = float(rng.uniform(0.01, 3.0))
+            t_s = float(10.0 ** rng.uniform(-3.0, 2.0))
+            sign = 1 if rng.random() < 0.5 else -1
+            cells = t_s / cell_width(g, b, gamma) if g > 1 else 0.0
+            if cells == math.inf:
+                with pytest.raises(PreconditionError, match="has no cell index"):
+                    encode(t_s, sign, g, b, gamma)
+                continue
+            pkt = encode(t_s, sign, g, b, gamma)
+            assert pkt.word % 2 ** (g - 1) == math.floor(cells) % 2 ** (g - 1)
+            assert pkt.word >> (g - 1) == (sign < 0) and pkt.sign == sign
+            assert pkt.bits_hex() == format(pkt.word, "x").zfill((g + 3) // 4)
 
 
 class TestDecode:
@@ -114,8 +158,13 @@ class TestDecode:
             ((Packet(0, 1, 0.5), math.nan, 1.0001, 0.0), "reception time must be finite, got nan"),
             ((pkt, 1.0, 0.5, 1.0), "b must be finite and exceed 1, got 0.5"),
             ((pkt, 1.0, 0.0, 1.0), "b must be finite and exceed 1, got 0.0"),
+            # these raised OverflowError or decoded a NaN send time
+            ((pkt, 1.0, 1.0001, 5e-324), "reception time 1.0 has no window index at width 5e-324"),
+            ((pkt, 1e308, 1.0001, 1e-3), "reception time 1e+308 has no window index"),
+            ((pkt, -1.7e308, 1.0001, 1e308), "reception time -1.7e+308 has no window index"),
+            ((pkt, 1.0, 1e308, 10.0), "reception time 1.0 has no window index at width inf"),
         ]:
-            with pytest.raises(PreconditionError, match=message):
+            with pytest.raises(PreconditionError, match=re.escape(message)):
                 decode(*args)
 
     def test_decode_error_on_corrupted_parity(self):
@@ -200,6 +249,19 @@ class TestReconstruct:
                     z_tc = v_ts * math.exp(A * d)
                     zbar = reconstruct_error(+1, t_s - off, t_s + d, v0, sigma, A)
                     assert abs(z_tc - zbar) <= bound * v_ts * (1 + 1e-9)
+
+
+    def test_rejects_exponents_without_a_float(self):
+        # these raised OverflowError; an exponent of exactly ln(max float) still has one
+        ln_max = math.log(sys.float_info.max)
+        assert reconstruct_error(+1, 0.0, ln_max, 1.0, 0.0, 1.0) == math.exp(ln_max)
+        for args, message in [
+            ((+1, 0.5, 1e308, 0.1, 0.1, 1.0), "growth*(t_c-q)=1e+308 exceeds ln(max float)"),
+            ((-1, -1e4, 1.0, 0.1, 0.1, 0.0), "-sigma*q=1000.0 or"),
+            ((+1, math.nan, 1.0, 0.1, 0.1, 1.0), "-sigma*q=nan"),
+        ]:
+            with pytest.raises(PreconditionError, match=re.escape(message)):
+                reconstruct_error(*args)
 
 
 class TestEndToEndContract:
