@@ -149,8 +149,9 @@ class UniformDelay:
     def __post_init__(self):
         if not math.isfinite(self.gamma):
             raise ConfigurationError(f"uniform delays need a finite gamma, got {self.gamma}")
-        if type(self.seed) is not tuple or not all(isinstance(w, int) and w >= 0 for w in self.seed):
-            raise ConfigurationError(f"uniform delay seed must be a tuple of ints >= 0, got {self.seed}")
+        seed = self.seed
+        if type(seed) is not tuple or not all(isinstance(w, int) and w >= 0 for w in seed):
+            raise ConfigurationError(f"uniform delay seed must be a tuple of ints >= 0, got {seed}")
 
     def sample(self, k: int) -> float:
         index, lane = divmod(k, _LANES)

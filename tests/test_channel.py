@@ -156,7 +156,7 @@ class TestBuildDelay:
             build_delay("adversarial", 1.0)
         with pytest.raises(ConfigurationError):
             build_delay("fraction:1.5", 1.0)
-        with pytest.raises(ConfigurationError, match=r"seed must be a tuple of ints >= 0, got \(-1,\)"):
+        with pytest.raises(ConfigurationError, match=r"must be a tuple of ints >= 0, got \(-1,\)"):
             build_delay("uniform", 1.0, seed=-1)
 
 

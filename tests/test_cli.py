@@ -1172,7 +1172,8 @@ def _library_calls():
     """(callable, valid keyword arguments, use of the result) for each public constructor and
     function; the use draws a delay or formats a packet, where a bad value could wait."""
     inp = BoundInputs(((1.0, 1),), 1.0, 0.5, 0.5, nu=4.0)
-    plant, trigger = JordanPlant(((1.0, 1),), ((1.0,),), ((3.0,),)), TriggerConfig(0.5, 1.0, 0.5, 0.1)
+    plant = JordanPlant(((1.0, 1),), ((1.0,),), ((3.0,),))
+    trigger = TriggerConfig(0.5, 1.0, 0.5, 0.1)
     draw = lambda model: model.sample(1)  # noqa: E731
     return [
         (BoundInputs, dict(blocks=((1.0, 1),), sigma=1.0, rho0=0.5, gamma=0.5, b=1.0001, nu=4.0,

@@ -73,8 +73,8 @@ class TestEncode:
             # these raised ldexp's TypeError, OverflowError and ZeroDivisionError
             ((0.5, +1, 2.5, 1.0001, 1.0), "packet size must be an integer number of bits, got 2.5"),
             ((0.5, +1, 3.0, 1.0001, 1.0), "packet size must be an integer number of bits, got 3.0"),
-            ((0.5, +1, 0, 1.0001, 1.0), "packet size must be >= 1 bit, got 0"),
-            ((1e308, +1, 3, 1.0001, 1.0), "send time 1e+308 has no cell index at cell width 0.50005"),
+            ((0.5, +1, 0, 1.0001, 1.0), "packet size must lie in [1, 2100] bits, got 0"),
+            ((1e308, +1, 3, 1.0001, 1.0), "send time 1e+308 has no cell index at cell width 0.5"),
             ((0.5, +1, 3, 1.0001, 5e-324), "send time 0.5 has no cell index at cell width 0.0"),
             ((0.5, +1, 3, 1e308, 10.0), "send time 0.5 has no cell index at cell width inf"),
         ]:
@@ -84,11 +84,17 @@ class TestEncode:
             ((8, 3), "word must be an int in [0, 2**3), got 8"),
             ((-1, 3), "word must be an int in [0, 2**3), got -1"),
             ((1.0, 3), "word must be an int in [0, 2**3), got 1.0"),
-            ((0, 0), "packet size must be >= 1 bit, got 0"),
+            ((0, 0), "packet size must lie in [1, 2100] bits, got 0"),
             ((0, 2.5), "packet size must be an integer number of bits, got 2.5"),
+            # past 2100 bits no cell width has a float; 1 << g would be sized by any g
+            ((0, 2101), "packet size must lie in [1, 2100] bits, got 2101"),
+            ((0, 10**12), "packet size must lie in [1, 2100] bits, got 1000000000000"),
         ]:
             with pytest.raises(PreconditionError, match=re.escape(message)):
                 Packet(*args, 0.0)
+        big = sys.float_info.max
+        assert cell_width(2100, big, 1.0) > 0.0 == cell_width(2101, big, 1.0)
+        assert Packet(2**2100 - 1, 2100, 0.0).sign == -1
 
     def test_bits_hex_width(self):
         pkt = Packet(0b101, 3, 0.0)
