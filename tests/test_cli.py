@@ -1213,7 +1213,7 @@ def test_library_value_probe():
             if use is not None:
                 use(result)
         for name, default in valid.items():
-            if not isinstance(default, (bool, int, float, tuple)):
+            if not isinstance(default, (int, float, tuple)):
                 continue
             for value in _LIBRARY_VALUES:
                 stage = "call"
