@@ -5,6 +5,8 @@ the estimate follows the nominal feedback dynamics while the estimation
 error z = x - xhat obeys zdot = A z independently of the input.  The error
 has the closed-form transition block_matexp and the estimate expm of the
 closed-loop matrix, so the engine propagates both free of integrator error.
+expm and the engine's sub-step propagator sum the one Taylor kernel,
+taylor_terms.
 """
 
 from __future__ import annotations
@@ -132,22 +134,25 @@ def block_matexp(lam: float, p: int, h: float) -> np.ndarray:
     return exp_or_inf(lam * h) * M
 
 
-# Higham (2005), Table 2.3: the largest 1-norm at which the [m/m] Pade
-# approximant of exp, sum_k b_k M^k / sum_k b_k (-M)^k, is accurate to double
-# precision; b_k = (2m-k)! / (k! (m-k)!) is an integer, rounded once to float.
-_THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1), (7, 9.504178996162932e-1),
-          (9, 2.097847961257068e0), (13, 5.371920351148152e0))
-_PADE = [(m, theta, [math.factorial(2 * m - k) / (math.factorial(k) * math.factorial(m - k))
-                     for k in range(m + 1)]) for m, theta in _THETA]
+def taylor_terms(M: np.ndarray, theta: float) -> np.ndarray:
+    """M^k/k! for k = 0..m, shape (m+1, n, n): the Taylor terms of exp(M t) for
+    ||M||_1 t <= theta, where m is the lowest degree whose remainder bound
+    theta^(m+1)/(m+1)! e^theta is below 2^-53 (Moler & Van Loan, SIAM Rev. 45(1), 2003)."""
+    W = [np.eye(M.shape[0])]
+    remainder = theta * math.exp(theta)
+    while remainder >= 2.0**-53:
+        W.append(W[-1] @ M / len(W))
+        remainder *= theta / len(W)
+    return np.array(W)
 
 
 def expm(M: np.ndarray) -> np.ndarray:
-    """exp(M) of a square matrix by scaling and squaring (N. J. Higham,
-    SIAM J. Matrix Anal. Appl. 26(4), 2005).
+    """exp(M) of a square matrix by scaling and squaring: M is halved s times
+    until its 1-norm is at most 1/2, the Taylor sum of taylor_terms gives the
+    exponential of that, and the result is squared s times.
 
-    The Pade degree is the lowest whose threshold covers the 1-norm; above
-    the last threshold M is halved s times and the result squared s times.
-    A diagonal M gives the elementwise exponential, exactly.
+    A diagonal M gives the elementwise exponential, exactly, and an infinite
+    or NaN entry gives a matrix of NaN.
     """
     M = np.asarray(M, dtype=float)
     d = M.diagonal()
@@ -156,23 +161,9 @@ def expm(M: np.ndarray) -> np.ndarray:
     norm = float(np.abs(M).sum(axis=0).max())
     if not norm < math.inf:  # an infinite or NaN entry has no exponential
         return np.full(M.shape, np.nan)
-    s = 0
-    for m, theta, b in _PADE:
-        if norm <= theta:
-            break
-    else:
-        s = math.ceil(math.log2(norm / theta))
-        M = M * 2.0**-s
-    # numerator V + U and denominator V - U: U holds the odd powers of M, V the even
-    M2 = M @ M
-    P = np.eye(M.shape[0])
-    U, V = b[1] * P, b[0] * P
-    for k in range(1, m // 2 + 1):
-        P = P @ M2
-        U += b[2 * k + 1] * P
-        V += b[2 * k] * P
-    U = M @ U
-    E = np.linalg.solve(V - U, V + U)
+    # norm > 0 here; log2(2*norm) would overflow for a norm above max/2
+    s = max(0, math.ceil(math.log2(norm) + 1))
+    E = taylor_terms(M * 2.0**-s, norm * 2.0**-s).sum(axis=0)
     for _ in range(s):
         E = E @ E
     return E

@@ -20,12 +20,12 @@ instant.
 The error z moves by the closed-form Jordan block exponentials.  The estimate
 xhat moves by the closed-loop matrix Acl = A - BK: across whole steps by the
 precomputed powers of Phi(h) = expm(Acl h), and by offsets within one step
-through _Engine._flow, a Taylor sum of Acl^k/k! tabulated once per run.
-_flow keeps model.expm (the scaling-and-squaring Pade) in two cases: a
+through _Engine._flow, a sum of the terms Acl^k/k! of model.taylor_terms (the
+kernel of expm too) tabulated once per run.  _flow calls expm in two cases: a
 diagonal Acl, so every scalar plant keeps its elementwise exponential bit for
-bit, and ||Acl||_1 h > 1/2, where the Taylor terms would cancel.  On other
-plants x and xhat agree with the Pade path within 1e-12 of each column's
-largest magnitude; events, z and v never depend on the propagator.
+bit, and ||Acl||_1 h > 1/2, where the unscaled terms would cancel.  On other
+plants x and xhat agree with expm on every offset within 1e-12 of each
+column's largest magnitude; events, z and v never depend on the propagator.
 
 Detection writes each window of error columns in place into the trace's
 coordinate-major z storage and compares it with the thresholds of v, stored
@@ -56,7 +56,8 @@ from . import bounds as bnd
 from .channel import ChannelState, DelayModel, sample_delay
 from .codec import check_resolvable, decode, encode, reconstruct_error
 from .errors import ConfigurationError, DivergenceError, PreconditionError
-from .model import OVERFLOW_LIMIT, JordanPlant, TriggerConfig, block_matexp, exp_or_inf, expm
+from .model import (OVERFLOW_LIMIT, JordanPlant, TriggerConfig, block_matexp, exp_or_inf, expm,
+                    taylor_terms)
 
 _FP_SLACK = 1e-9  # relative allowance for float roundoff in contract checks
 _DETECT_WINDOW = 1024  # samples in the first trigger-detection window of a chunk
@@ -276,13 +277,12 @@ class _Engine:
 
     def _flow_table(self) -> tuple[np.ndarray, np.ndarray] | None:
         """The exponents 0..m and the terms Acl^k/k! (shape (m+1, n, n)) of
-        _flow's Taylor sum, or None where _flow calls expm.
+        _flow's Taylor sum, model.taylor_terms at theta = ||Acl||_1 h, or None
+        where _flow calls expm.
 
-        m is the lowest degree whose Taylor remainder at theta = ||Acl||_1 h,
-        at most theta^(m+1)/(m+1)! e^theta, is below 2^-53 (Moler & Van Loan,
-        SIAM Rev. 45(1), 2003).  A diagonal Acl (every scalar plant) keeps the
-        elementwise exponential of expm, bit for bit, and theta > 1/2 keeps the
-        Pade, since there the Taylor terms of a stiff loop would cancel.
+        A diagonal Acl (every scalar plant) keeps the elementwise exponential
+        of expm, bit for bit, and theta > 1/2 keeps expm's scaling and
+        squaring, since there the Taylor terms of a stiff loop would cancel.
         """
         A = self.acl
         if np.count_nonzero(A) == np.count_nonzero(A.diagonal()):
@@ -290,12 +290,8 @@ class _Engine:
         theta = float(np.abs(A).sum(axis=0).max()) * self.h
         if not theta <= 0.5:
             return None
-        W = [np.eye(self.n)]
-        remainder = theta * math.exp(theta)
-        while remainder >= 2.0**-53:
-            W.append(W[-1] @ A / len(W))
-            remainder *= theta / len(W)
-        return np.arange(len(W), dtype=float), np.array(W)
+        W = taylor_terms(A, theta)
+        return np.arange(len(W), dtype=float), W
 
     def _flow(self, dt: float, v: np.ndarray) -> np.ndarray:
         """exp(Acl*dt) @ v for an offset dt in [0, h], summed from the table
