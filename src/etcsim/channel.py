@@ -279,7 +279,7 @@ def build_delay(
             raise ConfigurationError(f"delay fraction must lie in [0, 1], got {f}")
         return ConstantDelay(delay=f * gamma, gamma=gamma)
     if kind == "uniform":
-        return UniformDelay(gamma=gamma, seed=(int(seed), *salt))
+        return UniformDelay(gamma=gamma, seed=(seed, *salt))
     if kind == "adversarial":
         if growth is None or sigma is None or rho0 is None:
             raise ConfigurationError("adversarial delays need growth, sigma and rho0")

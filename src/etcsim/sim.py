@@ -209,7 +209,9 @@ class _Engine:
         self.delay_models = list(delay_models)
         self.h = step
         self.t_end = self.S * step
-        self.refine = refine
+        if not isinstance(refine, (bool, np.bool_)):
+            raise PreconditionError(f"refine must be a bool, got {refine!r}")
+        self.refine = bool(refine)
         self.sigma = cfg.sigma
 
         self.inputs = cfg.bound_inputs(plant.blocks, nu)

@@ -158,6 +158,8 @@ class TestBuildDelay:
             build_delay("fraction:1.5", 1.0)
         with pytest.raises(ConfigurationError, match=r"must be a tuple of ints >= 0, got \(-1,\)"):
             build_delay("uniform", 1.0, seed=-1)
+        with pytest.raises(ConfigurationError, match=r"tuple of ints >= 0, got \(2\.5,\)"):
+            build_delay("uniform", 1.0, seed=2.5)  # once truncated to (2,)
 
 
 class TestChannelState:

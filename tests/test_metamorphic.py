@@ -60,12 +60,12 @@ def test_gain_reaches_only_the_estimate(refine):
 
 @MODES
 def test_sub_step_propagator_reaches_only_the_estimate(refine, monkeypatch):
-    taylor = dense_run(15.0, refine)
+    table = dense_run(15.0, refine)
     monkeypatch.setattr(sim._Engine, "_flow_table", lambda self: None)  # expm on every offset
-    pade = dense_run(15.0, refine)
-    assert_same_events(taylor, pade)
+    scaled = dense_run(15.0, refine)
+    assert_same_events(table, scaled)
     for name in ("x", "xhat"):
-        got, want = getattr(taylor, name), getattr(pade, name)
+        got, want = getattr(table, name), getattr(scaled, name)
         assert not np.array_equal(got, want), name  # the two paths did run
         err = np.max(np.abs(got - want), axis=0)
         assert np.all(err <= 1e-12 * np.max(np.abs(want), axis=0)), name

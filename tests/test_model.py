@@ -296,8 +296,9 @@ def _random_matrix(rng, n, kind, norm):
 class TestExpm:
     """model.expm against scipy.linalg.expm, an independent implementation."""
 
-    # one norm per Pade degree (3, 5, 7, 9, 13) and two that need squaring
-    NORMS = (1e-3, 0.2, 0.9, 2.0, 5.0, 12.0, 20.0)
+    # norms on both sides of 1/2, where squaring starts (0 and 1 squarings), up to
+    # 50 (7 squarings)
+    NORMS = (1e-3, 0.2, 0.5, math.nextafter(0.5, 1), 0.9, 2.0, 5.0, 12.0, 20.0, 50.0)
 
     @pytest.mark.parametrize("kind", ["dense", "defective", "non_normal"])
     def test_against_scipy(self, kind):

@@ -87,6 +87,19 @@ class TestRunScalar:
                            match=f"packet size must be an integer number of bits, got {g}"):
             run_vector(FIG7_PLANT, FIG7_CFG, dm, 1.0, 0.001, x0=0.15, xhat0=0.15, g=g)
 
+    @pytest.mark.parametrize("refine", [math.nan, 0.5, 1, "yes"])
+    def test_refine_not_a_bool_refused(self, refine):
+        # nan and 1 used to run in refine mode, 0.5 to end in a TypeError mid-run
+        dm = ConstantDelay(0.1, gamma=1.2)
+        with pytest.raises(PreconditionError,
+                           match=re.escape(f"refine must be a bool, got {refine!r}")):
+            run_vector(FIG7_PLANT, FIG7_CFG, dm, 1.0, 0.001, x0=0.2, xhat0=0.1, refine=refine)
+
+    def test_numpy_bool_refine_is_stored_as_bool(self):
+        trace = run_vector(FIG7_PLANT, FIG7_CFG, ConstantDelay(0.1, gamma=1.2), 1.0, 0.001,
+                           x0=0.2, xhat0=0.1, refine=np.True_)
+        assert trace.refine is True
+
     def test_delay_model_count_and_missing_model_refused(self):
         dm = ConstantDelay(0.1, gamma=1.2)
         with pytest.raises(ConfigurationError,
@@ -488,7 +501,7 @@ class TestFlow:
         (FIG7_PLANT, FIG7_CFG, 1e-3),
         (JordanPlant(blocks=((1.0, 1), (2.0, 1)), B=np.eye(2), K=np.diag([4.0, 5.0])),
          TriggerConfig(v0=0.5, sigma=1.0, rho0=0.5, gamma=0.05), 1e-3),
-        (VECTOR_PLANT, VECTOR_CFG, 0.05),  # theta = 0.55: a stiff step keeps the Pade
+        (VECTOR_PLANT, VECTOR_CFG, 0.05),  # theta = 0.55: a stiff step keeps expm's squaring
     ], ids=["scalar", "diagonal_two_blocks", "stiff"])
     def test_falls_back_to_expm_bit_for_bit(self, plant, cfg, h):
         eng = _engine(plant, cfg, h)

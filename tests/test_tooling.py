@@ -32,11 +32,18 @@ EXPORTS = [
 ]
 
 
-def test_traced_benchmark_hooks_resolve():
+def _bench_module(name: str, monkeypatch):
+    """bench/<name>.py, imported under its bare name as bench/run.py imports it."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)  # dataclasses and sibling imports look here
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_benchmark_hooks_resolve(monkeypatch):
     # bench/spans.py patches named package attributes; a missing one raises here
-    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _bench_module("spans", monkeypatch)
     original = sim.run_vector
     tracer = spans.Tracer()
     try:
@@ -47,11 +54,9 @@ def test_traced_benchmark_hooks_resolve():
     assert sim.run_vector is original
 
 
-def test_traced_benchmark_sees_each_hooked_callee():
+def test_traced_benchmark_sees_each_hooked_callee(monkeypatch):
     # a hot-path rewrite that bypasses a patched name would zero a per-layer metric
-    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _bench_module("spans", monkeypatch)
     plant = model.JordanPlant(blocks=((5.0, 2), (10.0, 1)), B=np.eye(3), K=15.0 * np.eye(3))
     cfg = model.TriggerConfig(v0=((0.5, 0.6), (0.5,)), sigma=2.0, rho0=0.5, gamma=0.05)
     models = [channel.build_delay("uniform", 0.05, seed=1701, salt=(0, c)) for c in range(3)]
@@ -65,6 +70,20 @@ def test_traced_benchmark_sees_each_hooked_callee():
     for name in ("model.block_matexp", "codec.encode", "channel.sample_delay",
                  "channel.ChannelState.admit"):
         assert tracer.calls[name] > 0, name
+
+
+@pytest.mark.parametrize("name, seed", [*(("vector_dense", s) for s in range(10)),
+                                        ("fig7_simulate", 0), ("fig7_simulate", 9)])
+def test_benchmark_outputs_match_stored_references(name, seed, monkeypatch, tmp_path):
+    # the full-size operations that bench/run.py times, checked as it checks them
+    workloads = _bench_module("workloads", monkeypatch)
+    refcheck = _bench_module("refcheck", monkeypatch)
+    workload = workloads.WORKLOADS[name](seed, tmp_path / "op")
+    workload.op()
+    out = workload.output()
+    assert out.ok
+    reference = refcheck.load_reference(refcheck.reference_path(type(workload), seed))
+    assert refcheck.check(out.load(), reference) == []
 
 
 def _imported(nodes) -> tuple[set[str], set[str]]:
