@@ -19,7 +19,8 @@ speed.
 
 The module also holds the one check of each design parameter (_RANGES,
 check_blocks, check_gains, contraction_ladders), which model's types call,
-and the per-coordinate table of a trigger design (coordinates), which the
+the one check of a packet size (check_packet_size), which codec and the
+engine call, and the per-coordinate table of a trigger design (coordinates), which the
 engine and its checks read; its cap column bounds each chained trigger level,
 v0_i <= v0_{i-1}*(lam+sigma)*(rho0-rho_{i-1}) / (((rho0-rho_{i-1}) + E)*(E - 1))
 with E = e^{(lam+sigma)*gamma}.  It imports nothing but the standard library
@@ -39,6 +40,8 @@ LN2 = math.log(2.0)
 # largest plant order (sum of block orders): the closed loop's stack of 256 n x n
 # powers then stays within sim.MAX_TRACE_BYTES
 MAX_ORDER = 512
+# the largest g whose cell width b*gamma/2^(g-2) is nonzero for some finite b*gamma
+MAX_PACKET_BITS = 2100
 
 _RANGES = {  # parameter: its (admits, rule) pairs, the one check of each design parameter
     "sigma": [(lambda v: 0 < v < math.inf, "must be positive and finite")],
@@ -90,19 +93,16 @@ def check_blocks(blocks) -> tuple[tuple[float, int], ...]:
 
 
 def check_packet_size(g) -> int:
-    """g as an int, if it is a whole number of bits >= 1; else PreconditionError.
+    """g, if it is an int (not a bool) in [1, MAX_PACKET_BITS]; else PreconditionError.
 
-    A fractional or non-finite g is refused, not truncated.
+    The one rule for a packet size, which the codec and the engine call too:
+    a float, 3.0 too, or a numpy integer is refused, not converted.
     """
-    try:
-        bits = int(g)
-    except (TypeError, ValueError, OverflowError):
-        bits = None
-    if bits != g:
+    if type(g) is not int:
         raise PreconditionError(f"packet size must be an integer number of bits, got {g}")
-    if bits < 1:
-        raise PreconditionError(f"packet size must be >= 1 bit, got {g}")
-    return bits
+    if not 1 <= g <= MAX_PACKET_BITS:
+        raise PreconditionError(f"packet size must lie in [1, {MAX_PACKET_BITS}] bits, got {g}")
+    return g
 
 
 def _gain_rows(name: str, M) -> tuple[tuple[float, ...], ...]:
@@ -496,7 +496,7 @@ def assumption1_window(inp: BoundInputs, g: int) -> Assumption1Window:
     """
     if inp.nu < 2:
         raise PreconditionError(f"the design window needs nu >= 2, got {inp.nu}")
-    g = check_packet_size(g)
+    check_packet_size(g)
     if g < 2:
         raise PreconditionError(f"the design window needs g >= 2, got {g}")
     if inp.gamma == 0:

@@ -6,7 +6,8 @@ the parity of the b*gamma-wide window holding it and its (g-2)-bit sub-cell
 index.  The decoder resolves the window from the parity bit and the known
 delay bound, then reconstructs the cell midpoint; the quantization error is
 at most b*gamma/2^(g-1).  A single-bit packet carries the sign alone, for
-regimes where the reception time itself is precise enough.
+regimes where the reception time itself is precise enough.  Every packet
+size passes bounds.check_packet_size, the one rule for g.
 """
 
 from __future__ import annotations
@@ -15,21 +16,13 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .bounds import _RANGES
+from .bounds import _RANGES, check_packet_size
 from .errors import DecodeError, PreconditionError
 
 # the packet paths compare inline, once per packet, and share these messages
 _B_RULE = _RANGES["b"][0][1]
 _GAMMA_RULE = "packets with timing bits need a positive finite delay bound"
 _LN_MAX = math.log(sys.float_info.max)  # the largest x whose math.exp(x) has a float
-_MAX_G = 2100  # the largest g whose cell width b*gamma/2^(g-2) is nonzero for some finite b*gamma
-
-
-def _size_error(g) -> PreconditionError:
-    """The refusal of a g outside 1.._MAX_G; a float g, 3.0 too, gets check_packet_size's text."""
-    if type(g) is not int:
-        return PreconditionError(f"packet size must be an integer number of bits, got {g}")
-    return PreconditionError(f"packet size must lie in [1, {_MAX_G}] bits, got {g}")
 
 
 @dataclass(frozen=True)
@@ -41,8 +34,7 @@ class Packet:
     t_s: float
 
     def __post_init__(self):
-        if type(self.g) is not int or not 1 <= self.g <= _MAX_G:
-            raise _size_error(self.g)
+        check_packet_size(self.g)
         if type(self.word) is not int or not 0 <= self.word < 1 << self.g:
             raise PreconditionError(f"word must be an int in [0, 2**{self.g}), got {self.word}")
 
@@ -66,8 +58,7 @@ def check_resolvable(g: int, b: float, gamma: float, t_end: float) -> None:
     the rounding of t_end the midpoint cannot be told from the cell edge, so
     the quantization guarantee |t_s - q| <= b*gamma/2^(g-1) is meaningless.
     """
-    if type(g) is not int or g < 1:  # a g past _MAX_G is too fine below
-        raise _size_error(g)
+    check_packet_size(g)
     if not (1 < b < math.inf and 0 < gamma < math.inf):
         raise PreconditionError(f"b {_B_RULE} and gamma positive and finite, got {b}, {gamma}")
     half = math.ldexp(b * gamma, 1 - g)
@@ -92,8 +83,7 @@ def encode(t_s: float, sign: int, g: int, b: float, gamma: float) -> Packet:
         raise PreconditionError(f"b {_B_RULE}, got {b}")
     if sign not in (1, -1):
         raise PreconditionError(f"sign must be +1 or -1, got {sign}")
-    if type(g) is not int or not 1 <= g <= _MAX_G:
-        raise _size_error(g)
+    check_packet_size(g)
     sign_bit = 0 if sign > 0 else 1
     if g == 1:
         return Packet(sign_bit, 1, t_s)

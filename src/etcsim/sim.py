@@ -232,7 +232,7 @@ class _Engine:
             self.g = (bnd.check_packet_size(g),) * self.n
         inp = self.inputs
         for gc in self.g:
-            if gc >= 2 and inp.gamma > 0:  # at gamma = 0 encode refuses timing bits itself
+            if gc >= 2:
                 check_resolvable(gc, inp.b, inp.gamma, self.t_end)
         if not refine:  # after every refusal: a refused run prints its error alone
             self._check_step()

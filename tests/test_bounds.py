@@ -309,8 +309,9 @@ class TestAssumption1Window:
         # a fractional g used to reach ldexp's TypeError
         with pytest.raises(PreconditionError, match="must be an integer number of bits, got 3.5"):
             bnd.assumption1_window(replace(inp, nu=4.0), 3.5)
-        assert bnd.assumption1_window(replace(inp, nu=4.0), 4.0) == bnd.assumption1_window(
-            replace(inp, nu=4.0), 4)
+        # 4.0 used to run as 4 bits; a packet size is an int, as at the codec
+        with pytest.raises(PreconditionError, match="must be an integer number of bits, got 4.0"):
+            bnd.assumption1_window(replace(inp, nu=4.0), 4.0)
 
     def test_lower_bound_gate(self):
         inp = scalar(1.0, 1.0, 0.5, gamma=0.5, b=1.0001, nu=4.0)

@@ -340,11 +340,14 @@ class TestSimulateCommand:
         (["--horizon", "1e9", "--step", "1e-9"], "-byte limit"),
         (["--horizon", "1e-300"], "horizon 1e-300 is shorter than one step 0.0002"),
         (["--g", "70"], "packet size g=70 is too fine"),
-        (["--horizon", "1", "--g", "2000000"], "packet size g=2000000 is too fine"),
+        (["--horizon", "1", "--g", "2000000"],
+         "packet size must lie in [1, 2100] bits, got 2000000"),
         (["--g", "-1"], "field 'g' (command line): packet size must be >= 1 bit, or 0 for "
                         "automatic, got -1"),
+        (["--gamma", "0", "--g", "5", "--horizon", "0.001"],
+         "gamma positive and finite, got 1.0001, 0.0"),
     ], ids=["gamma_nan", "horizon_inf", "step_inf", "nu_inf", "seed_negative", "huge_trace",
-            "no_samples", "g_unresolvable", "g_huge", "g_negative"])
+            "no_samples", "g_unresolvable", "g_huge", "g_negative", "g_timing_at_gamma_0"])
     def test_boundary_input_refused_before_running(self, tmp_path, capsys, monkeypatch,
                                                    flags, fragment):
         # the trace arrays are allocated in _Engine.run, so a refused run allocates
@@ -420,7 +423,7 @@ class TestSimulateCommand:
 
 
 @pytest.mark.parametrize("command, recipe, gamma, fragment", [
-    ("bounds", "fig3", "400", "precision term underflows at gamma=400.0"),
+    ("bounds", "fig3", "400", "packet size must lie in [1, 2100] bits, got 4630"),
     ("bounds", "fig5", "400", "cell width b*gamma/2^(g-2) underflows at gamma=400.0"),
     ("bounds", "fig6", "400", "cell width b*gamma/2^(g-2) underflows at gamma=400.0"),
     ("simulate", "fig7", "1e300", "leaves float range at lam=1.0, sigma=0.1, gamma=1e+300"),

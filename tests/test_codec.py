@@ -6,8 +6,41 @@ import numpy as np
 import pytest
 
 from etcsim import bounds as bnd
+from etcsim.channel import ConstantDelay
 from etcsim.codec import Packet, cell_width, check_resolvable, decode, encode, reconstruct_error
 from etcsim.errors import DecodeError, PreconditionError
+from etcsim.model import JordanPlant, TriggerConfig
+from etcsim.sim import run_vector
+
+
+_WINDOW_INPUTS = bnd.BoundInputs.scalar(1.0, 1.0, 0.5, gamma=0.5, nu=4.0)
+# each path that takes a packet size, called with a g and otherwise valid arguments
+_PACKET_SIZE_PATHS = {
+    "run_vector": lambda g: run_vector(
+        JordanPlant.scalar(A=1.0, B=0.2, K=8.0),
+        TriggerConfig(v0=0.2671, sigma=0.1, rho0=0.1, gamma=1.2, b=1.0001),
+        ConstantDelay(0.0, gamma=1.2), 1.0, 0.001, x0=0.15, xhat0=0.15, g=g),
+    "encode": lambda g: encode(0.5, +1, g, 1.0001, 1.0),
+    "Packet": lambda g: Packet(0, g, 0.0),
+    "check_resolvable": lambda g: check_resolvable(g, 1.0001, 1.2, 7.0),
+    "assumption1_window": lambda g: bnd.assumption1_window(_WINDOW_INPUTS, g),
+}
+
+
+@pytest.mark.parametrize("path", _PACKET_SIZE_PATHS)
+@pytest.mark.parametrize("g, message", [
+    (3.0, "packet size must be an integer number of bits, got 3.0"),
+    (np.int64(3), "packet size must be an integer number of bits, got 3"),
+    (True, "packet size must be an integer number of bits, got True"),
+    (0, "packet size must lie in [1, 2100] bits, got 0"),
+    (2101, "packet size must lie in [1, 2100] bits, got 2101"),
+], ids=["float", "numpy_int", "bool", "zero", "past_cap"])
+def test_one_packet_size_rule(path, g, message):
+    # run_vector used to run 3.0 and np.int64(3) as 3 bits and True as 1 bit,
+    # assumption1_window to take 3.0 as 3, and check_resolvable to call 2101 too fine
+    with pytest.raises(PreconditionError) as refused:
+        _PACKET_SIZE_PATHS[path](g)
+    assert str(refused.value) == message
 
 
 class TestEncode:

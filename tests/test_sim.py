@@ -76,8 +76,21 @@ class TestRunScalar:
     def test_packet_size_below_one_refused(self, g):
         # x0 = xhat0 never triggers, so only an up-front check can refuse g
         dm = ConstantDelay(0.0, gamma=1.2)
-        with pytest.raises(PreconditionError, match="packet size must be >= 1 bit"):
+        with pytest.raises(PreconditionError,
+                           match=re.escape(f"packet size must lie in [1, 2100] bits, got {g}")):
             run_vector(FIG7_PLANT, FIG7_CFG, dm, 1.0, 0.001, x0=0.15, xhat0=0.15, g=g)
+
+    def test_timing_bits_at_zero_delay_bound_refused_before_running(self, monkeypatch):
+        # a g >= 2 at gamma = 0 used to fail only at the first trigger, so a short run passed
+        def never(self):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(sim._Engine, "run", never)
+        cfg = replace(FIG7_CFG, gamma=0.0)
+        with pytest.raises(PreconditionError,
+                           match=re.escape("gamma positive and finite, got 1.0001, 0.0")):
+            run_vector(FIG7_PLANT, cfg, ConstantDelay(0.0, gamma=0.0), 0.001, 0.0002,
+                       x0=0.2, xhat0=0.1, g=5)
 
     @pytest.mark.parametrize("g", [2.5, math.inf, math.nan])
     def test_packet_size_not_an_integer_refused(self, g):

@@ -153,22 +153,43 @@ def test_package_exports_the_same_names():
         assert obj is getattr(sys.modules[obj.__module__], name), name
 
 
-def test_engine_built_only_by_run_vector():
-    # one run entry point: simulate, every sweep row and every library run go through
-    # sim.run_vector, the one function that builds the engine
-    callers = []
+def _scoped_nodes():
+    """Each AST node of the package's source, with "module.function" of the scope
+    that holds it (a lambda's or the module's type name outside a function)."""
     for path in sorted((ROOT / "src" / "etcsim").rglob("*.py")):
         tree = ast.parse(path.read_text())
         parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
         for node in ast.walk(tree):
-            func = node.func if isinstance(node, ast.Call) else None
-            if getattr(func, "id", getattr(func, "attr", None)) != "_Engine":
-                continue
             scope = node
             while not isinstance(scope, (ast.FunctionDef, ast.Lambda, ast.Module)):
                 scope = parents[scope]
-            callers.append(f"{path.stem}.{getattr(scope, 'name', type(scope).__name__)}")
+            yield node, f"{path.stem}.{getattr(scope, 'name', type(scope).__name__)}"
+
+
+def test_engine_built_only_by_run_vector():
+    # one run entry point: simulate, every sweep row and every library run go through
+    # sim.run_vector, the one function that builds the engine
+    callers = [scope for node, scope in _scoped_nodes() if isinstance(node, ast.Call)
+               and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_Engine"]
     assert callers == ["sim.run_vector"]
+
+
+def test_packet_size_rule_lives_only_in_bounds():
+    # one rule for a packet size: its refusal texts and its type test are written in
+    # bounds.check_packet_size alone, and its 2100-bit cap in bounds alone
+    texts, type_tests = set(), set()
+    for node, scope in _scoped_nodes():
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and (
+                "integer number of bits" in node.value or "bits, got" in node.value):
+            texts.add(scope)
+        if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "type"
+                and getattr(node.args[0], "id", getattr(node.args[0], "attr", None)) == "g"):
+            type_tests.add(scope)
+    assert texts == {"bounds.check_packet_size"}
+    assert type_tests == {"bounds.check_packet_size"}
+    cap = [path.name for path in sorted((ROOT / "src" / "etcsim").rglob("*.py"))
+           if re.search(r"\b2100\b", path.read_text())]
+    assert cap == ["bounds.py"]
 
 
 def test_package_refuses_unknown_names_and_imports_submodules():
