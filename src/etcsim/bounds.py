@@ -19,8 +19,8 @@ speed.
 
 The module also holds the one check of each design parameter (_RANGES,
 check_blocks, check_gains, contraction_ladders), which model's types call,
-the one check of a packet size (check_packet_size), which codec and the
-engine call, and the per-coordinate table of a trigger design (coordinates), which the
+and of a packet size (check_packet_size), which codec and the engine call,
+and the per-coordinate table of a trigger design (coordinates), which the
 engine and its checks read; its cap column bounds each chained trigger level,
 v0_i <= v0_{i-1}*(lam+sigma)*(rho0-rho_{i-1}) / (((rho0-rho_{i-1}) + E)*(E - 1))
 with E = e^{(lam+sigma)*gamma}.  It imports nothing but the standard library

@@ -152,18 +152,21 @@ def expm(M: np.ndarray) -> np.ndarray:
     exponential of that, and the result is squared s times.
 
     A diagonal M gives the elementwise exponential, exactly, and an infinite
-    or NaN entry gives a matrix of NaN.
+    or NaN entry gives a matrix of NaN.  An exponential that leaves float
+    range gives inf entries, or NaN where inf meets 0, as exp_or_inf does
+    for a scalar, and raises no warning.
     """
     M = np.asarray(M, dtype=float)
     d = M.diagonal()
-    if np.count_nonzero(M) == np.count_nonzero(d):
-        return np.diag(np.exp(d))
-    norm = float(np.abs(M).sum(axis=0).max())
-    if not norm < math.inf:  # an infinite or NaN entry has no exponential
-        return np.full(M.shape, np.nan)
-    # norm > 0 here; log2(2*norm) would overflow for a norm above max/2
-    s = max(0, math.ceil(math.log2(norm) + 1))
-    E = taylor_terms(M * 2.0**-s, norm * 2.0**-s).sum(axis=0)
-    for _ in range(s):
-        E = E @ E
-    return E
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.count_nonzero(M) == np.count_nonzero(d):
+            return np.diag(np.exp(d))
+        norm = float(np.abs(M).sum(axis=0).max())
+        if not norm < math.inf:  # an infinite or NaN entry has no exponential
+            return np.full(M.shape, np.nan)
+        # norm > 0 here; log2(2*norm) would overflow for a norm above max/2
+        s = max(0, math.ceil(math.log2(norm) + 1))
+        E = taylor_terms(M * 2.0**-s, norm * 2.0**-s).sum(axis=0)
+        for _ in range(s):
+            E = E @ E
+        return E

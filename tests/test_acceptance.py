@@ -9,6 +9,7 @@ there and at nu=6, where the window is over one bit wide for every b, so a
 packet size always fits.
 """
 
+import contextlib
 import json
 import math
 import time
@@ -20,11 +21,11 @@ import pytest
 
 from etcsim import bounds as bnd
 from etcsim import cli
-from etcsim.channel import ConstantDelay, UniformDelay
+from etcsim.channel import AdversarialDelay, ConstantDelay, UniformDelay
 from etcsim.codec import check_resolvable, decode, encode, reconstruct_error
 from etcsim.errors import PreconditionError
 from etcsim.model import JordanPlant, TriggerConfig
-from etcsim.sim import run_vector
+from etcsim.sim import run_vector, validate_trace
 
 DATA = Path(__file__).parent / "data"
 DATA_RATE_FIG8 = 3.7512  # (A + sigma)/ln2 threshold quoted for the sweep
@@ -433,3 +434,42 @@ def test_criterion_9_window_admits_integer_witness():
     assert witnesses[1.0001] == [4]
     _line(9, True, "an integer packet size satisfies all three window checks",
           f"nu={nu}: witness sets {witnesses}")
+
+
+def test_criterion_11_packet_size_transition():
+    """Criterion 11, the scalar half of the phase transition in bits per event.
+
+    fig8's plant runs under the adversarial delay, in refine mode, for 30 s at
+    every g from 1 to packet_size_sufficient + 1; a g "holds" when its trace
+    validates.  Below gamma_c the sign bit alone holds, the smallest holding g
+    lies in [max(1, ceil(packet_bits_necessary)), packet_size_sufficient], and
+    every larger g holds.  This checks the engine, the codec and the bounds
+    against each other on one plant and one delay model; it is not a check of
+    the theorem.
+    """
+    t0 = time.time()
+    plant = JordanPlant.scalar(A=2.4, B=1.0, K=8.0)
+    checks, rows = [], []
+    for gamma in (0.02, 0.05, 0.1, 0.2005, 0.6005, 1.0005):
+        cfg = TriggerConfig(v0=0.0442, sigma=0.2, rho0=0.1, gamma=gamma, b=1.0001)
+        table = bnd.analytic_bounds(cfg.bound_inputs(plant.blocks, 2.0))
+        # at gamma <= 0.05 the adversarial delay exceeds the bound and is clamped to it
+        clamped = (pytest.warns(UserWarning, match="clamping") if gamma <= 0.05
+                   else contextlib.nullcontext())
+        with clamped:
+            delay = AdversarialDelay.from_params(2.4, 0.2, 0.1, gamma)
+        holds = ""
+        for g in range(1, table.packet_size_sufficient + 2):
+            trace = run_vector(plant, cfg, delay, 30.0, 2e-4, x0=0.201, xhat0=0.2,
+                               refine=True, g=g, nu=2.0)
+            holds += "1" if validate_trace(trace).ok else "0"
+        smallest = holds.find("1") + 1
+        lowest = max(1, math.ceil(table.packet_bits_necessary))
+        checks.append((gamma >= table.gamma_c or holds[0] == "1")
+                      and lowest <= smallest <= table.packet_size_sufficient
+                      and set(holds[smallest - 1:]) == {"1"})
+        rows.append(f"{gamma}: {holds}")
+    elapsed = time.time() - t0
+    _line(11, all(checks), "the smallest holding packet size sits between the packet bounds",
+          f"g = 1, 2, ... holds at gamma {'; '.join(rows)}; {elapsed:.2f}s")
+    assert all(checks), rows

@@ -337,6 +337,16 @@ class TestExpm:
         M = np.array([[-1.0, bad], [0.5, -2.0]])
         assert np.isnan(expm(M)).all()
 
+    def test_out_of_float_range_gives_inf_without_warning(self):
+        # these raised numpy overflow warnings, in the squaring loop and in np.exp
+        # (pyproject.toml turns an etcsim RuntimeWarning into a test failure)
+        swap = expm([[0.0, 1e308], [1e308, 0.0]])
+        jordan = expm([[800.0, 1.0], [0.0, 800.0]])
+        diag = expm(np.diag([800.0, 1.0]))
+        assert np.isposinf(swap).all()
+        assert np.isposinf(jordan[0]).all() and jordan[1, 0] == 0.0 and np.isposinf(jordan[1, 1])
+        assert np.isposinf(diag[0, 0]) and diag[1, 1] == math.e and diag[0, 1] == diag[1, 0] == 0.0
+
 
 class TestApplyJump:
     def test_perfect_estimate(self):
