@@ -9,6 +9,10 @@ delay bounds.
 Each rate formula lives once, in the rate kernel _rate_curves:
 analytic_bounds, the one bound table and the one public path to each
 bound, reads it at one delay and phase_curves over a delay grid.  The
+supremum of the necessary rate over a decay-rate grid is the rate at the
+grid's largest sigma whenever a rounding-safe upper bound on the others
+certifies it (_sup_certified), and the largest rate over every sigma of the
+grid otherwise: the same float either way.  The
 table's single-eigenvalue fields come from private kernels on plain floats
 (_triggering_rates, _spacing, _critical_delay, _beta, _packet_size,
 _tolerance), so a caller that needs one value in a hot loop skips the
@@ -295,11 +299,18 @@ def _rate_curves(
     sufficient rate adds one term per coordinate, with its ladder contraction
     in place of rho0.  Every rate is 0 at gamma = 0.  A grid on which
     b*(lam+sigma)*gamma/ln2 overflows at any of its sigmas is refused.
+
+    The supremum is the necessary rate at the grid's largest sigma whenever
+    _sup_certified proves that no other sigma of the grid exceeds it; only
+    when that certificate fails is the whole grid scanned.  Either way it is
+    the same float as the maximum of the rates at every sigma of the grid.
     """
     sigma, rho0, b, blocks = inp.sigma, inp.rho0, inp.b, inp.blocks
     ln_nu, ln_rho0, inv_rho0 = math.log(inp.nu), math.log(rho0), 1.0 / rho0
-    at_sigmas = (sigma, *(sigmas or ()))  # the curve's own sigma, then the supremum's
-    growth = max(lam for lam, _ in blocks) + max(at_sigmas)
+    order = sorted(sigmas or ())
+    head = (sigma,) if sigmas is None else (sigma, order[-1])  # the curve's, the grid's largest
+    rest = order[:-1] or order  # the others; a one-point grid's is that point, a sound cover
+    growth = max(lam for lam, _ in blocks) + max(head)
     if gammas and not max(gammas) * b * growth / LN2 < math.inf:
         raise ConfigurationError(
             f"the rate bounds and the sufficient packet size leave float range: "
@@ -311,22 +322,30 @@ def _rate_curves(
     nec, app, suf, sup = [], [], [], []
     for gamma in gammas:
         if gamma == 0:
-            rates, approx, sufficient = [0.0] * len(at_sigmas), 0.0, 0.0
+            rates, approx, sufficient = [0.0] * len(head), 0.0, 0.0
         else:
             terms = [(lam, p, _ln_em1(lam, gamma)) for lam, p in blocks]
-            rates = []
-            # both factors inline: a helper call per sigma or per block slows the
-            # sweeps; test_kernel_bitwise_equals_factor_product keeps them equal
-            for s in at_sigmas:
-                u = s * gamma
-                den = ln_nu + (u + math.log(2 * math.exp(-u) + inv_rho0))
-                ln_contraction = u - ln_rho0
-                total = 0.0
-                for lam, p, ln_em1 in terms:
-                    bits = (ln_em1 + ln_contraction) / LN2
-                    if bits > 0.0:
-                        total += p * ((lam + s) / den) * bits
-                rates.append(total)
+            rates, scan = [], head
+            while True:
+                # both factors inline: a helper call per sigma or per block slows the
+                # sweeps; test_kernel_bitwise_equals_factor_product keeps them equal
+                for s in scan:
+                    u = s * gamma
+                    den = ln_nu + (u + math.log(2 * math.exp(-u) + inv_rho0))
+                    ln_contraction = u - ln_rho0
+                    total = 0.0
+                    for lam, p, ln_em1 in terms:
+                        bits = (ln_em1 + ln_contraction) / LN2
+                        if bits > 0.0:
+                            total += p * ((lam + s) / den) * bits
+                    rates.append(total)
+                # the supremum: the grid's largest sigma, or the whole grid when
+                # _sup_certified cannot vouch for the rest
+                if sigmas is None or scan is not head or _sup_certified(
+                    terms, gamma, rest[0], rest[-1], ln_nu, rho0, ln_rho0, rates[1]
+                ):
+                    break
+                scan = sigmas
             den = sigma * gamma - ln_rho0  # _ln_contraction at the curve's sigma
             approx = 0.0
             for w, (_, _, ln_em1) in zip(weights, terms):
@@ -342,6 +361,50 @@ def _rate_curves(
         if sigmas is not None:
             sup.append(max(rates[1:]))
     return nec, app, suf, sup
+
+
+def _sup_certified(terms, gamma, lo, hi, ln_nu, rho0, ln_rho0, best) -> bool:
+    """True when no sigma in [lo, hi] gives _rate_curves a necessary rate above best.
+
+    A filter in the manner of Shewchuk's filtered predicates (1997): a cheap
+    upper bound that may fail to decide, never decides wrongly.  With
+    x = sigma*gamma - ln rho0, the kernel's denominator is
+    ln nu + x + eps(sigma), eps(sigma) = ln(1 + 2 rho0 e^{-sigma*gamma}), and
+    eps falls as sigma grows, so D = ln nu + eps(hi) bounds it below by D + x
+    on [lo, hi].  Each block then adds at most p/ln2 * max(0, g(x)) with
+    g = (lam+sigma)(L+x)/(D+x), L = ln(e^{lam*gamma} - 1).  As lam + sigma is
+    affine in x, g*gamma = (x+a)(x+L)/(x+D) = x + c + k/(x+D) for x > -D: it
+    increases where k <= 0 and is convex where k > 0, so on [x(lo), x(hi)]
+    its largest value is at an end.
+
+    Margins.  Every operation on both sides rounds by a relative 2^-53, and
+    exp, log and log1p by an ulp.  The denominators are sums of nonnegative
+    terms, the kernel's at least ln 3, so they keep those relative errors.
+    fl(hi*gamma) moves eps(hi) by a relative hi*gamma*2^-53 < 746*2^-53
+    (exp(-746) is 0), or by an absolute 1e-323 where exp is subnormal, which
+    is nothing against x >= -ln rho0 >= 2^-53.  With the sums over at most
+    MAX_ORDER blocks, the kernel's rate and the bound are each within a
+    relative 2,000*2^-53 (2.2e-13) of the exact bound; 1e-12 covers both.
+    The one cancellation is L + x: x comes from two roundings, off by up to
+    2.01*2^-53*x, and x/(D+x) <= 1, so it moves each block's term by at most
+    2.1*2^-53*p(lam+hi)/ln2 on each side; 1e-14*p(lam+hi)/ln2 covers both.
+    No term is NaN: x(lo) > 0 since rho0 < 1, and an overflow gives inf,
+    which decides nothing.
+
+    The bits of each block at hi take the kernel's own float operations, and
+    fl is monotone, so when none is positive every rate on [lo, hi] is
+    exactly 0.0 and best >= 0.0 is the supremum without the bound.
+    """
+    x_lo, x_hi = lo * gamma - ln_rho0, hi * gamma - ln_rho0
+    d = ln_nu + math.log1p(2.0 * rho0 * math.exp(-hi * gamma))
+    bound = slack = 0.0
+    clamped = True
+    for lam, p, ln_em1 in terms:
+        clamped = clamped and ln_em1 + x_hi <= 0.0
+        bound += p * max(0.0, (lam + lo) * (ln_em1 + x_lo) / (d + x_lo),
+                         (lam + hi) * (ln_em1 + x_hi) / (d + x_hi))
+        slack += p * (lam + hi)
+    return clamped or (bound * (1.0 + 1e-12) + slack * 1e-14) / LN2 <= best
 
 
 def _critical_delay(A: float, sigma: float, rho0: float) -> float:

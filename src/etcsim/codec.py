@@ -59,8 +59,10 @@ def check_resolvable(g: int, b: float, gamma: float, t_end: float) -> None:
     the quantization guarantee |t_s - q| <= b*gamma/2^(g-1) is meaningless.
     """
     check_packet_size(g)
-    if not (1 < b < math.inf and 0 < gamma < math.inf):
-        raise PreconditionError(f"b {_B_RULE} and gamma positive and finite, got {b}, {gamma}")
+    if not 1 < b < math.inf:
+        raise PreconditionError(f"b {_B_RULE}, got {b}")
+    if not 0 < gamma < math.inf:
+        raise PreconditionError(f"{_GAMMA_RULE}, got gamma={gamma}")
     half = math.ldexp(b * gamma, 1 - g)
     if t_end + half == t_end:
         raise PreconditionError(

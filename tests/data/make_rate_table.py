@@ -7,8 +7,11 @@ each row holds the necessary, approximate-necessary, sufficient and
 sigma-supremum rates at one delay, from the bound table (analytic_bounds).
 The cases cover scalar plants, repeated and mixed eigenvalues, contraction
 ladders, gamma = 0, delays within 1e-9 of gamma_c, (sigma + lam)*gamma >= 700
-and nu = 1.  test_bounds.TestRateTable checks the package against the table,
-so regenerate it only when a change means to move these values.
+and nu = 1; two fixed cases after the seeded ones add a supremum at an
+interior sigma of the grid and delays near rho0 = 1e-300, where the packet
+bits ln(e^{lam*gamma} - 1) + sigma*gamma - ln rho0 cancel to near 0.
+test_bounds.TestRateTable checks the package against the table, so
+regenerate it only when a change means to move these values.
 """
 
 import json
@@ -58,6 +61,16 @@ def _case(rng, k):
     return inp, gammas, sigmas
 
 
+def _fixed_cases():
+    """(inputs, delays, sigmas) of the cases after the seeded ones."""
+    interior = bnd.BoundInputs.scalar(3.623, 1.0, 0.654, b=1.0001, nu=2.0)
+    # at gamma = 1.931 the supremum over 0.1:0.1:50 is at sigma = 0.3, not at an end
+    yield interior, [0.0, 0.5, 1.0, 1.931, 3.0], [0.1 + i * 0.1 for i in range(50)]
+    tiny = bnd.BoundInputs.scalar(1.0, 0.5, 1e-300, b=1.5, nu=1.0)
+    gammas = [0.0, 5e-301, 9.99e-301, 1e-300, 1.001e-300, 2e-300, 1e-299, 1e-200, 1e-3]
+    yield tiny, gammas, [3.0, 0.5, 1.0, 3.0, 0.02]
+
+
 def _hexes(xs):
     return [float.hex(float(x)) for x in xs]
 
@@ -72,8 +85,8 @@ def _row(inp, gamma, sigmas):
 def main():
     rng = random.Random(SEED)
     cases = []
-    for k in range(N_CASES):
-        inp, gammas, sigmas = _case(rng, k)
+    seeded = (_case(rng, k) for k in range(N_CASES))
+    for inp, gammas, sigmas in (*seeded, *_fixed_cases()):
         cases.append({
             "blocks": [[float.hex(lam), p] for lam, p in inp.blocks],
             "sigma": float.hex(inp.sigma),

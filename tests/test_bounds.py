@@ -464,6 +464,15 @@ class TestRateTable:
             and abs(g - bnd.analytic_bounds(inp).gamma_c) <= 1e-9
         ]
         assert len(near_gc) >= 30
+        # a supremum above the necessary rate at both ends of its sigma grid
+        interior = [
+            (inp, g) for inp, sigmas, rows in cases for g, sup in
+            ((float.fromhex(r[0]), float.fromhex(r[4])) for r in rows)
+            if all(bnd.analytic_bounds(replace(inp, gamma=g, sigma=s)).rate_necessary < sup
+                   for s in (min(sigmas), max(sigmas)))
+        ]
+        assert interior
+        assert any(inp.rho0 <= 1e-300 and 0 < g <= 1e-299 for inp, g in gammas)
 
     def test_point_functions_match(self):
         # the bound table evaluated at each delay on its own, one delay per kernel call

@@ -345,9 +345,12 @@ class TestSimulateCommand:
         (["--g", "-1"], "field 'g' (command line): packet size must be >= 1 bit, or 0 for "
                         "automatic, got -1"),
         (["--gamma", "0", "--g", "5", "--horizon", "0.001"],
-         "gamma positive and finite, got 1.0001, 0.0"),
+         "error: packets with timing bits need a positive finite delay bound, got gamma=0.0"),
+        (["--gamma", "0", "--g", "5"],
+         "error: packets with timing bits need a positive finite delay bound, got gamma=0.0"),
     ], ids=["gamma_nan", "horizon_inf", "step_inf", "nu_inf", "seed_negative", "huge_trace",
-            "no_samples", "g_unresolvable", "g_huge", "g_negative", "g_timing_at_gamma_0"])
+            "no_samples", "g_unresolvable", "g_huge", "g_negative", "g_timing_at_gamma_0",
+            "g_timing_at_gamma_0_recipe_horizon"])
     def test_boundary_input_refused_before_running(self, tmp_path, capsys, monkeypatch,
                                                    flags, fragment):
         # the trace arrays are allocated in _Engine.run, so a refused run allocates

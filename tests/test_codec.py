@@ -69,9 +69,9 @@ class TestEncode:
             check_resolvable(53, 1.0001, 1.2, 7.0)
         # a NaN b or gamma used to pass, and a fractional g to raise ldexp's TypeError
         for args, message in [
-            ((3, 1.0001, math.nan, 7.0), "b must be finite and exceed 1 and gamma positive and "
-                                         "finite, got 1.0001, nan"),
-            ((3, math.nan, 1.2, 7.0), "got nan, 1.2"),
+            ((3, 1.0001, math.nan, 7.0), "packets with timing bits need a positive finite delay "
+                                         "bound, got gamma=nan"),
+            ((3, math.nan, 1.2, 7.0), "b must be finite and exceed 1, got nan"),
             ((2.5, 1.0001, 1.2, 7.0), "packet size must be an integer number of bits, got 2.5"),
         ]:
             with pytest.raises(PreconditionError, match=re.escape(message)):

@@ -22,6 +22,10 @@ from etcsim.sim import (
 
 FIG7_PLANT = JordanPlant.scalar(A=1.0, B=0.2, K=8.0)
 FIG7_CFG = TriggerConfig(v0=0.2671, sigma=0.1, rho0=0.1, gamma=1.2, b=1.0001)
+FIG6_INPUTS = bnd.BoundInputs.scalar(1.3, 1.0, 0.9, b=1.0001, nu=2.0)
+FIG6_SIGMAS = [0.1 + i * 0.1 for i in range(50)]  # fig6's 0.1:0.1:50, as cli._grid builds it
+# at gamma = 1.931 the supremum over FIG6_SIGMAS is at sigma = 0.3, an interior point
+INTERIOR_INPUTS = bnd.BoundInputs.scalar(3.623, 1.0, 0.654, b=1.0001, nu=2.0)
 
 
 def fig7_run(horizon=3.0, step=0.001, seed=(7, 0), **kw):
@@ -88,7 +92,8 @@ class TestRunScalar:
         monkeypatch.setattr(sim._Engine, "run", never)
         cfg = replace(FIG7_CFG, gamma=0.0)
         with pytest.raises(PreconditionError,
-                           match=re.escape("gamma positive and finite, got 1.0001, 0.0")):
+                           match=re.escape("packets with timing bits need a positive finite "
+                                           "delay bound, got gamma=0.0")):
             run_vector(FIG7_PLANT, cfg, ConstantDelay(0.0, gamma=0.0), 0.001, 0.0002,
                        x0=0.2, xhat0=0.1, g=5)
 
@@ -1126,6 +1131,82 @@ class TestPhaseCurves:
             column = getattr(pc, name)
             assert isinstance(column, tuple), name
             assert list(map(float.hex, column)) == list(map(float.hex, values)), name
+
+    def test_sup_column_equals_grid_maximum_bitwise(self):
+        # the supremum, however it is decided, is the maximum of the bound table over
+        # the sigma grid bit for bit: shuffled grids, a duplicated largest sigma, one
+        # point, ladders, gamma = 0, (sigma + lam)*gamma >= 700, and tiny delays at a
+        # tiny rho0, where the packet bits cancel to near 0
+        ladders = bnd.BoundInputs(blocks=((1.2, 2), (1.2, 1)), sigma=0.7, rho0=0.6, gamma=0.0,
+                                  b=1.05, nu=3.0, rho_ladders=((0.2, 0.6), (0.6,)))
+        mixed = bnd.BoundInputs(blocks=((0.3, 2), (2.5, 1), (6.0, 2)), sigma=0.4, rho0=0.4,
+                                gamma=0.0, nu=1.0, rho_ladders=((0.1, 0.4), (0.4,), (0.05, 0.4)))
+        tiny = bnd.BoundInputs.scalar(1.0, 0.5, 1e-300, b=1.5, nu=1.0)
+        shuffled = list(FIG6_SIGMAS)
+        np.random.default_rng(6).shuffle(shuffled)
+        delays = [0.0, 0.02, 0.1, 0.25, 0.3, 1.0, 5.0, 40.0, 200.0, 600.0]
+        cases = [
+            (FIG6_INPUTS, delays, shuffled),
+            (FIG6_INPUTS, delays, [2.0, 0.5, 5.0, 0.5, 5.0, 1.0]),
+            (FIG6_INPUTS, delays, [0.7]),
+            (ladders, delays, [0.05, 3.0, 6.0, 1.5, 3.0]),
+            (mixed, delays, [4.0, 0.05, 1.0, 0.3]),
+            (tiny, [0.0, 5e-301, 1e-300, 1.001e-300, 2e-300, 1e-299, 1e-200],
+             [3.0, 0.5, 3.0, 0.02]),
+            (INTERIOR_INPUTS, [1.931], FIG6_SIGMAS),
+            # near ties at gamma = 1.931: the rate at 0.0533 is one ulp above the rate at
+            # the largest sigma, and an endpoint bound without margins one ulp below it
+            (INTERIOR_INPUTS, [1.931], [0.0533, 0.5968433169686265]),
+            (INTERIOR_INPUTS, [1.931], [0.5968433169686265, 0.001, 0.0533]),
+        ]
+        rng = np.random.default_rng(34)
+        for _ in range(60):
+            count = int(rng.integers(1, 4))
+            inp = bnd.BoundInputs(
+                blocks=tuple((float(10 ** rng.uniform(-2, 1)), int(rng.integers(1, 3)))
+                             for _ in range(count)),
+                sigma=1.0, rho0=float(rng.choice([rng.uniform(0.01, 0.99),
+                                                  10 ** -rng.uniform(2, 200)])),
+                gamma=0.0, nu=float(rng.choice([1.0, rng.uniform(1.0, 8.0)])),
+            )
+            cases.append((inp, 10 ** rng.uniform(-4, 2, 5), 10 ** rng.uniform(-2, 1.5, 8)))
+        for inp, gammas, sigmas in cases:
+            pc = phase_curves(inp, gammas, sigma_grid=sigmas)
+            want = [
+                max(bnd.analytic_bounds(replace(inp, gamma=float(g), sigma=float(s))).rate_necessary
+                    for s in sigmas)
+                for g in gammas
+            ]
+            assert list(map(float.hex, pc.necessary_sup_sigma)) == list(map(float.hex, want)), inp
+
+    def test_sup_branches(self, monkeypatch):
+        # every fig6 row is certified at the grid's largest sigma: below gamma_c by the
+        # zero shortcut (the bound alone never certifies a 0.0), above it by the bound;
+        # an interior maximum falls back to the whole grid
+        calls = []
+        certify = bnd._sup_certified
+
+        def spy(terms, gamma, lo, hi, ln_nu, rho0, ln_rho0, best):
+            calls.append((gamma, lo, hi, best, certify(terms, gamma, lo, hi, ln_nu, rho0,
+                                                         ln_rho0, best)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(bnd, "_sup_certified", spy)
+        gammas = [0.02 + 0.02 * i for i in range(200)]  # fig6's 0.02:0.02:200
+        phase_curves(FIG6_INPUTS, gammas, sigma_grid=FIG6_SIGMAS)
+        assert [(g, lo, hi, ok) for g, lo, hi, _, ok in calls] == [
+            (g, 0.1, FIG6_SIGMAS[-2], True) for g in gammas
+        ]
+        zero = [g for g, _, _, best, _ in calls if best == 0.0]
+        assert len(zero) == 10 and max(zero) < bnd.analytic_bounds(FIG6_INPUTS).gamma_c
+
+        calls.clear()
+        pc = phase_curves(INTERIOR_INPUTS, [1.931], sigma_grid=FIG6_SIGMAS)
+        at = replace(INTERIOR_INPUTS, gamma=1.931)
+        assert [(best, ok) for *_, best, ok in calls] == [(19.717659886270475, False)]
+        assert pc.necessary_sup_sigma == (20.148994388653094,)
+        assert bnd.analytic_bounds(replace(at, sigma=FIG6_SIGMAS[2])).rate_necessary == (
+            20.148994388653094)
 
     def test_empty_sigma_grid_refused(self):
         inp = bnd.BoundInputs.scalar(1.3, 1.0, 0.9, nu=2.0)
