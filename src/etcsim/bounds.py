@@ -307,9 +307,11 @@ def _rate_curves(
     """
     sigma, rho0, b, blocks = inp.sigma, inp.rho0, inp.b, inp.blocks
     ln_nu, ln_rho0, inv_rho0 = math.log(inp.nu), math.log(rho0), 1.0 / rho0
-    order = sorted(sigmas or ())
-    head = (sigma,) if sigmas is None else (sigma, order[-1])  # the curve's, the grid's largest
-    rest = order[:-1] or order  # the others; a one-point grid's is that point, a sound cover
+    head = (sigma,)  # the curve's own sigma, then the grid's largest
+    if sigmas is not None:
+        order = sorted(sigmas)
+        head += (order[-1],)
+        rest = order[:-1] or order  # the others; a one-point grid's is its point, a sound cover
     growth = max(lam for lam, _ in blocks) + max(head)
     if gammas and not max(gammas) * b * growth / LN2 < math.inf:
         raise ConfigurationError(
