@@ -62,11 +62,10 @@ def _seed(s: str) -> int:
     return seed
 
 
-def _packet_bits(s: str) -> int:
+def _packet_bits(s: str) -> int | None:
+    """A packet size checked by the one rule; 0 is None, run_vector's automatic size."""
     g = int(s)
-    if g < 0:
-        raise ValueError(f"packet size must be >= 1 bit, or 0 for automatic, got {g}")
-    return g
+    return None if g == 0 else bnd.check_packet_size(g)
 
 
 def _floats(s: str) -> list[float]:
@@ -121,7 +120,7 @@ SETTINGS = {
     "b": Setting(float, 1.0001, _ALL),
     "rho_ladder": Setting(_nested, None, _ALL),
     "nu": Setting(float, 2.0, _ALL, "precision parameter"),  # bounds, analytic sweeps: 1.0
-    "g": Setting(_packet_bits, 0, ("bounds", "simulate"), "packet size (bits), 0 = automatic"),
+    "g": Setting(_packet_bits, None, ("bounds", "simulate"), "packet size (bits), 0 = automatic"),
     "delay": Setting(str, "uniform", _RUNS, "delay model spec"),
     "seed": Setting(_seed, 0, _RUNS, "delay realization seed"),
     "horizon": Setting(float, _MISSING, _RUNS, "run length (s)"),
@@ -286,16 +285,26 @@ def cmd_bounds(cfg: RunConfig, out_dir: Path | None) -> int:
 # -- simulate -----------------------------------------------------------------
 
 
-def _delays(cfg: RunConfig, plant: JordanPlant, gamma: float, row: int) -> list:
-    """The delay model of each coordinate in a run of delay bound gamma, row `row` of a sweep."""
+def _delays(cfg: RunConfig, plant: JordanPlant, trigger: TriggerConfig, gamma: float, row: int):
+    """Each coordinate's delay model in a run of trigger at delay bound gamma, sweep row `row`."""
     from .channel import build_delay
 
     growth = max(lam for lam, _ in plant.blocks)
     return [
         build_delay(cfg.get("delay"), gamma, seed=cfg.get("seed"), salt=(row, c), growth=growth,
-                    sigma=cfg.get("sigma"), rho0=cfg.get("rho0"))
+                    sigma=trigger.sigma, rho0=trigger.rho0)
         for c in range(plant.n)
     ]
+
+
+def _run_inputs(cfg: RunConfig, plant: JordanPlant, trigger: TriggerConfig) -> dict:
+    """run_vector's run keywords, checked as the engine checks them; once for a whole sweep."""
+    from . import sim
+
+    run = {key: cfg.get(key) for key in ("horizon", "step", "x0", "xhat0", "refine", "nu")}
+    sim._sample_count(run["horizon"], run["step"], plant.n)
+    sim._initial_state(run["x0"], run["xhat0"], bnd._levels(plant.n, trigger.v0))
+    return run
 
 
 def _write_trace_csv(path: Path, trace: SimTrace) -> None:
@@ -349,20 +358,11 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
 
     plant = build_plant(cfg)
     trigger = build_trigger(cfg)
-    horizon = cfg.get("horizon")
-    step = cfg.get("step")
-    refine = cfg.get("refine")
-    nu = cfg.get("nu")
-    g = cfg.get("g") or None
-    x0 = cfg.get("x0")
-    xhat0 = cfg.get("xhat0")
-    models = _delays(cfg, plant, trigger.gamma, 0)
+    run = _run_inputs(cfg, plant, trigger)
+    models = _delays(cfg, plant, trigger, trigger.gamma, 0)
 
     try:
-        trace = sim.run_vector(
-            plant, trigger, models, horizon, step,
-            x0=x0, xhat0=xhat0, refine=refine, g=g, nu=nu,
-        )
+        trace = sim.run_vector(plant, trigger, models, g=cfg.get("g"), **run)
     except DivergenceError as err:
         print(f"divergence: {err}", file=sys.stderr)
         if err.trace is not None:
@@ -442,18 +442,12 @@ def _sweep_csv_rows(cfg: RunConfig) -> tuple[list[str], int]:
 
     plant = build_plant(cfg)
     trigger = build_trigger(cfg, gamma=max(gamma_grid))  # gamma is swept per row
-    horizon, step = cfg.get("horizon"), cfg.get("step")
-    sim._sample_count(horizon, step, plant.n)  # the same in every row: refused before any
-    x0, xhat0, refine, nu = cfg.get("x0"), cfg.get("xhat0"), cfg.get("refine"), cfg.get("nu")
-    sim._initial_state(x0, xhat0, bnd._levels(plant.n, trigger.v0))  # as are these
+    run = _run_inputs(cfg, plant, trigger)  # the same in every row: refused before any
     failed = 0
     for row, gamma in enumerate(gamma_grid):
-        models = _delays(cfg, plant, gamma, row)  # a spec this gamma refuses stops the sweep
+        models = _delays(cfg, plant, trigger, gamma, row)  # a spec gamma refuses stops the sweep
         try:
-            trace = sim.run_vector(
-                plant, dataclasses.replace(trigger, gamma=gamma), models, horizon, step,
-                x0=x0, xhat0=xhat0, refine=refine, nu=nu,
-            )
+            trace = sim.run_vector(plant, dataclasses.replace(trigger, gamma=gamma), models, **run)
             report = sim.measure_rates(trace)
             b = report.bounds
             cells = (  # in SWEEP_COLUMNS order

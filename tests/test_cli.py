@@ -141,8 +141,7 @@ class TestBoundsCommand:
         # simulate prints the same line (test_boundary_input_refused_before_running)
         argv = ["bounds", "--config", str(RECIPES / f"{recipe}.cfg"), "--g", "-1"] + flags
         assert assert_one_line_usage_error(capsys, argv) == (
-            "error: field 'g' (command line): packet size must be >= 1 bit, or 0 for automatic, "
-            "got -1\n"
+            "error: field 'g' (command line): packet size must lie in [1, 2100] bits, got -1\n"
         )
 
     def test_infinite_growth_rate_is_clean_error(self, tmp_path, capsys):
@@ -342,8 +341,7 @@ class TestSimulateCommand:
         (["--g", "70"], "packet size g=70 is too fine"),
         (["--horizon", "1", "--g", "2000000"],
          "packet size must lie in [1, 2100] bits, got 2000000"),
-        (["--g", "-1"], "field 'g' (command line): packet size must be >= 1 bit, or 0 for "
-                        "automatic, got -1"),
+        (["--g", "-1"], "field 'g' (command line): packet size must lie in [1, 2100] bits, got -1"),
         (["--gamma", "0", "--g", "5", "--horizon", "0.001"],
          "error: packets with timing bits need a positive finite delay bound, got gamma=0.0"),
         (["--gamma", "0", "--g", "5"],

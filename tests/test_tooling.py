@@ -174,13 +174,42 @@ def test_engine_built_only_by_run_vector():
     assert callers == ["sim.run_vector"]
 
 
+def test_run_keys_read_only_in_run_inputs():
+    # one way from a config to a closed-loop run: simulate and the empirical sweep take
+    # run_vector's run keywords from cli._run_inputs. build_inputs reads nu for a bound
+    # table too (default 1), and events.json names the trace's own horizon and step
+    run_keys = {"horizon", "step", "x0", "xhat0", "refine", "nu"}
+    found: dict[str, set] = {}
+    for node, scope in _scoped_nodes():
+        if (scope.startswith("cli.") and scope != "cli.Module" and isinstance(node, ast.Constant)
+                and node.value in run_keys):
+            found.setdefault(scope, set()).add(node.value)
+    assert found == {"cli._run_inputs": run_keys, "cli.build_inputs": {"nu"},
+                     "cli._write_events_json": {"horizon", "step"}}
+
+
+def test_pre_run_checks_called_only_by_engine_and_run_inputs():
+    # the engine's checks of horizon, step and initial state run in _Engine.__init__ and,
+    # before any sweep row, in cli._run_inputs; nowhere else
+    callers = sorted((name, scope) for node, scope in _scoped_nodes() if isinstance(node, ast.Call)
+                     and (name := getattr(node.func, "id", getattr(node.func, "attr", None)))
+                     in ("_sample_count", "_initial_state"))
+    assert callers == [("_initial_state", "cli._run_inputs"), ("_initial_state", "sim.__init__"),
+                       ("_sample_count", "cli._run_inputs"), ("_sample_count", "sim.__init__")]
+    inits = [node for node, scope in _scoped_nodes()
+             if scope.startswith("sim.") and isinstance(node, ast.ClassDef)
+             and any(getattr(f, "name", None) == "__init__" for f in node.body)]
+    assert [node.name for node in inits] == ["_Engine"]  # sim.__init__ is _Engine.__init__
+
+
 def test_packet_size_rule_lives_only_in_bounds():
     # one rule for a packet size: its refusal texts and its type test are written in
     # bounds.check_packet_size alone, and its 2100-bit cap in bounds alone
     texts, type_tests = set(), set()
     for node, scope in _scoped_nodes():
         if isinstance(node, ast.Constant) and isinstance(node.value, str) and (
-                "integer number of bits" in node.value or "bits, got" in node.value):
+                "integer number of bits" in node.value or "bits, got" in node.value
+                or "packet size must" in node.value):
             texts.add(scope)
         if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "type"
                 and getattr(node.args[0], "id", getattr(node.args[0], "attr", None)) == "g"):
