@@ -7,8 +7,8 @@ identical configurations and seeds produce byte-identical files: each
 trace.csv cell is repr of the Python float, produced by the numpy kernel in
 _shortest.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 runtime invariant
-violation, 3 divergence.
+Exit codes: 0 success, 1 usage, configuration or output-writing error, 2 runtime
+invariant violation, 3 divergence.
 """
 
 from __future__ import annotations
@@ -152,7 +152,7 @@ class RunConfig:
         entries: dict[str, tuple[str, int]] = {}
         try:
             text = path.read_text()
-        except OSError as err:
+        except (OSError, UnicodeDecodeError) as err:
             raise ConfigurationError(f"cannot read config {path}: {err}") from err
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
@@ -367,6 +367,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
         print(f"divergence: {err}", file=sys.stderr)
         if err.trace is not None:
             _write_run(out_dir, err.trace)
+        (out_dir / "report.json").unlink(missing_ok=True)  # an earlier run's, not this one's
         return EXIT_DIVERGED
 
     report = sim.measure_rates(trace)
@@ -524,8 +525,8 @@ def main(argv: list[str] | None = None) -> int:
             if args.command == "simulate":
                 return cmd_simulate(cfg, args.out or Path("out"))
             return cmd_sweep(cfg, args.out or Path("out"))
-    except (ConfigurationError, PreconditionError, DecodeError) as err:
-        print(f"error: {err}", file=sys.stderr)
+    except (ConfigurationError, PreconditionError, DecodeError, OSError) as err:
+        print(f"error: {err}", file=sys.stderr)  # OSError: an output that cannot be written
         return EXIT_USAGE
 
 

@@ -486,6 +486,25 @@ class TestRateTable:
                 ]
                 assert list(map(float.hex, got)) == row[1:], (inp, row[0])
 
+    def test_sup_certificate_absolute_margin(self):
+        # one block, lam = 1, p = 1, on [lo, hi] = [0.1, 1.0] at gamma = 0.5, nu = 2,
+        # rho0 = 0.5: the bound as the docstring's float operations give it. A best just
+        # above the relative margin alone certifies nothing; with the absolute margin
+        # (lam + hi)*1e-14 added, it certifies, with equality
+        lam, p, gamma, lo, hi, rho0 = 1.0, 1, 0.5, 0.1, 1.0, 0.5
+        ln_em1, ln_nu, ln_rho0 = bnd._ln_em1(lam, gamma), math.log(2.0), math.log(rho0)
+        x_lo, x_hi = lo * gamma - ln_rho0, hi * gamma - ln_rho0
+        d = ln_nu + math.log1p(2.0 * rho0 * math.exp(-hi * gamma))
+        bound = p * max(0.0, (lam + lo) * (ln_em1 + x_lo) / (d + x_lo),
+                        (lam + hi) * (ln_em1 + x_hi) / (d + x_hi))
+        terms = [(lam, p, ln_em1)]
+
+        def certified(best):
+            return bnd._sup_certified(terms, gamma, lo, hi, ln_nu, rho0, ln_rho0, best)
+
+        assert not certified(bound * (1 + 1e-12) / LN2)
+        assert certified((bound * (1 + 1e-12) + (lam + hi) * 1e-14) / LN2)
+
     def test_phase_curves_match(self):
         for inp, sigmas, rows in _rate_table_cases():
             pc = bnd.phase_curves(inp, [float.fromhex(r[0]) for r in rows], sigma_grid=sigmas)

@@ -47,6 +47,13 @@ class TestConfigParsing:
         assert cfg.get("A") == 2.0
         assert cfg.get("sigma") == 1.0
 
+    def test_undecodable_config_is_clean_error(self, tmp_path, capsys):
+        # used to print a UnicodeDecodeError traceback from read_text
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"A = 1\xff\n")
+        err = assert_one_line_usage_error(capsys, ["bounds", "--config", str(path)])
+        assert err.startswith(f"error: cannot read config {path}: ")
+
     def test_malformed_line_reports_position(self, tmp_path):
         path = write_cfg(tmp_path, "A = 1\nnot a pair\n")
         with pytest.raises(cli.ConfigurationError, match=":2"):
@@ -142,6 +149,27 @@ class TestBoundsCommand:
         argv = ["bounds", "--config", str(RECIPES / f"{recipe}.cfg"), "--g", "-1"] + flags
         assert assert_one_line_usage_error(capsys, argv) == (
             "error: field 'g' (command line): packet size must lie in [1, 2100] bits, got -1\n"
+        )
+
+    @pytest.mark.parametrize("recipe, flags", [
+        ("fig7", []), ("fig3", ["--gamma", "0.05"]),
+    ], ids=["window", "no_window"])
+    def test_zero_packet_size_is_automatic(self, capsys, recipe, flags):
+        argv = ["bounds", "--config", str(RECIPES / f"{recipe}.cfg")] + flags
+        assert cli.main(argv) == cli.EXIT_OK
+        automatic = capsys.readouterr().out
+        assert cli.main(argv + ["--g", "0"]) == cli.EXIT_OK
+        assert capsys.readouterr().out == automatic
+
+    @pytest.mark.parametrize("text, g", [
+        ((RECIPES / "fig7.cfg").read_text(), "2101"),
+        ("blocks = 1:1, 2:1\nsigma = 1\nrho0 = 0.5\ngamma = 0.5\n", "5000"),
+    ], ids=["window", "mixed_eigenvalues"])
+    def test_oversized_packet_size_refused_at_parse_time(self, tmp_path, capsys, text, g):
+        # a mixed-eigenvalue plant has no design window and used to exit 0 without reading g
+        argv = ["bounds", "--config", str(write_cfg(tmp_path, text)), "--g", g]
+        assert assert_one_line_usage_error(capsys, argv) == (
+            f"error: field 'g' (command line): packet size must lie in [1, 2100] bits, got {g}\n"
         )
 
     def test_infinite_growth_rate_is_clean_error(self, tmp_path, capsys):
@@ -920,6 +948,35 @@ def test_stiff_block_overflow_is_a_divergence(tmp_path, capsys, refine):
     assert rc == cli.EXIT_DIVERGED
     assert "Traceback" not in err and "encountered" not in err
     assert err.splitlines()[-1].startswith("divergence: state overflow at t=")
+
+
+def test_diverged_run_removes_stale_report(tmp_path, capsys):
+    # an earlier run's report.json used to stay beside the diverged run's events.json
+    out = tmp_path / "out"
+    argv = ["simulate", "--config", str(RECIPES / "fig7.cfg"), "--horizon", "0.5",
+            "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert (out / "report.json").exists()
+    path = write_cfg(tmp_path, "A = 2\nB = 0\nK = 0\nv0 = 2e11\nsigma = 0.1\nrho0 = 0.1\n"
+                     "gamma = 0.5\nx0 = 1e11\nxhat0 = 1e9\nhorizon = 14\nstep = 0.01\n")
+    assert cli.main(["simulate", "--config", str(path), "--out", str(out)]) == cli.EXIT_DIVERGED
+    events = json.loads((out / "events.json").read_text())
+    assert events["diverged"] is True and events["horizon"] == 14.0
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("command, recipe, flags", [
+    ("bounds", "fig3", ["--gamma", "0.05"]),
+    ("simulate", "fig7", ["--horizon", "0.5"]),
+    ("sweep", "fig4", []),
+], ids=["bounds", "simulate", "sweep"])
+def test_unwritable_output_is_clean_error(tmp_path, capsys, command, recipe, flags):
+    # an --out under a regular file used to print a NotADirectoryError traceback
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "out"
+    argv = [command, "--config", str(RECIPES / f"{recipe}.cfg"), *flags, "--out", str(out)]
+    assert str(out) in assert_one_line_usage_error(capsys, argv)
 
 
 def test_overshooting_detection_window_prints_nothing(tmp_path, capsys):

@@ -3,7 +3,9 @@
 import argparse
 import ast
 import importlib.util
+import json
 import re
+import shlex
 import sys
 from pathlib import Path
 
@@ -229,6 +231,26 @@ def test_package_refuses_unknown_names_and_imports_submodules():
 
     for module in (channel, cli, model, sim):
         assert module is sys.modules[module.__name__]
+
+
+def test_readme_command_lines_run(tmp_path, capsys):
+    # every etcsim line of the README's "Command line" block exits 0, recipes from the
+    # repository root and outputs under tmp_path
+    block = (ROOT / "README.md").read_text().split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", block, re.S).group(1).replace("\\\n", " ")
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    runs = [words[1:] for words in lines if words[:1] == ["etcsim"]]
+    assert len(runs) == 5
+    for argv in runs:
+        for k, word in enumerate(argv[:-1]):
+            if word in ("--config", "--out"):
+                argv[k + 1] = str((ROOT if word == "--config" else tmp_path) / argv[k + 1])
+        assert cli.main(argv) == 0, argv
+    capsys.readouterr()
+    # the zero-delay example: each post-jump error is zero but for one rounding
+    events = json.loads((tmp_path / "out" / "zero" / "events.json").read_text())["events"]
+    jumps = [e for e in events if e["post_jump"] is not None]
+    assert jumps and all(e["post_jump"] <= 1e-15 * e["v_ts"] for e in jumps)
 
 
 def test_readme_config_keys_match_cli():
