@@ -28,14 +28,14 @@ and the per-coordinate table of a trigger design (coordinates), which the
 engine and its checks read; its cap column bounds each chained trigger level,
 v0_i <= v0_{i-1}*(lam+sigma)*(rho0-rho_{i-1}) / (((rho0-rho_{i-1}) + E)*(E - 1))
 with E = e^{(lam+sigma)*gamma}.  It imports nothing but the standard library
-and errors, so the analytic commands run without numpy.
+and errors, so the analytic commands run without numpy, and its records are
+NamedTuples, so they load no dataclasses either.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .errors import ConfigurationError, PreconditionError
@@ -168,29 +168,39 @@ def contraction_ladders(
     return tuple(tuple(lad) for lad in ladders)
 
 
-@dataclass(frozen=True)
-class BoundInputs:
+class _BoundFields(NamedTuple):
+    blocks: tuple[tuple[float, int], ...]
+    sigma: float
+    rho0: float
+    gamma: float
+    b: float
+    nu: float
+    rho_ladders: tuple[tuple[float, ...], ...] | None
+
+
+class BoundInputs(_BoundFields):
     """Parameter bundle shared by the analytic bounds.
 
     blocks lists (eigenvalue, order) pairs; a scalar system is a single
     (A, 1) block.  nu >= 1 is the quantization precision parameter of the
     necessity results (nu >= 2 where the design-window check is used).
+    Every way to build one (the constructor, _make, _replace, pickle and
+    copy) runs the checks of __new__.
     """
 
-    blocks: tuple[tuple[float, int], ...]
-    sigma: float
-    rho0: float
-    gamma: float
-    b: float = 1.0001
-    nu: float = 1.0
-    rho_ladders: tuple[tuple[float, ...], ...] | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "blocks", check_blocks(self.blocks))
+    def __new__(cls, blocks, sigma, rho0, gamma, b=1.0001, nu=1.0, rho_ladders=None):
+        self = super().__new__(cls, check_blocks(blocks), sigma, rho0, gamma, b, nu, rho_ladders)
         for name in _RANGES:
             _check_input(name, getattr(self, name))
-        if self.rho_ladders is not None:
-            contraction_ladders(self.rho0, [p for _, p in self.blocks], self.rho_ladders)
+        if rho_ladders is not None:
+            contraction_ladders(rho0, [p for _, p in self.blocks], rho_ladders)
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "BoundInputs":
+        return cls(*iterable)
 
     @classmethod
     def scalar(cls, A, sigma, rho0, gamma=0.0, b=1.0001, nu=1.0) -> "BoundInputs":
@@ -441,8 +451,7 @@ def _tolerance(lam: float, sigma: float, gamma: float, rho0: float) -> float:
     return math.log1p(rho0 * math.exp(-u)) / (lam + sigma)
 
 
-@dataclass
-class AnalyticBounds:
+class AnalyticBounds(NamedTuple):
     """Every closed-form quantity at one parameter set.
 
     The fields from packet_bits_necessary on are defined for single-eigenvalue
@@ -475,29 +484,31 @@ def analytic_bounds(inp: BoundInputs) -> AnalyticBounds:
     (nec,), (app,), (suf,), _ = _rate_curves(inp, (inp.gamma,))
     sigma, rho0, gamma = inp.sigma, inp.rho0, inp.gamma
     asymptote = sum(p * (lam + sigma) / LN2 * (1.0 + lam / sigma) for lam, p in inp.blocks)
-    out = AnalyticBounds(_access_rate(inp), nec, app, suf, asymptote)
+    rates = (_access_rate(inp), nec, app, suf, asymptote)
     try:
         A = inp.A
     except PreconditionError:
-        return out
-    out.gamma_c, out.gamma_eq = _critical_delay(A, sigma, rho0), LN2 / A
-    # max{0, log2((e^{A*gamma} - 1)/(rho0 e^{-sigma*gamma}))}, 0 at gamma = 0
-    out.packet_bits_necessary = 0.0 if gamma == 0 else max(
-        0.0, (_ln_em1(A, gamma) + _ln_contraction(sigma, rho0, gamma)) / LN2
+        return AnalyticBounds(*rates)
+    upper, lower = _triggering_rates(A, sigma, rho0, gamma, inp.nu)
+    return AnalyticBounds(
+        *rates,
+        gamma_c=_critical_delay(A, sigma, rho0),
+        gamma_eq=LN2 / A,
+        # max{0, log2((e^{A*gamma} - 1)/(rho0 e^{-sigma*gamma}))}, 0 at gamma = 0
+        packet_bits_necessary=0.0 if gamma == 0 else max(
+            0.0, (_ln_em1(A, gamma) + _ln_contraction(sigma, rho0, gamma)) / LN2
+        ),
+        triggering_rate_upper=upper,
+        triggering_rate_lower=lower,
+        min_inter_event_time=_spacing(A, sigma, gamma, rho0, rho0),
+        beta=_beta(A, sigma, rho0, gamma),
+        # gamma = 0 gives 1: the sign bit alone suffices when timing is exact
+        packet_size_sufficient=_packet_size(A, rho0, sigma, gamma, inp.b),
+        time_quantization_tolerance=_tolerance(A, sigma, gamma, rho0),
     )
-    out.triggering_rate_upper, out.triggering_rate_lower = _triggering_rates(
-        A, sigma, rho0, gamma, inp.nu
-    )
-    out.min_inter_event_time = _spacing(A, sigma, gamma, rho0, rho0)
-    out.beta = _beta(A, sigma, rho0, gamma)
-    # gamma = 0 gives 1: the sign bit alone suffices when timing is exact
-    out.packet_size_sufficient = _packet_size(A, rho0, sigma, gamma, inp.b)
-    out.time_quantization_tolerance = _tolerance(A, sigma, gamma, rho0)
-    return out
 
 
-@dataclass
-class PhaseCurve:
+class PhaseCurve(NamedTuple):
     """Analytic rate curves over a delay grid, and the plant's access rate."""
 
     gammas: tuple[float, ...]
@@ -536,8 +547,7 @@ def phase_curves(
     )
 
 
-@dataclass(frozen=True)
-class Assumption1Window:
+class Assumption1Window(NamedTuple):
     """Result of the constant-packet-size design check."""
 
     lower_ok: bool

@@ -14,9 +14,7 @@ invariant violation, 3 divergence.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
-import json
 import sys
 import warnings
 from collections import namedtuple
@@ -252,6 +250,8 @@ def _fmt(x) -> str:
 
 
 def _write_json(path: Path, payload) -> None:
+    import json  # here, not at load: the bounds command without --out and the sweeps skip it
+
     path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
@@ -261,7 +261,7 @@ def _write_json(path: Path, payload) -> None:
 def cmd_bounds(cfg: RunConfig, out_dir: Path | None) -> int:
     inp = build_inputs(cfg)
     table = bnd.analytic_bounds(inp)
-    quantities = {k: v for k, v in dataclasses.asdict(table).items() if v is not None}
+    quantities = {k: v for k, v in table._asdict().items() if v is not None}
     scalar_like = table.packet_size_sufficient is not None
     g = cfg.get("g")
     if scalar_like and inp.nu >= 2 and inp.gamma > 0:
@@ -290,8 +290,9 @@ def _delays(cfg: RunConfig, plant: JordanPlant, trigger: TriggerConfig, gamma: f
     from .channel import build_delay
 
     growth = max(lam for lam, _ in plant.blocks)
+    spec, seed = cfg.get("delay"), cfg.get("seed")  # once per row, delay's error first
     return [
-        build_delay(cfg.get("delay"), gamma, seed=cfg.get("seed"), salt=(row, c), growth=growth,
+        build_delay(spec, gamma, seed=seed, salt=(row, c), growth=growth,
                     sigma=trigger.sigma, rho0=trigger.rho0)
         for c in range(plant.n)
     ]
@@ -332,6 +333,8 @@ def _write_trace_csv(path: Path, trace: SimTrace) -> None:
 
 
 def _write_events_json(path: Path, trace: SimTrace) -> None:
+    import dataclasses
+
     payload = {
         "schema": "etcsim-events-1",
         "horizon": trace.horizon,
@@ -354,6 +357,8 @@ def _write_run(out_dir: Path, trace: SimTrace) -> None:
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
+    import dataclasses
+
     from . import sim
 
     plant = build_plant(cfg)
@@ -374,6 +379,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     validation = sim.validate_trace(trace)
     _write_run(out_dir, trace)
     payload = dataclasses.asdict(report)
+    payload["bounds"] = report.bounds._asdict()  # asdict keeps a NamedTuple as a tuple
     payload["invariants_ok"] = validation.ok
     payload["violations"] = validation.violations
     _write_json(out_dir / "report.json", payload)
@@ -415,7 +421,7 @@ def _sweep_csv_rows(cfg: RunConfig) -> tuple[list[str], int]:
         rho_list = cfg.get("rho0_list") or [base.rho0]
         sigma_grid = cfg.get("sigma_grid")
         for rho in rho_list:
-            at = dataclasses.replace(base, rho0=rho)
+            at = base._replace(rho0=rho)
             curve = bnd.phase_curves(at, gamma_grid, sigma_grid)
             sup = curve.necessary_sup_sigma
             # the curve's constant cells once; repr of a Python float is _fmt's cell text
@@ -435,6 +441,7 @@ def _sweep_csv_rows(cfg: RunConfig) -> tuple[list[str], int]:
     if bad:  # before any row runs
         raise ConfigurationError(f"sweep grid values must be positive, got {bad[0]}")
     import csv
+    import dataclasses
     import io
 
     import numpy as np

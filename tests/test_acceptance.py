@@ -13,7 +13,6 @@ import contextlib
 import json
 import math
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -262,8 +261,8 @@ def test_criterion_7_sandwich_and_phase_properties():
             nu=2.0,
         )
         gc = bnd.analytic_bounds(inp).gamma_c
-        lo = bnd.analytic_bounds(replace(inp, gamma=max(gc - 1e-9, 0.0))).rate_necessary
-        hi = bnd.analytic_bounds(replace(inp, gamma=gc + 1e-6)).rate_necessary
+        lo = bnd.analytic_bounds(inp._replace(gamma=max(gc - 1e-9, 0.0))).rate_necessary
+        hi = bnd.analytic_bounds(inp._replace(gamma=gc + 1e-6)).rate_necessary
         if not (lo == 0.0 and hi > 0.0):
             phase_ok = False
 

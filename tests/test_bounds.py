@@ -1,6 +1,7 @@
+import copy
 import json
 import math
-from dataclasses import replace
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -106,8 +107,8 @@ class TestTransmissionRateNecessary:
     def test_zero_below_critical_delay(self):
         inp = scalar(5.0, 3.0, 0.7, nu=2.0)
         gc = bnd.analytic_bounds(inp).gamma_c
-        assert bnd.analytic_bounds(replace(inp, gamma=0.9 * gc)).rate_necessary == 0.0
-        assert bnd.analytic_bounds(replace(inp, gamma=1.1 * gc)).rate_necessary > 0.0
+        assert bnd.analytic_bounds(inp._replace(gamma=0.9 * gc)).rate_necessary == 0.0
+        assert bnd.analytic_bounds(inp._replace(gamma=1.1 * gc)).rate_necessary > 0.0
 
     def test_factor_product_cross_check(self):
         table = bnd.analytic_bounds(scalar(5.0, 3.0, 0.7, gamma=0.2, nu=2.0))
@@ -118,14 +119,14 @@ class TestTransmissionRateNecessary:
         # the rate kernel inlines packet_bits_necessary's formula; any drift changes some bits
         rng = np.random.default_rng(2016)
         cases = [random_inputs(rng) for _ in range(400)]
-        cases += [replace(inp, nu=1.0) for inp in cases[:100]]
-        cases += [replace(inp, gamma=0.0) for inp in cases[:20]]
+        cases += [inp._replace(nu=1.0) for inp in cases[:100]]
+        cases += [inp._replace(gamma=0.0) for inp in cases[:20]]
         cases += [  # packet bits just above and at their clamp to 0
-            replace(inp, gamma=bnd.analytic_bounds(inp).gamma_c * f)
+            inp._replace(gamma=bnd.analytic_bounds(inp).gamma_c * f)
             for inp in cases[:50] for f in (1 - 1e-9, 1 + 1e-9, 1 + 1e-6)
         ]
         cases += [  # (sigma + A)*gamma >= 700
-            replace(inp, gamma=float(rng.uniform(700.0, 2000.0)) / (inp.A + inp.sigma))
+            inp._replace(gamma=float(rng.uniform(700.0, 2000.0)) / (inp.A + inp.sigma))
             for inp in cases[:100]
         ]
         for inp in cases:
@@ -133,7 +134,7 @@ class TestTransmissionRateNecessary:
             trig, bits = table.triggering_rate_lower, table.packet_bits_necessary
             assert table.rate_necessary.hex() == (trig * bits).hex(), inp
             p = int(rng.integers(2, 7))
-            block = replace(inp, blocks=((inp.A, p),))
+            block = inp._replace(blocks=((inp.A, p),))
             got = bnd.analytic_bounds(block).rate_necessary
             assert got.hex() == (p * trig * bits).hex(), (inp, p)
 
@@ -192,7 +193,7 @@ class TestTransmissionRateSufficient:
     def test_convergence_to_asymptote(self):
         inp = scalar(1.0, 1.0, 0.5, b=1.0001)
         asym = bnd.analytic_bounds(inp).asymptote
-        gaps = [abs(bnd.analytic_bounds(replace(inp, gamma=g)).rate_sufficient - asym) / asym
+        gaps = [abs(bnd.analytic_bounds(inp._replace(gamma=g)).rate_sufficient - asym) / asym
                 for g in (50.0, 200.0, 1000.0)]
         assert gaps[0] < 0.05 and gaps[1] < 0.02 and gaps[2] < 0.005
         assert gaps[0] > gaps[1] > gaps[2]
@@ -200,7 +201,7 @@ class TestTransmissionRateSufficient:
     def test_dominates_approx_necessary_on_figure_grid(self):
         inp = scalar(1.3, 1.0, 0.9, b=1.0001, nu=2.0)
         for g in np.linspace(0.02, 4.0, 200):
-            table = bnd.analytic_bounds(replace(inp, gamma=float(g)))
+            table = bnd.analytic_bounds(inp._replace(gamma=float(g)))
             assert table.rate_sufficient >= table.rate_necessary_approx * (1 - 1e-12)
 
     def test_vector_sums_ladder_terms(self):
@@ -279,7 +280,7 @@ class TestPacketSizeSufficient:
 
     def test_monotone_beyond_clamp(self):
         inp = scalar(2.4, 0.2, 0.1, b=1.0001)
-        gs = [bnd.analytic_bounds(replace(inp, gamma=g)).packet_size_sufficient
+        gs = [bnd.analytic_bounds(inp._replace(gamma=g)).packet_size_sufficient
               for g in np.linspace(1e-4, 3.0, 400)]
         assert all(a <= b for a, b in zip(gs, gs[1:]))
 
@@ -303,15 +304,15 @@ class TestAssumption1Window:
         with pytest.raises(PreconditionError):
             bnd.assumption1_window(inp, 4)
         with pytest.raises(PreconditionError):
-            bnd.assumption1_window(replace(inp, nu=4.0), 1)
+            bnd.assumption1_window(inp._replace(nu=4.0), 1)
         with pytest.raises(PreconditionError, match="needs a positive delay bound"):
-            bnd.assumption1_window(replace(inp, nu=4.0, gamma=0.0), 4)
+            bnd.assumption1_window(inp._replace(nu=4.0, gamma=0.0), 4)
         # a fractional g used to reach ldexp's TypeError
         with pytest.raises(PreconditionError, match="must be an integer number of bits, got 3.5"):
-            bnd.assumption1_window(replace(inp, nu=4.0), 3.5)
+            bnd.assumption1_window(inp._replace(nu=4.0), 3.5)
         # 4.0 used to run as 4 bits; a packet size is an int, as at the codec
         with pytest.raises(PreconditionError, match="must be an integer number of bits, got 4.0"):
-            bnd.assumption1_window(replace(inp, nu=4.0), 4.0)
+            bnd.assumption1_window(inp._replace(nu=4.0), 4.0)
 
     def test_lower_bound_gate(self):
         inp = scalar(1.0, 1.0, 0.5, gamma=0.5, b=1.0001, nu=4.0)
@@ -382,7 +383,7 @@ class TestCoordinates:
                 v_above = self.LEVELS[start + i - 1]
                 assert co.cap == v_above * ls * slack / ((slack + E) * math.expm1(ls * inp.gamma))
             alone = bnd.BoundInputs.scalar(lam, inp.sigma, rho, gamma=inp.gamma, b=inp.b, nu=inp.nu)
-            at_rho0 = bnd.analytic_bounds(replace(alone, rho0=inp.rho0))
+            at_rho0 = bnd.analytic_bounds(alone._replace(rho0=inp.rho0))
             assert co.g == bnd.analytic_bounds(alone).packet_size_sufficient
             # every coordinate's tolerance is the scalar one at (lam, rho0), bit for bit
             assert co.tolerance == at_rho0.time_quantization_tolerance
@@ -397,7 +398,7 @@ class TestCoordinates:
         assert [co.g for co in table] == [3, 1, 1, 1]
 
     def test_one_level_applies_to_every_coordinate(self):
-        table = bnd.coordinates(replace(self.LADDER, rho_ladders=None), (0.01,))
+        table = bnd.coordinates(self.LADDER._replace(rho_ladders=None), (0.01,))
         assert [co.v0 for co in table] == [0.01] * 4
         assert [co.rho for co in table] == [0.5 / 3, 0.5 * 2 / 3, 0.5, 0.5]
 
@@ -412,6 +413,48 @@ class TestCoordinates:
         with pytest.raises(ConfigurationError) as exc:
             bnd.coordinates(self.LADDER, levels)
         assert str(exc.value) == message
+
+
+class TestBoundInputsRecord:
+    # a NamedTuple whose every way to a new record runs the constructor's checks
+    BASE = TestCoordinates.LADDER
+    BAD_LADDERS = ((0.1, 0.3, 0.4), (0.5,))  # the first does not end at rho0
+
+    @staticmethod
+    def refusal(build) -> str:
+        with pytest.raises(ConfigurationError) as exc:
+            build()
+        return str(exc.value)
+
+    @pytest.mark.parametrize("change", [
+        dict(gamma=-1.0), dict(blocks=((0.8, 2.5), (2.0, 1))), dict(rho0=1.0),
+        dict(rho_ladders=BAD_LADDERS),
+    ], ids=["gamma", "fractional_order", "rho0_one", "ladder"])
+    def test_replace_and_make_refuse_as_the_constructor(self, change):
+        fields = {**self.BASE._asdict(), **change}
+        messages = {self.refusal(build) for build in (
+            lambda: bnd.BoundInputs(**fields),
+            lambda: self.BASE._replace(**change),
+            lambda: bnd.BoundInputs._make(fields.values()),
+        )}
+        assert len(messages) == 1, messages
+
+    def test_checks_blocks_then_ranges_then_ladders(self):
+        assert self.refusal(lambda: self.BASE._replace(
+            blocks=((0.8, 2.5), (2.0, 1)), gamma=-1.0,
+        )) == "block order must be a positive integer, got 2.5"
+        assert self.refusal(lambda: self.BASE._replace(
+            gamma=-1.0, rho_ladders=self.BAD_LADDERS,
+        )) == "gamma must be finite and >= 0, got -1.0"
+
+    def test_pickle_and_copy_keep_the_record_and_its_checks(self):
+        for twin in (pickle.loads(pickle.dumps(self.BASE)), copy.deepcopy(self.BASE),
+                     copy.copy(self.BASE)):
+            assert twin == self.BASE and type(twin) is bnd.BoundInputs
+        unchecked = tuple.__new__(bnd.BoundInputs, (*self.BASE[:-1], self.BAD_LADDERS))
+        for restore in (lambda: pickle.loads(pickle.dumps(unchecked)),
+                        lambda: copy.deepcopy(unchecked)):
+            assert self.refusal(restore) == "ladder must end at rho0=0.5, got (0.1, 0.3, 0.4)"
 
 
 class TestUncertaintyIntervalInclusion:
@@ -468,7 +511,7 @@ class TestRateTable:
         interior = [
             (inp, g) for inp, sigmas, rows in cases for g, sup in
             ((float.fromhex(r[0]), float.fromhex(r[4])) for r in rows)
-            if all(bnd.analytic_bounds(replace(inp, gamma=g, sigma=s)).rate_necessary < sup
+            if all(bnd.analytic_bounds(inp._replace(gamma=g, sigma=s)).rate_necessary < sup
                    for s in (min(sigmas), max(sigmas)))
         ]
         assert interior
@@ -478,11 +521,11 @@ class TestRateTable:
         # the bound table evaluated at each delay on its own, one delay per kernel call
         for inp, sigmas, rows in _rate_table_cases():
             for row in rows:
-                at = replace(inp, gamma=float.fromhex(row[0]))
+                at = inp._replace(gamma=float.fromhex(row[0]))
                 table = bnd.analytic_bounds(at)
                 got = [
                     table.rate_necessary, table.rate_necessary_approx, table.rate_sufficient,
-                    max(bnd.analytic_bounds(replace(at, sigma=s)).rate_necessary for s in sigmas),
+                    max(bnd.analytic_bounds(at._replace(sigma=s)).rate_necessary for s in sigmas),
                 ]
                 assert list(map(float.hex, got)) == row[1:], (inp, row[0])
 

@@ -656,6 +656,18 @@ class TestSweepCommand:
         got = (tmp_path / "sweep.csv").read_bytes()
         assert got == (DATA / "golden_empirical_sweep.csv").read_bytes()
 
+    def test_delay_keys_parsed_once_per_row(self, tmp_path, monkeypatch):
+        # each row's delay models read seed once, not once per coordinate (6 times here)
+        parsed = []
+        setting = cli.SETTINGS["seed"]
+        monkeypatch.setitem(cli.SETTINGS, "seed", setting._replace(
+            parse=lambda s: parsed.append(s) or setting.parse(s)))
+        path = write_cfg(tmp_path, "mode = empirical\nblocks = 1:1, 2:1, 3:1\nsigma = 1\n"
+                                   "rho0 = 0.5\nv0 = 0.5\nx0 = 0.3 -0.2 0.1\nxhat0 = 0 0 0\n"
+                                   "horizon = 0.2\ngamma_grid = 0.1, 0.2\nseed = 7\n")
+        assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == cli.EXIT_OK
+        assert parsed == ["7", "7"]
+
     @pytest.mark.parametrize("flag, value", [("--g", "-1"), ("--gamma", "5")],
                              ids=["--g", "--gamma"])
     def test_sweep_refuses_ignored_flags(self, tmp_path, capsys, flag, value):
@@ -744,6 +756,13 @@ _RUN_LEAVES_NUMPY_UNLOADED = ("import sys\nfrom etcsim import cli\n"
                               "assert 'numpy' not in sys.modules\n")
 
 
+# the comma-separated modules of the first argument are not loaded
+_ASSERT_UNLOADED = ("import sys\nloaded = set(sys.argv[1].split(',')) & set(sys.modules)\n"
+                    "assert not loaded, loaded\n")
+_RUN_LEAVES_UNLOADED = ("import sys\nfrom etcsim import cli\n"
+                        "assert cli.main(sys.argv[2:]) == 0\n" + _ASSERT_UNLOADED)
+
+
 class TestLazyNumpy:
     """The analytic path is pure math: importing the CLI, bounds and analytic sweeps load
     no numpy, and the package resolves its exported names on first use."""
@@ -770,6 +789,28 @@ class TestLazyNumpy:
         assert done.returncode == 0, done.stderr
         assert printed in done.stdout
         assert any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("code", [
+        "import etcsim.cli",
+        "import etcsim; etcsim.BoundInputs",
+    ], ids=["cli", "bound_inputs"])
+    def test_import_leaves_dataclasses_and_json_unloaded(self, code):
+        done = _fresh_python(f"{code}\n{_ASSERT_UNLOADED}", "dataclasses,inspect,json")
+        assert done.returncode == 0, done.stderr
+
+    @pytest.mark.parametrize("command, recipe, out, unloaded", [
+        ("bounds", "fig7", False, "dataclasses,inspect,json"),
+        ("bounds", "fig7", True, "dataclasses,inspect"),  # bounds.json may load json
+        ("sweep", "fig3", True, "dataclasses,inspect,json"),
+        ("sweep", "fig6", True, "dataclasses,inspect,json"),
+    ], ids=["bounds_fig7", "bounds_fig7_out", "sweep_fig3", "sweep_fig6"])
+    def test_analytic_command_leaves_dataclasses_and_json_unloaded(self, tmp_path, command,
+                                                                    recipe, out, unloaded):
+        argv = [command, "--config", str(RECIPES / f"{recipe}.cfg")]
+        done = _fresh_python(_RUN_LEAVES_UNLOADED, unloaded,
+                             *argv, *(["--out", str(tmp_path)] if out else []))
+        assert done.returncode == 0, done.stderr
+        assert any(tmp_path.iterdir()) == out
 
     def test_engine_names_still_import(self):
         done = _fresh_python("from etcsim import run_vector, SimTrace\n"
@@ -1264,9 +1305,10 @@ def test_library_value_probe():
     # function (an argument that holds an etcsim object is left as it is): the call
     # returns, and its result's use succeeds, or either raises one of etcsim's four
     # errors.  A TypeError may come only from the call itself, for a number where a
-    # tuple belongs; UniformDelay(0.1, seed=3) used to construct and fail at its draw
+    # tuple belongs; UniformDelay(0.1, seed=3) used to construct and fail at its draw.
+    # BoundInputs is a tuple, so an etcsim object is excluded by its module, not its type
     etcsim_errors = (ConfigurationError, DecodeError, DivergenceError, PreconditionError)
-    failures = []
+    failures, cases = [], 0
     for fn, valid, use in _library_calls():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
@@ -1274,9 +1316,11 @@ def test_library_value_probe():
             if use is not None:
                 use(result)
         for name, default in valid.items():
-            if not isinstance(default, (int, float, tuple)):
+            if (not isinstance(default, (int, float, tuple))  # bool defaults are ints: probed
+                    or type(default).__module__.startswith("etcsim.")):
                 continue
             for value in _LIBRARY_VALUES:
+                cases += 1
                 stage = "call"
                 try:
                     with warnings.catch_warnings():  # adversarial clamping, the grid step
@@ -1293,6 +1337,7 @@ def test_library_value_probe():
                 except Exception as exc:
                     failures.append((fn.__qualname__, name, value, stage, repr(exc)))
     assert not failures
+    assert cases == 530  # 53 arguments, 10 values each
 
 
 class TestUsage:

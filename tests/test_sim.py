@@ -2,7 +2,7 @@ import math
 import re
 import tracemalloc
 import warnings
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -1085,9 +1085,9 @@ class TestPhaseCurves:
         table = bnd.analytic_bounds(inp)
         assert table.gamma_c is None and table.gamma_eq is None
         assert pc.access_rate == table.access_rate
-        assert not {"gamma_c", "gamma_eq", "asymptote"} & {f.name for f in fields(pc)}
+        assert not {"gamma_c", "gamma_eq", "asymptote"} & set(pc._fields)
         assert list(pc.necessary) == [
-            bnd.analytic_bounds(replace(inp, gamma=g)).rate_necessary for g in (0.5, 1.0)
+            bnd.analytic_bounds(inp._replace(gamma=g)).rate_necessary for g in (0.5, 1.0)
         ]
 
     def test_sup_over_sigma(self):
@@ -1116,14 +1116,14 @@ class TestPhaseCurves:
         gammas = np.concatenate(([0.0], rng.uniform(0.0, 3.0, 12), rng.uniform(400.0, 600.0, 3)))
         sigmas = rng.uniform(0.05, 6.0, 5)
         pc = phase_curves(inp, gammas, sigma_grid=sigmas)
-        points = [replace(inp, gamma=float(g)) for g in gammas]
+        points = [inp._replace(gamma=float(g)) for g in gammas]
         tables = [bnd.analytic_bounds(at) for at in points]
         expected = {
             "necessary": [t.rate_necessary for t in tables],
             "necessary_approx": [t.rate_necessary_approx for t in tables],
             "sufficient": [t.rate_sufficient for t in tables],
             "necessary_sup_sigma": [
-                max(bnd.analytic_bounds(replace(at, sigma=float(s))).rate_necessary for s in sigmas)
+                max(bnd.analytic_bounds(at._replace(sigma=float(s))).rate_necessary for s in sigmas)
                 for at in points
             ],
         }
@@ -1173,7 +1173,7 @@ class TestPhaseCurves:
         for inp, gammas, sigmas in cases:
             pc = phase_curves(inp, gammas, sigma_grid=sigmas)
             want = [
-                max(bnd.analytic_bounds(replace(inp, gamma=float(g), sigma=float(s))).rate_necessary
+                max(bnd.analytic_bounds(inp._replace(gamma=float(g), sigma=float(s))).rate_necessary
                     for s in sigmas)
                 for g in gammas
             ]
@@ -1202,10 +1202,10 @@ class TestPhaseCurves:
 
         calls.clear()
         pc = phase_curves(INTERIOR_INPUTS, [1.931], sigma_grid=FIG6_SIGMAS)
-        at = replace(INTERIOR_INPUTS, gamma=1.931)
+        at = INTERIOR_INPUTS._replace(gamma=1.931)
         assert [(best, ok) for *_, best, ok in calls] == [(19.717659886270475, False)]
         assert pc.necessary_sup_sigma == (20.148994388653094,)
-        assert bnd.analytic_bounds(replace(at, sigma=FIG6_SIGMAS[2])).rate_necessary == (
+        assert bnd.analytic_bounds(at._replace(sigma=FIG6_SIGMAS[2])).rate_necessary == (
             20.148994388653094)
 
     def test_empty_sigma_grid_refused(self):

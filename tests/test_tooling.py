@@ -127,6 +127,38 @@ def test_cli_imports_only_stdlib_bounds_and_errors_at_load():
     assert absolute <= sys.stdlib_module_names
 
 
+def test_bounds_records_are_named_tuples():
+    # the analytic commands load no dataclasses: bounds defines no @dataclass and
+    # each public class with fields is a NamedTuple, directly or through a private base
+    tree = ast.parse((ROOT / "src" / "etcsim" / "bounds.py").read_text())
+    named, with_fields, bad = {"NamedTuple"}, set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and "dataclasses" in _imported([node])[1]:
+            bad.append(f"bounds.py:{node.lineno}: imports dataclasses")
+        if not isinstance(node, ast.ClassDef):
+            continue
+        bad += [f"bounds.py:{d.lineno}: @{ast.unparse(d)} on {node.name}"
+                for d in node.decorator_list if "dataclass" in ast.unparse(d)]
+        bases = {ast.unparse(base) for base in node.bases}
+        if bases & with_fields or any(isinstance(s, ast.AnnAssign) for s in node.body):
+            with_fields.add(node.name)
+        if bases & named:
+            named.add(node.name)
+        elif node.name in with_fields and not node.name.startswith("_"):
+            bad.append(f"bounds.py:{node.lineno}: {node.name} has fields but is no NamedTuple")
+    assert not bad
+    assert {"AnalyticBounds", "Assumption1Window", "BoundInputs", "Coordinate",
+            "PhaseCurve"} <= named
+
+
+def test_cli_imports_dataclasses_and_json_only_in_functions():
+    # neither loads on the cold path of `import etcsim.cli`, bounds and analytic sweeps
+    bad = [f"cli.py:{node.lineno}: {ast.unparse(node)}" for node, scope in _scoped_nodes()
+           if scope == "cli.Module" and isinstance(node, (ast.Import, ast.ImportFrom))
+           and _imported([node])[1] & {"dataclasses", "json"}]
+    assert not bad
+
+
 def test_package_draws_nothing_from_numpy_random():
     # channel computes numpy's uniform draws itself: numpy.random is the tests' oracle,
     # never a second way to draw a delay inside the package
