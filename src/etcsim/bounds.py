@@ -168,7 +168,7 @@ def contraction_ladders(
     return tuple(tuple(lad) for lad in ladders)
 
 
-class _BoundFields(NamedTuple):
+class _BoundFields(NamedTuple):  # a NamedTuple's own body may not define __new__ or _make
     blocks: tuple[tuple[float, int], ...]
     sigma: float
     rho0: float

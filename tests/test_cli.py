@@ -765,7 +765,8 @@ _RUN_LEAVES_UNLOADED = ("import sys\nfrom etcsim import cli\n"
 
 class TestLazyNumpy:
     """The analytic path is pure math: importing the CLI, bounds and analytic sweeps load
-    no numpy, and the package resolves its exported names on first use."""
+    no numpy, nor dataclasses or json, and the package resolves its exported names on
+    first use."""
 
     @pytest.mark.parametrize("code", [
         "import etcsim.cli",
