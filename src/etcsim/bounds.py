@@ -6,13 +6,16 @@ transition tests can compare against zero.  Expressions are arranged around
 expm1/log1p so they stay finite and accurate for very small and very large
 delay bounds.
 
-Each rate formula lives once, in the rate kernel _rate_curves:
-analytic_bounds, the one bound table and the one public path to each
-bound, reads it at one delay and phase_curves over a delay grid.  The
-supremum of the necessary rate over a decay-rate grid is the rate at the
-grid's largest sigma whenever a rounding-safe upper bound on the others
-certifies it (_sup_certified), and the largest rate over every sigma of the
-grid otherwise: the same float either way.  The
+Each rate formula lives once, in the rate kernel _rate_curves, which
+passes over the blocks once per delay and adds up the necessary,
+approximate-necessary and sufficient rates together: analytic_bounds, the
+one bound table and the one public path to each bound, reads it at one
+delay and phase_curves over a delay grid.  The supremum of the necessary
+rate over a decay-rate grid is the rate at the grid's largest sigma
+whenever a rounding-safe upper bound on the others certifies it
+(_sup_certified), and the largest rate over every sigma of the grid
+otherwise: the same float either way, which _largest_rate computes with the
+kernel's float operations at each sigma.  The
 table's single-eigenvalue fields come from private kernels on plain floats
 (_triggering_rates, _spacing, _critical_delay, _beta, _packet_size,
 _tolerance), so a caller that needs one value in a hot loop skips the
@@ -65,6 +68,19 @@ def _check_input(name: str, value: float) -> float:
         if not admits(value):
             raise ConfigurationError(f"{name} {rule}, got {value}")
     return value
+
+
+def _check_grid(name: str, values: Sequence[float]) -> list[float]:
+    """values as floats, each admitted by the parameter name; else the error that
+    converting and checking them one at a time, in order, raises first."""
+    values = list(values)  # an iterator is read once, for both passes
+    try:
+        floats = list(map(float, values))
+    except Exception:  # whatever float() raises, the loop below raises it again
+        floats = None
+    if floats is None or not all(all(map(admits, floats)) for admits, _ in _RANGES[name]):
+        return [_check_input(name, float(v)) for v in values]
+    return floats
 
 
 def check_blocks(blocks) -> tuple[tuple[float, int], ...]:
@@ -299,80 +315,97 @@ def _rate_curves(
     rates at inp.sigma, and the largest necessary rate over sigmas (empty
     if sigmas is None), as four lists.
 
-    One walk of the grid holds the one copy of each rate formula.  ln nu,
-    ln rho0, 1/rho0 and each block's lam + sigma at the curve's sigma are
-    taken once per call, each block's ln(e^{lam*gamma} - 1) once per delay.
-    Each block adds p * triggering_rate_lower * packet_bits_necessary at its
-    eigenvalue to the necessary rate, with the same float operations in the
-    same order, so every value matches those factors bit for bit; a block
-    whose packet bits clamp to 0 adds exactly 0.0 and is skipped.  The
-    sufficient rate adds one term per coordinate, with its ladder contraction
-    in place of rho0.  Every rate is 0 at gamma = 0.  A grid on which
-    b*(lam+sigma)*gamma/ln2 overflows at any of its sigmas is refused.
+    One pass over the blocks per delay adds up the three rates at the
+    curve's sigma together.  ln nu, ln rho0, 1/rho0 and each block's
+    lam + sigma are taken once per call; per delay, -ln(rho0 e^{-sigma*gamma})
+    once, which is both the necessary rate's contraction term and the
+    approximate and sufficient rates' denominator, and each block's
+    ln(e^{lam*gamma} - 1) once.  Each block adds
+    p * triggering_rate_lower * packet_bits_necessary at its eigenvalue to
+    the necessary rate, with the same float operations in the same order, so
+    every value matches those factors bit for bit; a block whose packet bits
+    clamp to 0 adds nothing to it.  The sufficient rate adds one term per
+    coordinate, with its ladder contraction in place of rho0.  Every rate is
+    0 at gamma = 0.  A grid on which b*(lam+sigma)*gamma/ln2 overflows at any
+    of its sigmas is refused.
 
-    The supremum is the necessary rate at the grid's largest sigma whenever
-    _sup_certified proves that no other sigma of the grid exceeds it; only
-    when that certificate fails is the whole grid scanned.  Either way it is
-    the same float as the maximum of the rates at every sigma of the grid.
+    The supremum, from _largest_rate, is the necessary rate at the grid's
+    largest sigma whenever _sup_certified proves that no other sigma of the
+    grid exceeds it; only when that certificate fails is the whole grid
+    scanned.  Either way it is the same float as the maximum of the rates at
+    every sigma of the grid.
     """
     sigma, rho0, b, blocks = inp.sigma, inp.rho0, inp.b, inp.blocks
     ln_nu, ln_rho0, inv_rho0 = math.log(inp.nu), math.log(rho0), 1.0 / rho0
-    head = (sigma,)  # the curve's own sigma, then the grid's largest
-    if sigmas is not None:
+    grid = sigmas is not None
+    if grid:
         order = sorted(sigmas)
-        head += (order[-1],)
         rest = order[:-1] or order  # the others; a one-point grid's is its point, a sound cover
-    growth = max(lam for lam, _ in blocks) + max(head)
+    growth = max(lam for lam, _ in blocks) + (max(sigma, order[-1]) if grid else sigma)
     if gammas and not max(gammas) * b * growth / LN2 < math.inf:
         raise ConfigurationError(
             f"the rate bounds and the sufficient packet size leave float range: "
             f"b*(lam+sigma)*gamma/ln2 overflows at lam+sigma={growth}, gamma={max(gammas)}, b={b}"
         )
-    weights = [p * (lam + sigma) / LN2 for lam, p in blocks]  # approximate rate per unit term
     ladders = contraction_ladders(rho0, [p for _, p in blocks], inp.rho_ladders)
-    coords = [(lam, lam + sigma, ladder) for (lam, _), ladder in zip(blocks, ladders)]
+    coords = [  # lam + sigma, and the approximate rate per unit term
+        (lam, p, lam + sigma, p * (lam + sigma) / LN2, ladder)
+        for (lam, p), ladder in zip(blocks, ladders)
+    ]
     nec, app, suf, sup = [], [], [], []
     for gamma in gammas:
-        if gamma == 0:
-            rates, approx, sufficient = [0.0] * len(head), 0.0, 0.0
-        else:
-            terms = [(lam, p, _ln_em1(lam, gamma)) for lam, p in blocks]
-            rates, scan = [], head
-            while True:
-                # both factors inline: a helper call per sigma or per block slows the
-                # sweeps; test_kernel_bitwise_equals_factor_product keeps them equal
-                for s in scan:
-                    u = s * gamma
-                    den = ln_nu + (u + math.log(2 * math.exp(-u) + inv_rho0))
-                    ln_contraction = u - ln_rho0
-                    total = 0.0
-                    for lam, p, ln_em1 in terms:
-                        bits = (ln_em1 + ln_contraction) / LN2
-                        if bits > 0.0:
-                            total += p * ((lam + s) / den) * bits
-                    rates.append(total)
-                # the supremum: the grid's largest sigma, or the whole grid when
-                # _sup_certified cannot vouch for the rest
-                if sigmas is None or scan is not head or _sup_certified(
-                    terms, gamma, rest[0], rest[-1], ln_nu, rho0, ln_rho0, rates[1]
-                ):
-                    break
-                scan = sigmas
-            den = sigma * gamma - ln_rho0  # _ln_contraction at the curve's sigma
-            approx = 0.0
-            for w, (_, _, ln_em1) in zip(weights, terms):
+        necessary = approx = sufficient = largest = 0.0
+        if gamma != 0:
+            u = sigma * gamma
+            den = u - ln_rho0  # _ln_contraction
+            # both factors of the necessary rate inline: a helper call per block slows
+            # the sweeps; test_kernel_bitwise_equals_factor_product keeps them equal
+            den_trig = ln_nu + (u + math.log(2 * math.exp(-u) + inv_rho0))
+            terms = []
+            for lam, p, ls, w, ladder in coords:
+                ln_em1 = _ln_em1(lam, gamma)
+                bits = (ln_em1 + den) / LN2
+                if bits > 0.0:
+                    necessary += p * (ls / den_trig) * bits
                 approx += w * max(0.0, 1.0 + ln_em1 / den)
-            sufficient = 0.0
-            for lam, ls, ladder in coords:
                 for rho in ladder:
                     term = max(0.0, 1.0 + _log2_packet_term(lam, rho, sigma, gamma, b))
                     sufficient += ls / den * term
-        nec.append(rates[0])
+                if grid:
+                    terms.append((lam, p, ln_em1))
+            if grid:
+                largest = _largest_rate(terms, order[-1:], gamma, ln_nu, ln_rho0, inv_rho0)
+                if not _sup_certified(terms, gamma, rest[0], rest[-1], ln_nu, rho0, ln_rho0,
+                                      largest):
+                    largest = _largest_rate(terms, order, gamma, ln_nu, ln_rho0, inv_rho0)
+        nec.append(necessary)
         app.append(approx)
         suf.append(sufficient)
-        if sigmas is not None:
-            sup.append(max(rates[1:]))
+        if grid:
+            sup.append(largest)
     return nec, app, suf, sup
+
+
+def _largest_rate(terms, sigmas, gamma, ln_nu, ln_rho0, inv_rho0) -> float:
+    """The largest necessary rate over sigmas at a delay gamma > 0, from each
+    block's (lam, p, ln(e^{lam*gamma} - 1)).
+
+    The float operations of _rate_curves' necessary rate, in its order, at
+    each sigma; test_columns_equal_point_functions_bitwise keeps the two equal.
+    """
+    largest = 0.0
+    for s in sigmas:
+        u = s * gamma
+        den = ln_nu + (u + math.log(2 * math.exp(-u) + inv_rho0))
+        ln_contraction = u - ln_rho0
+        total = 0.0
+        for lam, p, ln_em1 in terms:
+            bits = (ln_em1 + ln_contraction) / LN2
+            if bits > 0.0:
+                total += p * ((lam + s) / den) * bits
+        if total > largest:
+            largest = total
+    return largest
 
 
 def _sup_certified(terms, gamma, lo, hi, ln_nu, rho0, ln_rho0, best) -> bool:
@@ -528,12 +561,12 @@ def phase_curves(
 
     With sigma_grid, additionally reports the supremum over those decay rates
     of the necessary rate; an empty sigma_grid is refused.
-    inp was checked when it was built; each grid value is checked once, as
-    BoundInputs checks gamma and sigma, and the rates come from one walk of
-    the grid by the rate kernel.
+    inp was checked when it was built; each grid is checked once, as
+    BoundInputs checks gamma and sigma, and the rate kernel passes over the
+    blocks once per delay.
     """
-    gammas = tuple(_check_input("gamma", float(g)) for g in gamma_grid)
-    sigmas = None if sigma_grid is None else [_check_input("sigma", float(s)) for s in sigma_grid]
+    gammas = tuple(_check_grid("gamma", gamma_grid))
+    sigmas = None if sigma_grid is None else _check_grid("sigma", sigma_grid)
     if sigmas == []:
         raise ConfigurationError("sigma_grid must hold at least one decay rate, got none")
     nec, app, suf, sup = _rate_curves(inp, gammas, sigmas)

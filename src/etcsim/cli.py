@@ -420,6 +420,13 @@ def _sweep_csv_rows(cfg: RunConfig) -> tuple[list[str], int]:
             )
         rho_list = cfg.get("rho0_list") or [base.rho0]
         sigma_grid = cfg.get("sigma_grid")
+        rows = len(rho_list) * len(gamma_grid)
+        if rows > MAX_GRID_POINTS:  # before any row is built: lines holds them all
+            raise ConfigurationError(
+                f"an analytic sweep may hold at most {MAX_GRID_POINTS} rows, got "
+                f"{len(rho_list)} rho0 values x {len(gamma_grid)} delays = {rows}"
+            )
+        gamma_cells = list(map(repr, gamma_grid))  # _grid's floats: every curve's gamma column
         for rho in rho_list:
             at = base._replace(rho0=rho)
             curve = bnd.phase_curves(at, gamma_grid, sigma_grid)
@@ -428,11 +435,11 @@ def _sweep_csv_rows(cfg: RunConfig) -> tuple[list[str], int]:
             head = f",{rho!r},{at.sigma!r},,,,"
             tail = f",{curve.access_rate!r},,,,\n"
             columns = zip(
-                curve.gammas, curve.necessary, curve.necessary_approx, curve.sufficient,
-                [""] * len(curve.gammas) if sup is None else map(repr, sup),
+                gamma_cells, curve.necessary, curve.necessary_approx, curve.sufficient,
+                [""] * len(gamma_cells) if sup is None else map(repr, sup),
             )
             lines += [
-                f"{gamma!r}{head}{nec!r},{app!r},{suf!r},{nec_sup}{tail}"
+                f"{gamma}{head}{nec!r},{app!r},{suf!r},{nec_sup}{tail}"
                 for gamma, nec, app, suf, nec_sup in columns
             ]
         return lines, 0

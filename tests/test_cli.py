@@ -573,6 +573,30 @@ class TestSweepCommand:
         argv = ["sweep", "--config", str(write_cfg(tmp_path, text)), "--out", str(tmp_path)]
         assert "grid count" in assert_one_line_usage_error(capsys, argv)
 
+    def test_analytic_row_count_capped(self, tmp_path, capsys, monkeypatch):
+        # each grid may reach the cap, their product may not: the refusal comes before
+        # any curve, so this 1,000 x 101 sweep builds no row
+        monkeypatch.setattr(bnd, "phase_curves", lambda *args: pytest.fail("a curve ran"))
+        text = ("mode = analytic\nA = 1\nsigma = 1\nrho0 = 0.5\nrho0_list = 0.5:0:1000\n"
+                "gamma_grid = 0.01:0.01:101\n")
+        argv = ["sweep", "--config", str(write_cfg(tmp_path, text)), "--out", str(tmp_path / "out")]
+        assert assert_one_line_usage_error(capsys, argv) == (
+            f"error: an analytic sweep may hold at most {cli.MAX_GRID_POINTS} rows, "
+            f"got 1000 rho0 values x 101 delays = 101000\n"
+        )
+        assert not (tmp_path / "out").exists()
+        monkeypatch.undo()
+        # at the cap the sweep runs: 2 x 3 rows of a cap of 6, and 2 x 4 are refused
+        monkeypatch.setattr(cli, "MAX_GRID_POINTS", 6)
+        text = "mode = analytic\nA = 1\nsigma = 1\nrho0 = 0.5\nrho0_list = 0.3, 0.5\n"
+        path = write_cfg(tmp_path, text + "gamma_grid = 0.1, 0.2, 0.3\n")
+        assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert "(6 rows, 0 failed)" in capsys.readouterr().out
+        path = write_cfg(tmp_path, text + "gamma_grid = 0.1, 0.2, 0.3, 0.4\n")
+        argv = ["sweep", "--config", str(path), "--out", str(tmp_path / "big")]
+        assert "got 2 rho0 values x 4 delays = 8" in assert_one_line_usage_error(capsys, argv)
+        assert not (tmp_path / "big").exists()
+
     def test_empty_grid_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("mode = analytic\nA = 1\nsigma = 1\nrho0 = 0.5\ngamma_grid =\n")

@@ -1232,3 +1232,31 @@ class TestPhaseCurves:
         with pytest.raises(ConfigurationError) as exc:
             phase_curves(inp, gammas, sigma_grid=sigmas)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("sigmas", [None, [0.5, 1.0]], ids=["no_sigma_grid", "sigma_grid"])
+    def test_underflowing_delay_refused_after_earlier_blocks(self, sigmas):
+        # lam*gamma underflows for the second block alone: the pass over the blocks at
+        # that delay stops there, after the first block's terms, with the kernel's refusal
+        inp = bnd.BoundInputs(blocks=((1.3, 1), (0.1, 1)), sigma=1.0, rho0=0.9, gamma=0.0)
+        with pytest.raises(ConfigurationError) as exc:
+            phase_curves(inp, [0.0, 0.5, 5e-324], sigma_grid=sigmas)
+        assert str(exc.value) == ("gamma=5e-324 is too small for eigenvalue lam=0.1: "
+                                  "lam*gamma underflows to 0")
+
+    @pytest.mark.parametrize("grid, rule", [
+        ("gamma", "gamma must be finite and >= 0"), ("sigma", "sigma must be positive and finite"),
+    ])
+    @pytest.mark.parametrize("values, error, message", [
+        ([0.1, -1.0, "x"], ConfigurationError, "{rule}, got -1.0"),
+        ([0.1, "x", -1.0], ValueError, "could not convert string to float: 'x'"),
+        ([0.1, math.nan], ConfigurationError, "{rule}, got nan"),
+    ], ids=["check_before_later_conversion", "conversion_before_later_check", "nan"])
+    def test_grid_refused_at_its_first_bad_value(self, grid, rule, values, error, message):
+        # a grid is refused as converting and checking its values one at a time, in
+        # order, refuses it: the first value that fails either, with that failure
+        inp = bnd.BoundInputs.scalar(1.3, 1.0, 0.9, nu=2.0)
+        gammas, sigmas = (values, None) if grid == "gamma" else ([0.1], values)
+        with pytest.raises(ValueError) as exc:
+            phase_curves(inp, gammas, sigma_grid=sigmas)
+        assert type(exc.value) is error
+        assert str(exc.value) == message.format(rule=rule)

@@ -236,6 +236,20 @@ def test_pre_run_checks_called_only_by_engine_and_run_inputs():
     assert [node.name for node in inits] == ["_Engine"]  # sim.__init__ is _Engine.__init__
 
 
+def test_rate_kernel_calls_each_formula_once_written():
+    # the rate kernel calls ln(e^{lam*gamma} - 1) and the sufficient packet term, never
+    # writes a copy of either, and only the bound table and the phase curves call it
+    calls: dict[str, set] = {}
+    for node, scope in _scoped_nodes():
+        if scope.startswith("bounds.") and isinstance(node, ast.Call):
+            calls.setdefault(scope, set()).add(ast.unparse(node.func))
+    kernel = calls["bounds._rate_curves"]
+    assert {"_ln_em1", "_log2_packet_term"} <= kernel
+    assert not {"math.expm1", "math.log1p"} & kernel
+    callers = sorted(scope for scope, names in calls.items() if "_rate_curves" in names)
+    assert callers == ["bounds.analytic_bounds", "bounds.phase_curves"]
+
+
 def test_packet_size_rule_lives_only_in_bounds():
     # one rule for a packet size: its refusal texts and its type test are written in
     # bounds.check_packet_size alone, and its 2100-bit cap in bounds alone
