@@ -26,7 +26,7 @@ speed.
 
 The module also holds the one check of each design parameter (_RANGES,
 check_blocks, check_gains, contraction_ladders), which model's types call,
-and of a packet size (check_packet_size), which codec and the engine call,
+and of a packet size (check_packet_size), which codec and coordinates call,
 and the per-coordinate table of a trigger design (coordinates), which the
 engine and its checks read; its cap column bounds each chained trigger level,
 v0_i <= v0_{i-1}*(lam+sigma)*(rho0-rho_{i-1}) / (((rho0-rho_{i-1}) + E)*(E - 1))
@@ -115,7 +115,7 @@ def check_blocks(blocks) -> tuple[tuple[float, int], ...]:
 def check_packet_size(g) -> int:
     """g, if it is an int (not a bool) in [1, MAX_PACKET_BITS]; else PreconditionError.
 
-    The one rule for a packet size, which the codec and the engine call too:
+    The one rule for a packet size, which the codec and coordinates call too:
     a float, 3.0 too, or a numpy integer is refused, not converted.
     """
     if type(g) is not int:
@@ -644,7 +644,7 @@ class Coordinate(NamedTuple):
     cap: float  # coupling cap on v0 from the level above; inf at the block's head
     envelope: float  # (rho0 - rho) + e^{(lam+sigma)*gamma}
     spacing: float  # guaranteed spacing of its triggering events
-    g: int  # sufficient packet size
+    g: int  # the run's packet size: the given g, or the sufficient size
     tolerance: float  # time-quantization tolerance at (lam, rho0): grid mode's largest step
 
 
@@ -656,11 +656,13 @@ def _levels(n: int, v0: Sequence[float]) -> tuple[float, ...]:
     return levels
 
 
-def coordinates(inp: BoundInputs, v0: Sequence[float]) -> tuple[Coordinate, ...]:
-    """The per-coordinate table of inp's plant and the trigger levels v0.
+def coordinates(inp: BoundInputs, v0: Sequence[float],
+                g: int | None = None) -> tuple[Coordinate, ...]:
+    """The per-coordinate table of inp's plant, the trigger levels v0 and the packet size g.
 
-    The one place that broadcasts per-coordinate parameters: a single level
-    applies to every coordinate, ladders default as contraction_ladders says.
+    The one place that broadcasts per-coordinate parameters: a single level, and a g that
+    check_packet_size admits first, apply to every coordinate; without g each coordinate
+    sends its sufficient size, and ladders default as contraction_ladders says.
     The slack rho0 - rho_{i-1} of a block's coordinate i - 1 must absorb the
     coupling that coordinate i injects, which caps v0_i at
     v0_{i-1}*(lam+sigma)*(rho0-rho_{i-1}) / (((rho0-rho_{i-1}) + E)*(E - 1)),
@@ -669,6 +671,8 @@ def coordinates(inp: BoundInputs, v0: Sequence[float]) -> tuple[Coordinate, ...]
     is refused (PreconditionError) and so is a level above its cap
     (ConfigurationError), as is a level count other than one or the order.
     """
+    if g is not None:
+        check_packet_size(g)
     levels = _levels(inp.n, v0)
     sigma, rho0, gamma = inp.sigma, inp.rho0, inp.gamma
     ladders = contraction_ladders(rho0, [p for _, p in inp.blocks], inp.rho_ladders)
@@ -696,7 +700,7 @@ def coordinates(inp: BoundInputs, v0: Sequence[float]) -> tuple[Coordinate, ...]
         table += [
             Coordinate(lam, at, p, i, rho, v, cap, (rho0 - rho) + E,
                        _spacing(lam, sigma, gamma, rho0, rho),
-                       _packet_size(lam, rho, sigma, gamma, inp.b), tol)
+                       _packet_size(lam, rho, sigma, gamma, inp.b) if g is None else g, tol)
             for i, (rho, v, cap) in enumerate(zip(ladder, v_blk, caps))
         ]
         at += p

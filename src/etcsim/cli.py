@@ -466,7 +466,7 @@ def _sweep_csv_rows(cfg: RunConfig) -> tuple[list[str], int]:
             report = sim.measure_rates(trace)
             b = report.bounds
             cells = (  # in SWEEP_COLUMNS order
-                gamma, trigger.rho0, trigger.sigma, max(trace.g),
+                gamma, trigger.rho0, trigger.sigma, max(co.g for co in trace.coords),
                 report.rate_empirical, report.trigger_rate_empirical,
                 b.rate_necessary, b.rate_necessary_approx, b.rate_sufficient, None, b.access_rate,
                 float(np.linalg.norm(trace.x[0])), float(np.linalg.norm(trace.x[-1])),

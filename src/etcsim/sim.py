@@ -96,8 +96,8 @@ class Event:
 class SimTrace:
     """Sampled trajectories plus the ordered event log of one run, with the
     design it ran: the analytic-bound inputs and their bound table, the
-    per-coordinate table (bounds.coordinates), the packet size of each
-    coordinate and the detection mode.
+    per-coordinate table (bounds.coordinates) with each packet size in its g
+    column, and the detection mode; bits_sent is trigger_counts times g.
 
     Every array has one row per sample.  x, z and v are transposed views of
     coordinate-major arrays, so they are not C-contiguous: take
@@ -116,7 +116,6 @@ class SimTrace:
     inputs: bnd.BoundInputs
     bounds: bnd.AnalyticBounds
     coords: tuple[bnd.Coordinate, ...]
-    g: tuple[int, ...]
     refine: bool
     diverged: bool = False
 
@@ -216,7 +215,7 @@ class _Engine:
 
         self.inputs = cfg.bound_inputs(plant.blocks, nu)
         self.bounds = bnd.analytic_bounds(self.inputs)  # a bound that fails stops the run here
-        self.coords = bnd.coordinates(self.inputs, cfg.v0)
+        self.coords = bnd.coordinates(self.inputs, cfg.v0, g)
         self.block_slices = [(co.lam, co.order, slice(co.start, co.start + co.order))
                              for co in self.coords if co.index == 0]
         self._block_lams = np.array([lam for lam, _, _ in self.block_slices])
@@ -226,14 +225,9 @@ class _Engine:
 
         self.x0, self.xhat0 = _initial_state(x0, xhat0, [co.v0 for co in self.coords])
 
-        if g is None:
-            self.g = tuple(co.g for co in self.coords)
-        else:
-            self.g = (bnd.check_packet_size(g),) * self.n
-        inp = self.inputs
-        for gc in self.g:
-            if gc >= 2:
-                check_resolvable(gc, inp.b, inp.gamma, self.t_end)
+        for co in self.coords:
+            if co.g >= 2:
+                check_resolvable(co.g, self.inputs.b, self.inputs.gamma, self.t_end)
         if not refine:  # after every refusal: a refused run prints its error alone
             self._check_step()
 
@@ -242,7 +236,6 @@ class _Engine:
 
         # run state
         self.events: list[Event] = []
-        self.bits_sent = np.zeros(self.n, dtype=np.int64)
         self.trigger_counts = np.zeros(self.n, dtype=np.int64)
         self.channel = ChannelState()
         self._fired_at = [-math.inf] * self.n
@@ -439,10 +432,11 @@ class _Engine:
         XH, Z = self._XH[:k], self._Z[:, :k]
         X = (XH.T + Z).T  # coordinate-major, so Z is read in its own order
         X[0] = self.x0
+        bits_sent = self.trigger_counts * np.array([co.g for co in self.coords], dtype=np.int64)
         return SimTrace(
             self._times[:k], X, XH, Z.T, self._V[:, :k].T,
-            self.events, self.bits_sent, self.trigger_counts, horizon=self.t_end, step=self.h,
-            inputs=self.inputs, bounds=self.bounds, coords=self.coords, g=self.g,
+            self.events, bits_sent, self.trigger_counts, horizon=self.t_end, step=self.h,
+            inputs=self.inputs, bounds=self.bounds, coords=self.coords,
             refine=self.refine, diverged=diverged,
         )
 
@@ -475,7 +469,7 @@ class _Engine:
     def _fire(self, c: int, t_s: float, z: np.ndarray) -> None:
         self._fired_at[c] = t_s
         sign = 1 if z[c] > 0 else -1
-        g = self.g[c]
+        g = self.coords[c].g
         gamma = self.inputs.gamma
         packet = encode(t_s, sign, g, self.inputs.b, gamma)
         delta = sample_delay(self.delay_models[c], int(self.trigger_counts[c]))
@@ -483,7 +477,6 @@ class _Engine:
             raise ConfigurationError(f"delay {delta} exceeds the configured bound gamma={gamma}")
         t_c = t_s + delta
         self.channel.send(c, packet, t_c)
-        self.bits_sent[c] += g
         self.trigger_counts[c] += 1
         self.events.append(
             Event(
@@ -617,6 +610,8 @@ def run_vector(
     violations refuse to run).  A None delay model disables that
     coordinate's channel entirely.  A single delay model serves every
     coordinate, and a scalar x0/xhat0 is the state of a one-coordinate plant.
+    bounds.coordinates broadcasts the packet size g (None: each coordinate's
+    sufficient size); a run's sizes are trace.coords[c].g.
     """
     if delay_models is None:
         raise ConfigurationError("a delay model is required")
