@@ -200,6 +200,7 @@ class BoundInputs(_BoundFields):
     blocks lists (eigenvalue, order) pairs; a scalar system is a single
     (A, 1) block.  nu >= 1 is the quantization precision parameter of the
     necessity results (nu >= 2 where the design-window check is used).
+    rho_ladders is kept as contraction_ladders returns it, a tuple of tuples.
     Every way to build one (the constructor, _make, _replace, pickle and
     copy) runs the checks of __new__.
     """
@@ -207,12 +208,12 @@ class BoundInputs(_BoundFields):
     __slots__ = ()
 
     def __new__(cls, blocks, sigma, rho0, gamma, b=1.0001, nu=1.0, rho_ladders=None):
-        self = super().__new__(cls, check_blocks(blocks), sigma, rho0, gamma, b, nu, rho_ladders)
-        for name in _RANGES:
-            _check_input(name, getattr(self, name))
+        blocks = check_blocks(blocks)
+        for name, value in zip(("sigma", "rho0", "gamma", "b", "nu"), (sigma, rho0, gamma, b, nu)):
+            _check_input(name, value)
         if rho_ladders is not None:
-            contraction_ladders(rho0, [p for _, p in self.blocks], rho_ladders)
-        return self
+            rho_ladders = contraction_ladders(rho0, [p for _, p in blocks], rho_ladders)
+        return super().__new__(cls, blocks, sigma, rho0, gamma, b, nu, rho_ladders)
 
     @classmethod
     def _make(cls, iterable) -> "BoundInputs":

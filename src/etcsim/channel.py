@@ -147,8 +147,8 @@ class UniformDelay:
     )
 
     def __post_init__(self):
-        if not math.isfinite(self.gamma):
-            raise ConfigurationError(f"uniform delays need a finite gamma, got {self.gamma}")
+        if not 0 <= self.gamma < math.inf:
+            raise ConfigurationError(f"uniform delays need a finite gamma >= 0, got {self.gamma}")
         seed = self.seed
         if type(seed) is not tuple or not all(isinstance(w, int) and w >= 0 for w in seed):
             raise ConfigurationError(f"uniform delay seed must be a tuple of ints >= 0, got {seed}")

@@ -88,7 +88,7 @@ class TriggerConfig:
     sets the post-jump contraction, gamma the known worst-case channel delay,
     and b > 1 the width factor of the time quantization windows.  rho_ladders,
     when given, lists per block the strictly increasing per-coordinate
-    contraction values ending at rho0.
+    contraction values ending at rho0, stored as a tuple of tuples.
     """
 
     v0: tuple[float, ...]
@@ -107,7 +107,9 @@ class TriggerConfig:
                 raise ConfigurationError(f"trigger levels v0 must be positive and finite, got {v}")
         if self.rho_ladders is not None:
             # values only: the shape is checked against the plant in bound_inputs
-            contraction_ladders(self.rho0, [len(lad) for lad in self.rho_ladders], self.rho_ladders)
+            ladders = contraction_ladders(self.rho0, [len(lad) for lad in self.rho_ladders],
+                                          self.rho_ladders)
+            object.__setattr__(self, "rho_ladders", ladders)
 
     def bound_inputs(self, blocks: tuple[tuple[float, int], ...], nu: float) -> BoundInputs:
         """The analytic-bound parameters of a run of this trigger on the given blocks."""

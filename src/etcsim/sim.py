@@ -205,6 +205,10 @@ class _Engine:
             raise ConfigurationError(
                 f"need one delay model per coordinate ({self.n}), got {len(delay_models)}"
             )
+        for c, m in enumerate(delay_models):  # before any step, not at the coordinate's first draw
+            if m is not None and not callable(getattr(m, "sample", None)):
+                raise ConfigurationError(f"delay model of coordinate {c} has no sample "
+                                         f"method: got {type(m).__name__}")
         self.delay_models = list(delay_models)
         self.h = step
         self.t_end = self.S * step
@@ -608,8 +612,9 @@ def run_vector(
     Requires |z_i(0)| <= v0_i on every coordinate.  Trigger levels must
     satisfy the coupling cascade bound within each block (checked up front;
     violations refuse to run).  A None delay model disables that
-    coordinate's channel entirely.  A single delay model serves every
-    coordinate, and a scalar x0/xhat0 is the state of a one-coordinate plant.
+    coordinate's channel entirely; any other needs a sample method.  A single
+    delay model serves every coordinate, and a scalar x0/xhat0 is the state
+    of a one-coordinate plant.
     bounds.coordinates broadcasts the packet size g (None: each coordinate's
     sufficient size); a run's sizes are trace.coords[c].g.
     """

@@ -17,7 +17,6 @@ regenerate it only when a change means to move these values.
 import json
 import math
 import random
-from dataclasses import replace
 from pathlib import Path
 
 from etcsim import bounds as bnd
@@ -76,9 +75,9 @@ def _hexes(xs):
 
 
 def _row(inp, gamma, sigmas):
-    at = replace(inp, gamma=gamma)
+    at = inp._replace(gamma=gamma)
     table = bnd.analytic_bounds(at)
-    sup = max(bnd.analytic_bounds(replace(at, sigma=s)).rate_necessary for s in sigmas)
+    sup = max(bnd.analytic_bounds(at._replace(sigma=s)).rate_necessary for s in sigmas)
     return [gamma, table.rate_necessary, table.rate_necessary_approx, table.rate_sufficient, sup]
 
 

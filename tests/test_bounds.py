@@ -447,6 +447,15 @@ class TestBoundInputsRecord:
             gamma=-1.0, rho_ladders=self.BAD_LADDERS,
         )) == "gamma must be finite and >= 0, got -1.0"
 
+    def test_ladders_stored_as_tuples(self):
+        # [[0.25, 0.5]] used to be kept as given: unequal to the tuple form, and unhashable
+        lists = bnd.BoundInputs(blocks=[(1.0, 2)], sigma=1.0, rho0=0.5, gamma=0.1,
+                                rho_ladders=[[0.25, 0.5]])
+        tuples = bnd.BoundInputs(blocks=((1.0, 2),), sigma=1.0, rho0=0.5, gamma=0.1,
+                                 rho_ladders=((0.25, 0.5),))
+        assert lists.rho_ladders == ((0.25, 0.5),) and type(lists.rho_ladders[0]) is tuple
+        assert lists == tuples and hash(lists) == hash(tuples)
+
     def test_pickle_and_copy_keep_the_record_and_its_checks(self):
         for twin in (pickle.loads(pickle.dumps(self.BASE)), copy.deepcopy(self.BASE),
                      copy.copy(self.BASE)):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -135,6 +136,13 @@ class TestUniformBlockKernel:
             numpy_draw((1,), 0, gamma)
         with pytest.raises(ConfigurationError, match="finite gamma"):
             UniformDelay(gamma=gamma)
+
+    def test_negative_gamma_refused_when_built(self):
+        # it used to be refused only at a run's first draw, by sample_delay
+        with pytest.raises(ConfigurationError,
+                           match=re.escape("uniform delays need a finite gamma >= 0, got -1.0")):
+            UniformDelay(-1.0, (1,))
+        assert UniformDelay(0.0, (1,)).sample(0) == 0.0
 
 
 class TestBuildDelay:

@@ -142,6 +142,14 @@ class TestTriggerConfig:
         table = bounds.coordinates(cfg.bound_inputs(((1.0, 2),), 2.0), cfg.v0)
         assert tuple(co.rho for co in table) == (0.25, 0.5)
 
+    def test_ladders_stored_as_tuples(self):
+        # a design given as lists equals, and hashes as, the same design given as tuples
+        given = [dict(v0=((1.0, 1.0),), sigma=1.0, rho0=0.5, gamma=0.1, rho_ladders=lad)
+                 for lad in ([[0.25, 0.5]], ((0.25, 0.5),))]
+        lists, tuples = (TriggerConfig(**kw) for kw in given)
+        assert lists.rho_ladders == ((0.25, 0.5),) and type(lists.rho_ladders[0]) is tuple
+        assert lists == tuples and hash(lists) == hash(tuples)
+
     def test_default_ladder(self):
         cfg = TriggerConfig(v0=((1.0, 1.0, 1.0),), sigma=1.0, rho0=0.6, gamma=0.1)
         table = bounds.coordinates(cfg.bound_inputs(((1.0, 3),), 2.0), cfg.v0)

@@ -61,7 +61,8 @@ class TestRunScalar:
     def test_packet_size_follows_sufficient_rule(self):
         trace = fig7_run(horizon=1.5)
         inp = bnd.BoundInputs.scalar(1.0, 0.1, 0.1, gamma=1.2, b=1.0001, nu=2.0)
-        assert [co.g for co in trace.coords] == [bnd.analytic_bounds(inp).packet_size_sufficient] == [7]
+        (co,) = trace.coords
+        assert co.g == bnd.analytic_bounds(inp).packet_size_sufficient == 7
 
     def test_zero_initial_error_never_triggers(self):
         trace = run_vector(FIG7_PLANT, FIG7_CFG, ConstantDelay(0.1, gamma=1.2),
@@ -125,6 +126,37 @@ class TestRunScalar:
             run_vector(FIG7_PLANT, FIG7_CFG, [dm, dm], 1.0, 0.001, x0=0.2, xhat0=0.1)
         with pytest.raises(ConfigurationError, match="a delay model is required"):
             run_vector(FIG7_PLANT, FIG7_CFG, None, 1.0, 0.001, x0=0.2, xhat0=0.1)
+
+    @pytest.mark.parametrize("build, coord, kind", [
+        (lambda m: [m, 3, m], 1, "int"),
+        (lambda m: np.array([m, m, m]), 0, "ndarray"),
+        (lambda m: (m for _ in range(3)), 0, "generator"),
+    ], ids=["int_entry", "array", "generator"])
+    def test_delay_model_without_sample_refused_before_the_first_step(self, build, coord, kind):
+        # [m, 3, m] used to run to the end, since coordinate 1 never fired, and an array
+        # or a generator, broadcast as one model, to fail mid-run with an AttributeError
+        models = build(UniformDelay(0.05, (1,)))
+        with pytest.raises(ConfigurationError, match=re.escape(
+                f"delay model of coordinate {coord} has no sample method: got {kind}")):
+            run_vector(VECTOR_PLANT, VECTOR_CFG, models, 0.2, 1e-4, x0=(0.1,) * 3,
+                       xhat0=(0.0,) * 3)
+
+    def test_duck_typed_delay_model_runs(self):
+        class Fixed:  # no channel class: a gamma and a sample method are all a run reads
+            gamma = 0.05
+
+            def sample(self, k):
+                return 0.01
+
+        runs = [run_vector(VECTOR_PLANT, VECTOR_CFG, dm, 0.2, 1e-4, x0=(0.1,) * 3,
+                           xhat0=(0.0,) * 3) for dm in (Fixed(), ConstantDelay(0.01, 0.05))]
+        assert runs[0].events == runs[1].events != []
+
+    def test_packet_size_refused_before_initial_state(self):
+        # bounds.coordinates admits g before the engine reads x0
+        with pytest.raises(PreconditionError, match="packet size must lie in"):
+            run_vector(FIG7_PLANT, FIG7_CFG, ConstantDelay(0.1, gamma=1.2), 1.0, 0.001,
+                       x0=5.0, xhat0=0.0, g=0)
 
     def test_delay_above_the_trigger_gamma_refused(self):
         # the model's own bound admits 0.2, the trigger's gamma = 0.1 does not

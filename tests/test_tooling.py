@@ -43,6 +43,15 @@ def _bench_module(name: str, monkeypatch):
     return module
 
 
+def _dense_run(horizon: float = 0.2, **run) -> sim.SimTrace:
+    """A run of bench/workloads.py's vector_dense plant and design."""
+    plant = model.JordanPlant(blocks=((5.0, 2), (10.0, 1)), B=np.eye(3), K=15.0 * np.eye(3))
+    cfg = model.TriggerConfig(v0=((0.5, 0.6), (0.5,)), sigma=2.0, rho0=0.5, gamma=0.05)
+    models = [channel.build_delay("uniform", 0.05, seed=1701, salt=(0, c)) for c in range(3)]
+    return sim.run_vector(plant, cfg, models, horizon, 1e-4, x0=(0.1, 0.1, 0.1),
+                          xhat0=(0.0, 0.0, 0.0), **run)
+
+
 def test_traced_benchmark_hooks_resolve(monkeypatch):
     # bench/spans.py patches named package attributes; a missing one raises here
     spans = _bench_module("spans", monkeypatch)
@@ -59,14 +68,10 @@ def test_traced_benchmark_hooks_resolve(monkeypatch):
 def test_traced_benchmark_sees_each_hooked_callee(monkeypatch):
     # a hot-path rewrite that bypasses a patched name would zero a per-layer metric
     spans = _bench_module("spans", monkeypatch)
-    plant = model.JordanPlant(blocks=((5.0, 2), (10.0, 1)), B=np.eye(3), K=15.0 * np.eye(3))
-    cfg = model.TriggerConfig(v0=((0.5, 0.6), (0.5,)), sigma=2.0, rho0=0.5, gamma=0.05)
-    models = [channel.build_delay("uniform", 0.05, seed=1701, salt=(0, c)) for c in range(3)]
     tracer = spans.Tracer()
     try:
         tracer.install()
-        sim.run_vector(plant, cfg, models, 0.2, 1e-4, x0=(0.1, 0.1, 0.1),
-                       xhat0=(0.0, 0.0, 0.0), refine=True)
+        _dense_run(refine=True)
     finally:
         tracer.uninstall()
     for name in ("model.block_matexp", "codec.encode", "channel.sample_delay",
@@ -267,6 +272,28 @@ def test_packet_size_rule_lives_only_in_bounds():
     cap = [path.name for path in sorted((ROOT / "src" / "etcsim").rglob("*.py"))
            if re.search(r"\b2100\b", path.read_text())]
     assert cap == ["bounds.py"]
+
+
+def test_packet_sizes_broadcast_only_in_coordinates():
+    # one packet-size path: bounds.coordinates admits and broadcasts g, and neither the
+    # engine nor the trace keeps a copy of the sizes
+    tree = ast.parse((ROOT / "src" / "etcsim" / "sim.py").read_text())
+    names = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(tree)}
+    assert "check_packet_size" not in names
+    assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                and node.attr == "g" and getattr(node.value, "id", None) == "self"]
+    assert "g" not in sim.SimTrace.__dataclass_fields__
+
+
+@pytest.mark.parametrize("g", [None, 3], ids=["auto_g", "g3"])
+@pytest.mark.parametrize("refine", [False, True], ids=["grid", "refine"])
+def test_bits_sent_is_trigger_counts_times_packet_sizes(refine, g):
+    trace = _dense_run(1.0, refine=refine, g=g)  # every coordinate fires within 1 s
+    sizes = [co.g for co in trace.coords]
+    assert sizes == ([3, 2, 3] if g is None else [3, 3, 3])
+    assert trace.bits_sent.dtype == np.int64
+    assert trace.bits_sent.tolist() == (trace.trigger_counts * sizes).tolist()
+    assert all(trace.trigger_counts) and all(e.g == sizes[e.coord] for e in trace.triggers())
 
 
 def test_package_refuses_unknown_names_and_imports_submodules():
