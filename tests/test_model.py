@@ -144,9 +144,9 @@ class TestTriggerConfig:
 
     def test_ladders_stored_as_tuples(self):
         # a design given as lists equals, and hashes as, the same design given as tuples
-        given = [dict(v0=((1.0, 1.0),), sigma=1.0, rho0=0.5, gamma=0.1, rho_ladders=lad)
-                 for lad in ([[0.25, 0.5]], ((0.25, 0.5),))]
-        lists, tuples = (TriggerConfig(**kw) for kw in given)
+        kw = dict(v0=((1.0, 1.0),), sigma=1.0, rho0=0.5, gamma=0.1)
+        lists = TriggerConfig(**kw, rho_ladders=[[0.25, 0.5]])
+        tuples = TriggerConfig(**kw, rho_ladders=((0.25, 0.5),))
         assert lists.rho_ladders == ((0.25, 0.5),) and type(lists.rho_ladders[0]) is tuple
         assert lists == tuples and hash(lists) == hash(tuples)
 
