@@ -5,27 +5,30 @@ have that length, laid out by Python's 'r' rules: exponent form when the decimal
 point position decpt (x = 0.d1d2...dn * 10**decpt) is <= -4 or > 16, with a signed
 exponent of at least two digits; otherwise positional, with ".0" after an integer.
 
-The digits come from Schubfach (R. Giulietti, "The Schubfach way to render doubles",
-2020), done in uint64 arithmetic over whole arrays: a 126-bit power of ten from a
-table built once with Python ints, three round-to-odd products per cell (one
-multiplication; the other two differ from it by a shifted power of ten), and a choice
-between the cell's 16-17 digit candidates and the one a digit shorter. One rule
-differs from Java's Double.toString, where Schubfach comes from: one digit is a valid
-result, so the shorter candidate is tried for every cell (Java: s >= 100).
+The digits come from the nearest-to-even core of Dragonbox (J. Jeon, "Dragonbox: A
+New Floating-Point Binary-to-Decimal Conversion Algorithm", 2020), done in uint64
+arithmetic over whole arrays. Per binary exponent a table built once holds the
+128-bit power of ten phi_k = ceil(10**k * 2**(127 - floor(k log2 10))) as four 32-bit
+halves, the shift beta and the interval width delta (times 10**k). Each cell takes
+one 64x128-bit product, zi: the upper end of its rounding interval times 10**k. The
+remainder r of zi modulo 1000 against delta decides between zi // 1000 and a
+candidate one digit longer, near the value itself. Two exact ties and an excluded
+right end, rare, are settled on the cells that need them by a parity product. Exact
+powers of two, whose interval is shorter below, take their decimal from a table row.
 
 The layout depends on decpt alone, so tables indexed by decpt hold it: the first word
 ("0." and up to three zeros for -3 <= decpt <= 0), the exponent bytes and the ','
 after them, the digits before the point and the least count of digits kept. The
-fix-up set, the cells whose digits this Schubfach does not give, is written last from
-fixed words: zeros, infinities, nan, and +-5e-324 and +-1e-323, the two subnormals
-that Java scales by ten first.
+fix-up set is written last from fixed words: zeros, infinities, nan, and +-5e-324
+and +-1e-323, the two smallest subnormals.
 
 Each cell becomes four little-endian words (32 bytes) with NUL where no character
 goes; one translate per block drops the NULs. Digits stay in uint64 and digit counts
 in int64, never mixed, so numpy 1.x never promotes an operation to float64. A
 comparison enters the arithmetic as the sign bit of a difference of two values below
-2**63, not as a bool or a select; only the carries of 128-bit sums add a bool. Spent
-arrays are deleted as soon as possible: that bounds the memory a block takes.
+2**63, or as a bool combined with uint64 only; a full 64-bit word is compared with
+==. Spent arrays are deleted as soon as possible: that bounds the memory a block
+takes.
 """
 
 from __future__ import annotations
@@ -34,35 +37,52 @@ import numpy as np
 
 _U = np.uint64
 _M32 = _U(0xFFFF_FFFF)
-_M63 = _U(2**63 - 1)
 _ASCII8 = _U(0x3030_3030_3030_3030)  # eight '0' bytes: digit values to characters
 _K_BIAS = 400  # decimal exponents are stored plus this, so they stay unsigned
 _DOT, _MINUS = ord("."), ord("-")
 _SEP = {b: ord(b) << 56 for b in ",\n"}  # the byte after a cell: top byte of its word 3
 
 
-def _schubfach_tables():
-    """Per index bq + 2048 * irregular (bq the biased binary exponent): the decimal
-    exponent k plus _K_BIAS, the shift h + 1, and the 63-bit words g1, g0 of
-    g = g1 * 2**63 + g0 = floor(10**-k * 2**(125 - r)) + 1, r = floor(log2(10**-k))."""
-    q = np.arange(2048, dtype=np.int64) - 1075
-    q[0] = -1074
-    k = (q * 661_971_961_083) >> 41  # floor(log10(2**q))
-    # floor(log10(3/4 * 2**q)) where the spacing below 2**52 * 2**q is half as wide
-    k_irregular = np.where(q > -1074, (q * 661_971_961_083 - 274_743_187_321) >> 41, k)
-    q, k = np.concatenate([q, q]), np.concatenate([k, k_irregular])
-    r = (-k * 913_124_641_741) >> 38  # floor(log2(10**-k))
+def _dragonbox_tables():
+    """Per biased binary exponent bq, for e = max(bq, 1) - 1075 and
+    k = 2 - floor(e log10 2): beta, the 32-bit halves of phi_k high first, delta, and
+    the decimal exponent plus _K_BIAS of zi / 100; then the shortest (f, exponent plus
+    _K_BIAS) of 2**52 * 2**e, from its shorter interval
+    [2**e * (2**52 - 1/4), 2**e * (2**52 + 1/2)]."""
+    e = np.maximum(np.arange(2048, dtype=np.int64), 1) - 1075
+    k = 2 - (e * 661_971_961_083 >> 41)  # floor(e log10 2) = e * 661_971_961_083 >> 41
+    ks = -(e * 661_971_961_083 - 274_743_187_321 >> 41)  # minus floor(e log10 2 - log10 4/3)
+    kmin = int(ks.min())
     words = []
-    for kk in range(int(k.min()), int(k.max()) + 1):  # g with Python ints, once per k
-        num, den = (10**-kk, 1) if kk <= 0 else (1, 10**kk)
-        rr = (-kk * 913_124_641_741) >> 38
-        g = (num << 125 - rr) // den + 1 if rr <= 125 else num // (den << rr - 125) + 1
-        words.append([g >> 63, g & (2**63 - 1)])
-    g = np.array(words, dtype=np.uint64)[k - k.min()]
-    return (k + _K_BIAS).astype(np.uint64), (q + r + 3).astype(np.uint64), *g.T.copy()
+    for kk in range(kmin, int(k.max()) + 1):  # phi_k with Python ints, once per k
+        r = kk * 913_124_641_741 >> 38  # floor(kk log2 10)
+        if kk < 0:
+            phi = -((-1 << 127 - r) // 10**-kk)
+        else:
+            phi = 10**kk << 127 - r if r <= 127 else -(-(10**kk) >> r - 127)
+        words.append([phi >> 96, phi >> 64 & 0xFFFF_FFFF, phi >> 32 & 0xFFFF_FFFF,
+                      phi & 0xFFFF_FFFF])
+    words = np.array(words, dtype=np.uint64)
+    phi = words[k - kmin]
+    beta = (e + (k * 913_124_641_741 >> 38)).astype(np.uint64)  # 6..9
+    delta = (phi[:, 0] << _U(32) | phi[:, 1]) >> _U(63) - beta  # 100..998
+
+    # the shorter interval as Dragonbox computes it, times 10**ks: xi and zi its ends
+    # rounded in, and y the value rounded up, the fallback where no multiple of 10 fits
+    beta_s = (e + (ks * 913_124_641_741 >> 38)).astype(np.uint64)  # 0..3
+    hi = words[ks - kmin, 0] << _U(32) | words[ks - kmin, 1]
+    xi = (hi - (hi >> _U(54)) >> _U(11) - beta_s) + ((e < 2) | (e > 3))  # an integer at e = 2, 3
+    zi = hi + (hi >> _U(53)) >> _U(11) - beta_s
+    y = (hi >> _U(10) - beta_s) + _U(1) >> _U(1)
+    tie = (e == -77) & (y & _U(1) == 1)  # the one exact tie, to even
+    y = y - tie + (~tie & (y < xi))
+    fits = zi // _U(10) * _U(10) >= xi  # a multiple of 10 lies in the interval
+    f2 = np.where(fits, zi // _U(10), y)
+    e2 = (_K_BIAS - ks + fits).astype(np.uint64)
+    return (beta, *phi.T.copy(), delta, (_K_BIAS + 2 - k).astype(np.uint64), f2, e2)
 
 
-_KB, _H1, _G1, _G0 = _schubfach_tables()
+_BETA, *_PHI, _DELTA, _E1, _F2, _E2 = _dragonbox_tables()
 _P10 = np.array([10**i for i in range(18)], dtype=np.uint64)
 # the 4 digits of each number below 10**4 as byte values, the first in the lowest byte
 _DIGITS4 = sum(np.arange(10_000, dtype=np.uint64) // _U(10 ** (3 - j)) % _U(10) << _U(8 * j)
@@ -93,7 +113,7 @@ def _layout_tables():
     of n digits has p = min(P, n - 1 + W) digits before the point and keeps
     1 + max(n - 1, W) digits: n, or W + 1 for the ".0" after an integer."""
     first, last, before, whole = [], [], [], []
-    for d in range(-_K_BIAS, int(_KB.max()) + 21 - _K_BIAS):  # 1 <= ndig <= 20
+    for d in range(-_K_BIAS, int(max(_E1.max(), _E2.max())) + 21 - _K_BIAS):  # 1 <= ndig <= 20
         expo, small = not -4 < d <= 16, -4 < d <= 0
         first.append(int.from_bytes(b"\0" + b"0." + b"0" * -d if small else b"", "little"))
         exponent = f"e{d - 1:+03d}".encode() if expo else b""
@@ -113,37 +133,43 @@ _FIXED_TEXT = np.array([int.from_bytes(text.encode(), "little")
 _FIXED_SIGN = np.array([_MINUS] * 4 + [0], dtype=np.uint64)
 
 
+
+
 def _mul128(ah, al, bh, bl):
-    """High and low words of a * b, from the 32-bit halves of each."""
+    """High and low words of a * b, from the 32-bit halves of each. No sum overflows:
+    each is below (2**32 - 1) * 2**32 + 2**32."""
     c32 = _U(32)
-    ll, lh, hl = al * bl, al * bh, ah * bl
-    mid = (ll >> c32) + (lh & _M32) + (hl & _M32)
-    return ah * bh + (lh >> c32) + (hl >> c32) + (mid >> c32), mid << c32 | ll & _M32
+    ll = al * bl
+    mid = (ll >> c32) + al * bh
+    low = (mid & _M32) + ah * bl
+    return ah * bh + (mid >> c32) + (low >> c32), low << c32 | ll & _M32
 
 
-def _plus(hi, lo, g, sh, rsh):
-    """hi * 2**64 + lo + (g << sh) as high and low words; sh < 64, rsh = 64 - sh."""
-    glo = g << sh
-    lo = lo + glo
-    return hi + (g >> rsh) + (lo < glo), lo
-
-
-def _minus(hi, lo, g, sh, rsh):
-    """hi * 2**64 + lo - (g << sh) as high and low words; sh < 64, rsh = 64 - sh."""
-    glo = g << sh
-    return hi - (g >> rsh) - (lo < glo), lo - glo
-
-
-def _rop(x1, y1, y0):
-    """Schubfach's round-to-odd g * cp / 2**127 from g0 * cp = x1 * 2**64 + x0 and
-    g1 * cp = y1 * 2**64 + y0, g = g1 * 2**63 + g0 (x0 lies below its rounding)."""
-    z = (y0 >> _U(1)) + x1
-    return y1 + (z >> _U(63)) | (z & _M63) + _M63 >> _U(63)
+def _mul_high(ah, al, bh, bl):
+    """The high word of a * b, as _mul128 computes it."""
+    c32 = _U(32)
+    mid = (al * bl >> c32) + al * bh
+    low = (mid & _M32) + ah * bl
+    mid >>= c32
+    mid += ah * bh
+    low >>= c32
+    mid += low
+    return mid
 
 
 def _at(table, index):
     """table[index] for an index array, without a cast of the index."""
     return table.take(index.view(np.int64))
+
+
+def _parity(two_f, bq):
+    """Dragonbox's parity check of two_f * 10**k * 2**(e - 1), e and k by bq: its
+    lowest integer bit and whether it is an integer, from the low 128 bits of
+    two_f * phi_k (two_f < 2**55)."""
+    beta = _at(_BETA, bq)
+    hi, lo = _mul128(two_f >> _U(32), two_f & _M32, _at(_PHI[2], bq), _at(_PHI[3], bq))
+    hi += two_f * (_at(_PHI[0], bq) << _U(32) | _at(_PHI[1], bq))
+    return hi >> _U(64) - beta & _U(1), (hi << beta | lo >> _U(64) - beta) == _U(0)
 
 
 def _decimal(bits):
@@ -152,43 +178,60 @@ def _decimal(bits):
     f) where two have that length; f may end in zeros. Garbage in the fix-up set."""
     bq = bits >> _U(52) & _U(0x7FF)
     t = bits & _U(2**52 - 1)
-    irregular = (t - _U(1) & _U(1) - bq) >> _U(63)  # t == 0 and bq > 1
-    ti = bq | irregular << _U(11)
-    c = t | np.minimum(bq, _U(1)) << _U(52)
-    del bq, t
-    e = _at(_KB, ti)
-    g1, g0, h1 = _at(_G1, ti), _at(_G0, ti), _at(_H1, ti)
-    del ti
-    out = c & _U(1)
-    # g * (cb << h) once, cb = 4c; the neighbours cbr = cb + 2 and cbl = cb - 2 (cb - 1
-    # where the spacing below is half as wide) differ from it by g << sh
-    cp = c << h1 + _U(1)
-    bh, bl = cp >> _U(32), cp & _M32
-    del c, cp
-    x1, x0 = _mul128(g0 >> _U(32), g0 & _M32, bh, bl)
-    y1, y0 = _mul128(g1 >> _U(32), g1 & _M32, bh, bl)
-    del bh, bl
-    vb = _rop(x1, y1, y0)
-    rh = _U(64) - h1
-    vbr = _rop(_plus(x1, x0, g0, h1, rh)[0], *_plus(y1, y0, g1, h1, rh)) - out
-    h1 -= irregular
-    rh += irregular
-    vbl = _rop(_minus(x1, x0, g0, h1, rh)[0], *_minus(y1, y0, g1, h1, rh)) + out
-    del x1, x0, y1, y0, g1, g0, h1, rh, irregular, out
-    # out = 1 (odd c) opens the rounding interval: with it folded into vbl and vbr,
-    # a <= b tests membership throughout. Every term lies below 2**63, so (b - a) >> 63
-    # is 1 exactly where a > b
-    s = vb >> _U(2)
-    sp10 = s // _U(10) * _U(10)
-    s4, sp4 = s << _U(2), sp10 << _U(2)
-    upout = sp4 - vbl >> _U(63)  # sp10 outside
-    shorter = upout ^ vbr - sp4 - _U(40) >> _U(63)  # just one of sp10, sp10 + 10 inside
-    uout = s4 - vbl >> _U(63)  # s outside
-    wout = vbr - s4 - _U(4) >> _U(63)  # s + 1 outside
-    far = s4 + _U(2) - vb - (s & _U(1)) >> _U(63)  # s + 1 closer (or as close, s odd)
-    del vbl, vbr, vb, s4, sp4
-    longer = s + (uout | far & ~wout)
-    return longer + (sp10 + upout * _U(10) - longer & _U(0) - shorter), e
+    pow2 = np.flatnonzero(t == _U(0))
+    c2 = t << _U(1) | _U(0) - bq >> _U(63) << _U(53)  # 2c, c the significand
+    del t
+    u = (c2 | _U(1)) << _at(_BETA, bq)
+    uh, ul = u >> _U(32), u & _M32
+    del u
+    # zi = (u * phi_k) >> 128 from u * phi_hi and the high word of u * phi_lo; mid,
+    # the word below zi, is 0 where zi is exact
+    zi, mid = _mul128(uh, ul, _at(_PHI[0], bq), _at(_PHI[1], bq))
+    hi = _mul_high(uh, ul, _at(_PHI[2], bq), _at(_PHI[3], bq))
+    del uh, ul
+    mid += hi
+    zi += mid < hi
+    del hi
+    s = zi // _U(1000)
+    r = zi - s * _U(1000)
+    del zi
+    delta = _at(_DELTA, bq)
+    longer = delta - _U(1) - r >> _U(63)  # r >= delta: the candidate a digit longer
+    # the right end is in the interval only for even c: where zi // 1000 * 1000 is that
+    # end, exactly, the cell steps one below it, to the longer candidate with r = 1000
+    end = np.flatnonzero(mid == _U(0))
+    end = end[(r[end] | c2[end] >> _U(1) & _U(1) ^ _U(1)) == _U(0)]
+    s[end] -= _U(1)
+    r[end] = 1000
+    longer[end] = 1
+    del mid
+    # the longer candidate is 10 s + dist // 100; dist is all ones, no multiple of 100,
+    # where r < delta
+    dist = r - (delta >> _U(1)) + _U(50) | longer - _U(1)
+    q = dist // _U(100)
+    look = np.flatnonzero((r == delta) | (dist == q * _U(100)))
+    if look.size:  # the cells that need a parity: r = delta, and dist a multiple of 100
+        cl, bl = c2[look], bq[look]
+        tie = np.flatnonzero(r[look] == delta[look])
+        parity, exact = _parity(np.concatenate([cl, cl[tie] - _U(1)]),
+                                np.concatenate([bl, bl[tie]]))
+        n = look.size
+        # r = delta: zi // 1000 stays where the left end, by 2c - 1's parity, lies
+        # below it, or on it for even c
+        longer[look[tie]] = (parity[n:] | exact[n:] & ~cl[tie] >> _U(1)) & _U(1) ^ _U(1)
+    del r, delta
+    f = s * _U(10) + q * longer  # zi // 1000 with a 0 appended, or the longer candidate
+    e = _at(_E1, bq)
+    del s
+    if look.size:
+        # dist a multiple of 100: q or q - 1 by 2c's parity, the even one at a tie
+        d, fl = dist[look], f[look]
+        fix = longer[look] & (d == q[look] * _U(100))
+        f[look] = fl - (fix & (parity[:n] ^ (d ^ _U(50)) & _U(1) | exact[:n] & fl & _U(1)))
+    del dist, q, longer, c2
+    f[pow2] = _at(_F2, bq[pow2])
+    e[pow2] = _at(_E2, bq[pow2])
+    return f, e
 
 
 def _digits8(x):
