@@ -62,8 +62,26 @@ _RANGES = {  # parameter: its (admits, rule) pairs, the one check of each design
 }
 
 
+def _real_type(kind: type) -> bool:
+    """kind is int or float, or numpy's integer or floating scalar type, but not bool
+    (check_packet_size refuses a bool too): the types of a real number argument."""
+    if kind is float or kind is int:
+        return True
+    import numbers  # not for floats and ints: the analytic commands never load it
+
+    return issubclass(kind, numbers.Real) and not issubclass(kind, bool)
+
+
+def _check_real(name: str, value, error=ConfigurationError):
+    """value, if it is a real number (_real_type); else error."""
+    if not _real_type(type(value)):
+        raise error(f"{name} must be a real number, got {value!r}")
+    return value
+
+
 def _check_input(name: str, value: float) -> float:
     """value, if the parameter name admits it; else ConfigurationError."""
+    _check_real(name, value)
     for admits, rule in _RANGES[name]:
         if not admits(value):
             raise ConfigurationError(f"{name} {rule}, got {value}")
@@ -72,14 +90,16 @@ def _check_input(name: str, value: float) -> float:
 
 def _check_grid(name: str, values: Sequence[float]) -> list[float]:
     """values as floats, each admitted by the parameter name; else the error that
-    converting and checking them one at a time, in order, raises first."""
+    checking and converting them one at a time, in order, raises first."""
     values = list(values)  # an iterator is read once, for both passes
-    try:
-        floats = list(map(float, values))
-    except Exception:  # whatever float() raises, the loop below raises it again
-        floats = None
+    floats = None
+    if all(map(_real_type, set(map(type, values)))):  # then one pass per rule
+        try:
+            floats = list(map(float, values))
+        except OverflowError:  # an int past float range: the loop below raises it again
+            pass
     if floats is None or not all(all(map(admits, floats)) for admits, _ in _RANGES[name]):
-        return [_check_input(name, float(v)) for v in values]
+        return [float(_check_input(name, v)) for v in values]
     return floats
 
 
@@ -93,7 +113,7 @@ def check_blocks(blocks) -> tuple[tuple[float, int], ...]:
         raise ConfigurationError("at least one Jordan block is required")
     checked = []
     for lam, p in blocks:
-        lam = float(lam)
+        lam = float(_check_real("eigenvalue", lam))
         if not 0 < lam < math.inf:
             raise ConfigurationError(f"eigenvalue must be positive and finite, got {lam}")
         try:
@@ -132,7 +152,7 @@ def _gain_rows(name: str, M) -> tuple[tuple[float, ...], ...]:
         M = [[M]]
     elif M and not isinstance(M[0], (list, tuple)):
         M = [M]
-    rows = tuple(tuple(float(v) for v in row) for row in M)
+    rows = tuple(tuple(float(_check_real(f"{name} entry", v)) for v in row) for row in M)
     if len({len(row) for row in rows}) > 1:
         raise ConfigurationError(
             f"{name} rows must have equal lengths, got {[list(row) for row in rows]}"
@@ -161,27 +181,39 @@ def check_gains(n: int, B, K) -> tuple[tuple, tuple]:
 
 def contraction_ladders(
     rho0: float,
-    orders: Sequence[int],
-    ladders: tuple[tuple[float, ...], ...] | None,
+    orders: Sequence[int] | None,
+    ladders,
 ) -> tuple[tuple[float, ...], ...]:
     """Per block of the given orders, its per-coordinate contraction ladder.
 
     A ladder lies in (0, rho0], increases strictly and ends at rho0; without
     ladders a block of order p gets the default rho0*i/p, i = 1..p.  Given
-    ladders are checked against the orders and these rules.
+    ladders, per-block sequences of real numbers, are read once, checked
+    against these rules and, unless orders is None (a trigger design without
+    its plant), against the orders.
     """
     if ladders is None:
         return tuple(tuple(rho0 * i / p for i in range(1, p + 1)) for p in orders)
-    for ladder in ladders:  # values first: TriggerConfig checks them without the plant
-        if not ladder or any(not 0 < r <= rho0 for r in ladder):
+    try:
+        read = tuple(tuple(ladder) for ladder in ladders)
+    except TypeError:  # a number where a sequence belongs
+        read = None
+    if read is None or not all(_real_type(type(r)) for ladder in read for r in ladder):
+        raise ConfigurationError(
+            f"rho_ladders must be per-block sequences of real numbers, got {ladders!r}")
+    for ladder in read:
+        if not ladder:
+            raise ConfigurationError("a ladder needs at least one value, got an empty one")
+        if any(not 0 < r <= rho0 for r in ladder):
             raise ConfigurationError(f"ladder values must lie in (0, rho0], got {ladder}")
         if any(a >= b for a, b in zip(ladder, ladder[1:])):
             raise ConfigurationError(f"ladder must be strictly increasing, got {ladder}")
         if ladder[-1] != rho0:
             raise ConfigurationError(f"ladder must end at rho0={rho0}, got {ladder}")
-    if len(ladders) != len(orders) or any(len(lad) != p for lad, p in zip(ladders, orders)):
+    if orders is not None and (len(read) != len(orders)
+                               or any(len(lad) != p for lad, p in zip(read, orders))):
         raise ConfigurationError("rho_ladders shape must match the plant blocks")
-    return tuple(tuple(lad) for lad in ladders)
+    return read
 
 
 class _BoundFields(NamedTuple):  # a NamedTuple's own body may not define __new__ or _make

@@ -28,7 +28,8 @@ class ConstantDelay:
     gamma: float
 
     def __post_init__(self):
-        if not 0 <= self.delay <= self.gamma:
+        bounds._check_real("gamma", self.gamma)
+        if not 0 <= bounds._check_real("constant delay", self.delay) <= self.gamma:
             raise ConfigurationError(
                 f"constant delay must lie in [0, gamma={self.gamma}], got {self.delay}"
             )
@@ -147,7 +148,7 @@ class UniformDelay:
     )
 
     def __post_init__(self):
-        if not 0 <= self.gamma < math.inf:
+        if not 0 <= bounds._check_real("gamma", self.gamma) < math.inf:
             raise ConfigurationError(f"uniform delays need a finite gamma >= 0, got {self.gamma}")
         seed = self.seed
         if type(seed) is not tuple or not all(isinstance(w, int) and w >= 0 for w in seed):
@@ -194,7 +195,8 @@ class ReplayDelay:
     gamma: float
 
     def __post_init__(self):
-        if any(not 0 <= d <= self.gamma for d in self.delays):
+        bounds._check_real("gamma", self.gamma)
+        if any(not 0 <= bounds._check_real("replay delay", d) <= self.gamma for d in self.delays):
             raise ConfigurationError(
                 f"replay delays must lie in [0, gamma={self.gamma}], got {self.delays}"
             )

@@ -16,7 +16,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .bounds import _RANGES, check_packet_size
+from .bounds import _RANGES, _check_real, check_packet_size
 from .errors import DecodeError, PreconditionError
 
 # the packet paths compare inline, once per packet, and share these messages
@@ -35,6 +35,8 @@ class Packet:
 
     def __post_init__(self):
         check_packet_size(self.g)
+        if type(self.t_s) is not float:
+            _check_real("send time", self.t_s, PreconditionError)
         if type(self.word) is not int or not 0 <= self.word < 1 << self.g:
             raise PreconditionError(f"word must be an int in [0, 2**{self.g}), got {self.word}")
 
@@ -44,6 +46,14 @@ class Packet:
 
     def bits_hex(self) -> str:
         return f"{self.word:0{(self.g + 3) // 4}x}"
+
+
+def _check_reals(*named) -> None:
+    """Refuse the first of the (name, value) pairs whose value is not a real number.
+    The packet paths call it only where a value is not a float, so a packet pays for
+    one type test per argument."""
+    for name, value in named:
+        _check_real(name, value, PreconditionError)
 
 
 def cell_width(g: int, b: float, gamma: float) -> float:
@@ -79,11 +89,13 @@ def encode(t_s: float, sign: int, g: int, b: float, gamma: float) -> Packet:
     refinement (zero delay, or b*gamma within the quantization tolerance).
     A send time whose cell index t_s/delta has no float is refused.
     """
+    if not type(t_s) is type(b) is type(gamma) is float:
+        _check_reals(("send time", t_s), ("b", b), ("gamma", gamma))
     if not 0 <= t_s < math.inf:
         raise PreconditionError(f"send time must be finite and >= 0, got {t_s}")
     if not 1 < b < math.inf:
         raise PreconditionError(f"b {_B_RULE}, got {b}")
-    if sign not in (1, -1):
+    if sign not in (1, -1) or type(sign) is bool:
         raise PreconditionError(f"sign must be +1 or -1, got {sign}")
     check_packet_size(g)
     sign_bit = 0 if sign > 0 else 1
@@ -108,6 +120,8 @@ def decode(packet: Packet, t_c: float, b: float, gamma: float) -> tuple[int, flo
     parity matching neither candidate window signals corrupted input.  A
     reception time whose window index t_c/(b*gamma) has no float is refused.
     """
+    if not type(t_c) is type(b) is type(gamma) is float:
+        _check_reals(("reception time", t_c), ("b", b), ("gamma", gamma))
     if not -math.inf < t_c < math.inf:
         raise PreconditionError(f"reception time must be finite, got {t_c}")
     if not 1 < b < math.inf:
@@ -145,6 +159,10 @@ def reconstruct_error(
     An exponent whose exponential has no float is refused (PreconditionError),
     not returned as inf, and so is a NaN exponent.
     """
+    if type(sign) is not int or not (
+            type(q) is type(t_c) is type(v0) is type(sigma) is type(growth) is float):
+        _check_reals(("sign", sign), ("q", q), ("t_c", t_c), ("v0", v0), ("sigma", sigma),
+                     ("growth", growth))
     decay, rise = -sigma * q, growth * (t_c - q)
     if not (decay <= _LN_MAX and rise <= _LN_MAX):
         raise PreconditionError(

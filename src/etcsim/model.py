@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundInputs, _check_input, check_blocks, check_gains, contraction_ladders
+from .bounds import (BoundInputs, _check_input, _check_real, check_blocks, check_gains,
+                     contraction_ladders)
 from .errors import ConfigurationError
 
 # States beyond this magnitude abort a run as diverged.
@@ -76,7 +77,7 @@ def _flat(v) -> tuple[float, ...]:
     """The numbers of a number or a sequence, nested to any depth, in order."""
     if isinstance(v, (list, tuple, np.ndarray)):
         return tuple(x for item in v for x in _flat(item))
-    return (float(v),)
+    return (float(_check_real("trigger level v0", v)),)
 
 
 @dataclass(frozen=True)
@@ -107,8 +108,7 @@ class TriggerConfig:
                 raise ConfigurationError(f"trigger levels v0 must be positive and finite, got {v}")
         if self.rho_ladders is not None:
             # values only: the shape is checked against the plant in bound_inputs
-            ladders = contraction_ladders(self.rho0, [len(lad) for lad in self.rho_ladders],
-                                          self.rho_ladders)
+            ladders = contraction_ladders(self.rho0, None, self.rho_ladders)
             object.__setattr__(self, "rho_ladders", ladders)
 
     def bound_inputs(self, blocks: tuple[tuple[float, int], ...], nu: float) -> BoundInputs:

@@ -148,9 +148,9 @@ class RateReport:
 def _sample_count(horizon: float, step: float, n: int) -> int:
     """The samples after t = 0 of a run of an n-coordinate plant, horizon and step
     checked. No other input enters, so a sweep checks them once, before its rows."""
-    if not 0 < step < math.inf:
+    if not 0 < bnd._check_real("step", step, PreconditionError) < math.inf:
         raise PreconditionError(f"step must be positive and finite, got {step}")
-    if not 0 < horizon < math.inf:
+    if not 0 < bnd._check_real("horizon", horizon, PreconditionError) < math.inf:
         raise PreconditionError(f"horizon must be positive and finite, got {horizon}")
     steps = horizon / step
     columns = 4 * n + 1  # times, and x, xhat, z and v of each coordinate
@@ -172,7 +172,10 @@ def _sample_count(horizon: float, step: float, n: int) -> int:
 def _initial_state(x0, xhat0, levels: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """x0 and xhat0 as finite float arrays, one entry per trigger level, each error
     |x0 - xhat0| checked against its level. No other input enters, so a sweep checks them once."""
-    x0, xhat0 = (np.atleast_1d(np.asarray(a, dtype=float)) for a in (x0, xhat0))
+    x0, xhat0 = (np.atleast_1d(np.asarray(a)) for a in (x0, xhat0))
+    if x0.dtype.kind not in "iuf" or xhat0.dtype.kind not in "iuf":  # no str, bool or complex
+        raise ConfigurationError(f"initial states must be real numbers, got x0={x0}, xhat0={xhat0}")
+    x0, xhat0 = x0.astype(float, copy=False), xhat0.astype(float, copy=False)
     if x0.shape != (len(levels),) or xhat0.shape != x0.shape:
         raise ConfigurationError(f"initial conditions must have shape ({len(levels)},)")
     if not (np.isfinite(x0).all() and np.isfinite(xhat0).all()):

@@ -9,6 +9,7 @@ import pytest
 
 from etcsim import bounds as bnd
 from etcsim.errors import ConfigurationError, PreconditionError
+from etcsim.model import TriggerConfig
 
 LN2 = math.log(2.0)
 RATE_TABLE = Path(__file__).parent / "data" / "rate_table.json"
@@ -355,6 +356,74 @@ class TestCascadeBound:  # the coupling caps of the chained levels, Coordinate.c
         # a ladder value at rho0 before the chain end leaves no coupling slack
         with pytest.raises(ConfigurationError, match="ladder must be strictly increasing"):
             bnd.contraction_ladders(0.5, [2], ((0.5, 0.5),))
+
+
+class TestRealNumbers:
+    # a number argument is an int or a float, numpy's scalars too, never a bool or a str
+
+    @pytest.mark.parametrize("value", [True, "0.5", None, 1j, np.bool_(True)])
+    def test_non_real_refused_before_the_range(self, value):
+        with pytest.raises(ConfigurationError) as exc:
+            scalar(1.0, value, 0.5)
+        assert str(exc.value) == f"sigma must be a real number, got {value!r}"
+        with pytest.raises(ConfigurationError) as exc:
+            scalar(value, 1.0, 0.5)
+        assert str(exc.value) == f"eigenvalue must be a real number, got {value!r}"
+
+    def test_numpy_scalars_and_ints_admitted(self):
+        assert scalar(np.float32(1.5), np.int64(1), np.float64(0.5)) == scalar(1.5, 1.0, 0.5)
+
+    def test_grids_of_any_real_type_give_the_same_curves(self):
+        inp = scalar(1.3, 1.0, 0.9, nu=2.0)
+        want = bnd.phase_curves(inp, [0.0, 0.5, 2.0], sigma_grid=[1.0, 2.0])
+        for gammas, sigmas in (([0, 0.5, 2], [1, 2]), (np.array([0.0, 0.5, 2.0]), np.arange(1, 3)),
+                               ((np.float32(0), 0.5, np.int8(2)), iter([1.0, 2.0]))):
+            assert bnd.phase_curves(inp, gammas, sigma_grid=sigmas) == want
+
+    def test_grid_refused_at_its_first_bad_value_past_float_range(self):
+        # an int past float range fails float(), but only after the earlier value's rule
+        inp = scalar(1.3, 1.0, 0.9, nu=2.0)
+        with pytest.raises(ConfigurationError, match="gamma must be finite and >= 0, got -1"):
+            bnd.phase_curves(inp, [0.5, -1, 10**400])
+        with pytest.raises(ConfigurationError, match="gamma must be a real number, got True"):
+            bnd.phase_curves(inp, [0.5, True])
+
+
+class TestLadderShapes:
+    # each level is read once, by both constructors: an iterable of iterables of real
+    # numbers is a ladder set, and any other shape is one ConfigurationError
+    SHAPE = "rho_ladders must be per-block sequences of real numbers, got "
+    BUILDERS = {
+        "BoundInputs": lambda ladders: bnd.BoundInputs(
+            blocks=((1.0, 2),), sigma=1.0, rho0=0.5, gamma=0.1, rho_ladders=ladders),
+        "TriggerConfig": lambda ladders: TriggerConfig(
+            v0=1.0, sigma=1.0, rho0=0.5, gamma=0.1, rho_ladders=ladders),
+    }
+
+    @pytest.mark.parametrize("builder", list(BUILDERS))
+    @pytest.mark.parametrize("ladders", [
+        [0.5], 0.5, [[0.25, "a"]], [[None]], [[0.25, True]], [[0.25, 0.5j]],
+    ], ids=["number_as_ladder", "number_as_ladders", "str", "none", "bool", "complex"])
+    def test_wrong_shape_refused(self, builder, ladders):
+        with pytest.raises(ConfigurationError) as exc:
+            self.BUILDERS[builder](ladders)
+        assert str(exc.value) == self.SHAPE + repr(ladders)
+
+    @pytest.mark.parametrize("builder", list(BUILDERS))
+    def test_empty_ladder_has_its_own_message(self, builder):
+        for ladders in ([()], [[0.25, 0.5], []]):
+            with pytest.raises(ConfigurationError) as exc:
+                self.BUILDERS[builder](ladders)
+            assert str(exc.value) == "a ladder needs at least one value, got an empty one"
+
+    @pytest.mark.parametrize("builder", list(BUILDERS))
+    def test_iterators_are_read_once(self, builder):
+        build = self.BUILDERS[builder]
+        want = build(((0.25, 0.5),)).rho_ladders
+        assert want == ((0.25, 0.5),)
+        assert build(lad for lad in [[0.25, 0.5]]).rho_ladders == want  # a generator of ladders
+        assert build([iter([0.25, 0.5])]).rho_ladders == want  # an iterator as a ladder
+        assert build([np.array([0.25, 0.5])]).rho_ladders == want  # numpy's floats are real
 
 
 class TestCoordinates:

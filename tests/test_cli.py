@@ -126,7 +126,9 @@ class TestBoundsCommand:
          "ladder values must lie in (0, rho0], got (-0.3,)"),
         ("blocks = 1:2\nsigma = 1\nrho0 = 0.5\ngamma = 0.5\nrho_ladder = 0.5 0.25\n",
          "ladder must be strictly increasing, got (0.5, 0.25)"),
-    ], ids=["short_ladder", "negative_ladder", "decreasing_ladder"])
+        ("blocks = 1:1\nsigma = 1\nrho0 = 0.5\ngamma = 0.5\nrho_ladder = ;\n",
+         "a ladder needs at least one value, got an empty one"),
+    ], ids=["short_ladder", "negative_ladder", "decreasing_ladder", "empty_ladder"])
     def test_bad_ladder_is_clean_error(self, tmp_path, capsys, text, message):
         argv = ["bounds", "--config", str(write_cfg(tmp_path, text))]
         assert assert_one_line_usage_error(capsys, argv) == f"error: {message}\n"
@@ -1293,6 +1295,9 @@ def test_structural_value_probe(tmp_path, capsys, command, base):
 
 # the library's edge values; -1 and 0 stay ints, so an int argument sees them too
 _LIBRARY_VALUES = [math.nan, math.inf, -math.inf, -1, 0, 0.5, 2.5, 3.0, 1e308, 5e-324]
+# no numbers: a number argument refuses each with an etcsim error, but g=None is the
+# automatic packet size of run_vector (the other g arguments refuse it)
+_NON_NUMBERS = ["0.5", None, 1j]
 
 
 def _library_calls():
@@ -1329,7 +1334,8 @@ def test_library_value_probe():
     # each edge value in each number or tuple argument of each public constructor and
     # function (an argument that holds an etcsim object is left as it is): the call
     # returns, and its result's use succeeds, or either raises one of etcsim's four
-    # errors.  A TypeError may come only from the call itself, for a number where a
+    # errors; a number argument given no number must raise one.  A TypeError may come
+    # only from the call itself, for a number where a
     # tuple belongs; UniformDelay(0.1, seed=3) used to construct and fail at its draw.
     # BoundInputs is a tuple, so an etcsim object is excluded by its module, not its type
     etcsim_errors = (ConfigurationError, DecodeError, DivergenceError, PreconditionError)
@@ -1344,7 +1350,8 @@ def test_library_value_probe():
             if (not isinstance(default, (int, float, tuple))  # bool defaults are ints: probed
                     or type(default).__module__.startswith("etcsim.")):
                 continue
-            for value in _LIBRARY_VALUES:
+            numbers = [] if isinstance(default, tuple) else _NON_NUMBERS
+            for value in _LIBRARY_VALUES + numbers:
                 cases += 1
                 stage = "call"
                 try:
@@ -1354,6 +1361,9 @@ def test_library_value_probe():
                         stage = "use"
                         if use is not None:
                             use(result)
+                    if any(value is v for v in numbers) and (fn, name, value) != (
+                            sim.run_vector, "g", None):
+                        failures.append((fn.__qualname__, name, value, stage, "accepted"))
                 except etcsim_errors:
                     pass
                 except TypeError as exc:
@@ -1362,7 +1372,7 @@ def test_library_value_probe():
                 except Exception as exc:
                     failures.append((fn.__qualname__, name, value, stage, repr(exc)))
     assert not failures
-    assert cases == 530  # 53 arguments, 10 values each
+    assert cases == 656  # 53 arguments, 10 values each, and 42 number arguments, 3 more
 
 
 class TestUsage:

@@ -43,6 +43,37 @@ def test_one_packet_size_rule(path, g, message):
     assert str(refused.value) == message
 
 
+# each packet path with one argument a bool, and the name its refusal gives it
+_BOOL_ARGUMENTS = {
+    "encode_t_s": (lambda: encode(True, +1, 3, 1.0001, 1.0), "send time must be a real number"),
+    "encode_gamma": (lambda: encode(0.5, +1, 3, 1.0001, True), "gamma must be a real number"),
+    "encode_sign": (lambda: encode(0.5, True, 3, 1.0001, 1.0), "sign must be +1 or -1"),
+    "decode_t_c": (lambda: decode(encode(0.5, 1, 3, 1.0001, 1.0), True, 1.0001, 1.0),
+                   "reception time must be a real number"),
+    "reconstruct_sign": (lambda: reconstruct_error(True, 0.5, 1.0, 0.1, 0.1, 1.0),
+                         "sign must be a real number"),
+    "reconstruct_v0": (lambda: reconstruct_error(1, 0.5, 1.0, True, 0.1, 1.0),
+                       "v0 must be a real number"),
+    "Packet_t_s": (lambda: Packet(5, 3, True), "send time must be a real number"),
+}
+
+
+@pytest.mark.parametrize("path", _BOOL_ARGUMENTS)
+def test_packet_paths_refuse_a_bool(path):
+    # a bool is an int to Python's arithmetic, but no number argument of etcsim's
+    call, message = _BOOL_ARGUMENTS[path]
+    with pytest.raises(PreconditionError, match=re.escape(message)):
+        call()
+
+
+def test_packet_paths_admit_ints_and_numpy_scalars():
+    packet = encode(np.float32(0.5), np.int64(1), 3, 2, np.float64(1.0))
+    assert packet == encode(0.5, 1, 3, 2.0, 1.0)
+    assert decode(packet, np.float64(1.0), 2, 1) == decode(packet, 1.0, 2.0, 1.0)
+    assert reconstruct_error(np.int8(-1), 0.5, 1, 0.1, 0, 1) == reconstruct_error(
+        -1, 0.5, 1.0, 0.1, 0.0, 1.0)
+
+
 class TestEncode:
     def test_first_cell(self):
         pkt = encode(0.0, +1, 3, 2.0, 1.0)

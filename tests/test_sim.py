@@ -1280,15 +1280,16 @@ class TestPhaseCurves:
     ])
     @pytest.mark.parametrize("values, error, message", [
         ([0.1, -1.0, "x"], ConfigurationError, "{rule}, got -1.0"),
-        ([0.1, "x", -1.0], ValueError, "could not convert string to float: 'x'"),
+        ([0.1, "x", -1.0], ConfigurationError, "{grid} must be a real number, got 'x'"),
         ([0.1, math.nan], ConfigurationError, "{rule}, got nan"),
     ], ids=["check_before_later_conversion", "conversion_before_later_check", "nan"])
     def test_grid_refused_at_its_first_bad_value(self, grid, rule, values, error, message):
-        # a grid is refused as converting and checking its values one at a time, in
-        # order, refuses it: the first value that fails either, with that failure
+        # a grid is refused as checking and converting its values one at a time, in
+        # order, refuses it: the first value that fails either, with that failure. A
+        # str is no real number: it used to be converted, and "x" failed float()
         inp = bnd.BoundInputs.scalar(1.3, 1.0, 0.9, nu=2.0)
         gammas, sigmas = (values, None) if grid == "gamma" else ([0.1], values)
         with pytest.raises(ValueError) as exc:
             phase_curves(inp, gammas, sigma_grid=sigmas)
         assert type(exc.value) is error
-        assert str(exc.value) == message.format(rule=rule)
+        assert str(exc.value) == message.format(rule=rule, grid=grid)
