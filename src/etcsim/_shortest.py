@@ -68,17 +68,21 @@ def _dragonbox_tables():
     delta = (phi[:, 0] << _U(32) | phi[:, 1]) >> _U(63) - beta  # 100..998
 
     # the shorter interval as Dragonbox computes it, times 10**ks: xi and zi its ends
-    # rounded in, and y the value rounded up, the fallback where no multiple of 10 fits
+    # rounded in, and y the value rounded up, the fallback where no multiple of 10 fits.
+    # xi is one above the floor even at e = 2, 3, where the end is an integer: no row
+    # depends on it
     beta_s = (e + (ks * 913_124_641_741 >> 38)).astype(np.uint64)  # 0..3
-    hi = words[ks - kmin, 0] << _U(32) | words[ks - kmin, 1]
-    xi = (hi - (hi >> _U(54)) >> _U(11) - beta_s) + ((e < 2) | (e > 3))  # an integer at e = 2, 3
+    hi = words[ks - kmin]
+    hi = hi[:, 0] << _U(32) | hi[:, 1]
+    xi = (hi - (hi >> _U(54)) >> _U(11) - beta_s) + _U(1)
     zi = hi + (hi >> _U(53)) >> _U(11) - beta_s
     y = (hi >> _U(10) - beta_s) + _U(1) >> _U(1)
-    tie = (e == -77) & (y & _U(1) == 1)  # the one exact tie, to even
-    y = y - tie + (~tie & (y < xi))
-    fits = zi // _U(10) * _U(10) >= xi  # a multiple of 10 lies in the interval
-    f2 = np.where(fits, zi // _U(10), y)
-    e2 = (_K_BIAS - ks + fits).astype(np.uint64)
+    y += y - xi >> _U(63)  # y < xi: one up
+    y[998] -= _U(1)  # 2**-25 (e = -77) lies halfway between two 17-digit decimals
+    zi //= _U(10)
+    fits = xi - zi * _U(10) - _U(1) >> _U(63)  # a multiple of 10 lies in the interval
+    f2 = y + (zi - y) * fits
+    e2 = (_K_BIAS - ks).astype(np.uint64) + fits
     return (beta, *phi.T.copy(), delta, (_K_BIAS + 2 - k).astype(np.uint64), f2, e2)
 
 
