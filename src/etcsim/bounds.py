@@ -65,11 +65,11 @@ _RANGES = {  # parameter: its (admits, rule) pairs, the one check of each design
 def _real_type(kind: type) -> bool:
     """kind is int or float, or numpy's integer or floating scalar type, but not bool
     (check_packet_size refuses a bool too): the types of a real number argument."""
-    if kind is float or kind is int:
-        return True
-    import numbers  # not for floats and ints: the analytic commands never load it
+    if issubclass(kind, (float, int)):  # numpy's float64 too
+        return kind is not bool
+    import numbers  # numpy's other scalar types: the analytic commands never load it
 
-    return issubclass(kind, numbers.Real) and not issubclass(kind, bool)
+    return issubclass(kind, numbers.Real)
 
 
 def _check_real(name: str, value, error=ConfigurationError):

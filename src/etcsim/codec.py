@@ -35,7 +35,7 @@ class Packet:
 
     def __post_init__(self):
         check_packet_size(self.g)
-        if type(self.t_s) is not float:
+        if not isinstance(self.t_s, float):
             _check_real("send time", self.t_s, PreconditionError)
         if type(self.word) is not int or not 0 <= self.word < 1 << self.g:
             raise PreconditionError(f"word must be an int in [0, 2**{self.g}), got {self.word}")
@@ -50,8 +50,8 @@ class Packet:
 
 def _check_reals(*named) -> None:
     """Refuse the first of the (name, value) pairs whose value is not a real number.
-    The packet paths call it only where a value is not a float, so a packet pays for
-    one type test per argument."""
+    The packet paths call it only where a value is no float (numpy's float64 is one),
+    so a packet pays for one isinstance per argument."""
     for name, value in named:
         _check_real(name, value, PreconditionError)
 
@@ -89,7 +89,7 @@ def encode(t_s: float, sign: int, g: int, b: float, gamma: float) -> Packet:
     refinement (zero delay, or b*gamma within the quantization tolerance).
     A send time whose cell index t_s/delta has no float is refused.
     """
-    if not type(t_s) is type(b) is type(gamma) is float:
+    if not (isinstance(t_s, float) and isinstance(b, float) and isinstance(gamma, float)):
         _check_reals(("send time", t_s), ("b", b), ("gamma", gamma))
     if not 0 <= t_s < math.inf:
         raise PreconditionError(f"send time must be finite and >= 0, got {t_s}")
@@ -120,7 +120,7 @@ def decode(packet: Packet, t_c: float, b: float, gamma: float) -> tuple[int, flo
     parity matching neither candidate window signals corrupted input.  A
     reception time whose window index t_c/(b*gamma) has no float is refused.
     """
-    if not type(t_c) is type(b) is type(gamma) is float:
+    if not (isinstance(t_c, float) and isinstance(b, float) and isinstance(gamma, float)):
         _check_reals(("reception time", t_c), ("b", b), ("gamma", gamma))
     if not -math.inf < t_c < math.inf:
         raise PreconditionError(f"reception time must be finite, got {t_c}")
@@ -160,7 +160,8 @@ def reconstruct_error(
     not returned as inf, and so is a NaN exponent.
     """
     if type(sign) is not int or not (
-            type(q) is type(t_c) is type(v0) is type(sigma) is type(growth) is float):
+            isinstance(q, float) and isinstance(t_c, float) and isinstance(v0, float)
+            and isinstance(sigma, float) and isinstance(growth, float)):
         _check_reals(("sign", sign), ("q", q), ("t_c", t_c), ("v0", v0), ("sigma", sigma),
                      ("growth", growth))
     decay, rise = -sigma * q, growth * (t_c - q)

@@ -1335,8 +1335,8 @@ def test_library_value_probe():
     # function (an argument that holds an etcsim object is left as it is): the call
     # returns, and its result's use succeeds, or either raises one of etcsim's four
     # errors; a number argument given no number must raise one.  A TypeError may come
-    # only from the call itself, for a number where a
-    # tuple belongs; UniformDelay(0.1, seed=3) used to construct and fail at its draw.
+    # only from the call itself, for a number where a tuple belongs;
+    # UniformDelay(0.1, seed=3) used to construct and fail at its draw.
     # BoundInputs is a tuple, so an etcsim object is excluded by its module, not its type
     etcsim_errors = (ConfigurationError, DecodeError, DivergenceError, PreconditionError)
     failures, cases = [], 0

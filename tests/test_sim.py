@@ -1285,8 +1285,8 @@ class TestPhaseCurves:
     ], ids=["check_before_later_conversion", "conversion_before_later_check", "nan"])
     def test_grid_refused_at_its_first_bad_value(self, grid, rule, values, error, message):
         # a grid is refused as checking and converting its values one at a time, in
-        # order, refuses it: the first value that fails either, with that failure. A
-        # str is no real number: it used to be converted, and "x" failed float()
+        # order, refuses it: the first value that fails either, with that failure; a
+        # str fails its type check, which comes before the range rules
         inp = bnd.BoundInputs.scalar(1.3, 1.0, 0.9, nu=2.0)
         gammas, sigmas = (values, None) if grid == "gamma" else ([0.1], values)
         with pytest.raises(ValueError) as exc:
