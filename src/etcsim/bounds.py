@@ -24,13 +24,14 @@ table _spacing, _packet_size and _tolerance.  packet_bits_necessary and
 triggering_rate_lower are the rate kernel's factors, which it inlines for
 speed.
 
-The module also holds the one check of each design parameter (_RANGES,
-check_blocks, check_gains, contraction_ladders), which model's types call,
-and of a packet size (check_packet_size), which codec and coordinates call,
-the one rule that a number argument is a real number (_check_real), which
-every entry point applies before its range rules, and the per-coordinate
-table of a trigger design (coordinates), which the engine and its checks
-read; its cap column bounds each chained trigger level,
+The module also holds the one reader of a number argument (_check_real, which
+returns it as a float, and _check_input, which adds its rules from the one
+range table _RANGES), which every entry point calls, the checks of the plant
+and the trigger (check_blocks, check_gains, contraction_ladders), which model's
+types call, and of a packet size (check_packet_size), which codec and
+coordinates call, and the per-coordinate table of a trigger design
+(coordinates), which the engine and its checks read; its cap column bounds
+each chained trigger level,
 v0_i <= v0_{i-1}*(lam+sigma)*(rho0-rho_{i-1}) / (((rho0-rho_{i-1}) + E)*(E - 1))
 with E = e^{(lam+sigma)*gamma}.  It imports nothing but the standard library
 and errors, so the analytic commands run without numpy, and its records are
@@ -52,8 +53,9 @@ MAX_ORDER = 512
 # the largest g whose cell width b*gamma/2^(g-2) is nonzero for some finite b*gamma
 MAX_PACKET_BITS = 2100
 
-_RANGES = {  # parameter: its (admits, rule) pairs, the one check of each design parameter
-    "sigma": [(lambda v: 0 < v < math.inf, "must be positive and finite")],
+_RANGES = {  # argument: its (admits, rule) pairs, the one check of each number argument
+    **dict.fromkeys(("sigma", "eigenvalue", "trigger level v0", "step", "horizon"),
+                    [(lambda v: 0 < v < math.inf, "must be positive and finite")]),
     "rho0": [(lambda v: 0 < v < 1, "must lie in (0, 1)"),
              # the rate kernels take 1/rho0, which overflows for the smallest subnormals
              (lambda v: v >= sys.float_info.min,
@@ -74,19 +76,23 @@ def _real_type(kind: type) -> bool:
     return issubclass(kind, numbers.Real)
 
 
-def _check_real(name: str, value, error=ConfigurationError):
-    """value, if it is a real number (_real_type); else error."""
+def _check_real(name: str, value, error=ConfigurationError) -> float:
+    """value as a float, if it is a real number (_real_type) that has one; else error."""
     if not _real_type(type(value)):
         raise error(f"{name} must be a real number, got {value!r}")
-    return value
+    try:
+        return float(value)
+    except OverflowError:  # an int past float range
+        raise error(f"{name} must lie within float range, got an int of {value.bit_length()} "
+                    "bits") from None
 
 
-def _check_input(name: str, value: float) -> float:
-    """value, if the parameter name admits it; else ConfigurationError."""
-    _check_real(name, value)
+def _check_input(name: str, value, error=ConfigurationError) -> float:
+    """value as a float, if the argument name admits it; else error."""
+    value = _check_real(name, value, error)
     for admits, rule in _RANGES[name]:
         if not admits(value):
-            raise ConfigurationError(f"{name} {rule}, got {value}")
+            raise error(f"{name} {rule}, got {value}")
     return value
 
 
@@ -101,7 +107,7 @@ def _check_grid(name: str, values: Sequence[float]) -> list[float]:
         except OverflowError:  # an int past float range: the loop below raises it again
             pass
     if floats is None or not all(all(map(admits, floats)) for admits, _ in _RANGES[name]):
-        return [float(_check_input(name, v)) for v in values]
+        return [_check_input(name, v) for v in values]
     return floats
 
 
@@ -115,9 +121,7 @@ def check_blocks(blocks) -> tuple[tuple[float, int], ...]:
         raise ConfigurationError("at least one Jordan block is required")
     checked = []
     for lam, p in blocks:
-        lam = float(_check_real("eigenvalue", lam))
-        if not 0 < lam < math.inf:
-            raise ConfigurationError(f"eigenvalue must be positive and finite, got {lam}")
+        lam = _check_input("eigenvalue", lam)
         try:
             order = int(p)
         except (TypeError, ValueError, OverflowError):
@@ -154,7 +158,7 @@ def _gain_rows(name: str, M) -> tuple[tuple[float, ...], ...]:
         M = [[M]]
     elif M and not isinstance(M[0], (list, tuple)):
         M = [M]
-    rows = tuple(tuple(float(_check_real(f"{name} entry", v)) for v in row) for row in M)
+    rows = tuple(tuple(_check_real(f"{name} entry", v) for v in row) for row in M)
     if len({len(row) for row in rows}) > 1:
         raise ConfigurationError(
             f"{name} rows must have equal lengths, got {[list(row) for row in rows]}"
@@ -243,8 +247,8 @@ class BoundInputs(_BoundFields):
 
     def __new__(cls, blocks, sigma, rho0, gamma, b=1.0001, nu=1.0, rho_ladders=None):
         blocks = check_blocks(blocks)
-        for name, value in zip(("sigma", "rho0", "gamma", "b", "nu"), (sigma, rho0, gamma, b, nu)):
-            _check_input(name, value)
+        sigma, rho0, gamma, b, nu = (_check_input(name, value) for name, value in zip(
+            ("sigma", "rho0", "gamma", "b", "nu"), (sigma, rho0, gamma, b, nu)))
         if rho_ladders is not None:
             rho_ladders = contraction_ladders(rho0, [p for _, p in blocks], rho_ladders)
         return super().__new__(cls, blocks, sigma, rho0, gamma, b, nu, rho_ladders)

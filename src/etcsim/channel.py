@@ -8,7 +8,6 @@ packet; triggering is suppressed while a packet is in flight.
 
 from __future__ import annotations
 
-import math
 import operator
 import warnings
 from dataclasses import dataclass, field
@@ -28,7 +27,7 @@ class ConstantDelay:
     gamma: float
 
     def __post_init__(self):
-        bounds._check_real("gamma", self.gamma)
+        bounds._check_input("gamma", self.gamma)
         if not 0 <= bounds._check_real("constant delay", self.delay) <= self.gamma:
             raise ConfigurationError(
                 f"constant delay must lie in [0, gamma={self.gamma}], got {self.delay}"
@@ -148,8 +147,7 @@ class UniformDelay:
     )
 
     def __post_init__(self):
-        if not 0 <= bounds._check_real("gamma", self.gamma) < math.inf:
-            raise ConfigurationError(f"uniform delays need a finite gamma >= 0, got {self.gamma}")
+        bounds._check_input("gamma", self.gamma)
         seed = self.seed
         if type(seed) is not tuple or not all(isinstance(w, int) and w >= 0 for w in seed):
             raise ConfigurationError(f"uniform delay seed must be a tuple of ints >= 0, got {seed}")
@@ -164,27 +162,22 @@ class UniformDelay:
 
 
 @dataclass(frozen=True)
-class AdversarialDelay:
-    """The delay that drags the post-jump error across one quantization cell."""
-
-    beta: float
-    gamma: float
+class AdversarialDelay(ConstantDelay):
+    """The constant delay beta that drags the post-jump error across one quantization
+    cell, clamped to gamma: from_params computes it from the plant and the trigger."""
 
     @classmethod
     def from_params(
         cls, growth: float, sigma: float, rho0: float, gamma: float
     ) -> "AdversarialDelay":
         inp = bounds.BoundInputs.scalar(growth, sigma, rho0, gamma)  # checks each parameter
-        beta = bounds._beta(inp.A, inp.sigma, inp.rho0, inp.gamma)
+        beta, gamma = bounds._beta(inp.A, inp.sigma, inp.rho0, inp.gamma), inp.gamma
         if beta > gamma:
             warnings.warn(
                 f"adversarial delay beta={beta:.6g} exceeds gamma={gamma:.6g}; clamping",
                 stacklevel=2,
             )
-        return cls(beta=beta, gamma=gamma)
-
-    def sample(self, k: int) -> float:
-        return min(self.beta, self.gamma)
+        return cls(delay=min(beta, gamma), gamma=gamma)
 
 
 @dataclass(frozen=True)
@@ -195,7 +188,7 @@ class ReplayDelay:
     gamma: float
 
     def __post_init__(self):
-        bounds._check_real("gamma", self.gamma)
+        bounds._check_input("gamma", self.gamma)
         if any(not 0 <= bounds._check_real("replay delay", d) <= self.gamma for d in self.delays):
             raise ConfigurationError(
                 f"replay delays must lie in [0, gamma={self.gamma}], got {self.delays}"

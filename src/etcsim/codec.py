@@ -16,7 +16,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .bounds import _RANGES, _check_real, check_packet_size
+from .bounds import _RANGES, _check_input, _check_real, check_packet_size
 from .errors import DecodeError, PreconditionError
 
 # the packet paths compare inline, once per packet, and share these messages
@@ -69,8 +69,7 @@ def check_resolvable(g: int, b: float, gamma: float, t_end: float) -> None:
     the quantization guarantee |t_s - q| <= b*gamma/2^(g-1) is meaningless.
     """
     check_packet_size(g)
-    if not 1 < b < math.inf:
-        raise PreconditionError(f"b {_B_RULE}, got {b}")
+    b = _check_input("b", b, PreconditionError)
     if not 0 < gamma < math.inf:
         raise PreconditionError(f"{_GAMMA_RULE}, got gamma={gamma}")
     half = math.ldexp(b * gamma, 1 - g)

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import (BoundInputs, _check_input, _check_real, check_blocks, check_gains,
-                     contraction_ladders)
+from .bounds import BoundInputs, _check_input, check_blocks, check_gains, contraction_ladders
 from .errors import ConfigurationError
 
 # States beyond this magnitude abort a run as diverged.
@@ -77,7 +76,7 @@ def _flat(v) -> tuple[float, ...]:
     """The numbers of a number or a sequence, nested to any depth, in order."""
     if isinstance(v, (list, tuple, np.ndarray)):
         return tuple(x for item in v for x in _flat(item))
-    return (float(_check_real("trigger level v0", v)),)
+    return (_check_input("trigger level v0", v),)
 
 
 @dataclass(frozen=True)
@@ -101,11 +100,8 @@ class TriggerConfig:
 
     def __post_init__(self):
         for name in ("sigma", "rho0", "gamma", "b"):
-            _check_input(name, getattr(self, name))
+            object.__setattr__(self, name, _check_input(name, getattr(self, name)))
         object.__setattr__(self, "v0", _flat(self.v0))
-        for v in self.v0:
-            if not 0 < v < math.inf:
-                raise ConfigurationError(f"trigger levels v0 must be positive and finite, got {v}")
         if self.rho_ladders is not None:
             # values only: the shape is checked against the plant in bound_inputs
             ladders = contraction_ladders(self.rho0, None, self.rho_ladders)

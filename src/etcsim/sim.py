@@ -148,10 +148,8 @@ class RateReport:
 def _sample_count(horizon: float, step: float, n: int) -> int:
     """The samples after t = 0 of a run of an n-coordinate plant, horizon and step
     checked. No other input enters, so a sweep checks them once, before its rows."""
-    if not 0 < bnd._check_real("step", step, PreconditionError) < math.inf:
-        raise PreconditionError(f"step must be positive and finite, got {step}")
-    if not 0 < bnd._check_real("horizon", horizon, PreconditionError) < math.inf:
-        raise PreconditionError(f"horizon must be positive and finite, got {horizon}")
+    step = bnd._check_input("step", step, PreconditionError)
+    horizon = bnd._check_input("horizon", horizon, PreconditionError)
     steps = horizon / step
     columns = 4 * n + 1  # times, and x, xhat, z and v of each coordinate
     trace_bytes = (steps + 1) * columns * 8

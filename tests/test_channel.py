@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from etcsim.bounds import BoundInputs, analytic_bounds
 from etcsim.channel import (
     AdversarialDelay,
     ChannelState,
@@ -47,12 +48,16 @@ class TestDelayModels:
         expect = math.log1p(0.2 * math.exp(-0.12))
         assert m.sample(0) == pytest.approx(expect, rel=1e-12)
         assert m.sample(5) == m.sample(0)
-        assert m.beta <= m.gamma
+        assert m.delay < m.gamma  # beta, below gamma here: not clamped
 
     def test_adversarial_clamps_with_warning(self):
-        with pytest.warns(UserWarning, match="clamping"):
+        # the unclamped beta is kept in the warning and in the bound table
+        beta = analytic_bounds(BoundInputs.scalar(1.0, 1.0, 0.9, 0.1)).beta
+        assert beta > 0.1
+        with pytest.warns(UserWarning, match=re.escape(f"beta={beta:.6g} exceeds gamma=0.1; "
+                                                       "clamping")):
             m = AdversarialDelay.from_params(1.0, 1.0, 0.9, 0.1)
-        assert m.beta > m.gamma
+        assert m.delay == m.gamma == 0.1
         assert m.sample(0) == pytest.approx(0.1)
 
     def test_replay(self):
@@ -134,13 +139,13 @@ class TestUniformBlockKernel:
     def test_non_finite_gamma_refused(self, gamma):
         with pytest.raises(OverflowError):
             numpy_draw((1,), 0, gamma)
-        with pytest.raises(ConfigurationError, match="finite gamma"):
+        with pytest.raises(ConfigurationError, match="gamma must be finite and >= 0"):
             UniformDelay(gamma=gamma)
 
     def test_negative_gamma_refused_when_built(self):
         # it used to be refused only at a run's first draw, by sample_delay
         with pytest.raises(ConfigurationError,
-                           match=re.escape("uniform delays need a finite gamma >= 0, got -1.0")):
+                           match=re.escape("gamma must be finite and >= 0, got -1.0")):
             UniformDelay(-1.0, (1,))
         assert UniformDelay(0.0, (1,)).sample(0) == 0.0
 
