@@ -76,15 +76,26 @@ def _real_type(kind: type) -> bool:
     return issubclass(kind, numbers.Real)
 
 
+def _shown(value, text=str) -> str:
+    """text(value) for a message, but an int past float range by its bit length, not its
+    digits, and a value that text refuses (str and repr refuse an int of more than
+    4,300 digits, also inside a tuple or an array) by its type."""
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
+    try:
+        return text(value)
+    except ValueError:
+        return f"a value of type {type(value).__name__} too long to print"
+
+
 def _check_real(name: str, value, error=ConfigurationError) -> float:
     """value as a float, if it is a real number (_real_type) that has one; else error."""
     if not _real_type(type(value)):
-        raise error(f"{name} must be a real number, got {value!r}")
+        raise error(f"{name} must be a real number, got {_shown(value, repr)}")
     try:
         return float(value)
     except OverflowError:  # an int past float range
-        raise error(f"{name} must lie within float range, got an int of {value.bit_length()} "
-                    "bits") from None
+        raise error(f"{name} must lie within float range, got {_shown(value)}") from None
 
 
 def _check_input(name: str, value, error=ConfigurationError) -> float:
@@ -127,14 +138,14 @@ def check_blocks(blocks) -> tuple[tuple[float, int], ...]:
         except (TypeError, ValueError, OverflowError):
             order = None
         if order != p:
-            raise ConfigurationError(f"block order must be a positive integer, got {p}")
+            raise ConfigurationError(f"block order must be a positive integer, got {_shown(p)}")
         if order < 1:
-            raise ConfigurationError(f"block order must be >= 1, got {order}")
+            raise ConfigurationError(f"block order must be >= 1, got {_shown(order)}")
         checked.append((lam, order))
     n = sum(p for _, p in checked)
     if n > MAX_ORDER:
         raise ConfigurationError(f"plant order (sum of block orders) must be <= {MAX_ORDER}, "
-                                 f"got {n}")
+                                 f"got {_shown(n)}")
     return tuple(checked)
 
 
@@ -145,9 +156,10 @@ def check_packet_size(g) -> int:
     a float, 3.0 too, or a numpy integer is refused, not converted.
     """
     if type(g) is not int:
-        raise PreconditionError(f"packet size must be an integer number of bits, got {g}")
+        raise PreconditionError(f"packet size must be an integer number of bits, got {_shown(g)}")
     if not 1 <= g <= MAX_PACKET_BITS:
-        raise PreconditionError(f"packet size must lie in [1, {MAX_PACKET_BITS}] bits, got {g}")
+        raise PreconditionError(
+            f"packet size must lie in [1, {MAX_PACKET_BITS}] bits, got {_shown(g)}")
     return g
 
 
@@ -206,12 +218,12 @@ def contraction_ladders(
         read = None
     if read is None or not all(_real_type(type(r)) for ladder in read for r in ladder):
         raise ConfigurationError(
-            f"rho_ladders must be per-block sequences of real numbers, got {ladders!r}")
+            f"rho_ladders must be per-block sequences of real numbers, got {_shown(ladders, repr)}")
     for ladder in read:
         if not ladder:
             raise ConfigurationError("a ladder needs at least one value, got an empty one")
         if any(not 0 < r <= rho0 for r in ladder):
-            raise ConfigurationError(f"ladder values must lie in (0, rho0], got {ladder}")
+            raise ConfigurationError(f"ladder values must lie in (0, rho0], got {_shown(ladder)}")
         if any(a >= b for a, b in zip(ladder, ladder[1:])):
             raise ConfigurationError(f"ladder must be strictly increasing, got {ladder}")
         if ladder[-1] != rho0:

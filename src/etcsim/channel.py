@@ -150,7 +150,8 @@ class UniformDelay:
         bounds._check_input("gamma", self.gamma)
         seed = self.seed
         if type(seed) is not tuple or not all(isinstance(w, int) and w >= 0 for w in seed):
-            raise ConfigurationError(f"uniform delay seed must be a tuple of ints >= 0, got {seed}")
+            raise ConfigurationError(
+                f"uniform delay seed must be a tuple of ints >= 0, got {bounds._shown(seed)}")
 
     def sample(self, k: int) -> float:
         index, lane = divmod(k, _LANES)

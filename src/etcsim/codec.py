@@ -16,12 +16,14 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .bounds import _RANGES, _check_input, _check_real, check_packet_size
+from .bounds import _RANGES, _check_input, _check_real, _shown, check_packet_size
 from .errors import DecodeError, PreconditionError
 
 # the packet paths compare inline, once per packet, and share these messages
 _B_RULE = _RANGES["b"][0][1]
+_SEND_TIME_RULE = _RANGES["gamma"][0][1]  # a send time lies in [0, inf), as gamma does
 _GAMMA_RULE = "packets with timing bits need a positive finite delay bound"
+_SIGN_RULE = "sign must be +1 or -1"
 _LN_MAX = math.log(sys.float_info.max)  # the largest x whose math.exp(x) has a float
 
 
@@ -38,7 +40,8 @@ class Packet:
         if not isinstance(self.t_s, float):
             _check_real("send time", self.t_s, PreconditionError)
         if type(self.word) is not int or not 0 <= self.word < 1 << self.g:
-            raise PreconditionError(f"word must be an int in [0, 2**{self.g}), got {self.word}")
+            raise PreconditionError(
+                f"word must be an int in [0, 2**{self.g}), got {_shown(self.word)}")
 
     @property
     def sign(self) -> int:
@@ -91,11 +94,11 @@ def encode(t_s: float, sign: int, g: int, b: float, gamma: float) -> Packet:
     if not (isinstance(t_s, float) and isinstance(b, float) and isinstance(gamma, float)):
         _check_reals(("send time", t_s), ("b", b), ("gamma", gamma))
     if not 0 <= t_s < math.inf:
-        raise PreconditionError(f"send time must be finite and >= 0, got {t_s}")
+        raise PreconditionError(f"send time {_SEND_TIME_RULE}, got {t_s}")
     if not 1 < b < math.inf:
         raise PreconditionError(f"b {_B_RULE}, got {b}")
     if sign not in (1, -1) or type(sign) is bool:
-        raise PreconditionError(f"sign must be +1 or -1, got {sign}")
+        raise PreconditionError(f"{_SIGN_RULE}, got {_shown(sign)}")
     check_packet_size(g)
     sign_bit = 0 if sign > 0 else 1
     if g == 1:
@@ -155,14 +158,17 @@ def reconstruct_error(
     """Controller-side estimate of z at reception:
     sign * v(q) * e^{growth*(t_c - q)} with v(q) = v0*exp(-sigma*q).
 
-    An exponent whose exponential has no float is refused (PreconditionError),
-    not returned as inf, and so is a NaN exponent.
+    A sign other than +1 or -1 is refused as encode refuses it (PreconditionError),
+    and so is an exponent whose exponential has no float, not returned as inf,
+    or a NaN exponent.
     """
     if type(sign) is not int or not (
             isinstance(q, float) and isinstance(t_c, float) and isinstance(v0, float)
             and isinstance(sigma, float) and isinstance(growth, float)):
         _check_reals(("sign", sign), ("q", q), ("t_c", t_c), ("v0", v0), ("sigma", sigma),
                      ("growth", growth))
+    if sign not in (1, -1):
+        raise PreconditionError(f"{_SIGN_RULE}, got {_shown(sign)}")
     decay, rise = -sigma * q, growth * (t_c - q)
     if not (decay <= _LN_MAX and rise <= _LN_MAX):
         raise PreconditionError(

@@ -172,7 +172,8 @@ def _initial_state(x0, xhat0, levels: Sequence[float]) -> tuple[np.ndarray, np.n
     |x0 - xhat0| checked against its level. No other input enters, so a sweep checks them once."""
     x0, xhat0 = (np.atleast_1d(np.asarray(a)) for a in (x0, xhat0))
     if x0.dtype.kind not in "iuf" or xhat0.dtype.kind not in "iuf":  # no str, bool or complex
-        raise ConfigurationError(f"initial states must be real numbers, got x0={x0}, xhat0={xhat0}")
+        raise ConfigurationError(f"initial states must be real numbers, got "
+                                 f"x0={bnd._shown(x0)}, xhat0={bnd._shown(xhat0)}")
     x0, xhat0 = x0.astype(float, copy=False), xhat0.astype(float, copy=False)
     if x0.shape != (len(levels),) or xhat0.shape != x0.shape:
         raise ConfigurationError(f"initial conditions must have shape ({len(levels)},)")
@@ -214,7 +215,7 @@ class _Engine:
         self.h = step
         self.t_end = self.S * step
         if not isinstance(refine, (bool, np.bool_)):
-            raise PreconditionError(f"refine must be a bool, got {refine!r}")
+            raise PreconditionError(f"refine must be a bool, got {bnd._shown(refine, repr)}")
         self.refine = bool(refine)
         self.sigma = cfg.sigma
 

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from etcsim import bounds as bnd
+from etcsim.channel import ConstantDelay
 from etcsim.errors import ConfigurationError, PreconditionError
-from etcsim.model import TriggerConfig
+from etcsim.model import JordanPlant, TriggerConfig
+from etcsim.sim import run_vector
 
 LN2 = math.log(2.0)
 RATE_TABLE = Path(__file__).parent / "data" / "rate_table.json"
@@ -387,6 +389,54 @@ class TestRealNumbers:
             bnd.phase_curves(inp, [0.5, -1, 10**400])
         with pytest.raises(ConfigurationError, match="gamma must be a real number, got True"):
             bnd.phase_curves(inp, [0.5, True])
+
+
+    # an int past float range passed every rule and raised a bare OverflowError later:
+    # in analytic_bounds and phase_curves, TriggerConfig, JordanPlant and run_vector
+    PAST_FLOAT_RANGE = {
+        "BoundInputs_sigma": (lambda v: bnd.analytic_bounds(scalar(1.3, v, 0.9)),
+                              ConfigurationError, "sigma"),
+        "phase_curves_gamma": (lambda v: bnd.phase_curves(scalar(1.3, 1.0, 0.9), [v]),
+                               ConfigurationError, "gamma"),
+        "TriggerConfig_v0": (lambda v: TriggerConfig(v0=v, sigma=1.0, rho0=0.5, gamma=0.1),
+                             ConfigurationError, "trigger level v0"),
+        "JordanPlant_B": (lambda v: JordanPlant.scalar(1.0, v, 3.0), ConfigurationError,
+                          "B entry"),
+        "JordanPlant_K": (lambda v: JordanPlant.scalar(1.0, 1.0, v), ConfigurationError,
+                          "K entry"),
+        "run_vector_horizon": (lambda v: run_vector(
+            JordanPlant.scalar(1.0, 1.0, 3.0), TriggerConfig(0.5, 1.0, 0.5, 0.1),
+            ConstantDelay(0.05, 0.1), v, 1e-3, x0=0.1, xhat0=0.0), PreconditionError, "horizon"),
+    }
+
+    @pytest.mark.parametrize("path", PAST_FLOAT_RANGE)
+    @pytest.mark.parametrize("value, shown", [
+        (10**400, "an int of 1329 bits"), (-10**400, "a negative int of 1329 bits"),
+    ], ids=["positive", "negative"])
+    def test_int_past_float_range_refused_in_one_line(self, path, value, shown):
+        call, error, name = self.PAST_FLOAT_RANGE[path]
+        with pytest.raises(error) as exc:
+            call(value)
+        assert str(exc.value) == f"{name} must lie within float range, got {shown}"
+
+    @pytest.mark.parametrize("order, message", [
+        (10**5000, "plant order (sum of block orders) must be <= 512, got an int of 16610 bits"),
+        (-10**5000, "block order must be >= 1, got a negative int of 16610 bits"),
+    ], ids=["positive", "negative"])
+    def test_order_too_long_to_print_refused_in_one_line(self, order, message):
+        # str() refuses an int of more than 4,300 digits: the message raised ValueError
+        with pytest.raises(ConfigurationError) as exc:
+            bnd.check_blocks([(1.0, order)])
+        assert str(exc.value) == message
+
+    def test_records_store_floats(self):
+        inp = bnd.BoundInputs(((np.int64(2), 1),), 1, np.float32(0.5), 0, b=2, nu=np.int8(4))
+        cfg = TriggerConfig(v0=(1, np.float32(0.5)), sigma=1, rho0=np.float64(0.5), gamma=0, b=2)
+        for record in (inp, cfg):
+            values = [*record.v0] if record is cfg else [record.blocks[0][0]]
+            values += [record.sigma, record.rho0, record.gamma, record.b]
+            assert all(type(v) is float for v in values), values
+        assert type(inp.nu) is float and cfg.v0 == (1.0, 0.5)
 
 
 class TestLadderShapes:

@@ -60,6 +60,26 @@ class TestDelayModels:
         assert m.delay == m.gamma == 0.1
         assert m.sample(0) == pytest.approx(0.1)
 
+    @pytest.mark.parametrize("delay, gamma, message", [
+        (-1.0, -2.0, "gamma must be finite and >= 0, got -2.0"),
+        ("x", None, "gamma must be a real number, got None"),
+        (0.05, math.inf, "gamma must be finite and >= 0, got inf"),
+        (0.2, 0.1, "constant delay must lie in [0, gamma=0.1], got 0.2"),
+    ], ids=["negative", "not_numbers", "infinite_gamma", "over_gamma"])
+    def test_adversarial_built_directly_is_checked(self, delay, gamma, message):
+        # AdversarialDelay(beta=-1.0, gamma=-2.0) used to construct and draw -2.0
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            AdversarialDelay(delay=delay, gamma=gamma)
+        assert AdversarialDelay(delay=0.05, gamma=0.1).sample(3) == 0.05
+
+    @pytest.mark.parametrize("model", [ConstantDelay, ReplayDelay])
+    @pytest.mark.parametrize("gamma", [math.inf, -5.0])
+    def test_gamma_range_refused(self, model, gamma):
+        # ConstantDelay(0.5, inf) and ReplayDelay((), -5.0) used to construct
+        with pytest.raises(ConfigurationError, match=re.escape(
+                f"gamma must be finite and >= 0, got {gamma}")):
+            model(0.5 if model is ConstantDelay else (), gamma)
+
     def test_replay(self):
         m = ReplayDelay(delays=(0.1, 0.0, 0.25), gamma=0.3)
         assert [m.sample(k) for k in range(3)] == [0.1, 0.0, 0.25]

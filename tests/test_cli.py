@@ -1293,8 +1293,10 @@ def test_structural_value_probe(tmp_path, capsys, command, base):
     assert not failures
 
 
-# the library's edge values; -1 and 0 stay ints, so an int argument sees them too
-_LIBRARY_VALUES = [math.nan, math.inf, -math.inf, -1, 0, 0.5, 2.5, 3.0, 1e308, 5e-324]
+# the library's edge values; -1 and 0 stay ints, so an int argument sees them too,
+# +-10**400 have no float, and str refuses 10**5000 where ints are limited to 4,300 digits
+_LIBRARY_VALUES = [math.nan, math.inf, -math.inf, -1, 0, 0.5, 2.5, 3.0, 1e308, 5e-324,
+                   10**400, -10**400, 10**5000]
 # no numbers: a number argument refuses each with an etcsim error, but g=None is the
 # automatic packet size of run_vector (the other g arguments refuse it)
 _NON_NUMBERS = ["0.5", None, 1j]
@@ -1316,6 +1318,7 @@ def _library_calls():
         (ConstantDelay, dict(delay=0.05, gamma=0.1), draw),
         (UniformDelay, dict(gamma=0.1, seed=(1, 0)), draw),
         (AdversarialDelay.from_params, dict(growth=1.0, sigma=1.0, rho0=0.5, gamma=0.1), draw),
+        (AdversarialDelay, dict(delay=0.05, gamma=0.1), draw),
         (ReplayDelay, dict(delays=(0.05, 0.1), gamma=0.1), draw),
         (Packet, dict(word=5, g=3, t_s=0.5), Packet.bits_hex),
         (encode, dict(t_s=0.5, sign=1, g=3, b=1.0001, gamma=1.0), Packet.bits_hex),
@@ -1372,7 +1375,7 @@ def test_library_value_probe():
                 except Exception as exc:
                     failures.append((fn.__qualname__, name, value, stage, repr(exc)))
     assert not failures
-    assert cases == 656  # 53 arguments, 10 values each, and 42 number arguments, 3 more
+    assert cases == 847  # 55 arguments, 13 values each, and 44 number arguments, 3 more
 
 
 class TestUsage:

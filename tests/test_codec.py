@@ -321,6 +321,20 @@ class TestReconstruct:
                     assert abs(z_tc - zbar) <= bound * v_ts * (1 + 1e-9)
 
 
+    @pytest.mark.parametrize("sign, shown", [
+        (5, "5"), (0, "0"), (1.5, "1.5"), (10**400, "an int of 1329 bits"),
+    ], ids=["five", "zero", "fraction", "past_float_range"])
+    def test_sign_other_than_one_refused(self, sign, shown):
+        # 5 returned 0.784, 0 returned 0.0, 1.5 was accepted and 10**400 raised OverflowError
+        with pytest.raises(PreconditionError) as exc:
+            reconstruct_error(sign, 0.5, 1.0, 0.1, 0.1, 1.0)
+        assert str(exc.value) == f"sign must be +1 or -1, got {shown}"
+        with pytest.raises(PreconditionError) as exc:
+            encode(0.5, sign, 3, 1.0001, 1.0)
+        assert str(exc.value) == f"sign must be +1 or -1, got {shown}"
+        assert reconstruct_error(1.0, 0.5, 1.0, 0.1, 0.1, 1.0) == reconstruct_error(
+            1, 0.5, 1.0, 0.1, 0.1, 1.0)
+
     def test_rejects_exponents_without_a_float(self):
         # these raised OverflowError; an exponent of exactly ln(max float) still has one
         ln_max = math.log(sys.float_info.max)

@@ -274,6 +274,23 @@ def test_packet_size_rule_lives_only_in_bounds():
     assert cap == ["bounds.py"]
 
 
+def test_number_rules_live_only_in_bounds_ranges():
+    # one range table: the positive-and-finite and the finite-and->=0 rules are written
+    # in bounds._RANGES alone, and no caller converts what a reader already returned
+    rules = ("must be positive and finite", "must be finite and >= 0")
+    places, conversions = [], []
+    for path in sorted((ROOT / "src" / "etcsim").rglob("*.py")):
+        text = path.read_text()
+        conversions += re.findall(r"float\((?:\w+\.)?_check_(?:real|input)\(", text)
+        for statement in ast.parse(text).body:
+            target = getattr(statement, "targets", [None])[0]
+            places += [f"{path.stem}.{getattr(target, 'id', statement.lineno)}"
+                       for node in ast.walk(statement) if isinstance(node, ast.Constant)
+                       and isinstance(node.value, str) and any(r in node.value for r in rules)]
+    assert places == ["bounds._RANGES"] * 2
+    assert not conversions
+
+
 def test_packet_sizes_broadcast_only_in_coordinates():
     # one packet-size path: bounds.coordinates admits and broadcasts g, and neither the
     # engine nor the trace keeps a copy of the sizes
