@@ -208,7 +208,7 @@ def contraction_ladders(
     ladders a block of order p gets the default rho0*i/p, i = 1..p.  Given
     ladders, per-block sequences of real numbers, are read once, checked
     against these rules and, unless orders is None (a trigger design without
-    its plant), against the orders.
+    its plant), against the orders, and returned as floats.
     """
     if ladders is None:
         return tuple(tuple(rho0 * i / p for i in range(1, p + 1)) for p in orders)
@@ -231,7 +231,7 @@ def contraction_ladders(
     if orders is not None and (len(read) != len(orders)
                                or any(len(lad) != p for lad, p in zip(read, orders))):
         raise ConfigurationError("rho_ladders shape must match the plant blocks")
-    return read
+    return tuple(tuple(map(float, ladder)) for ladder in read)  # in (0, rho0]: each has one
 
 
 class _BoundFields(NamedTuple):  # a NamedTuple's own body may not define __new__ or _make

@@ -162,7 +162,6 @@ class UniformDelay:
         return _uniform_draw(block[1][lane], float(self.gamma))
 
 
-@dataclass(frozen=True)
 class AdversarialDelay(ConstantDelay):
     """The constant delay beta that drags the post-jump error across one quantization
     cell, clamped to gamma: from_params computes it from the plant and the trigger."""

@@ -430,11 +430,13 @@ class TestRealNumbers:
         assert str(exc.value) == message
 
     def test_records_store_floats(self):
-        inp = bnd.BoundInputs(((np.int64(2), 1),), 1, np.float32(0.5), 0, b=2, nu=np.int8(4))
-        cfg = TriggerConfig(v0=(1, np.float32(0.5)), sigma=1, rho0=np.float64(0.5), gamma=0, b=2)
+        inp = bnd.BoundInputs(((np.int64(2), 1),), 1, np.float32(0.5), 0, b=2, nu=np.int8(4),
+                              rho_ladders=((np.float32(0.5),),))
+        cfg = TriggerConfig(v0=(1, np.float32(0.5)), sigma=1, rho0=np.float64(0.5), gamma=0, b=2,
+                            rho_ladders=((np.float16(0.25), 0.5),))
         for record in (inp, cfg):
             values = [*record.v0] if record is cfg else [record.blocks[0][0]]
-            values += [record.sigma, record.rho0, record.gamma, record.b]
+            values += [record.sigma, record.rho0, record.gamma, record.b, *record.rho_ladders[0]]
             assert all(type(v) is float for v in values), values
         assert type(inp.nu) is float and cfg.v0 == (1.0, 0.5)
 
