@@ -73,6 +73,8 @@ def check_resolvable(g: int, b: float, gamma: float, t_end: float) -> None:
     """
     check_packet_size(g)
     b = _check_input("b", b, PreconditionError)
+    gamma = _check_real("gamma", gamma, PreconditionError)
+    t_end = _check_real("t_end", t_end, PreconditionError)
     if not 0 < gamma < math.inf:
         raise PreconditionError(f"{_GAMMA_RULE}, got gamma={gamma}")
     half = math.ldexp(b * gamma, 1 - g)

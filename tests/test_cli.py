@@ -16,7 +16,7 @@ from etcsim import bounds as bnd
 from etcsim import cli, sim
 from etcsim.bounds import BoundInputs
 from etcsim.channel import AdversarialDelay, ConstantDelay, ReplayDelay, UniformDelay
-from etcsim.codec import Packet, decode, encode, reconstruct_error
+from etcsim.codec import Packet, check_resolvable, decode, encode, reconstruct_error
 from etcsim.errors import ConfigurationError, DecodeError, DivergenceError, PreconditionError
 from etcsim.model import JordanPlant, TriggerConfig
 
@@ -1324,6 +1324,7 @@ def _library_calls():
         (encode, dict(t_s=0.5, sign=1, g=3, b=1.0001, gamma=1.0), Packet.bits_hex),
         (decode, dict(packet=encode(0.5, 1, 3, 1.0001, 1.0), t_c=1.0, b=1.0001, gamma=1.0), None),
         (reconstruct_error, dict(sign=1, q=0.5, t_c=1.0, v0=0.1, sigma=0.1, growth=1.0), None),
+        (check_resolvable, dict(g=3, b=1.0001, gamma=1.2, t_end=7.0), None),
         (JordanPlant, dict(blocks=((1.0, 1),), B=((1.0,),), K=((3.0,),)), None),
         (TriggerConfig, dict(v0=(0.5,), sigma=1.0, rho0=0.5, gamma=0.1, b=1.0001,
                              rho_ladders=((0.5,),)), None),
@@ -1356,7 +1357,7 @@ def test_library_value_probe():
             numbers = [] if isinstance(default, tuple) else _NON_NUMBERS
             for value in _LIBRARY_VALUES + numbers:
                 cases += 1
-                stage = "call"
+                case, stage = (fn.__qualname__, name, bnd._shown(value, repr)), "call"
                 try:
                     with warnings.catch_warnings():  # adversarial clamping, the grid step
                         warnings.simplefilter("ignore", UserWarning)
@@ -1366,16 +1367,16 @@ def test_library_value_probe():
                             use(result)
                     if any(value is v for v in numbers) and (fn, name, value) != (
                             sim.run_vector, "g", None):
-                        failures.append((fn.__qualname__, name, value, stage, "accepted"))
+                        failures.append((*case, stage, "accepted"))
                 except etcsim_errors:
                     pass
                 except TypeError as exc:
                     if stage == "use" or not isinstance(default, tuple):
-                        failures.append((fn.__qualname__, name, value, stage, repr(exc)))
+                        failures.append((*case, stage, repr(exc)))
                 except Exception as exc:
-                    failures.append((fn.__qualname__, name, value, stage, repr(exc)))
+                    failures.append((*case, stage, repr(exc)))
     assert not failures
-    assert cases == 847  # 55 arguments, 13 values each, and 44 number arguments, 3 more
+    assert cases == 911  # 59 arguments, 13 values each, and 48 number arguments, 3 more
 
 
 class TestUsage:
