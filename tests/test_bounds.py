@@ -390,7 +390,6 @@ class TestRealNumbers:
         with pytest.raises(ConfigurationError, match="gamma must be a real number, got True"):
             bnd.phase_curves(inp, [0.5, True])
 
-
     # an int past float range passed every rule and raised a bare OverflowError later:
     # in analytic_bounds and phase_curves, TriggerConfig, JordanPlant and run_vector
     PAST_FLOAT_RANGE = {
