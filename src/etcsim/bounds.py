@@ -29,13 +29,12 @@ returns it as a float, and _check_input, which adds its rules from the one
 range table _RANGES), which every entry point calls, the checks of the plant
 and the trigger (check_blocks, check_gains, contraction_ladders), which model's
 types call, and of a packet size (check_packet_size), which codec and
-coordinates call, and the per-coordinate table of a trigger design
-(coordinates), which the engine and its checks read; its cap column bounds
-each chained trigger level,
-v0_i <= v0_{i-1}*(lam+sigma)*(rho0-rho_{i-1}) / (((rho0-rho_{i-1}) + E)*(E - 1))
-with E = e^{(lam+sigma)*gamma}.  It imports nothing but the standard library
-and errors, so the analytic commands run without numpy, and its records are
-NamedTuples, so they load no dataclasses either.
+coordinates call, the one reader of trigger levels (_levels), and the
+per-coordinate table of a trigger design (coordinates), which the engine and
+its checks read; its cap column bounds each chained trigger level by the
+cascade cap _cap.  It imports nothing but the standard library and errors,
+so the analytic commands run without numpy, and its records are NamedTuples,
+so they load no dataclasses either.
 """
 
 from __future__ import annotations
@@ -699,32 +698,42 @@ class Coordinate(NamedTuple):
     tolerance: float  # time-quantization tolerance at (lam, rho0): grid mode's largest step
 
 
-def _levels(n: int, v0: Sequence[float]) -> tuple[float, ...]:
-    """The trigger levels of n coordinates; a single level applies to every one."""
-    levels = tuple(v0) * n if len(v0) == 1 else tuple(v0)
-    if len(levels) != n:
+def _levels(v0, n: int | None = None) -> tuple[float, ...]:
+    """The levels of a number or a sequence nested to any depth (arrays by tolist), in order,
+    each read by the one rule; given n, one level applies to n coordinates, or n are needed."""
+    v0 = v0.tolist() if hasattr(v0, "tolist") else v0  # numpy arrays and scalars
+    levels = (tuple(v for item in v0 for v in _levels(item)) if isinstance(v0, (list, tuple))
+              else (_check_input("trigger level v0", v0),))
+    if n is None or len(levels) == n:
+        return levels
+    if len(levels) != 1:
         raise ConfigurationError(f"need one trigger level per coordinate ({n}), got {len(levels)}")
-    return levels
+    return levels * n
 
 
-def coordinates(inp: BoundInputs, v0: Sequence[float],
-                g: int | None = None) -> tuple[Coordinate, ...]:
+def _cap(lam: float, sigma: float, rho0: float, gamma: float, rho_prev, v_prev) -> float:
+    """The coupling cap on a block's level v0_i from the level v_prev and ladder value
+    rho_prev of coordinate i - 1, whose slack absorbs the coupling that i injects:
+    v_prev*(lam+sigma)*(rho0-rho_prev) / (((rho0-rho_prev) + E)*(E - 1)), with
+    E = e^{(lam+sigma)*gamma}, E - 1 by expm1, and inf where E - 1 rounds to 0."""
+    E, em1 = math.exp((lam + sigma) * gamma), math.expm1((lam + sigma) * gamma)
+    return math.inf if em1 == 0.0 else (
+        v_prev * (lam + sigma) * (rho0 - rho_prev) / (((rho0 - rho_prev) + E) * em1))
+
+
+def coordinates(inp: BoundInputs, v0, g: int | None = None) -> tuple[Coordinate, ...]:
     """The per-coordinate table of inp's plant, the trigger levels v0 and the packet size g.
 
     The one place that broadcasts per-coordinate parameters: a single level, and a g that
     check_packet_size admits first, apply to every coordinate; without g each coordinate
     sends its sufficient size, and ladders default as contraction_ladders says.
-    The slack rho0 - rho_{i-1} of a block's coordinate i - 1 must absorb the
-    coupling that coordinate i injects, which caps v0_i at
-    v0_{i-1}*(lam+sigma)*(rho0-rho_{i-1}) / (((rho0-rho_{i-1}) + E)*(E - 1)),
-    E = e^{(lam+sigma)*gamma}, E - 1 by expm1; inf at the block's head and
-    where E - 1 rounds to 0.  Before a block's rows, an E out of float range
-    is refused (PreconditionError) and so is a level above its cap
-    (ConfigurationError), as is a level count other than one or the order.
+    _levels reads the levels; _cap caps coordinate i of a block from level i - 1, and inf
+    its head.  Before a block's rows, an E = e^{(lam+sigma)*gamma} out of float range is
+    refused (PreconditionError), and so is a level above its cap (ConfigurationError).
     """
     if g is not None:
         check_packet_size(g)
-    levels = _levels(inp.n, v0)
+    levels = _levels(v0, inp.n)
     sigma, rho0, gamma = inp.sigma, inp.rho0, inp.gamma
     ladders = contraction_ladders(rho0, [p for _, p in inp.blocks], inp.rho_ladders)
     table, at = [], 0
@@ -736,11 +745,8 @@ def coordinates(inp: BoundInputs, v0: Sequence[float],
             raise PreconditionError(
                 f"e^((lam+sigma)*gamma) leaves float range at lam={lam}, sigma={sigma}, gamma={gamma}"
             ) from None
-        em1 = math.expm1((lam + sigma) * gamma)
-        caps = [math.inf] + [  # coordinate i's cap, from level i - 1 and its slack
-            math.inf if em1 == 0.0 else v * (lam + sigma) * (rho0 - r) / (((rho0 - r) + E) * em1)
-            for v, r in zip(v_blk, ladder[:-1])
-        ]
+        caps = [math.inf, *(_cap(lam, sigma, rho0, gamma, r, v)
+                            for v, r in zip(v_blk, ladder[:-1]))]
         for i, (v, cap) in enumerate(zip(v_blk, caps)):
             if v > cap * (1.0 + 1e-12):
                 raise ConfigurationError(

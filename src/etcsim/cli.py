@@ -304,7 +304,7 @@ def _run_inputs(cfg: RunConfig, plant: JordanPlant, trigger: TriggerConfig) -> d
 
     run = {key: cfg.get(key) for key in ("horizon", "step", "x0", "xhat0", "refine", "nu")}
     sim._sample_count(run["horizon"], run["step"], plant.n)
-    sim._initial_state(run["x0"], run["xhat0"], bnd._levels(plant.n, trigger.v0))
+    sim._initial_state(run["x0"], run["xhat0"], bnd._levels(trigger.v0, plant.n))
     return run
 
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundInputs, _check_input, check_blocks, check_gains, contraction_ladders
+from .bounds import (BoundInputs, _check_input, _levels, check_blocks, check_gains,
+                     contraction_ladders)
 from .errors import ConfigurationError
 
 # States beyond this magnitude abort a run as diverged.
@@ -72,13 +73,6 @@ class JordanPlant:
         return self.a_matrix() - self.B @ self.K
 
 
-def _flat(v) -> tuple[float, ...]:
-    """The numbers of a number or a sequence, nested to any depth, in order."""
-    if isinstance(v, (list, tuple, np.ndarray)):
-        return tuple(x for item in v for x in _flat(item))
-    return (_check_input("trigger level v0", v),)
-
-
 @dataclass(frozen=True)
 class TriggerConfig:
     """Exponential trigger threshold v0*exp(-sigma*t) and the jump design knobs.
@@ -101,7 +95,7 @@ class TriggerConfig:
     def __post_init__(self):
         for name in ("sigma", "rho0", "gamma", "b"):
             object.__setattr__(self, name, _check_input(name, getattr(self, name)))
-        object.__setattr__(self, "v0", _flat(self.v0))
+        object.__setattr__(self, "v0", _levels(self.v0))
         if self.rho_ladders is not None:
             # values only: the shape is checked against the plant in bound_inputs
             ladders = contraction_ladders(self.rho0, None, self.rho_ladders)

@@ -219,9 +219,9 @@ class TestEngineAgainstReference:
             levels = []
             for lam, p in blocks:
                 v = [rng.uniform(0.1, 1.0)]
-                block = bnd.BoundInputs(blocks=((lam, p),), sigma=sigma, rho0=rho0, gamma=gamma)
+                (ladder,) = bnd.contraction_ladders(rho0, [p], None)  # the default ladder
                 for k in range(1, p):  # the cap on level k follows from level k - 1
-                    cap = bnd.coordinates(block, (*v, *[0.0] * (p - k)))[k].cap
+                    cap = bnd._cap(lam, sigma, rho0, gamma, ladder[k - 1], v[k - 1])
                     v.append(cap * rng.uniform(0.1, 0.9))
                 levels.append(tuple(v))
             cfg = TriggerConfig(v0=tuple(levels), sigma=sigma, rho0=rho0, gamma=gamma, b=b)

@@ -265,8 +265,9 @@ class TestStabilization:
             p = int(rng.integers(1, 3))
             v0 = [rng.uniform(0.05, 1.0)]
             if p == 2:  # the chained level under its cascade cap, or the run is refused
-                block = bnd.BoundInputs(blocks=((lam, 2),), sigma=sigma, rho0=rho0, gamma=gamma)
-                v0.append(bnd.coordinates(block, (v0[0], 0.0))[1].cap * rng.uniform(0.05, 1.0))
+                (ladder,) = bnd.contraction_ladders(rho0, [2], None)  # the default ladder
+                cap = bnd._cap(lam, sigma, rho0, gamma, ladder[0], v0[0])
+                v0.append(cap * rng.uniform(0.05, 1.0))
             x0 = rng.uniform(-1.0, 1.0, p)
             xhat0 = x0 + np.array(v0) * rng.uniform(-1.0, 1.0, p)
             plant = JordanPlant(blocks=((lam, p),), B=np.eye(p),
@@ -468,10 +469,8 @@ class TestRunVector:
         lam, sigma, gamma, rho0 = 0.8, 1.0, 0.08, 0.6
         ladder = (0.2, 0.4, 0.6)
         v01 = 0.5
-        block = bnd.BoundInputs(blocks=((lam, 3),), sigma=sigma, rho0=rho0, gamma=gamma,
-                                rho_ladders=(ladder,))
-        v02 = 0.9 * bnd.coordinates(block, (v01, 0.0, 0.0))[1].cap
-        v03 = 0.9 * bnd.coordinates(block, (v01, v02, 0.0))[2].cap
+        v02 = 0.9 * bnd._cap(lam, sigma, rho0, gamma, ladder[0], v01)
+        v03 = 0.9 * bnd._cap(lam, sigma, rho0, gamma, ladder[1], v02)
         plant = JordanPlant(blocks=((lam, 3),), B=np.eye(3), K=2.5 * np.eye(3))
         cfg = TriggerConfig(v0=((v01, v02, v03),), sigma=sigma, rho0=rho0,
                             gamma=gamma, rho_ladders=(ladder,))
