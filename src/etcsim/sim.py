@@ -171,9 +171,11 @@ def _initial_state(x0, xhat0, levels: Sequence[float]) -> tuple[np.ndarray, np.n
     """x0 and xhat0 as finite float arrays, one entry per trigger level, each error
     |x0 - xhat0| checked against its level. No other input enters, so a sweep checks them once."""
     x0, xhat0 = (np.atleast_1d(np.asarray(a)) for a in (x0, xhat0))
+    x0, xhat0 = (  # an object array (an int past float range, say): entry by entry
+        np.array([bnd._check_real(name, v) for v in a.ravel()]).reshape(a.shape)
+        if a.dtype.kind == "O" else a for name, a in (("x0", x0), ("xhat0", xhat0)))
     if x0.dtype.kind not in "iuf" or xhat0.dtype.kind not in "iuf":  # no str, bool or complex
-        raise ConfigurationError(f"initial states must be real numbers, got "
-                                 f"x0={bnd._shown(x0)}, xhat0={bnd._shown(xhat0)}")
+        raise ConfigurationError(f"initial states must be real numbers, got x0={x0}, xhat0={xhat0}")
     x0, xhat0 = x0.astype(float, copy=False), xhat0.astype(float, copy=False)
     if x0.shape != (len(levels),) or xhat0.shape != x0.shape:
         raise ConfigurationError(f"initial conditions must have shape ({len(levels)},)")

@@ -20,9 +20,9 @@ import pytest
 
 from etcsim import bounds as bnd
 from etcsim import cli
-from etcsim.channel import AdversarialDelay, ConstantDelay, UniformDelay
+from etcsim.channel import AdversarialDelay, ConstantDelay, ReplayDelay, UniformDelay
 from etcsim.codec import check_resolvable, decode, encode, reconstruct_error
-from etcsim.errors import PreconditionError
+from etcsim.errors import DivergenceError, PreconditionError
 from etcsim.model import JordanPlant, TriggerConfig
 from etcsim.sim import run_vector, validate_trace
 
@@ -472,3 +472,64 @@ def test_criterion_11_packet_size_transition():
     _line(11, all(checks), "the smallest holding packet size sits between the packet bounds",
           f"g = 1, 2, ... holds at gamma {'; '.join(rows)}; {elapsed:.2f}s")
     assert all(checks), rows
+
+
+def test_criterion_13_sufficient_size_at_the_delay_bound():
+    """Criterion 13, the scalar half: the sufficient packet size at the longest delay.
+
+    fig8's plant runs under ConstantDelay(gamma, gamma), in refine mode, for 30 s at
+    step 2e-4 with nu=2, at each gamma of fig8's grid.  Above gamma_c, g =
+    packet_size_sufficient and sufficient + 1 hold, and sufficient - 1 breaks: its trace
+    fails validate_trace or the run raises DivergenceError.  Below gamma_c, g = 1 holds.
+    The scan runs down from sufficient + 1 and stops one below, because g is not
+    monotone at delay 0: decode takes a 1-bit packet's send time to be its reception
+    time, so g = 1 holds there and g = 2 breaks.  Criterion 11's adversarial beta is
+    the delay of the necessity construction, not the worst one, so its smallest holding
+    g lies below the sufficient size; under delay gamma it is the sufficient size.  A
+    seeded falsification pass then runs g = sufficient at gamma = 0.2005 and 1.0005
+    under replayed delays, 0-or-gamma and uniform in [0.8 gamma, gamma], and every run
+    must hold.  This checks the engine, the codec and the sufficient-size formula
+    against each other at the worst delay found; it is not a proof over every delay.
+    """
+    t0 = time.time()
+    plant = JordanPlant.scalar(A=2.4, B=1.0, K=8.0)
+
+    def design(gamma):
+        cfg = TriggerConfig(v0=0.0442, sigma=0.2, rho0=0.1, gamma=gamma, b=1.0001)
+        return cfg, bnd.analytic_bounds(cfg.bound_inputs(plant.blocks, 2.0))
+
+    def holds(cfg, delay, g):
+        try:
+            trace = run_vector(plant, cfg, delay, 30.0, 2e-4, x0=0.201, xhat0=0.2,
+                               refine=True, g=g, nu=2.0)
+        except DivergenceError:
+            return False
+        return validate_trace(trace).ok
+
+    rows, runs = [], 0
+    for gamma in [0.0005 + i * 0.2 for i in range(11)]:  # fig8's gamma_grid 0.0005:0.2:11
+        cfg, table = design(gamma)
+        suf = table.packet_size_sufficient
+        sizes = [1] if gamma < table.gamma_c else [suf + 1, suf, suf - 1]
+        got = [holds(cfg, ConstantDelay(gamma, gamma), g) for g in sizes]
+        runs += len(got)
+        rows.append((gamma, suf, got))
+    scan_ok = all(got == ([True] if len(got) == 1 else [True, True, False])
+                  for _, _, got in rows)
+    rng = np.random.default_rng(1913)
+    failed, replays = [], 0
+    for gamma in (0.2005, 1.0005):
+        cfg, table = design(gamma)
+        for _ in range(10):  # a run here sends under 25 packets; a short replay raises
+            for delays in (gamma * rng.integers(0, 2, 64), rng.uniform(0.8 * gamma, gamma, 64)):
+                replays += 1
+                model = ReplayDelay(tuple(delays.tolist()), gamma)
+                if not holds(cfg, model, table.packet_size_sufficient):
+                    failed.append((gamma, model.delays))
+    elapsed = time.time() - t0
+    _line(13, scan_ok and not failed,
+          "the sufficient packet size holds at the delay bound, and one bit less breaks",
+          f"{runs} scan runs over {len(rows)} delays, {replays} replays, "
+          f"{len(failed)} failed; {elapsed:.2f}s")
+    assert scan_ok, [(gamma, suf, got) for gamma, suf, got in rows]
+    assert not failed, failed[:1]

@@ -391,7 +391,8 @@ class TestRealNumbers:
             bnd.phase_curves(inp, [0.5, True])
 
     # an int past float range passed every rule and raised a bare OverflowError later:
-    # in analytic_bounds and phase_curves, TriggerConfig, JordanPlant and run_vector
+    # in analytic_bounds and phase_curves, TriggerConfig, JordanPlant and run_vector;
+    # run_vector's x0 printed all its digits
     PAST_FLOAT_RANGE = {
         "BoundInputs_sigma": (lambda v: bnd.analytic_bounds(scalar(1.3, v, 0.9)),
                               ConfigurationError, "sigma"),
@@ -406,6 +407,9 @@ class TestRealNumbers:
         "run_vector_horizon": (lambda v: run_vector(
             JordanPlant.scalar(1.0, 1.0, 3.0), TriggerConfig(0.5, 1.0, 0.5, 0.1),
             ConstantDelay(0.05, 0.1), v, 1e-3, x0=0.1, xhat0=0.0), PreconditionError, "horizon"),
+        "run_vector_x0": (lambda v: run_vector(
+            JordanPlant.scalar(1.0, 1.0, 3.0), TriggerConfig(0.5, 1.0, 0.5, 0.1),
+            ConstantDelay(0.05, 0.1), 1.0, 1e-3, x0=v, xhat0=0.0), ConfigurationError, "x0"),
     }
 
     @pytest.mark.parametrize("path", PAST_FLOAT_RANGE)
@@ -427,6 +431,13 @@ class TestRealNumbers:
         with pytest.raises(ConfigurationError) as exc:
             bnd.check_blocks([(1.0, order)])
         assert str(exc.value) == message
+
+    def test_value_too_long_to_print_named_by_its_type(self):
+        # str refuses an int of more than 4,300 digits, also inside a tuple
+        with pytest.raises(ConfigurationError) as exc:
+            bnd.contraction_ladders(0.5, [1], ((10**5000,),))
+        assert str(exc.value) == ("ladder values must lie in (0, rho0], "
+                                  "got a value of type tuple too long to print")
 
     def test_records_store_floats(self):
         inp = bnd.BoundInputs(((np.int64(2), 1),), 1, np.float32(0.5), 0, b=2, nu=np.int8(4),
@@ -528,7 +539,15 @@ class TestCoordinates:
          "trigger level v0=1.0 for chained coordinate 1 exceeds its coupling cap 0.914289"),
         ((0.4, 0.05, 0.1, 0.5),
          "trigger level v0=0.1 for chained coordinate 2 exceeds its coupling cap 0.0653226"),
-    ], ids=["level_count", "cap_coordinate_1", "cap_coordinate_2"])
+        # each level by TriggerConfig's rule: "x" raised a bare TypeError from the cap
+        # comparison, and the others built a table
+        (["x"], "trigger level v0 must be a real number, got 'x'"),
+        ([-1.0], "trigger level v0 must be positive and finite, got -1.0"),
+        ([math.nan], "trigger level v0 must be positive and finite, got nan"),
+        ([0.0], "trigger level v0 must be positive and finite, got 0.0"),
+        ([10**400], "trigger level v0 must lie within float range, got an int of 1329 bits"),
+    ], ids=["level_count", "cap_coordinate_1", "cap_coordinate_2", "level_str", "level_negative",
+            "level_nan", "level_zero", "level_past_float_range"])
     def test_refusals(self, levels, message):
         with pytest.raises(ConfigurationError) as exc:
             bnd.coordinates(self.LADDER, levels)

@@ -1298,7 +1298,7 @@ def test_structural_value_probe(tmp_path, capsys, command, base):
 _LIBRARY_VALUES = [math.nan, math.inf, -math.inf, -1, 0, 0.5, 2.5, 3.0, 1e308, 5e-324,
                    10**400, -10**400, 10**5000]
 # no numbers: a number argument refuses each with an etcsim error, but g=None is the
-# automatic packet size of run_vector (the other g arguments refuse it)
+# automatic packet size of run_vector and coordinates (the other g arguments refuse it)
 _NON_NUMBERS = ["0.5", None, 1j]
 
 
@@ -1315,6 +1315,7 @@ def _library_calls():
         (bnd.analytic_bounds, dict(inp=inp), None),
         (bnd.assumption1_window, dict(inp=inp, g=3), None),
         (bnd.phase_curves, dict(inp=inp, gamma_grid=(0.1, 0.5), sigma_grid=(0.5, 1.0)), None),
+        (bnd.coordinates, dict(inp=inp, v0=0.5, g=3), None),
         (ConstantDelay, dict(delay=0.05, gamma=0.1), draw),
         (UniformDelay, dict(gamma=0.1, seed=(1, 0)), draw),
         (AdversarialDelay.from_params, dict(growth=1.0, sigma=1.0, rho0=0.5, gamma=0.1), draw),
@@ -1340,7 +1341,8 @@ def test_library_value_probe():
     # returns, and its result's use succeeds, or either raises one of etcsim's four
     # errors; a number argument given no number must raise one.  A TypeError may come
     # only from the call itself, for a number where a tuple belongs;
-    # UniformDelay(0.1, seed=3) used to construct and fail at its draw.
+    # UniformDelay(0.1, seed=3) used to construct and fail at its draw, and coordinates
+    # took no single number as its levels and checked none.
     # BoundInputs is a tuple, so an etcsim object is excluded by its module, not its type
     etcsim_errors = (ConfigurationError, DecodeError, DivergenceError, PreconditionError)
     failures, cases = [], 0
@@ -1365,8 +1367,8 @@ def test_library_value_probe():
                         stage = "use"
                         if use is not None:
                             use(result)
-                    if any(value is v for v in numbers) and (fn, name, value) != (
-                            sim.run_vector, "g", None):
+                    automatic_g = fn in (sim.run_vector, bnd.coordinates) and name == "g"
+                    if any(value is v for v in numbers) and not (automatic_g and value is None):
                         failures.append((*case, stage, "accepted"))
                 except etcsim_errors:
                     pass
@@ -1376,7 +1378,7 @@ def test_library_value_probe():
                 except Exception as exc:
                     failures.append((*case, stage, repr(exc)))
     assert not failures
-    assert cases == 911  # 59 arguments, 13 values each, and 48 number arguments, 3 more
+    assert cases == 943  # 61 arguments, 13 values each, and 50 number arguments, 3 more
 
 
 class TestUsage:

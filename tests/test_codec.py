@@ -104,6 +104,9 @@ class TestEncode:
                                          "bound, got gamma=nan"),
             ((3, math.nan, 1.2, 7.0), "b must be finite and exceed 1, got nan"),
             ((2.5, 1.0001, 1.2, 7.0), "packet size must be an integer number of bits, got 2.5"),
+            # a NaN or negative horizon returned None: t_end + half == t_end is false for NaN
+            ((3, 1.5, 0.1, math.nan), "horizon must be positive and finite, got nan"),
+            ((3, 1.5, 0.1, -1.0), "horizon must be positive and finite, got -1.0"),
         ]:
             with pytest.raises(PreconditionError, match=re.escape(message)):
                 check_resolvable(*args)

@@ -291,6 +291,28 @@ def test_number_rules_live_only_in_bounds_ranges():
     assert not conversions
 
 
+def test_levels_read_and_caps_written_only_in_bounds():
+    # one reader of trigger levels and one cascade-cap formula: the rule's key "trigger
+    # level v0" is named only in bounds._RANGES and bounds._levels, model keeps no
+    # reader of its own, and the cap's denominator ((rho0 - rho) + E) is written in
+    # bounds._cap alone (the docstrings write it without the spaces)
+    keys, caps = [], []
+    for path in sorted((ROOT / "src" / "etcsim").rglob("*.py")):
+        text = path.read_text()
+        cap_lines = [text.count("\n", 0, m.start()) + 1
+                     for m in re.finditer(r"\(\(rho0 - [^()]*\) \+ E\)", text)]
+        for statement in ast.parse(text).body:
+            name = getattr(statement, "name", getattr(getattr(statement, "targets", [None])[0],
+                                                      "id", statement.lineno))
+            keys += [f"{path.stem}.{name}" for node in ast.walk(statement)
+                     if isinstance(node, ast.Constant) and node.value == "trigger level v0"]
+            caps += [f"{path.stem}.{name}" for line in cap_lines
+                     if statement.lineno <= line <= statement.end_lineno]
+    assert keys == ["bounds._RANGES", "bounds._levels"]
+    assert not hasattr(model, "_flat")
+    assert caps == ["bounds._cap"]
+
+
 def test_packet_sizes_broadcast_only_in_coordinates():
     # one packet-size path: bounds.coordinates admits and broadcasts g, and neither the
     # engine nor the trace keeps a copy of the sizes
