@@ -711,11 +711,11 @@ def _levels(v0, n: int | None = None) -> tuple[float, ...]:
     return levels * n
 
 
-def _cap(lam: float, sigma: float, rho0: float, gamma: float, rho_prev, v_prev) -> float:
-    """The coupling cap on a block's level v0_i from the level v_prev and ladder value
-    rho_prev of coordinate i - 1, whose slack absorbs the coupling that i injects:
-    v_prev*(lam+sigma)*(rho0-rho_prev) / (((rho0-rho_prev) + E)*(E - 1)), with
-    E = e^{(lam+sigma)*gamma}, E - 1 by expm1, and inf where E - 1 rounds to 0."""
+def _cap(lam: float, sigma: float, rho0: float, gamma: float, rho_prev: float,
+         v_prev: float) -> float:
+    """The cap on a block's level v0_i from level v_prev and ladder value rho_prev of coordinate
+    i - 1, whose slack absorbs the coupling i injects: v_prev*(lam+sigma)*(rho0-rho_prev) /
+    (((rho0-rho_prev) + E)*(E - 1)), E = e^{(lam+sigma)*gamma}; inf where E - 1 (expm1) is 0."""
     E, em1 = math.exp((lam + sigma) * gamma), math.expm1((lam + sigma) * gamma)
     return math.inf if em1 == 0.0 else (
         v_prev * (lam + sigma) * (rho0 - rho_prev) / (((rho0 - rho_prev) + E) * em1))
