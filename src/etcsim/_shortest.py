@@ -149,18 +149,6 @@ def _mul128(ah, al, bh, bl):
     return ah * bh + (mid >> c32) + (low >> c32), low << c32 | ll & _M32
 
 
-def _mul_high(ah, al, bh, bl):
-    """The high word of a * b, as _mul128 computes it."""
-    c32 = _U(32)
-    mid = (al * bl >> c32) + al * bh
-    low = (mid & _M32) + ah * bl
-    mid >>= c32
-    mid += ah * bh
-    low >>= c32
-    mid += low
-    return mid
-
-
 def _at(table, index):
     """table[index] for an index array, without a cast of the index."""
     return table.take(index.view(np.int64))
@@ -191,7 +179,7 @@ def _decimal(bits):
     # zi = (u * phi_k) >> 128 from u * phi_hi and the high word of u * phi_lo; mid,
     # the word below zi, is 0 where zi is exact
     zi, mid = _mul128(uh, ul, _at(_PHI[0], bq), _at(_PHI[1], bq))
-    hi = _mul_high(uh, ul, _at(_PHI[2], bq), _at(_PHI[3], bq))
+    hi = _mul128(uh, ul, _at(_PHI[2], bq), _at(_PHI[3], bq))[0]
     del uh, ul
     mid += hi
     zi += mid < hi

@@ -25,22 +25,23 @@ triggering_rate_lower are the rate kernel's factors, which it inlines for
 speed.
 
 The module also holds the one reader of a number argument (_check_real, which
-returns it as a float, and _check_input, which adds its rules from the one
-range table _RANGES), which every entry point calls, the checks of the plant
-and the trigger (check_blocks, check_gains, contraction_ladders), which model's
-types call, and of a packet size (check_packet_size), which codec and
-coordinates call, the one reader of trigger levels (_levels), and the
-per-coordinate table of a trigger design (coordinates), which the engine and
-its checks read; its cap column bounds each chained trigger level by the
-cascade cap _cap.  It imports nothing but the standard library and errors,
-so the analytic commands run without numpy, and its records are NamedTuples,
-so they load no dataclasses either.
+returns it as a float, and _check_input, which adds its rules from the one range
+table _RANGES) and the one sequence rule (_items), which every entry point
+calls, the checks of the plant and the trigger (check_blocks, check_gains,
+contraction_ladders), which model's types call, and of a packet size
+(check_packet_size), which codec and coordinates call, the one reader of trigger
+levels (_levels), and the per-coordinate table of a trigger design
+(coordinates), which the engine and its checks read; its cap column bounds each
+chained trigger level by the cascade cap _cap.  It imports nothing but the
+standard library and errors, so the analytic commands run without numpy, and its
+records are NamedTuples, so they load no dataclasses either.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterator
 from typing import NamedTuple, Sequence
 
 from .errors import ConfigurationError, PreconditionError
@@ -97,6 +98,14 @@ def _check_real(name: str, value, error=ConfigurationError) -> float:
         raise error(f"{name} must lie within float range, got {_shown(value)}") from None
 
 
+def _items(value):
+    """The one sequence rule: a list, tuple, range, iterator or numpy array (by tolist) as the
+    tuple of its items, read once; a numpy scalar or 0-d array as its number; any other value,
+    a str, a set or a mapping too (its order is no coordinate order), as it is."""
+    value = value.tolist() if hasattr(value, "tolist") else value  # numpy arrays and scalars
+    return tuple(value) if isinstance(value, (list, tuple, range, Iterator)) else value
+
+
 def _check_input(name: str, value, error=ConfigurationError) -> float:
     """value as a float, if the argument name admits it; else error."""
     value = _check_real(name, value, error)
@@ -109,7 +118,9 @@ def _check_input(name: str, value, error=ConfigurationError) -> float:
 def _check_grid(name: str, values: Sequence[float]) -> list[float]:
     """values as floats, each admitted by the parameter name; else the error that
     checking and converting them one at a time, in order, raises first."""
-    values = list(values)  # an iterator is read once, for both passes
+    values = _items(values)  # an iterator is read once, for both passes
+    if not isinstance(values, tuple):
+        raise ConfigurationError(f"{name}_grid must be a sequence, got {_shown(values, repr)}")
     floats = None
     if all(map(_real_type, set(map(type, values)))):  # then one pass per rule
         try:
@@ -124,13 +135,18 @@ def _check_grid(name: str, values: Sequence[float]) -> list[float]:
 def check_blocks(blocks) -> tuple[tuple[float, int], ...]:
     """(eigenvalue, order) pairs as (float, int), each checked; else ConfigurationError.
 
-    An order with a fractional part is refused, not truncated, and so is a
-    plant whose orders sum past MAX_ORDER.
+    _items reads the blocks and each pair.  An order with a fractional part is refused,
+    not truncated, and so is a plant whose orders sum past MAX_ORDER.
     """
-    if not blocks:
+    pairs = _items(blocks)
+    if not pairs:
         raise ConfigurationError("at least one Jordan block is required")
+    pairs = tuple(map(_items, pairs)) if isinstance(pairs, tuple) else (pairs,)
+    if not all(isinstance(pair, tuple) and len(pair) == 2 for pair in pairs):
+        raise ConfigurationError(
+            f"blocks must be (eigenvalue, order) pairs, got {_shown(blocks, repr)}")
     checked = []
-    for lam, p in blocks:
+    for lam, p in pairs:
         lam = _check_input("eigenvalue", lam)
         try:
             order = int(p)
@@ -164,11 +180,10 @@ def check_packet_size(g) -> int:
 
 def _gain_rows(name: str, M) -> tuple[tuple[float, ...], ...]:
     """M as rows of floats; a number is one 1 x 1 row and a flat sequence one row."""
-    M = M.tolist() if hasattr(M, "tolist") else M  # numpy arrays and scalars
-    if not isinstance(M, (list, tuple)):
-        M = [[M]]
-    elif M and not isinstance(M[0], (list, tuple)):
-        M = [M]
+    M = _items(M)
+    M = tuple(map(_items, M)) if isinstance(M, tuple) else ((M,),)
+    if not all(isinstance(row, tuple) for row in M):
+        M = (M,)
     rows = tuple(tuple(_check_real(f"{name} entry", v) for v in row) for row in M)
     if len({len(row) for row in rows}) > 1:
         raise ConfigurationError(
@@ -211,11 +226,10 @@ def contraction_ladders(
     """
     if ladders is None:
         return tuple(tuple(rho0 * i / p for i in range(1, p + 1)) for p in orders)
-    try:
-        read = tuple(tuple(ladder) for ladder in ladders)
-    except TypeError:  # a number where a sequence belongs
-        read = None
-    if read is None or not all(_real_type(type(r)) for ladder in read for r in ladder):
+    read = _items(ladders)  # a value that is no sequence is one ladder that is none
+    read = tuple(map(_items, read)) if isinstance(read, tuple) else (read,)
+    if not all(isinstance(ladder, tuple) and all(_real_type(type(r)) for r in ladder)
+               for ladder in read):
         raise ConfigurationError(
             f"rho_ladders must be per-block sequences of real numbers, got {_shown(ladders, repr)}")
     for ladder in read:
@@ -699,10 +713,10 @@ class Coordinate(NamedTuple):
 
 
 def _levels(v0, n: int | None = None) -> tuple[float, ...]:
-    """The levels of a number or a sequence nested to any depth (arrays by tolist), in order,
+    """The levels of a number or a sequence (_items) nested to any depth, in order,
     each read by the one rule; given n, one level applies to n coordinates, or n are needed."""
-    v0 = v0.tolist() if hasattr(v0, "tolist") else v0  # numpy arrays and scalars
-    levels = (tuple(v for item in v0 for v in _levels(item)) if isinstance(v0, (list, tuple))
+    v0 = _items(v0)
+    levels = (tuple(v for item in v0 for v in _levels(item)) if isinstance(v0, tuple)
               else (_check_input("trigger level v0", v0),))
     if n is None or len(levels) == n:
         return levels

@@ -182,13 +182,17 @@ class AdversarialDelay(ConstantDelay):
 
 @dataclass(frozen=True)
 class ReplayDelay:
-    """Plays back a recorded delay sequence."""
+    """Plays back a recorded delay sequence, stored as a tuple (bounds._items)."""
 
     delays: tuple[float, ...]
     gamma: float
 
     def __post_init__(self):
         bounds._check_input("gamma", self.gamma)
+        object.__setattr__(self, "delays", bounds._items(self.delays))
+        if not isinstance(self.delays, tuple):
+            raise ConfigurationError(
+                f"replay delays must be a sequence, got {bounds._shown(self.delays, repr)}")
         if any(not 0 <= bounds._check_real("replay delay", d) <= self.gamma for d in self.delays):
             raise ConfigurationError(
                 f"replay delays must lie in [0, gamma={self.gamma}], got {self.delays}"
