@@ -19,6 +19,18 @@ from .codec import Packet
 from .errors import ConfigurationError
 
 
+def _packet_index(k) -> int:
+    """k as a packet index, an int (operator.index) >= 0; else ConfigurationError."""
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise ConfigurationError(
+            f"packet index k must be an integer, got {bounds._shown(k, repr)}") from None
+    if k < 0:
+        raise ConfigurationError(f"packet index k must be >= 0, got {k}")
+    return k
+
+
 @dataclass(frozen=True)
 class ConstantDelay:
     """Every packet takes exactly `delay` seconds."""
@@ -73,9 +85,6 @@ _LANE = np.arange(_LANES, dtype=np.uint32)
 
 def _words(n: int) -> list[int]:
     """The uint32 words of a non-negative integer, least significant first ([0] for 0)."""
-    n = operator.index(n)
-    if n < 0:
-        raise ConfigurationError(f"uniform delay seeds and packet indices must be >= 0, got {n}")
     words = [n & _M32]
     while n := n >> 32:
         words.append(n & _M32)
@@ -154,7 +163,7 @@ class UniformDelay:
                 f"uniform delay seed must be a tuple of ints >= 0, got {bounds._shown(seed)}")
 
     def sample(self, k: int) -> float:
-        index, lane = divmod(k, _LANES)
+        index, lane = divmod(_packet_index(k), _LANES)
         block = self._block
         if block is None or block[0] != index:
             block = (index, _uniform_block(self.seed, index))
@@ -199,7 +208,7 @@ class ReplayDelay:
             )
 
     def sample(self, k: int) -> float:
-        if k >= len(self.delays):
+        if _packet_index(k) >= len(self.delays):
             raise ConfigurationError(
                 f"replay sequence exhausted: packet {k} of {len(self.delays)} recorded delays"
             )
@@ -210,8 +219,8 @@ DelayModel = ConstantDelay | UniformDelay | AdversarialDelay | ReplayDelay
 
 
 def sample_delay(model: DelayModel, k: int) -> float:
-    """Delay of the k-th packet on this channel; always in [0, gamma]."""
-    d = model.sample(k)
+    """Delay of the k-th packet on this channel: a float (bounds._check_real) in [0, gamma]."""
+    d = bounds._check_real("drawn delay", model.sample(k))
     if not 0 <= d <= model.gamma:
         raise ConfigurationError(f"delay model produced {d} outside [0, {model.gamma}]")
     return d

@@ -145,9 +145,9 @@ class RateReport:
     bounds: bnd.AnalyticBounds
 
 
-def _sample_count(horizon: float, step: float, n: int) -> int:
-    """The samples after t = 0 of a run of an n-coordinate plant, horizon and step
-    checked. No other input enters, so a sweep checks them once, before its rows."""
+def _sample_count(horizon: float, step: float, n: int) -> tuple[int, float]:
+    """The samples after t = 0 of a run of an n-coordinate plant and its step as a float,
+    horizon and step checked. No other input enters, so a sweep checks them once."""
     step = bnd._check_input("step", step, PreconditionError)
     horizon = bnd._check_input("horizon", horizon, PreconditionError)
     steps = horizon / step
@@ -164,7 +164,7 @@ def _sample_count(horizon: float, step: float, n: int) -> int:
         raise PreconditionError(
             f"horizon {horizon} is shorter than one step {step}: the run has no samples"
         )
-    return samples
+    return samples, step
 
 
 def _initial_state(x0, xhat0, levels: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
@@ -199,7 +199,7 @@ class _Engine:
         g: int | None,
         nu: float,
     ):
-        self.S = _sample_count(horizon, step, plant.n)
+        self.S, self.h = _sample_count(horizon, step, plant.n)
         self.n = plant.n
         if len(delay_models) != self.n:
             raise ConfigurationError(
@@ -210,8 +210,7 @@ class _Engine:
                 raise ConfigurationError(f"delay model of coordinate {c} has no sample "
                                          f"method: got {type(m).__name__}")
         self.delay_models = list(delay_models)
-        self.h = step
-        self.t_end = self.S * step
+        self.t_end = self.S * self.h
         if not isinstance(refine, (bool, np.bool_)):
             raise PreconditionError(f"refine must be a bool, got {bnd._shown(refine, repr)}")
         self.refine = bool(refine)

@@ -488,6 +488,68 @@ class TestLadderShapes:
         assert build([np.array([0.25, 0.5])]).rho_ladders == want  # numpy's floats are real
 
 
+class TestSequenceRule:
+    # bounds._items, the one sequence rule: a list, tuple, range, iterator or numpy array
+    # gives its items, read once; a numpy scalar or 0-d array its number; a number, a str,
+    # a set or a mapping is no sequence, and where a sequence belongs it is refused in one
+    # line that names the argument
+    INP = scalar(1.3, 1.0, 0.9, nu=2.0)
+
+    @pytest.mark.parametrize("blocks", [3, [1.0], [(1.0,)], [(1.0, 1, 2)], {(2.0, 1), (1.0, 1)}],
+                             ids=["number", "number_as_pair", "short_pair", "long_pair", "set"])
+    def test_blocks_that_are_no_pairs_refused(self, blocks):
+        # each raised a bare TypeError or ValueError, and the set was read in hash order
+        for build in (bnd.check_blocks, lambda b: bnd.BoundInputs(b, 1.0, 0.5, 0.1)):
+            with pytest.raises(ConfigurationError) as exc:
+                build(blocks)
+            assert str(exc.value) == f"blocks must be (eigenvalue, order) pairs, got {blocks!r}"
+
+    @pytest.mark.parametrize("grid, value", [
+        ("gamma", 0.5), ("gamma", None), ("gamma", {0.1, 0.5, 0.3}), ("gamma", {0.1: 1.0}),
+        ("sigma", 0.5), ("sigma", {0.5, 1.0}), ("sigma", {0.5: 1.0}),  # None: no sigma grid
+    ], ids=["gamma_number", "gamma_none", "gamma_set", "gamma_dict", "sigma_number",
+            "sigma_set", "sigma_dict"])
+    def test_grid_that_is_no_sequence_refused(self, grid, value):
+        # a number or None raised a bare TypeError; a set ran in hash order, a dict on its keys
+        gammas, sigmas = (value, None) if grid == "gamma" else ([0.1], value)
+        with pytest.raises(ConfigurationError) as exc:
+            bnd.phase_curves(self.INP, gammas, sigma_grid=sigmas)
+        assert str(exc.value) == f"{grid}_grid must be a sequence, got {value!r}"
+
+    @pytest.mark.parametrize("builder", list(TestLadderShapes.BUILDERS))
+    @pytest.mark.parametrize("ladders", [{(0.25, 0.5)}, [{0.25, 0.5}], {(0.25, 0.5): 1}],
+                             ids=["set_of_ladders", "set_as_ladder", "dict_of_ladders"])
+    def test_ladders_in_sets_refused(self, builder, ladders):
+        with pytest.raises(ConfigurationError) as exc:
+            TestLadderShapes.BUILDERS[builder](ladders)
+        assert str(exc.value) == TestLadderShapes.SHAPE + repr(ladders)
+
+    def test_grids_and_ladders_of_every_sequence_kind_read_alike(self):
+        want = bnd.phase_curves(self.INP, [0.0, 1.0, 2.0], sigma_grid=[1.0, 2.0])
+        for gammas, sigmas in ((range(3), range(1, 3)), (np.arange(3.0), iter([1.0, 2.0])),
+                               ((g for g in (0, 1, 2)), np.array([1, 2]))):
+            assert bnd.phase_curves(self.INP, gammas, sigma_grid=sigmas) == want
+        build = TestLadderShapes.BUILDERS["BoundInputs"]
+        for ladders in (np.array([[0.25, 0.5]]), iter([iter([0.25, 0.5])]),
+                        ((r for r in lad) for lad in [(0.25, 0.5)])):
+            assert build(ladders).rho_ladders == ((0.25, 0.5),)
+
+    def test_zero_d_arrays_are_numbers_and_generators_sequences(self):
+        # a generator of levels, of gains or of blocks was refused as one value
+        inp = bnd.BoundInputs(((1.0, 2),), 1.0, 0.5, 0.1)
+        assert [co.v0 for co in bnd.coordinates(inp, np.array(0.01))] == [0.01, 0.01]
+        assert [co.v0 for co in bnd.coordinates(inp, (v for v in (0.02, 0.01)))] == [0.02, 0.01]
+        cfg = TriggerConfig(v0=np.array(0.5), sigma=1.0, rho0=0.5, gamma=0.1)
+        assert cfg.v0 == (0.5,) and type(cfg.v0[0]) is float
+        levels = (v for v in (np.float32(0.5), np.array([[0.25]])))
+        assert TriggerConfig(levels, 1.0, 0.5, 0.1).v0 == (0.5, 0.25)
+        plant = JordanPlant((b for b in [np.array([1.0, 2])]), (row for row in np.eye(2)),
+                            iter([[1.0, 0.0], (g for g in (0.0, 2.0))]))
+        assert plant.blocks == ((1.0, 2),)
+        assert plant.B.tolist() == np.eye(2).tolist()
+        assert plant.K.tolist() == [[1.0, 0.0], [0.0, 2.0]]
+
+
 class TestCoordinates:
     # the plant and design of tests/data/vector_ladder.cfg
     LADDER = bnd.BoundInputs(blocks=((0.8, 3), (2.0, 1)), sigma=1.0, rho0=0.5, gamma=0.1,

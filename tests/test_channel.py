@@ -104,6 +104,52 @@ def test_sample_delay_refuses_a_delay_outside_the_bound(k, delay):
         sample_delay(_StrayDelay(), k)
 
 
+class _Drawn:
+    gamma = 0.5
+
+    def __init__(self, value):
+        self.value = value
+
+    def sample(self, k):
+        return self.value
+
+
+@pytest.mark.parametrize("value", [None, "0.1", True, 1j])
+def test_sample_delay_refuses_a_drawn_delay_that_is_no_real_number(value):
+    # None and '0.1' raised a bare TypeError, and True passed as a delay of 1
+    with pytest.raises(ConfigurationError) as exc:
+        sample_delay(_Drawn(value), 0)
+    assert str(exc.value) == f"drawn delay must be a real number, got {value!r}"
+    assert type(sample_delay(_Drawn(0), 0)) is float
+
+
+@pytest.mark.parametrize("model", [ReplayDelay((0.05, 0.1), 0.1), UniformDelay(0.1)],
+                         ids=["replay", "uniform"])
+@pytest.mark.parametrize("k, message", [
+    (-1, "packet index k must be >= 0, got -1"),
+    (1.5, "packet index k must be an integer, got 1.5"),
+    ("1", "packet index k must be an integer, got '1'"),
+], ids=["negative", "float", "str"])
+def test_bad_packet_index_refused(model, k, message):
+    # replay's -1 returned the last delay, uniform's 1.5 raised a bare TypeError and its
+    # -1 was reported as -64
+    with pytest.raises(ConfigurationError) as exc:
+        model.sample(k)
+    assert str(exc.value) == message
+    assert model.sample(np.int64(1)) == model.sample(1)
+
+
+def test_replay_delays_stored_as_a_tuple():
+    with pytest.raises(ConfigurationError) as exc:
+        ReplayDelay(0.05, 0.1)  # raised a bare TypeError
+    assert str(exc.value) == "replay delays must be a sequence, got 0.05"
+    with pytest.raises(ConfigurationError, match="replay delays must be a sequence"):
+        ReplayDelay({0.05, 0.1}, 0.1)
+    for delays in ([0.05, 0.1], np.array([0.05, 0.1]), (d for d in (0.05, 0.1))):
+        m = ReplayDelay(delays, 0.1)
+        assert m.delays == (0.05, 0.1) and hash(m) == hash(ReplayDelay((0.05, 0.1), 0.1))
+
+
 def numpy_draw(seed, k, gamma):
     """The definition of a uniform delay: numpy's generator seeded with (*seed, k)."""
     return float(np.random.default_rng((*seed, k)).uniform(0.0, gamma))

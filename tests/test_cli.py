@@ -1300,6 +1300,9 @@ _LIBRARY_VALUES = [math.nan, math.inf, -math.inf, -1, 0, 0.5, 2.5, 3.0, 1e308, 5
 # no numbers: a number argument refuses each with an etcsim error, but g=None is the
 # automatic packet size of run_vector and coordinates (the other g arguments refuse it)
 _NON_NUMBERS = ["0.5", None, 1j]
+# no sequences, or a ragged one: for each tuple argument and each initial state, with a
+# fresh generator of the valid value's items after them
+_NON_SEQUENCES = [None, "0.5", {0.5}, {0.5: 1.0}, [[0.5], [0.5, 1.0]]]
 
 
 def _library_calls():
@@ -1339,10 +1342,10 @@ def test_library_value_probe():
     # each edge value in each number or tuple argument of each public constructor and
     # function (an argument that holds an etcsim object is left as it is): the call
     # returns, and its result's use succeeds, or either raises one of etcsim's four
-    # errors; a number argument given no number must raise one.  A TypeError may come
-    # only from the call itself, for a number where a tuple belongs;
-    # UniformDelay(0.1, seed=3) used to construct and fail at its draw, and coordinates
-    # took no single number as its levels and checked none.
+    # errors; a number argument given no number must raise one.  No TypeError may come
+    # from either: a number, a set or a dict where a tuple belongs used to raise one
+    # from the call; UniformDelay(0.1, seed=3) used to construct and fail at its draw,
+    # and coordinates took no single number as its levels and checked none.
     # BoundInputs is a tuple, so an etcsim object is excluded by its module, not its type
     etcsim_errors = (ConfigurationError, DecodeError, DivergenceError, PreconditionError)
     failures, cases = [], 0
@@ -1357,7 +1360,11 @@ def test_library_value_probe():
                     or type(default).__module__.startswith("etcsim.")):
                 continue
             numbers = [] if isinstance(default, tuple) else _NON_NUMBERS
-            for value in _LIBRARY_VALUES + numbers:
+            sequences = []
+            if isinstance(default, tuple) or name in ("x0", "xhat0"):
+                items = default if isinstance(default, tuple) else (default,)
+                sequences = [*_NON_SEQUENCES, (v for v in items)]
+            for value in _LIBRARY_VALUES + numbers + sequences:
                 cases += 1
                 case, stage = (fn.__qualname__, name, bnd._shown(value, repr)), "call"
                 try:
@@ -1372,13 +1379,12 @@ def test_library_value_probe():
                         failures.append((*case, stage, "accepted"))
                 except etcsim_errors:
                     pass
-                except TypeError as exc:
-                    if stage == "use" or not isinstance(default, tuple):
-                        failures.append((*case, stage, repr(exc)))
                 except Exception as exc:
                     failures.append((*case, stage, repr(exc)))
     assert not failures
-    assert cases == 943  # 61 arguments, 13 values each, and 50 number arguments, 3 more
+    # 61 arguments, 13 values each; 50 number arguments, 3 more; and 11 tuple arguments
+    # and the 2 initial states, 6 more
+    assert cases == 1021
 
 
 class TestUsage:

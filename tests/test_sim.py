@@ -152,6 +152,27 @@ class TestRunScalar:
                            xhat0=(0.0,) * 3) for dm in (Fixed(), ConstantDelay(0.01, 0.05))]
         assert runs[0].events == runs[1].events != []
 
+    @pytest.mark.parametrize("value", [None, "0.1", True])
+    def test_delay_model_drawing_no_number_refused(self, value):
+        # None and '0.1' ended the run in a bare TypeError, and True ran as a delay of 1
+        class Drawn:
+            gamma = 0.05
+
+            def sample(self, k):
+                return value
+
+        with pytest.raises(ConfigurationError) as exc:
+            run_vector(VECTOR_PLANT, VECTOR_CFG, Drawn(), 0.2, 1e-4, x0=(0.1,) * 3,
+                       xhat0=(0.0,) * 3)
+        assert str(exc.value) == f"drawn delay must be a real number, got {value!r}"
+
+    def test_int_step_and_horizon_kept_as_floats(self):
+        # the engine kept the raw step: both read back as ints, and events.json wrote them so
+        trace = run_vector(FIG7_PLANT, FIG7_CFG, ConstantDelay(0.1, gamma=1.2), 3, 1,
+                           x0=0.1, xhat0=0.0, refine=True)
+        assert (trace.step, trace.horizon) == (1.0, 3.0)
+        assert type(trace.step) is float and type(trace.horizon) is float
+
     def test_packet_size_refused_before_initial_state(self):
         # bounds.coordinates admits g before the engine reads x0
         with pytest.raises(PreconditionError, match="packet size must lie in"):
@@ -233,6 +254,39 @@ class TestRunScalar:
         model = ReplayDelay(delays=(0.2,), gamma=1.2)
         with pytest.raises(ConfigurationError, match="exhausted"):
             run_vector(FIG7_PLANT, FIG7_CFG, model, 7.0, 0.001, x0=0.2, xhat0=0.1)
+
+
+class TestInitialState:
+    # x0 and xhat0: a number, or a sequence (bounds._items) of numbers, each entry read by
+    # bounds._check_real
+    PLANT = JordanPlant(((1.0, 1), (2.0, 1)), np.eye(2), 3.0 * np.eye(2))
+    CFG = TriggerConfig(v0=0.5, sigma=1.0, rho0=0.5, gamma=0.1)
+
+    def run(self, x0, xhat0=(0.0, 0.0)):
+        return run_vector(self.PLANT, self.CFG, ConstantDelay(0.05, 0.1), 0.5, 1e-3,
+                          x0=x0, xhat0=xhat0, refine=True)
+
+    @pytest.mark.parametrize("x0, entry", [
+        ([[0.1], [0.1, 0.2]], "[0.1]"), ([0.1, [0.2]], "[0.2]"), ([True, 0.1], "True"),
+    ], ids=["ragged_rows", "ragged_entry", "bool"])
+    def test_entry_that_is_no_real_number_refused(self, x0, entry):
+        # a ragged state escaped numpy as a bare ValueError; a bool ran as 1.0
+        with pytest.raises(ConfigurationError) as exc:
+            self.run(x0)
+        assert str(exc.value) == f"x0 must be a real number, got {entry}"
+
+    def test_zero_d_arrays_and_generators_read_as_numbers_and_sequences(self):
+        # a generator of initial states was refused as one value
+        want = self.run((0.1, -0.2))
+        assert want.events
+        for x0, xhat0 in ((np.array([0.1, -0.2]), [np.float32(0.0), np.int64(0)]),
+                          ((v for v in (0.1, -0.2)), iter([0, 0]))):
+            got = self.run(x0, xhat0)
+            assert got.events == want.events
+            assert np.array_equal(got.x, want.x) and np.array_equal(got.xhat, want.xhat)
+        one = [run_vector(FIG7_PLANT, FIG7_CFG, ConstantDelay(0.1, gamma=1.2), 1.0, 1e-3,
+                          x0=x0, xhat0=0.0) for x0 in (0.1, np.array(0.1), [0.1])]
+        assert one[0].events == one[1].events == one[2].events != []
 
 
 class TestStabilization:

@@ -313,6 +313,28 @@ def test_levels_read_and_caps_written_only_in_bounds():
     assert caps == ["bounds._cap"]
 
 
+def test_sequences_read_only_by_items():
+    # one sequence rule: only bounds._items asks for tolist, only sim.run_vector (whose
+    # delay models are objects, not numbers) tests for a list or a tuple, no reader asks
+    # numpy for a dtype kind or atleast_1d, and the trace.csv kernel has one product routine
+    tolist, list_tests, numpy_reads = [], [], []
+    for node, scope in _scoped_nodes():
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "hasattr":
+            tolist += [scope] * (getattr(node.args[1], "value", None) == "tolist")
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            list_tests += [scope] * (ast.unparse(node.args[1]) == "(list, tuple)")
+        if isinstance(node, ast.Attribute) and (
+                node.attr == "atleast_1d" or node.attr == "kind"
+                and getattr(node.value, "attr", None) == "dtype"):
+            numpy_reads.append(scope)
+    assert tolist == ["bounds._items"]
+    assert list_tests == ["sim.run_vector"]
+    assert not numpy_reads
+    tree = ast.parse((ROOT / "src" / "etcsim" / "_shortest.py").read_text())
+    assert "_mul_high" not in {node.name for node in ast.walk(tree)
+                               if isinstance(node, ast.FunctionDef)}
+
+
 def test_packet_sizes_broadcast_only_in_coordinates():
     # one packet-size path: bounds.coordinates admits and broadcasts g, and neither the
     # engine nor the trace keeps a copy of the sizes
